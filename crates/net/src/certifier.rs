@@ -54,15 +54,19 @@
 
 use crate::codec::Message;
 use crate::conn::{ConnectPolicy, Connection};
+use crate::evloop::{Conn, Core, Service, Stopper};
+use crate::frame::{encode_frame, PUSH_ID};
+use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{Error, ReplicaId, Result, Version};
-use bargain_core::{AnyCertifier, LogRecord, PendingBatch};
+use bargain_core::{AnyCertifier, CertifyRequest, LogRecord, PendingBatch};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{self, Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -80,8 +84,6 @@ pub struct CertifierServerConfig {
     /// process, exactly as in the in-process deployment. With `shards > 1`
     /// each shard logs to its own `shard-i/certifier.wal` subdirectory.
     pub wal_dir: Option<PathBuf>,
-    /// How often an idle connection checks the stop flag.
-    pub poll_interval: Duration,
     /// Number of certifier shards hosted by this process (the table space
     /// is partitioned across them; 1 — the default — is the single
     /// certifier). The wire protocol is unchanged: the server routes each
@@ -106,7 +108,6 @@ impl Default for CertifierServerConfig {
             replicas: 3,
             eager: false,
             wal_dir: None,
-            poll_interval: Duration::from_millis(100),
             shards: 1,
             parallel_certifier: false,
             wal_flush_concurrency: 0,
@@ -114,13 +115,51 @@ impl Default for CertifierServerConfig {
     }
 }
 
-/// A running certifier service. Serves one cluster connection at a time
-/// (the certifier is a singleton component); when a cluster disconnects,
-/// the service keeps listening so a restarted (or reconnecting) cluster can
-/// re-fetch the durable history and resume.
+/// Counters of a running certifier service, read with
+/// [`CertifierServer::stats`]. `batches` against `certify_frames` is how
+/// far batching adapted to the load: equal when every request arrived
+/// alone, far apart under a burst.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CertifierServerStats {
+    /// `Certify` frames received.
+    pub certify_frames: u64,
+    /// Batches those frames were certified in (one group commit each).
+    pub batches: u64,
+    /// The most frames certified as one batch.
+    pub largest_batch: u64,
+    /// Connections accepted.
+    pub accepted: u64,
+    /// Connections closed because a newer one arrived.
+    pub superseded: u64,
+    /// Bytes read from cluster connections.
+    pub bytes_in: u64,
+    /// Bytes written to cluster connections.
+    pub bytes_out: u64,
+}
+
+/// [`CertifierServerStats`] as the service thread updates it. The thread
+/// is the only writer and the counters publish no other data, so every
+/// access is `Relaxed`.
+#[derive(Default)]
+struct Counters {
+    certify_frames: AtomicU64,
+    batches: AtomicU64,
+    largest_batch: AtomicU64,
+    accepted: AtomicU64,
+    superseded: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
+}
+
+/// A running certifier service on the event loop it shares with
+/// [`crate::server::NetServer`]. It serves one cluster connection at a time (the
+/// certifier is a singleton component) and the newest one wins: when a
+/// cluster reconnects — or restarts — the connection it left behind is
+/// closed, and the newcomer re-fetches the durable history and resumes.
 pub struct CertifierServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stopper: Stopper,
+    counters: Arc<Counters>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -162,20 +201,26 @@ impl CertifierServer {
         certifier.set_eager(config.eager);
         certifier.recover()?;
 
-        let listener = TcpListener::bind(addr).map_err(Error::from)?;
-        let addr = listener.local_addr().map_err(Error::from)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let poll = config.poll_interval;
-            std::thread::Builder::new()
-                .name("bargain-certifier-net".into())
-                .spawn(move || serve(certifier, &listener, &stop, poll))
-                .map_err(Error::from)?
+        let (core, addr, stopper) = Core::bind(addr, NetServerConfig::default())?;
+        let counters = Arc::new(Counters::default());
+        let service = CertifierService {
+            certifier,
+            pending: None,
+            stop: Arc::clone(&stopper.flag),
+            counters: Arc::clone(&counters),
         };
+        let handle = std::thread::Builder::new()
+            .name("bargain-certifier-net".into())
+            .spawn(move || {
+                if let Err(e) = core.run(service) {
+                    eprintln!("bargain-net certifier service failed: {e}");
+                }
+            })
+            .map_err(Error::from)?;
         Ok(CertifierServer {
             addr,
-            stop: Arc::clone(&stop),
+            stopper,
+            counters,
             handle: Some(handle),
         })
     }
@@ -186,10 +231,25 @@ impl CertifierServer {
         self.addr
     }
 
-    /// Asks the service to stop without blocking.
+    /// The service's counters so far.
+    #[must_use]
+    pub fn stats(&self) -> CertifierServerStats {
+        let c = &*self.counters;
+        CertifierServerStats {
+            certify_frames: c.certify_frames.load(Relaxed),
+            batches: c.batches.load(Relaxed),
+            largest_batch: c.largest_batch.load(Relaxed),
+            accepted: c.accepted.load(Relaxed),
+            superseded: c.superseded.load(Relaxed),
+            bytes_in: c.bytes_in.load(Relaxed),
+            bytes_out: c.bytes_out.load(Relaxed),
+        }
+    }
+
+    /// Asks the service to stop without blocking; the request rides the
+    /// event loop's wakeup pipe, so drain starts immediately.
     pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
+        self.stopper.request();
     }
 
     /// Blocks until the service thread exits (after
@@ -220,247 +280,185 @@ const MAX_CERTIFY_BATCH: usize = 64;
 /// decisions have been made (in total commit order) but may not be
 /// announced on the wire until [`PendingBatch::wait`] confirms durability.
 struct PendingEmit {
-    request_id: u64,
+    /// The connection the batch arrived on, the only one it may be
+    /// announced to.
+    token: u64,
     origins: Vec<ReplicaId>,
     batch: PendingBatch,
 }
 
-/// Waits out a pending batch's durability and emits its refreshes and
-/// decisions (decision last per commit, as the link's resync floor
-/// requires). Returns `false` when the connection should close.
-fn emit_pending(
-    certifier: &AnyCertifier,
-    conn: &mut Connection,
-    pending: &mut Option<PendingEmit>,
-) -> bool {
-    let Some(p) = pending.take() else {
-        return true;
-    };
-    let results = match p.batch.wait() {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = conn.send_with_id(p.request_id, &Message::Err(e));
-            return false;
-        }
-    };
-    for (origin, (decision, refreshes)) in p.origins.into_iter().zip(results) {
-        for (target, refresh) in certifier.refresh_targets(origin).into_iter().zip(refreshes) {
-            if conn
-                .send(&Message::RefreshFor {
-                    to: target,
-                    refresh,
-                })
-                .is_err()
-            {
-                return false;
-            }
-        }
-        // The decision goes out last: the link treats a received decision
-        // as proof that every refresh of that commit (sent earlier on this
-        // stream) has arrived, and advances its resync floor accordingly.
-        if conn.send(&Message::Decision { origin, decision }).is_err() {
-            return false;
-        }
-    }
-    true
+/// The certifier on the shared event loop: it certifies inline on the loop
+/// thread, batching by what one readiness event already decoded.
+///
+/// Certify traffic runs a 2-deep certify→flush pipeline: a maximal run of
+/// consecutive `Certify` frames (capped at [`MAX_CERTIFY_BATCH`]) is
+/// certified as one batch and left *pending* while the loop polls for the
+/// next burst, so the batch's per-shard WAL flushes (the dominant latency
+/// in a durable deployment) overlap the next batch's conflict checks.
+/// Decisions are announced strictly in commit order, only after their
+/// batch's flushes complete, and always before any non-certify frame that
+/// arrived later is answered. With a batch pending that poll never blocks
+/// ([`Service::holds_output`]), and when it finds nothing the batch is
+/// announced at once: a decision never sits across a timed wait.
+struct CertifierService {
+    certifier: AnyCertifier,
+    pending: Option<PendingEmit>,
+    stop: Arc<AtomicBool>,
+    counters: Arc<Counters>,
 }
 
-fn serve(
-    mut certifier: AnyCertifier,
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    poll_interval: Duration,
-) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Ok(mut conn) = Connection::from_stream(stream, None, None) else {
-            continue;
+impl CertifierService {
+    /// Waits out the pending batch's durability and queues its refreshes
+    /// and decisions on `conn` — unless the batch arrived on another
+    /// connection or `conn` is going away: then its decisions stay durable
+    /// but unannounced, and the link's resync path replays them.
+    fn announce(&mut self, conn: &mut Conn<()>) {
+        let Some(p) = self.pending.take() else {
+            return;
         };
-        // One cluster connection at a time: the certifier is a singleton.
-        //
-        // Certify traffic runs a 2-deep certify→flush pipeline: a burst of
-        // consecutive `Certify` frames is certified as one batch and left
-        // *pending* while the loop reads the next burst, so the batch's
-        // per-shard WAL flushes (the dominant latency in a durable
-        // deployment) overlap the next batch's conflict checks. Decisions
-        // are emitted strictly in commit order, only after their batch's
-        // flushes complete, and always before any non-certify frame that
-        // arrived later is answered.
-        let mut pending: Option<PendingEmit> = None;
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                emit_pending(&certifier, &mut conn, &mut pending);
-                return;
+        if p.token != conn.token || conn.closing {
+            return;
+        }
+        let results = match p.batch.wait() {
+            Ok(results) => results,
+            Err(e) => return conn.close_after(PUSH_ID, &Message::Err(e)),
+        };
+        for (origin, (decision, refreshes)) in p.origins.into_iter().zip(results) {
+            let targets = self.certifier.refresh_targets(origin);
+            for (to, refresh) in targets.into_iter().zip(refreshes) {
+                conn.enqueue_reply(PUSH_ID, &Message::RefreshFor { to, refresh });
             }
-            match poll_stream(conn.stream(), poll_interval) {
-                StreamState::Idle => {
-                    // Nothing queued behind the pending batch: drain the
-                    // pipeline now rather than holding decisions hostage
-                    // to future traffic.
-                    if !emit_pending(&certifier, &mut conn, &mut pending) {
-                        break;
-                    }
-                    continue;
-                }
-                StreamState::Closed => break,
-                StreamState::Readable => {}
+            // The decision goes out last: the link treats a received
+            // decision as proof that every refresh of that commit (queued
+            // ahead of it, so written ahead of it) has arrived, and
+            // advances its resync floor accordingly.
+            conn.enqueue_reply(PUSH_ID, &Message::Decision { origin, decision });
+        }
+    }
+
+    /// Certifies `run` as one batch and leaves it pending, announcing the
+    /// previous batch first (its flushes ran while this run was read).
+    fn submit(&mut self, conn: &mut Conn<()>, run: &mut Vec<CertifyRequest>) {
+        if run.is_empty() {
+            return;
+        }
+        let (c, frames) = (&self.counters, run.len() as u64);
+        c.certify_frames.fetch_add(frames, Relaxed);
+        c.batches.fetch_add(1, Relaxed);
+        c.largest_batch.fetch_max(frames, Relaxed);
+        let origins = run.iter().map(|r| r.replica).collect();
+        let batch = self.certifier.certify_batch_async(std::mem::take(run));
+        self.announce(conn);
+        let token = conn.token;
+        self.pending = Some(PendingEmit {
+            token,
+            origins,
+            batch,
+        });
+    }
+
+    /// Answers one non-certify request. Direct replies (pong, history,
+    /// errors, the stop ack) echo the request's id; deliveries the
+    /// protocol *pushes* (refreshes, decisions, global commits — they
+    /// answer no single request) carry [`PUSH_ID`].
+    fn answer(&mut self, conn: &mut Conn<()>, request_id: u64, msg: Message) {
+        match msg {
+            Message::Ping => conn.enqueue_reply(request_id, &Message::Pong),
+            Message::FetchHistory { after } => {
+                let reply = match self.certifier.certified_since(after) {
+                    Ok(records) => Message::History { records },
+                    Err(e) => Message::Err(e),
+                };
+                conn.enqueue_reply(request_id, &reply);
             }
-            let (request_id, msg) = match conn.recv_tagged() {
-                Ok(tagged) => tagged,
-                Err(_) => break,
-            };
-            match msg {
-                Message::Certify(first) => {
-                    // Gather the rest of the burst: every frame already
-                    // readable, up to the batch cap or the first frame of
-                    // another kind (carried and handled after submission).
-                    let mut batch = vec![first];
-                    let mut carry: Option<(u64, Message)> = None;
-                    let mut dead = false;
-                    while batch.len() < MAX_CERTIFY_BATCH {
-                        match poll_stream(conn.stream(), Duration::from_millis(1)) {
-                            StreamState::Readable => match conn.recv_tagged() {
-                                Ok((_, Message::Certify(req))) => batch.push(req),
-                                Ok(tagged) => {
-                                    carry = Some(tagged);
-                                    break;
-                                }
-                                Err(_) => {
-                                    dead = true;
-                                    break;
-                                }
-                            },
-                            StreamState::Idle => break,
-                            StreamState::Closed => break,
-                        }
-                    }
-                    let origins: Vec<ReplicaId> = batch.iter().map(|r| r.replica).collect();
-                    let next = certifier.certify_batch_async(batch);
-                    // Previous batch first: decisions go out in commit
-                    // order. Its flushes ran while this burst was read.
-                    if !emit_pending(&certifier, &mut conn, &mut pending) {
-                        break;
-                    }
-                    pending = Some(PendingEmit {
-                        request_id,
-                        origins,
-                        batch: next,
-                    });
-                    if dead {
-                        break;
-                    }
-                    if let Some((carry_id, carry_msg)) = carry {
-                        if !emit_pending(&certifier, &mut conn, &mut pending)
-                            || !handle_certifier_message(
-                                &mut certifier,
-                                &mut conn,
-                                carry_id,
-                                carry_msg,
-                                stop,
-                            )
-                        {
-                            break;
-                        }
-                    }
-                }
-                other => {
-                    if !emit_pending(&certifier, &mut conn, &mut pending)
-                        || !handle_certifier_message(
-                            &mut certifier,
-                            &mut conn,
-                            request_id,
-                            other,
-                            stop,
-                        )
-                    {
-                        break;
-                    }
+            Message::Applied { replica, version } => {
+                if let Some((origin, txn)) = self.certifier.on_commit_applied(replica, version) {
+                    conn.enqueue_reply(PUSH_ID, &Message::GlobalCommitFor { origin, txn });
                 }
             }
-        }
-        // The socket is gone (or errored): decisions still pending are
-        // durable but unannounced — the link's resync path replays them.
-        drop(pending);
-    }
-}
-
-enum StreamState {
-    Readable,
-    Idle,
-    Closed,
-}
-
-fn poll_stream(stream: &TcpStream, interval: Duration) -> StreamState {
-    if stream.set_read_timeout(Some(interval)).is_err() {
-        return StreamState::Closed;
-    }
-    let mut probe = [0u8; 1];
-    let polled = match stream.peek(&mut probe) {
-        Ok(0) => StreamState::Closed,
-        Ok(_) => StreamState::Readable,
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            StreamState::Idle
-        }
-        Err(_) => StreamState::Closed,
-    };
-    if stream.set_read_timeout(None).is_err() {
-        return StreamState::Closed;
-    }
-    polled
-}
-
-/// Handles one non-certify request frame (`Certify` runs through `serve`'s
-/// pipelined batch path); returns `false` when the connection (or the
-/// whole service) should wind down. Direct replies (pong, history, errors,
-/// the stop ack) echo the request's id; deliveries the protocol *pushes*
-/// (refreshes, decisions, global commits — they answer no single request)
-/// go out untagged via [`Connection::send`].
-fn handle_certifier_message(
-    certifier: &mut AnyCertifier,
-    conn: &mut Connection,
-    request_id: u64,
-    msg: Message,
-    stop: &AtomicBool,
-) -> bool {
-    match msg {
-        Message::Ping => conn.send_with_id(request_id, &Message::Pong).is_ok(),
-        Message::FetchHistory { after } => {
-            let records = match certifier.certified_since(after) {
-                Ok(records) => records,
-                Err(e) => return conn.send_with_id(request_id, &Message::Err(e)).is_ok(),
-            };
-            conn.send_with_id(request_id, &Message::History { records })
-                .is_ok()
-        }
-        Message::Applied { replica, version } => {
-            if let Some((origin, txn)) = certifier.on_commit_applied(replica, version) {
-                return conn.send(&Message::GlobalCommitFor { origin, txn }).is_ok();
+            Message::StopServer => {
+                self.stop.store(true, Ordering::SeqCst);
+                conn.close_after(request_id, &Message::Ack);
             }
-            true
-        }
-        Message::StopServer => {
-            stop.store(true, Ordering::SeqCst);
-            let _ = conn.send_with_id(request_id, &Message::Ack);
-            false
-        }
-        other => {
-            let _ = conn.send_with_id(
+            other => conn.close_after(
                 request_id,
                 &Message::Err(Error::Protocol(format!(
                     "unexpected message kind {} on a certifier connection",
                     other.kind()
                 ))),
-            );
-            false
+            ),
         }
+    }
+}
+
+impl Service for CertifierService {
+    type Conn = ();
+
+    /// The newest cluster connection supersedes: a half-open predecessor
+    /// (partition without FIN) would otherwise hold the singleton service
+    /// until its read deadline while the reconnecting link waits. The old
+    /// connection's pending batch is announced to it first; it is durable,
+    /// so the newcomer's `FetchHistory` resync covers it either way.
+    fn accepted(&mut self, core: &mut Core<()>) {
+        self.counters.accepted.fetch_add(1, Relaxed);
+        // Dropping a connection closes its socket, which also removes it
+        // from the poller.
+        for (_, mut conn) in core.conns.drain() {
+            self.announce(&mut conn);
+            conn.flush_out();
+            self.counters.superseded.fetch_add(1, Relaxed);
+        }
+    }
+
+    fn messages(&mut self, conn: &mut Conn<()>, msgs: Vec<(u64, Message)>) {
+        let mut run: Vec<CertifyRequest> = Vec::new();
+        for (request_id, msg) in msgs {
+            if conn.closing {
+                break; // no new work after a fatal reply
+            }
+            match msg {
+                Message::Certify(req) => {
+                    run.push(req);
+                    if run.len() == MAX_CERTIFY_BATCH {
+                        self.submit(conn, &mut run);
+                    }
+                }
+                // Any other frame may depend on decisions queued before
+                // it: drain the pipeline, then answer.
+                other => {
+                    self.submit(conn, &mut run);
+                    self.announce(conn);
+                    if !conn.closing {
+                        self.answer(conn, request_id, other);
+                    }
+                }
+            }
+        }
+        self.submit(conn, &mut run);
+    }
+
+    fn holds_output(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Nothing arrived behind the pending batch (or the service is
+    /// stopping): announce it now rather than holding decisions hostage to
+    /// future traffic. A stopping service then closes its connection once
+    /// that has flushed.
+    fn turn(&mut self, core: &mut Core<()>, idle: bool, draining: bool, dirty: &mut Vec<u64>) {
+        if draining || (idle && self.pending.is_some()) {
+            for conn in core.conns.values_mut() {
+                self.announce(conn);
+                conn.closing |= draining;
+                dirty.push(conn.token);
+            }
+            self.pending = None; // still there: its connection is gone
+        }
+    }
+
+    fn transferred(&self, read: usize, written: usize) {
+        self.counters.bytes_in.fetch_add(read as u64, Relaxed);
+        self.counters.bytes_out.fetch_add(written as u64, Relaxed);
     }
 }
 
@@ -575,11 +573,24 @@ enum Flow {
     Stop,
 }
 
-/// Forwards one harvested request over `writer`, enforcing the sweep fence:
+/// The most the link's writer gathers before it sends: one read of the
+/// service's loop.
+const MAX_BURST_BYTES: usize = 64 * 1024;
+
+/// Appends `msg`'s frame to the burst the writer sends next.
+fn push_frame(burst: &mut Vec<u8>, msg: &Message) -> Flow {
+    match encode_frame(msg.kind(), PUSH_ID, &msg.encode()) {
+        Ok(frame) => burst.extend_from_slice(&frame),
+        Err(_) => return Flow::Down,
+    }
+    Flow::Continue
+}
+
+/// Forwards one harvested request into `burst`, enforcing the sweep fence:
 /// certify traffic from a replica is dropped until that replica has
 /// acknowledged the current failure epoch (`acked[replica] == epoch`).
 fn forward_request(
-    writer: &mut Connection,
+    burst: &mut Vec<u8>,
     req: CertifierRequest,
     epoch: u64,
     acked: &mut HashMap<u32, u64>,
@@ -592,16 +603,10 @@ fn forward_request(
                 // commit writes its origin can no longer apply.
                 return Flow::Continue;
             }
-            if writer.send(&Message::Certify(r)).is_err() {
-                return Flow::Down;
-            }
-            Flow::Continue
+            push_frame(burst, &Message::Certify(r))
         }
         CertifierRequest::Applied { replica, version } => {
-            if writer.send(&Message::Applied { replica, version }).is_err() {
-                return Flow::Down;
-            }
-            Flow::Continue
+            push_frame(burst, &Message::Applied { replica, version })
         }
         CertifierRequest::SweepAck { replica, epoch } => {
             acked.insert(replica.0, epoch);
@@ -771,27 +776,36 @@ impl CertifierLink for RemoteCertifierLink {
                     .expect("spawn certifier link reader")
             };
 
-            // Flush requests harvested while the link was away, then serve
-            // live traffic; idle gaps become heartbeats.
+            // Requests harvested while the link was away go first, then
+            // live traffic; idle gaps become heartbeats. Frames gather in
+            // `burst` while more requests are already queued and leave in
+            // one write just before this thread would block, so requests
+            // issued together reach the service as one read and are
+            // certified as one batch.
             let mut flow = Flow::Continue;
-            while let Some(req) = buffer.pop_front() {
-                flow = forward_request(&mut writer, req, epoch, &mut acked);
-                if !matches!(flow, Flow::Continue) {
-                    break;
-                }
-            }
+            let mut burst = Vec::new();
             while matches!(flow, Flow::Continue) {
-                flow = match requests.recv_timeout(self.config.heartbeat_interval) {
-                    Ok(req) => forward_request(&mut writer, req, epoch, &mut acked),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if writer.send(&Message::Ping).is_err() {
-                            Flow::Down
-                        } else {
-                            Flow::Continue
+                let queued = (burst.len() < MAX_BURST_BYTES)
+                    .then(|| buffer.pop_front().or_else(|| requests.try_recv().ok()))
+                    .flatten();
+                flow = match queued {
+                    Some(req) => forward_request(&mut burst, req, epoch, &mut acked),
+                    None if writer.stream().write_all(&burst).is_err() => Flow::Down,
+                    None => {
+                        burst.clear();
+                        match requests.recv_timeout(self.config.heartbeat_interval) {
+                            Ok(req) => forward_request(&mut burst, req, epoch, &mut acked),
+                            Err(RecvTimeoutError::Timeout) => {
+                                push_frame(&mut burst, &Message::Ping)
+                            }
+                            Err(RecvTimeoutError::Disconnected) => Flow::Stop,
                         }
                     }
-                    Err(RecvTimeoutError::Disconnected) => Flow::Stop,
                 };
+            }
+            if matches!(flow, Flow::Stop) {
+                // Everything forwarded before the shutdown request still goes.
+                let _ = writer.stream().write_all(&burst);
             }
 
             // Tear this socket down and join the reader; decisions it

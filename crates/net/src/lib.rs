@@ -16,11 +16,11 @@
 //!   certifier's WAL (`bargain_core::wal`): one codec, disk and wire.
 //!   [`frame::FrameDecoder`] is the incremental decode path for
 //!   non-blocking sockets: partial frames resume across readiness events.
-//! - [`server`] + [`certifier`] — TCP servers. [`server::NetServer`]
-//!   hosts a full cluster node behind the session protocol on a
-//!   readiness-driven reactor (one event-loop thread over a hand-rolled
-//!   epoll poller, see `reactor`, plus a small worker pool running the
-//!   transactions); [`certifier::CertifierServer`] hosts just the
+//! - [`server`] + [`certifier`] — TCP servers, two services on one
+//!   readiness-driven event loop (`evloop`: one thread over a hand-rolled
+//!   epoll poller, see `reactor`). [`server::NetServer`] hosts a full
+//!   cluster node behind the session protocol, a small worker pool running
+//!   the transactions; [`certifier::CertifierServer`] hosts just the
 //!   certification/durability component so it can live in its own process,
 //!   reached from a cluster via [`certifier::RemoteCertifierLink`].
 //! - [`client`] — [`client::RemoteSession`], a drop-in client driver with
@@ -62,6 +62,7 @@ pub mod chaos;
 pub mod client;
 pub mod codec;
 pub mod conn;
+pub(crate) mod evloop;
 pub mod frame;
 pub(crate) mod reactor;
 pub mod server;

@@ -59,21 +59,18 @@
 //! runtime threads.
 
 use crate::codec::Message;
-use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
-use crate::reactor::{Interest, Poller, Waker, WakerHandle};
+use crate::evloop::{encode_reply, Conn, Core, Service, Stopper};
+use crate::reactor::WakerHandle;
 use bargain_cluster::{Cluster, Session};
 use bargain_common::{Error, IdemKey, Result, TableSet, TemplateId};
 use bargain_sql::TransactionTemplate;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for the frontend server.
 #[derive(Debug, Clone)]
@@ -130,7 +127,7 @@ impl Default for NetServerConfig {
 
 struct Shared {
     cluster: Cluster,
-    stop: AtomicBool,
+    stop: Arc<AtomicBool>,
     config: NetServerConfig,
     addr: SocketAddr,
     inflight: AtomicU64,
@@ -139,8 +136,9 @@ struct Shared {
 
 /// The per-connection state the *workers* need: the cluster session and
 /// the prepared templates. Shuttled by value between the reactor and the
-/// pool inside [`Job`]/[`Completion`] — the per-connection busy flag
+/// pool inside [`Job`]/[`Completion`] — the connection's empty `exec` slot
 /// guarantees at most one job holds it at a time, so no lock is needed.
+#[derive(Default)]
 struct ConnExec {
     session: Option<Session>,
     templates: HashMap<TemplateId, (Arc<TransactionTemplate>, TableSet)>,
@@ -170,8 +168,7 @@ pub struct NetServer {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    jobs_tx: Mutex<Option<Sender<Job>>>,
-    waker: WakerHandle,
+    stopper: Stopper,
 }
 
 impl NetServer {
@@ -187,21 +184,17 @@ impl NetServer {
         cluster: Cluster,
         config: NetServerConfig,
     ) -> Result<NetServer> {
-        let listener = TcpListener::bind(addr).map_err(Error::from)?;
-        listener.set_nonblocking(true).map_err(Error::from)?;
-        let addr = listener.local_addr().map_err(Error::from)?;
+        let (core, addr, stopper) = Core::bind(addr, config.clone())?;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cluster,
-            stop: AtomicBool::new(false),
+            stop: Arc::clone(&stopper.flag),
             config,
             addr,
             inflight: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         });
 
-        let waker = Waker::new()?;
-        let wake_handle = waker.handle()?;
         let (jobs_tx, jobs_rx) = unbounded::<Job>();
         let (completions_tx, completions_rx) = unbounded::<Completion>();
 
@@ -210,7 +203,7 @@ impl NetServer {
             let shared = Arc::clone(&shared);
             let jobs_rx = jobs_rx.clone();
             let completions_tx = completions_tx.clone();
-            let wake = wake_handle.clone();
+            let wake = stopper.waker.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("bargain-net-worker-{i}"))
                 .spawn(move || worker_loop(&shared, &jobs_rx, &completions_tx, &wake))
@@ -220,27 +213,26 @@ impl NetServer {
         drop(jobs_rx);
         drop(completions_tx);
 
-        let reactor = {
-            let shared = Arc::clone(&shared);
-            let jobs_tx = jobs_tx.clone();
-            std::thread::Builder::new()
-                .name("bargain-net-reactor".into())
-                .spawn(move || {
-                    if let Err(e) =
-                        Reactor::run(&shared, listener, waker, &jobs_tx, &completions_rx)
-                    {
-                        eprintln!("bargain-net reactor failed: {e}");
-                    }
-                })
-                .map_err(Error::from)?
+        let frontend = Frontend {
+            shared: Arc::clone(&shared),
+            jobs_tx,
+            completions_rx,
+            outstanding_jobs: 0,
         };
+        let reactor = std::thread::Builder::new()
+            .name("bargain-net-reactor".into())
+            .spawn(move || {
+                if let Err(e) = core.run(frontend) {
+                    eprintln!("bargain-net reactor failed: {e}");
+                }
+            })
+            .map_err(Error::from)?;
 
         Ok(NetServer {
             shared,
             reactor: Some(reactor),
             workers: worker_handles,
-            jobs_tx: Mutex::new(Some(jobs_tx)),
-            waker: wake_handle,
+            stopper,
         })
     }
 
@@ -267,8 +259,7 @@ impl NetServer {
     /// the reactor is woken through the event loop's wakeup pipe, so drain
     /// starts immediately rather than at the next poll tick.
     pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
+        self.stopper.request();
     }
 
     /// Blocks until the server has stopped (via [`NetServer::request_stop`]
@@ -280,8 +271,8 @@ impl NetServer {
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
         }
-        // Closing the job channel is what terminates the workers.
-        drop(self.jobs_tx.lock().take());
+        // The reactor owned the job channel's only sender; its exit closed
+        // the channel, which is what terminates the workers.
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -301,311 +292,48 @@ impl NetServer {
     }
 }
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
-
-/// Per-readiness-event read budget: bounded so one firehose connection
-/// cannot monopolise the reactor; level-triggered epoll re-arms for the
-/// remainder.
-const READ_CHUNK: usize = 64 * 1024;
-const READS_PER_EVENT: usize = 4;
-/// Max `IoSlice`s per vectored flush (well under any IOV_MAX).
-const MAX_IOVECS: usize = 64;
 /// Upper bound on requests bundled into one worker job. Bounds reply
 /// latency for the head of a very deep pipeline and keeps a single
 /// connection from monopolizing a worker indefinitely.
 const MAX_JOB_BATCH: usize = 32;
 
-struct ConnState {
-    stream: TcpStream,
-    token: u64,
-    decoder: FrameDecoder,
+/// The frontend's per-connection state on the event loop.
+struct FrontConn {
     /// Decoded requests awaiting their turn on the worker pool.
     queue: VecDeque<(u64, Message)>,
-    /// Encoded reply frames not yet written, oldest first.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written.
-    out_offset: usize,
-    /// Total unwritten bytes across `out`.
-    out_bytes: usize,
-    /// One worker job at a time; `exec` is `None` exactly while busy.
-    busy: bool,
+    /// One worker job at a time: `None` exactly while a job holds it.
     exec: Option<ConnExec>,
-    /// Peer closed its write side (or framing broke): read no more.
-    read_closed: bool,
-    /// Flush pending replies, then close.
-    closing: bool,
-    interest: Interest,
-    last_activity: Instant,
-    /// Last byte received (read-stall detection while mid-frame).
-    last_rx: Instant,
-    /// Last write progress (write-stall detection while replies pend).
-    last_tx_progress: Instant,
 }
 
-impl ConnState {
-    fn enqueue_reply(&mut self, request_id: u64, msg: &Message) {
-        match encode_frame(msg.kind(), request_id, &msg.encode()) {
-            Ok(frame) => {
-                self.out_bytes += frame.len();
-                self.out.push_back(frame);
-            }
-            Err(e) => {
-                // Only an over-size payload can land here; degrade to an
-                // error reply, which is small by construction.
-                if let Ok(frame) = encode_frame(
-                    Message::Err(e.clone()).kind(),
-                    request_id,
-                    &Message::Err(e).encode(),
-                ) {
-                    self.out_bytes += frame.len();
-                    self.out.push_back(frame);
-                }
-            }
-        }
-    }
-}
-
-struct Reactor<'a> {
-    shared: &'a Arc<Shared>,
-    poller: Poller,
-    waker: Waker,
-    jobs_tx: &'a Sender<Job>,
-    completions_rx: &'a Receiver<Completion>,
-    listener: Option<TcpListener>,
-    conns: HashMap<u64, ConnState>,
-    next_token: u64,
+/// The frontend service on the shared event loop (see [`crate::evloop`]):
+/// control messages are answered inline, everything else is queued per
+/// connection and executed on the worker pool.
+struct Frontend {
+    shared: Arc<Shared>,
+    jobs_tx: Sender<Job>,
+    completions_rx: Receiver<Completion>,
     /// Jobs dispatched to the pool whose completions have not come back
     /// yet (counted even for connections that died in the meantime, so
     /// drain can wait for every session to unwind).
     outstanding_jobs: usize,
-    /// Set when the stop flag is first observed; the force-close deadline.
-    drain_deadline: Option<Instant>,
 }
 
-impl<'a> Reactor<'a> {
-    fn run(
-        shared: &'a Arc<Shared>,
-        listener: TcpListener,
-        waker: Waker,
-        jobs_tx: &'a Sender<Job>,
-        completions_rx: &'a Receiver<Completion>,
-    ) -> Result<()> {
-        let poller = Poller::new()?;
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
-        poller.register(waker.reader_fd(), TOKEN_WAKER, Interest::READ)?;
-        let mut reactor = Reactor {
-            shared,
-            poller,
-            waker,
-            jobs_tx,
-            completions_rx,
-            listener: Some(listener),
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            outstanding_jobs: 0,
-            drain_deadline: None,
-        };
-        reactor.event_loop()
-    }
+impl Service for Frontend {
+    type Conn = FrontConn;
 
-    fn event_loop(&mut self) -> Result<()> {
-        let mut events = Vec::new();
-        let mut read_buf = vec![0u8; READ_CHUNK];
-        loop {
-            let timeout = if self.drain_deadline.is_some() {
-                // Draining: tick fast so quiescence is noticed promptly
-                // even if a completion's wake raced the previous drain.
-                Duration::from_millis(10)
-            } else {
-                self.shared.config.poll_interval
-            };
-            self.poller.wait(&mut events, Some(timeout))?;
-
-            // Tokens whose connection needs a flush / dispatch / interest
-            // refresh this iteration.
-            let mut dirty: Vec<u64> = Vec::new();
-
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.waker.drain(),
-                    token => {
-                        if ev.hangup && !ev.readable {
-                            self.close_conn(token);
-                            continue;
-                        }
-                        if ev.readable {
-                            self.read_ready(token, &mut read_buf);
-                        }
-                        if ev.hangup {
-                            // Consume what the peer sent before hanging
-                            // up (done above), then stop reading.
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.read_closed = true;
-                            }
-                        }
-                        dirty.push(token);
-                    }
-                }
-            }
-
-            // Worker completions: restore per-connection exec state and
-            // queue the reply frames. Replies for connections that died
-            // while their job ran just drop the session.
-            while let Ok(completion) = self.completions_rx.try_recv() {
-                self.outstanding_jobs = self.outstanding_jobs.saturating_sub(1);
-                if let Some(conn) = self.conns.get_mut(&completion.token) {
-                    conn.busy = false;
-                    conn.exec = Some(completion.exec);
-                    for frame in completion.frames {
-                        conn.out_bytes += frame.len();
-                        conn.out.push_back(frame);
-                    }
-                    dirty.push(completion.token);
-                }
-            }
-
-            let draining = self.check_stop();
-            if draining {
-                dirty.extend(self.conns.keys().copied());
-            }
-
-            // Dispatch, then flush: replies enqueued by several
-            // completions (or several inline handlers) in this iteration
-            // leave in one vectored write per connection.
-            dirty.sort_unstable();
-            dirty.dedup();
-            for token in dirty {
-                self.service_conn(token, draining);
-            }
-
-            self.sweep(draining);
-
-            if draining && self.drain_complete() {
-                return Ok(());
-            }
+    fn accepted(&mut self, _core: &mut Core<FrontConn>) -> FrontConn {
+        FrontConn {
+            queue: VecDeque::new(),
+            exec: Some(ConnExec::default()),
         }
     }
 
-    /// Accepts until the listener would block.
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.stop.load(Ordering::SeqCst) {
-                        continue; // accepted only to close: we are draining
-                    }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let interest = Interest::READ;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, interest)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    let now = Instant::now();
-                    self.conns.insert(
-                        token,
-                        ConnState {
-                            stream,
-                            token,
-                            decoder: FrameDecoder::new(),
-                            queue: VecDeque::new(),
-                            out: VecDeque::new(),
-                            out_offset: 0,
-                            out_bytes: 0,
-                            busy: false,
-                            exec: Some(ConnExec {
-                                session: None,
-                                templates: HashMap::new(),
-                            }),
-                            read_closed: false,
-                            closing: false,
-                            interest,
-                            last_activity: now,
-                            last_rx: now,
-                            last_tx_progress: now,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Reads whatever the socket has (bounded per event), feeds the
-    /// incremental decoder, and handles or queues each completed frame.
-    fn read_ready(&mut self, token: u64, buf: &mut [u8]) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.read_closed || conn.closing {
-            return;
-        }
-        let mut frames = Vec::new();
-        let mut budget = READS_PER_EVENT;
-        while budget > 0 {
-            budget -= 1;
-            match conn.stream.read(buf) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.last_rx = Instant::now();
-                    if let Err(e) = conn.decoder.feed(&buf[..n], &mut frames) {
-                        // Framing is lost: report once and close after the
-                        // error flushes (the id of the broken frame is
-                        // unknowable, so the report is a push).
-                        conn.enqueue_reply(PUSH_ID, &Message::Err(e));
-                        conn.read_closed = true;
-                        conn.closing = true;
-                        break;
-                    }
-                    if n < buf.len() {
-                        break; // drained the socket
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => budget += 1,
-                Err(_) => {
-                    conn.read_closed = true;
-                    break;
-                }
-            }
-        }
-        if !frames.is_empty() {
-            conn.last_activity = Instant::now();
-        }
-        let mut stop_requested = false;
-        for frame in frames {
+    fn messages(&mut self, conn: &mut Conn<FrontConn>, msgs: Vec<(u64, Message)>) {
+        for (request_id, msg) in msgs {
             if conn.closing {
                 break; // no new work after a fatal reply
             }
-            let msg = match Message::decode(frame.kind, &frame.payload) {
-                Ok(msg) => msg,
-                Err(e) => {
-                    // A well-framed but undecodable payload: the peer's
-                    // codec disagrees with ours, so framing trust is gone.
-                    conn.enqueue_reply(frame.request_id, &Message::Err(e));
-                    conn.read_closed = true;
-                    conn.closing = true;
-                    break;
-                }
-            };
-            // Control messages are answered inline on the reactor thread:
+            // Control messages are answered inline on the loop thread:
             // heartbeats and handshakes never queue behind transactions.
             match msg {
                 Message::Hello => {
@@ -613,201 +341,76 @@ impl<'a> Reactor<'a> {
                         replicas: self.shared.cluster.replicas() as u32,
                         mode: self.shared.cluster.mode(),
                     };
-                    conn.enqueue_reply(frame.request_id, &reply);
+                    conn.enqueue_reply(request_id, &reply);
                 }
-                Message::Ping => conn.enqueue_reply(frame.request_id, &Message::Pong),
+                Message::Ping => conn.enqueue_reply(request_id, &Message::Pong),
                 Message::StopServer => {
-                    stop_requested = true;
-                    conn.enqueue_reply(frame.request_id, &Message::Ack);
-                    conn.closing = true;
-                    conn.read_closed = true;
+                    self.shared.stop.store(true, Ordering::SeqCst);
+                    conn.close_after(request_id, &Message::Ack);
                 }
-                msg => conn.queue.push_back((frame.request_id, msg)),
+                msg => conn.data.queue.push_back((request_id, msg)),
             }
-        }
-        if stop_requested {
-            self.shared.stop.store(true, Ordering::SeqCst);
         }
     }
 
-    /// Dispatches queued requests (one at a time per connection), flushes
-    /// pending replies, refreshes epoll interest, and reaps the connection
-    /// if it is finished.
-    fn service_conn(&mut self, token: u64, draining: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let cap = self.shared.config.max_conn_write_buffer;
+    /// Worker completions: restore per-connection exec state and queue the
+    /// reply frames. Replies for connections that died while their job ran
+    /// just drop the session.
+    fn turn(
+        &mut self,
+        core: &mut Core<FrontConn>,
+        _idle: bool,
+        _draining: bool,
+        dirty: &mut Vec<u64>,
+    ) {
+        while let Ok(completion) = self.completions_rx.try_recv() {
+            self.outstanding_jobs = self.outstanding_jobs.saturating_sub(1);
+            if let Some(conn) = core.conns.get_mut(&completion.token) {
+                conn.data.exec = Some(completion.exec);
+                for frame in completion.frames {
+                    conn.enqueue_frame(frame);
+                }
+                dirty.push(completion.token);
+            }
+        }
+    }
 
-        // Flush before dispatching, so write progress releases
-        // backpressure within the same iteration.
-        let alive = flush_out(conn);
-        if !alive {
-            self.close_conn(token);
+    /// The whole queue (bounded) goes out as ONE job: a pipelined burst
+    /// pays the channel/waker handoff once, not once per request, while
+    /// the worker still executes it serially in order — the equivalence
+    /// invariant the differential proptest checks.
+    fn dispatch(&mut self, conn: &mut Conn<FrontConn>) {
+        if conn.data.queue.is_empty() {
             return;
         }
-
-        // Dispatch queued requests unless a job is already out, the
-        // connection is going away, backpressure engaged, or the server is
-        // draining. The whole queue (bounded) goes out as ONE job: a
-        // pipelined burst pays the channel/waker handoff once, not once
-        // per request, while the worker still executes it serially in
-        // order — the equivalence invariant the differential proptest
-        // checks.
-        if !conn.busy
-            && !conn.closing
-            && !draining
-            && conn.out_bytes < cap
-            && !conn.queue.is_empty()
-        {
-            let take = conn.queue.len().min(MAX_JOB_BATCH);
-            let msgs: Vec<(u64, Message)> = conn.queue.drain(..take).collect();
-            let exec = conn.exec.take().expect("exec present while not busy");
-            conn.busy = true;
-            let job = Job { token, msgs, exec };
-            if self.jobs_tx.send(job).is_ok() {
-                self.outstanding_jobs += 1;
-            } else {
-                // Worker pool is gone (shutdown): the connection can
-                // do no more work.
-                conn.busy = false;
+        let Some(exec) = conn.data.exec.take() else {
+            return;
+        };
+        let take = conn.data.queue.len().min(MAX_JOB_BATCH);
+        let msgs: Vec<(u64, Message)> = conn.data.queue.drain(..take).collect();
+        let token = conn.token;
+        match self.jobs_tx.send(Job { token, msgs, exec }) {
+            Ok(()) => self.outstanding_jobs += 1,
+            // Worker pool is gone (shutdown): the connection can do no
+            // more work.
+            Err(SendError(job)) => {
+                conn.data.exec = Some(job.exec);
                 conn.closing = true;
             }
         }
-
-        // A connection is done when it will never produce output again.
-        let finished = conn.out.is_empty()
-            && !conn.busy
-            && (conn.closing || (conn.read_closed && conn.queue.is_empty()));
-        if finished {
-            self.close_conn(token);
-            return;
-        }
-
-        let want = Interest {
-            readable: !conn.read_closed && !conn.closing && !draining && conn.out_bytes < cap,
-            writable: !conn.out.is_empty(),
-        };
-        if want != conn.interest
-            && self
-                .poller
-                .reregister(conn.stream.as_raw_fd(), token, want)
-                .is_ok()
-        {
-            conn.interest = want;
-        }
     }
 
-    /// Observes the stop flag; on the first observation closes the
-    /// listener and arms the force-close deadline.
-    fn check_stop(&mut self) -> bool {
-        if !self.shared.stop.load(Ordering::SeqCst) {
-            return false;
-        }
-        if self.drain_deadline.is_none() {
-            self.drain_deadline = Some(Instant::now() + self.shared.config.shutdown_grace);
-            if let Some(listener) = self.listener.take() {
-                self.poller.deregister(listener.as_raw_fd());
-            }
-        }
-        true
+    fn busy(conn: &FrontConn) -> bool {
+        conn.exec.is_none()
     }
 
-    /// True when every connection is gone (or the grace deadline forces
-    /// the issue) and no worker job is still holding session state.
-    fn drain_complete(&mut self) -> bool {
-        let deadline = self.drain_deadline.expect("draining");
-        if Instant::now() >= deadline {
-            // Grace expired: force-close everything still open. In-flight
-            // worker jobs finish on the pool and their completions are
-            // discarded with the channel.
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            for token in tokens {
-                self.close_conn(token);
-            }
-            return true;
-        }
-        // Done once every socket is closed and every dispatched job's
-        // completion has come back, so sessions unwind through the normal
-        // path rather than being dropped inside the channel.
-        self.conns.is_empty() && self.outstanding_jobs == 0
+    fn queued(conn: &FrontConn) -> bool {
+        !conn.queue.is_empty()
     }
 
-    /// Periodic housekeeping: idle reaping and stall detection.
-    fn sweep(&mut self, draining: bool) {
-        let now = Instant::now();
-        let config = &self.shared.config;
-        let mut doomed: Vec<u64> = Vec::new();
-        for conn in self.conns.values() {
-            if draining {
-                // During drain, quiescent connections are reaped by
-                // `service_conn`; stalled ones by the grace deadline.
-                continue;
-            }
-            let idle_expired = config.idle_timeout.is_some_and(|idle| {
-                now.duration_since(conn.last_activity) > idle
-                    && !conn.busy
-                    && conn.queue.is_empty()
-                    && conn.out.is_empty()
-            });
-            let read_stalled = config
-                .read_timeout
-                .is_some_and(|t| conn.decoder.mid_frame() && now.duration_since(conn.last_rx) > t);
-            let write_stalled = config.write_timeout.is_some_and(|t| {
-                !conn.out.is_empty() && now.duration_since(conn.last_tx_progress) > t
-            });
-            if idle_expired || read_stalled || write_stalled {
-                doomed.push(conn.token);
-            }
-        }
-        for token in doomed {
-            self.close_conn(token);
-        }
+    fn quiesced(&self) -> bool {
+        self.outstanding_jobs == 0
     }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.poller.deregister(conn.stream.as_raw_fd());
-            // Dropping ConnState drops the socket and (if present) the
-            // session; a busy connection's session comes back with the
-            // completion and is dropped there.
-        }
-    }
-}
-
-/// Flushes as much pending output as the socket accepts, vectoring up to
-/// [`MAX_IOVECS`] queued frames per syscall. Returns `false` if the
-/// connection died.
-fn flush_out(conn: &mut ConnState) -> bool {
-    while !conn.out.is_empty() {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(conn.out.len().min(MAX_IOVECS));
-        for (i, frame) in conn.out.iter().take(MAX_IOVECS).enumerate() {
-            let start = if i == 0 { conn.out_offset } else { 0 };
-            slices.push(IoSlice::new(&frame[start..]));
-        }
-        match conn.stream.write_vectored(&slices) {
-            Ok(0) => return false,
-            Ok(mut n) => {
-                conn.last_tx_progress = Instant::now();
-                conn.out_bytes -= n;
-                while n > 0 {
-                    let front_left = conn.out.front().map_or(0, Vec::len) - conn.out_offset;
-                    if n >= front_left {
-                        n -= front_left;
-                        conn.out.pop_front();
-                        conn.out_offset = 0;
-                    } else {
-                        conn.out_offset += n;
-                        n = 0;
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 fn worker_loop(
@@ -829,19 +432,7 @@ fn worker_loop(
             } else {
                 vec![handle_request(shared, msg, &mut job.exec)]
             };
-            for reply in replies {
-                let frame = encode_frame(reply.kind(), request_id, &reply.encode())
-                    .or_else(|e| {
-                        // Over-size reply: degrade to the (small) error frame.
-                        encode_frame(
-                            Message::Err(e.clone()).kind(),
-                            request_id,
-                            &Message::Err(e).encode(),
-                        )
-                    })
-                    .unwrap_or_default();
-                frames.push(frame);
-            }
+            frames.extend(replies.iter().map(|reply| encode_reply(request_id, reply)));
         }
         let sent = completions_tx.send(Completion {
             token: job.token,
@@ -856,19 +447,11 @@ fn worker_loop(
 }
 
 /// Executes one request against the cluster. `Hello`/`Ping`/`StopServer`
-/// are handled inline on the reactor and never reach the pool, but the
-/// match stays total so a future routing change cannot silently drop them.
+/// are answered inline on the reactor ([`Frontend::messages`]) and never
+/// reach the pool; if a routing change ever sent one here it would get the
+/// protocol error below, not silence.
 fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Message {
     match msg {
-        Message::Hello => Message::HelloAck {
-            replicas: shared.cluster.replicas() as u32,
-            mode: shared.cluster.mode(),
-        },
-        Message::Ping => Message::Pong,
-        Message::StopServer => {
-            shared.stop.store(true, Ordering::SeqCst);
-            Message::Ack
-        }
         Message::OpenSession => {
             let s = shared.cluster.connect();
             let client = s.client().0;

@@ -4,18 +4,23 @@
 //! the strongest evidence the wire protocol preserves the guarantees the
 //! in-process runtime provides.
 
-use bargain_cluster::{Cluster, ClusterConfig};
-use bargain_common::{ClientId, ConsistencyMode, SessionId, TableId, TableSet, TxnId, Value};
-use bargain_core::ConsistencyChecker;
+use bargain_cluster::{CertifierLink, Cluster, ClusterConfig};
+use bargain_common::{
+    ClientId, ConsistencyMode, ReplicaId, SessionId, TableId, TableSet, TxnId, Value, Version,
+    WriteOp, WriteSet,
+};
+use bargain_core::{CertifyDecision, CertifyRequest, ConsistencyChecker};
 use bargain_net::frame::encode_frame;
 use bargain_net::{
     CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, NetServer,
     RemoteCertifierLink, RemoteSession,
 };
 use bargain_workloads::{ClientContext, MicroBenchmark, RemoteDriver, TxnDriver, Workload};
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Starts a cluster pre-loaded with the reduced micro-benchmark and serves
 /// it on an OS-assigned loopback port.
@@ -362,4 +367,166 @@ fn cluster_restart_refetches_history_from_remote_certifier() {
     cluster.shutdown();
     certifier.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_updates_through_remote_certifier_never_wait_out_a_poll_tick() {
+    // One update at a time is the case the old blocking serve loop got
+    // wrong: a lone `Certify` was certified at once, but its decision was
+    // released only when a 100 ms idle poll timed out. On the event loop a
+    // pending batch makes the next wait non-blocking, so 200 sequential
+    // updates take milliseconds each, not 200 poll ticks.
+    let certifier = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default())
+        .expect("certifier binds");
+    let link =
+        RemoteCertifierLink::connect(&certifier.local_addr().to_string()).expect("link connects");
+    let workload = MicroBenchmark::small(0.5);
+    let setup_workload = workload.clone();
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: 3,
+            mode: ConsistencyMode::LazyFine,
+            ..ClusterConfig::default()
+        },
+        move |engine| setup_workload.install(engine),
+        Box::new(link),
+    );
+    let mut session = cluster.connect();
+    let started = Instant::now();
+    for round in 1..=200 {
+        let (outcome, _) = session
+            .run_sql(&[(
+                "UPDATE bench0 SET val = ? WHERE pk = ?",
+                vec![Value::Int(round), Value::Int(3)],
+            )])
+            .unwrap();
+        assert!(outcome.committed);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 sequential updates took {elapsed:?}: a decision waited on a timer"
+    );
+    // Batching follows the load: requests that arrive alone are certified
+    // alone.
+    let stats = certifier.stats();
+    assert_eq!(stats.certify_frames, 200);
+    assert_eq!(stats.batches, stats.certify_frames);
+    assert_eq!(stats.largest_batch, 1);
+    cluster.shutdown();
+    certifier.stop();
+}
+
+#[test]
+fn certify_burst_is_batched_and_answered_in_commit_order() {
+    const FRAMES: u64 = 100;
+    let certifier = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default())
+        .expect("certifier binds");
+    let mut raw = TcpStream::connect(certifier.local_addr()).expect("raw connect");
+
+    // 100 non-conflicting certify requests from 3 replicas, one write.
+    let mut burst = Vec::new();
+    for i in 0..FRAMES {
+        let mut writeset = WriteSet::new();
+        let key = Value::Int(i as i64);
+        writeset.push(
+            TableId(0),
+            key.clone(),
+            WriteOp::Update(vec![key, Value::Int(7)]),
+        );
+        let msg = Message::Certify(CertifyRequest {
+            txn: TxnId(i + 1),
+            replica: ReplicaId((i % 3) as u32),
+            snapshot: Version::ZERO,
+            writeset,
+            idem: None,
+        });
+        burst.extend(encode_frame(msg.kind(), 0, &msg.encode()).unwrap());
+    }
+    raw.write_all(&burst).unwrap();
+
+    // With no further input the service must answer all of them: per
+    // commit a refresh for each of the two other replicas, then the
+    // decision; commits in version order.
+    let mut replies =
+        Connection::from_stream(raw, Some(Duration::from_secs(10)), None).expect("wrap stream");
+    let mut refreshes_at = std::collections::HashMap::new();
+    for expected in 1..=FRAMES {
+        loop {
+            match replies.recv().expect("every certify is answered") {
+                Message::RefreshFor { refresh, .. } => {
+                    *refreshes_at.entry(refresh.commit_version).or_insert(0) += 1;
+                }
+                Message::Decision { origin, decision } => {
+                    let CertifyDecision::Commit {
+                        txn,
+                        commit_version,
+                    } = decision
+                    else {
+                        panic!("disjoint writesets must commit, got {decision:?}");
+                    };
+                    assert_eq!(commit_version, Version(expected), "commit order");
+                    assert_eq!(txn, TxnId(expected), "arrival order");
+                    assert_eq!(origin, ReplicaId(((expected - 1) % 3) as u32));
+                    assert_eq!(
+                        refreshes_at.get(&commit_version),
+                        Some(&2),
+                        "both refreshes of a commit precede its decision"
+                    );
+                    break;
+                }
+                other => panic!("unexpected delivery {other:?}"),
+            }
+        }
+    }
+
+    let stats = certifier.stats();
+    assert_eq!(stats.certify_frames, FRAMES);
+    assert!(
+        stats.batches < FRAMES,
+        "a burst decoded together must be certified together: {stats:?}"
+    );
+    assert!(
+        stats.largest_batch > 1 && stats.largest_batch <= 64,
+        "{stats:?}"
+    );
+    assert_eq!(stats.bytes_in, burst.len() as u64);
+    assert!(stats.bytes_out > 0);
+    certifier.stop();
+}
+
+#[test]
+fn newest_certifier_connection_supersedes_a_half_open_one() {
+    let certifier = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default())
+        .expect("certifier binds");
+    let addr = certifier.local_addr().to_string();
+
+    // A peer that went silent without closing (what a partition without
+    // FIN leaves behind) holds the service's one connection. The ping
+    // proves it was accepted and is being served before it goes idle.
+    let mut squatter = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
+    assert!(matches!(squatter.call(&Message::Ping), Ok(Message::Pong)));
+
+    // The reconnecting link must not queue behind it.
+    let started = Instant::now();
+    let mut link = RemoteCertifierLink::connect(&addr).expect("link connects");
+    let history = link
+        .history()
+        .expect("history served to the newest connection");
+    assert!(history.is_empty());
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "the link waited {:?} behind a half-open connection",
+        started.elapsed()
+    );
+
+    // The old socket was closed, not leaked.
+    squatter
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert_eq!(squatter.stream().read(&mut [0u8; 1]).unwrap(), 0);
+    let stats = certifier.stats();
+    assert_eq!((stats.accepted, stats.superseded), (2, 1));
+    certifier.stop();
 }

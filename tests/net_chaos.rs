@@ -363,8 +363,16 @@ fn certifier_restart_deduplicates_replayed_idempotency_key() {
 
     // Crash the certifier process. The link's failure detector must flip
     // the cluster's health view, and updates must be shed with an explicit
-    // retry-after while it is down.
+    // retry-after while it is down. The stop itself rides the service's
+    // wakeup pipe: with the link connected and idle it must not wait out a
+    // poll tick.
+    let stopping = Instant::now();
     certifier.stop();
+    assert!(
+        stopping.elapsed() < Duration::from_millis(50),
+        "stopping an idle connected certifier took {:?}",
+        stopping.elapsed()
+    );
     await_certifier_health(&cluster, false, "after certifier stop");
     let err = session
         .run_prepared_keyed(
