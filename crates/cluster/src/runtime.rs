@@ -400,7 +400,7 @@ impl Cluster {
 
     /// Starts a cluster, running `setup` (DDL + initial load) on every
     /// replica's engine before the threads spin up. All replicas must be
-    /// set up identically; `setup` runs once per replica.
+    /// set up identically; `setup` runs once per replica and nowhere else.
     pub fn start_with_setup(
         config: ClusterConfig,
         setup: impl Fn(&mut Engine) -> Result<()>,
@@ -435,8 +435,15 @@ impl Cluster {
             setup(&mut e).expect("cluster setup succeeds");
             engines.push(e);
         }
+        // The catalog mirror only ever answers `.catalog()` and mirrors DDL:
+        // it gets the replicas' schema (same `TableId`s) and none of the
+        // rows, not a fourth run of `setup`'s initial load.
         let mut catalog_engine = Engine::new();
-        setup(&mut catalog_engine).expect("cluster setup succeeds");
+        for (_, schema) in engines[0].catalog().iter() {
+            catalog_engine
+                .create_table(schema.clone())
+                .expect("a replica's schema is valid");
+        }
 
         // Obtain the durable commit history: from the local certifier's
         // (possibly durable) log, or from the remote certification service.

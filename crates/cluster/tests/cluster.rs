@@ -300,3 +300,53 @@ fn workload_setup_and_mixed_load_runs() {
         Err(_) => panic!("cluster still shared"),
     }
 }
+
+/// `setup` (DDL and the initial load) runs once per replica: the catalog
+/// mirror takes its schema from a replica and loads no rows.
+#[test]
+fn setup_runs_once_per_replica_and_the_mirror_resolves_its_tables() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counted = Arc::clone(&runs);
+    let cluster = Cluster::start_with_setup(
+        ClusterConfig {
+            replicas: 3,
+            ..ClusterConfig::default()
+        },
+        move |engine| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            for ddl in [
+                "CREATE TABLE first (id INT PRIMARY KEY, v INT NOT NULL)",
+                "CREATE TABLE second (id INT PRIMARY KEY, v INT NOT NULL)",
+            ] {
+                let stmt = bargain_sql::parse(ddl)?;
+                bargain_sql::execute_ddl(engine, &stmt)?;
+            }
+            let second = engine.resolve_table("second")?;
+            engine.load_rows(second, vec![vec![Value::Int(1), Value::Int(41)]])
+        },
+    );
+    assert_eq!(runs.load(Ordering::SeqCst), 3);
+    // Table-sets are extracted against the mirror: both tables resolve, to
+    // the ids the replicas use, and DDL after boot still reaches it.
+    cluster
+        .execute_ddl("CREATE TABLE third (id INT PRIMARY KEY, v INT NOT NULL)")
+        .unwrap();
+    let mut s = cluster.connect();
+    s.run_sql(&[
+        (
+            "UPDATE second SET v = v + 1 WHERE id = ?",
+            vec![Value::Int(1)],
+        ),
+        (
+            "INSERT INTO third (id, v) VALUES (?, ?)",
+            vec![Value::Int(1), Value::Int(1)],
+        ),
+    ])
+    .unwrap();
+    let (_, results) = s
+        .run_sql(&[("SELECT v FROM second WHERE id = ?", vec![Value::Int(1)])])
+        .unwrap();
+    assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(42));
+    cluster.shutdown();
+}
