@@ -6,6 +6,7 @@
 use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest, FileLog};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const REPLICAS: u32 = 3;
 
@@ -97,9 +98,13 @@ proptest! {
         txns in proptest::collection::vec(txn_strategy(), 1..25),
         case in 0..u32::MAX,
     ) {
+        // `case` alone is not unique: it derives from the property's name,
+        // so any second run of this property in the process would share it.
+        static INVOCATION: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "bargain-recovery-{}-{case}",
-            std::process::id()
+            "bargain-recovery-{}-{}-{case}",
+            std::process::id(),
+            INVOCATION.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("certifier.wal");
@@ -135,6 +140,6 @@ proptest! {
             .unwrap();
         prop_assert_eq!(decision_version(&d), Some(pre_crash_version.next()));
 
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
