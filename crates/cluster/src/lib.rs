@@ -4,7 +4,9 @@
 //! A live, threaded in-process deployment of the replicated database: the
 //! same `bargain-core` state machines the simulator hosts, but running on
 //! real OS threads connected by channels — one thread per replica (proxy +
-//! storage engine), one for the certifier, one for the load balancer.
+//! storage engine) and one for the certifier. The load balancer has no
+//! thread: it is shared state the submitting thread and the replica
+//! threads call under one lock (see `front.rs`).
 //!
 //! This is the deployment applications embed:
 //!
@@ -37,6 +39,7 @@
 //! cluster.shutdown();
 //! ```
 
+mod front;
 mod runtime;
 mod session;
 
@@ -44,4 +47,4 @@ pub use runtime::{
     CertifierDelivery, CertifierLink, CertifierRequest, Cluster, ClusterConfig, ClusterStats,
     JoinOptions,
 };
-pub use session::{abort_error, Session, TxnResult};
+pub use session::{abort_error, committed, Session, TxnResult};

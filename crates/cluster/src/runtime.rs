@@ -1,13 +1,14 @@
-//! The threaded runtime: replica, certifier, and load-balancer threads
-//! connected by channels.
+//! The threaded runtime: replica and certifier threads connected by
+//! channels, behind the shared front door ([`crate::front`]).
 //!
-//! Topology (one channel per arrow direction; crossbeam unbounded):
+//! Topology (crossbeam unbounded channels; `Front` is a mutex, not a
+//! thread):
 //!
 //! ```text
-//! Session ──ToLb::Run──▶ LB thread ──ToReplica::Txn──▶ replica threads
-//!    ▲                      │  ▲                          │      │
-//!    └──────reply───────────┘  └──ToLb::Outcome───────────┘      │
-//!                                                                ▼
+//! submitter ──Front::submit──▶ ToReplica::Txn ──▶ replica threads
+//!    ▲        (route + enqueue under the lock)       │      │
+//!    └─────sink(result)◀── Front::complete ──────────┘      │
+//!          (reply after the lock)                           ▼
 //!        replica threads ◀─Refresh/Decision/Global── certifier thread
 //!                        ──CertifierRequest::Certify/Applied──▶
 //! ```
@@ -15,14 +16,15 @@
 //! All protocol logic lives in the `bargain-core` state machines; the
 //! threads only move messages and execute statements.
 
-use crate::session::{Session, TxnResult};
+use crate::front::{Front, FrontDoor};
+use crate::session::Session;
 use bargain_common::{
     ConsistencyMode, Error, ReplicaId, Result, TableSet, TemplateId, TxnId, Version,
 };
 use bargain_core::{
     AnyCertifier, CertifyDecision, CertifyRequest, FinishAction, LoadBalancer, LogRecord,
     PendingBatch, Proxy, ProxyEvent, Refresh, RoutedTxn, StartDecision, StatementOutcome,
-    TxnOutcome, TxnRequest,
+    TxnOutcome,
 };
 use bargain_sql::{execute_ddl, parse, QueryResult, Statement, TransactionTemplate};
 use bargain_storage::{Engine, Snapshot};
@@ -34,12 +36,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The replica channel registry, shared by the load-balancer, certifier,
-/// and dispatch threads plus the [`Cluster`] handle. Indexed by
+/// The replica channel registry, shared by the front door, the certifier
+/// and dispatch threads and the [`Cluster`] handle. Indexed by
 /// `ReplicaId::index()`; slots are only ever appended (a decommissioned
 /// replica's sender stays in place, pointing at a hung-up channel), so an
-/// id assigned once stays valid for the cluster's lifetime.
-type ReplicaTxs = Arc<Mutex<Vec<Sender<ToReplica>>>>;
+/// id assigned once stays valid for the cluster's lifetime. Taken after
+/// the front door's lock when both are held.
+pub(crate) type ReplicaTxs = Arc<Mutex<Vec<Sender<ToReplica>>>>;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -112,68 +115,7 @@ pub struct ClusterStats {
     pub certifier_downs: u64,
 }
 
-pub(crate) enum ToLb {
-    Run {
-        template: Arc<TransactionTemplate>,
-        table_set: TableSet,
-        request: TxnRequest,
-        reply: Sender<TxnResult>,
-    },
-    Outcome {
-        outcome: TxnOutcome,
-        results: Vec<QueryResult>,
-    },
-    Ddl {
-        stmt: Box<Statement>,
-        ack: Sender<Result<()>>,
-    },
-    Stats {
-        reply: Sender<ClusterStats>,
-    },
-    /// Stop accepting new transactions, let every in-flight transaction
-    /// finish, then shut the threads down and acknowledge.
-    Drain {
-        ack: Sender<()>,
-    },
-    /// The certifier link changed health: `false` sheds new update traffic
-    /// at the load balancer, `true` resumes admission.
-    CertifierHealth(bool),
-    /// Export a consistent snapshot from the least-loaded up replica (the
-    /// donor). The reply sender is handed to the donor thread; if no
-    /// replica is up it is dropped, which the requester observes as a
-    /// hung-up channel.
-    Snapshot {
-        chunk_bytes: usize,
-        reply: Sender<Snapshot>,
-    },
-    /// Register a joining replica with the load balancer, **marked down**
-    /// (known for accounting, not yet routable).
-    AddReplica {
-        replica: ReplicaId,
-        ack: Sender<()>,
-    },
-    /// Admit a caught-up joiner: mark it routable.
-    Admit {
-        replica: ReplicaId,
-        ack: Sender<()>,
-    },
-    /// Drain one replica for decommission: stop routing to it and reply
-    /// once its in-flight transactions have completed. Refused when the
-    /// replica is unknown, the whole cluster is draining, or it is the
-    /// last routable replica.
-    DrainReplica {
-        replica: ReplicaId,
-        reply: Sender<Result<()>>,
-    },
-    /// Forget a drained replica entirely and shut its thread down.
-    Detach {
-        replica: ReplicaId,
-        ack: Sender<()>,
-    },
-    Shutdown,
-}
-
-enum ToReplica {
+pub(crate) enum ToReplica {
     Txn {
         routed: RoutedTxn,
         template: Arc<TransactionTemplate>,
@@ -373,9 +315,8 @@ impl Default for JoinOptions {
 
 /// Handle to a running in-process replicated database cluster.
 pub struct Cluster {
-    lb_tx: Sender<ToLb>,
+    front: Arc<Front>,
     cert_tx: Sender<CertifierRequest>,
-    replica_txs: ReplicaTxs,
     /// A catalog-only engine mirroring the replicas' DDL, used to resolve
     /// table-sets for ad-hoc transactions.
     catalog_engine: Arc<Mutex<Engine>>,
@@ -528,7 +469,6 @@ impl Cluster {
             }
         }
 
-        let (lb_tx, lb_rx) = unbounded::<ToLb>();
         let (cert_tx, cert_rx) = unbounded::<CertifierRequest>();
         let mut initial_txs = Vec::new();
         let mut replica_rxs = Vec::new();
@@ -538,18 +478,20 @@ impl Cluster {
             replica_rxs.push(rx);
         }
         let replica_txs: ReplicaTxs = Arc::new(Mutex::new(initial_txs));
+        let n_tables = catalog_engine.catalog().len();
+        let lb = LoadBalancer::new(config.mode, replica_ids.clone(), n_tables);
+        let front = Arc::new(Front {
+            door: Mutex::new(FrontDoor::new(lb)),
+            replica_txs: Arc::clone(&replica_txs),
+        });
 
         let mut handles = Vec::new();
 
         // Replica threads.
         for (i, (engine, rx)) in engines.into_iter().zip(replica_rxs).enumerate() {
             let proxy = Proxy::new(replica_ids[i], config.mode, engine);
-            let lb = lb_tx.clone();
-            let cert = cert_tx.clone();
             handles.push(
-                std::thread::Builder::new()
-                    .name(format!("bargain-replica-{i}"))
-                    .spawn(move || replica_main(proxy, rx, lb, cert))
+                spawn_replica(proxy, rx, Arc::clone(&front), cert_tx.clone())
                     .expect("spawn replica thread"),
             );
         }
@@ -577,45 +519,33 @@ impl Cluster {
                         .spawn(move || link.serve(cert_rx, del_tx))
                         .expect("spawn certifier link thread"),
                 );
-                let replica_txs = Arc::clone(&replica_txs);
-                let lb_tx = lb_tx.clone();
+                let front = Arc::clone(&front);
                 handles.push(
                     std::thread::Builder::new()
                         .name("bargain-certdispatch".into())
                         .spawn(move || {
                             while let Ok(delivery) = del_rx.recv() {
-                                let txs = replica_txs.lock();
                                 match delivery {
                                     CertifierDelivery::Decision { origin, decision } => {
-                                        let _ =
-                                            txs[origin.index()].send(ToReplica::Decision(decision));
+                                        front.send(origin, ToReplica::Decision(decision));
                                     }
                                     CertifierDelivery::Refresh { to, refresh } => {
-                                        let _ = txs[to.index()].send(ToReplica::Refresh(refresh));
+                                        front.send(to, ToReplica::Refresh(refresh));
                                     }
                                     CertifierDelivery::GlobalCommit { origin, txn } => {
-                                        let _ =
-                                            txs[origin.index()].send(ToReplica::GlobalCommit(txn));
+                                        front.send(origin, ToReplica::GlobalCommit(txn));
                                     }
                                     CertifierDelivery::Down { epoch } => {
-                                        for r in txs.iter() {
-                                            let _ = r.send(ToReplica::CertifierLost { epoch });
-                                        }
-                                        let _ = lb_tx.send(ToLb::CertifierHealth(false));
+                                        front.broadcast(|| ToReplica::CertifierLost { epoch });
+                                        front.door.lock().lb.mark_certifier_down();
                                     }
                                     CertifierDelivery::Up => {
-                                        let _ = lb_tx.send(ToLb::CertifierHealth(true));
+                                        front.door.lock().lb.mark_certifier_up();
                                     }
                                     CertifierDelivery::Resync { records } => {
                                         for rec in records {
-                                            for r in txs.iter() {
-                                                let _ = r.send(ToReplica::Refresh(Refresh {
-                                                    origin: rec.origin,
-                                                    txn: rec.txn,
-                                                    commit_version: rec.commit_version,
-                                                    writeset: Arc::clone(&rec.writeset),
-                                                }));
-                                            }
+                                            front
+                                                .broadcast(|| ToReplica::Refresh(refresh_of(&rec)));
                                         }
                                     }
                                 }
@@ -626,24 +556,9 @@ impl Cluster {
             }
         }
 
-        // Load-balancer thread.
-        {
-            let n_tables = catalog_engine.catalog().len();
-            let lb = LoadBalancer::new(config.mode, replica_ids, n_tables);
-            let cert = cert_tx.clone();
-            let replica_txs = Arc::clone(&replica_txs);
-            handles.push(
-                std::thread::Builder::new()
-                    .name("bargain-lb".into())
-                    .spawn(move || lb_main(lb, lb_rx, replica_txs, cert))
-                    .expect("spawn lb thread"),
-            );
-        }
-
         Cluster {
-            lb_tx,
+            front,
             cert_tx,
-            replica_txs,
             catalog_engine: Arc::new(Mutex::new(catalog_engine)),
             next_client: Arc::new(AtomicU64::new(0)),
             next_template: Arc::new(AtomicU32::new(1 << 20)),
@@ -661,7 +576,7 @@ impl Cluster {
         let id = self.next_client.fetch_add(1, Ordering::Relaxed);
         Session::new(
             id,
-            self.lb_tx.clone(),
+            Arc::clone(&self.front),
             Arc::clone(&self.catalog_engine),
             Arc::clone(&self.next_template),
         )
@@ -672,17 +587,19 @@ impl Cluster {
     /// table.
     pub fn execute_ddl(&self, sql: &str) -> Result<()> {
         let stmt = parse(sql)?;
-        let (ack_tx, ack_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::Ddl {
+        let (ack, ack_rx) = unbounded();
+        // Enqueued under the front door's lock: every replica sees the DDL
+        // before any transaction routed after this call.
+        let sent = {
+            let _door = self.front.door.lock();
+            self.front.broadcast(|| ToReplica::Ddl {
                 stmt: Box::new(stmt.clone()),
-                ack: ack_tx,
+                ack: ack.clone(),
             })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        for _ in 0..self.replicas.load(Ordering::Acquire) {
-            ack_rx
-                .recv()
-                .map_err(|_| Error::Protocol("cluster is shut down".into()))??;
+        };
+        drop(ack); // a replica that dies before acking hangs up, not us
+        for _ in 0..sent {
+            ack_rx.recv().map_err(|_| shut_down())??;
         }
         execute_ddl(&mut self.catalog_engine.lock(), &stmt)?;
         Ok(())
@@ -690,13 +607,16 @@ impl Cluster {
 
     /// Current cluster-wide counters.
     pub fn stats(&self) -> Result<ClusterStats> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::Stats { reply: reply_tx })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))
+        let door = self.front.door.lock();
+        let s = door.lb.stats();
+        Ok(ClusterStats {
+            routed: s.routed,
+            commits: s.commits,
+            aborts: s.aborts,
+            v_system: door.lb.v_system(),
+            certifier_up: door.lb.certifier_is_up(),
+            certifier_downs: s.certifier_downs,
+        })
     }
 
     /// Number of live replicas (joins increment it, decommissions decrement).
@@ -740,14 +660,13 @@ impl Cluster {
     /// [`Cluster::join_replica`], or remotely by shipping the chunks over
     /// the wire (`bargain-net`'s bootstrap path).
     pub fn export_snapshot(&self, chunk_bytes: usize) -> Result<Snapshot> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::Snapshot {
-                chunk_bytes,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        reply_rx.recv().map_err(|_| {
+        ask(|reply| {
+            let door = self.front.door.lock();
+            let export = ToReplica::ExportSnapshot { chunk_bytes, reply };
+            let donor = door.lb.least_loaded_up();
+            donor.is_some_and(|donor| self.front.send(donor, export))
+        })
+        .map_err(|_| {
             Error::Unavailable("snapshot refused: no replica available (retry-after)".into())
         })
     }
@@ -757,16 +676,7 @@ impl Cluster {
     /// top of its snapshot). Refused (`Err(Unavailable)`) behind a remote
     /// certifier link.
     pub fn certified_since(&self, after: Version) -> Result<Vec<LogRecord>> {
-        let (reply_tx, reply_rx) = unbounded();
-        self.cert_tx
-            .send(CertifierRequest::History {
-                after,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?
+        self.ask_certifier(|reply| CertifierRequest::History { after, reply })?
     }
 
     /// Adds a new replica to the running cluster: snapshot-ship bootstrap
@@ -801,18 +711,14 @@ impl Cluster {
         //    learns the id, no traffic targets the new slot.
         let engine = Engine::import_snapshot(&snapshot.manifest, &snapshot.chunks)?;
         let (replica, rx) = {
-            let mut txs = self.replica_txs.lock();
+            let mut txs = self.front.replica_txs.lock();
             let replica = ReplicaId(txs.len() as u32);
             let (tx, rx) = unbounded::<ToReplica>();
             txs.push(tx);
             (replica, rx)
         };
         let proxy = Proxy::new(replica, self.mode, engine);
-        let lb = self.lb_tx.clone();
-        let cert = self.cert_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("bargain-replica-{}", replica.index()))
-            .spawn(move || replica_main(proxy, rx, lb, cert))
+        let handle = spawn_replica(proxy, rx, Arc::clone(&self.front), self.cert_tx.clone())
             .map_err(|e| Error::Protocol(format!("spawn joiner thread: {e}")))?;
         self.handles.lock().push(handle);
         self.replicas.fetch_add(1, Ordering::AcqRel);
@@ -820,39 +726,18 @@ impl Cluster {
         //    commit certified after this point reaches the joiner as a live
         //    refresh; anything at or below the reply is in the records (or
         //    the snapshot) — the proxy deduplicates the overlap.
-        let (reply_tx, reply_rx) = unbounded();
-        self.cert_tx
-            .send(CertifierRequest::Join {
-                replica,
-                after: snapshot_version,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        let records = reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))??;
-        {
-            let txs = self.replica_txs.lock();
-            for rec in records {
-                let _ = txs[replica.index()].send(ToReplica::Refresh(Refresh {
-                    origin: rec.origin,
-                    txn: rec.txn,
-                    commit_version: rec.commit_version,
-                    writeset: rec.writeset,
-                }));
-            }
+        let after = snapshot_version;
+        let join = |reply| CertifierRequest::Join {
+            replica,
+            after,
+            reply,
+        };
+        for rec in self.ask_certifier(join)?? {
+            self.front
+                .send(replica, ToReplica::Refresh(refresh_of(&rec)));
         }
         // 4. The load balancer learns the replica (still down/unroutable).
-        let (ack_tx, ack_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::AddReplica {
-                replica,
-                ack: ack_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        ack_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
+        self.front.door.lock().lb.add_replica(replica);
         // 5. Poll until the joiner is within the lag bound, then admit.
         let deadline = Instant::now() + opts.admit_timeout;
         loop {
@@ -879,33 +764,17 @@ impl Cluster {
     /// public so a join that timed out waiting for the lag bound can be
     /// finished later).
     pub fn admit_replica(&self, replica: ReplicaId) -> Result<()> {
-        let (ack_tx, ack_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::Admit {
-                replica,
-                ack: ack_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        ack_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))
+        let mut door = self.front.door.lock();
+        if door.lb.knows_replica(replica) {
+            door.lb.mark_up(replica);
+        }
+        Ok(())
     }
 
     /// The applied version (`V_local`) of one replica, observed after every
     /// refresh queued before the probe.
     fn probe_replica(&self, replica: ReplicaId) -> Result<Version> {
-        let (reply_tx, reply_rx) = unbounded();
-        {
-            let txs = self.replica_txs.lock();
-            let tx = txs
-                .get(replica.index())
-                .ok_or_else(|| Error::Protocol(format!("unknown replica {replica:?}")))?;
-            tx.send(ToReplica::Probe { reply: reply_tx })
-                .map_err(|_| Error::Protocol("replica is shut down".into()))?;
-        }
-        reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("replica is shut down".into()))
+        ask(|reply| self.front.send(replica, ToReplica::Probe { reply }))
     }
 
     /// Removes a replica from the running cluster without losing any
@@ -930,39 +799,20 @@ impl Cluster {
         // 1. Per-replica drain: stop routing, wait out in-flight work.
         //    Refreshes keep flowing so transactions parked on a start
         //    requirement still finish.
-        let (reply_tx, reply_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::DrainReplica {
-                replica,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))??;
+        let in_flight = self.front.door.lock().drain_replica(replica)?;
+        if let Some(wait) = in_flight {
+            wait.recv().map_err(|_| shut_down())?;
+        }
         // 2. Leave the refresh membership. Every acked commit is already
         //    durable at the certifier, so cutting the fan-out loses nothing.
-        let (ack_tx, ack_rx) = unbounded();
-        self.cert_tx
-            .send(CertifierRequest::Leave {
-                replica,
-                ack: ack_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        ack_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))??;
-        // 3. Forget the replica and stop its thread.
-        let (ack_tx, ack_rx) = unbounded();
-        self.lb_tx
-            .send(ToLb::Detach {
-                replica,
-                ack: ack_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        ack_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
+        self.ask_certifier(|ack| CertifierRequest::Leave { replica, ack })??;
+        // 3. Forget the replica and stop its thread, in one step under the
+        //    lock: no transaction can be routed in between.
+        {
+            let mut door = self.front.door.lock();
+            door.detach(replica);
+            self.front.send(replica, ToReplica::Shutdown);
+        }
         self.replicas.fetch_sub(1, Ordering::AcqRel);
         Ok(())
     }
@@ -974,162 +824,134 @@ impl Cluster {
     /// [`Cluster::shutdown`] remains the abrupt variant that abandons
     /// in-flight work.
     pub fn drain(self) {
-        let (ack_tx, ack_rx) = unbounded();
-        if self.lb_tx.send(ToLb::Drain { ack: ack_tx }).is_ok() {
-            let _ = ack_rx.recv();
+        let in_flight = self.front.door.lock().begin_drain();
+        if let Some(wait) = in_flight {
+            let _ = wait.recv();
         }
-        for h in self.handles.into_inner() {
-            let _ = h.join();
-        }
+        self.stop_threads();
     }
 
     /// Stops all threads. In-flight transactions are abandoned.
     pub fn shutdown(self) {
-        let _ = self.lb_tx.send(ToLb::Shutdown);
+        let abandoned = self.front.door.lock().stop();
+        drop(abandoned);
+        self.stop_threads();
+    }
+
+    /// Sends the certifier a request carrying a reply channel; waits for the
+    /// answer.
+    fn ask_certifier<T>(&self, request: impl FnOnce(Sender<T>) -> CertifierRequest) -> Result<T> {
+        ask(|reply| self.cert_tx.send(request(reply)).is_ok())
+    }
+
+    /// Tells every replica and the certifier to stop, and joins them.
+    fn stop_threads(self) {
+        self.front.broadcast(|| ToReplica::Shutdown);
+        let _ = self.cert_tx.send(CertifierRequest::Shutdown);
         for h in self.handles.into_inner() {
             let _ = h.join();
         }
     }
 }
 
+/// A certified record as the refresh a replica applies.
+fn refresh_of(rec: &LogRecord) -> Refresh {
+    Refresh {
+        origin: rec.origin,
+        txn: rec.txn,
+        commit_version: rec.commit_version,
+        writeset: Arc::clone(&rec.writeset),
+    }
+}
+
+fn shut_down() -> Error {
+    Error::Protocol("cluster is shut down".into())
+}
+
+/// Hands `send` a reply channel and waits for the answer: the round trips
+/// that remain are with threads that do the work asked for.
+fn ask<T>(send: impl FnOnce(Sender<T>) -> bool) -> Result<T> {
+    let (reply, answer) = unbounded();
+    if !send(reply) {
+        return Err(shut_down());
+    }
+    answer.recv().map_err(|_| shut_down())
+}
+
 // ----------------------------------------------------------------------
 // Thread main loops
 // ----------------------------------------------------------------------
 
-fn replica_main(
-    mut proxy: Proxy,
+fn spawn_replica(
+    proxy: Proxy,
     rx: Receiver<ToReplica>,
-    lb: Sender<ToLb>,
+    front: Arc<Front>,
     cert: Sender<CertifierRequest>,
-) {
-    let mut n_stmts: HashMap<TxnId, usize> = HashMap::new();
-    let mut results: HashMap<TxnId, Vec<QueryResult>> = HashMap::new();
-    // Background GC cadence: vacuum the version chains every so many
-    // messages processed.
-    let mut since_gc: u32 = 0;
-
-    let send_outcome = |outcome: TxnOutcome,
-                        n_stmts: &mut HashMap<TxnId, usize>,
-                        results: &mut HashMap<TxnId, Vec<QueryResult>>,
-                        lb: &Sender<ToLb>| {
-        n_stmts.remove(&outcome.txn);
-        let results = results.remove(&outcome.txn).unwrap_or_default();
-        let _ = lb.send(ToLb::Outcome { outcome, results });
-    };
-
-    // Executes all statements of a started transaction, then finishes it.
-    fn run_txn(
-        proxy: &mut Proxy,
-        txn: TxnId,
-        n: usize,
-        results: &mut HashMap<TxnId, Vec<QueryResult>>,
-        lb: &Sender<ToLb>,
-        cert: &Sender<CertifierRequest>,
-        n_stmts: &mut HashMap<TxnId, usize>,
-    ) {
-        for i in 0..n {
-            match proxy.execute_statement(txn, i) {
-                Ok(StatementOutcome::Ok(qr)) => {
-                    results.entry(txn).or_default().push(qr);
-                }
-                Ok(StatementOutcome::EarlyAborted(outcome)) => {
-                    n_stmts.remove(&outcome.txn);
-                    let res = results.remove(&outcome.txn).unwrap_or_default();
-                    let _ = lb.send(ToLb::Outcome {
-                        outcome,
-                        results: res,
-                    });
-                    return;
-                }
-                Err(e) => {
-                    if let Ok(outcome) = proxy.client_abort(txn, &e.to_string()) {
-                        n_stmts.remove(&outcome.txn);
-                        let res = results.remove(&outcome.txn).unwrap_or_default();
-                        let _ = lb.send(ToLb::Outcome {
-                            outcome,
-                            results: res,
-                        });
-                    }
-                    return;
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("bargain-replica-{}", proxy.replica().index()))
+        .spawn(move || {
+            // However this thread ends — shutdown, a hung-up queue, a panic
+            // — what it had in flight is abandoned, not left to hang.
+            struct Gone(Arc<Front>, ReplicaId);
+            impl Drop for Gone {
+                fn drop(&mut self) {
+                    self.0.replica_gone(self.1);
                 }
             }
-        }
-        match proxy.finish(txn) {
-            Ok(FinishAction::ReadOnlyCommitted(outcome)) => {
-                n_stmts.remove(&outcome.txn);
-                let res = results.remove(&outcome.txn).unwrap_or_default();
-                let _ = lb.send(ToLb::Outcome {
-                    outcome,
-                    results: res,
-                });
+            let _gone = Gone(Arc::clone(&front), proxy.replica());
+            let mut replica = Replica {
+                proxy,
+                front,
+                cert,
+                running: HashMap::new(),
+            };
+            // Background GC cadence: vacuum the version chains every so
+            // many messages processed.
+            let mut since_gc: u32 = 0;
+            while let Ok(msg) = rx.recv() {
+                since_gc += 1;
+                if since_gc >= 4_096 {
+                    since_gc = 0;
+                    replica.proxy.engine_mut().gc();
+                }
+                if !replica.handle(msg) {
+                    break;
+                }
             }
-            Ok(FinishAction::NeedsCertification(req)) => {
-                let _ = cert.send(CertifierRequest::Certify(req));
-            }
-            Err(e) => panic!("finish failed: {e}"),
-        }
-    }
+        })
+}
 
-    let handle_events = |proxy: &mut Proxy,
-                         events: Vec<ProxyEvent>,
-                         n_stmts: &mut HashMap<TxnId, usize>,
-                         results: &mut HashMap<TxnId, Vec<QueryResult>>,
-                         lb: &Sender<ToLb>,
-                         cert: &Sender<CertifierRequest>| {
-        for ev in events {
-            match ev {
-                ProxyEvent::TxnStarted { txn, .. } => {
-                    let n = n_stmts.get(&txn).copied().unwrap_or(0);
-                    run_txn(proxy, txn, n, results, lb, cert, n_stmts);
-                }
-                ProxyEvent::TxnFinished(outcome) => {
-                    n_stmts.remove(&outcome.txn);
-                    let res = results.remove(&outcome.txn).unwrap_or_default();
-                    let _ = lb.send(ToLb::Outcome {
-                        outcome,
-                        results: res,
-                    });
-                }
-                ProxyEvent::AwaitingGlobal { .. } => {}
-                ProxyEvent::CommitApplied { version } => {
-                    let _ = cert.send(CertifierRequest::Applied {
-                        replica: proxy.replica(),
-                        version,
-                    });
-                }
-            }
-        }
-    };
+/// One replica thread's state: the proxy and what it needs to answer.
+struct Replica {
+    proxy: Proxy,
+    front: Arc<Front>,
+    cert: Sender<CertifierRequest>,
+    /// Statement count and results so far of every transaction here.
+    running: HashMap<TxnId, (usize, Vec<QueryResult>)>,
+}
 
-    while let Ok(msg) = rx.recv() {
-        since_gc += 1;
-        if since_gc >= 4_096 {
-            since_gc = 0;
-            proxy.engine_mut().gc();
-        }
+impl Replica {
+    /// Processes one message; `false` stops the thread.
+    fn handle(&mut self, msg: ToReplica) -> bool {
         match msg {
             ToReplica::Txn { routed, template } => {
                 let txn = routed.txn;
-                proxy.register_template(Arc::clone(&template));
-                n_stmts.insert(txn, template.statements.len());
-                results.insert(txn, Vec::new());
-                match proxy.start(routed).expect("start accepts") {
-                    StartDecision::Started { .. } => {
-                        let n = template.statements.len();
-                        run_txn(&mut proxy, txn, n, &mut results, &lb, &cert, &mut n_stmts);
-                    }
+                self.proxy.register_template(Arc::clone(&template));
+                self.running
+                    .insert(txn, (template.statements.len(), Vec::new()));
+                match self.proxy.start(routed).expect("start accepts") {
+                    StartDecision::Started { .. } => self.run_txn(txn),
                     StartDecision::Delayed { .. } => {}
                 }
             }
             ToReplica::Refresh(refresh) => {
-                let events = proxy.on_refresh(refresh).expect("refresh applies");
-                handle_events(&mut proxy, events, &mut n_stmts, &mut results, &lb, &cert);
+                let events = self.proxy.on_refresh(refresh).expect("refresh applies");
+                self.handle_events(events);
             }
             ToReplica::Decision(decision) => {
-                match proxy.on_decision(decision) {
-                    Ok(events) => {
-                        handle_events(&mut proxy, events, &mut n_stmts, &mut results, &lb, &cert);
-                    }
+                match self.proxy.on_decision(decision) {
+                    Ok(events) => self.handle_events(events),
                     // A decision for a transaction the certifier-loss sweep
                     // already aborted: its commit, if any, reaches this
                     // replica through the reconnect resync instead.
@@ -1137,34 +959,86 @@ fn replica_main(
                     Err(e) => panic!("decision failed: {e}"),
                 }
             }
-            ToReplica::GlobalCommit(txn) => match proxy.on_global_commit(txn) {
-                Ok(outcome) => send_outcome(outcome, &mut n_stmts, &mut results, &lb),
+            ToReplica::GlobalCommit(txn) => match self.proxy.on_global_commit(txn) {
+                Ok(outcome) => self.finished(outcome),
                 // Stale global-commit notification for a swept transaction.
                 Err(Error::NoSuchTransaction(_) | Error::Protocol(_)) => {}
                 Err(e) => panic!("global commit failed: {e}"),
             },
             ToReplica::CertifierLost { epoch } => {
-                let outcomes = proxy.abort_certifying(
+                let outcomes = self.proxy.abort_certifying(
                     "certifier unavailable: link down, outcome unknown (retry-after)",
                 );
                 for outcome in outcomes {
-                    send_outcome(outcome, &mut n_stmts, &mut results, &lb);
+                    self.finished(outcome);
                 }
-                let _ = cert.send(CertifierRequest::SweepAck {
-                    replica: proxy.replica(),
+                let _ = self.cert.send(CertifierRequest::SweepAck {
+                    replica: self.proxy.replica(),
                     epoch,
                 });
             }
             ToReplica::Ddl { stmt, ack } => {
-                let _ = ack.send(execute_ddl(proxy.engine_mut(), &stmt));
+                let _ = ack.send(execute_ddl(self.proxy.engine_mut(), &stmt));
             }
             ToReplica::ExportSnapshot { chunk_bytes, reply } => {
-                let _ = reply.send(proxy.engine().export_snapshot(chunk_bytes));
+                let _ = reply.send(self.proxy.engine().export_snapshot(chunk_bytes));
             }
             ToReplica::Probe { reply } => {
-                let _ = reply.send(proxy.version());
+                let _ = reply.send(self.proxy.version());
             }
-            ToReplica::Shutdown => break,
+            ToReplica::Shutdown => return false,
+        }
+        true
+    }
+
+    /// A transaction reached its outcome: account for it at the front door
+    /// and reply.
+    fn finished(&mut self, outcome: TxnOutcome) {
+        let (_, results) = self.running.remove(&outcome.txn).unwrap_or_default();
+        self.front.complete(outcome, results);
+    }
+
+    /// Executes all statements of a started transaction, then finishes it.
+    fn run_txn(&mut self, txn: TxnId) {
+        let n = self.running.get(&txn).map_or(0, |(n, _)| *n);
+        for i in 0..n {
+            match self.proxy.execute_statement(txn, i) {
+                Ok(StatementOutcome::Ok(qr)) => {
+                    if let Some((_, results)) = self.running.get_mut(&txn) {
+                        results.push(qr);
+                    }
+                }
+                Ok(StatementOutcome::EarlyAborted(outcome)) => return self.finished(outcome),
+                Err(e) => {
+                    if let Ok(outcome) = self.proxy.client_abort(txn, &e.to_string()) {
+                        self.finished(outcome);
+                    }
+                    return;
+                }
+            }
+        }
+        match self.proxy.finish(txn) {
+            Ok(FinishAction::ReadOnlyCommitted(outcome)) => self.finished(outcome),
+            Ok(FinishAction::NeedsCertification(req)) => {
+                let _ = self.cert.send(CertifierRequest::Certify(req));
+            }
+            Err(e) => panic!("finish failed: {e}"),
+        }
+    }
+
+    fn handle_events(&mut self, events: Vec<ProxyEvent>) {
+        for ev in events {
+            match ev {
+                ProxyEvent::TxnStarted { txn, .. } => self.run_txn(txn),
+                ProxyEvent::TxnFinished(outcome) => self.finished(outcome),
+                ProxyEvent::AwaitingGlobal { .. } => {}
+                ProxyEvent::CommitApplied { version } => {
+                    let _ = self.cert.send(CertifierRequest::Applied {
+                        replica: self.proxy.replica(),
+                        version,
+                    });
+                }
+            }
         }
     }
 }
@@ -1318,191 +1192,4 @@ fn certifier_main(
         submit(&mut certifier, &replicas, &mut batch, &mut pending);
     }
     announce(&certifier, &replicas, &mut pending);
-}
-
-fn lb_main(
-    mut lb: LoadBalancer,
-    rx: Receiver<ToLb>,
-    replicas: ReplicaTxs,
-    cert: Sender<CertifierRequest>,
-) {
-    let mut replies: HashMap<TxnId, Sender<TxnResult>> = HashMap::new();
-    // Drain state: once draining, new transactions are refused; when the
-    // last in-flight transaction completes, the shutdown propagates and the
-    // drain is acknowledged.
-    let mut drain_ack: Option<Sender<()>> = None;
-    // Per-replica drain state (decommission step 1): the drain replies
-    // waiting for their replica's in-flight count to reach zero.
-    let mut replica_drains: HashMap<ReplicaId, Sender<Result<()>>> = HashMap::new();
-
-    let abort_reply = |reply: &Sender<TxnResult>, reason: String| {
-        let _ = reply.send((
-            TxnOutcome {
-                txn: TxnId(u64::MAX),
-                client: bargain_common::ClientId(0),
-                session: bargain_common::SessionId(0),
-                replica: ReplicaId(0),
-                committed: false,
-                commit_version: None,
-                observed_version: Version::ZERO,
-                tables_written: vec![],
-                abort_reason: Some(reason),
-            },
-            Vec::new(),
-        ));
-    };
-    let propagate_shutdown = |replicas: &ReplicaTxs, cert: &Sender<CertifierRequest>| {
-        for r in replicas.lock().iter() {
-            let _ = r.send(ToReplica::Shutdown);
-        }
-        let _ = cert.send(CertifierRequest::Shutdown);
-    };
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ToLb::Run {
-                template,
-                table_set,
-                request,
-                reply,
-            } => {
-                if drain_ack.is_some() {
-                    abort_reply(&reply, "cluster is draining: no new transactions".into());
-                    continue;
-                }
-                lb.register_template(template.id, table_set);
-                let routed = match lb.route(request) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        // Reply with a synthetic abort outcome.
-                        abort_reply(&reply, e.to_string());
-                        continue;
-                    }
-                };
-                replies.insert(routed.txn, reply);
-                let target = routed.replica.index();
-                let _ = replicas.lock()[target].send(ToReplica::Txn { routed, template });
-            }
-            ToLb::Outcome { outcome, results } => {
-                lb.on_outcome(&outcome);
-                let on_replica = outcome.replica;
-                if let Some(reply) = replies.remove(&outcome.txn) {
-                    let _ = reply.send((outcome, results));
-                }
-                // A decommission drain completes when the last in-flight
-                // transaction on its replica finishes.
-                if replica_drains.contains_key(&on_replica)
-                    && lb.knows_replica(on_replica)
-                    && lb.active_on(on_replica) == 0
-                {
-                    if let Some(reply) = replica_drains.remove(&on_replica) {
-                        let _ = reply.send(Ok(()));
-                    }
-                }
-                if replies.is_empty() {
-                    if let Some(ack) = drain_ack.take() {
-                        propagate_shutdown(&replicas, &cert);
-                        let _ = ack.send(());
-                        break;
-                    }
-                }
-            }
-            ToLb::Ddl { stmt, ack } => {
-                for r in replicas.lock().iter() {
-                    let _ = r.send(ToReplica::Ddl {
-                        stmt: stmt.clone(),
-                        ack: ack.clone(),
-                    });
-                }
-            }
-            ToLb::Stats { reply } => {
-                let s = lb.stats();
-                let _ = reply.send(ClusterStats {
-                    routed: s.routed,
-                    commits: s.commits,
-                    aborts: s.aborts,
-                    v_system: lb.v_system(),
-                    certifier_up: lb.certifier_is_up(),
-                    certifier_downs: s.certifier_downs,
-                });
-            }
-            ToLb::CertifierHealth(up) => {
-                if up {
-                    lb.mark_certifier_up();
-                } else {
-                    lb.mark_certifier_down();
-                }
-            }
-            ToLb::Snapshot { chunk_bytes, reply } => {
-                match lb.least_loaded_up() {
-                    Some(donor) => {
-                        let _ = replicas.lock()[donor.index()]
-                            .send(ToReplica::ExportSnapshot { chunk_bytes, reply });
-                    }
-                    // No donor: drop the reply sender; the requester sees a
-                    // hung-up channel and reports Unavailable.
-                    None => drop(reply),
-                }
-            }
-            ToLb::AddReplica { replica, ack } => {
-                lb.add_replica(replica);
-                let _ = ack.send(());
-            }
-            ToLb::Admit { replica, ack } => {
-                if lb.knows_replica(replica) {
-                    lb.mark_up(replica);
-                }
-                let _ = ack.send(());
-            }
-            ToLb::DrainReplica { replica, reply } => {
-                let result = if drain_ack.is_some() {
-                    Err(Error::Unavailable(
-                        "decommission refused: cluster is draining (retry-after)".into(),
-                    ))
-                } else if !lb.knows_replica(replica) {
-                    Err(Error::Protocol(format!(
-                        "decommission refused: unknown replica {}",
-                        replica.index()
-                    )))
-                } else if lb.is_up(replica) && lb.up_count() <= 1 {
-                    Err(Error::Unavailable(
-                        "decommission refused: last available replica (retry-after)".into(),
-                    ))
-                } else {
-                    lb.mark_down(replica);
-                    Ok(())
-                };
-                match result {
-                    Ok(()) if lb.active_on(replica) > 0 => {
-                        // Completed from the Outcome arm once in-flight work
-                        // on this replica reaches zero.
-                        replica_drains.insert(replica, reply);
-                    }
-                    other => {
-                        let _ = reply.send(other);
-                    }
-                }
-            }
-            ToLb::Detach { replica, ack } => {
-                lb.remove_replica(replica);
-                replica_drains.remove(&replica);
-                if let Some(tx) = replicas.lock().get(replica.index()) {
-                    let _ = tx.send(ToReplica::Shutdown);
-                }
-                let _ = ack.send(());
-            }
-            ToLb::Drain { ack } => {
-                if replies.is_empty() {
-                    propagate_shutdown(&replicas, &cert);
-                    let _ = ack.send(());
-                    break;
-                }
-                drain_ack = Some(ack);
-            }
-            ToLb::Shutdown => {
-                propagate_shutdown(&replicas, &cert);
-                break;
-            }
-        }
-    }
 }

@@ -1,11 +1,11 @@
 //! Client sessions: the application-facing API of the cluster.
 
-use crate::runtime::ToLb;
+use crate::front::Front;
 use bargain_common::{ClientId, Error, IdemKey, Result, SessionId, TableSet, TemplateId, Value};
 use bargain_core::{TxnOutcome, TxnRequest};
 use bargain_sql::{QueryResult, TransactionTemplate};
 use bargain_storage::Engine;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -37,6 +37,17 @@ pub fn abort_error(reason: String) -> Error {
     }
 }
 
+/// What a reply sink's [`TxnResult`] means to the client: the result if the
+/// transaction committed, else its abort reason as [`abort_error`]
+/// classifies it. Shared by the blocking local path and the TCP server.
+pub fn committed(result: TxnResult) -> Result<TxnResult> {
+    if result.0.committed {
+        return Ok(result);
+    }
+    let reason = result.0.abort_reason;
+    Err(abort_error(reason.unwrap_or_else(|| "aborted".to_owned())))
+}
+
 /// A client session. One session is one consistency session: under the
 /// `Session` configuration, guarantees are scoped to it; under the strong
 /// configurations, every session observes every committed transaction.
@@ -46,7 +57,7 @@ pub fn abort_error(reason: String) -> Error {
 pub struct Session {
     client: ClientId,
     session: SessionId,
-    lb: Sender<ToLb>,
+    front: Arc<Front>,
     catalog_engine: Arc<Mutex<Engine>>,
     next_template: Arc<AtomicU32>,
     /// Ad-hoc statement sequences prepared by this session, keyed by their
@@ -57,14 +68,14 @@ pub struct Session {
 impl Session {
     pub(crate) fn new(
         id: u64,
-        lb: Sender<ToLb>,
+        front: Arc<Front>,
         catalog_engine: Arc<Mutex<Engine>>,
         next_template: Arc<AtomicU32>,
     ) -> Session {
         Session {
             client: ClientId(id),
             session: SessionId(id),
-            lb,
+            front,
             catalog_engine,
             next_template,
             cache: HashMap::new(),
@@ -139,29 +150,39 @@ impl Session {
         idem: Option<IdemKey>,
     ) -> Result<TxnResult> {
         let (reply_tx, reply_rx) = unbounded();
-        self.lb
-            .send(ToLb::Run {
-                template: Arc::clone(template),
-                table_set,
-                request: TxnRequest {
-                    client: self.client,
-                    session: self.session,
-                    template: template.id,
-                    params,
-                    idem,
-                },
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        let (outcome, results) = reply_rx
-            .recv()
-            .map_err(|_| Error::Protocol("cluster is shut down".into()))?;
-        if outcome.committed {
-            Ok((outcome, results))
-        } else {
-            let reason = outcome.abort_reason.unwrap_or_else(|| "aborted".to_owned());
-            Err(abort_error(reason))
-        }
+        self.submit(template, table_set, params, idem, move |result| {
+            let _ = reply_tx.send(result);
+        });
+        let result = reply_rx.recv().map_err(|_| {
+            Error::Protocol("transaction abandoned: replica or cluster shut down".into())
+        })?;
+        committed(result)
+    }
+
+    /// Submits a transaction without waiting for it — the one submission
+    /// path; [`Session::run_prepared_keyed`] is this plus a channel. `sink`
+    /// receives the outcome (a refusal is a synthetic abort whose reason
+    /// [`abort_error`] classifies) on the replica thread that finished it,
+    /// or on this thread for a refusal, so it may neither block nor panic;
+    /// it is dropped uncalled if the cluster abandons the transaction. The
+    /// caller keeps the session to one transaction at a time.
+    pub fn submit(
+        &mut self,
+        template: &Arc<TransactionTemplate>,
+        table_set: TableSet,
+        params: Vec<Vec<Value>>,
+        idem: Option<IdemKey>,
+        sink: impl FnOnce(TxnResult) + Send + 'static,
+    ) {
+        let request = TxnRequest {
+            client: self.client,
+            session: self.session,
+            template: template.id,
+            params,
+            idem,
+        };
+        self.front
+            .submit(template, table_set, request, Box::new(sink));
     }
 
     /// Like [`Session::run_sql`], retrying on retryable (certification)

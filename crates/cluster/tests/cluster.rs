@@ -350,3 +350,129 @@ fn setup_runs_once_per_replica_and_the_mirror_resolves_its_tables() {
     assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(42));
     cluster.shutdown();
 }
+
+/// The hidden-channel harness on local sessions: four writer/reader pairs
+/// (eight threads) over three replicas. Writer A commits an update and
+/// hands `(key, value)` to reader B over a channel — a channel the database
+/// cannot see. Returns, per pair, how many of B's reads missed the value
+/// they were handed, and whether B ever saw a key's value go backwards.
+fn hidden_channel_rounds(mode: ConsistencyMode, rounds: i64) -> Vec<(usize, bool)> {
+    const PAIRS: i64 = 4;
+    let cluster = Arc::new(accounts_cluster(3, mode));
+    let mut readers = Vec::new();
+    let mut writers = Vec::new();
+    for pair in 0..PAIRS {
+        let (hand_over, handed) = std::sync::mpsc::channel::<(i64, i64)>();
+        // Each pair owns two rows, so writers never conflict.
+        let keys = [1 + 2 * pair, 2 + 2 * pair];
+        let mut a = cluster.connect();
+        writers.push(std::thread::spawn(move || {
+            for round in 1..=rounds {
+                let key = keys[(round % 2) as usize];
+                a.run_sql(&[(
+                    "UPDATE accounts SET balance = ? WHERE id = ?",
+                    vec![Value::Int(1_000 + round), Value::Int(key)],
+                )])
+                .unwrap();
+                hand_over.send((key, 1_000 + round)).unwrap();
+            }
+        }));
+        let mut b = cluster.connect();
+        readers.push(std::thread::spawn(move || {
+            let mut last_seen = std::collections::HashMap::new();
+            let (mut misses, mut went_back) = (0, false);
+            for (key, value) in handed {
+                let (_, results) = b
+                    .run_sql(&[(
+                        "SELECT balance FROM accounts WHERE id = ?",
+                        vec![Value::Int(key)],
+                    )])
+                    .unwrap();
+                let Value::Int(seen) = results[0].rows().unwrap()[0][0] else {
+                    panic!("balance is an integer");
+                };
+                // A writes increasing values and may already be ahead.
+                misses += usize::from(seen < value);
+                let last = last_seen.insert(key, seen).unwrap_or(seen);
+                went_back |= seen < last;
+            }
+            (misses, went_back)
+        }));
+    }
+    for w in writers {
+        w.join().unwrap();
+    }
+    let observed = readers.into_iter().map(|r| r.join().unwrap()).collect();
+    match Arc::try_unwrap(cluster) {
+        Ok(c) => c.shutdown(),
+        Err(_) => panic!("cluster still shared"),
+    }
+    observed
+}
+
+#[test]
+fn hidden_channel_between_local_sessions_never_reads_stale_under_lazy_modes() {
+    for mode in [ConsistencyMode::LazyFine, ConsistencyMode::LazyCoarse] {
+        for (pair, (misses, went_back)) in hidden_channel_rounds(mode, 5_000).iter().enumerate() {
+            assert_eq!(*misses, 0, "{mode}: pair {pair} read stale data");
+            assert!(!went_back, "{mode}: pair {pair} saw a value go backwards");
+        }
+    }
+}
+
+#[test]
+fn hidden_channel_under_session_mode_keeps_each_session_monotone() {
+    // Session consistency promises B nothing about A's commits; it does
+    // promise that B's own snapshots never go backwards.
+    for (pair, (_, went_back)) in hidden_channel_rounds(ConsistencyMode::Session, 5_000)
+        .iter()
+        .enumerate()
+    {
+        assert!(!went_back, "pair {pair} saw a value go backwards");
+    }
+}
+
+/// `Session::submit`: the sink runs on the replica thread that finished the
+/// transaction, *after* the front door recorded the outcome — so whoever
+/// the reply reaches, the next transaction they cause is routed with a
+/// start requirement that covers this commit.
+#[test]
+fn submit_sink_runs_on_the_replica_thread_after_the_outcome_is_recorded() {
+    let cluster = Arc::new(accounts_cluster(3, ConsistencyMode::LazyFine));
+    let mut session = cluster.connect();
+    let template = Arc::new(
+        bargain_sql::TransactionTemplate::new(
+            cluster.allocate_template_id(),
+            "bump",
+            &["UPDATE accounts SET balance = balance + 1 WHERE id = ?"],
+        )
+        .unwrap(),
+    );
+    let table_set: bargain_common::TableSet = [bargain_common::TableId(0)].into_iter().collect();
+    let (seen_tx, seen) = std::sync::mpsc::channel();
+    for _ in 0..200 {
+        let (cluster, seen_tx) = (Arc::clone(&cluster), seen_tx.clone());
+        session.submit(
+            &template,
+            table_set.clone(),
+            vec![vec![Value::Int(3)]],
+            None,
+            move |(outcome, _)| {
+                let on = std::thread::current().name().map(str::to_owned);
+                let v_system = cluster.stats().unwrap().v_system;
+                drop(cluster); // before the test thread may try to unwrap it
+                seen_tx.send((outcome, v_system, on)).unwrap();
+            },
+        );
+        // One transaction at a time per session.
+        let (outcome, v_system, on) = seen.recv().unwrap();
+        assert!(outcome.committed, "{:?}", outcome.abort_reason);
+        assert!(v_system >= outcome.commit_version.unwrap());
+        assert!(on.is_some_and(|name| name.starts_with("bargain-replica-")));
+    }
+    drop(seen_tx);
+    match Arc::try_unwrap(cluster) {
+        Ok(c) => c.shutdown(),
+        Err(_) => panic!("cluster still shared"),
+    }
+}

@@ -318,3 +318,142 @@ fn join_admission_respects_lag_bound_zero() {
     assert_eq!(cluster.replicas(), 3);
     cluster.shutdown();
 }
+
+/// Starts `writers` sessions, each incrementing its own row in a closed
+/// loop until `stop` is set or a transaction fails, and waits until every
+/// one of them has committed a few times — so whatever the caller does
+/// next finds all of them mid-transaction. Each thread returns its acked
+/// commits and the error that ended its loop, if one did.
+fn live_writers(
+    cluster: &Cluster,
+    writers: i64,
+    stop: &Arc<AtomicBool>,
+) -> Vec<std::thread::JoinHandle<(i64, Option<Error>)>> {
+    let started = Arc::new(std::sync::Barrier::new(writers as usize + 1));
+    let joins = (1..=writers)
+        .map(|id| {
+            let mut s = cluster.connect();
+            let (started, stop) = (Arc::clone(&started), Arc::clone(stop));
+            std::thread::spawn(move || {
+                let mut acked = 0i64;
+                while !stop.load(Ordering::Relaxed) {
+                    match s.run_sql(&[(
+                        "UPDATE accounts SET balance = balance + 1 WHERE id = ?",
+                        vec![Value::Int(id)],
+                    )]) {
+                        Ok(_) => acked += 1,
+                        Err(e) => {
+                            if acked < 5 {
+                                started.wait(); // fail the test, don't hang it
+                            }
+                            return (acked, Some(e));
+                        }
+                    }
+                    if acked == 5 {
+                        started.wait();
+                    }
+                }
+                (acked, None)
+            })
+        })
+        .collect();
+    started.wait();
+    joins
+}
+
+/// Asserts row `id` holds its initial 100 plus `acked` increments.
+fn assert_balance(cluster: &Cluster, id: i64, acked: i64, what: &str) {
+    let (_, results) = cluster
+        .connect()
+        .run_sql(&[(
+            "SELECT balance FROM accounts WHERE id = ?",
+            vec![Value::Int(id)],
+        )])
+        .unwrap();
+    let balance = &results[0].rows().unwrap()[0][0];
+    assert_eq!(*balance, Value::Int(100 + acked), "{what} (row {id})");
+}
+
+#[test]
+fn drain_finishes_the_transactions_in_flight_and_refuses_the_rest() {
+    // The certifier log is durable here so a second life can count what
+    // the first one acknowledged.
+    let dir = std::env::temp_dir().join(format!("bargain-drain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start = || {
+        Cluster::start_with_setup(
+            ClusterConfig {
+                replicas: 3,
+                mode: ConsistencyMode::LazyFine,
+                wal_dir: Some(dir.clone()),
+                ..ClusterConfig::default()
+            },
+            |engine| {
+                let ddl = "CREATE TABLE accounts (id INT PRIMARY KEY, balance INT NOT NULL)";
+                bargain_sql::execute_ddl(engine, &bargain_sql::parse(ddl)?)?;
+                let accounts = engine.resolve_table("accounts")?;
+                engine.load_rows(
+                    accounts,
+                    (1..=8)
+                        .map(|i| vec![Value::Int(i), Value::Int(100)])
+                        .collect(),
+                )
+            },
+        )
+    };
+
+    let cluster = start();
+    let writers = live_writers(&cluster, 8, &Arc::new(AtomicBool::new(false)));
+    // Eight sessions are mid-transaction. `drain` returns only once every
+    // thread of the cluster has been joined.
+    cluster.drain();
+    let mut acked = Vec::new();
+    for w in writers {
+        let (n, refusal) = w.join().unwrap();
+        // A transaction in flight at the drain completed (never abandoned);
+        // the first one submitted after it was refused as retryable.
+        assert!(
+            matches!(&refusal, Some(Error::Unavailable(why)) if why.contains("draining")),
+            "a session's loop ended with {refusal:?}"
+        );
+        acked.push(n);
+    }
+
+    let cluster = start();
+    for (i, n) in acked.iter().enumerate() {
+        assert_balance(
+            &cluster,
+            i as i64 + 1,
+            *n,
+            "drain lost or invented a commit",
+        );
+    }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn decommissions_racing_eight_live_writers_lose_nothing() {
+    // Routing and decommission meet at one lock instead of one thread's
+    // queue: with eight writers submitting throughout, two replicas in a
+    // row are drained and detached, no writer ever sees an error, and
+    // every ack is in the surviving replica.
+    let cluster = accounts_cluster(3, ConsistencyMode::LazyCoarse);
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers = live_writers(&cluster, 8, &stop);
+    cluster.decommission_replica(ReplicaId(1)).unwrap();
+    cluster.decommission_replica(ReplicaId(0)).unwrap();
+    assert_eq!(cluster.replicas(), 1);
+    assert!(matches!(
+        cluster.decommission_replica(ReplicaId(2)),
+        Err(Error::Unavailable(_))
+    ));
+    stop.store(true, Ordering::Relaxed);
+    for (i, w) in writers.into_iter().enumerate() {
+        let (acked, failure) = w.join().unwrap();
+        assert!(failure.is_none(), "writer {i} failed: {failure:?}");
+        assert_balance(&cluster, i as i64 + 1, acked, "decommission lost an ack");
+    }
+    assert_eq!(cluster.stats().unwrap().aborts, 0);
+    cluster.shutdown();
+}

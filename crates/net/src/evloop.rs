@@ -5,8 +5,9 @@
 //! queue and its vectored flush, interest refresh, write-buffer
 //! backpressure, the stall sweep, and the [`Waker`]-driven stop/drain —
 //! and exists once. What a decoded message *means* is the [`Service`] on
-//! top: [`crate::server`] queues requests for a worker pool,
-//! [`crate::certifier`] certifies inline on the loop thread.
+//! top: [`crate::server`] submits transactions to the cluster and queues
+//! the blocking requests for its admin pool, [`crate::certifier`] certifies
+//! inline on the loop thread.
 
 use crate::codec::Message;
 use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
@@ -219,7 +220,7 @@ impl<D> Core<D> {
         let waker = Waker::new()?;
         let stopper = Stopper {
             flag: Arc::new(AtomicBool::new(false)),
-            waker: waker.handle()?,
+            waker: waker.handle(),
         };
         let poller = Poller::new()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;

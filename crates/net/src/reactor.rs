@@ -21,6 +21,8 @@ use bargain_common::{Error, Result};
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 // The epoll constants and calls we use (x86-64/aarch64 glibc values; these
@@ -188,14 +190,22 @@ impl Drop for Poller {
 }
 
 /// Cross-thread wakeup for a blocking [`Poller::wait`]: the read half is
-/// registered with the poller, and [`Waker::wake`] writes one byte to the
-/// write half from any thread.
+/// registered with the poller, and [`WakerHandle::wake`] writes one byte to
+/// the write half from any thread — unless a wake is already pending.
 #[derive(Debug)]
 pub(crate) struct Waker {
     /// Held by the reactor; registered with the poller.
     reader: UnixStream,
-    /// Cloned out to whoever needs to interrupt the loop.
+    shared: Arc<WakeShared>,
+}
+
+#[derive(Debug)]
+struct WakeShared {
     writer: UnixStream,
+    /// Set by the first `wake` after a drain, cleared by [`Waker::drain`]:
+    /// while it is set a byte is in the pipe (or about to be), so further
+    /// wakes skip the `write` and a burst of them costs one syscall pair.
+    armed: AtomicBool,
 }
 
 impl Waker {
@@ -203,7 +213,11 @@ impl Waker {
         let (reader, writer) = UnixStream::pair().map_err(Error::from)?;
         reader.set_nonblocking(true).map_err(Error::from)?;
         writer.set_nonblocking(true).map_err(Error::from)?;
-        Ok(Waker { reader, writer })
+        let armed = AtomicBool::new(false);
+        Ok(Waker {
+            reader,
+            shared: Arc::new(WakeShared { writer, armed }),
+        })
     }
 
     pub fn reader_fd(&self) -> RawFd {
@@ -211,35 +225,30 @@ impl Waker {
     }
 
     /// A handle that can wake the reactor from another thread.
-    pub fn handle(&self) -> Result<WakerHandle> {
-        Ok(WakerHandle {
-            writer: self.writer.try_clone().map_err(Error::from)?,
-        })
+    pub fn handle(&self) -> WakerHandle {
+        WakerHandle(Arc::clone(&self.shared))
     }
 
-    /// Drains pending wakeup bytes so level-triggered polling does not spin.
+    /// Consumes the pending byte, then disarms — *before* the loop looks at
+    /// what the wakers published: a waker that still finds the flag set
+    /// published before that look, one that finds it clear writes a fresh
+    /// byte. Only the arming wake writes, so one `read` empties the pipe.
     pub fn drain(&self) {
-        let mut buf = [0u8; 64];
-        while matches!((&self.reader).read(&mut buf), Ok(n) if n > 0) {}
+        let mut buf = [0u8; 8];
+        while matches!((&self.reader).read(&mut buf), Ok(n) if n == buf.len()) {}
+        self.shared.armed.store(false, Ordering::SeqCst);
     }
 }
 
-/// Clonable wake handle for worker threads and the public `stop` path.
-#[derive(Debug)]
-pub(crate) struct WakerHandle {
-    writer: UnixStream,
-}
+/// Clonable wake handle for other threads and the public `stop` path.
+#[derive(Debug, Clone)]
+pub(crate) struct WakerHandle(Arc<WakeShared>);
 
 impl WakerHandle {
+    /// Publish first, then wake: the loop looks after it disarms.
     pub fn wake(&self) {
-        let _ = (&self.writer).write(&[1u8]);
-    }
-}
-
-impl Clone for WakerHandle {
-    fn clone(&self) -> WakerHandle {
-        WakerHandle {
-            writer: self.writer.try_clone().expect("clone waker pipe fd"),
+        if !self.0.armed.swap(true, Ordering::SeqCst) {
+            let _ = (&self.0.writer).write(&[1u8]);
         }
     }
 }
@@ -283,7 +292,7 @@ mod tests {
         poller
             .register(waker.reader_fd(), u64::MAX, Interest::READ)
             .unwrap();
-        let handle = waker.handle().unwrap();
+        let handle = waker.handle();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             handle.wake();
@@ -300,6 +309,36 @@ mod tests {
         assert!(events.iter().any(|e| e.token == u64::MAX && e.readable));
         waker.drain();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn a_burst_of_wakes_is_one_byte_and_the_next_wake_after_a_drain_writes_again() {
+        let poller = Poller::new().unwrap();
+        let waker = Waker::new().unwrap();
+        poller
+            .register(waker.reader_fd(), 3, Interest::READ)
+            .unwrap();
+        let handle = waker.handle();
+        let mut events = Vec::new();
+        for round in 0..3 {
+            for _ in 0..100 {
+                handle.clone().wake();
+            }
+            let mut byte = [0u8; 8];
+            assert_eq!((&waker.reader).read(&mut byte).unwrap(), 1, "round {round}");
+            assert!(
+                (&waker.reader).read(&mut byte).is_err(),
+                "pipe holds one byte"
+            );
+            waker.drain();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            assert!(events.is_empty(), "drained: level-triggered wait is quiet");
+        }
+        handle.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.readable));
     }
 
     #[test]

@@ -1,32 +1,28 @@
 //! The frontend server: hosts a [`Cluster`] behind a TCP listener and
 //! serves the session protocol to remote clients.
 //!
-//! # Architecture: a readiness-driven reactor
+//! # Architecture: reactor → replica → reactor
 //!
-//! One **reactor thread** owns every socket: the listener, a wakeup pipe,
-//! and all client connections, registered non-blocking with a hand-rolled
-//! epoll poller (see [`crate::reactor`]). Per connection the reactor keeps
-//! a read-side incremental frame decoder ([`crate::frame::FrameDecoder`] —
-//! partial frames resume across readiness events) and a write-side queue
-//! of encoded reply frames flushed with vectored writes, so replies that
-//! complete close together leave in one syscall (the same batching idea as
-//! the WAL's group commit). A small **worker pool** executes
-//! Session/cluster requests off the reactor thread; the reactor never
-//! blocks on a socket or a transaction.
+//! One **reactor thread** owns every socket (the connection I/O half lives
+//! in [`crate::evloop`]). It submits a [`Message::Run`] to the cluster
+//! inline — routing is a lock and an enqueue — and the replica thread that
+//! finishes the transaction encodes the reply, pushes it onto the
+//! completions channel and kicks the waker. No thread parks on a
+//! transaction. The rare requests that *block* on the cluster (`Prepare`,
+//! `Ddl`, `CatchUp`, `JoinRequest`, …) run on a two-thread **admin pool**,
+//! so the reactor never blocks on a socket or a cluster round trip.
 //!
 //! # Pipelining
 //!
 //! Every frame carries a `request_id` (protocol v2), so one connection may
 //! have many requests in flight; replies echo the id and may complete out
 //! of order *across* connections. Within a connection, requests execute
-//! **serially in arrival order** (one worker job per connection at a
+//! **serially in arrival order** (one transaction or one pool job at a
 //! time): pipelining removes the client's round-trip wait, not the
-//! per-session ordering — which is exactly what keeps a pipelined
-//! connection byte-equivalent to the same requests issued one at a time
-//! (the differential oracle in `proptest_pipeline` checks this).
-//! `Hello`/`Ping`/`StopServer` are answered inline on the reactor thread,
-//! so heartbeats keep flowing even while a connection's transactions are
-//! queued behind a worker.
+//! per-session ordering — which keeps a pipelined connection
+//! byte-equivalent to the same requests issued one at a time (the
+//! differential oracle in `proptest_pipeline`). `Hello`/`Ping`/`StopServer`
+//! are answered inline, so heartbeats never queue behind a transaction.
 //!
 //! # Backpressure
 //!
@@ -47,22 +43,20 @@
 //!
 //! # Shutdown
 //!
-//! Stop is wired through the event loop: [`NetServer::request_stop`] (or a
-//! client's [`Message::StopServer`]) sets the flag and writes the wakeup
-//! pipe, so the reactor notices immediately — not at the next idle-poll
-//! tick like the old thread-per-connection server. The reactor then closes
-//! the listener, stops reading, lets in-flight worker jobs finish and
-//! their replies flush, and force-closes whatever remains (half-open
-//! peers, unflushed laggards) at the `shutdown_grace` deadline. Afterwards
-//! [`NetServer::wait`] joins the workers and drains the cluster —
+//! [`NetServer::request_stop`] (or a client's [`Message::StopServer`]) sets
+//! the flag and writes the wakeup pipe, so the reactor notices at once. It
+//! closes the listener, stops reading, lets in-flight transactions and pool
+//! jobs finish and their replies flush, and force-closes whatever remains
+//! (half-open peers, unflushed laggards) at the `shutdown_grace` deadline.
+//! [`NetServer::wait`] then joins the pool and drains the cluster —
 //! [`Cluster::drain`] flushes the certifier (and its WAL) and joins all
 //! runtime threads.
 
 use crate::codec::Message;
 use crate::evloop::{encode_reply, Conn, Core, Service, Stopper};
 use crate::reactor::WakerHandle;
-use bargain_cluster::{Cluster, Session};
-use bargain_common::{Error, IdemKey, Result, TableSet, TemplateId};
+use bargain_cluster::{committed, Cluster, Session};
+use bargain_common::{Error, Result, TableSet, TemplateId};
 use bargain_sql::TransactionTemplate;
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use std::collections::{HashMap, VecDeque};
@@ -100,10 +94,6 @@ pub struct NetServerConfig {
     /// How long the drain lets in-flight work finish and replies flush
     /// before force-closing the remaining connections.
     pub shutdown_grace: Duration,
-    /// Worker threads executing Session/cluster requests. Concurrency
-    /// across connections is `min(workers, connections)`; within one
-    /// connection requests always run serially.
-    pub workers: usize,
     /// Per-connection cap on buffered reply bytes. Past the cap the
     /// reactor stops reading from (and dispatching for) that connection
     /// until the peer drains its socket.
@@ -119,25 +109,31 @@ impl Default for NetServerConfig {
             max_inflight: None,
             idle_timeout: None,
             shutdown_grace: Duration::from_secs(5),
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8)),
             max_conn_write_buffer: 1 << 20,
         }
     }
 }
+
+/// Threads of the admin pool: the requests that block on the cluster. Two,
+/// so a snapshot export does not stall every `Prepare` behind it.
+const POOL_THREADS: usize = 2;
 
 struct Shared {
     cluster: Cluster,
     stop: Arc<AtomicBool>,
     config: NetServerConfig,
     addr: SocketAddr,
-    inflight: AtomicU64,
+    /// Transactions submitted and not yet answered. On an `Arc` of its own:
+    /// reply sinks hold it on replica threads, and must not hold `Shared`
+    /// ([`NetServer::wait`] unwraps that to drain the cluster).
+    inflight: Arc<AtomicU64>,
     shed: AtomicU64,
 }
 
-/// The per-connection state the *workers* need: the cluster session and
-/// the prepared templates. Shuttled by value between the reactor and the
-/// pool inside [`Job`]/[`Completion`] — the connection's empty `exec` slot
-/// guarantees at most one job holds it at a time, so no lock is needed.
+/// The per-connection execution state. It sits in the connection's `exec`
+/// slot, where the reactor submits transactions from; a pool [`Job`] takes
+/// it along and its [`Completion`] brings it back, so at most one thread
+/// holds it at a time and no lock is needed.
 #[derive(Default)]
 struct ConnExec {
     session: Option<Session>,
@@ -146,19 +142,35 @@ struct ConnExec {
 
 struct Job {
     token: u64,
-    /// The connection's queued `(request_id, message)` pairs, executed in
-    /// order on one worker. Batching keeps the completion→waker→dispatch
-    /// handoff off the critical path between pipelined requests while
-    /// preserving per-connection serial execution.
+    /// A run of the connection's queued non-`Run` requests, executed in
+    /// order on one pool thread.
     msgs: Vec<(u64, Message)>,
     exec: ConnExec,
 }
 
+/// What comes back to the reactor for a connection: a finished pool job
+/// (`exec` returns) or a finished or abandoned transaction (`exec` never
+/// left), with the encoded reply frames in request order.
 struct Completion {
     token: u64,
-    exec: ConnExec,
-    /// One encoded reply frame per request in the job, in order.
+    exec: Option<ConnExec>,
     frames: Vec<Vec<u8>>,
+}
+
+/// How completions reach the reactor from other threads: push, then wake.
+#[derive(Clone)]
+struct Completions {
+    tx: Sender<Completion>,
+    wake: WakerHandle,
+}
+
+impl Completions {
+    /// `false` when the reactor is gone (shutdown).
+    fn push(&self, completion: Completion) -> bool {
+        let sent = self.tx.send(completion).is_ok();
+        self.wake.wake();
+        sent
+    }
 }
 
 /// A running frontend server. Dropping the handle does *not* stop the
@@ -185,39 +197,41 @@ impl NetServer {
         config: NetServerConfig,
     ) -> Result<NetServer> {
         let (core, addr, stopper) = Core::bind(addr, config.clone())?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             cluster,
             stop: Arc::clone(&stopper.flag),
             config,
             addr,
-            inflight: AtomicU64::new(0),
+            inflight: Arc::new(AtomicU64::new(0)),
             shed: AtomicU64::new(0),
         });
 
         let (jobs_tx, jobs_rx) = unbounded::<Job>();
         let (completions_tx, completions_rx) = unbounded::<Completion>();
+        let completions = Completions {
+            tx: completions_tx,
+            wake: stopper.waker.clone(),
+        };
 
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
+        let mut worker_handles = Vec::with_capacity(POOL_THREADS);
+        for i in 0..POOL_THREADS {
             let shared = Arc::clone(&shared);
             let jobs_rx = jobs_rx.clone();
-            let completions_tx = completions_tx.clone();
-            let wake = stopper.waker.clone();
+            let completions = completions.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("bargain-net-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &jobs_rx, &completions_tx, &wake))
+                .spawn(move || worker_loop(&shared, &jobs_rx, &completions))
                 .map_err(Error::from)?;
             worker_handles.push(handle);
         }
         drop(jobs_rx);
-        drop(completions_tx);
 
         let frontend = Frontend {
             shared: Arc::clone(&shared),
             jobs_tx,
+            completions,
             completions_rx,
-            outstanding_jobs: 0,
+            outstanding: 0,
         };
         let reactor = std::thread::Builder::new()
             .name("bargain-net-reactor".into())
@@ -264,7 +278,7 @@ impl NetServer {
 
     /// Blocks until the server has stopped (via [`NetServer::request_stop`]
     /// or a client's [`Message::StopServer`]), then joins the reactor and
-    /// worker threads and drains the cluster. The reactor force-closes any
+    /// pool threads and drains the cluster. The reactor force-closes any
     /// connection still open at the `shutdown_grace` deadline, so a
     /// half-open peer cannot hang the shutdown.
     pub fn wait(mut self) {
@@ -272,13 +286,14 @@ impl NetServer {
             let _ = reactor.join();
         }
         // The reactor owned the job channel's only sender; its exit closed
-        // the channel, which is what terminates the workers.
+        // the channel, which is what terminates the pool.
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
         // The unwrap cannot fail in practice: every thread holding a clone
-        // has been joined. If it somehow does, the cluster's threads die
-        // with the process instead of draining.
+        // has been joined, and reply sinks still out on replica threads
+        // hold none. If it somehow does, the cluster's threads die with
+        // the process instead of draining.
         if let Ok(shared) = Arc::try_unwrap(self.shared) {
             shared.cluster.drain();
         }
@@ -292,30 +307,29 @@ impl NetServer {
     }
 }
 
-/// Upper bound on requests bundled into one worker job. Bounds reply
-/// latency for the head of a very deep pipeline and keeps a single
-/// connection from monopolizing a worker indefinitely.
-const MAX_JOB_BATCH: usize = 32;
-
 /// The frontend's per-connection state on the event loop.
 struct FrontConn {
-    /// Decoded requests awaiting their turn on the worker pool.
+    /// Decoded requests awaiting their turn.
     queue: VecDeque<(u64, Message)>,
-    /// One worker job at a time: `None` exactly while a job holds it.
+    /// `None` exactly while a pool job holds it.
     exec: Option<ConnExec>,
+    /// A transaction of this connection is at a replica.
+    txn_out: bool,
 }
 
 /// The frontend service on the shared event loop (see [`crate::evloop`]):
-/// control messages are answered inline, everything else is queued per
-/// connection and executed on the worker pool.
+/// control messages are answered inline, a [`Message::Run`] is submitted to
+/// the cluster inline, everything else is executed on the admin pool.
 struct Frontend {
     shared: Arc<Shared>,
     jobs_tx: Sender<Job>,
+    /// Cloned into every transaction's reply sink.
+    completions: Completions,
     completions_rx: Receiver<Completion>,
-    /// Jobs dispatched to the pool whose completions have not come back
-    /// yet (counted even for connections that died in the meantime, so
-    /// drain can wait for every session to unwind).
-    outstanding_jobs: usize,
+    /// Transactions submitted and jobs dispatched whose completions have
+    /// not come back yet (counted even for connections that died in the
+    /// meantime, so drain can wait for every session to unwind).
+    outstanding: usize,
 }
 
 impl Service for Frontend {
@@ -325,6 +339,7 @@ impl Service for Frontend {
         FrontConn {
             queue: VecDeque::new(),
             exec: Some(ConnExec::default()),
+            txn_out: false,
         }
     }
 
@@ -353,9 +368,9 @@ impl Service for Frontend {
         }
     }
 
-    /// Worker completions: restore per-connection exec state and queue the
-    /// reply frames. Replies for connections that died while their job ran
-    /// just drop the session.
+    /// Completions: restore per-connection state and queue the reply
+    /// frames. Those for connections that died in the meantime just drop
+    /// the session.
     fn turn(
         &mut self,
         core: &mut Core<FrontConn>,
@@ -364,9 +379,12 @@ impl Service for Frontend {
         dirty: &mut Vec<u64>,
     ) {
         while let Ok(completion) = self.completions_rx.try_recv() {
-            self.outstanding_jobs = self.outstanding_jobs.saturating_sub(1);
+            self.outstanding = self.outstanding.saturating_sub(1);
             if let Some(conn) = core.conns.get_mut(&completion.token) {
-                conn.data.exec = Some(completion.exec);
+                match completion.exec {
+                    Some(exec) => conn.data.exec = Some(exec),
+                    None => conn.data.txn_out = false,
+                }
                 for frame in completion.frames {
                     conn.enqueue_frame(frame);
                 }
@@ -375,33 +393,50 @@ impl Service for Frontend {
         }
     }
 
-    /// The whole queue (bounded) goes out as ONE job: a pipelined burst
-    /// pays the channel/waker handoff once, not once per request, while
-    /// the worker still executes it serially in order — the equivalence
-    /// invariant the differential proptest checks.
+    /// Starts the head of the connection's queue, one thing at a time — the
+    /// serial in-order execution the differential proptest checks. A `Run`
+    /// is submitted to the cluster right here; a run of other requests goes
+    /// out as one pool job, in arrival order relative to the `Run`s.
     fn dispatch(&mut self, conn: &mut Conn<FrontConn>) {
-        if conn.data.queue.is_empty() {
-            return;
-        }
-        let Some(exec) = conn.data.exec.take() else {
-            return;
-        };
-        let take = conn.data.queue.len().min(MAX_JOB_BATCH);
-        let msgs: Vec<(u64, Message)> = conn.data.queue.drain(..take).collect();
-        let token = conn.token;
-        match self.jobs_tx.send(Job { token, msgs, exec }) {
-            Ok(()) => self.outstanding_jobs += 1,
-            // Worker pool is gone (shutdown): the connection can do no
-            // more work.
-            Err(SendError(job)) => {
-                conn.data.exec = Some(job.exec);
-                conn.closing = true;
+        let not_run = |(_, msg): &(u64, Message)| !matches!(msg, Message::Run { .. });
+        while !conn.data.txn_out && conn.data.exec.is_some() {
+            let queue = &mut conn.data.queue;
+            let others = queue.iter().take_while(|m| not_run(m)).count();
+            if others > 0 {
+                let job = Job {
+                    token: conn.token,
+                    msgs: queue.drain(..others).collect(),
+                    exec: conn.data.exec.take().unwrap_or_default(),
+                };
+                match self.jobs_tx.send(job) {
+                    Ok(()) => self.outstanding += 1,
+                    // The pool is gone (shutdown): the connection can do
+                    // no more work.
+                    Err(SendError(job)) => {
+                        conn.data.exec = Some(job.exec);
+                        conn.closing = true;
+                    }
+                }
+                return;
+            }
+            let (Some(exec), Some(run)) = (conn.data.exec.as_mut(), queue.pop_front()) else {
+                return;
+            };
+            let request_id = run.0;
+            match submit_txn(&self.shared, exec, &self.completions, conn.token, run) {
+                Ok(()) => {
+                    conn.data.txn_out = true;
+                    self.outstanding += 1;
+                }
+                // Refused before it reached the cluster: answered inline
+                // (flushed next iteration), and the next request is up.
+                Err(e) => conn.enqueue_reply(request_id, &Message::Err(e)),
             }
         }
     }
 
     fn busy(conn: &FrontConn) -> bool {
-        conn.exec.is_none()
+        conn.exec.is_none() || conn.txn_out
     }
 
     fn queued(conn: &FrontConn) -> bool {
@@ -409,16 +444,11 @@ impl Service for Frontend {
     }
 
     fn quiesced(&self) -> bool {
-        self.outstanding_jobs == 0
+        self.outstanding == 0
     }
 }
 
-fn worker_loop(
-    shared: &Arc<Shared>,
-    jobs_rx: &Receiver<Job>,
-    completions_tx: &Sender<Completion>,
-    wake: &WakerHandle,
-) {
+fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>, completions: &Completions) {
     while let Ok(mut job) = jobs_rx.recv() {
         let mut frames = Vec::with_capacity(job.msgs.len());
         for (request_id, msg) in job.msgs.drain(..) {
@@ -434,21 +464,21 @@ fn worker_loop(
             };
             frames.extend(replies.iter().map(|reply| encode_reply(request_id, reply)));
         }
-        let sent = completions_tx.send(Completion {
+        let completion = Completion {
             token: job.token,
-            exec: job.exec,
+            exec: Some(job.exec),
             frames,
-        });
-        if sent.is_err() {
+        };
+        if !completions.push(completion) {
             return; // reactor gone: shutdown
         }
-        wake.wake();
     }
 }
 
-/// Executes one request against the cluster. `Hello`/`Ping`/`StopServer`
-/// are answered inline on the reactor ([`Frontend::messages`]) and never
-/// reach the pool; if a routing change ever sent one here it would get the
+/// Executes one blocking request against the cluster, on a pool thread.
+/// `Hello`/`Ping`/`StopServer` are answered and `Run` is submitted on the
+/// reactor ([`Frontend::messages`], [`Frontend::dispatch`]) and never reach
+/// the pool; if a routing change ever sent one here it would get the
 /// protocol error below, not silence.
 fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Message {
     match msg {
@@ -473,14 +503,6 @@ fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Me
                 Err(e) => Message::Err(e),
             }
         }
-        Message::Run {
-            template,
-            params,
-            idem,
-        } => match run_txn(shared, exec, template, params, idem) {
-            Ok(reply) => reply,
-            Err(e) => Message::Err(e),
-        },
         Message::Stats => match shared.cluster.stats() {
             Ok(s) => Message::StatsReply {
                 routed: s.routed,
@@ -530,41 +552,76 @@ fn snapshot_stream(shared: &Arc<Shared>, chunk_bytes: u32) -> Vec<Message> {
     }
 }
 
-/// RAII admission token: holds one slot of the `max_inflight` bound.
-struct Admission<'a>(&'a AtomicU64);
+/// A transaction's reply, owed to connection `token`. It travels into the
+/// cluster inside the reply sink and is settled exactly once, from `Drop`
+/// (on a replica thread: no blocking, no panic, no `Arc<Shared>`): with the
+/// answer left in it, or — the cluster abandoned the transaction and
+/// dropped the sink uncalled — with an error, without which `quiesced()`
+/// would hang the drain. Settling releases the admission slot.
+struct RunReply {
+    token: u64,
+    request_id: u64,
+    completions: Completions,
+    inflight: Arc<AtomicU64>,
+    answer: Option<Message>,
+}
 
-impl Drop for Admission<'_> {
+impl RunReply {
+    /// Leaves the answer for `Drop` to send.
+    fn settle(mut self, answer: Message) {
+        self.answer = Some(answer);
+    }
+}
+
+impl Drop for RunReply {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        let answer = self.answer.take().unwrap_or_else(|| {
+            let why = "transaction abandoned: replica or cluster shut down";
+            Message::Err(Error::Protocol(why.into()))
+        });
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.completions.push(Completion {
+            token: self.token,
+            exec: None,
+            frames: vec![encode_reply(self.request_id, &answer)],
+        });
     }
 }
 
-fn admit(shared: &Shared) -> Result<Admission<'_>> {
-    let bound = match shared.config.max_inflight {
-        Some(bound) => bound,
-        None => {
-            shared.inflight.fetch_add(1, Ordering::SeqCst);
-            return Ok(Admission(&shared.inflight));
-        }
-    };
+/// Takes one slot of the `max_inflight` bound, or sheds.
+fn admit(shared: &Shared) -> Result<Arc<AtomicU64>> {
     let prev = shared.inflight.fetch_add(1, Ordering::SeqCst);
-    if prev >= bound {
-        shared.inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.shed.fetch_add(1, Ordering::SeqCst);
-        return Err(Error::Unavailable(format!(
-            "overloaded: {prev} transactions in flight, bound is {bound} (retry-after)"
-        )));
+    match shared.config.max_inflight {
+        Some(bound) if prev >= bound => {
+            shared.inflight.fetch_sub(1, Ordering::SeqCst);
+            shared.shed.fetch_add(1, Ordering::SeqCst);
+            Err(Error::Unavailable(format!(
+                "overloaded: {prev} transactions in flight, bound is {bound} (retry-after)"
+            )))
+        }
+        _ => Ok(Arc::clone(&shared.inflight)),
     }
-    Ok(Admission(&shared.inflight))
 }
 
-fn run_txn(
+/// Submits a [`Message::Run`] to the cluster from the loop thread; its
+/// reply arrives as a [`Completion`] for `token`. An error means it never
+/// got there (no session, unknown template, shed) and the caller answers
+/// inline.
+fn submit_txn(
     shared: &Shared,
     exec: &mut ConnExec,
-    template: TemplateId,
-    params: Vec<Vec<bargain_common::Value>>,
-    idem: Option<IdemKey>,
-) -> Result<Message> {
+    completions: &Completions,
+    token: u64,
+    (request_id, run): (u64, Message),
+) -> Result<()> {
+    let Message::Run {
+        template,
+        params,
+        idem,
+    } = run
+    else {
+        return Err(Error::Protocol("not a transaction".into()));
+    };
     let session = exec
         .session
         .as_mut()
@@ -573,8 +630,19 @@ fn run_txn(
         .templates
         .get(&template)
         .ok_or_else(|| Error::Protocol(format!("unknown template {template}; prepare it first")))?;
-    let _slot = admit(shared)?;
-    let (outcome, results) =
-        session.run_prepared_keyed(template, table_set.clone(), params, idem)?;
-    Ok(Message::TxnReply { outcome, results })
+    let reply = RunReply {
+        token,
+        request_id,
+        completions: completions.clone(),
+        inflight: admit(shared)?,
+        answer: None,
+    };
+    let sink = move |result| {
+        reply.settle(match committed(result) {
+            Ok((outcome, results)) => Message::TxnReply { outcome, results },
+            Err(e) => Message::Err(e),
+        });
+    };
+    session.submit(template, table_set.clone(), params, idem, sink);
+    Ok(())
 }

@@ -530,3 +530,178 @@ fn newest_certifier_connection_supersedes_a_half_open_one() {
     assert_eq!((stats.accepted, stats.superseded), (2, 1));
     certifier.stop();
 }
+
+/// One connection writes `Prepare, Run, Run, Stats, Run, Prepare, Run` in a
+/// single `write_all`. `Run`s are submitted on the reactor and the other
+/// requests execute on the admin pool, yet the replies come back in request
+/// order with the right ids, and each request saw the effects of the ones
+/// before it.
+#[test]
+fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
+    let (server, addr, _workload) = micro_server(ConsistencyMode::LazyFine, 3);
+    let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
+    conn.call(&Message::Hello).unwrap();
+    conn.call(&Message::OpenSession).unwrap();
+    // Template ids come from one cluster-wide counter: learn where it is,
+    // so the pipelined `Run`s can name templates not prepared yet.
+    let probe = Message::Prepare {
+        name: "probe".into(),
+        sqls: vec!["SELECT val FROM bench0 WHERE pk = ?".into()],
+    };
+    let Message::Prepared { template: probe } = conn.call(&probe).unwrap() else {
+        panic!("expected Prepared");
+    };
+    let (update, read) = (
+        bargain_common::TemplateId(probe.0 + 1),
+        bargain_common::TemplateId(probe.0 + 2),
+    );
+    let Message::StatsReply {
+        commits: commits_before,
+        ..
+    } = conn.call(&Message::Stats).unwrap()
+    else {
+        panic!("expected StatsReply");
+    };
+
+    let set = |val: i64| Message::Run {
+        template: update,
+        params: vec![vec![Value::Int(val), Value::Int(1)]],
+        idem: None,
+    };
+    let requests = [
+        Message::Prepare {
+            name: "set".into(),
+            sqls: vec!["UPDATE bench0 SET val = ? WHERE pk = ?".into()],
+        },
+        set(11),
+        set(12),
+        Message::Stats,
+        set(13),
+        Message::Prepare {
+            name: "get".into(),
+            sqls: vec!["SELECT val FROM bench0 WHERE pk = ?".into()],
+        },
+        Message::Run {
+            template: read,
+            params: vec![vec![Value::Int(1)]],
+            idem: None,
+        },
+    ];
+    let mut burst = Vec::new();
+    for (i, msg) in requests.iter().enumerate() {
+        burst.extend(encode_frame(msg.kind(), 101 + i as u64, &msg.encode()).unwrap());
+    }
+    conn.stream().write_all(&burst).unwrap();
+
+    let replies: Vec<(u64, Message)> = (0..requests.len())
+        .map(|_| conn.recv_tagged().unwrap())
+        .collect();
+    let ids: Vec<u64> = replies.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, (101..108).collect::<Vec<u64>>());
+    let committed =
+        |msg: &Message| matches!(msg, Message::TxnReply { outcome, .. } if outcome.committed);
+    assert!(matches!(&replies[0].1, Message::Prepared { template } if *template == update));
+    assert!(committed(&replies[1].1) && committed(&replies[2].1));
+    // The `Stats` sits between the second and third update.
+    assert!(
+        matches!(&replies[3].1, Message::StatsReply { commits, .. } if *commits == commits_before + 2)
+    );
+    assert!(committed(&replies[4].1));
+    assert!(matches!(&replies[5].1, Message::Prepared { template } if *template == read));
+    let Message::TxnReply { results, .. } = &replies[6].1 else {
+        panic!("expected TxnReply, got kind {}", replies[6].1.kind());
+    };
+    assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(13));
+    drop(conn);
+    server.stop();
+}
+
+/// A certifier "service" that answers a replica's first certify request
+/// with a refresh no engine can apply, which kills that replica's thread
+/// with the update still in flight on it.
+struct PoisonedLink;
+
+impl CertifierLink for PoisonedLink {
+    fn history(&mut self) -> bargain_common::Result<Vec<bargain_core::LogRecord>> {
+        Ok(Vec::new())
+    }
+
+    fn serve(
+        self: Box<Self>,
+        requests: crossbeam::channel::Receiver<bargain_cluster::CertifierRequest>,
+        deliveries: crossbeam::channel::Sender<bargain_cluster::CertifierDelivery>,
+    ) {
+        for request in requests.iter() {
+            match request {
+                bargain_cluster::CertifierRequest::Certify(req) => {
+                    let mut writeset = WriteSet::new();
+                    writeset.push(TableId(9_999), Value::Int(1), WriteOp::Delete);
+                    let _ = deliveries.send(bargain_cluster::CertifierDelivery::Refresh {
+                        to: req.replica,
+                        refresh: bargain_core::Refresh {
+                            origin: ReplicaId(u32::MAX),
+                            txn: TxnId(u64::MAX),
+                            commit_version: Version(1),
+                            writeset: Arc::new(writeset),
+                        },
+                    });
+                }
+                bargain_cluster::CertifierRequest::Shutdown => return,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A replica dies with a client's transaction in flight: the cluster drops
+/// that transaction's reply sink uncalled. The client must still get an
+/// answer (an error), the server must keep serving on the other replicas,
+/// and `NetServer::stop` must return within the grace bound — neither the
+/// reactor's `quiesced()` nor `Cluster::drain` may wait for the dead
+/// replica.
+#[test]
+fn transaction_abandoned_by_a_dead_replica_is_answered_and_stop_stays_bounded() {
+    let workload = MicroBenchmark::small(0.3);
+    let setup_workload = workload.clone();
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: 3,
+            mode: ConsistencyMode::LazyCoarse,
+            ..ClusterConfig::default()
+        },
+        move |engine| setup_workload.install(engine),
+        Box::new(PoisonedLink),
+    );
+    let server = NetServer::start("127.0.0.1:0", cluster).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut session = RemoteSession::connect(&addr).unwrap();
+    let update = session
+        .prepare("set", &["UPDATE bench0 SET val = ? WHERE pk = ?"])
+        .unwrap();
+    let read = session
+        .prepare("get", &["SELECT val FROM bench0 WHERE pk = ?"])
+        .unwrap();
+
+    let lost = session.run(update, vec![vec![Value::Int(5), Value::Int(1)]]);
+    let Err(bargain_common::Error::Protocol(why)) = lost else {
+        panic!("expected the abandoned transaction's error, got {lost:?}");
+    };
+    assert!(why.contains("abandoned"), "{why}");
+
+    // Reads need no certifier and are routed around the dead replica.
+    for _ in 0..20 {
+        let (outcome, _) = session.run(read, vec![vec![Value::Int(1)]]).unwrap();
+        assert!(outcome.committed);
+    }
+    let stats = server.cluster().stats().unwrap();
+    assert_eq!((stats.routed, stats.commits, stats.aborts), (21, 20, 1));
+
+    drop(session);
+    let stopping = Instant::now();
+    server.stop();
+    assert!(
+        stopping.elapsed() < Duration::from_secs(2),
+        "stop waited for the dead replica: {:?}",
+        stopping.elapsed()
+    );
+}
