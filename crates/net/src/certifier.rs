@@ -54,7 +54,7 @@
 
 use crate::codec::Message;
 use crate::conn::{ConnectPolicy, Connection};
-use crate::evloop::{Conn, Core, Service, Stopper};
+use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
 use crate::frame::{encode_frame, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDelivery, CertifierLink, CertifierRequest};
@@ -316,7 +316,7 @@ impl CertifierService {
         let Some(p) = self.pending.take() else {
             return;
         };
-        if p.token != conn.token || conn.closing {
+        if p.token != conn.token || conn.closing() {
             return;
         }
         let results = match p.batch.wait() {
@@ -399,10 +399,10 @@ impl Service for CertifierService {
     /// until its read deadline while the reconnecting link waits. The old
     /// connection's pending batch is announced to it first; it is durable,
     /// so the newcomer's `FetchHistory` resync covers it either way.
-    fn accepted(&mut self, core: &mut Core<()>) {
+    fn accepted(&mut self, core: &mut Core<()>, _token: u64, _half: &Arc<WriteHalf>) {
         self.counters.accepted.fetch_add(1, Relaxed);
-        // Dropping a connection closes its socket, which also removes it
-        // from the poller.
+        // Dropping a connection closes its socket (this service never
+        // shares a write half), which also removes it from the poller.
         for (_, mut conn) in core.conns.drain() {
             self.announce(&mut conn);
             conn.flush_out();
@@ -413,7 +413,7 @@ impl Service for CertifierService {
     fn messages(&mut self, conn: &mut Conn<()>, msgs: Vec<(u64, Message)>) {
         let mut run: Vec<CertifyRequest> = Vec::new();
         for (request_id, msg) in msgs {
-            if conn.closing {
+            if conn.closing() {
                 break; // no new work after a fatal reply
             }
             match msg {
@@ -428,7 +428,7 @@ impl Service for CertifierService {
                 other => {
                     self.submit(conn, &mut run);
                     self.announce(conn);
-                    if !conn.closing {
+                    if !conn.closing() {
                         self.answer(conn, request_id, other);
                     }
                 }
@@ -449,7 +449,9 @@ impl Service for CertifierService {
         if draining || (idle && self.pending.is_some()) {
             for conn in core.conns.values_mut() {
                 self.announce(conn);
-                conn.closing |= draining;
+                if draining {
+                    conn.set_closing();
+                }
                 dirty.push(conn.token);
             }
             self.pending = None; // still there: its connection is gone

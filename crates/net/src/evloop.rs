@@ -8,15 +8,25 @@
 //! top: [`crate::server`] submits transactions to the cluster and queues
 //! the blocking requests for its admin pool, [`crate::certifier`] certifies
 //! inline on the loop thread.
+//!
+//! **Who may write a socket.** The loop owns the read side outright. The
+//! write side is the connection's [`WriteHalf`]: the socket and the reply
+//! queue behind one lock, on an `Arc` a service may hand to another thread.
+//! Whoever holds that lock is the only writer, and a frame is written only
+//! if nothing is queued ahead of it ([`WriteHalf::send_now`]) — otherwise,
+//! or for whatever a non-blocking `write` did not take, it joins the queue
+//! in order and the loop flushes it on `EPOLLOUT`. Bytes of two frames
+//! therefore never interleave and no thread ever blocks on a socket.
 
 use crate::codec::Message;
 use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
 use crate::reactor::{Interest, Poller, Waker, WakerHandle};
 use crate::server::NetServerConfig;
 use bargain_common::{Error, Result};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,6 +43,15 @@ const READ_CHUNK: usize = 64 * 1024;
 const READS_PER_EVENT: usize = 4;
 /// Max `IoSlice`s per vectored flush (well under any IOV_MAX).
 const MAX_IOVECS: usize = 64;
+/// The loop stops reading a connection that has this many decoded requests
+/// waiting for their turn (one read event may overshoot) and resumes below
+/// half of it; TCP backpressure then holds the rest at the sender. Without
+/// the bound a client that pipelines faster than the cluster executes grows
+/// the queue without limit, even while it reads every reply.
+const MAX_QUEUED_REQUESTS: usize = 1024;
+/// Reading resumes when fewer than this many requests are queued; whoever
+/// takes the queue below it off the loop thread tells the loop.
+pub(crate) const RESUME_QUEUED_REQUESTS: usize = MAX_QUEUED_REQUESTS / 2;
 
 /// What the two servers put on top of the shared loop. Every hook runs on
 /// the loop thread, so none may block on a socket.
@@ -41,8 +60,14 @@ pub(crate) trait Service {
     type Conn;
 
     /// A connection was accepted; `core.conns` still holds only the older
-    /// ones. Returns the newcomer's state.
-    fn accepted(&mut self, core: &mut Core<Self::Conn>) -> Self::Conn;
+    /// ones. Returns the newcomer's state, which may keep a clone of `half`
+    /// to answer from other threads.
+    fn accepted(
+        &mut self,
+        core: &mut Core<Self::Conn>,
+        token: u64,
+        half: &Arc<WriteHalf>,
+    ) -> Self::Conn;
 
     /// The messages one readiness event decoded from `conn`, in arrival
     /// order. Replies go through [`Conn::enqueue_reply`]; the loop flushes
@@ -72,15 +97,10 @@ pub(crate) trait Service {
     /// cap: start whatever it has queued.
     fn dispatch(&mut self, _conn: &mut Conn<Self::Conn>) {}
 
-    /// Whether work of this connection is executing off the loop thread
-    /// (it will produce output later, so the connection must stay).
-    fn busy(_conn: &Self::Conn) -> bool {
-        false
-    }
-
-    /// Whether this connection has requests waiting to be dispatched.
-    fn queued(_conn: &Self::Conn) -> bool {
-        false
+    /// What this connection still owes, read in one step: other threads
+    /// may be starting its next request while the loop looks.
+    fn load(_conn: &Self::Conn) -> Load {
+        Load::default()
     }
 
     /// Whether nothing dispatched is still out; drain waits for it.
@@ -90,6 +110,16 @@ pub(crate) trait Service {
 
     /// Bytes the loop just read from, or wrote to, a socket.
     fn transferred(&self, _read: usize, _written: usize) {}
+}
+
+/// A connection's unfinished work, as its service reports it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Load {
+    /// Work of this connection is executing off the loop thread (it will
+    /// produce output later, so the connection must stay).
+    pub busy: bool,
+    /// Decoded requests waiting for their turn.
+    pub queued: usize,
 }
 
 /// Stops a running loop from any thread: sets the flag and writes the
@@ -117,70 +147,56 @@ pub(crate) fn encode_reply(request_id: u64, msg: &Message) -> Vec<u8> {
         .unwrap_or_default()
 }
 
-/// One connection's I/O state plus the service's own (`data`).
-pub(crate) struct Conn<D> {
-    stream: TcpStream,
-    pub token: u64,
-    decoder: FrameDecoder,
-    /// Encoded reply frames not yet written, oldest first.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of `out.front()` already written.
-    out_offset: usize,
-    /// Total unwritten bytes across `out`.
-    out_bytes: usize,
-    /// Peer closed its write side (or framing broke): read no more.
-    pub read_closed: bool,
-    /// Flush pending replies, then close.
-    pub closing: bool,
-    interest: Interest,
-    last_activity: Instant,
-    /// Last byte received (read-stall detection while mid-frame).
-    last_rx: Instant,
-    /// Last write progress (write-stall detection while replies pend).
-    last_tx_progress: Instant,
-    pub data: D,
+/// How [`WriteHalf::send_now`] disposed of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sent {
+    /// Every byte is in the socket.
+    Direct,
+    /// All or part of it waits in the queue: the loop must flush it.
+    Queued,
+    /// The connection is gone; the frame was discarded.
+    Dead,
 }
 
-impl<D> Conn<D> {
-    pub fn enqueue_reply(&mut self, request_id: u64, msg: &Message) {
-        self.enqueue_frame(encode_reply(request_id, msg));
-    }
+/// The reply queue of a connection.
+struct OutQueue {
+    /// Encoded reply frames not yet written, oldest first.
+    frames: VecDeque<Vec<u8>>,
+    /// Bytes of `frames.front()` already written.
+    offset: usize,
+    /// Total unwritten bytes across `frames`.
+    bytes: usize,
+    /// Last write progress (write-stall detection while replies pend).
+    last_progress: Instant,
+    /// The loop closed the connection: discard what arrives late.
+    dead: bool,
+}
 
-    pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
-        self.out_bytes += frame.len();
-        self.out.push_back(frame);
-    }
-
-    /// Answer with `msg`, then close once it has flushed.
-    pub fn close_after(&mut self, request_id: u64, msg: &Message) {
-        self.enqueue_reply(request_id, msg);
-        self.read_closed = true;
-        self.closing = true;
-    }
-
-    /// Flushes as much pending output as the socket accepts, vectoring up
-    /// to [`MAX_IOVECS`] queued frames per syscall. Returns `false` if the
-    /// connection died.
-    pub fn flush_out(&mut self) -> bool {
-        while !self.out.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.out.len().min(MAX_IOVECS));
-            for (i, frame) in self.out.iter().take(MAX_IOVECS).enumerate() {
-                let start = if i == 0 { self.out_offset } else { 0 };
+impl OutQueue {
+    /// Writes as much of the queue as the socket accepts, vectoring up to
+    /// [`MAX_IOVECS`] frames per syscall. Returns `false` if the connection
+    /// died.
+    fn flush(&mut self, mut stream: &TcpStream) -> bool {
+        while !self.frames.is_empty() {
+            let mut slices: Vec<IoSlice<'_>> =
+                Vec::with_capacity(self.frames.len().min(MAX_IOVECS));
+            for (i, frame) in self.frames.iter().take(MAX_IOVECS).enumerate() {
+                let start = if i == 0 { self.offset } else { 0 };
                 slices.push(IoSlice::new(&frame[start..]));
             }
-            match self.stream.write_vectored(&slices) {
+            match stream.write_vectored(&slices) {
                 Ok(0) => return false,
                 Ok(mut n) => {
-                    self.last_tx_progress = Instant::now();
-                    self.out_bytes -= n;
+                    self.last_progress = Instant::now();
+                    self.bytes -= n;
                     while n > 0 {
-                        let front_left = self.out.front().map_or(0, Vec::len) - self.out_offset;
+                        let front_left = self.frames.front().map_or(0, Vec::len) - self.offset;
                         if n >= front_left {
                             n -= front_left;
-                            self.out.pop_front();
-                            self.out_offset = 0;
+                            self.frames.pop_front();
+                            self.offset = 0;
                         } else {
-                            self.out_offset += n;
+                            self.offset += n;
                             n = 0;
                         }
                     }
@@ -191,6 +207,149 @@ impl<D> Conn<D> {
             }
         }
         true
+    }
+}
+
+/// The part of a connection other threads may hold: its socket and reply
+/// queue behind one lock (see the module docs for the write rule), plus the
+/// two facts about the connection whoever finishes its work must know. The
+/// loop reads the socket without the lock; nobody else reads it.
+pub(crate) struct WriteHalf {
+    stream: TcpStream,
+    out: Mutex<OutQueue>,
+    /// Peer closed its write side (or framing broke): read no more.
+    read_closed: AtomicBool,
+    /// Flush pending replies, then close.
+    closing: AtomicBool,
+}
+
+impl WriteHalf {
+    fn new(stream: TcpStream) -> WriteHalf {
+        WriteHalf {
+            stream,
+            out: Mutex::new(OutQueue {
+                frames: VecDeque::new(),
+                offset: 0,
+                bytes: 0,
+                last_progress: Instant::now(),
+                dead: false,
+            }),
+            read_closed: AtomicBool::new(false),
+            closing: AtomicBool::new(false),
+        }
+    }
+
+    /// Queues `frame` behind whatever is pending; the loop flushes it at
+    /// the end of its iteration.
+    pub fn enqueue(&self, frame: Vec<u8>) {
+        let mut out = self.out.lock();
+        if !out.dead {
+            out.bytes += frame.len();
+            out.frames.push_back(frame);
+        }
+    }
+
+    /// The one write operation for threads other than the loop: writes
+    /// `frame` now if nothing is queued ahead of it, and queues it — or the
+    /// rest of it after a partial write — otherwise. Never blocks. On
+    /// [`Sent::Queued`] the caller must tell the loop, which alone can wait
+    /// for the socket; a write error also reads as queued, and the loop
+    /// meets the same error when it flushes.
+    pub fn send_now(&self, frame: Vec<u8>) -> Sent {
+        let mut out = self.out.lock();
+        if out.dead {
+            return Sent::Dead;
+        }
+        let nothing_ahead = out.frames.is_empty();
+        out.bytes += frame.len();
+        out.frames.push_back(frame);
+        if nothing_ahead {
+            out.flush(&self.stream);
+        }
+        if out.frames.is_empty() {
+            Sent::Direct
+        } else {
+            Sent::Queued
+        }
+    }
+
+    /// Flushes the queue. Returns whether the connection is alive, the
+    /// bytes written, and the bytes left.
+    fn flush(&self) -> (bool, usize, usize) {
+        let mut out = self.out.lock();
+        let before = out.bytes;
+        let alive = out.flush(&self.stream);
+        (alive, before - out.bytes, out.bytes)
+    }
+
+    /// Unwritten reply bytes: what the write-buffer cap bounds.
+    pub fn pending_bytes(&self) -> usize {
+        self.out.lock().bytes
+    }
+
+    /// The loop is done with the connection. A thread still holding the
+    /// half keeps the descriptor open, so the socket is shut down for the
+    /// peer to see the close at once; late frames are discarded, and
+    /// `closing` tells that thread to start nothing more.
+    fn kill(&self) {
+        self.closing.store(true, Ordering::SeqCst);
+        let mut out = self.out.lock();
+        out.dead = true;
+        out.frames.clear();
+        out.bytes = 0;
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    pub fn read_closed(&self) -> bool {
+        self.read_closed.load(Ordering::SeqCst)
+    }
+
+    pub fn closing(&self) -> bool {
+        self.closing.load(Ordering::SeqCst)
+    }
+}
+
+/// One connection's I/O state plus the service's own (`data`).
+pub(crate) struct Conn<D> {
+    half: Arc<WriteHalf>,
+    pub token: u64,
+    decoder: FrameDecoder,
+    interest: Interest,
+    last_activity: Instant,
+    /// Last byte received (read-stall detection while mid-frame).
+    last_rx: Instant,
+    pub data: D,
+}
+
+impl<D> Conn<D> {
+    pub fn enqueue_reply(&mut self, request_id: u64, msg: &Message) {
+        self.half.enqueue(encode_reply(request_id, msg));
+    }
+
+    pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
+        self.half.enqueue(frame);
+    }
+
+    /// Answer with `msg`, then close once it has flushed.
+    pub fn close_after(&mut self, request_id: u64, msg: &Message) {
+        self.enqueue_reply(request_id, msg);
+        self.half.read_closed.store(true, Ordering::SeqCst);
+        self.set_closing();
+    }
+
+    pub fn closing(&self) -> bool {
+        self.half.closing()
+    }
+
+    /// Flush pending replies, then close; no new work starts.
+    pub fn set_closing(&mut self) {
+        self.half.closing.store(true, Ordering::SeqCst);
+    }
+
+    /// Flushes as much pending output as the socket accepts. Returns
+    /// `false` if the connection died.
+    pub fn flush_out(&mut self) -> bool {
+        self.half.flush().0
     }
 }
 
@@ -267,15 +426,12 @@ impl<D> Core<D> {
                             self.close_conn(token);
                             continue;
                         }
+                        // A peer that hung up after sending is answered:
+                        // the reads below consume what it sent, over as
+                        // many events as that takes, and the one that
+                        // returns 0 stops the reading.
                         if ev.readable {
                             self.read_ready(token, &mut read_buf, &mut service);
-                        }
-                        if ev.hangup {
-                            // Consume what the peer sent before hanging
-                            // up (done above), then stop reading.
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                conn.read_closed = true;
-                            }
                         }
                         dirty.push(token);
                     }
@@ -329,23 +485,18 @@ impl<D> Core<D> {
                     {
                         continue;
                     }
-                    let data = service.accepted(self);
+                    let half = Arc::new(WriteHalf::new(stream));
+                    let data = service.accepted(self, token, &half);
                     let now = Instant::now();
                     self.conns.insert(
                         token,
                         Conn {
-                            stream,
+                            half,
                             token,
                             decoder: FrameDecoder::new(),
-                            out: VecDeque::new(),
-                            out_offset: 0,
-                            out_bytes: 0,
-                            read_closed: false,
-                            closing: false,
                             interest,
                             last_activity: now,
                             last_rx: now,
-                            last_tx_progress: now,
                             data,
                         },
                     );
@@ -363,16 +514,16 @@ impl<D> Core<D> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.read_closed || conn.closing {
+        if conn.half.read_closed() || conn.closing() {
             return;
         }
         let mut frames = Vec::new();
         let mut budget = READS_PER_EVENT;
         while budget > 0 {
             budget -= 1;
-            match conn.stream.read(buf) {
+            match (&conn.half.stream).read(buf) {
                 Ok(0) => {
-                    conn.read_closed = true;
+                    conn.half.read_closed.store(true, Ordering::SeqCst);
                     break;
                 }
                 Ok(n) => {
@@ -393,7 +544,7 @@ impl<D> Core<D> {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => budget += 1,
                 Err(_) => {
-                    conn.read_closed = true;
+                    conn.half.read_closed.store(true, Ordering::SeqCst);
                     break;
                 }
             }
@@ -416,7 +567,7 @@ impl<D> Core<D> {
         if !msgs.is_empty() {
             service.messages(conn, msgs);
         }
-        if let (Some((request_id, e)), false) = (undecodable, conn.closing) {
+        if let (Some((request_id, e)), false) = (undecodable, conn.closing()) {
             // A well-framed but undecodable payload: the peer's codec
             // disagrees with ours, so framing trust is gone.
             conn.close_after(request_id, &Message::Err(e));
@@ -433,9 +584,8 @@ impl<D> Core<D> {
 
         // Flush before dispatching, so write progress releases
         // backpressure within the same iteration.
-        let unwritten = conn.out_bytes;
-        let alive = conn.flush_out();
-        service.transferred(0, unwritten - conn.out_bytes);
+        let (alive, written, left) = conn.half.flush();
+        service.transferred(0, written);
         if !alive {
             self.close_conn(token);
             return;
@@ -443,27 +593,43 @@ impl<D> Core<D> {
 
         // No new work for a connection that is going away, is past its
         // write-buffer cap (backpressure), or belongs to a draining server.
-        if !conn.closing && !draining && conn.out_bytes < cap {
+        let (closing, read_closed) = (conn.closing(), conn.half.read_closed());
+        if !closing && !draining && left < cap {
             service.dispatch(conn);
         }
 
         // A connection is done when it will never produce output again.
-        let finished = conn.out.is_empty()
-            && !S::busy(&conn.data)
-            && (conn.closing || (conn.read_closed && !S::queued(&conn.data)));
+        // The flags above were published before this look at the load, and
+        // whoever finishes work off the loop writes its reply before it
+        // clears `busy` and reads the flags after: if the connection looks
+        // busy here that thread tells the loop, and if it does not, its
+        // reply is already counted in `pending`.
+        let load = S::load(&conn.data);
+        let pending = conn.half.pending_bytes();
+        let finished = !load.busy && pending == 0 && (closing || (read_closed && load.queued == 0));
         if finished {
             self.close_conn(token);
             return;
         }
 
+        // Reading stops at the request-queue bound and resumes below half.
+        let backlog = if conn.interest.readable {
+            MAX_QUEUED_REQUESTS
+        } else {
+            RESUME_QUEUED_REQUESTS
+        };
         let want = Interest {
-            readable: !conn.read_closed && !conn.closing && !draining && conn.out_bytes < cap,
-            writable: !conn.out.is_empty(),
+            readable: !read_closed
+                && !closing
+                && !draining
+                && pending < cap
+                && load.queued < backlog,
+            writable: pending > 0,
         };
         if want != conn.interest
             && self
                 .poller
-                .reregister(conn.stream.as_raw_fd(), token, want)
+                .reregister(conn.half.stream.as_raw_fd(), token, want)
                 .is_ok()
         {
             conn.interest = want;
@@ -518,17 +684,22 @@ impl<D> Core<D> {
             .values()
             .filter(|conn| {
                 let idle_expired = config.idle_timeout.is_some_and(|idle| {
-                    now.duration_since(conn.last_activity) > idle
-                        && !S::busy(&conn.data)
-                        && !S::queued(&conn.data)
-                        && conn.out.is_empty()
+                    now.duration_since(conn.last_activity) > idle && {
+                        // The load before the queue, as in `service_conn`.
+                        let load = S::load(&conn.data);
+                        !load.busy && load.queued == 0 && conn.half.pending_bytes() == 0
+                    }
                 });
                 let read_stalled = config.read_timeout.is_some_and(|t| {
                     conn.decoder.mid_frame() && now.duration_since(conn.last_rx) > t
                 });
-                let write_stalled = config.write_timeout.is_some_and(|t| {
-                    !conn.out.is_empty() && now.duration_since(conn.last_tx_progress) > t
-                });
+                // Unflushed output means `EPOLLOUT` is armed: only those
+                // connections' queues are looked into.
+                let write_stalled = conn.interest.writable
+                    && config.write_timeout.is_some_and(|t| {
+                        let out = conn.half.out.lock();
+                        !out.frames.is_empty() && now.duration_since(out.last_progress) > t
+                    });
                 idle_expired || read_stalled || write_stalled
             })
             .map(|conn| conn.token)
@@ -538,11 +709,82 @@ impl<D> Core<D> {
         }
     }
 
-    /// Drops the connection: its socket, and whatever state the service
-    /// kept in it.
+    /// Drops the connection — whatever state the service kept in it — and
+    /// closes its socket, whoever else still holds the write half.
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            self.poller.deregister(conn.stream.as_raw_fd());
+            self.poller.deregister(conn.half.stream.as_raw_fd());
+            conn.half.kill();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: the half under test on a non-blocking
+    /// socket, as the loop accepts them, and its peer.
+    fn pair() -> (WriteHalf, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        (WriteHalf::new(stream), peer)
+    }
+
+    #[test]
+    fn write_half_writes_directly_queues_in_order_and_discards_when_dead() {
+        let (half, mut peer) = pair();
+
+        // Nothing queued: the frame goes straight to the socket.
+        assert_eq!(half.send_now(b"one".to_vec()), Sent::Direct);
+        assert_eq!(half.pending_bytes(), 0);
+
+        // Something queued (an inline reply the loop has not flushed yet):
+        // the frame goes behind it, though the socket would take it.
+        half.enqueue(b"two".to_vec());
+        assert_eq!(half.send_now(b"three".to_vec()), Sent::Queued);
+        assert_eq!(half.pending_bytes(), 8);
+        assert_eq!(half.flush(), (true, 8, 0));
+
+        // More than the socket takes, with the peer not reading: the
+        // written part is gone, the remainder stays at the head with its
+        // offset, and a later frame queues behind it.
+        let big: Vec<u8> = (0..16usize << 20).map(|i| (i % 251) as u8).collect();
+        assert_eq!(half.send_now(big.clone()), Sent::Queued);
+        let left = half.pending_bytes();
+        assert!(0 < left && left < big.len(), "{left} of {} left", big.len());
+        {
+            let out = half.out.lock();
+            assert_eq!((out.frames.len(), out.offset), (1, big.len() - left));
+        }
+        assert_eq!(half.send_now(b"tail".to_vec()), Sent::Queued);
+        assert_eq!(half.pending_bytes(), left + 4);
+
+        // The peer reads while the queue is flushed, as the loop would on
+        // `EPOLLOUT`: every byte arrives once, in order.
+        let expected = [b"onetwothree".as_slice(), &big, b"tail"].concat();
+        let wanted = expected.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; wanted];
+            peer.read_exact(&mut got).unwrap();
+            (got, peer)
+        });
+        while half.pending_bytes() > 0 {
+            assert!(half.flush().0);
+            std::thread::yield_now();
+        }
+        let (got, mut peer) = reader.join().unwrap();
+        assert!(got == expected, "the byte stream is the frames in order");
+
+        // A dead half discards, and the peer sees the close although this
+        // side still holds the descriptor.
+        half.kill();
+        assert_eq!(half.send_now(b"late".to_vec()), Sent::Dead);
+        half.enqueue(b"later".to_vec());
+        assert_eq!(half.pending_bytes(), 0);
+        assert!(half.closing());
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0);
     }
 }

@@ -19,8 +19,10 @@
 //! - [`server`] + [`certifier`] — TCP servers, two services on one
 //!   readiness-driven event loop (`evloop`: one thread over a hand-rolled
 //!   epoll poller, see `reactor`). [`server::NetServer`] hosts a full
-//!   cluster node behind the session protocol, a small worker pool running
-//!   the transactions; [`certifier::CertifierServer`] hosts just the
+//!   cluster node behind the session protocol: the loop submits
+//!   transactions, the replica thread that finishes one writes its reply,
+//!   and a small pool runs the requests that block;
+//!   [`certifier::CertifierServer`] hosts just the
 //!   certification/durability component so it can live in its own process,
 //!   reached from a cluster via [`certifier::RemoteCertifierLink`].
 //! - [`client`] — [`client::RemoteSession`], a drop-in client driver with
@@ -75,4 +77,4 @@ pub use chaos::{ChaosProxy, NetFaultEvent, NetFaultKind, NetFaultPlan};
 pub use client::RemoteSession;
 pub use codec::Message;
 pub use conn::{ConnectPolicy, Connection};
-pub use server::{NetServer, NetServerConfig};
+pub use server::{NetServer, NetServerConfig, NetServerStats};

@@ -83,10 +83,16 @@ impl Interest {
         writable: false,
     };
 
+    /// The peer's half-close (`EPOLLRDHUP`) is watched only together with
+    /// readability: it is level-triggered, so on a connection the loop has
+    /// stopped reading — it saw the end of the stream and still owes
+    /// replies — it would fire on every wait with nothing to read, which
+    /// the loop takes for a dead peer. Without it only `EPOLLERR` and
+    /// `EPOLLHUP` (always reported) can fire there: the peer is truly gone.
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;

@@ -1,16 +1,22 @@
 //! The frontend server: hosts a [`Cluster`] behind a TCP listener and
 //! serves the session protocol to remote clients.
 //!
-//! # Architecture: reactor → replica → reactor
+//! # Architecture: client → reactor → replica → client's socket
 //!
-//! One **reactor thread** owns every socket (the connection I/O half lives
-//! in [`crate::evloop`]). It submits a [`Message::Run`] to the cluster
-//! inline — routing is a lock and an enqueue — and the replica thread that
-//! finishes the transaction encodes the reply, pushes it onto the
-//! completions channel and kicks the waker. No thread parks on a
-//! transaction. The rare requests that *block* on the cluster (`Prepare`,
-//! `Ddl`, `CatchUp`, `JoinRequest`, …) run on a two-thread **admin pool**,
-//! so the reactor never blocks on a socket or a cluster round trip.
+//! One **reactor thread** owns every socket's read side (the connection
+//! I/O half lives in [`crate::evloop`]). It submits a [`Message::Run`] to
+//! the cluster inline — routing is a lock and an enqueue — and the replica
+//! thread that finishes the transaction encodes the reply, writes it to the
+//! client's socket through the connection's shared write half, and starts
+//! the connection's next queued `Run` itself (`pump`). A finished
+//! transaction does not go back through the reactor: the reactor wakes for
+//! requests, and is *nudged* only for what a replica thread cannot do —
+//! reply bytes the socket did not take (arm `EPOLLOUT`), a non-`Run`
+//! request at the head of the queue, a connection to reap, a drain. No
+//! thread parks on a transaction. The rare requests that *block* on the
+//! cluster (`Prepare`, `Ddl`, `CatchUp`, `JoinRequest`, …) run on a
+//! two-thread **admin pool**, so the reactor never blocks on a socket or a
+//! cluster round trip.
 //!
 //! # Pipelining
 //!
@@ -28,9 +34,12 @@
 //!
 //! A connection's write queue is capped (`max_conn_write_buffer`). A peer
 //! that stops reading its replies fills the cap, and the reactor then
-//! stops reading from — and stops dispatching for — *that connection
+//! stops reading from — and nobody starts work for — *that connection
 //! only*; every socket is non-blocking, so a stalled client can never
-//! head-of-line-block other connections or the reactor thread.
+//! head-of-line-block other connections, the reactor or a replica thread.
+//! The queue of decoded requests is bounded too
+//! (1 024 of them, see `evloop`): past it the reactor stops
+//! reading the connection and TCP holds the rest at the sender.
 //!
 //! # Overload shedding
 //!
@@ -53,15 +62,19 @@
 //! runtime threads.
 
 use crate::codec::Message;
-use crate::evloop::{encode_reply, Conn, Core, Service, Stopper};
+use crate::evloop::{
+    encode_reply, Conn, Core, Load, Sent, Service, Stopper, WriteHalf, RESUME_QUEUED_REQUESTS,
+};
 use crate::reactor::WakerHandle;
 use bargain_cluster::{committed, Cluster, Session};
 use bargain_common::{Error, Result, TableSet, TemplateId};
 use bargain_sql::TransactionTemplate;
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering::{self, Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -120,20 +133,83 @@ const POOL_THREADS: usize = 2;
 
 struct Shared {
     cluster: Cluster,
-    stop: Arc<AtomicBool>,
-    config: NetServerConfig,
     addr: SocketAddr,
-    /// Transactions submitted and not yet answered. On an `Arc` of its own:
-    /// reply sinks hold it on replica threads, and must not hold `Shared`
-    /// ([`NetServer::wait`] unwraps that to drain the cluster).
-    inflight: Arc<AtomicU64>,
+    hub: Arc<Hub>,
+}
+
+/// What the reactor, the pool and the reply sinks share. On an `Arc` of its
+/// own: sinks hold it on replica threads, and must not hold `Shared`
+/// ([`NetServer::wait`] unwraps that to drain the cluster).
+struct Hub {
+    stop: Arc<AtomicBool>,
+    /// `NetServerConfig::max_inflight` and `max_conn_write_buffer`.
+    max_inflight: Option<u64>,
+    write_cap: usize,
+    /// Transactions submitted and not yet answered.
+    inflight: AtomicU64,
+    /// Transactions submitted and jobs dispatched that have not settled
+    /// (counted even for connections that died in the meantime, so drain
+    /// can wait for every session to unwind).
+    outstanding: AtomicUsize,
+    completions: Completions,
+    counters: Counters,
+}
+
+impl Hub {
+    /// Sends a reply frame from whatever thread produced it.
+    fn reply(&self, conn: &ClientConn, frame: Vec<u8>) {
+        match conn.half.send_now(frame) {
+            Sent::Direct => {
+                self.counters.replies_direct.fetch_add(1, Relaxed);
+            }
+            // Only the reactor can wait for the socket to drain.
+            Sent::Queued => {
+                self.counters.replies_queued.fetch_add(1, Relaxed);
+                self.nudge(conn.token);
+            }
+            Sent::Dead => {}
+        }
+    }
+
+    /// Tells the reactor to look at connection `token`.
+    fn nudge(&self, token: u64) {
+        self.counters.loop_nudges.fetch_add(1, Relaxed);
+        self.completions.push(Completion { token, job: None });
+    }
+}
+
+/// Counters of a running frontend server, read with [`NetServer::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetServerStats {
+    /// Reply frames a replica (or submitting) thread wrote to the socket
+    /// whole, without the reactor.
+    pub replies_direct: u64,
+    /// Reply frames queued, whole or in part, for the reactor to flush: the
+    /// socket was full or other output was ahead of them.
+    pub replies_queued: u64,
+    /// Times another thread woke the reactor for a connection: unflushed
+    /// bytes, a non-`Run` request next in line, a connection to reap, a
+    /// drain. Against the transaction count it says how often a finished
+    /// transaction still cost the reactor a wake-up.
+    pub loop_nudges: u64,
+    /// Transactions shed by the `max_inflight` admission bound.
+    pub shed: u64,
+}
+
+/// [`NetServerStats`] as the threads update it. The counters publish no
+/// other data, so every access is `Relaxed`.
+#[derive(Default)]
+struct Counters {
+    replies_direct: AtomicU64,
+    replies_queued: AtomicU64,
+    loop_nudges: AtomicU64,
     shed: AtomicU64,
 }
 
 /// The per-connection execution state. It sits in the connection's `exec`
-/// slot, where the reactor submits transactions from; a pool [`Job`] takes
-/// it along and its [`Completion`] brings it back, so at most one thread
-/// holds it at a time and no lock is needed.
+/// slot; whoever starts work takes it out — a [`pump`] for the length of a
+/// submission, a pool [`Job`] until its [`Completion`] brings it back — so
+/// at most one thread holds it at a time.
 #[derive(Default)]
 struct ConnExec {
     session: Option<Session>,
@@ -148,17 +224,16 @@ struct Job {
     exec: ConnExec,
 }
 
-/// What comes back to the reactor for a connection: a finished pool job
-/// (`exec` returns) or a finished or abandoned transaction (`exec` never
-/// left), with the encoded reply frames in request order.
+/// What other threads tell the reactor about connection `token`: a finished
+/// pool job (`exec` returns, with the encoded reply frames in request
+/// order), or, with no job, a nudge — the connection needs something only
+/// the reactor can do. Transaction replies never travel here.
 struct Completion {
     token: u64,
-    exec: Option<ConnExec>,
-    frames: Vec<Vec<u8>>,
+    job: Option<(ConnExec, Vec<Vec<u8>>)>,
 }
 
 /// How completions reach the reactor from other threads: push, then wake.
-#[derive(Clone)]
 struct Completions {
     tx: Sender<Completion>,
     wake: WakerHandle,
@@ -197,30 +272,29 @@ impl NetServer {
         config: NetServerConfig,
     ) -> Result<NetServer> {
         let (core, addr, stopper) = Core::bind(addr, config.clone())?;
-        let shared = Arc::new(Shared {
-            cluster,
-            stop: Arc::clone(&stopper.flag),
-            config,
-            addr,
-            inflight: Arc::new(AtomicU64::new(0)),
-            shed: AtomicU64::new(0),
-        });
-
         let (jobs_tx, jobs_rx) = unbounded::<Job>();
         let (completions_tx, completions_rx) = unbounded::<Completion>();
-        let completions = Completions {
-            tx: completions_tx,
-            wake: stopper.waker.clone(),
-        };
+        let hub = Arc::new(Hub {
+            stop: Arc::clone(&stopper.flag),
+            max_inflight: config.max_inflight,
+            write_cap: config.max_conn_write_buffer,
+            inflight: AtomicU64::new(0),
+            outstanding: AtomicUsize::new(0),
+            completions: Completions {
+                tx: completions_tx,
+                wake: stopper.waker.clone(),
+            },
+            counters: Counters::default(),
+        });
+        let shared = Arc::new(Shared { cluster, addr, hub });
 
         let mut worker_handles = Vec::with_capacity(POOL_THREADS);
         for i in 0..POOL_THREADS {
             let shared = Arc::clone(&shared);
             let jobs_rx = jobs_rx.clone();
-            let completions = completions.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("bargain-net-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &jobs_rx, &completions))
+                .spawn(move || worker_loop(&shared, &jobs_rx))
                 .map_err(Error::from)?;
             worker_handles.push(handle);
         }
@@ -229,9 +303,7 @@ impl NetServer {
         let frontend = Frontend {
             shared: Arc::clone(&shared),
             jobs_tx,
-            completions,
             completions_rx,
-            outstanding: 0,
         };
         let reactor = std::thread::Builder::new()
             .name("bargain-net-reactor".into())
@@ -263,10 +335,22 @@ impl NetServer {
         &self.shared.cluster
     }
 
+    /// The server's counters so far.
+    #[must_use]
+    pub fn stats(&self) -> NetServerStats {
+        let c = &self.shared.hub.counters;
+        NetServerStats {
+            replies_direct: c.replies_direct.load(Relaxed),
+            replies_queued: c.replies_queued.load(Relaxed),
+            loop_nudges: c.loop_nudges.load(Relaxed),
+            shed: c.shed.load(Relaxed),
+        }
+    }
+
     /// Transactions shed so far by the `max_inflight` admission bound.
     #[must_use]
     pub fn shed_count(&self) -> u64 {
-        self.shared.shed.load(Ordering::SeqCst)
+        self.stats().shed
     }
 
     /// Asks the server to stop without blocking: the stop flag is set and
@@ -307,45 +391,59 @@ impl NetServer {
     }
 }
 
-/// The frontend's per-connection state on the event loop.
-struct FrontConn {
+/// A connection as every thread that works for it sees it: the reactor
+/// (which keeps it as the connection's service state), and the reply sink
+/// of its transaction in flight.
+struct ClientConn {
+    token: u64,
+    half: Arc<WriteHalf>,
+    work: Mutex<Work>,
+}
+
+/// What a connection has to do and what it is doing, behind the
+/// connection's own lock. Never held across a call into the cluster.
+struct Work {
     /// Decoded requests awaiting their turn.
     queue: VecDeque<(u64, Message)>,
-    /// `None` exactly while a pool job holds it.
+    /// `None` while a pool job holds it, or a [`pump`] that is submitting.
     exec: Option<ConnExec>,
-    /// A transaction of this connection is at a replica.
+    /// A transaction of this connection is at a replica (or on its way).
     txn_out: bool,
 }
 
 /// The frontend service on the shared event loop (see [`crate::evloop`]):
 /// control messages are answered inline, a [`Message::Run`] is submitted to
-/// the cluster inline, everything else is executed on the admin pool.
+/// the cluster by the [`pump`], everything else is executed on the admin
+/// pool.
 struct Frontend {
     shared: Arc<Shared>,
     jobs_tx: Sender<Job>,
-    /// Cloned into every transaction's reply sink.
-    completions: Completions,
     completions_rx: Receiver<Completion>,
-    /// Transactions submitted and jobs dispatched whose completions have
-    /// not come back yet (counted even for connections that died in the
-    /// meantime, so drain can wait for every session to unwind).
-    outstanding: usize,
 }
 
 impl Service for Frontend {
-    type Conn = FrontConn;
+    type Conn = Arc<ClientConn>;
 
-    fn accepted(&mut self, _core: &mut Core<FrontConn>) -> FrontConn {
-        FrontConn {
-            queue: VecDeque::new(),
-            exec: Some(ConnExec::default()),
-            txn_out: false,
-        }
+    fn accepted(
+        &mut self,
+        _core: &mut Core<Self::Conn>,
+        token: u64,
+        half: &Arc<WriteHalf>,
+    ) -> Self::Conn {
+        Arc::new(ClientConn {
+            token,
+            half: Arc::clone(half),
+            work: Mutex::new(Work {
+                queue: VecDeque::new(),
+                exec: Some(ConnExec::default()),
+                txn_out: false,
+            }),
+        })
     }
 
-    fn messages(&mut self, conn: &mut Conn<FrontConn>, msgs: Vec<(u64, Message)>) {
+    fn messages(&mut self, conn: &mut Conn<Self::Conn>, msgs: Vec<(u64, Message)>) {
         for (request_id, msg) in msgs {
-            if conn.closing {
+            if conn.closing() {
                 break; // no new work after a fatal reply
             }
             // Control messages are answered inline on the loop thread:
@@ -360,95 +458,169 @@ impl Service for Frontend {
                 }
                 Message::Ping => conn.enqueue_reply(request_id, &Message::Pong),
                 Message::StopServer => {
-                    self.shared.stop.store(true, Ordering::SeqCst);
+                    self.shared.hub.stop.store(true, Ordering::SeqCst);
                     conn.close_after(request_id, &Message::Ack);
                 }
-                msg => conn.data.queue.push_back((request_id, msg)),
+                msg => conn.data.work.lock().queue.push_back((request_id, msg)),
             }
         }
     }
 
-    /// Completions: restore per-connection state and queue the reply
-    /// frames. Those for connections that died in the meantime just drop
-    /// the session.
+    /// Completions: a finished pool job's reply frames are queued and its
+    /// per-connection state restored (those for connections that died in
+    /// the meantime just drop the session); a nudge only marks its
+    /// connection for this iteration's flush, dispatch and reap.
     fn turn(
         &mut self,
-        core: &mut Core<FrontConn>,
+        core: &mut Core<Self::Conn>,
         _idle: bool,
         _draining: bool,
         dirty: &mut Vec<u64>,
     ) {
-        while let Ok(completion) = self.completions_rx.try_recv() {
-            self.outstanding = self.outstanding.saturating_sub(1);
-            if let Some(conn) = core.conns.get_mut(&completion.token) {
-                match completion.exec {
-                    Some(exec) => conn.data.exec = Some(exec),
-                    None => conn.data.txn_out = false,
-                }
-                for frame in completion.frames {
+        while let Ok(Completion { token, job }) = self.completions_rx.try_recv() {
+            if job.is_some() {
+                self.shared.hub.outstanding.fetch_sub(1, Ordering::SeqCst);
+            }
+            let Some(conn) = core.conns.get_mut(&token) else {
+                continue;
+            };
+            if let Some((exec, frames)) = job {
+                // Frames before `exec`: the `Run` behind this job starts
+                // only once `exec` is back, so its reply queues behind them.
+                for frame in frames {
                     conn.enqueue_frame(frame);
                 }
-                dirty.push(completion.token);
+                conn.data.work.lock().exec = Some(exec);
             }
+            dirty.push(token);
         }
     }
 
-    /// Starts the head of the connection's queue, one thing at a time — the
-    /// serial in-order execution the differential proptest checks. A `Run`
-    /// is submitted to the cluster right here; a run of other requests goes
-    /// out as one pool job, in arrival order relative to the `Run`s.
-    fn dispatch(&mut self, conn: &mut Conn<FrontConn>) {
-        let not_run = |(_, msg): &(u64, Message)| !matches!(msg, Message::Run { .. });
-        while !conn.data.txn_out && conn.data.exec.is_some() {
-            let queue = &mut conn.data.queue;
-            let others = queue.iter().take_while(|m| not_run(m)).count();
-            if others > 0 {
-                let job = Job {
-                    token: conn.token,
-                    msgs: queue.drain(..others).collect(),
-                    exec: conn.data.exec.take().unwrap_or_default(),
-                };
-                match self.jobs_tx.send(job) {
-                    Ok(()) => self.outstanding += 1,
-                    // The pool is gone (shutdown): the connection can do
-                    // no more work.
-                    Err(SendError(job)) => {
-                        conn.data.exec = Some(job.exec);
-                        conn.closing = true;
-                    }
-                }
-                return;
-            }
-            let (Some(exec), Some(run)) = (conn.data.exec.as_mut(), queue.pop_front()) else {
-                return;
-            };
-            let request_id = run.0;
-            match submit_txn(&self.shared, exec, &self.completions, conn.token, run) {
-                Ok(()) => {
-                    conn.data.txn_out = true;
-                    self.outstanding += 1;
-                }
-                // Refused before it reached the cluster: answered inline
-                // (flushed next iteration), and the next request is up.
-                Err(e) => conn.enqueue_reply(request_id, &Message::Err(e)),
-            }
+    fn dispatch(&mut self, conn: &mut Conn<Self::Conn>) {
+        if !pump(&self.shared.hub, &conn.data, Some(&self.jobs_tx)) {
+            // The pool is gone (shutdown): the connection can do no more.
+            conn.set_closing();
         }
     }
 
-    fn busy(conn: &FrontConn) -> bool {
-        conn.exec.is_none() || conn.txn_out
-    }
-
-    fn queued(conn: &FrontConn) -> bool {
-        !conn.queue.is_empty()
+    fn load(conn: &Self::Conn) -> Load {
+        let work = conn.work.lock();
+        Load {
+            busy: work.exec.is_none() || work.txn_out,
+            queued: work.queue.len(),
+        }
     }
 
     fn quiesced(&self) -> bool {
-        self.outstanding == 0
+        self.shared.hub.outstanding.load(Ordering::SeqCst) == 0
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>, completions: &Completions) {
+/// Starts the head of the connection's queue, one thing at a time — the
+/// serial in-order execution the differential proptest checks — until
+/// something is running or nothing may start. Whoever leaves the connection
+/// idle calls it: the reactor after it queued requests or flushed
+/// (`jobs` is its sender to the admin pool), and the reply sink of a
+/// finished transaction, on a replica thread (`jobs` is `None`).
+///
+/// A `Run` is submitted to the cluster right here, on the calling thread. A
+/// run of other requests goes out as one pool job, in arrival order relative
+/// to the `Run`s — from the reactor; any other thread nudges the reactor, as
+/// it does for whatever else only the reactor can do (reap, drain). The
+/// wake-up rule that makes this safe: the reactor publishes `closing`,
+/// `read_closed` and the stop flag *before* it reads the connection's load,
+/// and a sink clears `txn_out` *before* the pump reads them — so of the two,
+/// at least one sees the other's write, and an idle connection is never left
+/// with nobody looking.
+///
+/// The connection's lock is not held across the submission: a refusal's
+/// sink runs (and an abandoned one drops) inside `Session::submit`, on this
+/// thread, and pumps again. `exec` is out of its slot for that long, which
+/// makes that nested pump return at once, and the loop here goes on to the
+/// next request: a long queue of refusals iterates, it does not recurse.
+///
+/// Returns `false` when the admin pool is gone.
+fn pump(hub: &Arc<Hub>, conn: &Arc<ClientConn>, jobs: Option<&Sender<Job>>) -> bool {
+    let not_run = |(_, msg): &(u64, Message)| !matches!(msg, Message::Run { .. });
+    // The reactor looks at the connection itself when its own pump returns.
+    let tell_reactor = || {
+        if jobs.is_none() {
+            hub.nudge(conn.token);
+        }
+    };
+    loop {
+        // Past the write-buffer cap nothing starts; whoever queued those
+        // bytes told the reactor, which pumps once they have drained.
+        if conn.half.pending_bytes() >= hub.write_cap {
+            return true;
+        }
+        let mut work = conn.work.lock();
+        if work.txn_out || work.exec.is_none() {
+            return true;
+        }
+        if conn.half.closing() || hub.stop.load(Ordering::SeqCst) {
+            drop(work);
+            tell_reactor();
+            return true;
+        }
+        let others = work.queue.iter().take_while(|m| not_run(m)).count();
+        if others > 0 {
+            let Some(jobs) = jobs else {
+                drop(work);
+                tell_reactor();
+                return true;
+            };
+            let job = Job {
+                token: conn.token,
+                msgs: work.queue.drain(..others).collect(),
+                exec: work.exec.take().unwrap_or_default(),
+            };
+            hub.outstanding.fetch_add(1, Ordering::SeqCst);
+            let Err(SendError(job)) = jobs.send(job) else {
+                return true;
+            };
+            hub.outstanding.fetch_sub(1, Ordering::SeqCst);
+            work.exec = Some(job.exec);
+            return false;
+        }
+        let Some(run) = work.queue.pop_front() else {
+            // Idle and empty: a half-closed connection has been answered
+            // in full and is the reactor's to reap.
+            drop(work);
+            if conn.half.read_closed() {
+                tell_reactor();
+            }
+            return true;
+        };
+        let mut exec = work.exec.take().unwrap_or_default();
+        work.txn_out = true;
+        // The reactor stops reading at the queue bound: tell it when the
+        // backlog falls to where it resumes.
+        let resume = work.queue.len() + 1 == RESUME_QUEUED_REQUESTS;
+        drop(work);
+        if resume {
+            tell_reactor();
+        }
+
+        let request_id = run.0;
+        let refused = submit_txn(hub, conn, &mut exec, run).err();
+        let mut work = conn.work.lock();
+        work.exec = Some(exec);
+        if let Some(e) = refused {
+            // It never reached the cluster (no session, unknown template,
+            // shed): answered here, and the next request is up.
+            work.txn_out = false;
+            drop(work);
+            hub.reply(conn, encode_reply(request_id, &Message::Err(e)));
+        } else if work.txn_out {
+            return true; // at a replica: its sink pumps when it finishes
+        }
+        // Else the sink has run already (a refusal, inside `submit`) and
+        // its own pump found `exec` gone: the next request is ours.
+    }
+}
+
+fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>) {
     while let Ok(mut job) = jobs_rx.recv() {
         let mut frames = Vec::with_capacity(job.msgs.len());
         for (request_id, msg) in job.msgs.drain(..) {
@@ -466,10 +638,9 @@ fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>, completions: &Comp
         }
         let completion = Completion {
             token: job.token,
-            exec: Some(job.exec),
-            frames,
+            job: Some((job.exec, frames)),
         };
-        if !completions.push(completion) {
+        if !shared.hub.completions.push(completion) {
             return; // reactor gone: shutdown
         }
     }
@@ -477,8 +648,8 @@ fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>, completions: &Comp
 
 /// Executes one blocking request against the cluster, on a pool thread.
 /// `Hello`/`Ping`/`StopServer` are answered and `Run` is submitted on the
-/// reactor ([`Frontend::messages`], [`Frontend::dispatch`]) and never reach
-/// the pool; if a routing change ever sent one here it would get the
+/// submitting thread ([`Frontend::messages`], [`pump`]) and never reach the
+/// pool; if a routing change ever sent one here it would get the
 /// protocol error below, not silence.
 fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Message {
     match msg {
@@ -552,21 +723,40 @@ fn snapshot_stream(shared: &Arc<Shared>, chunk_bytes: u32) -> Vec<Message> {
     }
 }
 
-/// A transaction's reply, owed to connection `token`. It travels into the
-/// cluster inside the reply sink and is settled exactly once, from `Drop`
-/// (on a replica thread: no blocking, no panic, no `Arc<Shared>`): with the
-/// answer left in it, or — the cluster abandoned the transaction and
-/// dropped the sink uncalled — with an error, without which `quiesced()`
-/// would hang the drain. Settling releases the admission slot.
+/// A transaction's reply, owed to `conn`. It travels into the cluster inside
+/// the reply sink and is settled exactly once, from `Drop` (on a replica
+/// thread: no blocking, no panic, no `Arc<Shared>`): with the answer left in
+/// it, or — the cluster abandoned the transaction and dropped the sink
+/// uncalled — with an error, without which `quiesced()` would hang the
+/// drain. Settling writes the reply to the client's socket, releases the
+/// admission slot, and starts the connection's next request.
 struct RunReply {
-    token: u64,
+    hub: Arc<Hub>,
+    conn: Arc<ClientConn>,
     request_id: u64,
-    completions: Completions,
-    inflight: Arc<AtomicU64>,
     answer: Option<Message>,
 }
 
 impl RunReply {
+    /// Takes one slot of the `max_inflight` bound, or sheds.
+    fn admit(hub: &Arc<Hub>, conn: &Arc<ClientConn>, request_id: u64) -> Result<RunReply> {
+        let prev = hub.inflight.fetch_add(1, Ordering::SeqCst);
+        if let Some(bound) = hub.max_inflight.filter(|bound| prev >= *bound) {
+            hub.inflight.fetch_sub(1, Ordering::SeqCst);
+            hub.counters.shed.fetch_add(1, Relaxed);
+            return Err(Error::Unavailable(format!(
+                "overloaded: {prev} transactions in flight, bound is {bound} (retry-after)"
+            )));
+        }
+        hub.outstanding.fetch_add(1, Ordering::SeqCst);
+        Ok(RunReply {
+            hub: Arc::clone(hub),
+            conn: Arc::clone(conn),
+            request_id,
+            answer: None,
+        })
+    }
+
     /// Leaves the answer for `Drop` to send.
     fn settle(mut self, answer: Message) {
         self.answer = Some(answer);
@@ -579,39 +769,25 @@ impl Drop for RunReply {
             let why = "transaction abandoned: replica or cluster shut down";
             Message::Err(Error::Protocol(why.into()))
         });
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.completions.push(Completion {
-            token: self.token,
-            exec: None,
-            frames: vec![encode_reply(self.request_id, &answer)],
-        });
+        let (hub, conn) = (&self.hub, &self.conn);
+        // The reply before `txn_out` clears: the reactor reaps a connection
+        // it finds idle with nothing unflushed.
+        hub.reply(conn, encode_reply(self.request_id, &answer));
+        hub.inflight.fetch_sub(1, Ordering::SeqCst);
+        hub.outstanding.fetch_sub(1, Ordering::SeqCst);
+        conn.work.lock().txn_out = false;
+        pump(hub, conn, None);
     }
 }
 
-/// Takes one slot of the `max_inflight` bound, or sheds.
-fn admit(shared: &Shared) -> Result<Arc<AtomicU64>> {
-    let prev = shared.inflight.fetch_add(1, Ordering::SeqCst);
-    match shared.config.max_inflight {
-        Some(bound) if prev >= bound => {
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            shared.shed.fetch_add(1, Ordering::SeqCst);
-            Err(Error::Unavailable(format!(
-                "overloaded: {prev} transactions in flight, bound is {bound} (retry-after)"
-            )))
-        }
-        _ => Ok(Arc::clone(&shared.inflight)),
-    }
-}
-
-/// Submits a [`Message::Run`] to the cluster from the loop thread; its
-/// reply arrives as a [`Completion`] for `token`. An error means it never
-/// got there (no session, unknown template, shed) and the caller answers
-/// inline.
+/// Submits a [`Message::Run`] to the cluster from whatever thread pumps the
+/// connection; its reply leaves through a [`RunReply`]. An error means it
+/// never got there (no session, unknown template, shed) and the caller
+/// answers.
 fn submit_txn(
-    shared: &Shared,
+    hub: &Arc<Hub>,
+    conn: &Arc<ClientConn>,
     exec: &mut ConnExec,
-    completions: &Completions,
-    token: u64,
     (request_id, run): (u64, Message),
 ) -> Result<()> {
     let Message::Run {
@@ -630,13 +806,7 @@ fn submit_txn(
         .templates
         .get(&template)
         .ok_or_else(|| Error::Protocol(format!("unknown template {template}; prepare it first")))?;
-    let reply = RunReply {
-        token,
-        request_id,
-        completions: completions.clone(),
-        inflight: admit(shared)?,
-        answer: None,
-    };
+    let reply = RunReply::admit(hub, conn, request_id)?;
     let sink = move |result| {
         reply.settle(match committed(result) {
             Ok((outcome, results)) => Message::TxnReply { outcome, results },

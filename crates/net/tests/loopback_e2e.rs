@@ -16,6 +16,8 @@ use bargain_net::{
     RemoteCertifierLink, RemoteSession,
 };
 use bargain_workloads::{ClientContext, MicroBenchmark, RemoteDriver, TxnDriver, Workload};
+mod common;
+use common::{prepare, raw_session, run};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -704,4 +706,75 @@ fn transaction_abandoned_by_a_dead_replica_is_answered_and_stop_stays_bounded() 
         "stop waited for the dead replica: {:?}",
         stopping.elapsed()
     );
+}
+
+/// A client may send everything it has, half-close, and read until the
+/// server closes: every request that arrived before the hang-up is owed its
+/// reply, and the connection is reaped only once it is idle and empty. (The
+/// loop used to take the level-triggered `EPOLLRDHUP` of a connection it
+/// had stopped reading for a dead peer, and closed it with its queue and
+/// its transaction in flight: 0 of 50 replies, the update committed and its
+/// acknowledgement thrown away.)
+#[test]
+fn half_closed_connection_gets_every_reply_it_is_owed() {
+    const ROUNDS: u64 = 20;
+    const REQUESTS: u64 = 50;
+    let (server, addr, _workload) = micro_server(ConsistencyMode::LazyCoarse, 3);
+    let commits = |conn: &mut Connection| match conn.call(&Message::Stats).unwrap() {
+        Message::StatsReply { commits, .. } => commits,
+        other => panic!("expected StatsReply, got kind {}", other.kind()),
+    };
+    let mut updates_acked = 0;
+    let mut commits_before = None;
+    for round in 0..ROUNDS {
+        let (mut conn, read) = raw_session(&addr, "SELECT val FROM bench0 WHERE pk = ?");
+        let update = prepare(&mut conn, "UPDATE bench0 SET val = ? WHERE pk = ?");
+        commits_before.get_or_insert_with(|| commits(&mut conn));
+
+        // 49 reads and, in the middle, one update: the transaction most
+        // likely to be in flight or queued when the hang-up is seen.
+        let mut burst = Vec::new();
+        for i in 0..REQUESTS {
+            let msg = if i == REQUESTS / 2 {
+                run(update, vec![Value::Int(round as i64), Value::Int(7)])
+            } else {
+                run(read, vec![Value::Int(i as i64 % 20 + 1)])
+            };
+            burst.extend(encode_frame(msg.kind(), 1000 + i, &msg.encode()).unwrap());
+        }
+        conn.stream().write_all(&burst).unwrap();
+        conn.stream().shutdown(std::net::Shutdown::Write).unwrap();
+
+        let mut answered = Vec::new();
+        let closed = loop {
+            match conn.recv_tagged() {
+                Ok((id, Message::TxnReply { outcome, .. })) => {
+                    assert!(outcome.committed, "round {round}, request {id}");
+                    updates_acked += u64::from(outcome.commit_version.is_some());
+                    answered.push(id);
+                }
+                Ok((id, other)) => panic!("request {id} answered with kind {}", other.kind()),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(closed, bargain_common::Error::ConnectionClosed(_)),
+            "the server closes once everything is answered, got {closed:?}"
+        );
+        assert_eq!(
+            answered,
+            (1000..1000 + REQUESTS).collect::<Vec<u64>>(),
+            "round {round}: every request answered, in request order"
+        );
+    }
+    assert_eq!(updates_acked, ROUNDS);
+
+    // Every acknowledged update is a commit the cluster counted.
+    let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
+    conn.call(&Message::Hello).unwrap();
+    let commits_after = commits(&mut conn);
+    let reads = ROUNDS * (REQUESTS - 1);
+    assert_eq!(commits_after - commits_before.unwrap(), ROUNDS + reads);
+    drop(conn);
+    server.stop();
 }
