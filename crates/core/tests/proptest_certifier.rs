@@ -1,29 +1,97 @@
-//! Differential property test for the indexed certifier.
+//! Differential property test: every certifier configuration against one
+//! naive model.
 //!
-//! The certifier's row-version index must be *observationally identical* to
-//! the pre-index implementation: a plain linear scan over the retained
-//! history. This test drives random schedules of certify / prune / recover
-//! operations through the real [`Certifier`] and through a deliberately
-//! naive shadow model (cloned writesets, newest-first linear scan), and
-//! asserts byte-identical [`CertifyDecision`]s at every step.
+//! The certifier — row-version index, per-shard histories and logs, the
+//! cross-shard handshake, the per-client dedup windows — must be
+//! *observationally identical* to the simplest thing that could decide the
+//! same way: a list of cloned writesets scanned newest-first, a list of the
+//! keys it has certified, and one log. This test drives random schedules of
+//! certify / keyed-replay / prune / recover operations through that
+//! [`ShadowModel`] and through the real certifier at every shard count
+//! N ∈ {1, 2, 4, 8}, and asserts the decision, the commit version, the
+//! refresh fan-out, `history_len` and the whole durable record sequence at
+//! every step. Writesets span 8 tables, so at N = 8 every table is its own
+//! shard and multi-table transactions run the cross-shard handshake.
+//!
+//! The model knows nothing about shards: that every N agrees with it is
+//! what "the partitioning is unobservable" means.
 //!
 //! In debug builds the certifier additionally `debug_assert`s its indexed
 //! conflict answer against [`Certifier::conflict_linear`] on every single
 //! certification, so this test also exercises that oracle continuously.
 
-use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
-use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
+use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_core::certifier::DEDUP_WINDOW;
+use bargain_core::{
+    Certifier, CertifyDecision, CertifyRequest, LogRecord, Refresh, ShardedCertifier,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// 0 stands for the unsharded `Certifier`.
+const SHARD_COUNTS: [usize; 5] = [0, 1, 2, 4, 8];
+
+/// Either implementation behind the calls the property makes (the two are
+/// about to become one type; this enum goes with the second).
+enum Real {
+    Single(Certifier),
+    Sharded(ShardedCertifier),
+}
+
+macro_rules! either {
+    ($self:expr, $c:ident => $e:expr) => {
+        match $self {
+            Real::Single($c) => $e,
+            Real::Sharded($c) => $e,
+        }
+    };
+}
+
+impl Real {
+    fn new(replicas: Vec<ReplicaId>, n: usize) -> Real {
+        match n {
+            0 => Real::Single(Certifier::new(replicas)),
+            n => Real::Sharded(ShardedCertifier::new(replicas, n)),
+        }
+    }
+    fn certify(
+        &mut self,
+        req: CertifyRequest,
+    ) -> bargain_common::Result<(CertifyDecision, Vec<Refresh>)> {
+        either!(self, c => c.certify(req))
+    }
+    fn prune(&mut self, floor: Version) {
+        either!(self, c => c.prune(floor))
+    }
+    fn recover(&mut self) -> bargain_common::Result<usize> {
+        either!(self, c => c.recover())
+    }
+    fn version(&self) -> Version {
+        either!(self, c => c.version())
+    }
+    fn history_len(&self) -> usize {
+        either!(self, c => c.history_len())
+    }
+    fn certified_since(&mut self, after: Version) -> bargain_common::Result<Vec<LogRecord>> {
+        either!(self, c => c.certified_since(after))
+    }
+}
+const CLIENTS: u64 = 3;
+const REPLICAS: u32 = 3;
 
 /// The naive reference model: the full committed log (for recover), the
-/// retained window, and a linear newest-first conflict scan.
+/// retained window, a linear newest-first conflict scan, and per client the
+/// keys it has certified.
 struct ShadowModel {
     v_commit: u64,
     floor: u64,
     /// Retained writesets; `history[i]` committed at `floor + i + 1`.
     history: Vec<WriteSet>,
-    /// Every writeset ever committed; `log[i]` committed at `i + 1`.
-    log: Vec<WriteSet>,
+    /// Every request ever committed; `log[i]` committed at `i + 1`.
+    log: Vec<CertifyRequest>,
+    /// Per client, the last [`DEDUP_WINDOW`] certified seqs with their
+    /// original transaction and commit version.
+    certified: HashMap<u64, Vec<(u64, TxnId, Version)>>,
 }
 
 impl ShadowModel {
@@ -33,15 +101,41 @@ impl ShadowModel {
             floor: 0,
             history: Vec::new(),
             log: Vec::new(),
+            certified: HashMap::new(),
         }
     }
 
-    /// Linear-scan certification, scanning newest-first so the reported
-    /// conflicting version is the *newest* conflicting committed version.
-    fn certify(&mut self, txn: TxnId, snapshot: u64, ws: &WriteSet) -> CertifyDecision {
-        let first_idx = (snapshot - self.floor) as usize;
+    /// Remembers a certified key, forgetting the client's lowest seq beyond
+    /// the window.
+    fn remember(&mut self, key: IdemKey, txn: TxnId, version: Version) {
+        let seqs = self.certified.entry(key.client).or_default();
+        seqs.push((key.seq, txn, version));
+        if seqs.len() > DEDUP_WINDOW {
+            seqs.sort_unstable();
+            seqs.remove(0);
+        }
+    }
+
+    /// A remembered key answers with its original outcome; anything else is
+    /// certified by a linear scan, newest-first so the reported conflicting
+    /// version is the *newest* conflicting committed version.
+    fn certify(&mut self, req: &CertifyRequest) -> CertifyDecision {
+        let txn = req.txn;
+        if let Some(key) = req.idem {
+            let seqs = self.certified.get(&key.client);
+            if let Some(&(_, original, commit_version)) =
+                seqs.and_then(|s| s.iter().find(|e| e.0 == key.seq))
+            {
+                return CertifyDecision::Duplicate {
+                    txn,
+                    original,
+                    commit_version,
+                };
+            }
+        }
+        let first_idx = (req.snapshot.0 - self.floor) as usize;
         for i in (first_idx..self.history.len()).rev() {
-            if self.history[i].conflicts_with(ws) {
+            if self.history[i].conflicts_with(&req.writeset) {
                 return CertifyDecision::Abort {
                     txn,
                     conflicting_version: Version(self.floor + i as u64 + 1),
@@ -49,11 +143,15 @@ impl ShadowModel {
             }
         }
         self.v_commit += 1;
-        self.history.push(ws.clone());
-        self.log.push(ws.clone());
+        let commit_version = Version(self.v_commit);
+        self.history.push(req.writeset.clone());
+        self.log.push(req.clone());
+        if let Some(key) = req.idem {
+            self.remember(key, txn, commit_version);
+        }
         CertifyDecision::Commit {
             txn,
-            commit_version: Version(self.v_commit),
+            commit_version,
         }
     }
 
@@ -65,39 +163,57 @@ impl ShadowModel {
     }
 
     fn recover(&mut self) {
-        // Recovery replays the whole log: the floor resets and every logged
-        // writeset is back in the conflict-check window.
+        // Recovery replays the whole log: the floor resets, every logged
+        // writeset is back in the conflict-check window, and the keys are
+        // remembered again in commit order.
         self.floor = 0;
-        self.history = self.log.clone();
+        self.history = self.log.iter().map(|r| r.writeset.clone()).collect();
         self.v_commit = self.log.len() as u64;
+        self.certified.clear();
+        for (i, req) in self.log.clone().iter().enumerate() {
+            if let Some(key) = req.idem {
+                self.remember(key, req.txn, Version(i as u64 + 1));
+            }
+        }
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Certify a writeset over `keys` at a snapshot `lag` versions behind
-    /// `V_commit` (clamped to the pruned floor).
-    Certify { keys: Vec<u8>, lag: u8 },
+    /// `V_commit` (clamped to the pruned floor). `client` is `Some` for a
+    /// keyed (exactly-once) transaction.
+    Certify {
+        keys: Vec<u8>,
+        lag: u8,
+        client: Option<u64>,
+    },
+    /// Re-issue the most recent keyed request of `client` verbatim (same
+    /// key, same writeset) — the protocol-conformant retry after a lost
+    /// acknowledgement.
+    Replay { client: u64 },
     /// Prune up to `amount` versions of history.
     Prune { amount: u8 },
-    /// Crash the certifier and rebuild from its log.
+    /// Crash the certifier and rebuild from its log(s).
     Recover,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        8 => (proptest::collection::vec(0u8..12, 1..4), 0u8..16)
-            .prop_map(|(keys, lag)| Op::Certify { keys, lag }),
+        8 => (proptest::collection::vec(0u8..24, 1..5), 0u8..16, proptest::option::of(0..CLIENTS))
+            .prop_map(|(keys, lag, client)| Op::Certify { keys, lag, client }),
+        2 => (0..CLIENTS).prop_map(|client| Op::Replay { client }),
         2 => (1u8..8).prop_map(|amount| Op::Prune { amount }),
         1 => Just(Op::Recover),
     ]
 }
 
+/// Keys spread over 8 tables: at N=8 each table is its own partition.
 fn ws_of(keys: &[u8]) -> WriteSet {
     let mut w = WriteSet::new();
     for &k in keys {
         w.push(
-            TableId(u32::from(k) % 2),
+            TableId(u32::from(k) % 8),
             Value::Int(i64::from(k)),
             WriteOp::Update(vec![Value::Int(i64::from(k)), Value::Int(0)]),
         );
@@ -109,62 +225,104 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn indexed_certifier_matches_linear_scan_shadow(
+    fn every_shard_count_matches_the_naive_model(
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
-        let mut real = Certifier::new(vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+        let replicas: Vec<ReplicaId> = (0..REPLICAS).map(ReplicaId).collect();
+        let mut real: Vec<Real> = SHARD_COUNTS
+            .iter()
+            .map(|&n| Real::new(replicas.clone(), n))
+            .collect();
         let mut shadow = ShadowModel::new();
         let mut txn = 0u64;
+        // Per client: the next seq, and the last keyed request issued.
+        let mut next_seq = [0u64; CLIENTS as usize];
+        let mut last_keyed: Vec<Option<(IdemKey, WriteSet)>> = vec![None; CLIENTS as usize];
 
         for op in ops {
-            match op {
-                Op::Certify { keys, lag } => {
-                    txn += 1;
+            let request = match op {
+                Op::Certify { keys, lag, client } => {
                     let snapshot = shadow
                         .v_commit
                         .saturating_sub(u64::from(lag))
                         .max(shadow.floor);
                     let ws = ws_of(&keys);
-                    let expected = shadow.certify(TxnId(txn), snapshot, &ws);
-                    let (got, refreshes) = real
-                        .certify(CertifyRequest {
-                            txn: TxnId(txn),
-                            replica: ReplicaId(0),
-                            snapshot: Version(snapshot),
-                            writeset: ws,
-                            idem: None,
-                        })
-                        .expect("valid snapshot never errors");
-                    prop_assert_eq!(&got, &expected, "decision diverged at txn {}", txn);
-                    match got {
-                        CertifyDecision::Commit { .. } => prop_assert_eq!(refreshes.len(), 2),
-                        CertifyDecision::Abort { .. } => prop_assert!(refreshes.is_empty()),
-                        // No idempotency keys in this schedule.
-                        CertifyDecision::Duplicate { .. } => prop_assert!(false),
-                    }
+                    let idem = client.map(|c| {
+                        let key = IdemKey { client: 0xC0DE + c, seq: next_seq[c as usize] };
+                        next_seq[c as usize] += 1;
+                        last_keyed[c as usize] = Some((key, ws.clone()));
+                        key
+                    });
+                    Some((snapshot, ws, idem))
                 }
+                // A retry re-executes at the current snapshot.
+                Op::Replay { client } => last_keyed[client as usize]
+                    .clone()
+                    .map(|(key, ws)| (shadow.v_commit, ws, Some(key))),
                 Op::Prune { amount } => {
                     // Prune only what certification no longer needs in this
-                    // schedule: the shadow picks snapshots at most 15 back.
+                    // schedule: snapshots are picked at most 15 back.
                     let floor = shadow.v_commit.saturating_sub(16).min(shadow.floor + u64::from(amount));
                     shadow.prune(floor);
-                    real.prune(Version(floor));
+                    for c in &mut real {
+                        c.prune(Version(floor));
+                    }
+                    None
                 }
                 Op::Recover => {
                     shadow.recover();
-                    real.recover().expect("memory log replays");
+                    for c in &mut real {
+                        let n = c.recover().expect("memory logs replay");
+                        prop_assert_eq!(n, shadow.log.len());
+                    }
+                    None
+                }
+            };
+
+            if let Some((snapshot, writeset, idem)) = request {
+                txn += 1;
+                let req = CertifyRequest {
+                    txn: TxnId(txn),
+                    replica: ReplicaId(txn as u32 % REPLICAS),
+                    snapshot: Version(snapshot),
+                    writeset,
+                    idem,
+                };
+                let expected = shadow.certify(&req);
+                for (c, n) in real.iter_mut().zip(SHARD_COUNTS) {
+                    let (got, refreshes) = c.certify(req.clone()).expect("valid request");
+                    prop_assert_eq!(&got, &expected, "decision diverged at txn {} (N={})", txn, n);
+                    match got {
+                        CertifyDecision::Commit { commit_version, .. } => {
+                            prop_assert_eq!(refreshes.len(), REPLICAS as usize - 1);
+                            for r in &refreshes {
+                                prop_assert_eq!(r.origin, req.replica);
+                                prop_assert_eq!(r.txn, req.txn);
+                                prop_assert_eq!(r.commit_version, commit_version);
+                                prop_assert_eq!(r.writeset.as_ref(), &req.writeset);
+                            }
+                        }
+                        CertifyDecision::Abort { .. } | CertifyDecision::Duplicate { .. } => {
+                            prop_assert!(refreshes.is_empty());
+                        }
+                    }
                 }
             }
-            prop_assert_eq!(real.version(), Version(shadow.v_commit));
-            prop_assert_eq!(real.history_len(), shadow.history.len());
-        }
 
-        // The durable history agrees with the shadow's full log.
-        let records = real.certified_since(Version::ZERO).expect("log replays");
-        prop_assert_eq!(records.len(), shadow.log.len());
-        for (i, rec) in records.iter().enumerate() {
-            prop_assert_eq!(rec.commit_version, Version(i as u64 + 1));
-            prop_assert_eq!(rec.writeset.as_ref(), &shadow.log[i]);
+            for (c, n) in real.iter_mut().zip(SHARD_COUNTS) {
+                prop_assert_eq!(c.version(), Version(shadow.v_commit), "V_commit (N={})", n);
+                prop_assert_eq!(c.history_len(), shadow.history.len(), "history_len (N={})", n);
+                // The durable history is the model's log, record for record.
+                let records = c.certified_since(Version::ZERO).expect("logs replay");
+                prop_assert_eq!(records.len(), shadow.log.len(), "log length (N={})", n);
+                for (i, (rec, want)) in records.iter().zip(&shadow.log).enumerate() {
+                    prop_assert_eq!(rec.commit_version, Version(i as u64 + 1));
+                    prop_assert_eq!(rec.txn, want.txn);
+                    prop_assert_eq!(rec.origin, want.replica);
+                    prop_assert_eq!(rec.idem, want.idem);
+                    prop_assert_eq!(rec.writeset.as_ref(), &want.writeset);
+                }
+            }
         }
     }
 }
