@@ -1,6 +1,6 @@
-//! Sharded-certifier scaling benchmarks backing `BENCH_shards.json`.
+//! Shard-count scaling benchmarks backing `BENCH_shards.json`.
 //!
-//! Two families over the partitioned certifier (`ShardedCertifier`):
+//! Two families over the certifier at N ∈ {1, 2, 4, 8} shards:
 //!
 //! - `shards/mem_n{N}_cross{P}` — pure certification CPU: a 256-txn batch
 //!   over 8 tables against N ∈ {1, 2, 4, 8} shards with P% of the batch
@@ -10,22 +10,12 @@
 //! - `shards/wal_n{N}_x64` — durable group commit: a 64-txn batch where
 //!   each involved shard forces its own `FileLog`, flushed in parallel
 //!   (one thread per dirty shard). More shards = more, smaller fsyncs —
-//!   this family measures where the parallelism pays for the extra files.
-//! - `shards/par_mem_n{N}_cross{P}_x256` and `shards/par_wal_n{N}_x64` —
-//!   the same workloads through `ParallelShardedCertifier`: long-lived
-//!   shard workers probe conflicts concurrently behind the commit-version
-//!   sequencer, and dedicated flusher threads overlap the WAL force with
-//!   the next batch. `par_n1` is the honest degenerate case — one worker
-//!   plus handoff overhead — isolating the messaging tax from the
-//!   parallelism win. Speedups over `mem_n1` require real cores: on a
-//!   1-CPU container the workers time-slice and `par_*` can only tie.
+//!   on one disk that costs about 2× at N = 4.
 //!
 //! Run with `cargo bench -p bargain-bench --bench certifier_shard_scaling`.
 
 use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
-use bargain_core::{
-    CertifyRequest, CommitLog, FileLog, ParallelShardedCertifier, ShardedCertifier,
-};
+use bargain_core::{Certifier, CertifyRequest, CommitLog, FileLog};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const TABLES: u32 = 8;
@@ -78,7 +68,7 @@ fn bench_mem_scaling(c: &mut Criterion) {
         for cross_pct in [0usize, 10, 50] {
             let name = format!("shards/mem_n{n_shards}_cross{cross_pct}_x256");
             c.bench_function(&name, |b| {
-                let mut cert = ShardedCertifier::new(vec![ReplicaId(0), ReplicaId(1)], n_shards);
+                let mut cert = Certifier::sharded(vec![ReplicaId(0), ReplicaId(1)], n_shards);
                 let mut key = 0i64;
                 b.iter(|| {
                     let reqs = make_batch(&mut key, cert.version(), 256, cross_pct);
@@ -105,7 +95,7 @@ fn bench_wal_scaling(c: &mut Criterion) {
                     Box::new(FileLog::open(&path).unwrap()) as Box<dyn CommitLog>
                 })
                 .collect();
-            let mut cert = ShardedCertifier::with_logs(vec![ReplicaId(0), ReplicaId(1)], logs);
+            let mut cert = Certifier::with_logs(vec![ReplicaId(0), ReplicaId(1)], logs);
             let mut key = 0i64;
             b.iter(|| {
                 let reqs = make_batch(&mut key, cert.version(), 64, 0);
@@ -120,79 +110,5 @@ fn bench_wal_scaling(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Parallel-mode certification throughput: the same in-memory workload
-/// through the worker-thread certifier. The 2-deep async pipeline is used
-/// exactly as a live host would (`certify_batch_async`, wait one behind).
-fn bench_parallel_mem_scaling(c: &mut Criterion) {
-    for n_shards in [1usize, 2, 4, 8] {
-        for cross_pct in [0usize, 10, 50] {
-            let name = format!("shards/par_mem_n{n_shards}_cross{cross_pct}_x256");
-            c.bench_function(&name, |b| {
-                let mut cert =
-                    ParallelShardedCertifier::new(vec![ReplicaId(0), ReplicaId(1)], n_shards);
-                let mut key = 0i64;
-                let mut pending = None;
-                b.iter(|| {
-                    let reqs = make_batch(&mut key, cert.version(), 256, cross_pct);
-                    let batch = cert.certify_batch_async(reqs);
-                    if let Some(prev) = pending.replace(batch) {
-                        black_box(prev.wait().unwrap());
-                    }
-                    cert.prune(cert.version());
-                });
-                if let Some(last) = pending.take() {
-                    black_box(last.wait().unwrap());
-                }
-            });
-        }
-    }
-}
-
-/// Parallel-mode durable group commit: per-shard flusher threads force the
-/// FileLogs while the sequencer certifies the next batch (the 2-deep
-/// certify→flush pipeline). Same single-partition 64-txn batches as
-/// `wal_n{N}` for a direct comparison.
-fn bench_parallel_wal_scaling(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("bargain-bench-parshards-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for n_shards in [1usize, 2, 4, 8] {
-        let name = format!("shards/par_wal_n{n_shards}_x64");
-        c.bench_function(&name, |b| {
-            let logs: Vec<Box<dyn CommitLog>> = (0..n_shards)
-                .map(|i| {
-                    let path = dir.join(format!("shard-{n_shards}-{i}.wal"));
-                    let _ = std::fs::remove_file(&path);
-                    Box::new(FileLog::open(&path).unwrap()) as Box<dyn CommitLog>
-                })
-                .collect();
-            let mut cert =
-                ParallelShardedCertifier::with_logs(vec![ReplicaId(0), ReplicaId(1)], logs, 0);
-            let mut key = 0i64;
-            let mut pending = None;
-            b.iter(|| {
-                let reqs = make_batch(&mut key, cert.version(), 64, 0);
-                let batch = cert.certify_batch_async(reqs);
-                if let Some(prev) = pending.replace(batch) {
-                    black_box(prev.wait().unwrap());
-                }
-                cert.prune(cert.version());
-            });
-            if let Some(last) = pending.take() {
-                black_box(last.wait().unwrap());
-            }
-        });
-        for i in 0..n_shards {
-            let _ = std::fs::remove_file(dir.join(format!("shard-{n_shards}-{i}.wal")));
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-criterion_group!(
-    benches,
-    bench_mem_scaling,
-    bench_wal_scaling,
-    bench_parallel_mem_scaling,
-    bench_parallel_wal_scaling
-);
+criterion_group!(benches, bench_mem_scaling, bench_wal_scaling);
 criterion_main!(benches);

@@ -22,9 +22,8 @@ use bargain_common::{
     ConsistencyMode, Error, ReplicaId, Result, TableSet, TemplateId, TxnId, Version,
 };
 use bargain_core::{
-    AnyCertifier, CertifyDecision, CertifyRequest, FinishAction, LoadBalancer, LogRecord,
-    PendingBatch, Proxy, ProxyEvent, Refresh, RoutedTxn, StartDecision, StatementOutcome,
-    TxnOutcome,
+    Certifier, CertifyDecision, CertifyRequest, FinishAction, LoadBalancer, LogRecord, Proxy,
+    ProxyEvent, Refresh, RoutedTxn, StartDecision, StatementOutcome, TxnOutcome,
 };
 use bargain_sql::{execute_ddl, parse, QueryResult, Statement, TransactionTemplate};
 use bargain_storage::{Engine, Snapshot};
@@ -51,8 +50,10 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// The consistency configuration.
     pub mode: ConsistencyMode,
-    /// When set, the certifier's commit log lives in `certifier.wal` inside
-    /// this directory and survives shutdown. On start the log is replayed:
+    /// When set, the certifier's commit log lives inside this directory
+    /// (laid out by `bargain_core::Certifier::open`: `certifier.wal` for
+    /// one shard, `shard-i/certifier.wal` for several) and survives
+    /// shutdown. On start the log is replayed:
     /// the certifier recovers its version counter and conflict history, and
     /// every replica engine fast-forwards through the certified writesets
     /// before serving. This is the paper's durability story — replicas run
@@ -61,27 +62,18 @@ pub struct ClusterConfig {
     /// `setup`) resumes exactly where the last run committed.
     pub wal_dir: Option<std::path::PathBuf>,
     /// Number of certifier shards (the table space is partitioned across
-    /// them; see `bargain_core::PartitionMap`). `1` — the default — is the
-    /// degenerate single-certifier configuration. With `wal_dir` set, shard
-    /// `i` of an N>1 configuration logs to `shard-i/certifier.wal` inside
-    /// the directory (each shard owns its own WAL directory), while N=1
-    /// keeps the legacy `certifier.wal` so existing durable clusters
-    /// restart unchanged.
+    /// them; see `bargain_core::PartitionMap`). `1` is the default. Over
+    /// `FileLog`s on one disk, more shards cost about 2× per batch
+    /// (BENCH_shards.json).
     pub shards: usize,
-    /// Run certification in the parallel execution mode
-    /// ([`bargain_core::ParallelShardedCertifier`]): each shard on its own
-    /// worker thread with a per-shard WAL flusher, decisions sequenced in
-    /// the identical total commit order as the sequential certifier, and
-    /// a batch's group-commit fsyncs overlapped with the next batch's
-    /// conflict checks. Meaningful at `shards > 1` on multi-core hosts;
-    /// semantically identical either way.
+    /// **Inert: read by nothing.** It selected a worker-thread execution
+    /// mode of the certifier that measured slower than this one in every
+    /// configuration and was deleted (EXPERIMENTS.md, "One certifier"); both
+    /// modes decided identically, so ignoring it changes no decision. The
+    /// field stays only because `e2e/src/deploy.rs`, a benchmark file this
+    /// workspace may not edit, names it; ROADMAP item 3 lists it for
+    /// deletion by the next change allowed to edit that file.
     pub parallel_certifier: bool,
-    /// In parallel mode, a cap on how many shard WAL flushes may block in
-    /// the OS at once (`0` = one per shard, i.e. uncapped). On a single
-    /// disk, N concurrent fsyncs are slower than a few serialized ones —
-    /// the honest negative measured in BENCH_shards.json — so durable
-    /// single-disk deployments should set this to 1 or 2.
-    pub wal_flush_concurrency: usize,
 }
 
 impl Default for ClusterConfig {
@@ -92,7 +84,6 @@ impl Default for ClusterConfig {
             wal_dir: None,
             shards: 1,
             parallel_certifier: false,
-            wal_flush_concurrency: 0,
         }
     }
 }
@@ -391,52 +382,25 @@ impl Cluster {
         // The certified writesets fast-forward every replica engine from
         // its checkpoint (the `setup` state) to the durable version.
         enum Backend {
-            Local(Box<AnyCertifier>),
+            Local(Box<Certifier>),
             Remote(Box<dyn CertifierLink>),
         }
-        assert!(config.shards >= 1, "need at least one certifier shard");
         let (backend, history) = match link {
             Some(mut link) => {
                 let history = link.history().expect("certifier link serves its history");
                 (Backend::Remote(link), history)
             }
             None => {
-                let mut certifier = match &config.wal_dir {
-                    Some(dir) => {
-                        let logs: Vec<Box<dyn bargain_core::CommitLog>> =
-                            shard_wal_paths(dir, config.shards)
-                                .into_iter()
-                                .map(|path| {
-                                    std::fs::create_dir_all(
-                                        path.parent().expect("wal path has a directory"),
-                                    )
-                                    .expect("wal directory is creatable");
-                                    Box::new(bargain_core::FileLog::open(&path).expect("wal opens"))
-                                        as Box<dyn bargain_core::CommitLog>
-                                })
-                                .collect();
-                        AnyCertifier::with_logs(
-                            replica_ids.clone(),
-                            logs,
-                            config.parallel_certifier,
-                            config.wal_flush_concurrency,
-                        )
-                    }
-                    None => AnyCertifier::new(
-                        replica_ids.clone(),
-                        config.shards,
-                        config.parallel_certifier,
-                    ),
-                };
+                let mut certifier = Certifier::open(
+                    replica_ids.clone(),
+                    config.wal_dir.as_deref(),
+                    config.shards,
+                )
+                .expect("certifier log opens and replays");
                 certifier.set_eager(config.mode == ConsistencyMode::Eager);
-                let recovered = certifier.recover().expect("certifier log replays");
-                let history = if recovered > 0 {
-                    certifier
-                        .certified_since(Version::ZERO)
-                        .expect("certifier log replays")
-                } else {
-                    Vec::new()
-                };
+                let history = certifier
+                    .certified_since(Version::ZERO)
+                    .expect("recovered history is in memory");
                 (Backend::Local(Box::new(certifier)), history)
             }
         };
@@ -1043,43 +1007,22 @@ impl Replica {
     }
 }
 
-/// The WAL path of each certifier shard inside `wal_dir`: the legacy flat
-/// `certifier.wal` for the single-shard configuration, one `shard-i`
-/// directory per shard otherwise.
-fn shard_wal_paths(dir: &std::path::Path, shards: usize) -> Vec<std::path::PathBuf> {
-    if shards == 1 {
-        vec![dir.join("certifier.wal")]
-    } else {
-        (0..shards)
-            .map(|i| dir.join(format!("shard-{i}")).join("certifier.wal"))
-            .collect()
-    }
-}
-
-fn certifier_main(
-    mut certifier: AnyCertifier,
-    rx: Receiver<CertifierRequest>,
-    replicas: ReplicaTxs,
-) {
+fn certifier_main(mut certifier: Certifier, rx: Receiver<CertifierRequest>, replicas: ReplicaTxs) {
     // Group commit: every certify request sitting in the channel when the
-    // thread comes around is certified as one batch, drained to the shard
+    // thread comes around is certified as one batch, flushed to the shard
     // WALs with one fsync per dirty shard. Under load the batch grows with
     // the arrival rate (the classic group commit adaptivity); an idle
     // certifier still serves single requests with single-append latency.
-    //
-    // The thread runs a 2-deep certify→flush pipeline: a batch's decisions
-    // are announced only once durable (`PendingBatch::wait`), but in the
-    // parallel execution mode the wait is deferred until after the *next*
-    // batch has been submitted, so batch k's group-commit fsyncs overlap
-    // batch k+1's conflict probes. At most one batch is ever pending, and
-    // decisions are announced strictly in submission (= commit) order.
-    let announce = |certifier: &AnyCertifier,
-                    replicas: &ReplicaTxs,
-                    pending: &mut Option<(Vec<ReplicaId>, PendingBatch)>| {
-        let Some((origins, batch)) = pending.take() else {
+    // A batch is certified, made durable and announced in one step, in
+    // submission (= commit) order; refreshes go out before their decision.
+    let certify = |certifier: &mut Certifier, batch: &mut Vec<CertifyRequest>| {
+        if batch.is_empty() {
             return;
-        };
-        let results = batch.wait().expect("certify accepts");
+        }
+        let origins: Vec<ReplicaId> = batch.iter().map(|r| r.replica).collect();
+        let results = certifier
+            .certify_batch(std::mem::take(batch))
+            .expect("certify accepts");
         let txs = replicas.lock();
         for (origin, (decision, refreshes)) in origins.into_iter().zip(results) {
             for (target, refresh) in certifier.refresh_targets(origin).into_iter().zip(refreshes) {
@@ -1088,41 +1031,8 @@ fn certifier_main(
             let _ = txs[origin.index()].send(ToReplica::Decision(decision));
         }
     };
-    // Submit the accumulated batch, then announce the *previous* pending
-    // batch (its flush has been overlapping this submission) and leave the
-    // new one pending.
-    let submit = |certifier: &mut AnyCertifier,
-                  replicas: &ReplicaTxs,
-                  batch: &mut Vec<CertifyRequest>,
-                  pending: &mut Option<(Vec<ReplicaId>, PendingBatch)>| {
-        if batch.is_empty() {
-            return;
-        }
-        let origins: Vec<ReplicaId> = batch.iter().map(|r| r.replica).collect();
-        let next = certifier.certify_batch_async(std::mem::take(batch));
-        announce(certifier, replicas, pending);
-        *pending = Some((origins, next));
-    };
 
-    let mut pending: Option<(Vec<ReplicaId>, PendingBatch)> = None;
-    'outer: loop {
-        // With a batch in flight, don't block: if the channel is idle the
-        // pipeline drains immediately (nobody else will complete it), and
-        // only then does the thread park in `recv`.
-        let first = if pending.is_some() {
-            match rx.try_recv() {
-                Ok(msg) => msg,
-                Err(_) => {
-                    announce(&certifier, &replicas, &mut pending);
-                    continue;
-                }
-            }
-        } else {
-            match rx.recv() {
-                Ok(msg) => msg,
-                Err(_) => break,
-            }
-        };
+    'outer: while let Ok(first) = rx.recv() {
         // Drain whatever else is already queued behind the first message.
         let mut messages = vec![first];
         while let Ok(msg) = rx.try_recv() {
@@ -1130,14 +1040,19 @@ fn certifier_main(
         }
         let mut batch: Vec<CertifyRequest> = Vec::new();
         for msg in messages {
+            // Anything but a certify request may depend on decisions queued
+            // before it (and membership may change only between batches:
+            // `refresh_targets` at announce time must match the membership
+            // at certify time), so the batch so far goes first.
+            if !matches!(
+                msg,
+                CertifierRequest::Certify(_) | CertifierRequest::SweepAck { .. }
+            ) {
+                certify(&mut certifier, &mut batch);
+            }
             match msg {
                 CertifierRequest::Certify(req) => batch.push(req),
                 CertifierRequest::Applied { replica, version } => {
-                    // Applied reports may depend on decisions queued before
-                    // them: complete the pipeline first to preserve channel
-                    // order.
-                    submit(&mut certifier, &replicas, &mut batch, &mut pending);
-                    announce(&certifier, &replicas, &mut pending);
                     if let Some((origin, txn)) = certifier.on_commit_applied(replica, version) {
                         let _ = replicas.lock()[origin.index()].send(ToReplica::GlobalCommit(txn));
                     }
@@ -1150,11 +1065,6 @@ fn certifier_main(
                     after,
                     reply,
                 } => {
-                    // Membership changes only between fully drained batches:
-                    // `refresh_targets` at announce time must match the
-                    // membership at certify time.
-                    submit(&mut certifier, &replicas, &mut batch, &mut pending);
-                    announce(&certifier, &replicas, &mut pending);
                     certifier.add_replica(replica);
                     // Credit the joiner for every pending eager commit at or
                     // below its snapshot version — the snapshot already
@@ -1167,29 +1077,19 @@ fn certifier_main(
                     let _ = reply.send(certifier.certified_since(after));
                 }
                 CertifierRequest::Leave { replica, ack } => {
-                    submit(&mut certifier, &replicas, &mut batch, &mut pending);
-                    announce(&certifier, &replicas, &mut pending);
                     // Entries the leaver alone was blocking complete now.
                     for (origin, txn) in certifier.remove_replica(replica) {
                         let _ = replicas.lock()[origin.index()].send(ToReplica::GlobalCommit(txn));
                     }
                     let _ = ack.send(Ok(()));
                 }
+                // The reply covers everything enqueued before the request.
                 CertifierRequest::History { after, reply } => {
-                    // Drain first so the reply covers everything enqueued
-                    // before the request.
-                    submit(&mut certifier, &replicas, &mut batch, &mut pending);
-                    announce(&certifier, &replicas, &mut pending);
                     let _ = reply.send(certifier.certified_since(after));
                 }
-                CertifierRequest::Shutdown => {
-                    submit(&mut certifier, &replicas, &mut batch, &mut pending);
-                    announce(&certifier, &replicas, &mut pending);
-                    break 'outer;
-                }
+                CertifierRequest::Shutdown => break 'outer,
             }
         }
-        submit(&mut certifier, &replicas, &mut batch, &mut pending);
+        certify(&mut certifier, &mut batch);
     }
-    announce(&certifier, &replicas, &mut pending);
 }

@@ -92,14 +92,13 @@ fn restart_recovers_every_acked_commit_from_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn start_sharded(dir: &std::path::Path, shards: usize, parallel: bool) -> Cluster {
+fn start_sharded(dir: &std::path::Path, shards: usize) -> Cluster {
     Cluster::start_with_setup(
         ClusterConfig {
             replicas: 3,
             mode: ConsistencyMode::LazyFine,
             wal_dir: Some(dir.to_path_buf()),
             shards,
-            parallel_certifier: parallel,
             ..ClusterConfig::default()
         },
         |e| {
@@ -118,28 +117,13 @@ fn start_sharded(dir: &std::path::Path, shards: usize, parallel: bool) -> Cluste
 
 #[test]
 fn sharded_restart_recovers_across_shard_wals() {
-    sharded_restart_roundtrip("sharded-restart", false, false);
-}
-
-#[test]
-fn parallel_sharded_restart_recovers_across_shard_wals() {
-    // The parallel execution mode writes the same per-shard WALs in the
-    // same total commit order, so a cluster restarted from a parallel
-    // certifier's logs — here back into the *sequential* mode, proving the
-    // on-disk format and order are mode-independent — recovers the same
-    // dense history.
-    sharded_restart_roundtrip("par-sharded-restart", true, false);
-    sharded_restart_roundtrip("par-par-restart", true, true);
-}
-
-fn sharded_restart_roundtrip(tag: &str, parallel_first: bool, parallel_second: bool) {
     // With N=3 shards each of the three tables lives on its own shard:
     // single-partition commits land in one shard WAL, the cross-partition
     // transfer transaction in two. A full restart must merge the per-shard
     // logs back into one dense history.
-    let dir = wal_dir(tag);
+    let dir = wal_dir("sharded-restart");
     {
-        let cluster = start_sharded(&dir, 3, parallel_first);
+        let cluster = start_sharded(&dir, 3);
         let mut s = cluster.connect();
         for t in 0..3i64 {
             for k in 0..4i64 {
@@ -175,7 +159,7 @@ fn sharded_restart_roundtrip(tag: &str, parallel_first: bool, parallel_second: b
         );
     }
 
-    let cluster = start_sharded(&dir, 3, parallel_second);
+    let cluster = start_sharded(&dir, 3);
     let mut s = cluster.connect();
     let (_, results) = s
         .run_sql(&[

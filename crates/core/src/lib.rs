@@ -40,15 +40,12 @@ pub mod proxy;
 pub mod shard;
 pub mod wal;
 
-pub use certifier::{Certifier, CertifierStats};
+pub use certifier::{AnyCertifier, Certifier, CertifierStats};
 pub use checker::{ConsistencyChecker, ConsistencyViolation, ObservedTxn};
 pub use lb::{LoadBalancer, LoadBalancerStats, RoutingPolicy};
 pub use messages::{
     CertifyDecision, CertifyRequest, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest,
 };
 pub use proxy::{FinishAction, Proxy, ProxyEvent, ProxyStats, StatementOutcome};
-pub use shard::{
-    AnyCertifier, ParallelShardedCertifier, PartitionMap, PendingBatch, ShardedCertifier,
-    ShardingStats,
-};
+pub use shard::{PartitionMap, ShardingStats};
 pub use wal::{CommitLog, FileLog, LogRecord, MemoryLog};

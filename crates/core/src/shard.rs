@@ -1,89 +1,23 @@
-//! Partitioned certification: N certifier shards, each owning a disjoint
-//! set of tables with its own row-version index, history ring, and commit
-//! log — the scale-out refactor of the single [`Certifier`].
+//! A certifier shard, and the static assignment of tables to shards.
 //!
-//! # Partitioning
-//!
-//! A [`PartitionMap`] statically assigns every table to one shard (the
-//! fine-grained consistency mode already extracts static table-sets per
-//! prepared transaction, so the partitioning key exists at routing time).
-//! A transaction *involves* the shards owning the tables its writeset
-//! touches:
-//!
-//! - **Single-partition** transactions (the common case under the
-//!   micro-benchmark and most of TPC-W) certify at exactly one shard: one
-//!   index probe set, one history entry, one log record — no coordination.
-//! - **Cross-partition** transactions run an ordered two-phase shard
-//!   handshake: the involved shards are visited in ascending partition id —
-//!   the global lock order that makes the handshake deadlock-free — each
-//!   performing its *certify-prepare* (a conflict probe over the rows it
-//!   owns); if every shard reports no conflict, a lightweight sequencer
-//!   assigns the commit version atomically and each involved shard applies
-//!   the commit (index update, history entry, log record).
-//!
-//! The sequencer is the one piece of shared state: a single `V_commit`
-//! counter handed out at commit time, which keeps the global commit order
-//! total across shards. Because certification is a pure function of the
-//! row-version state, and the shard indexes partition the global index by
-//! table, a [`ShardedCertifier`] produces **bit-identical decisions** to a
-//! single [`Certifier`] fed the same request sequence — the degenerate
-//! `N = 1` configuration *is* the old certifier, and the differential
-//! proptest in `tests/proptest_sharded.rs` holds N ∈ {2,4,8} against it.
-//!
-//! # Durability and recovery
-//!
-//! Every involved shard logs the **full** record of a commit (cross-
-//! partition commits appear in multiple shard logs), and a decision is
-//! announced only after *all* involved shards' batches are flushed —
-//! [`ShardedCertifier::certify_batch`] drains the per-shard group-commit
-//! buffers in parallel (one fsync per dirty shard per batch, all fsyncs
-//! concurrent). Recovery merges the shard logs by commit version, dedupes
-//! the cross-partition copies, and keeps the longest *dense* prefix:
-//!
-//! - an **announced** commit was flushed at every involved shard, so at
-//!   least one copy survives any single shard's torn tail and the prefix
-//!   rule always retains it;
-//! - a record beyond the first version gap belongs to a batch that crashed
-//!   mid-flush and was never announced, so dropping it is safe. Dropped
-//!   records are physically truncated from their logs
-//!   ([`CommitLog::rewrite`]) so their stale bytes cannot collide with a
-//!   later reassignment of the same commit version.
-//!
-//! # Exactly-once
-//!
-//! The idempotency-key dedup entry of a commit lives at its *lowest
-//! involved shard*. A protocol-conformant retry carries the same writeset,
-//! so it routes to the same owner shard and is answered there; lookups
-//! nevertheless consult every shard and take the newest sequence number, so
-//! the sharded dedup state is observationally identical to the single
-//! certifier's global map even when a client's consecutive transactions
-//! touch different partitions.
-//!
-//! # Parallel execution mode
-//!
-//! [`ShardedCertifier`] partitions the *state* but still certifies every
-//! batch on the caller's thread. [`ParallelShardedCertifier`] is the same
-//! protocol run by a fleet of long-lived shard worker threads (one per
-//! shard, owning that shard's row index and history) and per-shard WAL
-//! flusher threads, behind a sequencer stage that keeps the decision
-//! stream **bit-identical** to the sequential certifier. See the type's
-//! docs for the phase structure and the ordering argument;
-//! `tests/proptest_sharded.rs` holds the two modes equal under random
-//! certify/replay/prune/recover schedules.
+//! The [`Certifier`](crate::Certifier) partitions its conflict-check state
+//! by table: every table belongs to exactly one [`Shard`], which keeps the
+//! row-version index over the rows of its tables, the retained commits that
+//! touched them, a commit log, and the group-commit buffer in front of that
+//! log. A shard decides nothing: it answers "who last wrote these rows of
+//! mine above this snapshot?" ([`Shard::prepare`]) and installs what the
+//! sequencer committed ([`Shard::apply`]). Everything that must be decided
+//! in one total order — commit versions, the history floor, the dedup
+//! windows, membership — lives at the sequencer.
 
-use crate::certifier::{CertifierStats, ClientWindow, DedupVerdict};
-use crate::messages::{CertifyDecision, CertifyRequest, Refresh};
-use crate::wal::{CommitLog, LogRecord, MemoryLog};
-use bargain_common::{Error, IdemKey, ReplicaId, Result, TableId, TxnId, Value, Version, WriteSet};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::wal::{CommitLog, LogRecord};
+use bargain_common::{Result, TableId, Value, Version, WriteSet};
+use std::collections::{HashMap, VecDeque};
 
 /// The static table → shard assignment. Involved-shard lists are always
-/// returned in ascending partition id: that order is the global lock order
-/// of the cross-shard handshake, which is what makes it deadlock-free.
-#[derive(Debug, Clone)]
+/// returned in ascending partition id, the one order in which the
+/// cross-shard handshake visits shards.
+#[derive(Debug, Clone, Copy)]
 pub struct PartitionMap {
     n_shards: usize,
 }
@@ -109,10 +43,9 @@ impl PartitionMap {
         table.index() % self.n_shards
     }
 
-    /// The shards a writeset involves, ascending (= handshake lock order),
-    /// deduplicated. An empty writeset is anchored at shard 0 so its
-    /// (vacuous) commit still has a durable home and the merged log stays
-    /// dense.
+    /// The shards a writeset involves, ascending, deduplicated. An empty
+    /// writeset is anchored at shard 0 so its (vacuous) commit still has a
+    /// durable home and the merged log stays dense.
     #[must_use]
     pub fn shards_of(&self, writeset: &WriteSet) -> Vec<usize> {
         if writeset.is_empty() {
@@ -129,8 +62,7 @@ impl PartitionMap {
     }
 }
 
-/// Sharding-specific counters, alongside the [`CertifierStats`] the sharded
-/// certifier keeps for parity with the single one.
+/// Counters of how certification spread over the shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardingStats {
     /// Commit/abort decisions that involved exactly one shard.
@@ -142,938 +74,90 @@ pub struct ShardingStats {
     pub per_shard_records: Vec<u64>,
 }
 
-struct EagerState {
-    origin: ReplicaId,
-    txn: TxnId,
-    applied: Vec<ReplicaId>,
-}
-
-/// One certifier shard: the row-version index, retained history, dedup
-/// entries, and commit log for the tables this shard owns. History entries
-/// are full [`LogRecord`]s (explicit commit versions — the per-shard view
-/// of the global sequence is sparse).
-struct Shard {
+/// One certifier shard. Retained entries are full [`LogRecord`]s with
+/// explicit commit versions: a shard's view of the global sequence is
+/// sparse.
+pub(crate) struct Shard {
+    me: usize,
+    partition: PartitionMap,
     row_index: HashMap<TableId, HashMap<Value, Version>>,
-    history: VecDeque<LogRecord>,
-    log: Box<dyn CommitLog>,
-    dedup: HashMap<u64, ClientWindow>,
-    /// Commits buffered since the last group-commit drain.
-    pending: Vec<LogRecord>,
+    pub(crate) history: VecDeque<LogRecord>,
+    pub(crate) log: Box<dyn CommitLog>,
+    /// Commits buffered since the last group-commit flush.
+    unflushed: Vec<LogRecord>,
 }
 
 impl Shard {
-    fn new(log: Box<dyn CommitLog>) -> Self {
+    pub(crate) fn new(me: usize, partition: PartitionMap, log: Box<dyn CommitLog>) -> Self {
         Shard {
+            me,
+            partition,
             row_index: HashMap::new(),
             history: VecDeque::new(),
             log,
-            dedup: HashMap::new(),
-            pending: Vec::new(),
+            unflushed: Vec::new(),
         }
+    }
+
+    fn owns(&self, table: TableId) -> bool {
+        self.partition.shard_of_table(table) == self.me
     }
 
     /// Certify-prepare: the newest retained commit above `snapshot` that
     /// wrote one of the writeset rows *this shard owns*.
-    fn prepare(
-        &self,
-        partition: &PartitionMap,
-        me: usize,
-        snapshot: Version,
-        writeset: &WriteSet,
-    ) -> Option<Version> {
-        let mut newest: Option<Version> = None;
-        for entry in writeset.entries() {
-            if partition.shard_of_table(entry.table) != me {
-                continue;
-            }
-            if let Some(&last_writer) = self
-                .row_index
-                .get(&entry.table)
-                .and_then(|rows| rows.get(&entry.key))
-            {
-                if last_writer > snapshot && newest.is_none_or(|n| last_writer > n) {
-                    newest = Some(last_writer);
-                }
-            }
-        }
-        newest
+    pub(crate) fn prepare(&self, snapshot: Version, writeset: &WriteSet) -> Option<Version> {
+        writeset
+            .entries()
+            .iter()
+            .filter(|e| self.owns(e.table))
+            .filter_map(|e| self.row_index.get(&e.table)?.get(&e.key).copied())
+            .filter(|&last_writer| last_writer > snapshot)
+            .max()
+    }
+
+    /// The linear-scan answer to the same question as [`Shard::prepare`],
+    /// over whole writesets instead of owned rows: the newest retained
+    /// commit above `floor` that conflicts with `writeset`.
+    pub(crate) fn scan(&self, floor: Version, writeset: &WriteSet) -> Option<Version> {
+        self.history
+            .iter()
+            .rev()
+            .take_while(|rec| rec.commit_version > floor)
+            .find(|rec| rec.writeset.conflicts_with(writeset))
+            .map(|rec| rec.commit_version)
     }
 
     /// Commit-apply: index the owned rows, retain the record, and buffer it
-    /// for the next log drain (recovery installs skip the buffer).
-    fn apply(&mut self, partition: &PartitionMap, me: usize, record: &LogRecord, buffer: bool) {
+    /// for the next log flush (recovery installs what the log already
+    /// holds, and skips the buffer).
+    pub(crate) fn apply(&mut self, record: &LogRecord, buffer: bool) {
         for row in record.writeset.entries() {
-            if partition.shard_of_table(row.table) != me {
-                continue;
+            if self.owns(row.table) {
+                self.row_index
+                    .entry(row.table)
+                    .or_default()
+                    .insert(row.key.clone(), record.commit_version);
             }
-            self.row_index
-                .entry(row.table)
-                .or_default()
-                .insert(row.key.clone(), record.commit_version);
         }
         self.history.push_back(record.clone());
         if buffer {
-            self.pending.push(record.clone());
+            self.unflushed.push(record.clone());
         }
     }
 
     /// Drops retained entries at or below `floor`, keeping the row index
-    /// exact (a row is evicted only while the pruned entry is still its
-    /// last writer).
-    fn prune_below(&mut self, partition: &PartitionMap, me: usize, floor: Version) {
+    /// exact: a row is evicted only while the pruned entry is still its
+    /// last writer (a newer retained entry that rewrote the row keeps its
+    /// newer version in the index).
+    pub(crate) fn prune_below(&mut self, floor: Version) {
         let mut pruned_any = false;
-        while let Some(front) = self.history.front() {
-            if front.commit_version > floor {
-                break;
-            }
+        while self
+            .history
+            .front()
+            .is_some_and(|e| e.commit_version <= floor)
+        {
             let entry = self.history.pop_front().expect("front checked");
             for row in entry.writeset.entries() {
-                if partition.shard_of_table(row.table) != me {
-                    continue;
-                }
-                if let Some(rows) = self.row_index.get_mut(&row.table) {
-                    if rows.get(&row.key) == Some(&entry.commit_version) {
-                        rows.remove(&row.key);
-                    }
-                }
-            }
-            pruned_any = true;
-        }
-        if pruned_any {
-            self.row_index.retain(|_, rows| !rows.is_empty());
-        }
-    }
-}
-
-/// The partitioned certifier: N [`Shard`]s behind one sequencer, with the
-/// same host-facing API as [`Certifier`] (the cluster runtime, the network
-/// certifier server, and the simulator host either interchangeably). See
-/// the module docs for the handshake and recovery invariants.
-///
-/// [`Certifier`]: crate::Certifier
-pub struct ShardedCertifier {
-    partition: PartitionMap,
-    shards: Vec<Shard>,
-    replicas: Vec<ReplicaId>,
-    /// The sequencer: the single commit-version counter shared by all
-    /// shards, keeping the global commit order total.
-    v_commit: Version,
-    history_floor: Version,
-    eager_pending: HashMap<Version, EagerState>,
-    eager_enabled: bool,
-    stats: CertifierStats,
-    sharding: ShardingStats,
-}
-
-impl ShardedCertifier {
-    /// A sharded certifier with in-memory logs (simulation and tests).
-    #[must_use]
-    pub fn new(replicas: Vec<ReplicaId>, n_shards: usize) -> Self {
-        let logs = (0..n_shards)
-            .map(|_| Box::new(MemoryLog::new()) as Box<dyn CommitLog>)
-            .collect();
-        Self::with_logs(replicas, logs)
-    }
-
-    /// A sharded certifier over caller-provided durable logs, one per shard
-    /// (`logs.len()` determines the shard count).
-    #[must_use]
-    pub fn with_logs(replicas: Vec<ReplicaId>, logs: Vec<Box<dyn CommitLog>>) -> Self {
-        assert!(!logs.is_empty(), "need at least one shard log");
-        let partition = PartitionMap::new(logs.len());
-        let shards: Vec<Shard> = logs.into_iter().map(Shard::new).collect();
-        let sharding = ShardingStats {
-            per_shard_records: vec![0; shards.len()],
-            ..ShardingStats::default()
-        };
-        ShardedCertifier {
-            partition,
-            shards,
-            replicas,
-            v_commit: Version::ZERO,
-            history_floor: Version::ZERO,
-            eager_pending: HashMap::new(),
-            eager_enabled: false,
-            stats: CertifierStats::default(),
-            sharding,
-        }
-    }
-
-    /// The table → shard assignment in force.
-    #[must_use]
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
-    }
-
-    /// Number of certifier shards.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Enables eager global-commit accounting.
-    pub fn set_eager(&mut self, enabled: bool) {
-        self.eager_enabled = enabled;
-    }
-
-    /// The latest certified version (the sequencer's `V_commit`).
-    #[must_use]
-    pub fn version(&self) -> Version {
-        self.v_commit
-    }
-
-    /// The single-certifier-compatible counters.
-    #[must_use]
-    pub fn stats(&self) -> CertifierStats {
-        self.stats
-    }
-
-    /// The sharding-specific counters.
-    #[must_use]
-    pub fn sharding_stats(&self) -> &ShardingStats {
-        &self.sharding
-    }
-
-    /// Number of distinct commit versions retained for conflict checking
-    /// (the global history is dense between the prune floor and
-    /// `V_commit`, so this equals the single certifier's history length).
-    #[must_use]
-    pub fn history_len(&self) -> usize {
-        self.v_commit.gap_from(self.history_floor) as usize
-    }
-
-    /// Certifies one update transaction (a one-element
-    /// [`Self::certify_batch`]).
-    pub fn certify(&mut self, req: CertifyRequest) -> Result<(CertifyDecision, Vec<Refresh>)> {
-        let mut results = self.certify_batch(vec![req])?;
-        Ok(results.pop().expect("one request in, one result out"))
-    }
-
-    /// Certifies a batch in order with one durability point per involved
-    /// shard: requests are certified sequentially against the shard state
-    /// (identical decisions to one-by-one certification), then every dirty
-    /// shard's buffered records are flushed as one group commit, all shard
-    /// flushes running in parallel. No decision is returned before every
-    /// flush completes — a decision is durable at *all* its involved shards
-    /// before it is announced.
-    ///
-    /// If a request fails validation mid-batch, the records buffered so far
-    /// are still flushed before the error is returned (no already-made
-    /// decision is ever lost), exactly like the single certifier.
-    pub fn certify_batch(
-        &mut self,
-        reqs: Vec<CertifyRequest>,
-    ) -> Result<Vec<(CertifyDecision, Vec<Refresh>)>> {
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut first_err = None;
-        for req in reqs {
-            match self.certify_one(req) {
-                Ok(result) => out.push(result),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        self.drain_pending()?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// The in-memory certification state machine: validate, dedup, run the
-    /// ordered prepare across the involved shards, then sequence and apply.
-    fn certify_one(&mut self, req: CertifyRequest) -> Result<(CertifyDecision, Vec<Refresh>)> {
-        if req.snapshot > self.v_commit {
-            return Err(Error::Protocol(format!(
-                "certify: snapshot {} is in the future of V_commit {}",
-                req.snapshot, self.v_commit
-            )));
-        }
-        if req.snapshot < self.history_floor {
-            return Err(Error::Protocol(format!(
-                "certify: snapshot {} is below the pruned history floor {}",
-                req.snapshot, self.history_floor
-            )));
-        }
-        // Exactly-once: consult every shard — a hit at any shard wins —
-        // observationally the single certifier's per-client window.
-        if let Some(key) = req.idem {
-            match self.dedup_lookup(key.client, key.seq) {
-                DedupVerdict::Duplicate {
-                    txn,
-                    commit_version,
-                } => {
-                    self.stats.duplicates += 1;
-                    return Ok((
-                        CertifyDecision::Duplicate {
-                            txn: req.txn,
-                            original: txn,
-                            commit_version,
-                        },
-                        Vec::new(),
-                    ));
-                }
-                DedupVerdict::OutOfWindow { evicted_through } => {
-                    return Err(Error::Protocol(format!(
-                        "certify: stale idempotency key {key} (dedup window evicted \
-                         through seq {evicted_through})"
-                    )));
-                }
-                DedupVerdict::Fresh => {}
-            }
-        }
-        // Phase 1 — certify-prepare at every involved shard, in ascending
-        // partition id (the deadlock-free lock order). Each shard probes
-        // only the rows it owns; the newest conflict across shards is
-        // exactly the global index's answer.
-        let involved = self.partition.shards_of(&req.writeset);
-        if involved.len() == 1 {
-            self.sharding.single_partition += 1;
-        } else {
-            self.sharding.cross_partition += 1;
-        }
-        let mut conflict: Option<Version> = None;
-        for &s in &involved {
-            if let Some(v) = self.shards[s].prepare(&self.partition, s, req.snapshot, &req.writeset)
-            {
-                if conflict.is_none_or(|n| v > n) {
-                    conflict = Some(v);
-                }
-            }
-        }
-        debug_assert_eq!(
-            conflict,
-            self.conflict_linear(req.snapshot, &req.writeset),
-            "sharded indexes diverged from the linear-scan oracle"
-        );
-        if let Some(conflicting_version) = conflict {
-            self.stats.aborts += 1;
-            return Ok((
-                CertifyDecision::Abort {
-                    txn: req.txn,
-                    conflicting_version,
-                },
-                Vec::new(),
-            ));
-        }
-        // Phase 2 — the sequencer assigns the commit version atomically,
-        // then every involved shard applies (same ascending order). Each
-        // shard logs the full record: any surviving copy reconstructs the
-        // commit at recovery.
-        let commit_version = self.v_commit.next();
-        let writeset = Arc::new(req.writeset);
-        let record = LogRecord {
-            commit_version,
-            txn: req.txn,
-            origin: req.replica,
-            idem: req.idem,
-            writeset: Arc::clone(&writeset),
-        };
-        for &s in &involved {
-            self.shards[s].apply(&self.partition, s, &record, true);
-            self.sharding.per_shard_records[s] += 1;
-        }
-        self.v_commit = commit_version;
-        if let Some(key) = req.idem {
-            // The dedup entry lives at the lowest involved shard.
-            self.shards[involved[0]]
-                .dedup
-                .entry(key.client)
-                .or_default()
-                .record(key.seq, req.txn, commit_version);
-        }
-        if self.eager_enabled {
-            self.eager_pending.insert(
-                commit_version,
-                EagerState {
-                    origin: req.replica,
-                    txn: req.txn,
-                    applied: Vec::new(),
-                },
-            );
-        }
-        self.stats.commits += 1;
-        let n_targets = self.replicas.iter().filter(|&&r| r != req.replica).count();
-        self.stats.refreshes_sent += n_targets as u64;
-        let refreshes: Vec<Refresh> = (0..n_targets)
-            .map(|_| Refresh {
-                origin: req.replica,
-                txn: req.txn,
-                commit_version,
-                writeset: Arc::clone(&writeset),
-            })
-            .collect();
-        Ok((
-            CertifyDecision::Commit {
-                txn: req.txn,
-                commit_version,
-            },
-            refreshes,
-        ))
-    }
-
-    /// The dedup verdict for `(client, seq)` across all shards: an exact
-    /// hit at any shard answers with the original outcome; otherwise the
-    /// highest eviction floor decides whether the seq is provably fresh
-    /// or fell out of every window. Per-shard windows evict somewhat
-    /// earlier than one global window would (a client's entries spread
-    /// over its transactions' owner shards), which errs on the safe side:
-    /// a replay is rejected, never silently re-applied.
-    fn dedup_lookup(&self, client: u64, seq: u64) -> DedupVerdict {
-        let mut floor: Option<u64> = None;
-        for shard in &self.shards {
-            if let Some(win) = shard.dedup.get(&client) {
-                match win.lookup(seq) {
-                    d @ DedupVerdict::Duplicate { .. } => return d,
-                    DedupVerdict::OutOfWindow { evicted_through } => {
-                        floor = Some(floor.map_or(evicted_through, |f| f.max(evicted_through)));
-                    }
-                    DedupVerdict::Fresh => {}
-                }
-            }
-        }
-        match floor {
-            Some(evicted_through) => DedupVerdict::OutOfWindow { evicted_through },
-            None => DedupVerdict::Fresh,
-        }
-    }
-
-    /// Drains every shard's group-commit buffer. When more than one dirty
-    /// shard has a log that blocks on real I/O, the flushes run in parallel
-    /// (one fsync per dirty shard, fsyncs concurrent); for cheap logs the
-    /// spawn overhead would dwarf the flush, so they drain inline. Nothing
-    /// is announced until every flush returns.
-    fn drain_pending(&mut self) -> Result<()> {
-        let dirty = self.shards.iter().filter(|s| !s.pending.is_empty()).count();
-        if dirty == 0 {
-            return Ok(());
-        }
-        let parallel_pays = dirty > 1
-            && self
-                .shards
-                .iter()
-                .filter(|s| !s.pending.is_empty())
-                .any(|s| s.log.blocking_flush());
-        if !parallel_pays {
-            for shard in &mut self.shards {
-                if !shard.pending.is_empty() {
-                    let records = std::mem::take(&mut shard.pending);
-                    shard.log.append_batch(&records)?;
-                }
-            }
-            return Ok(());
-        }
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .filter(|s| !s.pending.is_empty())
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let records = std::mem::take(&mut shard.pending);
-                        shard.log.append_batch(&records)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Reference oracle: a linear scan over every shard's retained history
-    /// (cross-partition entries are scanned once per involved shard, which
-    /// cannot change the newest-conflict answer). Identical to
-    /// [`Certifier::conflict_linear`] over the same committed history.
-    ///
-    /// [`Certifier::conflict_linear`]: crate::Certifier::conflict_linear
-    #[must_use]
-    pub fn conflict_linear(&self, snapshot: Version, writeset: &WriteSet) -> Option<Version> {
-        let mut newest: Option<Version> = None;
-        for shard in &self.shards {
-            for entry in shard.history.iter().rev() {
-                if entry.commit_version <= snapshot {
-                    break;
-                }
-                if newest.is_some_and(|n| entry.commit_version <= n) {
-                    break;
-                }
-                if entry.writeset.conflicts_with(writeset) {
-                    newest = Some(entry.commit_version);
-                    break;
-                }
-            }
-        }
-        newest
-    }
-
-    /// The replicas a refresh fan-out targets, in replica order.
-    #[must_use]
-    pub fn refresh_targets(&self, origin: ReplicaId) -> Vec<ReplicaId> {
-        self.replicas
-            .iter()
-            .copied()
-            .filter(|&r| r != origin)
-            .collect()
-    }
-
-    /// Eager mode: a replica reports it applied the commit at `version`
-    /// (identical semantics to the single certifier — the accounting is
-    /// global, not per shard).
-    pub fn on_commit_applied(
-        &mut self,
-        replica: ReplicaId,
-        version: Version,
-    ) -> Option<(ReplicaId, TxnId)> {
-        if !self.replicas.contains(&replica) {
-            return None;
-        }
-        let n = self.replicas.len();
-        let state = self.eager_pending.get_mut(&version)?;
-        if !state.applied.contains(&replica) {
-            state.applied.push(replica);
-        }
-        if state.applied.len() >= n {
-            let state = self.eager_pending.remove(&version).expect("present");
-            Some((state.origin, state.txn))
-        } else {
-            None
-        }
-    }
-
-    /// Eager mode, post-crash re-synchronization (identical semantics to
-    /// the single certifier).
-    pub fn on_replica_hello(
-        &mut self,
-        replica: ReplicaId,
-        v_local: Version,
-    ) -> Vec<(ReplicaId, TxnId)> {
-        if !self.eager_enabled {
-            return Vec::new();
-        }
-        let n = self.replicas.len();
-        let mut completed: Vec<Version> = Vec::new();
-        let mut versions: Vec<Version> = self
-            .eager_pending
-            .keys()
-            .copied()
-            .filter(|&v| v <= v_local)
-            .collect();
-        versions.sort_unstable();
-        for v in versions {
-            let state = self.eager_pending.get_mut(&v).expect("present");
-            if !state.applied.contains(&replica) {
-                state.applied.push(replica);
-            }
-            if state.applied.len() >= n {
-                completed.push(v);
-            }
-        }
-        completed
-            .into_iter()
-            .map(|v| {
-                let state = self.eager_pending.remove(&v).expect("present");
-                (state.origin, state.txn)
-            })
-            .collect()
-    }
-
-    /// Adds a replica to the refresh fan-out (join). Membership is global
-    /// (the sequencer's, not per shard). Idempotent.
-    pub fn add_replica(&mut self, replica: ReplicaId) {
-        if !self.replicas.contains(&replica) {
-            self.replicas.push(replica);
-        }
-    }
-
-    /// Removes a replica from the refresh fan-out (decommission), dropping
-    /// its credit from pending eager entries; entries completed by the
-    /// removal are returned in version order.
-    pub fn remove_replica(&mut self, replica: ReplicaId) -> Vec<(ReplicaId, TxnId)> {
-        let Some(idx) = self.replicas.iter().position(|&r| r == replica) else {
-            return Vec::new();
-        };
-        self.replicas.remove(idx);
-        let n = self.replicas.len();
-        let mut completed: Vec<Version> = Vec::new();
-        for (&v, state) in &mut self.eager_pending {
-            state.applied.retain(|&r| r != replica);
-            if n > 0 && state.applied.len() >= n {
-                completed.push(v);
-            }
-        }
-        completed.sort_unstable();
-        completed
-            .into_iter()
-            .map(|v| {
-                let state = self.eager_pending.remove(&v).expect("present");
-                (state.origin, state.txn)
-            })
-            .collect()
-    }
-
-    /// Prunes conflict-check history at or below `floor` across all shards.
-    /// The floor is global: every shard drops its retained entries up to
-    /// the same version, so snapshot admission stays uniform.
-    pub fn prune(&mut self, floor: Version) {
-        let new_floor = floor.min(self.v_commit);
-        if new_floor <= self.history_floor {
-            return;
-        }
-        self.stats.pruned += new_floor.gap_from(self.history_floor);
-        self.history_floor = new_floor;
-        let partition = self.partition.clone();
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.prune_below(&partition, i, new_floor);
-        }
-    }
-
-    /// Rebuilds the sharded state from the shard logs (crash recovery).
-    /// Returns the number of records recovered.
-    ///
-    /// The shard logs are merged by commit version (cross-partition copies
-    /// deduplicated) and the longest dense prefix is kept — see the module
-    /// docs for why that retains every announced decision and drops only
-    /// never-announced ones. If the merge found records beyond a gap, the
-    /// affected shard logs are truncated ([`CommitLog::rewrite`]) so the
-    /// dropped versions can be reassigned safely.
-    pub fn recover(&mut self) -> Result<usize> {
-        let mut replayed_len: Vec<usize> = Vec::with_capacity(self.shards.len());
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        for shard in &mut self.shards {
-            let records = shard.log.replay()?;
-            replayed_len.push(records.len());
-            for rec in records {
-                by_version.entry(rec.commit_version).or_insert(rec);
-            }
-        }
-        // The dense prefix from version 1.
-        let mut merged: Vec<LogRecord> = Vec::new();
-        let mut v = Version::ZERO;
-        while let Some(rec) = by_version.remove(&v.next()) {
-            v = v.next();
-            merged.push(rec);
-        }
-        let dropped = !by_version.is_empty();
-        // Reset and reinstall.
-        self.v_commit = Version::ZERO;
-        self.history_floor = Version::ZERO;
-        self.eager_pending.clear();
-        for shard in &mut self.shards {
-            shard.row_index.clear();
-            shard.history.clear();
-            shard.dedup.clear();
-            shard.pending.clear();
-        }
-        let partition = self.partition.clone();
-        for rec in &merged {
-            let involved = partition.shards_of(&rec.writeset);
-            for &s in &involved {
-                self.shards[s].apply(&partition, s, rec, false);
-            }
-            if let Some(key) = rec.idem {
-                self.shards[involved[0]]
-                    .dedup
-                    .entry(key.client)
-                    .or_default()
-                    .record(key.seq, rec.txn, rec.commit_version);
-            }
-            if self.eager_enabled {
-                self.eager_pending.insert(
-                    rec.commit_version,
-                    EagerState {
-                        origin: rec.origin,
-                        txn: rec.txn,
-                        applied: Vec::new(),
-                    },
-                );
-            }
-            self.v_commit = rec.commit_version;
-        }
-        if dropped {
-            // Per shard, the retained records are a prefix of what its log
-            // replayed (only the newest versions are ever dropped), so a
-            // length mismatch identifies exactly the logs needing
-            // truncation.
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                let keep: Vec<LogRecord> = shard.history.iter().cloned().collect();
-                if keep.len() != replayed_len[i] {
-                    shard.log.rewrite(&keep)?;
-                }
-            }
-        }
-        Ok(merged.len())
-    }
-
-    /// Every durable commit with a version strictly above `after`, in
-    /// version order, merged across shards. Suffixes within the retained
-    /// window are served from the shard histories (`Arc` clones, no log
-    /// I/O); deeper requests replay the shard logs.
-    pub fn certified_since(&mut self, after: Version) -> Result<Vec<LogRecord>> {
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        if after >= self.history_floor {
-            for shard in &self.shards {
-                for rec in shard.history.iter().rev() {
-                    if rec.commit_version <= after {
-                        break;
-                    }
-                    by_version
-                        .entry(rec.commit_version)
-                        .or_insert_with(|| rec.clone());
-                }
-            }
-        } else {
-            for shard in &mut self.shards {
-                for rec in shard.log.replay()? {
-                    if rec.commit_version > after {
-                        by_version.entry(rec.commit_version).or_insert(rec);
-                    }
-                }
-            }
-        }
-        Ok(by_version.into_values().collect())
-    }
-}
-
-// ----------------------------------------------------------------------
-// Parallel execution mode
-// ----------------------------------------------------------------------
-
-/// Parallel mode addresses shards by bit position in a `u64` mask.
-const MAX_PARALLEL_SHARDS: usize = 64;
-
-/// A certify request pre-split for the worker fleet: the writeset is
-/// `Arc`-shared (workers, flushers, histories, and refreshes all alias the
-/// same allocation) and the involved shards are a bitmask (bit `s` set =
-/// shard `s` owns at least one written row; an empty writeset is anchored
-/// at shard 0, matching [`PartitionMap::shards_of`]).
-struct PreparedReq {
-    txn: TxnId,
-    replica: ReplicaId,
-    snapshot: Version,
-    idem: Option<IdemKey>,
-    writeset: Arc<WriteSet>,
-    mask: u64,
-}
-
-/// What a shard worker learned about one request during the probe phase.
-/// Reported sparsely: requests with neither a pre-batch conflict nor
-/// in-batch predecessors at this shard are omitted from the reply.
-struct ReqProbe {
-    /// Index of the request within the batch.
-    idx: u32,
-    /// Newest pre-batch committed writer above the request's snapshot
-    /// among the rows this shard owns (exactly [`Shard::prepare`]'s
-    /// answer over the pre-batch state).
-    pre: Option<Version>,
-    /// Earlier requests of the same batch (batch indices) that wrote a row
-    /// this request also writes at this shard. Whether a predecessor
-    /// actually conflicts depends on the sequencer's decisions — an
-    /// aborted or deduplicated predecessor writes nothing — so the worker
-    /// reports *candidates* and the sequencer resolves them against the
-    /// decisions it has already made.
-    priors: Vec<u32>,
-}
-
-type ProbeReply = (usize, Vec<ReqProbe>);
-type CommitList = Arc<Vec<(u32, Version)>>;
-
-enum WorkerCmd {
-    /// Conflict-probe a batch against this shard's pre-batch state.
-    Probe {
-        batch: Arc<Vec<PreparedReq>>,
-        reply: mpsc::Sender<ProbeReply>,
-    },
-    /// Install the sequencer's commits (index + history). Fire-and-forget:
-    /// the per-worker channel is FIFO, so a later `Probe` always observes
-    /// the applied state.
-    Apply {
-        batch: Arc<Vec<PreparedReq>>,
-        commits: CommitList,
-    },
-    /// Drop retained history at or below the floor.
-    Prune {
-        floor: Version,
-    },
-    /// Crash recovery: replace all state with the merged durable prefix.
-    Reinstall {
-        records: Arc<Vec<LogRecord>>,
-        ack: mpsc::Sender<()>,
-    },
-    /// Serve the retained history above `after` (ring path of
-    /// `certified_since`).
-    HistorySince {
-        after: Version,
-        reply: mpsc::Sender<(usize, Vec<LogRecord>)>,
-    },
-    Shutdown,
-}
-
-enum FlushCmd {
-    /// Group-commit the batch's records owned by this shard and
-    /// acknowledge durability.
-    Flush {
-        batch: Arc<Vec<PreparedReq>>,
-        commits: CommitList,
-        ack: mpsc::Sender<Result<()>>,
-    },
-    /// Replay the shard log (recovery / deep `certified_since`). Doubles
-    /// as a barrier: queued flushes drain first (FIFO).
-    Replay {
-        reply: mpsc::Sender<(usize, Result<Vec<LogRecord>>)>,
-    },
-    /// Atomically truncate the log to exactly `records` (dense-prefix
-    /// recovery dropped a never-announced tail).
-    Rewrite {
-        records: Vec<LogRecord>,
-        ack: mpsc::Sender<Result<()>>,
-    },
-    Shutdown,
-}
-
-/// Caps how many WAL flushes run concurrently — the honest negative in
-/// BENCH_shards.json: on a single disk, N concurrent fsyncs are slower
-/// than a few, so the flusher fleet takes a permit before each blocking
-/// flush. Logs whose flush does not block (memory logs) skip the gate.
-struct FlushGate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl FlushGate {
-    fn new(permits: usize) -> Self {
-        FlushGate {
-            permits: Mutex::new(permits.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) {
-        let mut p = self.permits.lock().expect("flush gate lock");
-        while *p == 0 {
-            p = self.cv.wait(p).expect("flush gate wait");
-        }
-        *p -= 1;
-    }
-
-    fn release(&self) {
-        *self.permits.lock().expect("flush gate lock") += 1;
-        self.cv.notify_one();
-    }
-}
-
-/// The state a shard worker thread owns: this shard's slice of the row-
-/// version index and the retained history — the same per-shard state as
-/// [`Shard`], minus the log (owned by the shard's flusher thread) and the
-/// dedup window (mirrored at the sequencer, which decides dedup verdicts
-/// in commit order).
-struct WorkerState {
-    me: usize,
-    partition: PartitionMap,
-    row_index: HashMap<TableId, HashMap<Value, Version>>,
-    history: VecDeque<LogRecord>,
-}
-
-impl WorkerState {
-    fn probe(&self, batch: &[PreparedReq]) -> Vec<ReqProbe> {
-        let bit = 1u64 << self.me;
-        // Rows written by earlier requests of this batch at this shard →
-        // the batch indices that wrote them, in batch order.
-        let mut in_batch: HashMap<(TableId, &Value), Vec<u32>> = HashMap::new();
-        let mut out = Vec::new();
-        for (i, req) in batch.iter().enumerate() {
-            if req.mask & bit == 0 {
-                continue;
-            }
-            let i = i as u32;
-            let mut pre: Option<Version> = None;
-            let mut priors: Vec<u32> = Vec::new();
-            for entry in req.writeset.entries() {
-                if self.partition.shard_of_table(entry.table) != self.me {
-                    continue;
-                }
-                if let Some(&last) = self
-                    .row_index
-                    .get(&entry.table)
-                    .and_then(|rows| rows.get(&entry.key))
-                {
-                    if last > req.snapshot && pre.is_none_or(|n| last > n) {
-                        pre = Some(last);
-                    }
-                }
-                if let Some(writers) = in_batch.get(&(entry.table, &entry.key)) {
-                    for &w in writers {
-                        if !priors.contains(&w) {
-                            priors.push(w);
-                        }
-                    }
-                }
-            }
-            if pre.is_some() || !priors.is_empty() {
-                out.push(ReqProbe {
-                    idx: i,
-                    pre,
-                    priors,
-                });
-            }
-            for entry in req.writeset.entries() {
-                if self.partition.shard_of_table(entry.table) == self.me {
-                    in_batch
-                        .entry((entry.table, &entry.key))
-                        .or_default()
-                        .push(i);
-                }
-            }
-        }
-        out
-    }
-
-    /// Mirrors [`Shard::apply`] for every commit this shard is involved in.
-    fn apply_commits(&mut self, batch: &[PreparedReq], commits: &[(u32, Version)]) {
-        let bit = 1u64 << self.me;
-        for &(i, version) in commits {
-            let req = &batch[i as usize];
-            if req.mask & bit == 0 {
-                continue;
-            }
-            for row in req.writeset.entries() {
-                if self.partition.shard_of_table(row.table) != self.me {
-                    continue;
-                }
-                self.row_index
-                    .entry(row.table)
-                    .or_default()
-                    .insert(row.key.clone(), version);
-            }
-            self.history.push_back(LogRecord {
-                commit_version: version,
-                txn: req.txn,
-                origin: req.replica,
-                idem: req.idem,
-                writeset: Arc::clone(&req.writeset),
-            });
-        }
-    }
-
-    /// Mirrors [`Shard::prune_below`].
-    fn prune_below(&mut self, floor: Version) {
-        let mut pruned_any = false;
-        while let Some(front) = self.history.front() {
-            if front.commit_version > floor {
-                break;
-            }
-            let entry = self.history.pop_front().expect("front checked");
-            for row in entry.writeset.entries() {
-                if self.partition.shard_of_table(row.table) != self.me {
-                    continue;
-                }
                 if let Some(rows) = self.row_index.get_mut(&row.table) {
                     if rows.get(&row.key) == Some(&entry.commit_version) {
                         rows.remove(&row.key);
@@ -1087,1108 +171,31 @@ impl WorkerState {
         }
     }
 
-    fn reinstall(&mut self, records: &[LogRecord]) {
+    /// Forgets everything but the log (recovery reinstalls from it).
+    pub(crate) fn reset(&mut self) {
         self.row_index.clear();
         self.history.clear();
-        for rec in records {
-            let involved = if rec.writeset.is_empty() {
-                self.me == 0
-            } else {
-                rec.writeset
-                    .entries()
-                    .iter()
-                    .any(|e| self.partition.shard_of_table(e.table) == self.me)
-            };
-            if !involved {
-                continue;
-            }
-            for row in rec.writeset.entries() {
-                if self.partition.shard_of_table(row.table) != self.me {
-                    continue;
-                }
-                self.row_index
-                    .entry(row.table)
-                    .or_default()
-                    .insert(row.key.clone(), rec.commit_version);
-            }
-            self.history.push_back(rec.clone());
-        }
+        self.unflushed.clear();
     }
 
-    fn history_since(&self, after: Version) -> Vec<LogRecord> {
-        let mut out = Vec::new();
-        for rec in self.history.iter().rev() {
-            if rec.commit_version <= after {
-                break;
-            }
-            out.push(rec.clone());
-        }
-        out
-    }
-}
-
-fn worker_main(mut state: WorkerState, rx: mpsc::Receiver<WorkerCmd>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            WorkerCmd::Probe { batch, reply } => {
-                let _ = reply.send((state.me, state.probe(&batch)));
-            }
-            WorkerCmd::Apply { batch, commits } => state.apply_commits(&batch, &commits),
-            WorkerCmd::Prune { floor } => state.prune_below(floor),
-            WorkerCmd::Reinstall { records, ack } => {
-                state.reinstall(&records);
-                let _ = ack.send(());
-            }
-            WorkerCmd::HistorySince { after, reply } => {
-                let _ = reply.send((state.me, state.history_since(after)));
-            }
-            WorkerCmd::Shutdown => break,
-        }
-    }
-}
-
-fn flusher_main(
-    me: usize,
-    mut log: Box<dyn CommitLog>,
-    gate: Arc<FlushGate>,
-    rx: mpsc::Receiver<FlushCmd>,
-) {
-    let bit = 1u64 << me;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            FlushCmd::Flush {
-                batch,
-                commits,
-                ack,
-            } => {
-                let records: Vec<LogRecord> = commits
-                    .iter()
-                    .filter(|&&(i, _)| batch[i as usize].mask & bit != 0)
-                    .map(|&(i, version)| {
-                        let req = &batch[i as usize];
-                        LogRecord {
-                            commit_version: version,
-                            txn: req.txn,
-                            origin: req.replica,
-                            idem: req.idem,
-                            writeset: Arc::clone(&req.writeset),
-                        }
-                    })
-                    .collect();
-                let res = if records.is_empty() {
-                    Ok(())
-                } else if log.blocking_flush() {
-                    gate.acquire();
-                    let r = log.append_batch(&records);
-                    gate.release();
-                    r
-                } else {
-                    log.append_batch(&records)
-                };
-                let _ = ack.send(res);
-            }
-            FlushCmd::Replay { reply } => {
-                let _ = reply.send((me, log.replay()));
-            }
-            FlushCmd::Rewrite { records, ack } => {
-                let _ = ack.send(log.rewrite(&records));
-            }
-            FlushCmd::Shutdown => break,
-        }
-    }
-}
-
-struct WorkerHandle {
-    cmd: mpsc::Sender<WorkerCmd>,
-    handle: Option<JoinHandle<()>>,
-}
-
-struct FlusherHandle {
-    cmd: mpsc::Sender<FlushCmd>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// An in-flight certified batch: the decisions are final (the sequencer
-/// made them before returning), but the per-shard WAL group commits may
-/// still be running on the flusher threads. [`PendingBatch::wait`] blocks
-/// until every involved shard's flush has returned — only then may the
-/// decisions be announced. Holding one `PendingBatch` while submitting the
-/// next batch is the 2-deep certify→flush pipeline: batch `k`'s fsyncs
-/// overlap batch `k+1`'s conflict probes.
-#[must_use = "decisions may not be announced until wait() confirms durability"]
-pub struct PendingBatch {
-    results: Vec<(CertifyDecision, Vec<Refresh>)>,
-    error: Option<Error>,
-    acks: Option<(mpsc::Receiver<Result<()>>, usize)>,
-}
-
-impl PendingBatch {
-    /// An already-durable result (used by hosts that interleave sequential
-    /// and parallel certifiers behind one pipeline).
-    pub fn ready(results: Vec<(CertifyDecision, Vec<Refresh>)>) -> Self {
-        PendingBatch {
-            results,
-            error: None,
-            acks: None,
-        }
+    /// Whether commits wait in the group-commit buffer.
+    pub(crate) fn dirty(&self) -> bool {
+        !self.unflushed.is_empty()
     }
 
-    /// Blocks until every involved shard's group commit has returned, then
-    /// yields the decisions (or the first flush/validation error, flush
-    /// errors first — mirroring the sequential certifier, which drains its
-    /// buffers before surfacing a mid-batch validation error).
-    pub fn wait(self) -> Result<Vec<(CertifyDecision, Vec<Refresh>)>> {
-        if let Some((rx, n)) = self.acks {
-            for _ in 0..n {
-                rx.recv().map_err(|_| {
-                    Error::Protocol("parallel certifier: a WAL flusher died".into())
-                })??;
-            }
-        }
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(self.results),
-        }
-    }
-}
-
-/// The parallel execution mode of the partitioned certifier: the same
-/// protocol as [`ShardedCertifier`] (which remains the differential
-/// oracle), run by N long-lived shard worker threads and N per-shard WAL
-/// flusher threads behind a sequencer stage on the caller's thread.
-///
-/// A batch flows through four phases:
-///
-/// 1. **Split** (sequencer): writesets are `Arc`-wrapped and mapped to an
-///    involved-shard bitmask via the [`PartitionMap`].
-/// 2. **Probe** (parallel): every involved shard worker conflict-checks
-///    the whole batch against its own row index *as of the previous
-///    batch*, and reports, per request, the newest pre-batch conflict
-///    plus the in-batch predecessors that wrote one of the same rows.
-///    Single-partition transactions — the common case — are probed by
-///    exactly one worker each, so disjoint shards check concurrently; a
-///    cross-partition transaction is simply probed by every shard it
-///    touches (the ascending-shard two-phase handshake, expressed as
-///    messages: all prepare replies are collected before any decision).
-/// 3. **Sequence** (sequencer): requests are decided *in batch order* —
-///    validation, dedup window, then conflict resolution: a predecessor
-///    candidate counts only if the sequencer actually committed it, at
-///    its assigned version. Because every input to a decision (pre-batch
-///    conflicts from the probes, predecessor outcomes from this scan, the
-///    dedup mirror, `V_commit`) is resolved in the same order the
-///    sequential certifier resolves it, the decision stream and assigned
-///    versions are bit-identical.
-/// 4. **Apply + flush** (parallel): commits are installed by the involved
-///    workers (fire-and-forget — the per-worker FIFO guarantees a later
-///    probe sees them) and group-committed by the involved flushers,
-///    concurrent fsyncs capped by the flush gate. The returned
-///    [`PendingBatch`] is the durability barrier.
-pub struct ParallelShardedCertifier {
-    partition: PartitionMap,
-    replicas: Vec<ReplicaId>,
-    /// The sequencer's commit-version counter (same role as the
-    /// sequential certifier's).
-    v_commit: Version,
-    history_floor: Version,
-    /// Sequencer-side mirror of the per-shard dedup windows, indexed by
-    /// shard — entry-for-entry the state the sequential certifier keeps
-    /// inside each [`Shard`], kept here because dedup verdicts must be
-    /// decided in commit order.
-    dedup: Vec<HashMap<u64, ClientWindow>>,
-    eager_pending: HashMap<Version, EagerState>,
-    eager_enabled: bool,
-    stats: CertifierStats,
-    sharding: ShardingStats,
-    workers: Vec<WorkerHandle>,
-    flushers: Vec<FlusherHandle>,
-    probe_tx: mpsc::Sender<ProbeReply>,
-    probe_rx: mpsc::Receiver<ProbeReply>,
-}
-
-impl ParallelShardedCertifier {
-    /// A parallel sharded certifier with in-memory logs (tests, benches,
-    /// and hosts that model durability elsewhere).
-    #[must_use]
-    pub fn new(replicas: Vec<ReplicaId>, n_shards: usize) -> Self {
-        let logs = (0..n_shards)
-            .map(|_| Box::new(MemoryLog::new()) as Box<dyn CommitLog>)
-            .collect();
-        Self::with_logs(replicas, logs, 0)
-    }
-
-    /// A parallel sharded certifier over caller-provided durable logs, one
-    /// per shard. `flush_concurrency` caps how many blocking WAL flushes
-    /// run at once (`0` = one per shard, i.e. uncapped) — the lever for
-    /// the single-disk fsync contention documented in BENCH_shards.json.
-    #[must_use]
-    pub fn with_logs(
-        replicas: Vec<ReplicaId>,
-        logs: Vec<Box<dyn CommitLog>>,
-        flush_concurrency: usize,
-    ) -> Self {
-        assert!(!logs.is_empty(), "need at least one shard log");
-        assert!(
-            logs.len() <= MAX_PARALLEL_SHARDS,
-            "parallel mode supports at most {MAX_PARALLEL_SHARDS} shards"
-        );
-        let n = logs.len();
-        let partition = PartitionMap::new(n);
-        let mut workers = Vec::with_capacity(n);
-        for me in 0..n {
-            let (tx, rx) = mpsc::channel::<WorkerCmd>();
-            let state = WorkerState {
-                me,
-                partition: partition.clone(),
-                row_index: HashMap::new(),
-                history: VecDeque::new(),
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("bargain-certshard-{me}"))
-                .spawn(move || worker_main(state, rx))
-                .expect("spawn shard worker thread");
-            workers.push(WorkerHandle {
-                cmd: tx,
-                handle: Some(handle),
-            });
-        }
-        let cap = if flush_concurrency == 0 {
-            n
-        } else {
-            flush_concurrency
-        };
-        let gate = Arc::new(FlushGate::new(cap));
-        let mut flushers = Vec::with_capacity(n);
-        for (me, log) in logs.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<FlushCmd>();
-            let gate = Arc::clone(&gate);
-            let handle = std::thread::Builder::new()
-                .name(format!("bargain-certflush-{me}"))
-                .spawn(move || flusher_main(me, log, gate, rx))
-                .expect("spawn shard flusher thread");
-            flushers.push(FlusherHandle {
-                cmd: tx,
-                handle: Some(handle),
-            });
-        }
-        let (probe_tx, probe_rx) = mpsc::channel();
-        ParallelShardedCertifier {
-            partition,
-            replicas,
-            v_commit: Version::ZERO,
-            history_floor: Version::ZERO,
-            dedup: (0..n).map(|_| HashMap::new()).collect(),
-            eager_pending: HashMap::new(),
-            eager_enabled: false,
-            stats: CertifierStats::default(),
-            sharding: ShardingStats {
-                per_shard_records: vec![0; n],
-                ..ShardingStats::default()
-            },
-            workers,
-            flushers,
-            probe_tx,
-            probe_rx,
-        }
-    }
-
-    /// The table → shard assignment in force.
-    #[must_use]
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
-    }
-
-    /// Number of certifier shards (= worker threads).
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enables eager global-commit accounting.
-    pub fn set_eager(&mut self, enabled: bool) {
-        self.eager_enabled = enabled;
-    }
-
-    /// The latest certified version (the sequencer's `V_commit`).
-    #[must_use]
-    pub fn version(&self) -> Version {
-        self.v_commit
-    }
-
-    /// The single-certifier-compatible counters.
-    #[must_use]
-    pub fn stats(&self) -> CertifierStats {
-        self.stats
-    }
-
-    /// The sharding-specific counters.
-    #[must_use]
-    pub fn sharding_stats(&self) -> &ShardingStats {
-        &self.sharding
-    }
-
-    /// Number of distinct commit versions retained for conflict checking.
-    #[must_use]
-    pub fn history_len(&self) -> usize {
-        self.v_commit.gap_from(self.history_floor) as usize
-    }
-
-    /// Certifies one update transaction (a one-element
-    /// [`Self::certify_batch`]).
-    pub fn certify(&mut self, req: CertifyRequest) -> Result<(CertifyDecision, Vec<Refresh>)> {
-        let mut results = self.certify_batch(vec![req])?;
-        Ok(results.pop().expect("one request in, one result out"))
-    }
-
-    /// Certifies a batch and blocks until every involved shard's group
-    /// commit has flushed — the drop-in equivalent of
-    /// [`ShardedCertifier::certify_batch`]. Pipelining hosts use
-    /// [`Self::certify_batch_async`] instead.
-    pub fn certify_batch(
-        &mut self,
-        reqs: Vec<CertifyRequest>,
-    ) -> Result<Vec<(CertifyDecision, Vec<Refresh>)>> {
-        self.certify_batch_async(reqs).wait()
-    }
-
-    /// Certifies a batch without waiting for durability: decisions are
-    /// made (and all per-shard apply/flush work dispatched) before this
-    /// returns, but the WAL flushes complete in the background. The caller
-    /// must [`PendingBatch::wait`] before announcing any decision, and
-    /// must wait pending batches in submission order (decisions are
-    /// already in commit order; flush acks are per batch).
-    pub fn certify_batch_async(&mut self, reqs: Vec<CertifyRequest>) -> PendingBatch {
-        // Phase 1 — split: Arc-wrap writesets, compute involved-shard
-        // bitmasks.
-        let mut union_mask = 0u64;
-        let prepared: Vec<PreparedReq> = reqs
-            .into_iter()
-            .map(|req| {
-                let mut mask = 0u64;
-                if req.writeset.is_empty() {
-                    mask = 1; // anchored at shard 0, like shards_of
-                } else {
-                    for e in req.writeset.entries() {
-                        mask |= 1u64 << self.partition.shard_of_table(e.table);
-                    }
-                }
-                union_mask |= mask;
-                PreparedReq {
-                    txn: req.txn,
-                    replica: req.replica,
-                    snapshot: req.snapshot,
-                    idem: req.idem,
-                    writeset: Arc::new(req.writeset),
-                    mask,
-                }
-            })
-            .collect();
-        if prepared.is_empty() {
-            return PendingBatch::ready(Vec::new());
-        }
-        let batch = Arc::new(prepared);
-
-        // Phase 2 — probe: every involved shard conflict-checks the batch
-        // against its own state, concurrently.
-        let mut expected = 0usize;
-        for (s, w) in self.workers.iter().enumerate() {
-            if union_mask & (1u64 << s) != 0 {
-                w.cmd
-                    .send(WorkerCmd::Probe {
-                        batch: Arc::clone(&batch),
-                        reply: self.probe_tx.clone(),
-                    })
-                    .expect("shard worker alive");
-                expected += 1;
-            }
-        }
-        // (pre-batch conflict, in-batch predecessor candidates) per request
-        // index, merged across the involved shards.
-        let mut probes: HashMap<u32, (Option<Version>, Vec<u32>)> = HashMap::new();
-        for _ in 0..expected {
-            let (_, shard_probes) = self
-                .probe_rx
-                .recv()
-                .expect("shard worker alive during probe");
-            for p in shard_probes {
-                let e = probes.entry(p.idx).or_insert((None, Vec::new()));
-                if p.pre > e.0 {
-                    e.0 = p.pre;
-                }
-                e.1.extend(p.priors);
-            }
-        }
-
-        // Phase 3 — sequence: decide in batch order. Every input is
-        // resolved exactly as the sequential certifier resolves it, so
-        // decisions, versions, and stats are bit-identical.
-        let mut results = Vec::with_capacity(batch.len());
-        let mut error: Option<Error> = None;
-        let mut commits: Vec<(u32, Version)> = Vec::new();
-        let mut committed_at: Vec<Option<Version>> = vec![None; batch.len()];
-        let mut dirty_mask = 0u64;
-        for (i, req) in batch.iter().enumerate() {
-            if req.snapshot > self.v_commit {
-                error = Some(Error::Protocol(format!(
-                    "certify: snapshot {} is in the future of V_commit {}",
-                    req.snapshot, self.v_commit
-                )));
-                break;
-            }
-            if req.snapshot < self.history_floor {
-                error = Some(Error::Protocol(format!(
-                    "certify: snapshot {} is below the pruned history floor {}",
-                    req.snapshot, self.history_floor
-                )));
-                break;
-            }
-            if let Some(key) = req.idem {
-                match self.dedup_lookup(key.client, key.seq) {
-                    DedupVerdict::Duplicate {
-                        txn,
-                        commit_version,
-                    } => {
-                        self.stats.duplicates += 1;
-                        results.push((
-                            CertifyDecision::Duplicate {
-                                txn: req.txn,
-                                original: txn,
-                                commit_version,
-                            },
-                            Vec::new(),
-                        ));
-                        continue;
-                    }
-                    DedupVerdict::OutOfWindow { evicted_through } => {
-                        error = Some(Error::Protocol(format!(
-                            "certify: stale idempotency key {key} (dedup window evicted \
-                             through seq {evicted_through})"
-                        )));
-                        break;
-                    }
-                    DedupVerdict::Fresh => {}
-                }
-            }
-            if req.mask.count_ones() == 1 {
-                self.sharding.single_partition += 1;
-            } else {
-                self.sharding.cross_partition += 1;
-            }
-            // Resolve the probe report into the exact conflict the
-            // sequential certifier would compute: the newest of the
-            // pre-batch conflict and the *committed* in-batch predecessors
-            // above the snapshot.
-            let mut conflict: Option<Version> = None;
-            if let Some((pre, priors)) = probes.get(&(i as u32)) {
-                conflict = *pre;
-                for &j in priors {
-                    if let Some(v) = committed_at[j as usize] {
-                        if v > req.snapshot && conflict.is_none_or(|n| v > n) {
-                            conflict = Some(v);
-                        }
-                    }
-                }
-            }
-            if let Some(conflicting_version) = conflict {
-                self.stats.aborts += 1;
-                results.push((
-                    CertifyDecision::Abort {
-                        txn: req.txn,
-                        conflicting_version,
-                    },
-                    Vec::new(),
-                ));
-                continue;
-            }
-            let commit_version = self.v_commit.next();
-            self.v_commit = commit_version;
-            committed_at[i] = Some(commit_version);
-            commits.push((i as u32, commit_version));
-            dirty_mask |= req.mask;
-            let mut m = req.mask;
-            while m != 0 {
-                self.sharding.per_shard_records[m.trailing_zeros() as usize] += 1;
-                m &= m - 1;
-            }
-            if let Some(key) = req.idem {
-                // The dedup entry lives at the lowest involved shard.
-                self.dedup[req.mask.trailing_zeros() as usize]
-                    .entry(key.client)
-                    .or_default()
-                    .record(key.seq, req.txn, commit_version);
-            }
-            if self.eager_enabled {
-                self.eager_pending.insert(
-                    commit_version,
-                    EagerState {
-                        origin: req.replica,
-                        txn: req.txn,
-                        applied: Vec::new(),
-                    },
-                );
-            }
-            self.stats.commits += 1;
-            let n_targets = self.replicas.iter().filter(|&&r| r != req.replica).count();
-            self.stats.refreshes_sent += n_targets as u64;
-            let refreshes: Vec<Refresh> = (0..n_targets)
-                .map(|_| Refresh {
-                    origin: req.replica,
-                    txn: req.txn,
-                    commit_version,
-                    writeset: Arc::clone(&req.writeset),
-                })
-                .collect();
-            results.push((
-                CertifyDecision::Commit {
-                    txn: req.txn,
-                    commit_version,
-                },
-                refreshes,
-            ));
-        }
-
-        // Phase 4 — apply + flush, dispatched to the involved shards.
-        let mut acks = None;
-        if !commits.is_empty() {
-            let commits: CommitList = Arc::new(commits);
-            let (ack_tx, ack_rx) = mpsc::channel();
-            let mut n_acks = 0usize;
-            let mut m = dirty_mask;
-            while m != 0 {
-                let s = m.trailing_zeros() as usize;
-                self.workers[s]
-                    .cmd
-                    .send(WorkerCmd::Apply {
-                        batch: Arc::clone(&batch),
-                        commits: Arc::clone(&commits),
-                    })
-                    .expect("shard worker alive");
-                self.flushers[s]
-                    .cmd
-                    .send(FlushCmd::Flush {
-                        batch: Arc::clone(&batch),
-                        commits: Arc::clone(&commits),
-                        ack: ack_tx.clone(),
-                    })
-                    .expect("shard flusher alive");
-                n_acks += 1;
-                m &= m - 1;
-            }
-            acks = Some((ack_rx, n_acks));
-        }
-        PendingBatch {
-            results,
-            error,
-            acks,
-        }
-    }
-
-    /// The dedup verdict for `(client, seq)` across the per-shard windows
-    /// — identical logic to [`ShardedCertifier`]'s cross-shard lookup
-    /// (exact hit at any shard wins; otherwise the highest eviction floor
-    /// decides fresh vs out-of-window).
-    fn dedup_lookup(&self, client: u64, seq: u64) -> DedupVerdict {
-        let mut floor: Option<u64> = None;
-        for windows in &self.dedup {
-            if let Some(win) = windows.get(&client) {
-                match win.lookup(seq) {
-                    d @ DedupVerdict::Duplicate { .. } => return d,
-                    DedupVerdict::OutOfWindow { evicted_through } => {
-                        floor = Some(floor.map_or(evicted_through, |f| f.max(evicted_through)));
-                    }
-                    DedupVerdict::Fresh => {}
-                }
-            }
-        }
-        match floor {
-            Some(evicted_through) => DedupVerdict::OutOfWindow { evicted_through },
-            None => DedupVerdict::Fresh,
-        }
-    }
-
-    /// The replicas a refresh fan-out targets, in replica order.
-    #[must_use]
-    pub fn refresh_targets(&self, origin: ReplicaId) -> Vec<ReplicaId> {
-        self.replicas
-            .iter()
-            .copied()
-            .filter(|&r| r != origin)
-            .collect()
-    }
-
-    /// Eager mode: a replica reports it applied the commit at `version`.
-    pub fn on_commit_applied(
-        &mut self,
-        replica: ReplicaId,
-        version: Version,
-    ) -> Option<(ReplicaId, TxnId)> {
-        if !self.replicas.contains(&replica) {
-            return None;
-        }
-        let n = self.replicas.len();
-        let state = self.eager_pending.get_mut(&version)?;
-        if !state.applied.contains(&replica) {
-            state.applied.push(replica);
-        }
-        if state.applied.len() >= n {
-            let state = self.eager_pending.remove(&version).expect("present");
-            Some((state.origin, state.txn))
-        } else {
-            None
-        }
-    }
-
-    /// Eager mode, post-crash re-synchronization (identical semantics to
-    /// the sequential certifiers).
-    pub fn on_replica_hello(
-        &mut self,
-        replica: ReplicaId,
-        v_local: Version,
-    ) -> Vec<(ReplicaId, TxnId)> {
-        if !self.eager_enabled {
-            return Vec::new();
-        }
-        let n = self.replicas.len();
-        let mut completed: Vec<Version> = Vec::new();
-        let mut versions: Vec<Version> = self
-            .eager_pending
-            .keys()
-            .copied()
-            .filter(|&v| v <= v_local)
-            .collect();
-        versions.sort_unstable();
-        for v in versions {
-            let state = self.eager_pending.get_mut(&v).expect("present");
-            if !state.applied.contains(&replica) {
-                state.applied.push(replica);
-            }
-            if state.applied.len() >= n {
-                completed.push(v);
-            }
-        }
-        completed
-            .into_iter()
-            .map(|v| {
-                let state = self.eager_pending.remove(&v).expect("present");
-                (state.origin, state.txn)
-            })
-            .collect()
-    }
-
-    /// Adds a replica to the refresh fan-out (join). Membership lives at
-    /// the sequencer (the workers never see replica ids), so no worker
-    /// round-trip is needed. Idempotent.
-    pub fn add_replica(&mut self, replica: ReplicaId) {
-        if !self.replicas.contains(&replica) {
-            self.replicas.push(replica);
-        }
-    }
-
-    /// Removes a replica from the refresh fan-out (decommission), dropping
-    /// its credit from pending eager entries; entries completed by the
-    /// removal are returned in version order.
-    pub fn remove_replica(&mut self, replica: ReplicaId) -> Vec<(ReplicaId, TxnId)> {
-        let Some(idx) = self.replicas.iter().position(|&r| r == replica) else {
-            return Vec::new();
-        };
-        self.replicas.remove(idx);
-        let n = self.replicas.len();
-        let mut completed: Vec<Version> = Vec::new();
-        for (&v, state) in &mut self.eager_pending {
-            state.applied.retain(|&r| r != replica);
-            if n > 0 && state.applied.len() >= n {
-                completed.push(v);
-            }
-        }
-        completed.sort_unstable();
-        completed
-            .into_iter()
-            .map(|v| {
-                let state = self.eager_pending.remove(&v).expect("present");
-                (state.origin, state.txn)
-            })
-            .collect()
-    }
-
-    /// Prunes conflict-check history at or below `floor` across all shard
-    /// workers. Fire-and-forget: the per-worker FIFO orders the prune
-    /// before any later probe.
-    pub fn prune(&mut self, floor: Version) {
-        let new_floor = floor.min(self.v_commit);
-        if new_floor <= self.history_floor {
-            return;
-        }
-        self.stats.pruned += new_floor.gap_from(self.history_floor);
-        self.history_floor = new_floor;
-        for w in &self.workers {
-            w.cmd
-                .send(WorkerCmd::Prune { floor: new_floor })
-                .expect("shard worker alive");
-        }
-    }
-
-    /// Rebuilds the state from the shard logs (crash recovery): the
-    /// flushers replay their logs (a barrier — queued flushes drain
-    /// first), the sequencer merges the records and keeps the longest
-    /// dense prefix, every worker reinstalls it, and logs holding records
-    /// beyond the prefix are physically truncated. Identical merge and
-    /// truncation rules to [`ShardedCertifier::recover`]. Returns the
-    /// number of records recovered.
-    pub fn recover(&mut self) -> Result<usize> {
-        let n = self.flushers.len();
-        let (tx, rx) = mpsc::channel();
-        for f in &self.flushers {
-            f.cmd
-                .send(FlushCmd::Replay { reply: tx.clone() })
-                .map_err(|_| Error::Protocol("parallel certifier: a WAL flusher died".into()))?;
-        }
-        drop(tx);
-        let mut replayed_len = vec![0usize; n];
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        for _ in 0..n {
-            let (s, res) = rx
-                .recv()
-                .map_err(|_| Error::Protocol("parallel certifier: a WAL flusher died".into()))?;
-            let records = res?;
-            replayed_len[s] = records.len();
-            for rec in records {
-                by_version.entry(rec.commit_version).or_insert(rec);
-            }
-        }
-        // The dense prefix from version 1.
-        let mut merged: Vec<LogRecord> = Vec::new();
-        let mut v = Version::ZERO;
-        while let Some(rec) = by_version.remove(&v.next()) {
-            v = v.next();
-            merged.push(rec);
-        }
-        let dropped = !by_version.is_empty();
-        // Reset the sequencer, reinstall at every worker.
-        self.v_commit = Version::ZERO;
-        self.history_floor = Version::ZERO;
-        self.eager_pending.clear();
-        for windows in &mut self.dedup {
-            windows.clear();
-        }
-        let records = Arc::new(merged);
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for w in &self.workers {
-            w.cmd
-                .send(WorkerCmd::Reinstall {
-                    records: Arc::clone(&records),
-                    ack: ack_tx.clone(),
-                })
-                .expect("shard worker alive");
-        }
-        drop(ack_tx);
-        for _ in 0..self.workers.len() {
-            ack_rx
-                .recv()
-                .map_err(|_| Error::Protocol("parallel certifier: a shard worker died".into()))?;
-        }
-        for rec in records.iter() {
-            let involved = self.partition.shards_of(&rec.writeset);
-            if let Some(key) = rec.idem {
-                self.dedup[involved[0]]
-                    .entry(key.client)
-                    .or_default()
-                    .record(key.seq, rec.txn, rec.commit_version);
-            }
-            if self.eager_enabled {
-                self.eager_pending.insert(
-                    rec.commit_version,
-                    EagerState {
-                        origin: rec.origin,
-                        txn: rec.txn,
-                        applied: Vec::new(),
-                    },
-                );
-            }
-            self.v_commit = rec.commit_version;
-        }
-        if dropped {
-            // A shard whose kept records are fewer than it replayed holds
-            // a never-announced tail: truncate it.
-            let (rw_tx, rw_rx) = mpsc::channel();
-            let mut expected = 0usize;
-            for (s, f) in self.flushers.iter().enumerate() {
-                let keep: Vec<LogRecord> = records
-                    .iter()
-                    .filter(|rec| self.partition.shards_of(&rec.writeset).contains(&s))
-                    .cloned()
-                    .collect();
-                if keep.len() != replayed_len[s] {
-                    f.cmd
-                        .send(FlushCmd::Rewrite {
-                            records: keep,
-                            ack: rw_tx.clone(),
-                        })
-                        .expect("shard flusher alive");
-                    expected += 1;
-                }
-            }
-            drop(rw_tx);
-            for _ in 0..expected {
-                rw_rx.recv().map_err(|_| {
-                    Error::Protocol("parallel certifier: a WAL flusher died".into())
-                })??;
-            }
-        }
-        Ok(records.len())
-    }
-
-    /// Every durable commit with a version strictly above `after`, in
-    /// version order, merged across shards — the ring path asks the
-    /// workers for their retained histories, the deep path replays the
-    /// shard logs at the flushers.
-    pub fn certified_since(&mut self, after: Version) -> Result<Vec<LogRecord>> {
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        if after >= self.history_floor {
-            let (tx, rx) = mpsc::channel();
-            for w in &self.workers {
-                w.cmd
-                    .send(WorkerCmd::HistorySince {
-                        after,
-                        reply: tx.clone(),
-                    })
-                    .expect("shard worker alive");
-            }
-            drop(tx);
-            for _ in 0..self.workers.len() {
-                let (_, recs) = rx.recv().map_err(|_| {
-                    Error::Protocol("parallel certifier: a shard worker died".into())
-                })?;
-                for rec in recs {
-                    by_version.entry(rec.commit_version).or_insert(rec);
-                }
-            }
-        } else {
-            let (tx, rx) = mpsc::channel();
-            for f in &self.flushers {
-                f.cmd
-                    .send(FlushCmd::Replay { reply: tx.clone() })
-                    .map_err(|_| {
-                        Error::Protocol("parallel certifier: a WAL flusher died".into())
-                    })?;
-            }
-            drop(tx);
-            for _ in 0..self.flushers.len() {
-                let (_, res) = rx.recv().map_err(|_| {
-                    Error::Protocol("parallel certifier: a WAL flusher died".into())
-                })?;
-                for rec in res? {
-                    if rec.commit_version > after {
-                        by_version.entry(rec.commit_version).or_insert(rec);
-                    }
-                }
-            }
-        }
-        Ok(by_version.into_values().collect())
-    }
-}
-
-impl Drop for ParallelShardedCertifier {
-    /// Graceful teardown: queued apply/flush work drains first (the
-    /// channels are FIFO), then the fleet joins.
-    fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.cmd.send(WorkerCmd::Shutdown);
-        }
-        for f in &self.flushers {
-            let _ = f.cmd.send(FlushCmd::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
-        for f in &mut self.flushers {
-            if let Some(h) = f.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Either certifier execution mode behind one dispatch surface, so hosts
-/// (the cluster runtime's certifier thread, the network certifier server)
-/// drive sequential and parallel certification through the same pipeline
-/// code path.
-pub enum AnyCertifier {
-    /// The sequential sharded certifier (also the differential oracle).
-    Sequential(ShardedCertifier),
-    /// The parallel worker-fleet execution mode.
-    Parallel(ParallelShardedCertifier),
-}
-
-impl AnyCertifier {
-    /// Builds the requested execution mode with in-memory logs.
-    #[must_use]
-    pub fn new(replicas: Vec<ReplicaId>, n_shards: usize, parallel: bool) -> Self {
-        if parallel {
-            AnyCertifier::Parallel(ParallelShardedCertifier::new(replicas, n_shards))
-        } else {
-            AnyCertifier::Sequential(ShardedCertifier::new(replicas, n_shards))
-        }
-    }
-
-    /// Builds the requested execution mode over caller-provided logs.
-    /// `flush_concurrency` caps concurrent blocking WAL flushes in
-    /// parallel mode (`0` = uncapped); the sequential mode ignores it
-    /// (its flushes are scoped to the batch).
-    #[must_use]
-    pub fn with_logs(
-        replicas: Vec<ReplicaId>,
-        logs: Vec<Box<dyn CommitLog>>,
-        parallel: bool,
-        flush_concurrency: usize,
-    ) -> Self {
-        if parallel {
-            AnyCertifier::Parallel(ParallelShardedCertifier::with_logs(
-                replicas,
-                logs,
-                flush_concurrency,
-            ))
-        } else {
-            AnyCertifier::Sequential(ShardedCertifier::with_logs(replicas, logs))
-        }
-    }
-
-    /// Enables eager global-commit accounting.
-    pub fn set_eager(&mut self, enabled: bool) {
-        match self {
-            AnyCertifier::Sequential(c) => c.set_eager(enabled),
-            AnyCertifier::Parallel(c) => c.set_eager(enabled),
-        }
-    }
-
-    /// The latest certified version.
-    #[must_use]
-    pub fn version(&self) -> Version {
-        match self {
-            AnyCertifier::Sequential(c) => c.version(),
-            AnyCertifier::Parallel(c) => c.version(),
-        }
-    }
-
-    /// The single-certifier-compatible counters.
-    #[must_use]
-    pub fn stats(&self) -> CertifierStats {
-        match self {
-            AnyCertifier::Sequential(c) => c.stats(),
-            AnyCertifier::Parallel(c) => c.stats(),
-        }
-    }
-
-    /// Certifies a batch, blocking until durable.
-    pub fn certify_batch(
-        &mut self,
-        reqs: Vec<CertifyRequest>,
-    ) -> Result<Vec<(CertifyDecision, Vec<Refresh>)>> {
-        match self {
-            AnyCertifier::Sequential(c) => c.certify_batch(reqs),
-            AnyCertifier::Parallel(c) => c.certify_batch(reqs),
-        }
-    }
-
-    /// Certifies a batch without waiting for durability. The sequential
-    /// mode certifies and flushes inline, returning an already-complete
-    /// [`PendingBatch`]; the parallel mode overlaps its flushes with the
-    /// caller's next batch. Either way the caller announces only after
-    /// [`PendingBatch::wait`], in submission order.
-    pub fn certify_batch_async(&mut self, reqs: Vec<CertifyRequest>) -> PendingBatch {
-        match self {
-            AnyCertifier::Sequential(c) => match c.certify_batch(reqs) {
-                Ok(results) => PendingBatch::ready(results),
-                Err(e) => PendingBatch {
-                    results: Vec::new(),
-                    error: Some(e),
-                    acks: None,
-                },
-            },
-            AnyCertifier::Parallel(c) => c.certify_batch_async(reqs),
-        }
-    }
-
-    /// The replicas a refresh fan-out targets, in replica order.
-    #[must_use]
-    pub fn refresh_targets(&self, origin: ReplicaId) -> Vec<ReplicaId> {
-        match self {
-            AnyCertifier::Sequential(c) => c.refresh_targets(origin),
-            AnyCertifier::Parallel(c) => c.refresh_targets(origin),
-        }
-    }
-
-    /// Eager mode: a replica reports it applied the commit at `version`.
-    pub fn on_commit_applied(
-        &mut self,
-        replica: ReplicaId,
-        version: Version,
-    ) -> Option<(ReplicaId, TxnId)> {
-        match self {
-            AnyCertifier::Sequential(c) => c.on_commit_applied(replica, version),
-            AnyCertifier::Parallel(c) => c.on_commit_applied(replica, version),
-        }
-    }
-
-    /// Eager mode: credits `replica` as applied for every pending version
-    /// `<= v_local` (post-crash hello, and the join path's way of crediting
-    /// a joiner for the commits its snapshot already contains).
-    pub fn on_replica_hello(
-        &mut self,
-        replica: ReplicaId,
-        v_local: Version,
-    ) -> Vec<(ReplicaId, TxnId)> {
-        match self {
-            AnyCertifier::Sequential(c) => c.on_replica_hello(replica, v_local),
-            AnyCertifier::Parallel(c) => c.on_replica_hello(replica, v_local),
-        }
-    }
-
-    /// Adds a replica to the refresh fan-out (join). Idempotent.
-    pub fn add_replica(&mut self, replica: ReplicaId) {
-        match self {
-            AnyCertifier::Sequential(c) => c.add_replica(replica),
-            AnyCertifier::Parallel(c) => c.add_replica(replica),
-        }
-    }
-
-    /// Removes a replica from the refresh fan-out (decommission); returns
-    /// the eager entries completed by dropping its credit.
-    pub fn remove_replica(&mut self, replica: ReplicaId) -> Vec<(ReplicaId, TxnId)> {
-        match self {
-            AnyCertifier::Sequential(c) => c.remove_replica(replica),
-            AnyCertifier::Parallel(c) => c.remove_replica(replica),
-        }
-    }
-
-    /// Rebuilds the state from the shard logs (crash recovery).
-    pub fn recover(&mut self) -> Result<usize> {
-        match self {
-            AnyCertifier::Sequential(c) => c.recover(),
-            AnyCertifier::Parallel(c) => c.recover(),
-        }
-    }
-
-    /// Every durable commit strictly above `after`, in version order.
-    pub fn certified_since(&mut self, after: Version) -> Result<Vec<LogRecord>> {
-        match self {
-            AnyCertifier::Sequential(c) => c.certified_since(after),
-            AnyCertifier::Parallel(c) => c.certified_since(after),
-        }
+    /// Group commit: appends the buffered records with one durability
+    /// point.
+    pub(crate) fn flush(&mut self) -> Result<()> {
+        let records = std::mem::take(&mut self.unflushed);
+        self.log.append_batch(&records)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Certifier;
-    use bargain_common::{IdemKey, WriteOp};
+    use bargain_common::WriteOp;
 
-    fn replicas(n: u32) -> Vec<ReplicaId> {
-        (0..n).map(ReplicaId).collect()
-    }
-
-    /// A writeset over explicit `(table, key)` pairs.
     fn ws(rows: &[(u32, i64)]) -> WriteSet {
         let mut w = WriteSet::new();
         for &(table, key) in rows {
@@ -2201,594 +208,22 @@ mod tests {
         w
     }
 
-    fn req(txn: u64, replica: u32, snapshot: u64, w: WriteSet) -> CertifyRequest {
-        CertifyRequest {
-            txn: TxnId(txn),
-            replica: ReplicaId(replica),
-            snapshot: Version(snapshot),
-            writeset: w,
-            idem: None,
-        }
-    }
-
-    fn keyed(mut r: CertifyRequest, client: u64, seq: u64) -> CertifyRequest {
-        r.idem = Some(IdemKey { client, seq });
-        r
-    }
-
     #[test]
     fn partition_map_is_sorted_and_deduplicated() {
         let p = PartitionMap::new(4);
         // Entry order reversed and interleaved: the involved list is still
-        // ascending — the handshake's global lock order, regardless of how
-        // the transaction named its tables.
+        // ascending — the handshake's one order, regardless of how the
+        // transaction named its tables.
         let shards = p.shards_of(&ws(&[(7, 1), (5, 1), (6, 2), (2, 1)]));
         assert_eq!(shards, vec![1, 2, 3]);
         let single = p.shards_of(&ws(&[(5, 1), (1, 2), (9, 3)]));
         assert_eq!(single, vec![1], "all tables ≡ 1 (mod 4): one shard");
         assert_eq!(p.shards_of(&WriteSet::new()), vec![0]);
-    }
-
-    #[test]
-    fn single_partition_decisions_match_oracle() {
-        let mut sharded = ShardedCertifier::new(replicas(3), 4);
-        let mut oracle = Certifier::new(replicas(3));
-        let reqs = vec![
-            req(1, 0, 0, ws(&[(0, 1)])),
-            req(2, 1, 0, ws(&[(1, 1)])),
-            req(3, 2, 0, ws(&[(0, 1)])), // conflicts with txn 1
-            req(4, 0, 2, ws(&[(0, 1)])), // snapshot covers it: commits
-        ];
-        for r in reqs {
-            let (want, want_ref) = oracle.certify(r.clone()).unwrap();
-            let (got, got_ref) = sharded.certify(r).unwrap();
-            assert_eq!(got, want);
-            assert_eq!(got_ref, want_ref);
-        }
-        assert_eq!(sharded.version(), oracle.version());
-        assert_eq!(sharded.stats(), oracle.stats());
-        assert_eq!(sharded.sharding_stats().cross_partition, 0);
-    }
-
-    #[test]
-    fn cross_partition_transaction_touching_all_shards() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        let mut oracle = Certifier::new(replicas(2));
-        // Tables 0..3 cover every shard of a 4-way partition.
-        let all = ws(&[(0, 1), (1, 1), (2, 1), (3, 1)]);
-        // The all-shard transaction commits, and a later single-partition
-        // write on any one of its tables conflicts with it — identically on
-        // both certifiers.
-        let script = vec![req(1, 0, 0, all), req(2, 1, 0, ws(&[(2, 1)]))];
-        for r in script {
-            let want = oracle.certify(r.clone()).unwrap();
-            let got = sharded.certify(r).unwrap();
-            assert_eq!(got, want);
-        }
-        assert_eq!(sharded.version(), oracle.version());
-        assert_eq!(sharded.sharding_stats().cross_partition, 1);
-        // The all-shard commit is durable at every shard.
-        assert_eq!(sharded.sharding_stats().per_shard_records, vec![1, 1, 1, 1]);
-        // A non-conflicting single-partition write still flows with no
-        // handshake.
-        assert!(matches!(
-            sharded.certify(req(3, 0, 1, ws(&[(2, 2)]))).unwrap().0,
-            CertifyDecision::Commit { .. }
-        ));
-    }
-
-    #[test]
-    fn empty_writeset_commits_and_stays_dense() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        let (d, _) = sharded.certify(req(1, 0, 0, WriteSet::new())).unwrap();
+        // Two transactions naming the same tables in opposite orders visit
+        // the same shards in the same order.
         assert_eq!(
-            d,
-            CertifyDecision::Commit {
-                txn: TxnId(1),
-                commit_version: Version(1)
-            }
+            p.shards_of(&ws(&[(1, 1), (2, 2)])),
+            p.shards_of(&ws(&[(2, 2), (1, 1)]))
         );
-        sharded.certify(req(2, 0, 1, ws(&[(3, 9)]))).unwrap();
-        // The vacuous commit is anchored at shard 0, so the merged history
-        // is dense and recovery keeps everything.
-        assert_eq!(sharded.recover().unwrap(), 2);
-        assert_eq!(sharded.version(), Version(2));
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert!(recs[0].writeset.is_empty());
-    }
-
-    #[test]
-    fn reversed_table_orders_cannot_deadlock() {
-        // Two cross-partition transactions naming their tables in opposite
-        // orders: the partition map normalizes both to the same ascending
-        // shard sequence, so the handshake acquires shards in one global
-        // order and both certify (no lock cycle is even expressible).
-        let p = PartitionMap::new(4);
-        let ab = ws(&[(1, 1), (2, 2)]);
-        let ba = ws(&[(2, 2), (1, 1)]);
-        assert_eq!(p.shards_of(&ab), p.shards_of(&ba));
-
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        let (d1, _) = sharded.certify(req(1, 0, 0, ab)).unwrap();
-        let (d2, _) = sharded.certify(req(2, 1, 1, ba)).unwrap();
-        assert!(matches!(d1, CertifyDecision::Commit { .. }));
-        assert!(matches!(d2, CertifyDecision::Commit { .. }));
-    }
-
-    #[test]
-    fn idem_replay_is_answered_by_the_owner_shard() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        // Cross-partition commit whose lowest involved shard is 1.
-        let (d, _) = sharded
-            .certify(keyed(req(1, 0, 0, ws(&[(1, 5), (3, 5)])), 42, 0))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Commit {
-                txn: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        assert_eq!(sharded.shards[1].dedup.len(), 1, "entry lives at shard 1");
-        assert!(sharded.shards[3].dedup.is_empty());
-        // The retry (same writeset, same key) is answered with the original
-        // outcome; no version is consumed.
-        let (d, r) = sharded
-            .certify(keyed(req(9, 1, 1, ws(&[(1, 5), (3, 5)])), 42, 0))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(9),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        assert!(r.is_empty());
-        assert_eq!(sharded.version(), Version(1));
-    }
-
-    #[test]
-    fn in_window_seqs_dedup_across_shard_sets() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        // seq 0 commits on shard 1, seq 1 on shard 2: the client's entries
-        // live at different shards.
-        sharded
-            .certify(keyed(req(1, 0, 0, ws(&[(1, 1)])), 5, 0))
-            .unwrap();
-        sharded
-            .certify(keyed(req(2, 0, 1, ws(&[(2, 1)])), 5, 1))
-            .unwrap();
-        // Current seq dedups (answered from shard 2)...
-        let (d, _) = sharded
-            .certify(keyed(req(3, 1, 2, ws(&[(2, 1)])), 5, 1))
-            .unwrap();
-        assert!(matches!(d, CertifyDecision::Duplicate { .. }));
-        // ...and so does the older in-window seq 0, answered from shard 1
-        // with *its* original outcome — a pipelined client's crash replay
-        // walks its whole in-doubt window, touching whatever shards its
-        // transactions touched.
-        let (d, _) = sharded
-            .certify(keyed(req(4, 1, 2, ws(&[(1, 1)])), 5, 0))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(4),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-    }
-
-    #[test]
-    fn dedup_survives_recovery_at_the_owner_shard() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 4);
-        sharded
-            .certify(keyed(req(1, 0, 0, ws(&[(1, 5), (3, 5)])), 11, 4))
-            .unwrap();
-        sharded.recover().unwrap();
-        let (d, _) = sharded
-            .certify(keyed(req(2, 1, 1, ws(&[(1, 5), (3, 5)])), 11, 4))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(2),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-    }
-
-    #[test]
-    fn cross_partition_records_are_logged_at_every_involved_shard() {
-        let mut logs: Vec<Box<dyn CommitLog>> =
-            (0..3).map(|_| Box::new(MemoryLog::new()) as _).collect();
-        let mut sharded = ShardedCertifier::with_logs(replicas(2), std::mem::take(&mut logs));
-        sharded
-            .certify(req(1, 0, 0, ws(&[(0, 1), (1, 1)])))
-            .unwrap(); // shards 0,1
-        sharded.certify(req(2, 0, 1, ws(&[(2, 7)]))).unwrap(); // shard 2
-        let counts = &sharded.sharding_stats().per_shard_records;
-        assert_eq!(counts, &vec![1, 1, 1]);
-        // The full record (both tables) is recoverable from either copy:
-        // recovery after losing nothing sees both commits once each.
-        assert_eq!(sharded.recover().unwrap(), 2);
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].writeset.len(), 2);
-    }
-
-    #[test]
-    fn recovery_keeps_dense_prefix_and_truncates_beyond_gap() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 2);
-        sharded.certify(req(1, 0, 0, ws(&[(0, 1)]))).unwrap(); // v1 @ shard 0
-        sharded.certify(req(2, 0, 1, ws(&[(1, 1)]))).unwrap(); // v2 @ shard 1
-        sharded.certify(req(3, 0, 2, ws(&[(0, 2)]))).unwrap(); // v3 @ shard 0
-                                                               // Simulate shard 1 losing its unsynced tail: wipe its log. v2's
-                                                               // only copy is gone, so the dense prefix ends at v1 and v3 — never
-                                                               // announced in this scenario — must be dropped *and truncated* so a
-                                                               // later commit can safely reuse version 2.
-        sharded.shards[1].log.rewrite(&[]).unwrap();
-        assert_eq!(sharded.recover().unwrap(), 1);
-        assert_eq!(sharded.version(), Version(1));
-        // Shard 0's log was physically truncated: replaying it again finds
-        // only v1, so the next commits get v2, v3 without collisions.
-        sharded.certify(req(4, 0, 1, ws(&[(1, 9)]))).unwrap();
-        sharded.certify(req(5, 0, 2, ws(&[(0, 9)]))).unwrap();
-        assert_eq!(sharded.recover().unwrap(), 3);
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[1].txn, TxnId(4));
-        assert_eq!(recs[2].txn, TxnId(5));
-    }
-
-    #[test]
-    fn prune_is_global_and_keeps_indexes_exact() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 2);
-        let mut oracle = Certifier::new(replicas(2));
-        let script = vec![
-            req(1, 0, 0, ws(&[(0, 7)])),         // v1 @ shard 0
-            req(2, 0, 1, ws(&[(0, 7), (1, 7)])), // v2 rewrites row 7 + shard 1
-            req(3, 0, 2, ws(&[(1, 3)])),         // v3 @ shard 1
-        ];
-        for r in script {
-            oracle.certify(r.clone()).unwrap();
-            sharded.certify(r).unwrap();
-        }
-        oracle.prune(Version(1));
-        sharded.prune(Version(1));
-        assert_eq!(sharded.history_len(), oracle.history_len());
-        assert_eq!(sharded.stats().pruned, oracle.stats().pruned);
-        // Row 7's last writer (v2) is retained: still conflicts.
-        let want = oracle.certify(req(4, 1, 1, ws(&[(0, 7)]))).unwrap();
-        let got = sharded.certify(req(4, 1, 1, ws(&[(0, 7)]))).unwrap();
-        assert_eq!(got, want);
-        // Below-floor snapshots are rejected at every shard equally.
-        assert!(sharded.certify(req(5, 0, 0, ws(&[(1, 3)]))).is_err());
-        assert!(oracle.certify(req(5, 0, 0, ws(&[(1, 3)]))).is_err());
-    }
-
-    #[test]
-    fn certified_since_merges_ring_and_log_paths_identically() {
-        let mut sharded = ShardedCertifier::new(replicas(2), 3);
-        for i in 1..=6u64 {
-            let table = (i % 3) as u32;
-            sharded
-                .certify(req(i, 0, i - 1, ws(&[(table, i as i64)])))
-                .unwrap();
-        }
-        sharded.prune(Version(3));
-        let ring = sharded.certified_since(Version(4)).unwrap();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].commit_version, Version(5));
-        assert_eq!(ring[1].commit_version, Version(6));
-        let deep = sharded.certified_since(Version(1)).unwrap();
-        assert_eq!(deep.len(), 5);
-        assert_eq!(deep[0].commit_version, Version(2));
-        assert_eq!(&deep[3..], &ring[..]);
-    }
-
-    #[test]
-    fn eager_accounting_matches_single_certifier() {
-        let mut sharded = ShardedCertifier::new(replicas(3), 2);
-        sharded.set_eager(true);
-        let (d, _) = sharded
-            .certify(req(1, 1, 0, ws(&[(0, 1), (1, 1)])))
-            .unwrap();
-        let v = match d {
-            CertifyDecision::Commit { commit_version, .. } => commit_version,
-            _ => panic!("should commit"),
-        };
-        assert_eq!(sharded.on_commit_applied(ReplicaId(1), v), None);
-        assert_eq!(sharded.on_commit_applied(ReplicaId(0), v), None);
-        assert_eq!(
-            sharded.on_commit_applied(ReplicaId(2), v),
-            Some((ReplicaId(1), TxnId(1)))
-        );
-        // Recovery rebuilds pending conservatively; hellos re-credit.
-        sharded.recover().unwrap();
-        assert!(sharded.on_replica_hello(ReplicaId(0), v).is_empty());
-        assert!(sharded.on_replica_hello(ReplicaId(1), v).is_empty());
-        assert_eq!(
-            sharded.on_replica_hello(ReplicaId(2), v),
-            vec![(ReplicaId(1), TxnId(1))]
-        );
-    }
-
-    #[test]
-    fn n1_is_the_degenerate_single_certifier() {
-        let mut sharded = ShardedCertifier::new(replicas(3), 1);
-        let mut oracle = Certifier::new(replicas(3));
-        for i in 1..=20u64 {
-            let table = (i % 5) as u32;
-            let r = req(i, (i % 3) as u32, i.saturating_sub(3), ws(&[(table, 1)]));
-            assert_eq!(
-                sharded.certify(r.clone()).unwrap(),
-                oracle.certify(r).unwrap()
-            );
-        }
-        assert_eq!(sharded.version(), oracle.version());
-        assert_eq!(sharded.stats(), oracle.stats());
-        assert_eq!(sharded.sharding_stats().cross_partition, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Parallel execution mode
-    // ------------------------------------------------------------------
-
-    /// Drives the same batches through the sequential oracle and the
-    /// parallel certifier and asserts decision-, refresh-, stats-, and
-    /// record-identicality after every batch.
-    fn assert_parallel_matches(n_shards: usize, batches: Vec<Vec<CertifyRequest>>) {
-        let mut oracle = ShardedCertifier::new(replicas(3), n_shards);
-        let mut par = ParallelShardedCertifier::new(replicas(3), n_shards);
-        for batch in batches {
-            let want = oracle.certify_batch(batch.clone());
-            let got = par.certify_batch(batch);
-            match (&want, &got) {
-                (Ok(w), Ok(g)) => assert_eq!(w, g),
-                (Err(w), Err(g)) => assert_eq!(w.to_string(), g.to_string()),
-                _ => panic!("oracle said {want:?}, parallel said {got:?}"),
-            }
-            assert_eq!(par.version(), oracle.version());
-            assert_eq!(par.stats(), oracle.stats());
-            assert_eq!(par.sharding_stats(), oracle.sharding_stats());
-            assert_eq!(par.history_len(), oracle.history_len());
-        }
-        assert_eq!(
-            par.certified_since(Version::ZERO).unwrap(),
-            oracle.certified_since(Version::ZERO).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_mixed_batches() {
-        assert_parallel_matches(
-            4,
-            vec![
-                vec![
-                    req(1, 0, 0, ws(&[(0, 1)])),
-                    req(2, 1, 0, ws(&[(1, 1)])),
-                    // In-batch conflict with txn 1's row.
-                    req(3, 2, 0, ws(&[(0, 1)])),
-                    // Cross-partition commit.
-                    req(4, 0, 0, ws(&[(2, 1), (3, 1)])),
-                    // Vacuous commit, anchored at shard 0.
-                    req(5, 1, 0, WriteSet::new()),
-                ],
-                vec![
-                    keyed(req(6, 0, 3, ws(&[(0, 9), (1, 9)])), 7, 0),
-                    // Exact keyed duplicate of txn 6.
-                    keyed(req(7, 1, 3, ws(&[(0, 9), (1, 9)])), 7, 0),
-                    // Pre-batch conflict with txn 1 (previous batch).
-                    req(8, 2, 0, ws(&[(0, 1)])),
-                ],
-            ],
-        );
-    }
-
-    #[test]
-    fn parallel_resolves_aborted_in_batch_priors() {
-        // txn 2 conflicts with txn 1 (same batch) and aborts; txn 3 shares
-        // a row only with *aborted* txn 2, so it must commit — the
-        // sequencer must resolve in-batch predecessor candidates against
-        // its own decisions, not against who merely wrote the row.
-        let mut par = ParallelShardedCertifier::new(replicas(2), 4);
-        let out = par
-            .certify_batch(vec![
-                req(1, 0, 0, ws(&[(0, 1)])),
-                req(2, 0, 0, ws(&[(0, 1), (0, 2)])),
-                req(3, 0, 0, ws(&[(0, 2)])),
-            ])
-            .unwrap();
-        assert_eq!(
-            out[0].0,
-            CertifyDecision::Commit {
-                txn: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        assert_eq!(
-            out[1].0,
-            CertifyDecision::Abort {
-                txn: TxnId(2),
-                conflicting_version: Version(1)
-            }
-        );
-        assert_eq!(
-            out[2].0,
-            CertifyDecision::Commit {
-                txn: TxnId(3),
-                commit_version: Version(2)
-            }
-        );
-    }
-
-    #[test]
-    fn parallel_async_batches_pipeline_in_submission_order() {
-        let mut par = ParallelShardedCertifier::new(replicas(3), 4);
-        // Submit batch 2 while batch 1's flush is still pending: the
-        // second probe must observe the first batch's applied state.
-        let p1 = par.certify_batch_async(vec![req(1, 0, 0, ws(&[(0, 1)]))]);
-        let p2 = par.certify_batch_async(vec![
-            req(2, 1, 0, ws(&[(0, 1)])),
-            req(3, 1, 1, ws(&[(1, 4)])),
-        ]);
-        let r1 = p1.wait().unwrap();
-        let r2 = p2.wait().unwrap();
-        assert_eq!(
-            r1[0].0,
-            CertifyDecision::Commit {
-                txn: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        assert_eq!(
-            r2[0].0,
-            CertifyDecision::Abort {
-                txn: TxnId(2),
-                conflicting_version: Version(1)
-            }
-        );
-        assert_eq!(
-            r2[1].0,
-            CertifyDecision::Commit {
-                txn: TxnId(3),
-                commit_version: Version(2)
-            }
-        );
-    }
-
-    #[test]
-    fn parallel_mid_batch_error_flushes_prior_decisions() {
-        let mut par = ParallelShardedCertifier::new(replicas(2), 2);
-        let err = par
-            .certify_batch(vec![
-                req(1, 0, 0, ws(&[(0, 1)])),
-                req(2, 0, 99, ws(&[(1, 1)])),
-            ])
-            .unwrap_err();
-        assert!(err.to_string().contains("future of V_commit"), "{err}");
-        // The decision made before the error is durable: it survives a
-        // full state rebuild from the shard logs.
-        assert_eq!(par.recover().unwrap(), 1);
-        assert_eq!(par.version(), Version(1));
-    }
-
-    #[test]
-    fn parallel_recover_prune_and_replay_match_sequential() {
-        let mut oracle = ShardedCertifier::new(replicas(2), 4);
-        let mut par = ParallelShardedCertifier::new(replicas(2), 4);
-        let batch: Vec<CertifyRequest> = (1..=6)
-            .map(|i| keyed(req(i, 0, 0, ws(&[(i as u32 % 8, i as i64)])), 9, i))
-            .collect();
-        oracle.certify_batch(batch.clone()).unwrap();
-        par.certify_batch(batch).unwrap();
-        oracle.prune(Version(4));
-        par.prune(Version(4));
-        assert_eq!(par.history_len(), oracle.history_len());
-        // A snapshot below the pruned floor errs identically.
-        let e1 = oracle.certify(req(7, 0, 3, ws(&[(0, 99)]))).unwrap_err();
-        let e2 = par.certify(req(7, 0, 3, ws(&[(0, 99)]))).unwrap_err();
-        assert_eq!(e1.to_string(), e2.to_string());
-        // Recovery rebuilds from the shard logs; the dedup windows come
-        // back and a keyed replay is answered at its original version.
-        assert_eq!(par.recover().unwrap(), oracle.recover().unwrap());
-        assert_eq!(par.version(), oracle.version());
-        assert_eq!(
-            par.certified_since(Version::ZERO).unwrap(),
-            oracle.certified_since(Version::ZERO).unwrap()
-        );
-        let w = oracle
-            .certify(keyed(req(8, 1, 6, ws(&[(2, 2)])), 9, 2))
-            .unwrap();
-        let g = par
-            .certify(keyed(req(8, 1, 6, ws(&[(2, 2)])), 9, 2))
-            .unwrap();
-        assert_eq!(w, g);
-        assert_eq!(
-            w.0,
-            CertifyDecision::Duplicate {
-                txn: TxnId(8),
-                original: TxnId(2),
-                commit_version: Version(2)
-            }
-        );
-    }
-
-    #[test]
-    fn dedup_cross_shard_eviction_floor_at_boundary() {
-        use crate::certifier::DEDUP_WINDOW;
-        let n = DEDUP_WINDOW as u64;
-        // Client 42's entries spread over two owner shards with different
-        // eviction floors. Shard 0 (table 0) holds seqs 100.. with 11
-        // evictions (floor 110); shard 1 (table 1) holds seqs 0.. with 6
-        // evictions (floor 5).
-        let mut sharded = ShardedCertifier::new(replicas(1), 2);
-        let mut par = ParallelShardedCertifier::new(replicas(1), 2);
-        let mut t = 0u64;
-        let run = |table: u32, seqs: std::ops::Range<u64>, t: &mut u64| {
-            let reqs: Vec<CertifyRequest> = seqs
-                .map(|seq| {
-                    *t += 1;
-                    keyed(req(*t, 0, 0, ws(&[(table, *t as i64)])), 42, seq)
-                })
-                .collect();
-            (reqs.clone(), reqs)
-        };
-        // Low seqs first: once shard 0's floor reaches 110, any new seq at
-        // or below it would be rejected outright by the cross-shard floor.
-        let (a, b) = run(1, 0..n + 6, &mut t);
-        sharded.certify_batch(a).unwrap();
-        par.certify_batch(b).unwrap();
-        let (a, b) = run(0, 100..100 + n + 11, &mut t);
-        sharded.certify_batch(a).unwrap();
-        par.certify_batch(b).unwrap();
-
-        // Boundary: the floor seq itself is out-of-window; floor + 1 is
-        // the oldest surviving entry and still answers Duplicate.
-        assert_eq!(
-            sharded.dedup_lookup(42, 110),
-            DedupVerdict::OutOfWindow {
-                evicted_through: 110
-            }
-        );
-        assert!(matches!(
-            sharded.dedup_lookup(42, 111),
-            DedupVerdict::Duplicate { .. }
-        ));
-        // A miss below both floors reports the *highest* floor across
-        // shards (seq 3 was certified at shard 1 and evicted there at
-        // floor 5, but shard 0's floor 110 dominates).
-        assert_eq!(
-            sharded.dedup_lookup(42, 3),
-            DedupVerdict::OutOfWindow {
-                evicted_through: 110
-            }
-        );
-        // An exact hit at shard 1 wins even though the seq sits below
-        // shard 0's eviction floor.
-        assert!(matches!(
-            sharded.dedup_lookup(42, 6),
-            DedupVerdict::Duplicate { .. }
-        ));
-        // Above everything: provably fresh.
-        assert_eq!(sharded.dedup_lookup(42, 500), DedupVerdict::Fresh);
-        // The parallel sequencer's mirror gives identical verdicts.
-        for seq in [110, 111, 3, 6, 500, 0, 5, 105, 174] {
-            assert_eq!(
-                par.dedup_lookup(42, seq),
-                sharded.dedup_lookup(42, seq),
-                "verdicts diverged at seq {seq}"
-            );
-        }
-        // And the certify-path rejection carries the floor in its message.
-        let err = sharded
-            .certify(keyed(req(t + 1, 0, 0, ws(&[(0, -1)])), 42, 110))
-            .unwrap_err();
-        assert!(err.to_string().contains("evicted"), "{err}");
     }
 }

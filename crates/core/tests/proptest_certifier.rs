@@ -22,60 +22,11 @@
 
 use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
 use bargain_core::certifier::DEDUP_WINDOW;
-use bargain_core::{
-    Certifier, CertifyDecision, CertifyRequest, LogRecord, Refresh, ShardedCertifier,
-};
+use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// 0 stands for the unsharded `Certifier`.
-const SHARD_COUNTS: [usize; 5] = [0, 1, 2, 4, 8];
-
-/// Either implementation behind the calls the property makes (the two are
-/// about to become one type; this enum goes with the second).
-enum Real {
-    Single(Certifier),
-    Sharded(ShardedCertifier),
-}
-
-macro_rules! either {
-    ($self:expr, $c:ident => $e:expr) => {
-        match $self {
-            Real::Single($c) => $e,
-            Real::Sharded($c) => $e,
-        }
-    };
-}
-
-impl Real {
-    fn new(replicas: Vec<ReplicaId>, n: usize) -> Real {
-        match n {
-            0 => Real::Single(Certifier::new(replicas)),
-            n => Real::Sharded(ShardedCertifier::new(replicas, n)),
-        }
-    }
-    fn certify(
-        &mut self,
-        req: CertifyRequest,
-    ) -> bargain_common::Result<(CertifyDecision, Vec<Refresh>)> {
-        either!(self, c => c.certify(req))
-    }
-    fn prune(&mut self, floor: Version) {
-        either!(self, c => c.prune(floor))
-    }
-    fn recover(&mut self) -> bargain_common::Result<usize> {
-        either!(self, c => c.recover())
-    }
-    fn version(&self) -> Version {
-        either!(self, c => c.version())
-    }
-    fn history_len(&self) -> usize {
-        either!(self, c => c.history_len())
-    }
-    fn certified_since(&mut self, after: Version) -> bargain_common::Result<Vec<LogRecord>> {
-        either!(self, c => c.certified_since(after))
-    }
-}
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CLIENTS: u64 = 3;
 const REPLICAS: u32 = 3;
 
@@ -229,9 +180,9 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
         let replicas: Vec<ReplicaId> = (0..REPLICAS).map(ReplicaId).collect();
-        let mut real: Vec<Real> = SHARD_COUNTS
+        let mut real: Vec<Certifier> = SHARD_COUNTS
             .iter()
-            .map(|&n| Real::new(replicas.clone(), n))
+            .map(|&n| Certifier::sharded(replicas.clone(), n))
             .collect();
         let mut shadow = ShadowModel::new();
         let mut txn = 0u64;

@@ -1,20 +1,17 @@
-//! Seeded multi-thread stress test for the parallel sharded certifier.
+//! Seeded crash stress test for the certifier over four file-backed shards.
 //!
-//! Four shard workers (plus their WAL flusher threads) are driven with a
-//! pipelined stream of mixed keyed/unkeyed batches over file-backed
-//! per-shard WALs, then the whole process "crashes" mid-stream: one
-//! pending batch is abandoned un-acked, the certifier is dropped, and a
-//! torn partial record is appended to one shard's WAL. A fresh certifier
+//! A four-shard certifier is driven with a stream of mixed keyed/unkeyed
+//! batches over per-shard `FileLog`s, announcing one batch behind, then the
+//! whole process "crashes" mid-stream: one batch is certified and durable
+//! but never announced, the certifier is dropped, and a torn partial
+//! record is appended to one shard's WAL. A fresh certifier
 //! rebuilt over the reopened files must recover, answer every acknowledged
 //! keyed request as a `Duplicate` at its **original** commit version
 //! (exactly-once across the crash), and keep certifying — with every
 //! idempotency key appearing exactly once in the merged durable history.
 
 use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
-use bargain_core::{
-    CertifyDecision, CertifyRequest, CommitLog, FileLog, ParallelShardedCertifier, PendingBatch,
-    Refresh,
-};
+use bargain_core::{Certifier, CertifyDecision, CertifyRequest, CommitLog, FileLog, Refresh};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -108,12 +105,15 @@ fn wal_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.wal"))
 }
 
-fn open_certifier(dir: &Path) -> ParallelShardedCertifier {
+fn open_certifier(dir: &Path) -> Certifier {
     let logs: Vec<Box<dyn CommitLog>> = (0..SHARDS)
         .map(|s| Box::new(FileLog::open(&wal_path(dir, s)).unwrap()) as Box<dyn CommitLog>)
         .collect();
-    ParallelShardedCertifier::with_logs(replicas(), logs, 2)
+    Certifier::with_logs(replicas(), logs)
 }
+
+/// What `certify_batch` returns for one batch.
+type Certified = Vec<(CertifyDecision, Vec<Refresh>)>;
 
 fn record_acked(
     reqs: &[CertifyRequest],
@@ -130,7 +130,7 @@ fn record_acked(
 
 #[test]
 fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
-    let dir = std::env::temp_dir().join(format!("bargain-parallel-stress-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("bargain-shard-stress-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for s in 0..SHARDS {
         let _ = std::fs::remove_file(wal_path(&dir, s));
@@ -142,28 +142,30 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
         next_seq: [0; CLIENTS as usize],
         keyed_issued: Vec::new(),
     };
-    // Keyed commits whose batch was *acknowledged* (flush ack drained):
-    // these are the exactly-once obligations that must survive the crash.
+    // Keyed commits whose batch was *acknowledged* (announced to its
+    // clients): these are the exactly-once obligations that must survive
+    // the crash.
     let mut acked_commits: HashMap<IdemKey, (TxnId, Version)> = HashMap::new();
 
-    // Phase A: pipelined pre-crash stream, two batches in flight so the
-    // next batch's conflict checks overlap the previous batch's WAL flush.
+    // Phase A: the pre-crash stream, announced one batch behind so that the
+    // crash finds a batch certified and flushed but not yet announced.
     let mut certifier = open_certifier(&dir);
-    let mut pending: VecDeque<(Vec<CertifyRequest>, PendingBatch)> = VecDeque::new();
+    let mut pending: VecDeque<(Vec<CertifyRequest>, Certified)> = VecDeque::new();
     for _ in 0..PRE_CRASH_BATCHES {
         let reqs = load.make_batch(certifier.version());
-        let batch = certifier.certify_batch_async(reqs.clone());
-        pending.push_back((reqs, batch));
+        let results = certifier
+            .certify_batch(reqs.clone())
+            .expect("pre-crash batch certifies");
+        pending.push_back((reqs, results));
         if pending.len() == 2 {
-            let (reqs, batch) = pending.pop_front().unwrap();
-            let results = batch.wait().expect("pre-crash batch certifies");
+            let (reqs, results) = pending.pop_front().unwrap();
             record_acked(&reqs, &results, &mut acked_commits);
         }
     }
 
-    // Crash: one batch is still in flight and never acknowledged. Drop the
-    // certifier (the "process" dies; queued flushes may or may not have
-    // landed from the client's point of view), then tear the tail of one
+    // Crash: one batch is certified but was never acknowledged. Drop the
+    // certifier (the "process" dies; from the client's point of view that
+    // batch may or may not have landed), then tear the tail of one
     // shard's WAL — a partial record from an append cut short mid-write.
     let abandoned = pending.len();
     pending.clear();
@@ -227,19 +229,12 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
         }
     }
 
-    // Phase B: the recovered certifier keeps serving the pipelined stream.
+    // Phase B: the recovered certifier keeps serving the stream.
     for _ in 0..POST_CRASH_BATCHES {
         let reqs = load.make_batch(certifier.version());
-        let batch = certifier.certify_batch_async(reqs.clone());
-        pending.push_back((reqs, batch));
-        if pending.len() == 2 {
-            let (reqs, batch) = pending.pop_front().unwrap();
-            let results = batch.wait().expect("post-crash batch certifies");
-            record_acked(&reqs, &results, &mut acked_commits);
-        }
-    }
-    while let Some((reqs, batch)) = pending.pop_front() {
-        let results = batch.wait().expect("drained batch certifies");
+        let results = certifier
+            .certify_batch(reqs.clone())
+            .expect("post-crash batch certifies");
         record_acked(&reqs, &results, &mut acked_commits);
     }
 

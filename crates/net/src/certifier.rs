@@ -59,7 +59,7 @@ use crate::frame::{encode_frame, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{Error, ReplicaId, Result, Version};
-use bargain_core::{AnyCertifier, CertifyRequest, LogRecord, PendingBatch};
+use bargain_core::{Certifier, CertifyRequest, LogRecord};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -79,27 +79,17 @@ pub struct CertifierServerConfig {
     pub replicas: usize,
     /// Enables eager global-commit accounting (match the cluster's mode).
     pub eager: bool,
-    /// When set, the commit WAL lives in `certifier.wal` inside this
-    /// directory and is replayed on start — durability lives with this
-    /// process, exactly as in the in-process deployment. With `shards > 1`
-    /// each shard logs to its own `shard-i/certifier.wal` subdirectory.
+    /// When set, the commit WAL lives inside this directory (laid out by
+    /// [`Certifier::open`]) and is replayed on start — durability lives
+    /// with this process, exactly as in the in-process deployment.
     pub wal_dir: Option<PathBuf>,
     /// Number of certifier shards hosted by this process (the table space
     /// is partitioned across them; 1 — the default — is the single
     /// certifier). The wire protocol is unchanged: the server routes each
     /// `Certify` to the involved shards internally, so clusters and links
-    /// need no configuration to talk to a sharded service.
+    /// need no configuration to talk to a sharded service. Over `FileLog`s
+    /// on one disk, more shards cost about 2× per batch (BENCH_shards.json).
     pub shards: usize,
-    /// Run certification in the parallel execution mode
-    /// ([`bargain_core::ParallelShardedCertifier`]): per-shard worker
-    /// threads behind a commit-version sequencer, with a batch's WAL
-    /// flushes overlapped against the next burst's conflict checks. The
-    /// wire protocol and the decision order are unchanged.
-    pub parallel_certifier: bool,
-    /// In parallel mode, a cap on concurrent blocking WAL flushes
-    /// (`0` = one per shard). Set to 1–2 when all shard WALs share one
-    /// disk (see the honest negative in BENCH_shards.json).
-    pub wal_flush_concurrency: usize,
 }
 
 impl Default for CertifierServerConfig {
@@ -109,8 +99,6 @@ impl Default for CertifierServerConfig {
             eager: false,
             wal_dir: None,
             shards: 1,
-            parallel_certifier: false,
-            wal_flush_concurrency: 0,
         }
     }
 }
@@ -166,46 +154,17 @@ pub struct CertifierServer {
 impl CertifierServer {
     /// Binds `addr` (port 0 for OS-assigned) and starts serving.
     pub fn start(addr: &str, config: CertifierServerConfig) -> Result<CertifierServer> {
-        assert!(config.shards >= 1, "need at least one certifier shard");
-        let mut certifier = match &config.wal_dir {
-            Some(dir) => {
-                let mut logs: Vec<Box<dyn bargain_core::CommitLog>> =
-                    Vec::with_capacity(config.shards);
-                for i in 0..config.shards {
-                    // The single-shard configuration keeps the legacy flat
-                    // `certifier.wal`, so existing deployments restart
-                    // unchanged; each shard of an N>1 service owns its own
-                    // WAL directory.
-                    let path = if config.shards == 1 {
-                        dir.join("certifier.wal")
-                    } else {
-                        dir.join(format!("shard-{i}")).join("certifier.wal")
-                    };
-                    std::fs::create_dir_all(path.parent().expect("wal path has a directory"))
-                        .map_err(Error::from)?;
-                    logs.push(Box::new(bargain_core::FileLog::open(&path)?));
-                }
-                AnyCertifier::with_logs(
-                    replica_ids(config.replicas),
-                    logs,
-                    config.parallel_certifier,
-                    config.wal_flush_concurrency,
-                )
-            }
-            None => AnyCertifier::new(
-                replica_ids(config.replicas),
-                config.shards,
-                config.parallel_certifier,
-            ),
-        };
+        let mut certifier = Certifier::open(
+            replica_ids(config.replicas),
+            config.wal_dir.as_deref(),
+            config.shards,
+        )?;
         certifier.set_eager(config.eager);
-        certifier.recover()?;
 
         let (core, addr, stopper) = Core::bind(addr, NetServerConfig::default())?;
         let counters = Arc::new(Counters::default());
         let service = CertifierService {
             certifier,
-            pending: None,
             stop: Arc::clone(&stopper.flag),
             counters: Arc::clone(&counters),
         };
@@ -276,54 +235,35 @@ fn replica_ids(n: usize) -> Vec<ReplicaId> {
 /// (one group commit per dirty shard).
 const MAX_CERTIFY_BATCH: usize = 64;
 
-/// A certified batch whose WAL flushes may still be in flight: the
-/// decisions have been made (in total commit order) but may not be
-/// announced on the wire until [`PendingBatch::wait`] confirms durability.
-struct PendingEmit {
-    /// The connection the batch arrived on, the only one it may be
-    /// announced to.
-    token: u64,
-    origins: Vec<ReplicaId>,
-    batch: PendingBatch,
-}
-
 /// The certifier on the shared event loop: it certifies inline on the loop
-/// thread, batching by what one readiness event already decoded.
-///
-/// Certify traffic runs a 2-deep certify→flush pipeline: a maximal run of
-/// consecutive `Certify` frames (capped at [`MAX_CERTIFY_BATCH`]) is
-/// certified as one batch and left *pending* while the loop polls for the
-/// next burst, so the batch's per-shard WAL flushes (the dominant latency
-/// in a durable deployment) overlap the next batch's conflict checks.
-/// Decisions are announced strictly in commit order, only after their
-/// batch's flushes complete, and always before any non-certify frame that
-/// arrived later is answered. With a batch pending that poll never blocks
-/// ([`Service::holds_output`]), and when it finds nothing the batch is
-/// announced at once: a decision never sits across a timed wait.
+/// thread, batching by what one readiness event already decoded. A maximal
+/// run of consecutive `Certify` frames (capped at [`MAX_CERTIFY_BATCH`]) is
+/// certified as one batch — one group commit per dirty shard — and its
+/// refreshes and decisions are queued on the connection at once, in commit
+/// order, before any frame that arrived later is answered.
 struct CertifierService {
-    certifier: AnyCertifier,
-    pending: Option<PendingEmit>,
+    certifier: Certifier,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
 }
 
 impl CertifierService {
-    /// Waits out the pending batch's durability and queues its refreshes
-    /// and decisions on `conn` — unless the batch arrived on another
-    /// connection or `conn` is going away: then its decisions stay durable
-    /// but unannounced, and the link's resync path replays them.
-    fn announce(&mut self, conn: &mut Conn<()>) {
-        let Some(p) = self.pending.take() else {
-            return;
-        };
-        if p.token != conn.token || conn.closing() {
+    /// Certifies `run` as one batch and queues its refreshes and decisions
+    /// on `conn`: they are durable when `certify_batch` returns.
+    fn certify(&mut self, conn: &mut Conn<()>, run: &mut Vec<CertifyRequest>) {
+        if run.is_empty() {
             return;
         }
-        let results = match p.batch.wait() {
+        let (c, frames) = (&self.counters, run.len() as u64);
+        c.certify_frames.fetch_add(frames, Relaxed);
+        c.batches.fetch_add(1, Relaxed);
+        c.largest_batch.fetch_max(frames, Relaxed);
+        let origins: Vec<ReplicaId> = run.iter().map(|r| r.replica).collect();
+        let results = match self.certifier.certify_batch(std::mem::take(run)) {
             Ok(results) => results,
             Err(e) => return conn.close_after(PUSH_ID, &Message::Err(e)),
         };
-        for (origin, (decision, refreshes)) in p.origins.into_iter().zip(results) {
+        for (origin, (decision, refreshes)) in origins.into_iter().zip(results) {
             let targets = self.certifier.refresh_targets(origin);
             for (to, refresh) in targets.into_iter().zip(refreshes) {
                 conn.enqueue_reply(PUSH_ID, &Message::RefreshFor { to, refresh });
@@ -334,27 +274,6 @@ impl CertifierService {
             // advances its resync floor accordingly.
             conn.enqueue_reply(PUSH_ID, &Message::Decision { origin, decision });
         }
-    }
-
-    /// Certifies `run` as one batch and leaves it pending, announcing the
-    /// previous batch first (its flushes ran while this run was read).
-    fn submit(&mut self, conn: &mut Conn<()>, run: &mut Vec<CertifyRequest>) {
-        if run.is_empty() {
-            return;
-        }
-        let (c, frames) = (&self.counters, run.len() as u64);
-        c.certify_frames.fetch_add(frames, Relaxed);
-        c.batches.fetch_add(1, Relaxed);
-        c.largest_batch.fetch_max(frames, Relaxed);
-        let origins = run.iter().map(|r| r.replica).collect();
-        let batch = self.certifier.certify_batch_async(std::mem::take(run));
-        self.announce(conn);
-        let token = conn.token;
-        self.pending = Some(PendingEmit {
-            token,
-            origins,
-            batch,
-        });
     }
 
     /// Answers one non-certify request. Direct replies (pong, history,
@@ -396,15 +315,14 @@ impl Service for CertifierService {
 
     /// The newest cluster connection supersedes: a half-open predecessor
     /// (partition without FIN) would otherwise hold the singleton service
-    /// until its read deadline while the reconnecting link waits. The old
-    /// connection's pending batch is announced to it first; it is durable,
-    /// so the newcomer's `FetchHistory` resync covers it either way.
+    /// until its read deadline while the reconnecting link waits. What the
+    /// old connection was still owed is durable, so the newcomer's
+    /// `FetchHistory` resync covers it whether or not this flush arrives.
     fn accepted(&mut self, core: &mut Core<()>, _token: u64, _half: &Arc<WriteHalf>) {
         self.counters.accepted.fetch_add(1, Relaxed);
         // Dropping a connection closes its socket (this service never
         // shares a write half), which also removes it from the poller.
         for (_, mut conn) in core.conns.drain() {
-            self.announce(&mut conn);
             conn.flush_out();
             self.counters.superseded.fetch_add(1, Relaxed);
         }
@@ -420,41 +338,30 @@ impl Service for CertifierService {
                 Message::Certify(req) => {
                     run.push(req);
                     if run.len() == MAX_CERTIFY_BATCH {
-                        self.submit(conn, &mut run);
+                        self.certify(conn, &mut run);
                     }
                 }
                 // Any other frame may depend on decisions queued before
-                // it: drain the pipeline, then answer.
+                // it: certify the run so far, then answer.
                 other => {
-                    self.submit(conn, &mut run);
-                    self.announce(conn);
+                    self.certify(conn, &mut run);
                     if !conn.closing() {
                         self.answer(conn, request_id, other);
                     }
                 }
             }
         }
-        self.submit(conn, &mut run);
+        self.certify(conn, &mut run);
     }
 
-    fn holds_output(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Nothing arrived behind the pending batch (or the service is
-    /// stopping): announce it now rather than holding decisions hostage to
-    /// future traffic. A stopping service then closes its connection once
-    /// that has flushed.
-    fn turn(&mut self, core: &mut Core<()>, idle: bool, draining: bool, dirty: &mut Vec<u64>) {
-        if draining || (idle && self.pending.is_some()) {
+    /// A stopping service closes its connection once what is queued on it
+    /// has flushed.
+    fn turn(&mut self, core: &mut Core<()>, draining: bool, dirty: &mut Vec<u64>) {
+        if draining {
             for conn in core.conns.values_mut() {
-                self.announce(conn);
-                if draining {
-                    conn.set_closing();
-                }
+                conn.set_closing();
                 dirty.push(conn.token);
             }
-            self.pending = None; // still there: its connection is gone
         }
     }
 

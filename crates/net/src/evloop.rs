@@ -74,24 +74,9 @@ pub(crate) trait Service {
     /// them in one vectored write at the end of the iteration.
     fn messages(&mut self, conn: &mut Conn<Self::Conn>, msgs: Vec<(u64, Message)>);
 
-    /// Whether the service holds finished work it has not announced yet.
-    /// The next wait then polls without blocking, and [`Service::turn`]
-    /// sees `idle` if nothing else arrived: such work never sits across a
-    /// timed wait.
-    fn holds_output(&self) -> bool {
-        false
-    }
-
-    /// Once per iteration, after the readiness events: `idle` means the
-    /// wait returned none. The service pushes onto `dirty` the token of
-    /// every connection it gave output to.
-    fn turn(
-        &mut self,
-        core: &mut Core<Self::Conn>,
-        idle: bool,
-        draining: bool,
-        dirty: &mut Vec<u64>,
-    );
+    /// Once per iteration, after the readiness events. The service pushes
+    /// onto `dirty` the token of every connection it gave output to.
+    fn turn(&mut self, core: &mut Core<Self::Conn>, draining: bool, dirty: &mut Vec<u64>);
 
     /// After `conn` flushed, while it is open and under its write-buffer
     /// cap: start whatever it has queued.
@@ -402,9 +387,7 @@ impl<D> Core<D> {
         let mut events = Vec::new();
         let mut read_buf = vec![0u8; READ_CHUNK];
         loop {
-            let timeout = if service.holds_output() {
-                Duration::ZERO
-            } else if self.drain_deadline.is_some() {
+            let timeout = if self.drain_deadline.is_some() {
                 // Draining: tick fast so quiescence is noticed promptly
                 // even if a completion's wake raced the previous drain.
                 Duration::from_millis(10)
@@ -439,7 +422,7 @@ impl<D> Core<D> {
             }
 
             let draining = self.check_stop();
-            service.turn(&mut self, events.is_empty(), draining, &mut dirty);
+            service.turn(&mut self, draining, &mut dirty);
             if draining {
                 dirty.extend(self.conns.keys().copied());
             }

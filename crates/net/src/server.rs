@@ -470,13 +470,7 @@ impl Service for Frontend {
     /// per-connection state restored (those for connections that died in
     /// the meantime just drop the session); a nudge only marks its
     /// connection for this iteration's flush, dispatch and reap.
-    fn turn(
-        &mut self,
-        core: &mut Core<Self::Conn>,
-        _idle: bool,
-        _draining: bool,
-        dirty: &mut Vec<u64>,
-    ) {
+    fn turn(&mut self, core: &mut Core<Self::Conn>, _draining: bool, dirty: &mut Vec<u64>) {
         while let Ok(Completion { token, job }) = self.completions_rx.try_recv() {
             if job.is_some() {
                 self.shared.hub.outstanding.fetch_sub(1, Ordering::SeqCst);

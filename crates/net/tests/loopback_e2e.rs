@@ -254,15 +254,13 @@ fn remote_certifier_process_split_preserves_strong_consistency() {
 }
 
 #[test]
-fn parallel_remote_certifier_preserves_strong_consistency() {
-    // Same deployment, certification running in the parallel execution
-    // mode (4 shard workers behind the sequencer, certify→flush pipeline
-    // on the wire loop). The wire protocol, decision order, and strong
-    // consistency are unchanged.
+fn sharded_remote_certifier_preserves_strong_consistency() {
+    // Same deployment with the certifier's state split over 4 shards (the
+    // only 4-shard `CertifierServer` round trip): the wire protocol,
+    // decision order, and strong consistency are unchanged.
     remote_certifier_round_trips(CertifierServerConfig {
         replicas: 3,
         shards: 4,
-        parallel_certifier: true,
         ..CertifierServerConfig::default()
     });
 }
@@ -376,7 +374,7 @@ fn sequential_updates_through_remote_certifier_never_wait_out_a_poll_tick() {
     // One update at a time is the case the old blocking serve loop got
     // wrong: a lone `Certify` was certified at once, but its decision was
     // released only when a 100 ms idle poll timed out. On the event loop a
-    // pending batch makes the next wait non-blocking, so 200 sequential
+    // decision is queued in the turn that certified it, so 200 sequential
     // updates take milliseconds each, not 200 poll ticks.
     let certifier = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default())
         .expect("certifier binds");

@@ -141,21 +141,6 @@ impl CostModel {
         self.certify_us * n as SimTime + self.wal_append_us
     }
 
-    /// Certifier service time for the same batch in the *parallel*
-    /// execution mode (`ParallelShardedCertifier`): the conflict checks
-    /// divide across the shard workers, while the sequencer scan keeps a
-    /// small per-request residue (validation, dedup, version assignment —
-    /// about a quarter of the sequential per-request work) and the batch
-    /// still pays one WAL force. At `shards == 1` this is strictly worse
-    /// than [`Self::certification_batch_cost`] — the honest handoff
-    /// overhead of running workers for nothing.
-    #[must_use]
-    pub fn parallel_certification_batch_cost(&self, n: usize, shards: usize) -> SimTime {
-        let residue = (self.certify_us / 4).max(1);
-        let checks = (self.certify_us * n as SimTime).div_ceil(shards.max(1) as SimTime);
-        residue * n as SimTime + checks + self.wal_append_us
-    }
-
     /// Certifier recovery time when its log holds `log_records` records.
     #[must_use]
     pub fn cert_recovery_cost(&self, log_records: usize) -> SimTime {

@@ -29,8 +29,8 @@ use bargain_common::{
     ClientId, ConsistencyMode, Error, ReplicaId, TableSet, TemplateId, TxnId, Version,
 };
 use bargain_core::{
-    CertifyDecision, CertifyRequest, ConsistencyChecker, LoadBalancer, Proxy, ProxyEvent, Refresh,
-    RoutedTxn, ShardedCertifier, StartDecision, TxnOutcome, TxnRequest,
+    Certifier, CertifyDecision, CertifyRequest, ConsistencyChecker, LoadBalancer, Proxy,
+    ProxyEvent, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest,
 };
 use bargain_sql::TransactionTemplate;
 use bargain_storage::{Engine, SnapshotManifest};
@@ -81,14 +81,6 @@ pub struct SimConfig {
     /// once the certifier's commit version is within this many versions of
     /// its own. Mirrors `JoinOptions::lag_bound` in the live cluster.
     pub join_lag_bound: u64,
-    /// Model the certifier in its parallel execution mode: the service
-    /// time of a certification batch divides its conflict-check work
-    /// across `certifier_shards` workers (plus a sequencer residue — see
-    /// `CostModel::parallel_certification_batch_cost`). Only the *timing*
-    /// changes: decisions, ordering, and the shard-crash fault semantics
-    /// are identical to the sequential certifier, exactly as in the real
-    /// `ParallelShardedCertifier`.
-    pub parallel_certifier: bool,
 }
 
 impl Default for SimConfig {
@@ -107,7 +99,6 @@ impl Default for SimConfig {
             faults: FaultPlan::default(),
             certifier_shards: 1,
             join_lag_bound: 64,
-            parallel_certifier: false,
         }
     }
 }
@@ -271,7 +262,7 @@ struct Sim<'w> {
     queue: EventQueue<Event>,
     rng: SmallRng,
     lb: LoadBalancer,
-    certifier: ShardedCertifier,
+    certifier: Certifier,
     proxies: Vec<Proxy>,
     replica_res: Vec<Resource<ReplicaJob>>,
     apply_res: Vec<Resource<ReplicaJob>>,
@@ -407,7 +398,7 @@ impl<'w> Sim<'w> {
         for (tid, ts) in &template_tables {
             lb.register_template(*tid, ts.clone());
         }
-        let mut certifier = ShardedCertifier::new(replica_ids, cfg.certifier_shards);
+        let mut certifier = Certifier::sharded(replica_ids, cfg.certifier_shards);
         certifier.set_eager(cfg.mode == ConsistencyMode::Eager);
 
         let replica_res = (0..cfg.replicas)
@@ -716,7 +707,7 @@ impl<'w> Sim<'w> {
                     self.cert_wait.push(req);
                     return;
                 }
-                let cost = self.cert_batch_cost(1);
+                let cost = self.cfg.costs.certification_cost();
                 let epoch = self.cert_epoch;
                 if let Some((batch, d)) = self.cert_res.offer(vec![req], cost) {
                     self.queue
@@ -1602,24 +1593,11 @@ impl<'w> Sim<'w> {
             // service as the next group-committed batch: per-request
             // certification work, one shared WAL force.
             let next = std::mem::take(&mut self.cert_wait);
-            let cost = self.cert_batch_cost(next.len());
+            let cost = self.cfg.costs.certification_batch_cost(next.len());
             if let Some((batch, d)) = self.cert_res.offer(next, cost) {
                 self.queue
                     .schedule(d, Event::CertifierDone { batch, epoch });
             }
-        }
-    }
-
-    /// Service time of a certification batch under the configured
-    /// execution mode: sequential, or parallel with the conflict checks
-    /// divided across the shard workers.
-    fn cert_batch_cost(&self, n: usize) -> SimTime {
-        if self.cfg.parallel_certifier {
-            self.cfg
-                .costs
-                .parallel_certification_batch_cost(n, self.cfg.certifier_shards)
-        } else {
-            self.cfg.costs.certification_batch_cost(n)
         }
     }
 

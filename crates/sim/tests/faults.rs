@@ -130,9 +130,9 @@ fn certifier_crash_stalls_then_recovers_updates() {
 
 #[test]
 fn sharding_is_invisible_without_shard_faults() {
-    // The sharded certifier at N=4 makes bit-identical decisions to the
-    // N=1 oracle, and the simulator's timing model does not depend on the
-    // shard count — so with no shard faults the whole report must be
+    // The certifier's decisions do not depend on its shard count
+    // (`proptest_certifier`), and neither does the simulator's timing
+    // model — so with no shard faults the whole report must be
     // byte-identical across shard counts.
     let w = workload();
     for shards in [2usize, 4] {
@@ -280,80 +280,6 @@ fn sharded_faults_with_cross_partition_writesets() {
     assert!(r.committed_updates > 0);
     assert_eq!(r.violations, 0);
     assert_eq!(r.lost_acked_commits, 0);
-}
-
-#[test]
-fn parallel_sharded_run_is_deterministic_and_no_slower() {
-    // The parallel execution mode changes only the certifier's service
-    // time (conflict checks divide across the shard workers). Same seed →
-    // byte-identical report; and on this update-heavy closed loop the
-    // cheaper certification must not *lose* throughput vs the sequential
-    // sharded model.
-    let w = workload();
-    let mk = |parallel: bool| SimConfig {
-        certifier_shards: 4,
-        parallel_certifier: parallel,
-        ..faulty_cfg(ConsistencyMode::LazyFine, FaultPlan::none())
-    };
-    let a = simulate(&w, &mk(true));
-    let b = simulate(&w, &mk(true));
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    let seq = simulate(&w, &mk(false));
-    assert_eq!(a.violations, 0);
-    assert_eq!(a.lost_acked_commits, 0);
-    assert!(
-        a.committed_updates >= seq.committed_updates,
-        "parallel mode lost throughput: {} < {}",
-        a.committed_updates,
-        seq.committed_updates
-    );
-}
-
-#[test]
-fn parallel_shard_crash_still_parks_only_its_partition() {
-    // `CertifierShardCrash` semantics are identical in the parallel mode:
-    // the affected shard's worker parks exactly the transactions touching
-    // its partition, the rest keep certifying (now with the parallel
-    // service-time model), and recovery loses nothing.
-    let w = workload();
-    let plan = FaultPlan::none().with(
-        600,
-        FaultKind::CertifierShardCrash {
-            shard: 0,
-            down_ms: 300,
-        },
-    );
-    let cfg = SimConfig {
-        certifier_shards: 4,
-        parallel_certifier: true,
-        ..faulty_cfg(ConsistencyMode::LazyFine, plan)
-    };
-    let r = simulate(&w, &cfg);
-    assert_eq!(r.certifier_crashes, 1);
-    assert!(r.committed_updates > 0, "healthy shards keep committing");
-    assert_eq!(r.violations, 0);
-    assert_eq!(r.lost_acked_commits, 0);
-}
-
-#[test]
-fn parallel_sharded_fault_sweep_holds_the_headline_property() {
-    // A slice of the sharded random-schedule sweep with the parallel
-    // service-time model: no schedule may violate consistency or lose an
-    // acked commit.
-    let w = workload();
-    for seed in 0..3u64 {
-        let plan = FaultPlan::random_sharded(seed, 3, 4, 1_800);
-        let mut cfg = SimConfig {
-            certifier_shards: 4,
-            parallel_certifier: true,
-            ..faulty_cfg(ConsistencyMode::LazyFine, plan.clone())
-        };
-        cfg.seed = seed.wrapping_mul(37).wrapping_add(11);
-        let r = simulate(&w, &cfg);
-        assert!(r.committed > 0, "seed {seed}: nothing committed");
-        assert_eq!(r.violations, 0, "seed {seed}: violation under {plan:?}");
-        assert_eq!(r.lost_acked_commits, 0, "seed {seed}: lost acks");
-    }
 }
 
 #[test]
