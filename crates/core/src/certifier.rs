@@ -279,12 +279,6 @@ impl Certifier {
         &self.partition
     }
 
-    /// Number of certifier shards.
-    #[must_use]
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Enables or disables eager-mode global-commit tracking
     /// ([`Self::on_commit_applied`]). Enabling makes every retained commit
     /// pending with no replica credited — the conservative state
@@ -580,15 +574,12 @@ impl Certifier {
     /// Removes the pending eager entries among `versions` that every current
     /// replica has applied, returning their `(origin, txn)` in the order
     /// given.
-    fn take_globally_committed(
-        &mut self,
-        versions: impl IntoIterator<Item = Version>,
-    ) -> Vec<(ReplicaId, TxnId)> {
+    fn take_globally_committed(&mut self, versions: &[Version]) -> Vec<(ReplicaId, TxnId)> {
         let n = self.replicas.len();
         let mut completed = Vec::new();
         for v in versions {
-            if n > 0 && self.eager_pending[&v].applied.len() >= n {
-                let state = self.eager_pending.remove(&v).expect("present");
+            if n > 0 && self.eager_pending[v].applied.len() >= n {
+                let state = self.eager_pending.remove(v).expect("present");
                 completed.push((state.origin, state.txn));
             }
         }
@@ -614,7 +605,7 @@ impl Certifier {
         if !state.applied.contains(&replica) {
             state.applied.push(replica);
         }
-        self.take_globally_committed([version]).pop()
+        self.take_globally_committed(&[version]).pop()
     }
 
     /// Eager mode, post-crash re-synchronization: a replica reports its
@@ -643,7 +634,7 @@ impl Certifier {
                 state.applied.push(replica);
             }
         }
-        self.take_globally_committed(versions)
+        self.take_globally_committed(&versions)
     }
 
     /// The replica set currently in the refresh fan-out.
@@ -684,7 +675,7 @@ impl Certifier {
         }
         let mut versions: Vec<Version> = self.eager_pending.keys().copied().collect();
         versions.sort_unstable();
-        self.take_globally_committed(versions)
+        self.take_globally_committed(&versions)
     }
 
     /// Prunes conflict-check history at or below `floor`: safe once every
@@ -1412,7 +1403,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn single_partition_decisions_match_one_shard() {
+    fn single_partition_decisions_match_oracle() {
         let mut sharded = Certifier::sharded(replicas(3), 4);
         let mut oracle = Certifier::new(replicas(3));
         let reqs = vec![
@@ -1794,11 +1785,12 @@ mod tests {
             }
             let c = Certifier::open(replicas(2), Some(&dir), shards).unwrap();
             assert_eq!(c.version(), Version(1));
-            assert_eq!(c.n_shards(), shards);
+            assert_eq!(c.partition().n_shards(), shards);
         }
         std::fs::remove_dir_all(&dir).unwrap();
         // Without a directory: in memory, nothing to recover.
         let c = Certifier::open(replicas(2), None, 3).unwrap();
-        assert_eq!((c.n_shards(), c.version()), (3, Version::ZERO));
+        assert_eq!(c.partition().n_shards(), 3);
+        assert_eq!(c.version(), Version::ZERO);
     }
 }

@@ -219,11 +219,5 @@ mod tests {
         let single = p.shards_of(&ws(&[(5, 1), (1, 2), (9, 3)]));
         assert_eq!(single, vec![1], "all tables ≡ 1 (mod 4): one shard");
         assert_eq!(p.shards_of(&WriteSet::new()), vec![0]);
-        // Two transactions naming the same tables in opposite orders visit
-        // the same shards in the same order.
-        assert_eq!(
-            p.shards_of(&ws(&[(1, 1), (2, 2)])),
-            p.shards_of(&ws(&[(2, 2), (1, 1)]))
-        );
     }
 }

@@ -121,9 +121,9 @@ impl ShadowModel {
         self.history = self.log.iter().map(|r| r.writeset.clone()).collect();
         self.v_commit = self.log.len() as u64;
         self.certified.clear();
-        for (i, req) in self.log.clone().iter().enumerate() {
-            if let Some(key) = req.idem {
-                self.remember(key, req.txn, Version(i as u64 + 1));
+        for i in 0..self.log.len() {
+            if let Some(key) = self.log[i].idem {
+                self.remember(key, self.log[i].txn, Version(i as u64 + 1));
             }
         }
     }

@@ -84,8 +84,8 @@ pub struct CertifierServerConfig {
     /// with this process, exactly as in the in-process deployment.
     pub wal_dir: Option<PathBuf>,
     /// Number of certifier shards hosted by this process (the table space
-    /// is partitioned across them; 1 — the default — is the single
-    /// certifier). The wire protocol is unchanged: the server routes each
+    /// is partitioned across them; 1 is the default). The wire protocol
+    /// does not know about shards: the server routes each
     /// `Certify` to the involved shards internally, so clusters and links
     /// need no configuration to talk to a sharded service. Over `FileLog`s
     /// on one disk, more shards cost about 2× per batch (BENCH_shards.json).
