@@ -92,8 +92,10 @@ impl WriteSet {
     ///
     /// Coalescing rules preserve the net effect: `insert` then `update`
     /// stays an `insert` (of the new image); `insert` then `delete` removes
-    /// the entry entirely; `update`/`delete` of a pre-existing row keeps the
-    /// latest op.
+    /// the entry entirely; `delete` then `insert` is an `update` (the row
+    /// existed before the transaction, so a later `delete` must still
+    /// delete it); `update`/`delete` of a pre-existing row keeps the latest
+    /// op.
     pub fn push(&mut self, table: TableId, key: Value, op: WriteOp) {
         if let Some(existing) = self
             .entries
@@ -110,6 +112,11 @@ impl WriteSet {
                     let t = existing.table;
                     let k = existing.key.clone();
                     self.entries.retain(|e| !(e.table == t && e.key == k));
+                }
+                // Row killed and reborn in this txn: it pre-existed, so the
+                // net effect is an update, not a birth a delete could cancel.
+                (WriteOp::Delete, WriteOp::Insert(row)) => {
+                    existing.op = WriteOp::Update(row);
                 }
                 (_, new_op) => existing.op = new_op,
             }
@@ -336,6 +343,20 @@ mod tests {
     fn coalesce_update_then_delete_keeps_delete() {
         let mut ws = WriteSet::new();
         ws.push(t(0), Value::Int(1), WriteOp::Update(vec![Value::Int(1)]));
+        ws.push(t(0), Value::Int(1), WriteOp::Delete);
+        assert_eq!(ws.len(), 1);
+        assert_eq!(ws.entries()[0].op, WriteOp::Delete);
+    }
+
+    #[test]
+    fn coalesce_delete_insert_delete_keeps_delete() {
+        // The row existed before the transaction: deleting it, inserting it
+        // again and deleting that must leave a delete, not an empty
+        // writeset that lets the committed row show through.
+        let mut ws = WriteSet::new();
+        ws.push(t(0), Value::Int(1), WriteOp::Delete);
+        ws.push(t(0), Value::Int(1), WriteOp::Insert(vec![Value::Int(1)]));
+        assert_eq!(ws.entries()[0].op, WriteOp::Update(vec![Value::Int(1)]));
         ws.push(t(0), Value::Int(1), WriteOp::Delete);
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.entries()[0].op, WriteOp::Delete);
