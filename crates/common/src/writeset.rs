@@ -40,6 +40,15 @@ impl WriteOp {
             WriteOp::Delete => "delete",
         }
     }
+
+    /// The row's after-image; `None` for a delete.
+    #[must_use]
+    pub fn row(&self) -> Option<&Row> {
+        match self {
+            WriteOp::Insert(row) | WriteOp::Update(row) => Some(row),
+            WriteOp::Delete => None,
+        }
+    }
 }
 
 /// One modified row inside a writeset.

@@ -320,24 +320,27 @@ impl Proxy {
     /// After an update statement, performs the statement-time early
     /// certification check against pending refresh writesets.
     pub fn execute_statement(&mut self, txn: TxnId, stmt_idx: usize) -> Result<StatementOutcome> {
-        let (handle, template_id, params) = {
-            let a = self.active_txn(txn)?;
-            if a.phase != TxnPhase::Executing {
-                return Err(Error::Protocol(format!(
-                    "execute_statement on non-executing txn {txn}"
-                )));
-            }
-            (a.handle, a.template, a.params.get(stmt_idx).cloned())
-        };
-        let template = self.templates.get(&template_id).expect("checked at start");
+        // Field by field, so the engine can be written to while the
+        // statement and its parameters stay borrowed where they are.
+        let a = self
+            .active
+            .get(&txn)
+            .ok_or_else(|| Error::NoSuchTransaction(format!("{txn}")))?;
+        if a.phase != TxnPhase::Executing {
+            return Err(Error::Protocol(format!(
+                "execute_statement on non-executing txn {txn}"
+            )));
+        }
+        let handle = a.handle;
+        let template = self.templates.get(&a.template).expect("checked at start");
         let stmt = template.statements.get(stmt_idx).ok_or_else(|| {
             Error::Protocol(format!(
-                "template {template_id} has no statement {stmt_idx}"
+                "template {} has no statement {stmt_idx}",
+                a.template
             ))
         })?;
-        let stmt = stmt.clone();
-        let params = params.unwrap_or_default();
-        let result = stmt.execute(&mut self.engine, handle, &params)?;
+        let params = a.params.get(stmt_idx).map_or(&[][..], Vec::as_slice);
+        let result = stmt.execute(&mut self.engine, handle, params)?;
 
         if stmt.is_update() && self.early_certification {
             // Early certification: do my writes-so-far collide with a

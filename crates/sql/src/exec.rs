@@ -6,8 +6,10 @@
 //! extract partial writesets for early certification.
 
 use crate::ast::{AggregateFunc, BinaryOp, Expr, OrderDirection, SelectCols, Statement};
-use bargain_common::{Error, Result, Row, Value};
-use bargain_storage::{Column, Engine, TableSchema, TxnHandle};
+use bargain_common::{Error, Result, Row, TableId, Value};
+use bargain_storage::{Access, Column, Engine, TableSchema, TxnHandle};
+use std::borrow::Cow;
+use std::ops::ControlFlow;
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +107,23 @@ pub fn execute(
         } => {
             let table_id = engine.resolve_table(table)?;
             let schema = engine.catalog().schema(table_id)?.clone();
-            let mut rows = candidate_rows(engine, txn, table_id, &schema, filter, params)?;
+            let limit = limit.map_or(usize::MAX, |n| n as usize);
+            // Unordered, the first `limit` matches are the answer and the
+            // walk stops there; ordered, every match has to be seen.
+            let enough = if order_by.is_some() {
+                usize::MAX
+            } else {
+                limit
+            };
+            let mut rows: Vec<&Row> = Vec::new();
+            for_each_match(engine, txn, table_id, &schema, filter, params, &mut |row| {
+                rows.push(row);
+                if rows.len() < enough {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            })?;
             if let Some((col, dir)) = order_by {
                 let idx = schema.column_index(col)?;
                 rows.sort_by(|a, b| a[idx].cmp(&b[idx]));
@@ -113,11 +131,15 @@ pub fn execute(
                     rows.reverse();
                 }
             }
-            if let Some(n) = limit {
-                rows.truncate(*n as usize);
-            }
+            rows.truncate(limit);
+            // Only what is returned is copied: whole rows, the named
+            // columns, or nothing for a count or an aggregate.
+            let copied = match cols {
+                SelectCols::Star | SelectCols::Columns(_) => rows.len(),
+                SelectCols::CountStar | SelectCols::Aggregate { .. } => 0,
+            };
             let projected = match cols {
-                SelectCols::Star => rows,
+                SelectCols::Star => rows.into_iter().cloned().collect(),
                 SelectCols::CountStar => {
                     vec![vec![Value::Int(rows.len() as i64)]]
                 }
@@ -135,6 +157,7 @@ pub fn execute(
                         .collect()
                 }
             };
+            engine.note_copied(copied);
             Ok(QueryResult::Rows(projected))
         }
         Statement::Insert {
@@ -147,7 +170,7 @@ pub fn execute(
             let mut row: Row = vec![Value::Null; schema.arity()];
             for (col, expr) in columns.iter().zip(values) {
                 let idx = schema.column_index(col)?;
-                row[idx] = eval(expr, None, params)?;
+                row[idx] = eval(expr, None, params)?.into_owned();
             }
             engine.insert(txn, table_id, row)?;
             Ok(QueryResult::Affected(1))
@@ -159,13 +182,13 @@ pub fn execute(
         } => {
             let table_id = engine.resolve_table(table)?;
             let schema = engine.catalog().schema(table_id)?.clone();
-            let matches = candidate_rows(engine, txn, table_id, &schema, filter, params)?;
+            let matches = matching_rows(engine, txn, table_id, &schema, filter, params)?;
             let mut affected = 0;
             for old in matches {
                 let mut new = old.clone();
                 for (col, expr) in sets {
                     let idx = schema.column_index(col)?;
-                    new[idx] = eval(expr, Some((&schema, &old)), params)?;
+                    new[idx] = eval(expr, Some((&schema, &old)), params)?.into_owned();
                 }
                 let key = schema.key_of(&old);
                 engine.update(txn, table_id, &key, new)?;
@@ -176,7 +199,7 @@ pub fn execute(
         Statement::Delete { table, filter } => {
             let table_id = engine.resolve_table(table)?;
             let schema = engine.catalog().schema(table_id)?.clone();
-            let matches = candidate_rows(engine, txn, table_id, &schema, filter, params)?;
+            let matches = matching_rows(engine, txn, table_id, &schema, filter, params)?;
             let mut affected = 0;
             for row in matches {
                 let key = schema.key_of(&row);
@@ -188,63 +211,69 @@ pub fn execute(
     }
 }
 
-/// Rows of `table_id` matching `filter`, using a primary-key point lookup
-/// when the filter pins the key, else a scan.
-fn candidate_rows(
+/// Hands `on_match` each row of `table_id` the transaction sees that
+/// satisfies `filter`, in primary-key order and borrowed from the engine,
+/// until it breaks. The walk is the narrowest the filter allows -- a
+/// primary-key point, a secondary-index range (a superset), else every row
+/// -- and the whole filter is evaluated here, on the borrowed row, whichever
+/// it was.
+fn for_each_match<'e>(
+    engine: &'e mut Engine,
+    txn: TxnHandle,
+    table_id: TableId,
+    schema: &TableSchema,
+    filter: &Option<Expr>,
+    params: &[Value],
+    on_match: &mut dyn FnMut(&'e Row) -> ControlFlow<()>,
+) -> Result<()> {
+    let (key, lo, hi);
+    let mut access = Access::All;
+    if let Some(f) = filter {
+        if let Some(key_expr) = pk_equality(f, &schema.columns[schema.pk].name) {
+            key = eval(key_expr, None, params)?;
+            access = Access::Key(&key);
+        } else {
+            // A conjunct constrains an indexed column to a constant range.
+            for c in index_constraints(f) {
+                let Ok(column) = schema.column_index(&c.column) else {
+                    continue;
+                };
+                if engine.is_indexed(table_id, column)? {
+                    lo = c.lo.map(|e| eval(e, None, params)).transpose()?;
+                    hi = c.hi.map(|e| eval(e, None, params)).transpose()?;
+                    access = Access::Index {
+                        column,
+                        lo: lo.as_deref(),
+                        hi: hi.as_deref(),
+                    };
+                    break;
+                }
+            }
+        }
+    }
+    engine.visit(txn, table_id, access, &mut |_, row| match filter {
+        Some(f) if !matches_filter(f, schema, row, params)? => Ok(ControlFlow::Continue(())),
+        _ => Ok(on_match(row)),
+    })
+}
+
+/// Owned copies of the matching rows, for `UPDATE` and `DELETE`: the engine
+/// is written to next.
+fn matching_rows(
     engine: &mut Engine,
     txn: TxnHandle,
-    table_id: bargain_common::TableId,
+    table_id: TableId,
     schema: &TableSchema,
     filter: &Option<Expr>,
     params: &[Value],
 ) -> Result<Vec<Row>> {
-    let pk_name = &schema.columns[schema.pk].name;
-    if let Some(f) = filter {
-        if let Some(key_expr) = pk_equality(f, pk_name) {
-            let key = eval(key_expr, None, params)?;
-            let row = engine.get(txn, table_id, &key)?;
-            return Ok(row
-                .into_iter()
-                .filter(|r| matches_filter(f, schema, r, params).unwrap_or(false))
-                .collect());
-        }
-        // Secondary-index access path: a conjunct constrains an indexed
-        // column to a constant range. The index yields a superset of
-        // candidates; the full filter is re-applied below.
-        for c in index_constraints(f) {
-            let Ok(col_idx) = schema.column_index(&c.column) else {
-                continue;
-            };
-            if !engine.is_indexed(table_id, col_idx)? {
-                continue;
-            }
-            let lo = c.lo.map(|e| eval(e, None, params)).transpose()?;
-            let hi = c.hi.map(|e| eval(e, None, params)).transpose()?;
-            if let Some(rows) =
-                engine.index_lookup(txn, table_id, col_idx, lo.as_ref(), hi.as_ref())?
-            {
-                let mut out = Vec::new();
-                for (_, row) in rows {
-                    if matches_filter(f, schema, &row, params)? {
-                        out.push(row);
-                    }
-                }
-                return Ok(out);
-            }
-        }
-    }
-    let all = engine.scan(txn, table_id)?;
-    let mut out = Vec::new();
-    for (_, row) in all {
-        let keep = match filter {
-            Some(f) => matches_filter(f, schema, &row, params)?,
-            None => true,
-        };
-        if keep {
-            out.push(row);
-        }
-    }
-    Ok(out)
+    let mut rows = Vec::new();
+    for_each_match(engine, txn, table_id, schema, filter, params, &mut |row| {
+        rows.push(row.clone());
+        ControlFlow::Continue(())
+    })?;
+    engine.note_copied(rows.len());
+    Ok(rows)
 }
 
 /// A per-column range constraint extracted from a filter's AND-conjuncts:
@@ -342,7 +371,7 @@ fn matches_filter(
     row: &[Value],
     params: &[Value],
 ) -> Result<bool> {
-    Ok(truthy(&eval(filter, Some((schema, row)), params)?))
+    Ok(truthy(eval(filter, Some((schema, row)), params)?.as_ref()))
 }
 
 /// SQL truthiness: NULL and 0 are false.
@@ -356,19 +385,22 @@ fn truthy(v: &Value) -> bool {
 }
 
 /// Evaluates an expression. `row` supplies column bindings; `None` forbids
-/// column references (INSERT values, point-lookup keys).
-pub fn eval(expr: &Expr, row: Option<(&TableSchema, &[Value])>, params: &[Value]) -> Result<Value> {
+/// column references (INSERT values, point-lookup keys). A literal, a
+/// parameter or a column is lent as it stands; only an operator's result
+/// is a new value.
+pub fn eval<'a>(
+    expr: &'a Expr,
+    row: Option<(&TableSchema, &'a [Value])>,
+    params: &'a [Value],
+) -> Result<Cow<'a, Value>> {
     match expr {
-        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
         Expr::Param(i) => params
             .get(*i)
-            .cloned()
+            .map(Cow::Borrowed)
             .ok_or_else(|| Error::SqlExecution(format!("missing parameter {i}"))),
         Expr::Column(name) => match row {
-            Some((schema, r)) => {
-                let idx = schema.column_index(name)?;
-                Ok(r[idx].clone())
-            }
+            Some((schema, r)) => Ok(Cow::Borrowed(&r[schema.column_index(name)?])),
             None => Err(Error::SqlExecution(format!(
                 "column reference '{name}' not allowed here"
             ))),
@@ -376,7 +408,7 @@ pub fn eval(expr: &Expr, row: Option<(&TableSchema, &[Value])>, params: &[Value]
         Expr::Binary { op, lhs, rhs } => {
             let a = eval(lhs, row, params)?;
             let b = eval(rhs, row, params)?;
-            apply_binary(*op, &a, &b)
+            apply_binary(*op, &a, &b).map(Cow::Owned)
         }
     }
 }

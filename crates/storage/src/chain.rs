@@ -6,7 +6,7 @@
 //! tombstone version (`data == None`), so "row absent at snapshot S" and
 //! "row deleted at snapshot S" read identically.
 
-use bargain_common::{Row, Version};
+use bargain_common::{Row, Value, Version};
 
 /// One version of a row.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,6 +15,14 @@ pub struct RowVersion {
     pub begin: Version,
     /// Row image; `None` marks a tombstone (the row was deleted at `begin`).
     pub data: Option<Row>,
+}
+
+impl RowVersion {
+    /// The value this version carries in `column`; `None` for a tombstone.
+    #[must_use]
+    pub fn value(&self, column: usize) -> Option<&Value> {
+        self.data.as_ref().map(|row| &row[column])
+    }
 }
 
 /// The version history of one row key, newest first.
@@ -102,31 +110,34 @@ impl VersionChain {
     ///
     /// Returns the number of versions removed.
     pub fn gc(&mut self, horizon: Version) -> usize {
+        self.gc_take(horizon).len()
+    }
+
+    /// [`VersionChain::gc`], handing back the versions it dropped (the
+    /// table takes their index entries out).
+    pub fn gc_take(&mut self, horizon: Version) -> Vec<RowVersion> {
         let keep_from = self
             .versions
             .iter()
             .position(|v| v.begin <= horizon)
             .map(|i| i + 1)
             .unwrap_or(self.versions.len());
-        let removed = self.versions.len() - keep_from;
-        self.versions.truncate(keep_from);
+        let mut dropped = self.versions.split_off(keep_from);
         // If the only remaining version is an old tombstone, the row is gone
         // for every observable snapshot: drop the chain.
         if self.versions.len() == 1
             && self.versions[0].data.is_none()
             && self.versions[0].begin <= horizon
         {
-            self.versions.clear();
-            return removed + 1;
+            dropped.append(&mut self.versions);
         }
-        removed
+        dropped
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bargain_common::Value;
 
     fn row(v: i64) -> Row {
         vec![Value::Int(v)]

@@ -6,8 +6,11 @@
 
 use crate::schema::{Catalog, TableSchema};
 use crate::table::Table;
-use bargain_common::{Error, Result, Row, TableId, Value, Version, WriteOp, WriteSet};
+use bargain_common::{
+    Error, Result, Row, TableId, Value, Version, WriteOp, WriteSet, WriteSetEntry,
+};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Handle to an open transaction. Obtained from [`Engine::begin`]; becomes
 /// invalid after commit or abort.
@@ -30,10 +33,73 @@ pub struct EngineStats {
     pub aborts: u64,
     /// Refresh writesets applied.
     pub refreshes_applied: u64,
-    /// Point reads served.
+    /// Rows examined: handed to a reader by [`Engine::visit`].
     pub reads: u64,
+    /// Row images copied out to a reader.
+    pub copied: u64,
     /// Row writes buffered.
     pub writes: u64,
+}
+
+/// What [`Engine::visit`] walks.
+#[derive(Debug, Clone, Copy)]
+pub enum Access<'a> {
+    /// The row with this primary key.
+    Key(&'a Value),
+    /// Rows whose indexed `column` lies in `[lo, hi]` (inclusive; `None` =
+    /// unbounded), and possibly more: see [`Engine::visit`].
+    Index {
+        /// Position of the indexed column.
+        column: usize,
+        /// Lower bound.
+        lo: Option<&'a Value>,
+        /// Upper bound.
+        hi: Option<&'a Value>,
+    },
+    /// Every row.
+    All,
+}
+
+impl Access<'_> {
+    /// Whether a row the transaction wrote under `key` belongs in the walk.
+    fn admits(&self, key: &Value) -> bool {
+        match self {
+            Access::Key(k) => *k == key,
+            Access::Index { .. } | Access::All => true,
+        }
+    }
+}
+
+/// Merges committed rows with the transaction's own writes, both in key
+/// order: an own write stands in for the committed row of its key.
+fn merge<'e>(
+    committed: impl Iterator<Item = (&'e Value, &'e Row)>,
+    own: Vec<&'e WriteSetEntry>,
+    visit: &mut dyn FnMut(&'e Value, &'e Row) -> Result<ControlFlow<()>>,
+) -> Result<()> {
+    let mut own = own.into_iter().peekable();
+    let mut committed = committed.peekable();
+    loop {
+        let own_next = match (own.peek(), committed.peek()) {
+            (Some(e), Some((k, _))) => e.key <= **k,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return Ok(()),
+        };
+        let (key, row) = if own_next {
+            let e = own.next().expect("peeked");
+            committed.next_if(|(k, _)| **k == e.key);
+            (&e.key, e.op.row())
+        } else {
+            let (k, row) = committed.next().expect("peeked");
+            (k, Some(row))
+        };
+        if let Some(row) = row {
+            if visit(key, row)?.is_break() {
+                return Ok(());
+            }
+        }
+    }
 }
 
 /// The multiversion storage engine one replica hosts.
@@ -306,15 +372,7 @@ impl Engine {
 
     fn apply_writes(&mut self, ws: &WriteSet, version: Version) {
         for e in ws.entries() {
-            let t = &mut self.tables[e.table.index()];
-            match &e.op {
-                WriteOp::Insert(row) | WriteOp::Update(row) => {
-                    t.install(e.key.clone(), Some(row.clone()), version);
-                }
-                WriteOp::Delete => {
-                    t.install(e.key.clone(), None, version);
-                }
-            }
+            self.tables[e.table.index()].install(e.key.clone(), e.op.row().cloned(), version);
         }
     }
 
@@ -339,111 +397,85 @@ impl Engine {
     /// Point read: the transaction's own uncommitted write wins, otherwise
     /// the committed image at the transaction's snapshot.
     pub fn get(&mut self, h: TxnHandle, table: TableId, key: &Value) -> Result<Option<Row>> {
-        self.stats.reads += 1;
-        let state = self.txn(h)?;
-        for e in state.writes.entries() {
-            if e.table == table && &e.key == key {
-                return Ok(match &e.op {
-                    WriteOp::Insert(r) | WriteOp::Update(r) => Some(r.clone()),
-                    WriteOp::Delete => None,
-                });
-            }
-        }
-        self.catalog.schema(table)?;
-        Ok(self.tables[table.index()].get(key, state.snapshot).cloned())
+        let mut found = None;
+        self.visit(h, table, Access::Key(key), &mut |_, row| {
+            found = Some(row.clone());
+            Ok(ControlFlow::Break(()))
+        })?;
+        self.stats.copied += found.is_some() as u64;
+        Ok(found)
     }
 
-    /// Secondary-index lookup: rows visible to the transaction whose
-    /// `column` value lies in `[lo, hi]` (inclusive; `None` = unbounded),
-    /// merged with the transaction's own writes. Returns `Ok(None)` if the
-    /// column has no index (caller falls back to a scan).
+    /// The one read path: hands `visit` the rows of `table` visible to the
+    /// transaction, in primary-key order, restricted as `access` says, until
+    /// it breaks or fails. A row is the committed image at the
+    /// transaction's snapshot unless the transaction wrote the key itself:
+    /// its own insert or update replaces or adds the row, its own delete
+    /// hides it.
     ///
-    /// Candidates are re-validated against the snapshot, and *all* of the
-    /// transaction's own writes to the table are merged in (callers apply
-    /// the full predicate afterwards), so the result is a superset of the
-    /// matching rows — never missing one.
-    pub fn index_lookup(
-        &mut self,
+    /// [`Access::Index`] yields a *superset* of the rows in range: committed
+    /// candidates are re-validated against the snapshot but not against the
+    /// range, and every row the transaction wrote to the table is offered;
+    /// the caller's filter prunes. Rows are lent, not copied, and may be
+    /// kept for as long as the engine stays borrowed; whoever copies one
+    /// says so with [`Engine::note_copied`].
+    pub fn visit<'e>(
+        &'e mut self,
         h: TxnHandle,
         table: TableId,
-        column: usize,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Result<Option<Vec<(Value, Row)>>> {
+        access: Access<'_>,
+        visit: &mut dyn FnMut(&'e Value, &'e Row) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
         self.catalog.schema(table)?;
-        let (snapshot, own_writes) = {
-            let state = self.txn(h)?;
-            let writes: Vec<_> = state
-                .writes
-                .entries()
-                .iter()
-                .filter(|e| e.table == table)
-                .cloned()
-                .collect();
-            (state.snapshot, writes)
-        };
-        let t = &self.tables[table.index()];
-        let Some(candidates) = t.index_candidates(column, lo, hi) else {
-            return Ok(None);
-        };
-        let mut rows: Vec<(Value, Row)> = candidates
-            .into_iter()
-            .filter_map(|k| t.get(&k, snapshot).map(|r| (k, r.clone())))
+        let Engine {
+            tables,
+            txns,
+            stats,
+            ..
+        } = self;
+        let state = txns
+            .get(&h.0)
+            .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))?;
+        let t = &tables[table.index()];
+        let mut own: Vec<&WriteSetEntry> = state
+            .writes
+            .entries()
+            .iter()
+            .filter(|e| e.table == table && access.admits(&e.key))
             .collect();
-        // Overlay the transaction's own writes (superset semantics: add
-        // every own-written row; the caller's filter prunes).
-        for e in own_writes {
-            if let Ok(i) = rows.binary_search_by(|(k, _)| k.cmp(&e.key)) {
-                rows.remove(i);
+        own.sort_by(|a, b| a.key.cmp(&b.key));
+        let snapshot = state.snapshot;
+        let mut visit = |k, row| {
+            stats.reads += 1;
+            visit(k, row)
+        };
+        match access {
+            Access::Key(k) => merge(t.range_at(k, k, snapshot), own, &mut visit),
+            Access::Index { column, lo, hi } => {
+                let candidates = t.index_candidates(column, lo, hi).ok_or_else(|| {
+                    Error::SqlExecution(format!("{}: no index on column {column}", t.schema().name))
+                })?;
+                let visible = candidates.filter_map(|k| Some((k, t.get(k, snapshot)?)));
+                merge(visible, own, &mut visit)
             }
-            match e.op {
-                WriteOp::Insert(r) | WriteOp::Update(r) => {
-                    match rows.binary_search_by(|(k, _)| k.cmp(&e.key)) {
-                        Ok(_) => unreachable!("just removed"),
-                        Err(i) => rows.insert(i, (e.key, r)),
-                    }
-                }
-                WriteOp::Delete => {}
-            }
+            Access::All => merge(t.scan_at(snapshot), own, &mut visit),
         }
-        self.stats.reads += rows.len() as u64;
-        Ok(Some(rows))
+    }
+
+    /// Counts `rows` row images copied out of the engine by a reader.
+    pub fn note_copied(&mut self, rows: usize) {
+        self.stats.copied += rows as u64;
     }
 
     /// Full scan of rows visible to the transaction (committed snapshot
     /// overlaid with the transaction's own writes), in key order.
     pub fn scan(&mut self, h: TxnHandle, table: TableId) -> Result<Vec<(Value, Row)>> {
-        let state = self.txn(h)?;
-        let snapshot = state.snapshot;
-        self.catalog.schema(table)?;
-        let mut rows: Vec<(Value, Row)> = self.tables[table.index()]
-            .scan_at(snapshot)
-            .map(|(k, r)| (k.clone(), r.clone()))
-            .collect();
-        // Overlay uncommitted writes.
-        let writes: Vec<_> = state
-            .writes
-            .entries()
-            .iter()
-            .filter(|e| e.table == table)
-            .cloned()
-            .collect();
-        for e in writes {
-            match e.op {
-                WriteOp::Insert(r) | WriteOp::Update(r) => {
-                    match rows.binary_search_by(|(k, _)| k.cmp(&e.key)) {
-                        Ok(i) => rows[i].1 = r,
-                        Err(i) => rows.insert(i, (e.key, r)),
-                    }
-                }
-                WriteOp::Delete => {
-                    if let Ok(i) = rows.binary_search_by(|(k, _)| k.cmp(&e.key)) {
-                        rows.remove(i);
-                    }
-                }
-            }
-        }
-        self.stats.reads += rows.len() as u64;
+        let mut rows = Vec::new();
+        self.visit(h, table, Access::All, &mut |k, row| {
+            rows.push((k.clone(), row.clone()));
+            Ok(ControlFlow::Continue(()))
+        })?;
+        self.stats.copied += rows.len() as u64;
         Ok(rows)
     }
 

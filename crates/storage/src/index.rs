@@ -49,30 +49,36 @@ impl SecondaryIndex {
     }
 
     /// Primary keys of candidate rows whose indexed value lies in
-    /// `[lo, hi]` (either bound optional). Candidates must be re-validated
+    /// `[lo, hi]` (either bound optional), ascending and without
+    /// duplicates, borrowed from the index. Candidates must be re-validated
     /// against the reader's snapshot.
-    pub fn candidates(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<Value> {
+    pub fn candidates<'a, 'b>(
+        &'a self,
+        lo: Option<&'b Value>,
+        hi: Option<&'b Value>,
+    ) -> impl Iterator<Item = &'a Value> + use<'a, 'b> {
         let lower = match lo {
             Some(v) => Bound::Included((v.clone(), Value::Null)),
             None => Bound::Unbounded,
         };
-        // (hi, +inf): Value::Text is the maximum-ranked type; a key above
-        // any text is unrepresentable, so use an exclusive bound on the
-        // successor column value instead: range to (hi, max) inclusively by
-        // scanning while the column value equals hi.
-        let iter = self.entries.range((lower, Bound::Unbounded));
-        let mut out = Vec::new();
-        for (value, pk) in iter {
-            if let Some(hi) = hi {
-                if value > hi {
-                    break;
-                }
-            }
-            out.push(pk.clone());
+        // `Value::Text` is the maximum-ranked type, so no key sits above
+        // every `(hi, pk)`: scan while the column value is at most `hi`.
+        let mut in_range = Some(
+            self.entries
+                .range((lower, Bound::Unbounded))
+                .take_while(move |(value, _)| hi.is_none_or(|hi| value <= hi))
+                .map(|(_, pk)| pk),
+        );
+        // One value's entries are in key order and distinct already, so an
+        // equality is walked lazily and a reader that stops early pays for
+        // what it took. A true range interleaves the keys of several values.
+        let mut sorted = Vec::new();
+        if lo.is_none() || lo != hi {
+            sorted.extend(in_range.take().into_iter().flatten());
+            sorted.sort_unstable();
+            sorted.dedup();
         }
-        out.sort();
-        out.dedup();
-        out
+        in_range.into_iter().flatten().chain(sorted)
     }
 
     /// Number of entries (including stale ones awaiting GC).
@@ -92,6 +98,12 @@ impl SecondaryIndex {
 mod tests {
     use super::*;
 
+    impl SecondaryIndex {
+        fn pks(&self, lo: Option<&Value>, hi: Option<&Value>) -> Vec<Value> {
+            self.candidates(lo, hi).cloned().collect()
+        }
+    }
+
     fn idx_with(pairs: &[(i64, i64)]) -> SecondaryIndex {
         let mut idx = SecondaryIndex::new(1);
         for (v, pk) in pairs {
@@ -103,18 +115,18 @@ mod tests {
     #[test]
     fn equality_candidates() {
         let idx = idx_with(&[(5, 1), (5, 2), (7, 3), (3, 4)]);
-        let got = idx.candidates(Some(&Value::Int(5)), Some(&Value::Int(5)));
+        let got = idx.pks(Some(&Value::Int(5)), Some(&Value::Int(5)));
         assert_eq!(got, vec![Value::Int(1), Value::Int(2)]);
     }
 
     #[test]
     fn range_candidates() {
         let idx = idx_with(&[(1, 10), (2, 20), (3, 30), (4, 40)]);
-        let got = idx.candidates(Some(&Value::Int(2)), Some(&Value::Int(3)));
+        let got = idx.pks(Some(&Value::Int(2)), Some(&Value::Int(3)));
         assert_eq!(got, vec![Value::Int(20), Value::Int(30)]);
-        let open_lo = idx.candidates(None, Some(&Value::Int(2)));
+        let open_lo = idx.pks(None, Some(&Value::Int(2)));
         assert_eq!(open_lo, vec![Value::Int(10), Value::Int(20)]);
-        let open_hi = idx.candidates(Some(&Value::Int(3)), None);
+        let open_hi = idx.pks(Some(&Value::Int(3)), None);
         assert_eq!(open_hi, vec![Value::Int(30), Value::Int(40)]);
     }
 
@@ -125,7 +137,7 @@ mod tests {
         assert_eq!(idx.len(), 1);
         idx.insert(Value::Int(6), Value::Int(1)); // row changed value: both kept
         assert_eq!(idx.len(), 2);
-        let got = idx.candidates(Some(&Value::Int(5)), Some(&Value::Int(6)));
+        let got = idx.pks(Some(&Value::Int(5)), Some(&Value::Int(6)));
         assert_eq!(got, vec![Value::Int(1)]); // deduped candidate list
     }
 
@@ -134,7 +146,7 @@ mod tests {
         let mut idx = idx_with(&[(5, 1), (5, 2)]);
         idx.remove(&Value::Int(5), &Value::Int(1));
         assert_eq!(
-            idx.candidates(Some(&Value::Int(5)), Some(&Value::Int(5))),
+            idx.pks(Some(&Value::Int(5)), Some(&Value::Int(5))),
             vec![Value::Int(2)]
         );
         assert!(!idx.is_empty());
@@ -145,7 +157,7 @@ mod tests {
         let mut idx = SecondaryIndex::new(0);
         idx.insert(Value::Text("b".into()), Value::Int(1));
         idx.insert(Value::Text("a".into()), Value::Int(2));
-        let got = idx.candidates(
+        let got = idx.pks(
             Some(&Value::Text("a".into())),
             Some(&Value::Text("a".into())),
         );

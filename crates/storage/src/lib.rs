@@ -40,7 +40,7 @@ pub mod snapshot;
 pub mod table;
 
 pub use chain::{RowVersion, VersionChain};
-pub use engine::{Engine, EngineStats, TxnHandle};
+pub use engine::{Access, Engine, EngineStats, TxnHandle};
 pub use index::SecondaryIndex;
 pub use schema::{Catalog, Column, ColumnType, TableSchema};
 pub use snapshot::{Snapshot, SnapshotManifest, TableMeta, DEFAULT_CHUNK_BYTES};

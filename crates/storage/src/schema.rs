@@ -8,6 +8,7 @@
 use bargain_common::{Error, Result, TableId, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -167,7 +168,7 @@ impl TableSchema {
 /// Maps table names to ids and holds every table schema.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    schemas: Vec<TableSchema>,
+    schemas: Vec<Arc<TableSchema>>,
     by_name: HashMap<String, TableId>,
 }
 
@@ -185,7 +186,7 @@ impl Catalog {
         }
         let id = TableId(self.schemas.len() as u32);
         self.by_name.insert(schema.name.clone(), id);
-        self.schemas.push(schema);
+        self.schemas.push(Arc::new(schema));
         Ok(id)
     }
 
@@ -197,8 +198,8 @@ impl Catalog {
             .ok_or_else(|| Error::UnknownTable(name.to_owned()))
     }
 
-    /// Schema of a table by id.
-    pub fn schema(&self, id: TableId) -> Result<&TableSchema> {
+    /// Schema of a table by id; cloning the `Arc` shares it.
+    pub fn schema(&self, id: TableId) -> Result<&Arc<TableSchema>> {
         self.schemas
             .get(id.index())
             .ok_or_else(|| Error::UnknownTable(format!("table id {}", id.0)))
@@ -221,7 +222,7 @@ impl Catalog {
         self.schemas
             .iter()
             .enumerate()
-            .map(|(i, s)| (TableId(i as u32), s))
+            .map(|(i, s)| (TableId(i as u32), &**s))
     }
 }
 

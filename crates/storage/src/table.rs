@@ -1,10 +1,11 @@
 //! A versioned table: primary-key ordered map of version chains.
 
-use crate::chain::VersionChain;
+use crate::chain::{RowVersion, VersionChain};
 use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
 use bargain_common::{Row, Value, Version};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 /// One table's data: every row keyed by primary key, each key holding its
 /// full version chain, plus any secondary indexes. The `BTreeMap` gives
@@ -14,6 +15,10 @@ pub struct Table {
     schema: TableSchema,
     rows: BTreeMap<Value, VersionChain>,
     indexes: Vec<SecondaryIndex>,
+    /// The keys a collection can do anything for: those whose chain holds
+    /// more than one version or ends in a tombstone. A chain of one live
+    /// version -- every key of a freshly loaded table -- is never in it.
+    due: BTreeSet<Value>,
 }
 
 impl Table {
@@ -24,6 +29,7 @@ impl Table {
             schema,
             rows: BTreeMap::new(),
             indexes: Vec::new(),
+            due: BTreeSet::new(),
         }
     }
 
@@ -35,10 +41,8 @@ impl Table {
         }
         let mut idx = SecondaryIndex::new(column);
         for (pk, chain) in &self.rows {
-            for v in chain.versions() {
-                if let Some(row) = &v.data {
-                    idx.insert(row[column].clone(), pk.clone());
-                }
+            for value in chain.versions().filter_map(|v| v.value(column)) {
+                idx.insert(value.clone(), pk.clone());
             }
         }
         self.indexes.push(idx);
@@ -51,16 +55,16 @@ impl Table {
     }
 
     /// Candidate primary keys whose indexed `column` value lies in
-    /// `[lo, hi]`, or `None` if the column is not indexed. Candidates must
-    /// be re-validated at the reader's snapshot (the index spans all
-    /// versions).
+    /// `[lo, hi]`, ascending, or `None` if the column is not indexed.
+    /// Candidates must be re-validated at the reader's snapshot (the index
+    /// spans all versions).
     #[must_use]
-    pub fn index_candidates(
-        &self,
+    pub fn index_candidates<'a, 'b>(
+        &'a self,
         column: usize,
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-    ) -> Option<Vec<Value>> {
+        lo: Option<&'b Value>,
+        hi: Option<&'b Value>,
+    ) -> Option<impl Iterator<Item = &'a Value> + use<'a, 'b>> {
         self.indexes
             .iter()
             .find(|i| i.column == column)
@@ -103,8 +107,14 @@ impl Table {
             }
         }
         match self.rows.get_mut(&key) {
-            Some(chain) => chain.install(version, data),
+            Some(chain) => {
+                chain.install(version, data);
+                self.due.insert(key);
+            }
             None => {
+                if data.is_none() {
+                    self.due.insert(key.clone());
+                }
                 self.rows
                     .insert(key, VersionChain::with_initial(version, data));
             }
@@ -127,7 +137,7 @@ impl Table {
         snapshot: Version,
     ) -> impl Iterator<Item = (&'a Value, &'a Row)> {
         self.rows
-            .range(lo.clone()..=hi.clone())
+            .range::<Value, _>((Bound::Included(lo), Bound::Included(hi)))
             .filter_map(move |(k, c)| c.read_at(snapshot).map(|r| (k, r)))
     }
 
@@ -161,22 +171,32 @@ impl Table {
         self.rows.values().map(|c| c.len()).sum()
     }
 
-    /// Prunes version history unobservable at or after `horizon`; drops
-    /// fully dead keys and rebuilds secondary indexes from the surviving
-    /// versions (dropping stale entries). Returns versions removed.
+    /// Prunes version history unobservable at or after `horizon`, drops
+    /// fully dead keys, and takes out the index entries whose last
+    /// justifying version went. Visits only the keys that can have
+    /// something to drop. Returns versions removed.
     pub fn gc(&mut self, horizon: Version) -> usize {
+        let (rows, indexes) = (&mut self.rows, &mut self.indexes);
         let mut removed = 0;
-        self.rows.retain(|_, chain| {
-            removed += chain.gc(horizon);
-            !chain.is_empty()
-        });
-        if removed > 0 && !self.indexes.is_empty() {
-            let columns: Vec<usize> = self.indexes.iter().map(|i| i.column).collect();
-            self.indexes.clear();
-            for c in columns {
-                self.create_index(c);
+        self.due.retain(|key| {
+            let chain = rows.get_mut(key).expect("a due key has a chain");
+            let dropped = chain.gc_take(horizon);
+            removed += dropped.len();
+            for idx in indexes.iter_mut() {
+                let column = idx.column;
+                for value in dropped.iter().filter_map(|v| v.value(column)) {
+                    let held = |v: &RowVersion| v.value(column) == Some(value);
+                    if !chain.versions().any(held) {
+                        idx.remove(value, key);
+                    }
+                }
             }
-        }
+            if chain.is_empty() {
+                rows.remove(key);
+                return false;
+            }
+            chain.len() > 1 || !chain.live_at_head()
+        });
         removed
     }
 }
@@ -259,6 +279,36 @@ mod tests {
         assert_eq!(removed, 3);
         assert_eq!(t.key_count(), 1);
         assert_eq!(t.get(&Value::Int(1), Version(3)), Some(&row(1, 11)));
+    }
+
+    #[test]
+    fn gc_visits_only_keys_with_something_to_drop() {
+        let mut t = Table::new(schema());
+        t.create_index(1);
+        for i in 1..=3 {
+            t.install(Value::Int(i), Some(row(i, 7)), Version::ZERO);
+        }
+        assert!(t.due.is_empty(), "a fresh load leaves nothing to collect");
+        t.install(Value::Int(1), Some(row(1, 8)), Version(1));
+        t.install(Value::Int(2), None, Version(2));
+        t.install(Value::Int(9), None, Version(2)); // a tombstone with no past
+        assert_eq!(t.due.len(), 3);
+
+        // Horizon 1: key 1's old version goes, with its index entry; key 2
+        // still shows its row to snapshot 1, key 9's tombstone is too new.
+        assert_eq!(t.gc(Version(1)), 1);
+        assert_eq!(t.due.len(), 2);
+        let under_7 = |t: &Table| -> Vec<Value> {
+            let seven = Value::Int(7);
+            let pks = t.index_candidates(1, Some(&seven), Some(&seven)).unwrap();
+            pks.cloned().collect()
+        };
+        assert_eq!(under_7(&t), vec![Value::Int(2), Value::Int(3)]);
+
+        assert_eq!(t.gc(Version(2)), 3);
+        assert!(t.due.is_empty());
+        assert_eq!(under_7(&t), vec![Value::Int(3)]);
+        assert_eq!((t.key_count(), t.version_count()), (2, 2));
     }
 
     #[test]
