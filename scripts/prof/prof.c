@@ -1,6 +1,7 @@
 /* A sampling profiler for a box without perf, strace or gdb: preload it,
- * and every millisecond of process CPU time the thread that is running
- * records its name and its call stack. See README.md. */
+ * and every millisecond of process CPU time (every kernel tick, where that
+ * is longer) the thread that is running records its name and its call
+ * stack. See README.md. */
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <signal.h>
