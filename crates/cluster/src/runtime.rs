@@ -51,9 +51,8 @@ pub struct ClusterConfig {
     /// The consistency configuration.
     pub mode: ConsistencyMode,
     /// When set, the certifier's commit log lives inside this directory
-    /// (laid out by `bargain_core::Certifier::open`: `certifier.wal` for
-    /// one shard, `shard-i/certifier.wal` for several) and survives
-    /// shutdown. On start the log is replayed:
+    /// (`certifier.wal`, laid out by `bargain_core::Certifier::open`) and
+    /// survives shutdown. On start the log is replayed:
     /// the certifier recovers its version counter and conflict history, and
     /// every replica engine fast-forwards through the certified writesets
     /// before serving. This is the paper's durability story — replicas run
@@ -61,10 +60,14 @@ pub struct ClusterConfig {
     /// history — so restarting with the same `wal_dir` (and the same
     /// `setup`) resumes exactly where the last run committed.
     pub wal_dir: Option<std::path::PathBuf>,
-    /// Number of certifier shards (the table space is partitioned across
-    /// them; see `bargain_core::PartitionMap`). `1` is the default. Over
-    /// `FileLog`s on one disk, more shards cost about 2× per batch
-    /// (BENCH_shards.json).
+    /// **Inert: read by nothing.** It partitioned the certifier's index
+    /// and log by table, which saved 0.1 µs per transaction in memory and
+    /// cost 1.4–3.3× over `FileLog`s, and was deleted (EXPERIMENTS.md, "One
+    /// log"); every count decided identically, so ignoring it changes no
+    /// decision. The field stays only because `e2e/src/deploy.rs`, a
+    /// benchmark file this workspace may not edit, names it; ROADMAP item 3
+    /// lists it for deletion by the next change allowed to edit that file.
+    #[doc(hidden)]
     pub shards: usize,
     /// **Inert: read by nothing.** It selected a worker-thread execution
     /// mode of the certifier that measured slower than this one in every
@@ -391,12 +394,8 @@ impl Cluster {
                 (Backend::Remote(link), history)
             }
             None => {
-                let mut certifier = Certifier::open(
-                    replica_ids.clone(),
-                    config.wal_dir.as_deref(),
-                    config.shards,
-                )
-                .expect("certifier log opens and replays");
+                let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
+                    .expect("certifier log opens and replays");
                 certifier.set_eager(config.mode == ConsistencyMode::Eager);
                 let history = certifier
                     .certified_since(Version::ZERO)
@@ -1009,8 +1008,8 @@ impl Replica {
 
 fn certifier_main(mut certifier: Certifier, rx: Receiver<CertifierRequest>, replicas: ReplicaTxs) {
     // Group commit: every certify request sitting in the channel when the
-    // thread comes around is certified as one batch, flushed to the shard
-    // WALs with one fsync per dirty shard. Under load the batch grows with
+    // thread comes around is certified as one batch, flushed to the WAL
+    // with one fsync. Under load the batch grows with
     // the arrival rate (the classic group commit adaptivity); an idle
     // certifier still serves single requests with single-append latency.
     // A batch is certified, made durable and announced in one step, in

@@ -92,99 +92,6 @@ fn restart_recovers_every_acked_commit_from_the_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn start_sharded(dir: &std::path::Path, shards: usize) -> Cluster {
-    Cluster::start_with_setup(
-        ClusterConfig {
-            replicas: 3,
-            mode: ConsistencyMode::LazyFine,
-            wal_dir: Some(dir.to_path_buf()),
-            shards,
-            ..ClusterConfig::default()
-        },
-        |e| {
-            for t in 0..3 {
-                bargain_sql::execute_ddl(
-                    e,
-                    &bargain_sql::parse(&format!(
-                        "CREATE TABLE kv{t} (k INT PRIMARY KEY, v INT NOT NULL)"
-                    ))?,
-                )?;
-            }
-            Ok(())
-        },
-    )
-}
-
-#[test]
-fn sharded_restart_recovers_across_shard_wals() {
-    // With N=3 shards each of the three tables lives on its own shard:
-    // single-partition commits land in one shard WAL, the cross-partition
-    // transfer transaction in two. A full restart must merge the per-shard
-    // logs back into one dense history.
-    let dir = wal_dir("sharded-restart");
-    {
-        let cluster = start_sharded(&dir, 3);
-        let mut s = cluster.connect();
-        for t in 0..3i64 {
-            for k in 0..4i64 {
-                s.run_sql(&[(
-                    &format!("INSERT INTO kv{t} (k, v) VALUES (?, ?)"),
-                    vec![Value::Int(k), Value::Int(t * 10 + k)],
-                )])
-                .unwrap();
-            }
-        }
-        // Cross-partition: one transaction spanning kv0 (shard 0) and kv2
-        // (shard 2).
-        s.run_sql(&[
-            (
-                "UPDATE kv0 SET v = ? WHERE k = ?",
-                vec![Value::Int(-1), Value::Int(0)],
-            ),
-            (
-                "UPDATE kv2 SET v = ? WHERE k = ?",
-                vec![Value::Int(-2), Value::Int(0)],
-            ),
-        ])
-        .unwrap();
-        cluster.shutdown();
-    }
-    // Each shard owns its own WAL directory.
-    for i in 0..3 {
-        assert!(
-            dir.join(format!("shard-{i}"))
-                .join("certifier.wal")
-                .exists(),
-            "shard {i} wrote its own wal"
-        );
-    }
-
-    let cluster = start_sharded(&dir, 3);
-    let mut s = cluster.connect();
-    let (_, results) = s
-        .run_sql(&[
-            ("SELECT v FROM kv0 WHERE k = ?", vec![Value::Int(0)]),
-            ("SELECT v FROM kv2 WHERE k = ?", vec![Value::Int(0)]),
-            ("SELECT COUNT(*) FROM kv1", vec![]),
-        ])
-        .unwrap();
-    assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(-1));
-    assert_eq!(results[1].rows().unwrap()[0][0], Value::Int(-2));
-    assert_eq!(results[2].rows().unwrap()[0][0], Value::Int(4));
-
-    // The recovered sequencer continues the dense global order: 12 inserts
-    // + 1 cross-partition update so far, so the next commit is 14.
-    let (outcome, _) = s
-        .run_sql(&[(
-            "UPDATE kv1 SET v = ? WHERE k = ?",
-            vec![Value::Int(99), Value::Int(1)],
-        )])
-        .unwrap();
-    assert_eq!(outcome.commit_version.unwrap().0, 14);
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 #[should_panic(expected = "recreate the schema")]
 fn restart_without_schema_refuses_with_actionable_message() {

@@ -13,6 +13,7 @@
 //! version counters.
 
 pub mod config;
+pub mod crc;
 pub mod error;
 pub mod ids;
 pub mod tableset;
@@ -20,6 +21,7 @@ pub mod value;
 pub mod writeset;
 
 pub use config::ConsistencyMode;
+pub use crc::crc32;
 pub use error::{Error, Result};
 pub use ids::{ClientId, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId, Version};
 pub use tableset::TableSet;

@@ -16,63 +16,43 @@
 //! set of replica commits and reports *global commit* once every replica
 //! has applied the transaction.
 //!
-//! # One sequencer over N shards
+//! # One index over one log
 //!
-//! There is one implementation, [`Certifier`], for every shard count. What
-//! must be decided in one total order is the **sequencer's**: the
-//! `V_commit` counter, the history floor, the replica membership, the eager
-//! accounting, the counters, and the per-client dedup windows. What
-//! partitions by table is a **shard's** ([`crate::shard`]): the row-version
-//! index, the retained commits, a commit log and the group-commit buffer in
-//! front of it. `N = 1` — what [`Certifier::new`] builds and every default
-//! deploys — is the same code with one shard.
-//!
-//! A transaction *involves* the shards owning the tables its writeset
-//! touches ([`PartitionMap`]). Certification visits them in ascending
-//! partition id: each reports the newest commit above the snapshot that
-//! wrote one of the rows it owns (O(|writeset|) index probes, independent
-//! of history depth); if none did, the sequencer assigns the next commit
-//! version and every involved shard installs the commit. Because the shard
-//! indexes partition one global index by table, the decisions do not
-//! depend on N: `tests/proptest_certifier.rs` holds N ∈ {1, 2, 4, 8} to one
-//! naive model, and [`Certifier::conflict_linear`] — the pre-index linear
-//! scan — is `debug_assert`ed against the indexed answer on every
-//! certification.
+//! [`Certifier`] is a sequencer (the `V_commit` counter, the history floor,
+//! the replica membership, the eager accounting, the counters, the
+//! per-client dedup windows) over one row-version index, one ring of
+//! retained commits, one commit log and the group-commit buffer in front of
+//! it. Certification asks the index for the newest commit above the
+//! snapshot that wrote one of the writeset's rows (O(|writeset|) probes,
+//! independent of history depth); if none did, the next commit version is
+//! assigned and the commit installed. [`Certifier::conflict_linear`] — the
+//! pre-index linear scan — is `debug_assert`ed against the indexed answer
+//! on every certification, and `tests/proptest_certifier.rs` holds the
+//! whole type to a naive model.
 //!
 //! The committed writeset sits behind an [`Arc`] shared by the history, the
 //! [`LogRecord`] and every [`Refresh`], so a commit never deep-copies it.
 //!
 //! # Durability and recovery
 //!
-//! Every involved shard logs the **full** record of a commit, and
-//! [`Certifier::certify_batch`] returns no decision before every involved
-//! shard's buffered records are flushed (group commit: one durability
-//! point per dirty shard per batch). Recovery merges the shard logs by
-//! commit version, drops the cross-partition duplicates, and keeps the
-//! longest *dense* prefix:
-//!
-//! - an **announced** commit was flushed at every involved shard, so at
-//!   least one copy survives any single shard's torn tail and the prefix
-//!   rule always retains it;
-//! - a record beyond the first version gap belongs to a batch that crashed
-//!   mid-flush and was never announced, so dropping it is safe. Dropped
-//!   records are physically truncated from their logs
-//!   ([`CommitLog::rewrite`]) so their stale bytes cannot collide with a
-//!   later reassignment of the same commit version.
+//! [`Certifier::certify_batch`] returns no decision before the batch's
+//! buffered records are flushed (group commit: one durability point per
+//! batch). Recovery replays the log and reinstalls its records in order. A
+//! crash can tear the log's last record — [`FileLog::open`] cuts the torn
+//! bytes off, the decision was never announced — but an append-only log
+//! cannot lose a record from its middle, so a replay whose versions are not
+//! dense from 1 is refused as corruption, not truncated.
 //!
 //! # Exactly-once
 //!
-//! The dedup windows are keyed by client, not by table, so they are the
-//! sequencer's: one window per client whatever the shard count, rebuilt
-//! from the merged log in commit order at recovery. (Per-shard windows
-//! would remember up to [`DEDUP_WINDOW`] × N keys per client — a verdict
-//! that depends on N.)
+//! One dedup window per client, rebuilt from the log in commit order at
+//! recovery, so a replay after a certifier restart is answered with the
+//! original outcome.
 
 use crate::messages::{CertifyDecision, CertifyRequest, Refresh};
-use crate::shard::{PartitionMap, Shard, ShardingStats};
 use crate::wal::{CommitLog, FileLog, LogRecord, MemoryLog};
-use bargain_common::{Error, ReplicaId, Result, TxnId, Version, WriteSet};
-use std::collections::{BTreeMap, HashMap};
+use bargain_common::{Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteSet};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -173,21 +153,24 @@ struct EagerState {
     applied: Vec<ReplicaId>,
 }
 
-/// The certifier state machine: the sequencer over its shards (see the
-/// module docs for who owns what). One logical instance per cluster (the
-/// paper notes it is lightweight and deterministic, hence replicable with
-/// the state-machine approach for availability; we model the single
-/// logical instance).
+/// The certifier state machine (see the module docs). One logical instance
+/// per cluster (the paper notes it is lightweight and deterministic, hence
+/// replicable with the state-machine approach for availability; we model
+/// the single logical instance).
 pub struct Certifier {
-    partition: PartitionMap,
-    shards: Vec<Shard>,
     replicas: Vec<ReplicaId>,
-    /// The single commit-version counter, which keeps the commit order
-    /// total across shards.
+    /// The single commit-version counter: the total commit order.
     v_commit: Version,
-    /// Commits at or below this version have been pruned from every shard;
-    /// the retained history is dense between it and `v_commit`.
+    /// Commits at or below this version have been pruned; `history` is
+    /// dense between it and `v_commit`.
     history_floor: Version,
+    /// Row → the retained commit that last wrote it.
+    row_index: HashMap<TableId, HashMap<Value, Version>>,
+    /// The retained commits, oldest first.
+    history: VecDeque<LogRecord>,
+    log: Box<dyn CommitLog>,
+    /// Commits buffered since the last group-commit flush.
+    unflushed: Vec<LogRecord>,
     /// Exactly-once retry windows, per client nonce. Rebuilt from the log
     /// by [`Certifier::recover`], so deduplication survives restarts.
     dedup: HashMap<u64, ClientWindow>,
@@ -195,88 +178,62 @@ pub struct Certifier {
     eager_pending: HashMap<Version, EagerState>,
     eager_enabled: bool,
     stats: CertifierStats,
-    sharding: ShardingStats,
 }
 
 impl Certifier {
-    /// A single-shard certifier for `replicas` with an in-memory log.
+    /// A certifier for `replicas` with an in-memory log.
     #[must_use]
     pub fn new(replicas: Vec<ReplicaId>) -> Self {
-        Self::sharded(replicas, 1)
+        Self::with_log(replicas, Box::new(MemoryLog::new()))
     }
 
-    /// A single-shard certifier with a caller-provided durable log.
+    /// A certifier with a caller-provided durable log.
     #[must_use]
     pub fn with_log(replicas: Vec<ReplicaId>, log: Box<dyn CommitLog>) -> Self {
-        Self::with_logs(replicas, vec![log])
-    }
-
-    /// An `n_shards`-shard certifier with in-memory logs.
-    #[must_use]
-    pub fn sharded(replicas: Vec<ReplicaId>, n_shards: usize) -> Self {
-        let logs = (0..n_shards)
-            .map(|_| Box::new(MemoryLog::new()) as Box<dyn CommitLog>)
-            .collect();
-        Self::with_logs(replicas, logs)
-    }
-
-    /// A certifier over caller-provided durable logs, one per shard
-    /// (`logs.len()` is the shard count).
-    #[must_use]
-    pub fn with_logs(replicas: Vec<ReplicaId>, logs: Vec<Box<dyn CommitLog>>) -> Self {
-        let partition = PartitionMap::new(logs.len());
-        let sharding = ShardingStats {
-            per_shard_records: vec![0; logs.len()],
-            ..ShardingStats::default()
-        };
-        let shards = logs
-            .into_iter()
-            .enumerate()
-            .map(|(me, log)| Shard::new(me, partition, log))
-            .collect();
         Certifier {
-            partition,
-            shards,
             replicas,
             v_commit: Version::ZERO,
             history_floor: Version::ZERO,
+            row_index: HashMap::new(),
+            history: VecDeque::new(),
+            log,
+            unflushed: Vec::new(),
             dedup: HashMap::new(),
             eager_pending: HashMap::new(),
             eager_enabled: false,
             stats: CertifierStats::default(),
-            sharding,
         }
     }
 
     /// The certifier a host deploys: in memory without a `wal_dir`; with
-    /// one, over [`FileLog`]s inside it, recovered from whatever they hold.
+    /// one, over the [`FileLog`] `certifier.wal` inside it, recovered from
+    /// whatever it holds.
     ///
-    /// The layout rule lives here and nowhere else: a single shard logs to
-    /// the flat `certifier.wal` (so directories written before sharding
-    /// existed restart unchanged), shard `i` of several to
-    /// `shard-{i}/certifier.wal`.
-    pub fn open(replicas: Vec<ReplicaId>, wal_dir: Option<&Path>, shards: usize) -> Result<Self> {
+    /// A directory holding `shard-*` entries was written by a build that
+    /// partitioned the log (`shards` > 1): its commits are not in
+    /// `certifier.wal`, so it is refused rather than started empty beside
+    /// them.
+    pub fn open(replicas: Vec<ReplicaId>, wal_dir: Option<&Path>) -> Result<Self> {
         let Some(dir) = wal_dir else {
-            return Ok(Self::sharded(replicas, shards));
+            return Ok(Self::new(replicas));
         };
-        let mut logs: Vec<Box<dyn CommitLog>> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let shard_dir = match shards {
-                1 => dir.to_path_buf(),
-                _ => dir.join(format!("shard-{i}")),
-            };
-            std::fs::create_dir_all(&shard_dir)?;
-            logs.push(Box::new(FileLog::open(&shard_dir.join("certifier.wal"))?));
+        std::fs::create_dir_all(dir)?;
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            if name.to_string_lossy().starts_with("shard-") {
+                return Err(Error::Io(format!(
+                    "certifier WAL directory {} holds {}: it was written with more than one \
+                     certifier shard, which this build cannot read; restart it with the build \
+                     that wrote it, or point wal_dir at a new directory",
+                    dir.display(),
+                    name.to_string_lossy()
+                )));
+            }
         }
-        let mut certifier = Self::with_logs(replicas, logs);
+        let log = FileLog::open(&dir.join("certifier.wal"))?;
+        let mut certifier = Self::with_log(replicas, Box::new(log));
         certifier.recover()?;
         Ok(certifier)
-    }
-
-    /// The table → shard assignment in force.
-    #[must_use]
-    pub fn partition(&self) -> &PartitionMap {
-        &self.partition
     }
 
     /// Enables or disables eager-mode global-commit tracking
@@ -288,9 +245,7 @@ impl Certifier {
         self.eager_enabled = enabled;
         self.eager_pending.clear();
         if enabled {
-            // A cross-partition commit is retained at several shards; its
-            // copies insert the same entry.
-            for rec in self.shards.iter().flat_map(|s| &s.history) {
+            for rec in &self.history {
                 self.eager_pending.insert(
                     rec.commit_version,
                     EagerState {
@@ -315,12 +270,6 @@ impl Certifier {
         self.stats
     }
 
-    /// The sharding-specific counters.
-    #[must_use]
-    pub fn sharding_stats(&self) -> &ShardingStats {
-        &self.sharding
-    }
-
     /// Number of commit versions retained for conflict checking (the
     /// history is dense between the prune floor and `V_commit`).
     #[must_use]
@@ -340,15 +289,14 @@ impl Certifier {
     }
 
     /// Certifies a batch of update transactions in order, with one
-    /// durability point per involved shard for the whole batch (group
-    /// commit).
+    /// durability point for the whole batch (group commit).
     ///
     /// Requests are certified sequentially against the certifier's state —
     /// a later request in the batch sees the commits of earlier ones, so the
-    /// decisions are identical to certifying the requests one by one. Every
-    /// dirty shard's buffered records are then flushed *before* any decision
-    /// is returned, preserving the rule that a decision is durable at all
-    /// its involved shards before it is announced.
+    /// decisions are identical to certifying the requests one by one. The
+    /// buffered records are then flushed *before* any decision is returned,
+    /// preserving the rule that a decision is durable before it is
+    /// announced.
     ///
     /// If a request fails validation mid-batch, the records buffered so far
     /// are flushed before the error is returned, so no already-made commit
@@ -376,9 +324,8 @@ impl Certifier {
     }
 
     /// Certifies one request against in-memory state: validate, dedup, probe
-    /// the involved shards, then sequence and apply. The commit's log
-    /// records wait in the shards' buffers (durability happens at batch
-    /// end).
+    /// the index, then sequence and install. The commit's log record waits
+    /// in the group-commit buffer (durability happens at batch end).
     fn certify_one(&mut self, req: CertifyRequest) -> Result<(CertifyDecision, Vec<Refresh>)> {
         // The snapshot must be a state the certifier has produced.
         if req.snapshot > self.v_commit {
@@ -432,18 +379,14 @@ impl Certifier {
                 DedupVerdict::Fresh => {}
             }
         }
-        // Phase 1 — certify-prepare at every involved shard, in ascending
-        // partition id. Each shard probes only the rows it owns; the newest
-        // conflict across shards is exactly one global index's answer.
-        let involved = self.partition.shards_of(&req.writeset);
-        if involved.len() == 1 {
-            self.sharding.single_partition += 1;
-        } else {
-            self.sharding.cross_partition += 1;
-        }
-        let conflict = involved
+        // The newest retained commit above the snapshot that wrote one of
+        // the writeset's rows.
+        let conflict = req
+            .writeset
+            .entries()
             .iter()
-            .filter_map(|&s| self.shards[s].prepare(req.snapshot, &req.writeset))
+            .filter_map(|e| self.row_index.get(&e.table)?.get(&e.key).copied())
+            .filter(|&last_writer| last_writer > req.snapshot)
             .max();
         debug_assert_eq!(
             conflict,
@@ -460,10 +403,8 @@ impl Certifier {
                 Vec::new(),
             ));
         }
-        // Phase 2 — the sequencer assigns the commit version, then every
-        // involved shard applies (same ascending order). Each logs the full
-        // record: any surviving copy reconstructs the commit at recovery.
-        // The writeset is shared by log records, histories and refreshes.
+        // The writeset is shared by the log record, the history and the
+        // refreshes.
         let commit_version = self.v_commit.next();
         let writeset = Arc::new(req.writeset);
         let record = LogRecord {
@@ -473,17 +414,8 @@ impl Certifier {
             idem: req.idem,
             writeset: Arc::clone(&writeset),
         };
-        for &s in &involved {
-            self.shards[s].apply(&record, true);
-            self.sharding.per_shard_records[s] += 1;
-        }
-        self.v_commit = commit_version;
-        if let Some(key) = req.idem {
-            self.dedup
-                .entry(key.client)
-                .or_default()
-                .record(key.seq, req.txn, commit_version);
-        }
+        self.install(&record);
+        self.unflushed.push(record);
         if self.eager_enabled {
             self.eager_pending.insert(
                 commit_version,
@@ -514,50 +446,49 @@ impl Certifier {
         ))
     }
 
-    /// Flushes every shard's group-commit buffer. When more than one dirty
-    /// shard has a log that blocks on real I/O, the flushes run in parallel
-    /// (one scoped thread per dirty shard, joined before this returns); for
-    /// cheap logs the spawn would dwarf the flush, so they flush inline.
-    fn flush(&mut self) -> Result<()> {
-        let dirty = self.shards.iter().filter(|s| s.dirty()).count();
-        let overlap = dirty > 1
-            && self
-                .shards
-                .iter()
-                .any(|s| s.dirty() && s.log.blocking_flush());
-        if !overlap {
-            return self
-                .shards
-                .iter_mut()
-                .filter(|s| s.dirty())
-                .try_for_each(Shard::flush);
+    /// Installs a commit in memory: indexes its rows, retains the record,
+    /// advances `V_commit` and remembers its idempotency key. Certification
+    /// and recovery both go through here, so a replayed log rebuilds exactly
+    /// the state that wrote it — each client's window evicts in the order
+    /// it did live.
+    fn install(&mut self, record: &LogRecord) {
+        for row in record.writeset.entries() {
+            self.row_index
+                .entry(row.table)
+                .or_default()
+                .insert(row.key.clone(), record.commit_version);
         }
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .filter(|s| s.dirty())
-                .map(|shard| scope.spawn(move || shard.flush()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        results.into_iter().collect()
+        self.history.push_back(record.clone());
+        self.v_commit = record.commit_version;
+        if let Some(key) = record.idem {
+            self.dedup.entry(key.client).or_default().record(
+                key.seq,
+                record.txn,
+                record.commit_version,
+            );
+        }
     }
 
-    /// Reference oracle: the pre-index linear scan, newest-first, over every
-    /// shard's retained history (a cross-partition entry is scanned once per
-    /// involved shard, which cannot change the newest-conflict answer).
-    /// Returns the newest conflicting committed version above `snapshot`,
-    /// identically to the indexed path (which is `debug_assert`ed against
-    /// this on every certification). Kept public for differential testing.
+    /// Group commit: appends the buffered records with one durability
+    /// point.
+    fn flush(&mut self) -> Result<()> {
+        let records = std::mem::take(&mut self.unflushed);
+        self.log.append_batch(&records)
+    }
+
+    /// Reference oracle: the pre-index linear scan, newest-first, over the
+    /// retained history. Returns the newest conflicting committed version
+    /// above `snapshot`, identically to the indexed path (which is
+    /// `debug_assert`ed against this on every certification). Kept public
+    /// for differential testing.
     #[must_use]
     pub fn conflict_linear(&self, snapshot: Version, writeset: &WriteSet) -> Option<Version> {
-        self.shards.iter().fold(None, |newest, shard| {
-            shard.scan(newest.unwrap_or(snapshot), writeset).or(newest)
-        })
+        self.history
+            .iter()
+            .rev()
+            .take_while(|rec| rec.commit_version > snapshot)
+            .find(|rec| rec.writeset.conflicts_with(writeset))
+            .map(|rec| rec.commit_version)
     }
 
     /// The replicas a given refresh fan-out targets, in replica order
@@ -680,8 +611,9 @@ impl Certifier {
 
     /// Prunes conflict-check history at or below `floor`: safe once every
     /// replica's `V_local` — and hence every possible snapshot — is at
-    /// least `floor`. The floor is global: every shard drops its retained
-    /// entries up to the same version, so snapshot admission stays uniform.
+    /// least `floor`. The row index stays exact: a row is evicted only
+    /// while the pruned entry is still its last writer (a newer retained
+    /// entry that rewrote the row keeps its newer version in the index).
     pub fn prune(&mut self, floor: Version) {
         let new_floor = floor.min(self.v_commit);
         if new_floor <= self.history_floor {
@@ -689,20 +621,31 @@ impl Certifier {
         }
         self.stats.pruned += new_floor.gap_from(self.history_floor);
         self.history_floor = new_floor;
-        for shard in &mut self.shards {
-            shard.prune_below(new_floor);
+        while self
+            .history
+            .front()
+            .is_some_and(|e| e.commit_version <= new_floor)
+        {
+            let entry = self.history.pop_front().expect("front checked");
+            for row in entry.writeset.entries() {
+                if let Some(rows) = self.row_index.get_mut(&row.table) {
+                    if rows.get(&row.key) == Some(&entry.commit_version) {
+                        rows.remove(&row.key);
+                    }
+                }
+            }
         }
+        self.row_index.retain(|_, rows| !rows.is_empty());
     }
 
-    /// Rebuilds certifier state from its durable logs (crash recovery).
-    /// Returns the number of records recovered.
+    /// Rebuilds certifier state from its durable log (crash recovery):
+    /// replays it and reinstalls every record in order. Returns the number
+    /// of records recovered.
     ///
-    /// The shard logs are merged by commit version (cross-partition copies
-    /// deduplicated) and the longest dense prefix is kept — see the module
-    /// docs for why that retains every announced decision and drops only
-    /// never-announced ones. If the merge found records beyond a gap, the
-    /// affected shard logs are truncated ([`CommitLog::rewrite`]) so the
-    /// dropped versions can be reassigned safely.
+    /// A crash can only shorten an append-only log, so the replayed commit
+    /// versions are dense from 1; a replay that is not is refused as
+    /// corruption rather than cut at the gap, which would silently drop
+    /// announced commits.
     ///
     /// In the eager configuration the global-commit accounting is rebuilt
     /// conservatively: every logged commit becomes pending again with zero
@@ -711,94 +654,60 @@ impl Certifier {
     /// tolerate the resulting re-notifications for transactions whose
     /// global commit was already delivered before the crash.
     pub fn recover(&mut self) -> Result<usize> {
-        let mut replayed_len: Vec<usize> = Vec::with_capacity(self.shards.len());
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        for shard in &mut self.shards {
-            let records = shard.log.replay()?;
-            replayed_len.push(records.len());
-            for rec in records {
-                by_version.entry(rec.commit_version).or_insert(rec);
+        let records = self.log.replay()?;
+        for (rec, expected) in records.iter().zip(1u64..) {
+            if rec.commit_version != Version(expected) {
+                return Err(Error::Codec(format!(
+                    "certifier log is not dense: record {expected} carries commit version {}",
+                    rec.commit_version
+                )));
             }
         }
-        self.shards.iter_mut().for_each(Shard::reset);
+        self.row_index.clear();
+        self.history.clear();
+        self.unflushed.clear();
         self.v_commit = Version::ZERO;
         self.history_floor = Version::ZERO;
         self.dedup.clear();
-        // Reinstall the dense prefix from version 1. Replayed in commit
-        // order, each client's window evicts in the order it did live —
-        // exactly the pre-crash dedup state.
-        while let Some(rec) = by_version.remove(&self.v_commit.next()) {
-            for s in self.partition.shards_of(&rec.writeset) {
-                self.shards[s].apply(&rec, false);
-            }
-            if let Some(key) = rec.idem {
-                self.dedup.entry(key.client).or_default().record(
-                    key.seq,
-                    rec.txn,
-                    rec.commit_version,
-                );
-            }
-            self.v_commit = rec.commit_version;
+        for rec in &records {
+            self.install(rec);
         }
         self.set_eager(self.eager_enabled);
-        if !by_version.is_empty() {
-            // Per shard, the retained records are a prefix of what its log
-            // replayed (only the newest versions are ever dropped), so a
-            // length mismatch identifies exactly the logs needing
-            // truncation.
-            for (shard, replayed) in self.shards.iter_mut().zip(replayed_len) {
-                if shard.history.len() != replayed {
-                    let keep: Vec<LogRecord> = shard.history.iter().cloned().collect();
-                    shard.log.rewrite(&keep)?;
-                }
-            }
-        }
         Ok(self.history_len())
     }
 
     /// Every logged commit decision with a version strictly above `after`,
-    /// in version order, merged across shards. A recovering replica whose
-    /// engine survived at `V_local` calls this to fetch exactly the
-    /// certified writesets it missed; a replica recovering from scratch
-    /// passes [`Version::ZERO`].
+    /// in version order. A recovering replica whose engine survived at
+    /// `V_local` calls this to fetch exactly the certified writesets it
+    /// missed; a replica recovering from scratch passes [`Version::ZERO`].
     ///
     /// When the requested suffix is still within the retained history
     /// (`after >= history_floor`, the common fast-recovery case) it is
     /// served straight from memory — cheap `Arc` clones, no log I/O. Only a
-    /// deep recovery reaching below the pruned floor replays the logs.
+    /// deep recovery reaching below the pruned floor replays the log.
     pub fn certified_since(&mut self, after: Version) -> Result<Vec<LogRecord>> {
-        let mut by_version: BTreeMap<Version, LogRecord> = BTreeMap::new();
-        for shard in &mut self.shards {
-            if after >= self.history_floor {
-                let retained = shard.history.iter().rev();
-                for rec in retained.take_while(|rec| rec.commit_version > after) {
-                    by_version
-                        .entry(rec.commit_version)
-                        .or_insert_with(|| rec.clone());
-                }
-            } else {
-                for rec in shard.log.replay()? {
-                    if rec.commit_version > after {
-                        by_version.entry(rec.commit_version).or_insert(rec);
-                    }
-                }
-            }
+        if after >= self.history_floor {
+            let skip = after.gap_from(self.history_floor) as usize;
+            return Ok(self.history.iter().skip(skip).cloned().collect());
         }
-        Ok(by_version.into_values().collect())
+        let mut records = self.log.replay()?;
+        records.retain(|rec| rec.commit_version > after);
+        Ok(records)
     }
 }
 
 /// Exists only because `e2e_trace/src/adapter.rs`, a benchmark file this
 /// workspace may not edit, builds its certifier by this name. Forwards the
-/// two calls made there; `_parallel` selected an execution mode that is
-/// gone. ROADMAP item 3 lists it for deletion with the next edit there.
+/// two calls made there; `_shards` (always 1 there) and `_parallel` selected
+/// a partitioning and an execution mode that are gone. ROADMAP item 3 lists
+/// it for deletion with the next edit there.
 #[doc(hidden)]
 pub struct AnyCertifier(Certifier);
 
 #[doc(hidden)]
 impl AnyCertifier {
-    pub fn new(replicas: Vec<ReplicaId>, n_shards: usize, _parallel: bool) -> Self {
-        AnyCertifier(Certifier::sharded(replicas, n_shards))
+    pub fn new(replicas: Vec<ReplicaId>, _shards: usize, _parallel: bool) -> Self {
+        AnyCertifier(Certifier::new(replicas))
     }
 
     pub fn certify_batch(
@@ -1398,62 +1307,10 @@ mod tests {
         assert_eq!(s.refreshes_sent, 2);
     }
 
-    // ------------------------------------------------------------------
-    // More than one shard
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn single_partition_decisions_match_oracle() {
-        let mut sharded = Certifier::sharded(replicas(3), 4);
-        let mut oracle = Certifier::new(replicas(3));
-        let reqs = vec![
-            req(1, 0, 0, ws(0, 1)),
-            req(2, 1, 0, ws(1, 1)),
-            req(3, 2, 0, ws(0, 1)), // conflicts with txn 1
-            req(4, 0, 2, ws(0, 1)), // snapshot covers it: commits
-        ];
-        for r in reqs {
-            let (want, want_ref) = oracle.certify(r.clone()).unwrap();
-            let (got, got_ref) = sharded.certify(r).unwrap();
-            assert_eq!(got, want);
-            assert_eq!(got_ref, want_ref);
-        }
-        assert_eq!(sharded.version(), oracle.version());
-        assert_eq!(sharded.stats(), oracle.stats());
-        assert_eq!(sharded.sharding_stats().cross_partition, 0);
-    }
-
-    #[test]
-    fn cross_partition_transaction_touching_all_shards() {
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        let mut oracle = Certifier::new(replicas(2));
-        // Tables 0..3 cover every shard of a 4-way partition.
-        let all = rows(&[(0, 1), (1, 1), (2, 1), (3, 1)]);
-        // The all-shard transaction commits, and a later single-partition
-        // write on any one of its tables conflicts with it — identically
-        // whatever the shard count.
-        let script = vec![req(1, 0, 0, all), req(2, 1, 0, ws(2, 1))];
-        for r in script {
-            let want = oracle.certify(r.clone()).unwrap();
-            let got = sharded.certify(r).unwrap();
-            assert_eq!(got, want);
-        }
-        assert_eq!(sharded.version(), oracle.version());
-        assert_eq!(sharded.sharding_stats().cross_partition, 1);
-        // The all-shard commit is durable at every shard.
-        assert_eq!(sharded.sharding_stats().per_shard_records, vec![1, 1, 1, 1]);
-        // A non-conflicting single-partition write still flows with no
-        // handshake.
-        assert!(matches!(
-            sharded.certify(req(3, 0, 1, ws(2, 2))).unwrap().0,
-            CertifyDecision::Commit { .. }
-        ));
-    }
-
     #[test]
     fn empty_writeset_commits_and_stays_dense() {
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        let (d, _) = sharded.certify(req(1, 0, 0, WriteSet::new())).unwrap();
+        let mut c = Certifier::new(replicas(2));
+        let (d, _) = c.certify(req(1, 0, 0, WriteSet::new())).unwrap();
         assert_eq!(
             d,
             CertifyDecision::Commit {
@@ -1461,302 +1318,45 @@ mod tests {
                 commit_version: Version(1)
             }
         );
-        sharded.certify(req(2, 0, 1, ws(3, 9))).unwrap();
-        // The vacuous commit is anchored at shard 0, so the merged history
-        // is dense and recovery keeps everything.
-        assert_eq!(sharded.recover().unwrap(), 2);
-        assert_eq!(sharded.version(), Version(2));
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
+        c.certify(req(2, 0, 1, ws(3, 9))).unwrap();
+        // The vacuous commit is logged like any other, so the log stays
+        // dense and recovery keeps everything.
+        assert_eq!(c.recover().unwrap(), 2);
+        assert_eq!(c.version(), Version(2));
+        let recs = c.certified_since(Version::ZERO).unwrap();
         assert_eq!(recs.len(), 2);
         assert!(recs[0].writeset.is_empty());
     }
 
     #[test]
-    fn reversed_table_orders_visit_shards_in_one_order() {
-        // Two cross-partition transactions naming their tables in opposite
-        // orders: the partition map normalizes both to the same ascending
-        // shard sequence, and both certify.
-        let p = PartitionMap::new(4);
-        let ab = rows(&[(1, 1), (2, 2)]);
-        let ba = rows(&[(2, 2), (1, 1)]);
-        assert_eq!(p.shards_of(&ab), p.shards_of(&ba));
-
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        let (d1, _) = sharded.certify(req(1, 0, 0, ab)).unwrap();
-        let (d2, _) = sharded.certify(req(2, 1, 1, ba)).unwrap();
-        assert!(matches!(d1, CertifyDecision::Commit { .. }));
-        assert!(matches!(d2, CertifyDecision::Commit { .. }));
-    }
-
-    #[test]
-    fn idem_replay_of_a_cross_partition_commit_is_answered_once() {
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        let (d, _) = sharded
-            .certify(keyed(req(1, 0, 0, rows(&[(1, 5), (3, 5)])), 42, 0))
+    fn recovery_refuses_a_log_that_is_not_dense() {
+        // v1, v3: no crash of an append-only log produces this, so it is
+        // corruption, and cutting at the gap would drop an announced v3.
+        let mut log = MemoryLog::new();
+        for v in [1, 3] {
+            log.append(&LogRecord {
+                commit_version: Version(v),
+                txn: TxnId(v),
+                origin: ReplicaId(0),
+                idem: None,
+                writeset: Arc::new(ws(0, v as i64)),
+            })
             .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Commit {
-                txn: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        // The retry (same writeset, same key) is answered with the original
-        // outcome; no version is consumed.
-        let (d, r) = sharded
-            .certify(keyed(req(9, 1, 1, rows(&[(1, 5), (3, 5)])), 42, 0))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(9),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-        assert!(r.is_empty());
-        assert_eq!(sharded.version(), Version(1));
-    }
-
-    #[test]
-    fn in_window_seqs_dedup_across_shard_sets() {
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        // seq 0 commits on shard 1, seq 1 on shard 2.
-        sharded
-            .certify(keyed(req(1, 0, 0, ws(1, 1)), 5, 0))
-            .unwrap();
-        sharded
-            .certify(keyed(req(2, 0, 1, ws(2, 1)), 5, 1))
-            .unwrap();
-        // Current seq dedups...
-        let (d, _) = sharded
-            .certify(keyed(req(3, 1, 2, ws(2, 1)), 5, 1))
-            .unwrap();
-        assert!(matches!(d, CertifyDecision::Duplicate { .. }));
-        // ...and so does the older in-window seq 0, with *its* original
-        // outcome — a pipelined client's crash replay walks its whole
-        // in-doubt window, touching whatever shards its transactions
-        // touched.
-        let (d, _) = sharded
-            .certify(keyed(req(4, 1, 2, ws(1, 1)), 5, 0))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(4),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-    }
-
-    #[test]
-    fn dedup_of_a_cross_partition_commit_survives_recovery() {
-        let mut sharded = Certifier::sharded(replicas(2), 4);
-        sharded
-            .certify(keyed(req(1, 0, 0, rows(&[(1, 5), (3, 5)])), 11, 4))
-            .unwrap();
-        sharded.recover().unwrap();
-        let (d, _) = sharded
-            .certify(keyed(req(2, 1, 1, rows(&[(1, 5), (3, 5)])), 11, 4))
-            .unwrap();
-        assert_eq!(
-            d,
-            CertifyDecision::Duplicate {
-                txn: TxnId(2),
-                original: TxnId(1),
-                commit_version: Version(1)
-            }
-        );
-    }
-
-    /// The dedup verdict is the sequencer's, so it cannot depend on the
-    /// shard count. 200 keyed commits of one client alternate between two
-    /// tables (two shards at N = 2 and 4): one window keeps the newest
-    /// [`DEDUP_WINDOW`] seqs, 137..=200, whatever N is. (With a window per
-    /// shard, N = 2 remembered 128 and answered a replay of seq 100
-    /// `Duplicate` where N = 1 rejected it as evicted.)
-    #[test]
-    fn dedup_verdicts_do_not_depend_on_the_shard_count() {
-        let floor = 200 - DEDUP_WINDOW as u64;
-        assert_eq!(floor, 136);
-        for n in [1, 2, 4] {
-            let mut c = Certifier::sharded(replicas(1), n);
-            for seq in 1..=200u64 {
-                let w = ws((seq % 2) as u32, seq as i64);
-                c.certify(keyed(req(seq, 0, seq - 1, w), 7, seq)).unwrap();
-            }
-            let verdict = |c: &Certifier, seq: u64| c.dedup[&7].lookup(seq);
-            // Boundary: the floor seq itself is out-of-window; floor + 1 is
-            // the oldest surviving entry and still answers Duplicate.
-            assert_eq!(
-                verdict(&c, floor),
-                DedupVerdict::OutOfWindow {
-                    evicted_through: floor
-                },
-                "N={n}"
-            );
-            assert!(
-                matches!(verdict(&c, floor + 1), DedupVerdict::Duplicate { .. }),
-                "N={n}"
-            );
-            // Above everything: provably fresh.
-            assert_eq!(verdict(&c, 500), DedupVerdict::Fresh, "N={n}");
-
-            // The same through `certify`, for seqs {100, 136, 137, 200, 201}.
-            let mut replay = |seq: u64| {
-                let w = ws((seq % 2) as u32, seq as i64);
-                let snapshot = c.version().0;
-                c.certify(keyed(req(1000 + seq, 0, snapshot, w), 7, seq))
-            };
-            for seq in [100, floor] {
-                // The certify-path rejection carries the floor in its
-                // message.
-                let err = replay(seq).unwrap_err().to_string();
-                assert!(err.contains("evicted through seq 136"), "N={n}: {err}");
-            }
-            for seq in [floor + 1, 200] {
-                assert_eq!(
-                    replay(seq).unwrap().0,
-                    CertifyDecision::Duplicate {
-                        txn: TxnId(1000 + seq),
-                        original: TxnId(seq),
-                        commit_version: Version(seq)
-                    },
-                    "N={n}"
-                );
-            }
-            assert_eq!(
-                replay(201).unwrap().0,
-                CertifyDecision::Commit {
-                    txn: TxnId(1201),
-                    commit_version: Version(201)
-                },
-                "N={n}"
-            );
         }
-    }
-
-    #[test]
-    fn cross_partition_records_are_logged_at_every_involved_shard() {
-        let mut sharded = Certifier::sharded(replicas(2), 3);
-        sharded
-            .certify(req(1, 0, 0, rows(&[(0, 1), (1, 1)])))
-            .unwrap(); // shards 0,1
-        sharded.certify(req(2, 0, 1, ws(2, 7))).unwrap(); // shard 2
-        let counts = &sharded.sharding_stats().per_shard_records;
-        assert_eq!(counts, &vec![1, 1, 1]);
-        // The full record (both tables) is recoverable from either copy:
-        // recovery after losing nothing sees both commits once each.
-        assert_eq!(sharded.recover().unwrap(), 2);
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].writeset.len(), 2);
-    }
-
-    #[test]
-    fn recovery_keeps_dense_prefix_and_truncates_beyond_gap() {
-        let mut sharded = Certifier::sharded(replicas(2), 2);
-        sharded.certify(req(1, 0, 0, ws(0, 1))).unwrap(); // v1 @ shard 0
-        sharded.certify(req(2, 0, 1, ws(1, 1))).unwrap(); // v2 @ shard 1
-        sharded.certify(req(3, 0, 2, ws(0, 2))).unwrap(); // v3 @ shard 0
-
-        // Simulate shard 1 losing its unsynced tail: wipe its log. v2's
-        // only copy is gone, so the dense prefix ends at v1 and v3 — never
-        // announced in this scenario — must be dropped *and truncated* so a
-        // later commit can safely reuse version 2.
-        sharded.shards[1].log.rewrite(&[]).unwrap();
-        assert_eq!(sharded.recover().unwrap(), 1);
-        assert_eq!(sharded.version(), Version(1));
-        // Shard 0's log was physically truncated: replaying it again finds
-        // only v1, so the next commits get v2, v3 without collisions.
-        sharded.certify(req(4, 0, 1, ws(1, 9))).unwrap();
-        sharded.certify(req(5, 0, 2, ws(0, 9))).unwrap();
-        assert_eq!(sharded.recover().unwrap(), 3);
-        let recs = sharded.certified_since(Version::ZERO).unwrap();
-        assert_eq!(recs.len(), 3);
-        assert_eq!(recs[1].txn, TxnId(4));
-        assert_eq!(recs[2].txn, TxnId(5));
-    }
-
-    #[test]
-    fn prune_is_global_and_keeps_indexes_exact() {
-        let mut sharded = Certifier::sharded(replicas(2), 2);
-        let mut oracle = Certifier::new(replicas(2));
-        let script = vec![
-            req(1, 0, 0, ws(0, 7)),                // v1 @ shard 0
-            req(2, 0, 1, rows(&[(0, 7), (1, 7)])), // v2 rewrites row 7 + shard 1
-            req(3, 0, 2, ws(1, 3)),                // v3 @ shard 1
-        ];
-        for r in script {
-            oracle.certify(r.clone()).unwrap();
-            sharded.certify(r).unwrap();
-        }
-        oracle.prune(Version(1));
-        sharded.prune(Version(1));
-        assert_eq!(sharded.history_len(), oracle.history_len());
-        assert_eq!(sharded.stats().pruned, oracle.stats().pruned);
-        // Row 7's last writer (v2) is retained: still conflicts.
-        let want = oracle.certify(req(4, 1, 1, ws(0, 7))).unwrap();
-        let got = sharded.certify(req(4, 1, 1, ws(0, 7))).unwrap();
-        assert_eq!(got, want);
-        // Below-floor snapshots are rejected at every shard equally.
-        assert!(sharded.certify(req(5, 0, 0, ws(1, 3))).is_err());
-        assert!(oracle.certify(req(5, 0, 0, ws(1, 3))).is_err());
-    }
-
-    #[test]
-    fn certified_since_merges_ring_and_log_paths_identically() {
-        let mut sharded = Certifier::sharded(replicas(2), 3);
-        for i in 1..=6u64 {
-            let table = (i % 3) as u32;
-            sharded
-                .certify(req(i, 0, i - 1, ws(table, i as i64)))
-                .unwrap();
-        }
-        sharded.prune(Version(3));
-        let ring = sharded.certified_since(Version(4)).unwrap();
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring[0].commit_version, Version(5));
-        assert_eq!(ring[1].commit_version, Version(6));
-        let deep = sharded.certified_since(Version(1)).unwrap();
-        assert_eq!(deep.len(), 5);
-        assert_eq!(deep[0].commit_version, Version(2));
-        assert_eq!(&deep[3..], &ring[..]);
-    }
-
-    #[test]
-    fn eager_accounting_is_global_across_shards() {
-        let mut sharded = Certifier::sharded(replicas(3), 2);
-        sharded.set_eager(true);
-        let (d, _) = sharded
-            .certify(req(1, 1, 0, rows(&[(0, 1), (1, 1)])))
-            .unwrap();
-        let v = match d {
-            CertifyDecision::Commit { commit_version, .. } => commit_version,
-            _ => panic!("should commit"),
-        };
-        assert_eq!(sharded.on_commit_applied(ReplicaId(1), v), None);
-        assert_eq!(sharded.on_commit_applied(ReplicaId(0), v), None);
-        assert_eq!(
-            sharded.on_commit_applied(ReplicaId(2), v),
-            Some((ReplicaId(1), TxnId(1)))
+        let mut c = Certifier::with_log(replicas(2), Box::new(log));
+        let err = c.recover().unwrap_err();
+        assert!(
+            matches!(&err, Error::Codec(m) if m.contains("not dense") && m.contains("v3")),
+            "unexpected error: {err}"
         );
-        // Recovery rebuilds pending conservatively; hellos re-credit.
-        sharded.recover().unwrap();
-        assert!(sharded.on_replica_hello(ReplicaId(0), v).is_empty());
-        assert!(sharded.on_replica_hello(ReplicaId(1), v).is_empty());
-        assert_eq!(
-            sharded.on_replica_hello(ReplicaId(2), v),
-            vec![(ReplicaId(1), TxnId(1))]
-        );
+        assert_eq!(c.version(), Version::ZERO, "nothing half-installed");
     }
 
     #[test]
     fn eager_enabled_after_recovery_finds_every_commit_pending() {
         // `Certifier::open` recovers before the host knows to call
         // `set_eager`: the flag's order against recovery must not matter.
-        let mut c = Certifier::sharded(replicas(2), 2);
+        let mut c = Certifier::new(replicas(2));
         c.certify(req(1, 0, 0, rows(&[(0, 1), (1, 1)]))).unwrap();
         c.certify(req(2, 1, 1, ws(1, 2))).unwrap();
         c.recover().unwrap();
@@ -1769,28 +1369,42 @@ mod tests {
     }
 
     #[test]
-    fn open_lays_out_wal_files_by_shard_count_and_recovers_them() {
+    fn open_lays_out_one_wal_file_and_recovers_it() {
         let dir = std::env::temp_dir().join(format!("bargain-open-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        for (shards, files) in [
-            (1, vec!["certifier.wal"]),
-            (2, vec!["shard-0/certifier.wal", "shard-1/certifier.wal"]),
-        ] {
-            let dir = dir.join(format!("n{shards}"));
-            let mut c = Certifier::open(replicas(2), Some(&dir), shards).unwrap();
-            c.certify(req(1, 0, 0, rows(&[(0, 1), (1, 1)]))).unwrap();
-            drop(c);
-            for f in files {
-                assert!(dir.join(f).is_file(), "{f} missing at N={shards}");
-            }
-            let c = Certifier::open(replicas(2), Some(&dir), shards).unwrap();
-            assert_eq!(c.version(), Version(1));
-            assert_eq!(c.partition().n_shards(), shards);
-        }
+        let mut c = Certifier::open(replicas(2), Some(&dir)).unwrap();
+        c.certify(req(1, 0, 0, rows(&[(0, 1), (1, 1)]))).unwrap();
+        drop(c);
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["certifier.wal"]);
+        let c = Certifier::open(replicas(2), Some(&dir)).unwrap();
+        assert_eq!(c.version(), Version(1));
         std::fs::remove_dir_all(&dir).unwrap();
         // Without a directory: in memory, nothing to recover.
-        let c = Certifier::open(replicas(2), None, 3).unwrap();
-        assert_eq!(c.partition().n_shards(), 3);
+        let c = Certifier::open(replicas(2), None).unwrap();
         assert_eq!(c.version(), Version::ZERO);
+    }
+
+    #[test]
+    fn open_refuses_a_directory_written_with_several_shards() {
+        // What a `shards: 4` deployment of an older build left behind: no
+        // flat `certifier.wal`, the commits under `shard-i/`. Starting empty
+        // beside them would reassign their commit versions.
+        let dir = std::env::temp_dir().join(format!("bargain-open-n4-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+        std::fs::write(dir.join("shard-0").join("certifier.wal"), b"").unwrap();
+        let err = Certifier::open(replicas(2), Some(&dir))
+            .err()
+            .expect("refused");
+        let msg = err.to_string();
+        assert!(matches!(err, Error::Io(_)), "unexpected error: {msg}");
+        assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        assert!(msg.contains("shard-0"), "{msg}");
+        assert!(!dir.join("certifier.wal").exists(), "nothing created");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

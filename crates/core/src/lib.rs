@@ -37,7 +37,6 @@ pub mod checker;
 pub mod lb;
 pub mod messages;
 pub mod proxy;
-pub mod shard;
 pub mod wal;
 
 pub use certifier::{AnyCertifier, Certifier, CertifierStats};
@@ -47,5 +46,4 @@ pub use messages::{
     CertifyDecision, CertifyRequest, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest,
 };
 pub use proxy::{FinishAction, Proxy, ProxyEvent, ProxyStats, StatementOutcome};
-pub use shard::{PartitionMap, ShardingStats};
 pub use wal::{CommitLog, FileLog, LogRecord, MemoryLog};

@@ -8,12 +8,12 @@
 //! writesets.
 //!
 //! Two implementations are provided: [`MemoryLog`] (for simulation and
-//! tests) and [`FileLog`] (a real append-only file with a simple
-//! length-prefixed binary record format and optional fsync).
+//! tests) and [`FileLog`] (a real append-only file of back-to-back binary
+//! records — no length prefix, no checksum — with optional fsync).
 
 use bargain_common::{Error, IdemKey, ReplicaId, Result, TxnId, Value, Version, WriteOp, WriteSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read, Seek, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -33,6 +33,23 @@ use std::sync::Arc;
 //             | u8 has_idem [| u64 idem_client | u64 idem_seq] | writeset
 // ```
 // ----------------------------------------------------------------------
+
+/// How a read past the end of the input reads, whether `read_exact` or
+/// [`read_len`] met it. In a log file it marks the torn tail.
+const SHORT_READ: &str = "failed to fill whole buffer";
+
+/// Reads the `len` bytes a length prefix announced. `len` is the input's
+/// word, so little is reserved up front and the rest grows only as bytes
+/// arrive to back it: a length longer than the input is an error, not an
+/// allocation.
+pub fn read_len(r: &mut impl Read, len: usize) -> Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(len.min(4096));
+    r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() < len {
+        return Err(Error::Io(SHORT_READ.into()));
+    }
+    Ok(bytes)
+}
 
 /// Appends the binary encoding of a [`Value`] to `buf`.
 pub fn write_value(buf: &mut Vec<u8>, v: &Value) {
@@ -73,9 +90,7 @@ pub fn read_value(r: &mut impl Read) -> Result<Value> {
         3 => {
             let mut b = [0u8; 4];
             r.read_exact(&mut b)?;
-            let len = u32::from_le_bytes(b) as usize;
-            let mut s = vec![0u8; len];
-            r.read_exact(&mut s)?;
+            let s = read_len(r, u32::from_le_bytes(b) as usize)?;
             Value::Text(
                 String::from_utf8(s).map_err(|e| Error::Codec(format!("bad value text: {e}")))?,
             )
@@ -126,7 +141,7 @@ pub fn read_writeset(r: &mut impl Read) -> Result<WriteSet> {
             0 | 1 => {
                 r.read_exact(&mut b4)?;
                 let ncols = u32::from_le_bytes(b4) as usize;
-                let mut row = Vec::with_capacity(ncols);
+                let mut row = Vec::with_capacity(ncols.min(4096));
                 for _ in 0..ncols {
                     row.push(read_value(r)?);
                 }
@@ -242,22 +257,6 @@ pub trait CommitLog: Send {
     /// Reads back every record, in append order (crash recovery).
     fn replay(&mut self) -> Result<Vec<LogRecord>>;
 
-    /// Atomically replaces the log's entire contents with `records`,
-    /// durably. Used by sharded recovery to truncate records beyond the
-    /// dense commit prefix: a record dropped there was never announced, and
-    /// its stale bytes must not collide with a later reassignment of the
-    /// same commit version.
-    fn rewrite(&mut self, records: &[LogRecord]) -> Result<()>;
-
-    /// Whether appends block on real I/O (a file-backed log forces to
-    /// disk; an in-memory log is a memcpy). The sharded certifier overlaps
-    /// per-shard group-commit flushes with one thread per shard only when
-    /// the flush actually blocks — for cheap logs the threads would cost
-    /// more than they hide.
-    fn blocking_flush(&self) -> bool {
-        false
-    }
-
     /// Number of records appended over this log's lifetime.
     fn len(&self) -> usize;
 
@@ -293,11 +292,6 @@ impl CommitLog for MemoryLog {
         Ok(self.records.clone())
     }
 
-    fn rewrite(&mut self, records: &[LogRecord]) -> Result<()> {
-        self.records = records.to_vec();
-        Ok(())
-    }
-
     fn len(&self) -> usize {
         self.records.len()
     }
@@ -324,20 +318,50 @@ pub struct FileLog {
 
 impl FileLog {
     /// Opens (or creates) a log file, counting existing records.
+    ///
+    /// A torn tail (crash mid-append) is cut off the file here, durably,
+    /// before anything is appended: the handle appends at the end of the
+    /// file, and a record written behind torn bytes would be unreadable —
+    /// lost, or misparsed — at the next open.
     pub fn open(path: &Path) -> Result<Self> {
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .read(true)
             .open(path)?;
-        let mut log = FileLog {
+        let (records, complete) = Self::read_all(path)?;
+        if complete < file.metadata()?.len() {
+            file.set_len(complete)?;
+            file.sync_data()?;
+        }
+        Ok(FileLog {
             file,
             path: path.to_path_buf(),
-            count: 0,
+            count: records.len(),
             sync_on_append: true,
-        };
-        log.count = log.replay()?.len();
-        Ok(log)
+        })
+    }
+
+    /// Every complete record in the file, and the byte offset where the
+    /// last of them ends.
+    fn read_all(path: &Path) -> Result<(Vec<LogRecord>, u64)> {
+        let mut reader = BufReader::new(File::open(path)?);
+        let mut records = Vec::new();
+        let mut complete = 0;
+        loop {
+            match read_record(&mut reader) {
+                Ok(Some(rec)) => {
+                    records.push(rec);
+                    complete = reader.stream_position()?;
+                }
+                Ok(None) => break,
+                // A torn tail truncates to the last complete record: the
+                // decision was never announced, so dropping it is safe.
+                Err(Error::Io(msg)) if msg.contains(SHORT_READ) => break,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok((records, complete))
     }
 }
 
@@ -372,52 +396,7 @@ impl CommitLog for FileLog {
     }
 
     fn replay(&mut self) -> Result<Vec<LogRecord>> {
-        let file = File::open(&self.path)?;
-        let mut reader = BufReader::new(file);
-        let mut records = Vec::new();
-        loop {
-            match read_record(&mut reader) {
-                Ok(Some(rec)) => records.push(rec),
-                Ok(None) => break,
-                // A torn tail (crash mid-append) truncates to the last
-                // complete record: the decision was never announced, so
-                // dropping it is safe. (`read_exact` reports EOF mid-buffer
-                // as "failed to fill whole buffer".)
-                Err(Error::Io(msg)) if msg.contains("failed to fill whole buffer") => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(records)
-    }
-
-    /// Crash-safe truncation: the replacement contents are written to a
-    /// sibling temp file, forced to disk, and renamed over the log, so a
-    /// crash at any point leaves either the old or the new contents — never
-    /// a mix.
-    fn rewrite(&mut self, records: &[LogRecord]) -> Result<()> {
-        let tmp = self.path.with_extension("rewrite.tmp");
-        let mut buf = Vec::with_capacity(64 * records.len());
-        for record in records {
-            write_record(&mut buf, record);
-        }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // Reopen the append handle on the new inode.
-        self.file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .read(true)
-            .open(&self.path)?;
-        self.count = records.len();
-        Ok(())
-    }
-
-    fn blocking_flush(&self) -> bool {
-        true
+        Ok(Self::read_all(&self.path)?.0)
     }
 
     fn len(&self) -> usize {
@@ -591,12 +570,20 @@ mod tests {
     fn torn_write_at_every_byte_boundary_recovers_a_prefix() {
         // A crash can tear the tail record at ANY byte. Whatever the cut,
         // recovery must yield an exact prefix of the appended records and
-        // never error or hallucinate a record.
+        // never error or hallucinate a record — and what is appended after
+        // the recovery must survive the next one: the torn bytes leave the
+        // file, or the new records sit unreadable behind them (before the
+        // truncation in `open`, no cut inside a record gave back both).
         let dir = std::env::temp_dir().join(format!("bargain-wal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn-sweep.wal");
         let _ = std::fs::remove_file(&path);
         let originals = vec![sample(1), sample(2), sample(3)];
+        let encoded = |records: &[LogRecord]| {
+            let mut buf = Vec::new();
+            records.iter().for_each(|r| write_record(&mut buf, r));
+            buf
+        };
         {
             let mut log = FileLog::open(&path).unwrap();
             for r in &originals {
@@ -604,10 +591,12 @@ mod tests {
             }
         }
         let bytes = std::fs::read(&path).unwrap();
-        for cut in 0..bytes.len() {
+        assert_eq!(bytes, encoded(&originals));
+        for cut in 0..=bytes.len() {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let mut log = FileLog::open(&path).unwrap();
             let replayed = log.replay().unwrap();
+            assert_eq!(log.len(), replayed.len(), "cut {cut}");
             assert!(
                 replayed.len() <= originals.len(),
                 "cut {cut}: more records than were written"
@@ -619,43 +608,21 @@ mod tests {
             );
             // The full tail is only recovered with the full file.
             assert!(replayed.len() < originals.len() || cut == bytes.len());
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
 
-    #[test]
-    fn rewrite_truncates_durably_and_stays_appendable() {
-        let dir = std::env::temp_dir().join(format!("bargain-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rewrite.wal");
-        let _ = std::fs::remove_file(&path);
-        let records: Vec<LogRecord> = (1..=4).map(sample).collect();
-        {
+            let mut expected = replayed;
+            expected.extend([sample(7), sample(8)]);
+            log.append(&expected[expected.len() - 2]).unwrap();
+            log.append(&expected[expected.len() - 1]).unwrap();
+            drop(log);
             let mut log = FileLog::open(&path).unwrap();
-            log.append_batch(&records).unwrap();
-            // Keep only the first two records (a lossy sharded recovery).
-            log.rewrite(&records[..2]).unwrap();
-            assert_eq!(log.len(), 2);
-            // The append handle follows the rewritten file.
-            log.append(&sample(3)).unwrap();
+            assert_eq!(log.replay().unwrap(), expected, "cut {cut}: after the tear");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                encoded(&expected),
+                "cut {cut}: the file is what a log that was never torn holds"
+            );
         }
-        let mut log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len(), 3);
-        let replayed = log.replay().unwrap();
-        assert_eq!(replayed, vec![sample(1), sample(2), sample(3)]);
-        // No temp file left behind.
-        assert!(!path.with_extension("rewrite.tmp").exists());
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn memory_rewrite_replaces_contents() {
-        let mut log = MemoryLog::new();
-        log.append(&sample(1)).unwrap();
-        log.append(&sample(2)).unwrap();
-        log.rewrite(&[sample(1)]).unwrap();
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.replay().unwrap(), vec![sample(1)]);
     }
 
     #[test]

@@ -1,22 +1,22 @@
-//! Seeded crash stress test for the certifier over four file-backed shards.
+//! Seeded crash stress test for the certifier over its file-backed log.
 //!
-//! A four-shard certifier is driven with a stream of mixed keyed/unkeyed
-//! batches over per-shard `FileLog`s, announcing one batch behind, then the
-//! whole process "crashes" mid-stream: one batch is certified and durable
-//! but never announced, the certifier is dropped, and a torn partial
-//! record is appended to one shard's WAL. A fresh certifier
-//! rebuilt over the reopened files must recover, answer every acknowledged
-//! keyed request as a `Duplicate` at its **original** commit version
-//! (exactly-once across the crash), and keep certifying — with every
-//! idempotency key appearing exactly once in the merged durable history.
+//! A certifier is driven with a stream of mixed keyed/unkeyed batches over
+//! a `FileLog`, announcing one batch behind, then the whole process
+//! "crashes" mid-stream: one batch is certified and durable but never
+//! announced, the certifier is dropped, and a torn partial record is
+//! appended to the WAL. A fresh certifier opened over the directory must
+//! recover, answer every acknowledged keyed request as a `Duplicate` at its
+//! **original** commit version (exactly-once across the crash), and keep
+//! certifying — behind where the torn bytes were — with every idempotency
+//! key appearing exactly once in the durable history a second restart
+//! reads back.
 
 use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
-use bargain_core::{Certifier, CertifyDecision, CertifyRequest, CommitLog, FileLog, Refresh};
+use bargain_core::{Certifier, CertifyDecision, CertifyRequest, Refresh};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-const SHARDS: usize = 4;
 const CLIENTS: u64 = 4;
 const BATCH: usize = 8;
 const PRE_CRASH_BATCHES: usize = 16;
@@ -52,8 +52,8 @@ struct Workload {
 }
 
 impl Workload {
-    /// 1–4 rows over 8 tables (two tables per shard at N=4), keys 0..32 so
-    /// write-write conflicts and cross-shard transactions both occur often.
+    /// 1–4 rows over 8 tables, keys 0..32 so write-write conflicts and
+    /// multi-table transactions both occur often.
     fn random_ws(&mut self) -> WriteSet {
         let mut ws = WriteSet::new();
         for _ in 0..self.rng.below(4) + 1 {
@@ -101,15 +101,9 @@ fn replicas() -> Vec<ReplicaId> {
     vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]
 }
 
-fn wal_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.wal"))
-}
-
+/// What a host does at start: open the directory's log and recover.
 fn open_certifier(dir: &Path) -> Certifier {
-    let logs: Vec<Box<dyn CommitLog>> = (0..SHARDS)
-        .map(|s| Box::new(FileLog::open(&wal_path(dir, s)).unwrap()) as Box<dyn CommitLog>)
-        .collect();
-    Certifier::with_logs(replicas(), logs)
+    Certifier::open(replicas(), Some(dir)).expect("certifier log opens and replays")
 }
 
 /// What `certify_batch` returns for one batch.
@@ -130,11 +124,8 @@ fn record_acked(
 
 #[test]
 fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
-    let dir = std::env::temp_dir().join(format!("bargain-shard-stress-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for s in 0..SHARDS {
-        let _ = std::fs::remove_file(wal_path(&dir, s));
-    }
+    let dir = std::env::temp_dir().join(format!("bargain-crash-stress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut load = Workload {
         rng: Rng(SEED),
@@ -165,8 +156,8 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
 
     // Crash: one batch is certified but was never acknowledged. Drop the
     // certifier (the "process" dies; from the client's point of view that
-    // batch may or may not have landed), then tear the tail of one
-    // shard's WAL — a partial record from an append cut short mid-write.
+    // batch may or may not have landed), then tear the tail of the WAL — a
+    // partial record from an append cut short mid-write.
     let abandoned = pending.len();
     pending.clear();
     assert_eq!(abandoned, 1, "one batch must be in flight at the crash");
@@ -176,19 +167,17 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
     {
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(wal_path(&dir, 2))
+            .open(dir.join("certifier.wal"))
             .unwrap();
         f.write_all(&[0xAB, 0xCD, 0xEF]).unwrap();
     }
 
-    // Restart: rebuild from the reopened WALs. The torn tail truncates to
-    // the last complete record; the dense-prefix merge re-derives
-    // V_commit, history, and the dedup windows.
+    // Restart: rebuild from the reopened WAL. The torn tail is cut back to
+    // the last complete record; replay re-derives V_commit, history, and
+    // the dedup windows.
     let mut certifier = open_certifier(&dir);
-    let replayed = certifier.recover().expect("recover from torn WALs");
     let max_acked = acked_commits.values().map(|(_, v)| *v).max().unwrap();
-    assert!(replayed as u64 >= max_acked.0, "an acked commit was lost");
-    assert_eq!(certifier.version().0, replayed as u64);
+    assert!(certifier.version() >= max_acked, "an acked commit was lost");
 
     // Exactly-once across the crash: every *acknowledged* keyed commit
     // replays as a Duplicate at its original commit version. Keys from the
@@ -238,9 +227,19 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
         record_acked(&reqs, &results, &mut acked_commits);
     }
 
-    // The merged durable history: a strictly increasing version sequence
-    // where every idempotency key appears exactly once, at the version the
-    // client was told.
+    // The durable history, as a second restart reads it from the file — so
+    // everything certified after the tear must have been appended where a
+    // replay finds it: a strictly increasing version sequence where every
+    // idempotency key appears exactly once, at the version the client was
+    // told.
+    let last = certifier.version();
+    drop(certifier);
+    let mut certifier = open_certifier(&dir);
+    assert_eq!(
+        certifier.version(),
+        last,
+        "commits after the tear were lost"
+    );
     let records = certifier.certified_since(Version::ZERO).expect("replays");
     assert!(records
         .windows(2)
@@ -260,7 +259,5 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
         );
     }
 
-    for s in 0..SHARDS {
-        let _ = std::fs::remove_file(wal_path(&dir, s));
-    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,20 +1,15 @@
-//! Differential property test: every certifier configuration against one
-//! naive model.
+//! Differential property test: the certifier against a naive model.
 //!
-//! The certifier — row-version index, per-shard histories and logs, the
-//! cross-shard handshake, the per-client dedup windows — must be
-//! *observationally identical* to the simplest thing that could decide the
-//! same way: a list of cloned writesets scanned newest-first, a list of the
-//! keys it has certified, and one log. This test drives random schedules of
-//! certify / keyed-replay / prune / recover operations through that
-//! [`ShadowModel`] and through the real certifier at every shard count
-//! N ∈ {1, 2, 4, 8}, and asserts the decision, the commit version, the
-//! refresh fan-out, `history_len` and the whole durable record sequence at
-//! every step. Writesets span 8 tables, so at N = 8 every table is its own
-//! shard and multi-table transactions run the cross-shard handshake.
-//!
-//! The model knows nothing about shards: that every N agrees with it is
-//! what "the partitioning is unobservable" means.
+//! The certifier — row-version index, retained-commit ring, group-commit
+//! buffer, the per-client dedup windows — must be *observationally
+//! identical* to the simplest thing that could decide the same way: a list
+//! of cloned writesets scanned newest-first, a list of the keys it has
+//! certified, one log, and four counters. This test drives random schedules
+//! of certify / keyed-replay / prune / recover operations through that
+//! [`ShadowModel`] and through the real certifier, and asserts the decision,
+//! the commit version, the refresh fan-out, `history_len`, the counters and
+//! the whole durable record sequence at every step. Writesets span 8
+//! tables.
 //!
 //! In debug builds the certifier additionally `debug_assert`s its indexed
 //! conflict answer against [`Certifier::conflict_linear`] on every single
@@ -22,17 +17,16 @@
 
 use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
 use bargain_core::certifier::DEDUP_WINDOW;
-use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
+use bargain_core::{Certifier, CertifierStats, CertifyDecision, CertifyRequest};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CLIENTS: u64 = 3;
 const REPLICAS: u32 = 3;
 
 /// The naive reference model: the full committed log (for recover), the
 /// retained window, a linear newest-first conflict scan, and per client the
-/// keys it has certified.
+/// keys it has certified, and a count of each thing it did.
 struct ShadowModel {
     v_commit: u64,
     floor: u64,
@@ -43,6 +37,11 @@ struct ShadowModel {
     /// Per client, the last [`DEDUP_WINDOW`] certified seqs with their
     /// original transaction and commit version.
     certified: HashMap<u64, Vec<(u64, TxnId, Version)>>,
+    /// Counted over the model's lifetime (a crash does not reset them).
+    commits: u64,
+    aborts: u64,
+    duplicates: u64,
+    pruned: u64,
 }
 
 impl ShadowModel {
@@ -53,6 +52,21 @@ impl ShadowModel {
             history: Vec::new(),
             log: Vec::new(),
             certified: HashMap::new(),
+            commits: 0,
+            aborts: 0,
+            duplicates: 0,
+            pruned: 0,
+        }
+    }
+
+    /// What the certifier's counters must read.
+    fn stats(&self) -> CertifierStats {
+        CertifierStats {
+            commits: self.commits,
+            aborts: self.aborts,
+            refreshes_sent: self.commits * u64::from(REPLICAS - 1),
+            pruned: self.pruned,
+            duplicates: self.duplicates,
         }
     }
 
@@ -77,6 +91,7 @@ impl ShadowModel {
             if let Some(&(_, original, commit_version)) =
                 seqs.and_then(|s| s.iter().find(|e| e.0 == key.seq))
             {
+                self.duplicates += 1;
                 return CertifyDecision::Duplicate {
                     txn,
                     original,
@@ -87,12 +102,14 @@ impl ShadowModel {
         let first_idx = (req.snapshot.0 - self.floor) as usize;
         for i in (first_idx..self.history.len()).rev() {
             if self.history[i].conflicts_with(&req.writeset) {
+                self.aborts += 1;
                 return CertifyDecision::Abort {
                     txn,
                     conflicting_version: Version(self.floor + i as u64 + 1),
                 };
             }
         }
+        self.commits += 1;
         self.v_commit += 1;
         let commit_version = Version(self.v_commit);
         self.history.push(req.writeset.clone());
@@ -110,6 +127,7 @@ impl ShadowModel {
         while self.floor < floor && !self.history.is_empty() {
             self.history.remove(0);
             self.floor += 1;
+            self.pruned += 1;
         }
     }
 
@@ -145,7 +163,7 @@ enum Op {
     Replay { client: u64 },
     /// Prune up to `amount` versions of history.
     Prune { amount: u8 },
-    /// Crash the certifier and rebuild from its log(s).
+    /// Crash the certifier and rebuild from its log.
     Recover,
 }
 
@@ -159,7 +177,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Keys spread over 8 tables: at N=8 each table is its own partition.
+/// Keys spread over 8 tables.
 fn ws_of(keys: &[u8]) -> WriteSet {
     let mut w = WriteSet::new();
     for &k in keys {
@@ -172,18 +190,23 @@ fn ws_of(keys: &[u8]) -> WriteSet {
     w
 }
 
+/// Cases per run; `PROPTEST_CASES` widens the sweep.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
-    fn every_shard_count_matches_the_naive_model(
+    fn certifier_matches_the_naive_model(
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
         let replicas: Vec<ReplicaId> = (0..REPLICAS).map(ReplicaId).collect();
-        let mut real: Vec<Certifier> = SHARD_COUNTS
-            .iter()
-            .map(|&n| Certifier::sharded(replicas.clone(), n))
-            .collect();
+        let mut real = Certifier::new(replicas);
         let mut shadow = ShadowModel::new();
         let mut txn = 0u64;
         // Per client: the next seq, and the last keyed request issued.
@@ -215,17 +238,13 @@ proptest! {
                     // schedule: snapshots are picked at most 15 back.
                     let floor = shadow.v_commit.saturating_sub(16).min(shadow.floor + u64::from(amount));
                     shadow.prune(floor);
-                    for c in &mut real {
-                        c.prune(Version(floor));
-                    }
+                    real.prune(Version(floor));
                     None
                 }
                 Op::Recover => {
                     shadow.recover();
-                    for c in &mut real {
-                        let n = c.recover().expect("memory logs replay");
-                        prop_assert_eq!(n, shadow.log.len());
-                    }
+                    let n = real.recover().expect("memory log replays");
+                    prop_assert_eq!(n, shadow.log.len());
                     None
                 }
             };
@@ -240,39 +259,36 @@ proptest! {
                     idem,
                 };
                 let expected = shadow.certify(&req);
-                for (c, n) in real.iter_mut().zip(SHARD_COUNTS) {
-                    let (got, refreshes) = c.certify(req.clone()).expect("valid request");
-                    prop_assert_eq!(&got, &expected, "decision diverged at txn {} (N={})", txn, n);
-                    match got {
-                        CertifyDecision::Commit { commit_version, .. } => {
-                            prop_assert_eq!(refreshes.len(), REPLICAS as usize - 1);
-                            for r in &refreshes {
-                                prop_assert_eq!(r.origin, req.replica);
-                                prop_assert_eq!(r.txn, req.txn);
-                                prop_assert_eq!(r.commit_version, commit_version);
-                                prop_assert_eq!(r.writeset.as_ref(), &req.writeset);
-                            }
+                let (got, refreshes) = real.certify(req.clone()).expect("valid request");
+                prop_assert_eq!(&got, &expected, "decision diverged at txn {}", txn);
+                match got {
+                    CertifyDecision::Commit { commit_version, .. } => {
+                        prop_assert_eq!(refreshes.len(), REPLICAS as usize - 1);
+                        for r in &refreshes {
+                            prop_assert_eq!(r.origin, req.replica);
+                            prop_assert_eq!(r.txn, req.txn);
+                            prop_assert_eq!(r.commit_version, commit_version);
+                            prop_assert_eq!(r.writeset.as_ref(), &req.writeset);
                         }
-                        CertifyDecision::Abort { .. } | CertifyDecision::Duplicate { .. } => {
-                            prop_assert!(refreshes.is_empty());
-                        }
+                    }
+                    CertifyDecision::Abort { .. } | CertifyDecision::Duplicate { .. } => {
+                        prop_assert!(refreshes.is_empty());
                     }
                 }
             }
 
-            for (c, n) in real.iter_mut().zip(SHARD_COUNTS) {
-                prop_assert_eq!(c.version(), Version(shadow.v_commit), "V_commit (N={})", n);
-                prop_assert_eq!(c.history_len(), shadow.history.len(), "history_len (N={})", n);
-                // The durable history is the model's log, record for record.
-                let records = c.certified_since(Version::ZERO).expect("logs replay");
-                prop_assert_eq!(records.len(), shadow.log.len(), "log length (N={})", n);
-                for (i, (rec, want)) in records.iter().zip(&shadow.log).enumerate() {
-                    prop_assert_eq!(rec.commit_version, Version(i as u64 + 1));
-                    prop_assert_eq!(rec.txn, want.txn);
-                    prop_assert_eq!(rec.origin, want.replica);
-                    prop_assert_eq!(rec.idem, want.idem);
-                    prop_assert_eq!(rec.writeset.as_ref(), &want.writeset);
-                }
+            prop_assert_eq!(real.version(), Version(shadow.v_commit));
+            prop_assert_eq!(real.history_len(), shadow.history.len());
+            prop_assert_eq!(real.stats(), shadow.stats());
+            // The durable history is the model's log, record for record.
+            let records = real.certified_since(Version::ZERO).expect("log replays");
+            prop_assert_eq!(records.len(), shadow.log.len());
+            for (i, (rec, want)) in records.iter().zip(&shadow.log).enumerate() {
+                prop_assert_eq!(rec.commit_version, Version(i as u64 + 1));
+                prop_assert_eq!(rec.txn, want.txn);
+                prop_assert_eq!(rec.origin, want.replica);
+                prop_assert_eq!(rec.idem, want.idem);
+                prop_assert_eq!(rec.writeset.as_ref(), &want.writeset);
             }
         }
     }

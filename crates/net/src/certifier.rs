@@ -83,13 +83,6 @@ pub struct CertifierServerConfig {
     /// [`Certifier::open`]) and is replayed on start — durability lives
     /// with this process, exactly as in the in-process deployment.
     pub wal_dir: Option<PathBuf>,
-    /// Number of certifier shards hosted by this process (the table space
-    /// is partitioned across them; 1 is the default). The wire protocol
-    /// does not know about shards: the server routes each
-    /// `Certify` to the involved shards internally, so clusters and links
-    /// need no configuration to talk to a sharded service. Over `FileLog`s
-    /// on one disk, more shards cost about 2× per batch (BENCH_shards.json).
-    pub shards: usize,
 }
 
 impl Default for CertifierServerConfig {
@@ -98,7 +91,6 @@ impl Default for CertifierServerConfig {
             replicas: 3,
             eager: false,
             wal_dir: None,
-            shards: 1,
         }
     }
 }
@@ -154,11 +146,8 @@ pub struct CertifierServer {
 impl CertifierServer {
     /// Binds `addr` (port 0 for OS-assigned) and starts serving.
     pub fn start(addr: &str, config: CertifierServerConfig) -> Result<CertifierServer> {
-        let mut certifier = Certifier::open(
-            replica_ids(config.replicas),
-            config.wal_dir.as_deref(),
-            config.shards,
-        )?;
+        let mut certifier =
+            Certifier::open(replica_ids(config.replicas), config.wal_dir.as_deref())?;
         certifier.set_eager(config.eager);
 
         let (core, addr, stopper) = Core::bind(addr, NetServerConfig::default())?;
@@ -232,13 +221,13 @@ fn replica_ids(n: usize) -> Vec<ReplicaId> {
 }
 
 /// The longest run of consecutive `Certify` frames certified as one batch
-/// (one group commit per dirty shard).
+/// (one group commit).
 const MAX_CERTIFY_BATCH: usize = 64;
 
 /// The certifier on the shared event loop: it certifies inline on the loop
 /// thread, batching by what one readiness event already decoded. A maximal
 /// run of consecutive `Certify` frames (capped at [`MAX_CERTIFY_BATCH`]) is
-/// certified as one batch — one group commit per dirty shard — and its
+/// certified as one batch — one group commit — and its
 /// refreshes and decisions are queued on the connection at once, in commit
 /// order, before any frame that arrived later is answered.
 struct CertifierService {

@@ -32,7 +32,7 @@ use bargain_common::{
     ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, Result, SessionId, TemplateId, TxnId,
     Value, Version,
 };
-use bargain_core::wal::{read_value, read_writeset, write_value, write_writeset};
+use bargain_core::wal::{read_len, read_value, read_writeset, write_value, write_writeset};
 use bargain_core::{CertifyDecision, CertifyRequest, LogRecord, Refresh, TxnOutcome};
 use bargain_sql::QueryResult;
 use std::io::Read;
@@ -245,8 +245,7 @@ fn read_u64(r: &mut impl Read) -> Result<u64> {
 
 fn read_string(r: &mut impl Read) -> Result<String> {
     let len = read_u32(r)? as usize;
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
+    let bytes = read_len(r, len)?;
     String::from_utf8(bytes).map_err(|e| Error::Codec(format!("bad utf-8 string: {e}")))
 }
 
@@ -257,9 +256,7 @@ fn write_bytes(buf: &mut Vec<u8>, data: &[u8]) {
 
 fn read_bytes(r: &mut impl Read) -> Result<Vec<u8>> {
     let len = read_u32(r)? as usize;
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    Ok(bytes)
+    read_len(r, len)
 }
 
 // ----------------------------------------------------------------------
@@ -1050,6 +1047,46 @@ mod tests {
             text.contains("kind 4") && text.contains("byte") && text.contains("of 3"),
             "error should name the frame kind and byte offset: {text}"
         );
+    }
+
+    /// Counts and lengths are the sender's word. One that promises more
+    /// than the payload holds is a decode error — before it is a
+    /// reservation: with `ncols` reserved as read, the first payload here
+    /// asked for 103 079 215 080 bytes and aborted the process.
+    #[test]
+    fn counts_and_lengths_beyond_the_payload_error_without_reserving() {
+        let mut ws = WriteSet::new();
+        ws.push(
+            TableId(1),
+            Value::Int(2),
+            WriteOp::Update(vec![Value::Int(3)]),
+        );
+        let certify = Message::Certify(CertifyRequest {
+            txn: TxnId(1),
+            replica: ReplicaId(0),
+            snapshot: Version(0),
+            idem: None,
+            writeset: ws,
+        });
+        let mut payload = certify.encode();
+        // … | u32 ncols | one Int column (9 bytes).
+        let ncols = payload.len() - 13;
+        assert_eq!(payload[ncols..ncols + 4], 1u32.to_le_bytes());
+        payload[ncols..ncols + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let got = Message::decode(certify.kind(), &payload);
+        assert!(matches!(got, Err(Error::Codec(_))), "{got:?}");
+
+        let run = Message::Run {
+            template: TemplateId(1),
+            params: vec![vec![Value::Text("x".into())]],
+            idem: None,
+        };
+        let mut payload = run.encode();
+        // u32 template | u32 statements | u32 values | u8 tag | u32 len | "x".
+        assert_eq!(payload[13..17], 1u32.to_le_bytes());
+        payload[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        let got = Message::decode(run.kind(), &payload);
+        assert!(matches!(got, Err(Error::Codec(_))), "{got:?}");
     }
 
     #[test]

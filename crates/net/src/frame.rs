@@ -38,6 +38,7 @@
 //!   completed. Error classification is identical to the one-shot path by
 //!   construction: both call [`parse_header`] and [`verify_payload`].
 
+pub use bargain_common::crc32;
 use bargain_common::{Error, Result};
 use std::io::{Read, Write};
 
@@ -61,38 +62,6 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 22;
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at compile
-/// time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `data`.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// Builds the complete byte image of one frame (header + payload), ready
 /// for a single `write_all`.
@@ -321,13 +290,6 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn frame_round_trip() {

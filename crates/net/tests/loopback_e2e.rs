@@ -247,28 +247,13 @@ fn stop_server_drains_cluster_and_refuses_new_connections() {
 
 #[test]
 fn remote_certifier_process_split_preserves_strong_consistency() {
-    remote_certifier_round_trips(CertifierServerConfig {
-        replicas: 3,
-        ..CertifierServerConfig::default()
-    });
-}
-
-#[test]
-fn sharded_remote_certifier_preserves_strong_consistency() {
-    // Same deployment with the certifier's state split over 4 shards (the
-    // only 4-shard `CertifierServer` round trip): the wire protocol,
-    // decision order, and strong consistency are unchanged.
-    remote_certifier_round_trips(CertifierServerConfig {
-        replicas: 3,
-        shards: 4,
-        ..CertifierServerConfig::default()
-    });
-}
-
-fn remote_certifier_round_trips(config: CertifierServerConfig) {
     // The paper's deployment: certification and durability in their own
     // process, replicas reaching it over TCP. The cluster runs with a
     // RemoteCertifierLink instead of the in-process certifier thread.
+    let config = CertifierServerConfig {
+        replicas: 3,
+        ..CertifierServerConfig::default()
+    };
     let certifier = CertifierServer::start("127.0.0.1:0", config).expect("certifier binds");
     let link =
         RemoteCertifierLink::connect(&certifier.local_addr().to_string()).expect("link connects");

@@ -334,6 +334,20 @@ proptest! {
                 }
             }
         }
+        // A bit flip dies at the CRC and never reaches the decoder. A sender
+        // that lies does: overwrite four payload bytes — a count or a
+        // length, wherever one lies — with u32::MAX and frame the result
+        // with its own valid checksum. Decoding may fail or yield another
+        // message; it may not panic or reserve what the payload cannot back.
+        let mut payload = msg.encode();
+        if payload.len() >= 4 {
+            let at = pos as usize % (payload.len() - 3);
+            payload[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let mut wire = Vec::new();
+            write_frame(&mut wire, msg.kind(), 7, &payload).expect("frame writes");
+            let (kind, _id, payload) = read_frame(&mut wire.as_slice()).expect("checksum holds");
+            let _ = Message::decode(kind, &payload);
+        }
     }
 
     /// Random byte soup never panics the frame reader.

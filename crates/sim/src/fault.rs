@@ -52,19 +52,6 @@ pub enum FaultKind {
         /// How long the slowdown lasts (virtual ms).
         duration_ms: u64,
     },
-    /// One certifier shard crashes (`shard` must be below
-    /// `SimConfig::certifier_shards`): requests touching a table the shard
-    /// owns park until it restarts, while traffic over the healthy shards keeps
-    /// flowing. In-flight work is failed over exactly like a whole-
-    /// certifier crash (the certification epoch advances), and the shard's
-    /// durable log survives; after `down_ms` the shard restarts and the
-    /// sharded certifier recovers from the merged shard logs.
-    CertifierShardCrash {
-        /// The crashing shard's partition id.
-        shard: usize,
-        /// How long the shard stays down (virtual ms).
-        down_ms: u64,
-    },
     /// A new replica joins the running cluster: it bootstraps from a live
     /// donor's consistent snapshot (chunked and checksummed, exactly like
     /// the TCP snapshot-ship protocol), replays the commits certified after
@@ -185,55 +172,6 @@ impl FaultPlan {
                     down_ms: 20 + next() % 120,
                 },
                 2 => FaultKind::DropRefreshes {
-                    replica: (next() % replicas.max(1) as u64) as usize,
-                    count: 1 + (next() % 3) as u32,
-                },
-                _ => FaultKind::DelayNet {
-                    extra_us: 500 + next() % 4_500,
-                    duration_ms: 50 + next() % 200,
-                },
-            };
-            plan = plan.with(at_ms, kind);
-        }
-        plan
-    }
-
-    /// A pseudo-random plan for a *sharded* certifier deployment: like
-    /// [`FaultPlan::random`], but certifier faults strike individual shards
-    /// of an `n_shards` partitioning (plus the occasional whole-certifier
-    /// crash, replica crash, refresh drop, and latency burst). Same seed,
-    /// same plan.
-    #[must_use]
-    pub fn random_sharded(seed: u64, replicas: usize, n_shards: usize, horizon_ms: u64) -> Self {
-        let mut state = seed ^ 0xD1B5_4A32_D192_ED03;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let lo = horizon_ms / 5;
-        let hi = horizon_ms * 17 / 20;
-        let span = hi.saturating_sub(lo).max(1);
-        let n_faults = 3 + (next() % 4) as usize; // 3..=6
-        let mut plan = FaultPlan::none();
-        for _ in 0..n_faults {
-            let at_ms = lo + next() % span;
-            let kind = match next() % 8 {
-                // Half the draws strike one shard: per-shard crashes are
-                // the novel failure mode this plan exists to exercise.
-                0..=3 => FaultKind::CertifierShardCrash {
-                    shard: (next() % n_shards.max(1) as u64) as usize,
-                    down_ms: 20 + next() % 100,
-                },
-                4 => FaultKind::CertifierCrash {
-                    down_ms: 20 + next() % 80,
-                },
-                5 => FaultKind::ReplicaCrash {
-                    replica: (next() % replicas.max(1) as u64) as usize,
-                    down_ms: 20 + next() % 120,
-                },
-                6 => FaultKind::DropRefreshes {
                     replica: (next() % replicas.max(1) as u64) as usize,
                     count: 1 + (next() % 3) as u32,
                 },
@@ -382,29 +320,6 @@ mod tests {
         times.sort_unstable();
         times.dedup();
         assert_eq!(times.len(), 4);
-    }
-
-    #[test]
-    fn random_sharded_plans_are_deterministic_and_strike_shards() {
-        let a = FaultPlan::random_sharded(7, 3, 4, 2_000);
-        let b = FaultPlan::random_sharded(7, 3, 4, 2_000);
-        assert_eq!(a, b);
-        assert!((3..=6).contains(&a.events.len()));
-        for e in &a.events {
-            assert!(e.at_ms >= 2_000 / 5 && e.at_ms < 2_000 * 17 / 20);
-            if let FaultKind::CertifierShardCrash { shard, .. } = e.kind {
-                assert!(shard < 4);
-            }
-        }
-        // Per-shard crashes dominate the mix: every small seed range must
-        // produce at least one.
-        let any_shard_crash = (0..8).any(|seed| {
-            FaultPlan::random_sharded(seed, 3, 4, 2_000)
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::CertifierShardCrash { .. }))
-        });
-        assert!(any_shard_crash);
     }
 
     #[test]

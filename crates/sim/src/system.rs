@@ -71,11 +71,6 @@ pub struct SimConfig {
     pub early_certification: bool,
     /// Faults to inject during the run (default: none).
     pub faults: FaultPlan,
-    /// Number of certifier shards (the table space is partitioned across
-    /// them; 1 — the default — is the single certifier). With N>1,
-    /// `FaultKind::CertifierShardCrash` becomes injectable: one shard dies
-    /// while traffic over the healthy shards keeps flowing.
-    pub certifier_shards: usize,
     /// Admission lag bound for a joining replica (versions): after its
     /// snapshot import and catch-up replay, a joiner becomes routable only
     /// once the certifier's commit version is within this many versions of
@@ -97,7 +92,6 @@ impl Default for SimConfig {
             routing: bargain_core::RoutingPolicy::LeastConnections,
             early_certification: true,
             faults: FaultPlan::default(),
-            certifier_shards: 1,
             join_lag_bound: 64,
         }
     }
@@ -177,11 +171,6 @@ enum Event {
     Fault(FaultKind),
     /// The crashed certifier restarts and recovers from its log.
     CertifierRestart,
-    /// A crashed certifier shard restarts and the sharded certifier
-    /// recovers from the merged shard logs.
-    CertifierShardRestart {
-        shard: usize,
-    },
     /// A crashed replica restarts.
     ReplicaRestart {
         replica: usize,
@@ -290,13 +279,6 @@ struct Sim<'w> {
     /// mid-service — their effects had not happened yet) or arrived while
     /// it was down; replayed after recovery.
     cert_inbox: Vec<CertifyRequest>,
-    /// Per-shard liveness within a live certifier process. A request whose
-    /// writeset touches a down shard parks in `shard_inbox`; the healthy
-    /// shards keep certifying everything else.
-    shard_up: Vec<bool>,
-    /// Requests parked because a shard they need is down; replayed when it
-    /// restarts (or when the whole process recovers).
-    shard_inbox: Vec<CertifyRequest>,
     /// Per-replica process liveness.
     replica_up: Vec<bool>,
     /// Per-replica life counters; bumped at each crash.
@@ -338,7 +320,6 @@ impl<'w> Sim<'w> {
     fn build(workload: &'w dyn Workload, cfg: SimConfig) -> Self {
         assert!(cfg.replicas >= 1, "need at least one replica");
         assert!(cfg.clients >= 1, "need at least one client");
-        assert!(cfg.certifier_shards >= 1, "need at least one shard");
         for f in &cfg.faults.events {
             match f.kind {
                 FaultKind::ReplicaCrash { replica, .. }
@@ -348,13 +329,6 @@ impl<'w> Sim<'w> {
                         replica < cfg.replicas,
                         "fault plan targets replica {replica}, cluster has {}",
                         cfg.replicas
-                    );
-                }
-                FaultKind::CertifierShardCrash { shard, .. } => {
-                    assert!(
-                        shard < cfg.certifier_shards,
-                        "fault plan targets shard {shard}, certifier has {}",
-                        cfg.certifier_shards
                     );
                 }
                 _ => {}
@@ -398,7 +372,7 @@ impl<'w> Sim<'w> {
         for (tid, ts) in &template_tables {
             lb.register_template(*tid, ts.clone());
         }
-        let mut certifier = Certifier::sharded(replica_ids, cfg.certifier_shards);
+        let mut certifier = Certifier::new(replica_ids);
         certifier.set_eager(cfg.mode == ConsistencyMode::Eager);
 
         let replica_res = (0..cfg.replicas)
@@ -416,7 +390,6 @@ impl<'w> Sim<'w> {
         let end_time = (cfg.warmup_ms + cfg.measure_ms) * MS;
         let rng = SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0xA24B_AED4_963E_E407));
         let n_replicas = cfg.replicas;
-        let n_shards = cfg.certifier_shards;
         Sim {
             cfg,
             workload,
@@ -440,8 +413,6 @@ impl<'w> Sim<'w> {
             cert_up: true,
             cert_epoch: 0,
             cert_inbox: Vec::new(),
-            shard_up: vec![true; n_shards],
-            shard_inbox: Vec::new(),
             replica_up: vec![true; n_replicas],
             replica_epoch: vec![0; n_replicas],
             drop_refreshes: vec![0; n_replicas],
@@ -692,15 +663,6 @@ impl<'w> Sim<'w> {
                     self.cert_inbox.push(req);
                     return;
                 }
-                if self.shard_up.iter().any(|&up| !up) {
-                    let involved = self.certifier.partition().shards_of(&req.writeset);
-                    if involved.iter().any(|&s| !self.shard_up[s]) {
-                        // A shard this transaction needs is down: park it.
-                        // Traffic over the healthy shards keeps flowing.
-                        self.shard_inbox.push(req);
-                        return;
-                    }
-                }
                 if self.cert_res.in_service() > 0 {
                     // A batch is in service: join the next one (group
                     // commit adaptivity — the batch grows with the load).
@@ -716,11 +678,9 @@ impl<'w> Sim<'w> {
             }
             Event::CertifierDone { batch, epoch } => {
                 // Crashed mid-service: the batch's effects never happened
-                // (certification is atomic at completion). After a whole-
-                // process crash the batch parks for replay at recovery;
-                // after a shard-only crash the process is still up, so
-                // re-deliver immediately — requests needing the dead shard
-                // park in `shard_inbox`, the rest keep flowing.
+                // (certification is atomic at completion). The batch parks
+                // for replay at recovery — or, when the restart beat this
+                // completion, is re-delivered to the recovered certifier.
                 if epoch != self.cert_epoch {
                     if self.cert_up {
                         for req in batch {
@@ -840,7 +800,6 @@ impl<'w> Sim<'w> {
             }
             Event::Fault(kind) => self.on_fault(kind),
             Event::CertifierRestart => self.on_certifier_restart(),
-            Event::CertifierShardRestart { shard } => self.on_certifier_shard_restart(shard),
             Event::ReplicaRestart { replica } => self.on_replica_restart(replica),
             Event::ResyncReplica { replica } => self.on_resync_replica(replica),
             Event::NetCalm { extra_us } => {
@@ -883,28 +842,6 @@ impl<'w> Sim<'w> {
                 self.cert_inbox.extend(waiting);
                 self.checker.record_fault("certifier crash");
                 self.queue.schedule(down_ms * MS, Event::CertifierRestart);
-            }
-            FaultKind::CertifierShardCrash { shard, down_ms } => {
-                if !self.cert_up || !self.shard_up[shard] {
-                    return; // the process (or this shard) is already down
-                }
-                self.n_faults += 1;
-                self.n_cert_crashes += 1;
-                self.shard_up[shard] = false;
-                // The in-service batch dies with the shard's in-memory
-                // state (certification is atomic at completion); bumping
-                // the epoch re-delivers it, and the requests among it that
-                // only touch healthy shards certify right away.
-                self.cert_epoch += 1;
-                let parked = self.cert_res.drain();
-                let waiting = std::mem::take(&mut self.cert_wait);
-                for req in parked.into_iter().flatten().chain(waiting) {
-                    self.queue.schedule(0, Event::ArriveAtCertifier { req });
-                }
-                self.checker
-                    .record_fault(format!("certifier shard {shard} crash"));
-                self.queue
-                    .schedule(down_ms * MS, Event::CertifierShardRestart { shard });
             }
             FaultKind::ReplicaCrash { replica, down_ms } => {
                 if !self.replica_up[replica] {
@@ -1002,9 +939,6 @@ impl<'w> Sim<'w> {
         // WAL is the one durable commit history in the system.
         let replayed = self.certifier.recover().expect("certifier log replays");
         self.cert_up = true;
-        // The process hosts every shard: a full restart revives them all
-        // (any pending per-shard restart event becomes a no-op).
-        self.shard_up.iter_mut().for_each(|up| *up = true);
         self.checker.record_fault("certifier restart");
         // Eager: live replicas re-introduce themselves so the rebuilt
         // (empty) applied sets re-credit everything already applied.
@@ -1030,62 +964,9 @@ impl<'w> Sim<'w> {
             }
         }
         // Requests that survived the crash re-arrive once replay finishes
-        // (recovery time scales with log length). Shard-parked requests are
-        // released too — every shard just came back with the process.
+        // (recovery time scales with log length).
         let delay = self.cfg.costs.cert_recovery_cost(replayed);
         for req in std::mem::take(&mut self.cert_inbox) {
-            self.queue.schedule(delay, Event::ArriveAtCertifier { req });
-        }
-        for req in std::mem::take(&mut self.shard_inbox) {
-            self.queue.schedule(delay, Event::ArriveAtCertifier { req });
-        }
-    }
-
-    /// One shard restarts inside a live certifier process: the sharded
-    /// certifier rebuilds from the merged shard logs (the healthy shards'
-    /// state is bit-identical after the rebuild — recovery is deterministic
-    /// — so modelling it as a full rebuild is equivalent and keeps the
-    /// simulator honest about the merged-log recovery path).
-    fn on_certifier_shard_restart(&mut self, shard: usize) {
-        if self.shard_up[shard] {
-            return; // a full-process restart already revived it
-        }
-        self.shard_up[shard] = true;
-        if !self.cert_up {
-            // The whole process went down after the shard did; the pending
-            // CertifierRestart owns recovery and inbox replay.
-            return;
-        }
-        let replayed = self.certifier.recover().expect("shard logs replay");
-        self.checker
-            .record_fault(format!("certifier shard {shard} restart"));
-        // Eager bookkeeping was rebuilt with empty applied sets; live
-        // replicas re-introduce themselves exactly as after a full restart
-        // (crediting is idempotent, so overlap with in-flight reports is
-        // harmless).
-        if self.cfg.mode == ConsistencyMode::Eager {
-            for r in 0..self.cfg.replicas {
-                if !self.replica_up[r] {
-                    continue;
-                }
-                let rid = self.proxies[r].replica();
-                let v = self.proxies[r].version();
-                for (origin, txn) in self.certifier.on_replica_hello(rid, v) {
-                    let d = self.net_delay(0);
-                    self.queue.schedule(
-                        d,
-                        Event::GlobalCommitAtReplica {
-                            replica: origin.index(),
-                            txn,
-                        },
-                    );
-                }
-            }
-        }
-        // Requests parked for this shard re-arrive once replay finishes; if
-        // another shard is still down they simply re-park.
-        let delay = self.cfg.costs.cert_recovery_cost(replayed);
-        for req in std::mem::take(&mut self.shard_inbox) {
             self.queue.schedule(delay, Event::ArriveAtCertifier { req });
         }
     }

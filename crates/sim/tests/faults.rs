@@ -129,160 +129,6 @@ fn certifier_crash_stalls_then_recovers_updates() {
 }
 
 #[test]
-fn sharding_is_invisible_without_shard_faults() {
-    // The certifier's decisions do not depend on its shard count
-    // (`proptest_certifier`), and neither does the simulator's timing
-    // model — so with no shard faults the whole report must be
-    // byte-identical across shard counts.
-    let w = workload();
-    for shards in [2usize, 4] {
-        let base = faulty_cfg(ConsistencyMode::LazyFine, FaultPlan::none());
-        let sharded = SimConfig {
-            certifier_shards: shards,
-            ..base.clone()
-        };
-        let a = simulate(&w, &base);
-        let b = simulate(&w, &sharded);
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "N={shards} diverged from the N=1 oracle"
-        );
-    }
-}
-
-#[test]
-fn sharded_faulty_run_is_byte_identical_for_same_seed_and_plan() {
-    let w = workload();
-    let plan = FaultPlan::none()
-        .with(
-            500,
-            FaultKind::CertifierShardCrash {
-                shard: 1,
-                down_ms: 80,
-            },
-        )
-        .with(
-            700,
-            FaultKind::CertifierShardCrash {
-                shard: 3,
-                down_ms: 60,
-            },
-        )
-        .with(900, FaultKind::CertifierCrash { down_ms: 50 });
-    let mk = || SimConfig {
-        certifier_shards: 4,
-        ..faulty_cfg(ConsistencyMode::LazyFine, plan.clone())
-    };
-    let a = simulate(&w, &mk());
-    let b = simulate(&w, &mk());
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    assert_eq!(
-        a.certifier_crashes, 3,
-        "both shard crashes and the full crash count"
-    );
-    assert_eq!(a.violations, 0);
-    assert_eq!(a.lost_acked_commits, 0);
-}
-
-#[test]
-fn shard_crash_stalls_only_its_partition() {
-    // Each micro transaction touches exactly one of 4 tables, so at N=4
-    // a single shard crash parks a quarter of the update traffic while the
-    // other three shards keep certifying. A long outage must still end
-    // with zero violations and zero lost acked commits.
-    let w = workload();
-    let plan = FaultPlan::none().with(
-        600,
-        FaultKind::CertifierShardCrash {
-            shard: 0,
-            down_ms: 300,
-        },
-    );
-    let cfg = SimConfig {
-        certifier_shards: 4,
-        ..faulty_cfg(ConsistencyMode::LazyFine, plan)
-    };
-    let r = simulate(&w, &cfg);
-    assert_eq!(r.certifier_crashes, 1);
-    assert!(r.committed_updates > 0, "healthy shards keep committing");
-    assert_eq!(r.violations, 0);
-    assert_eq!(r.lost_acked_commits, 0);
-}
-
-#[test]
-fn sharded_fault_sweep_no_schedule_breaks_consistency_or_loses_acked_commits() {
-    // Seeded sweep of random *sharded* fault schedules (per-shard crashes
-    // dominate the mix) across every guarantee-claiming mode: same headline
-    // property as the unsharded sweep.
-    let w = workload();
-    let modes = [
-        ConsistencyMode::Eager,
-        ConsistencyMode::LazyCoarse,
-        ConsistencyMode::LazyFine,
-        ConsistencyMode::Session,
-    ];
-    for seed in 0..6u64 {
-        let plan = FaultPlan::random_sharded(seed, 3, 4, 1_800);
-        for mode in modes {
-            let mut cfg = SimConfig {
-                certifier_shards: 4,
-                ..faulty_cfg(mode, plan.clone())
-            };
-            cfg.seed = seed.wrapping_mul(37).wrapping_add(11);
-            let r = simulate(&w, &cfg);
-            assert!(
-                r.committed > 0,
-                "{mode} seed {seed}: nothing committed under {plan:?}"
-            );
-            assert_eq!(
-                r.violations, 0,
-                "{mode} seed {seed}: consistency violated under {plan:?}"
-            );
-            assert_eq!(
-                r.lost_acked_commits, 0,
-                "{mode} seed {seed}: acked commits lost under {plan:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_faults_with_cross_partition_writesets() {
-    // TPC-W order transactions write several tables at once, so at N=4
-    // many writesets span shards; a shard crash then strands cross-
-    // partition transactions whose other shards are healthy. They must
-    // park and certify after the restart — never half-certify.
-    use bargain_workloads::{TpcwMix, TpcwWorkload};
-    let mut w = TpcwWorkload::small(TpcwMix::Ordering);
-    w.think_time_ms = 0.0;
-    let plan = FaultPlan::none()
-        .with(
-            500,
-            FaultKind::CertifierShardCrash {
-                shard: 2,
-                down_ms: 150,
-            },
-        )
-        .with(
-            900,
-            FaultKind::CertifierShardCrash {
-                shard: 0,
-                down_ms: 100,
-            },
-        );
-    let cfg = SimConfig {
-        certifier_shards: 4,
-        ..faulty_cfg(ConsistencyMode::LazyFine, plan)
-    };
-    let r = simulate(&w, &cfg);
-    assert_eq!(r.certifier_crashes, 2);
-    assert!(r.committed_updates > 0);
-    assert_eq!(r.violations, 0);
-    assert_eq!(r.lost_acked_commits, 0);
-}
-
-#[test]
 fn replica_join_bootstraps_catches_up_and_is_admitted() {
     // A clean join: snapshot-ship from a live donor, catch-up replay,
     // admission into the routing set — all while the closed loop keeps

@@ -41,6 +41,7 @@
 use crate::chain::VersionChain;
 use crate::engine::Engine;
 use crate::schema::{Column, ColumnType, TableSchema};
+pub use bargain_common::crc32;
 use bargain_common::{Error, Result, Row, Value, Version};
 
 /// Default chunk size: comfortably under the wire's frame cap while big
@@ -81,43 +82,6 @@ pub struct Snapshot {
     pub manifest: SnapshotManifest,
     /// The data chunks, each `<= chunk_bytes` long.
     pub chunks: Vec<Vec<u8>>,
-}
-
-// ----------------------------------------------------------------------
-// CRC32 (IEEE), table-driven — same polynomial as the WAL and the wire
-// frame codec.
-// ----------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut j = 0;
-        while j < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            j += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// CRC32 (IEEE) of `data` — the checksum guarding snapshot chunks.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
 }
 
 // ----------------------------------------------------------------------
