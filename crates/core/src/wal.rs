@@ -407,7 +407,7 @@ impl CommitLog for FileLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bargain_common::TableId;
+    use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
 
     fn sample(version: u64) -> LogRecord {
         let mut ws = WriteSet::new();
@@ -622,6 +622,80 @@ mod tests {
                 "cut {cut}: the file is what a log that was never torn holds"
             );
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The bytes of a three-record `certifier.wal` — insert, update and
+    /// delete entries with every value type, a keyed and an unkeyed record,
+    /// an empty writeset — printed by the build that last changed the
+    /// format on purpose. Appending the records must write exactly this
+    /// file, and this file must replay to exactly these records.
+    const GOLDEN_LOG: &str = "\
+        01000000000000000a000000000000000000000001eeffc000000000000300000000000000010000\
+        00010000000107000000000000000004000000010700000000000000030600000068c3a96c6c6f00\
+        0200000000000004c002000000000000001400000000000000010000000002000000020000000301\
+        0000006b010200000003010000006b01ffffffffffffffff03000000010900000000000000020300\
+        0000000000001e00000000000000020000000000000000";
+
+    #[test]
+    fn golden_log_image_is_pinned() {
+        let mut inserts = WriteSet::new();
+        inserts.push(
+            TableId(1),
+            Value::Int(7),
+            WriteOp::Insert(vec![
+                Value::Int(7),
+                Value::Text("héllo".into()),
+                Value::Null,
+                Value::Float(-2.5),
+            ]),
+        );
+        let mut changes = WriteSet::new();
+        changes.push(
+            TableId(2),
+            Value::Text("k".into()),
+            WriteOp::Update(vec![Value::Text("k".into()), Value::Int(-1)]),
+        );
+        changes.push(TableId(3), Value::Int(9), WriteOp::Delete);
+        let record = |version: u64, idem, writeset| LogRecord {
+            commit_version: Version(version),
+            txn: TxnId(version * 10),
+            origin: ReplicaId(version as u32 - 1),
+            idem,
+            writeset: Arc::new(writeset),
+        };
+        let key = IdemKey {
+            client: 0xC0FFEE,
+            seq: 3,
+        };
+        let records = vec![
+            record(1, Some(key), inserts),
+            record(2, None, changes),
+            record(3, None, WriteSet::new()),
+        ];
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let pinned: Vec<u8> = (0..GOLDEN_LOG.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_LOG[i..i + 2], 16).unwrap())
+            .collect();
+
+        let dir = std::env::temp_dir().join(format!("bargain-wal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("golden.wal");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut log = FileLog::open(&path).unwrap();
+            log.append(&records[0]).unwrap();
+            log.append_batch(&records[1..]).unwrap();
+        }
+        assert_eq!(hex(&std::fs::read(&path).unwrap()), GOLDEN_LOG);
+
+        std::fs::write(&path, &pinned).unwrap();
+        let mut log = FileLog::open(&path).unwrap();
+        assert_eq!(log.len(), 3);
+        assert_eq!(log.replay().unwrap(), records);
+        drop(log);
+        assert_eq!(std::fs::read(&path).unwrap(), pinned, "nothing was torn");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -681,6 +681,109 @@ mod tests {
         e.abort(reader).ok();
     }
 
+    /// Snapshot format 1 of a two-table engine — a nullable text column, a
+    /// float column, a secondary index, and under an open reader an update
+    /// history and a tombstone — printed by the build that last changed the
+    /// format on purpose: the manifest, then the stream cut into 48-byte
+    /// chunks. Exporting the engine must give exactly these bytes, and
+    /// these bytes must import to exactly that engine.
+    const GOLDEN_MANIFEST: &str = "\
+        42534e50010002000000000000000000000000000000020000000400000061636374020000000200\
+        0000696400000300000062616c0000000000000100000001000000040000006974656d0300000004\
+        0000006e6f74650201040000006e616d650200050000007072696365010001000000000000000500\
+        00007154d35337799c590ecdb1e1d3994b06154b75c5ed0000000000000092eefc46";
+    const GOLDEN_CHUNKS: [&str; 5] = [
+        "030000000000000001010000000000000002000000000000000000000001020000000101000000000000000164000000",
+        "000000000100000000000000010200000001010000000000000001650000000000000001020000000000000002000000",
+        "0000000000000000010200000001020000000000000001c8000000000000000100000000000000000103000000000000",
+        "000100000002000000000000000102000000010300000000000000012c01000000000000010000000000000003060000",
+        "0068c3a96c6c6f010000000000000000000000010300000000030600000068c3a96c6c6f0200000000000004c0",
+    ];
+
+    #[test]
+    fn golden_snapshot_is_pinned() {
+        let mut e = Engine::new();
+        let acct = e
+            .create_table(
+                TableSchema::new(
+                    "acct",
+                    vec![
+                        Column::new("id", ColumnType::Int),
+                        Column::new("bal", ColumnType::Int),
+                    ],
+                    0,
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        e.create_index(acct, "bal").unwrap();
+        let item = e
+            .create_table(
+                TableSchema::new(
+                    "item",
+                    vec![
+                        Column::nullable("note", ColumnType::Text),
+                        Column::new("name", ColumnType::Text),
+                        Column::new("price", ColumnType::Float),
+                    ],
+                    1,
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        e.load_rows(acct, vec![row(1, 100), row(2, 200)]).unwrap();
+        e.load_rows(
+            item,
+            vec![vec![
+                Value::Null,
+                Value::Text("héllo".into()),
+                Value::Float(-2.5),
+            ]],
+        )
+        .unwrap();
+        let reader = e.begin_at(Version::ZERO);
+        let mut ws = WriteSet::new();
+        ws.push(acct, Value::Int(1), WriteOp::Update(row(1, 101)));
+        ws.push(acct, Value::Int(2), WriteOp::Delete);
+        e.apply_refresh(&ws, Version(1)).unwrap();
+        let mut ws = WriteSet::new();
+        ws.push(acct, Value::Int(3), WriteOp::Insert(row(3, 300)));
+        e.apply_refresh(&ws, Version(2)).unwrap();
+
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let unhex = |text: &str| -> Vec<u8> {
+            (0..text.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let snap = export(&e, 48);
+        assert_eq!(hex(&snap.manifest.encode()), GOLDEN_MANIFEST);
+        let chunks: Vec<String> = snap.chunks.iter().map(|c| hex(c)).collect();
+        assert_eq!(chunks, GOLDEN_CHUNKS);
+
+        let manifest = SnapshotManifest::decode(&unhex(GOLDEN_MANIFEST)).unwrap();
+        assert_eq!(manifest, snap.manifest);
+        assert_eq!(
+            (manifest.version, manifest.horizon),
+            (Version(2), Version::ZERO)
+        );
+        let pinned: Vec<Vec<u8>> = GOLDEN_CHUNKS.iter().map(|c| unhex(c)).collect();
+        let imported = import(&manifest, &pinned).unwrap();
+        for t in [acct, item] {
+            assert_equivalent(&e, &imported, t);
+            let chains = |e: &Engine| -> Vec<(Value, VersionChain)> {
+                let table = e.table(t).unwrap();
+                table
+                    .chains()
+                    .map(|(k, c)| (k.clone(), c.clone()))
+                    .collect()
+            };
+            assert_eq!(chains(&e), chains(&imported), "every shipped version");
+        }
+        e.abort(reader).unwrap();
+    }
+
     #[test]
     fn empty_engine_round_trips() {
         let e = Engine::new();
