@@ -12,6 +12,7 @@
 //! techniques of the paper are all expressed as constraints over these
 //! version counters.
 
+pub mod codec;
 pub mod config;
 pub mod crc;
 pub mod error;
@@ -20,6 +21,7 @@ pub mod tableset;
 pub mod value;
 pub mod writeset;
 
+pub use codec::{Codec, DecodeError, Reader};
 pub use config::ConsistencyMode;
 pub use crc::crc32;
 pub use error::{Error, Result};

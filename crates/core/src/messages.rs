@@ -5,6 +5,7 @@
 //! *transporting* these messages; the state machines only produce and
 //! consume them.
 
+use bargain_common::codec::{malformed, Codec, DecodeResult, Reader};
 use bargain_common::{
     ClientId, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value, Version, WriteSet,
 };
@@ -177,6 +178,136 @@ impl TxnOutcome {
     #[must_use]
     pub fn is_committed_update(&self) -> bool {
         self.committed && self.commit_version.is_some()
+    }
+}
+
+// Wire encodings (all integers little-endian; `bargain_common::codec` has
+// the parts):
+//
+// ```text
+// certify:  u64 txn | u32 replica | u64 snapshot | option<idem key> | writeset
+// decision: u8 tag (0=commit,1=abort,2=duplicate) | u64 txn
+//             | u64 version (commit/abort) or u64 original | u64 version
+// refresh:  u32 origin | u64 txn | u64 commit_version | writeset
+// outcome:  u64 txn | u64 client | u64 session | u32 replica
+//             | bool committed | option<u64> commit_version
+//             | u64 observed_version | vec<u32> tables_written
+//             | option<string> abort_reason
+// ```
+
+impl Codec for CertifyRequest {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.txn.put(buf);
+        self.replica.put(buf);
+        self.snapshot.put(buf);
+        self.idem.put(buf);
+        self.writeset.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(CertifyRequest {
+            txn: r.get()?,
+            replica: r.get()?,
+            snapshot: r.get()?,
+            idem: r.get()?,
+            writeset: r.get()?,
+        })
+    }
+}
+
+impl Codec for CertifyDecision {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            CertifyDecision::Commit {
+                txn,
+                commit_version,
+            } => {
+                buf.push(0);
+                txn.put(buf);
+                commit_version.put(buf);
+            }
+            CertifyDecision::Abort {
+                txn,
+                conflicting_version,
+            } => {
+                buf.push(1);
+                txn.put(buf);
+                conflicting_version.put(buf);
+            }
+            CertifyDecision::Duplicate {
+                txn,
+                original,
+                commit_version,
+            } => {
+                buf.push(2);
+                txn.put(buf);
+                original.put(buf);
+                commit_version.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        let tag: u8 = r.get()?;
+        let txn = r.get()?;
+        Ok(match tag {
+            0 => CertifyDecision::Commit {
+                txn,
+                commit_version: r.get()?,
+            },
+            1 => CertifyDecision::Abort {
+                txn,
+                conflicting_version: r.get()?,
+            },
+            2 => CertifyDecision::Duplicate {
+                txn,
+                original: r.get()?,
+                commit_version: r.get()?,
+            },
+            t => return Err(malformed(format!("bad decision tag {t}"))),
+        })
+    }
+}
+
+impl Codec for Refresh {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.origin.put(buf);
+        self.txn.put(buf);
+        self.commit_version.put(buf);
+        self.writeset.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(Refresh {
+            origin: r.get()?,
+            txn: r.get()?,
+            commit_version: r.get()?,
+            writeset: r.get()?,
+        })
+    }
+}
+
+impl Codec for TxnOutcome {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.txn.put(buf);
+        self.client.put(buf);
+        self.session.put(buf);
+        self.replica.put(buf);
+        self.committed.put(buf);
+        self.commit_version.put(buf);
+        self.observed_version.put(buf);
+        self.tables_written.put(buf);
+        self.abort_reason.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(TxnOutcome {
+            txn: r.get()?,
+            client: r.get()?,
+            session: r.get()?,
+            replica: r.get()?,
+            committed: r.get()?,
+            commit_version: r.get()?,
+            observed_version: r.get()?,
+            tables_written: r.get()?,
+            abort_reason: r.get()?,
+        })
     }
 }
 

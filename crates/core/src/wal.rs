@@ -11,208 +11,12 @@
 //! tests) and [`FileLog`] (a real append-only file of back-to-back binary
 //! records — no length prefix, no checksum — with optional fsync).
 
-use bargain_common::{Error, IdemKey, ReplicaId, Result, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_common::codec::{Codec, DecodeError, DecodeResult, Reader};
+use bargain_common::{Error, IdemKey, ReplicaId, Result, TxnId, Version, WriteSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Seek, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
-
-// ----------------------------------------------------------------------
-// Binary codecs for the protocol's value types.
-//
-// These are the canonical on-disk/on-wire encodings, shared by the
-// file-backed commit log below and the `bargain-net` wire protocol (all
-// integers little-endian):
-//
-// ```text
-// value:    u8 tag (0=null,1=int,2=float,3=text) | payload
-// writeset: u32 entry_count
-//             per entry: u32 table | value key
-//                        | u8 op (0=ins,1=upd,2=del) [| u32 ncols | values]
-// record:   u64 commit_version | u64 txn_id | u32 origin
-//             | u8 has_idem [| u64 idem_client | u64 idem_seq] | writeset
-// ```
-// ----------------------------------------------------------------------
-
-/// How a read past the end of the input reads, whether `read_exact` or
-/// [`read_len`] met it. In a log file it marks the torn tail.
-const SHORT_READ: &str = "failed to fill whole buffer";
-
-/// Reads the `len` bytes a length prefix announced. `len` is the input's
-/// word, so little is reserved up front and the rest grows only as bytes
-/// arrive to back it: a length longer than the input is an error, not an
-/// allocation.
-pub fn read_len(r: &mut impl Read, len: usize) -> Result<Vec<u8>> {
-    let mut bytes = Vec::with_capacity(len.min(4096));
-    r.by_ref().take(len as u64).read_to_end(&mut bytes)?;
-    if bytes.len() < len {
-        return Err(Error::Io(SHORT_READ.into()));
-    }
-    Ok(bytes)
-}
-
-/// Appends the binary encoding of a [`Value`] to `buf`.
-pub fn write_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Int(i) => {
-            buf.push(1);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(2);
-            buf.extend_from_slice(&f.to_le_bytes());
-        }
-        Value::Text(s) => {
-            buf.push(3);
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
-/// Decodes one [`Value`] from `r` (inverse of [`write_value`]).
-pub fn read_value(r: &mut impl Read) -> Result<Value> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    Ok(match tag[0] {
-        0 => Value::Null,
-        1 => {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            Value::Int(i64::from_le_bytes(b))
-        }
-        2 => {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            Value::Float(f64::from_le_bytes(b))
-        }
-        3 => {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)?;
-            let s = read_len(r, u32::from_le_bytes(b) as usize)?;
-            Value::Text(
-                String::from_utf8(s).map_err(|e| Error::Codec(format!("bad value text: {e}")))?,
-            )
-        }
-        t => return Err(Error::Codec(format!("bad value tag {t}"))),
-    })
-}
-
-/// Appends the binary encoding of a [`WriteSet`] to `buf`.
-pub fn write_writeset(buf: &mut Vec<u8>, ws: &WriteSet) {
-    buf.extend_from_slice(&(ws.len() as u32).to_le_bytes());
-    for e in ws.entries() {
-        buf.extend_from_slice(&e.table.0.to_le_bytes());
-        write_value(buf, &e.key);
-        match &e.op {
-            WriteOp::Insert(row) => {
-                buf.push(0);
-                buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                for v in row {
-                    write_value(buf, v);
-                }
-            }
-            WriteOp::Update(row) => {
-                buf.push(1);
-                buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
-                for v in row {
-                    write_value(buf, v);
-                }
-            }
-            WriteOp::Delete => buf.push(2),
-        }
-    }
-}
-
-/// Decodes one [`WriteSet`] from `r` (inverse of [`write_writeset`]).
-pub fn read_writeset(r: &mut impl Read) -> Result<WriteSet> {
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let n = u32::from_le_bytes(b4) as usize;
-    let mut ws = WriteSet::new();
-    for _ in 0..n {
-        r.read_exact(&mut b4)?;
-        let table = bargain_common::TableId(u32::from_le_bytes(b4));
-        let key = read_value(r)?;
-        let mut op_tag = [0u8; 1];
-        r.read_exact(&mut op_tag)?;
-        let op = match op_tag[0] {
-            0 | 1 => {
-                r.read_exact(&mut b4)?;
-                let ncols = u32::from_le_bytes(b4) as usize;
-                let mut row = Vec::with_capacity(ncols.min(4096));
-                for _ in 0..ncols {
-                    row.push(read_value(r)?);
-                }
-                if op_tag[0] == 0 {
-                    WriteOp::Insert(row)
-                } else {
-                    WriteOp::Update(row)
-                }
-            }
-            2 => WriteOp::Delete,
-            t => return Err(Error::Codec(format!("bad writeset op tag {t}"))),
-        };
-        ws.push(table, key, op);
-    }
-    Ok(ws)
-}
-
-/// Appends the binary encoding of a [`LogRecord`] to `buf`.
-pub fn write_record(buf: &mut Vec<u8>, record: &LogRecord) {
-    buf.extend_from_slice(&record.commit_version.0.to_le_bytes());
-    buf.extend_from_slice(&record.txn.0.to_le_bytes());
-    buf.extend_from_slice(&record.origin.0.to_le_bytes());
-    match record.idem {
-        Some(k) => {
-            buf.push(1);
-            buf.extend_from_slice(&k.client.to_le_bytes());
-            buf.extend_from_slice(&k.seq.to_le_bytes());
-        }
-        None => buf.push(0),
-    }
-    write_writeset(buf, &record.writeset);
-}
-
-/// Decodes one [`LogRecord`] from `r`, or `None` at clean end-of-stream
-/// (inverse of [`write_record`]).
-pub fn read_record(r: &mut impl Read) -> Result<Option<LogRecord>> {
-    let mut header = [0u8; 8];
-    match r.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e.into()),
-    }
-    let commit_version = Version(u64::from_le_bytes(header));
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let txn = TxnId(u64::from_le_bytes(b8));
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let origin = ReplicaId(u32::from_le_bytes(b4));
-    let mut has_idem = [0u8; 1];
-    r.read_exact(&mut has_idem)?;
-    let idem = match has_idem[0] {
-        0 => None,
-        1 => {
-            r.read_exact(&mut b8)?;
-            let client = u64::from_le_bytes(b8);
-            r.read_exact(&mut b8)?;
-            let seq = u64::from_le_bytes(b8);
-            Some(IdemKey { client, seq })
-        }
-        t => return Err(Error::Codec(format!("bad idempotency-key tag {t}"))),
-    };
-    let ws = read_writeset(r)?;
-    Ok(Some(LogRecord {
-        commit_version,
-        txn,
-        origin,
-        idem,
-        writeset: Arc::new(ws),
-    }))
-}
 
 /// One durable commit decision.
 ///
@@ -234,6 +38,32 @@ pub struct LogRecord {
     pub idem: Option<IdemKey>,
     /// Its writeset (shared with the history and the refresh fan-out).
     pub writeset: Arc<WriteSet>,
+}
+
+/// A record's bytes, in the log file and inside a `History` frame alike
+/// (all integers little-endian; `bargain_common::codec` has the parts):
+///
+/// ```text
+/// record:   u64 commit_version | u64 txn_id | u32 origin
+///             | u8 has_idem [| u64 idem_client | u64 idem_seq] | writeset
+/// ```
+impl Codec for LogRecord {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.commit_version.put(buf);
+        self.txn.put(buf);
+        self.origin.put(buf);
+        self.idem.put(buf);
+        self.writeset.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(LogRecord {
+            commit_version: r.get()?,
+            txn: r.get()?,
+            origin: r.get()?,
+            idem: r.get()?,
+            writeset: r.get()?,
+        })
+    }
 }
 
 /// Abstraction over the certifier's durable log.
@@ -297,16 +127,8 @@ impl CommitLog for MemoryLog {
     }
 }
 
-/// A file-backed append-only log.
-///
-/// Record format (all integers little-endian):
-///
-/// ```text
-/// u64 commit_version | u64 txn_id | u32 origin_replica
-///   | u8 has_idem [| u64 idem_client | u64 idem_seq] | u32 entry_count
-///   per entry: u32 table | value key | u8 op (0=ins,1=upd,2=del) | [u32 ncols | values...]
-/// value: u8 tag (0=null,1=int,2=float,3=text) | payload
-/// ```
+/// A file-backed append-only log: [`LogRecord`]s back to back, nothing
+/// between them.
 pub struct FileLog {
     file: File,
     path: std::path::PathBuf,
@@ -343,32 +165,36 @@ impl FileLog {
     }
 
     /// Every complete record in the file, and the byte offset where the
-    /// last of them ends.
+    /// last of them ends. The file is read whole: recovery keeps every
+    /// record in memory anyway, and the encoded bytes are the smaller copy.
     fn read_all(path: &Path) -> Result<(Vec<LogRecord>, u64)> {
-        let mut reader = BufReader::new(File::open(path)?);
+        let bytes = std::fs::read(path)?;
+        let mut reader = Reader::new(&bytes);
         let mut records = Vec::new();
         let mut complete = 0;
-        loop {
-            match read_record(&mut reader) {
-                Ok(Some(rec)) => {
-                    records.push(rec);
-                    complete = reader.stream_position()?;
+        while !reader.is_empty() {
+            match reader.get() {
+                Ok(record) => {
+                    records.push(record);
+                    complete = reader.position();
                 }
-                Ok(None) => break,
                 // A torn tail truncates to the last complete record: the
                 // decision was never announced, so dropping it is safe.
-                Err(Error::Io(msg)) if msg.contains(SHORT_READ) => break,
-                Err(e) => return Err(e),
+                Err(DecodeError::Truncated { .. }) => break,
+                Err(e) => {
+                    let at = reader.position();
+                    return Err(Error::Codec(format!("{}, byte {at}: {e}", path.display())));
+                }
             }
         }
-        Ok((records, complete))
+        Ok((records, complete as u64))
     }
 }
 
 impl CommitLog for FileLog {
     fn append(&mut self, record: &LogRecord) -> Result<()> {
         let mut buf = Vec::with_capacity(64);
-        write_record(&mut buf, record);
+        record.put(&mut buf);
         self.file.write_all(&buf)?;
         if self.sync_on_append {
             self.file.sync_data()?;
@@ -385,7 +211,7 @@ impl CommitLog for FileLog {
         }
         let mut buf = Vec::with_capacity(64 * records.len());
         for record in records {
-            write_record(&mut buf, record);
+            record.put(&mut buf);
         }
         self.file.write_all(&buf)?;
         if self.sync_on_append {
@@ -581,7 +407,7 @@ mod tests {
         let originals = vec![sample(1), sample(2), sample(3)];
         let encoded = |records: &[LogRecord]| {
             let mut buf = Vec::new();
-            records.iter().for_each(|r| write_record(&mut buf, r));
+            records.iter().for_each(|r| r.put(&mut buf));
             buf
         };
         {

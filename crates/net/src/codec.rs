@@ -1,42 +1,25 @@
-//! Binary message codec: every protocol message, hand-encoded in the same
-//! little-endian style as the certifier's WAL records.
+//! The message envelope: which protocol messages exist, the frame `kind`
+//! byte of each, and the fields each carries, in wire order.
 //!
-//! The value, writeset, and log-record encodings are *shared* with
-//! `bargain-core::wal` — the bytes a writeset occupies on the certifier's
-//! disk are exactly the bytes it occupies on the wire. This module adds the
-//! envelope types: session traffic (frontend ↔ client driver) and
-//! certification traffic (cluster ↔ certifier process).
+//! What a field looks like as bytes is not decided here: every type brings
+//! its one encoding ([`bargain_common::codec`], with the impls for the
+//! middleware's own types beside them in `bargain_core` and for
+//! `QueryResult` in `bargain_sql`), so a writeset or a commit record
+//! occupies on the wire exactly the bytes it occupies on the certifier's
+//! disk. Two kinds of traffic share the envelope: session traffic (frontend
+//! ↔ client driver) and certification traffic (cluster ↔ certifier
+//! process).
 //!
-//! Composite encodings (all integers little-endian):
-//!
-//! ```text
-//! string:       u32 len | utf-8 bytes
-//! option<T>:    u8 (0|1) [| T]
-//! vec<T>:       u32 count | T*
-//! error:        u8 variant tag | string
-//! outcome:      u64 txn | u64 client | u64 session | u32 replica
-//!               | u8 committed | option<u64> commit_version
-//!               | u64 observed_version | vec<u32> tables_written
-//!               | option<string> abort_reason
-//! query result: u8 tag (0=rows,1=affected) | vec<vec<value>> or u64
-//! idem key:     u8 (0|1) [| u64 client | u64 seq]
-//! decision:     u8 tag (0=commit,1=abort,2=duplicate) | u64 txn
-//!               | u64 version (commit/abort) or u64 original | u64 version
-//! refresh:      u32 origin | u64 txn | u64 commit_version | writeset
-//! ```
-//!
-//! Decoding is strict: unknown tags, truncated payloads, and trailing bytes
-//! all yield [`Error::Codec`]; nothing panics on malformed input.
+//! Decoding is strict: unknown kinds and tags, truncated payloads, and
+//! trailing bytes all yield [`Error::Codec`]; nothing panics on malformed
+//! input.
 
+use bargain_common::codec::{malformed, put_bytes, Codec, DecodeResult, Reader};
 use bargain_common::{
-    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, Result, SessionId, TemplateId, TxnId,
-    Value, Version,
+    ConsistencyMode, Error, IdemKey, ReplicaId, Result, TemplateId, TxnId, Value, Version,
 };
-use bargain_core::wal::{read_len, read_value, read_writeset, write_value, write_writeset};
 use bargain_core::{CertifyDecision, CertifyRequest, LogRecord, Refresh, TxnOutcome};
 use bargain_sql::QueryResult;
-use std::io::Read;
-use std::sync::Arc;
 
 /// One protocol message. The numeric discriminants are the frame `kind`
 /// byte; frontend traffic uses 1–16, certifier traffic 20–26.
@@ -204,374 +187,6 @@ pub enum Message {
     },
 }
 
-// ----------------------------------------------------------------------
-// Primitive helpers
-// ----------------------------------------------------------------------
-
-fn write_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn write_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_u8(r: &mut impl Read) -> Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32(r: &mut impl Read) -> Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64(r: &mut impl Read) -> Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn read_string(r: &mut impl Read) -> Result<String> {
-    let len = read_u32(r)? as usize;
-    let bytes = read_len(r, len)?;
-    String::from_utf8(bytes).map_err(|e| Error::Codec(format!("bad utf-8 string: {e}")))
-}
-
-fn write_bytes(buf: &mut Vec<u8>, data: &[u8]) {
-    write_u32(buf, data.len() as u32);
-    buf.extend_from_slice(data);
-}
-
-fn read_bytes(r: &mut impl Read) -> Result<Vec<u8>> {
-    let len = read_u32(r)? as usize;
-    read_len(r, len)
-}
-
-// ----------------------------------------------------------------------
-// Composite helpers
-// ----------------------------------------------------------------------
-
-fn write_idem(buf: &mut Vec<u8>, idem: Option<IdemKey>) {
-    match idem {
-        Some(k) => {
-            write_u8(buf, 1);
-            write_u64(buf, k.client);
-            write_u64(buf, k.seq);
-        }
-        None => write_u8(buf, 0),
-    }
-}
-
-fn read_idem(r: &mut impl Read) -> Result<Option<IdemKey>> {
-    match read_u8(r)? {
-        0 => Ok(None),
-        1 => Ok(Some(IdemKey {
-            client: read_u64(r)?,
-            seq: read_u64(r)?,
-        })),
-        t => Err(Error::Codec(format!("bad idempotency-key tag {t}"))),
-    }
-}
-
-fn mode_tag(mode: ConsistencyMode) -> u8 {
-    match mode {
-        ConsistencyMode::Eager => 0,
-        ConsistencyMode::LazyCoarse => 1,
-        ConsistencyMode::LazyFine => 2,
-        ConsistencyMode::Session => 3,
-        ConsistencyMode::Baseline => 4,
-    }
-}
-
-fn mode_from_tag(tag: u8) -> Result<ConsistencyMode> {
-    Ok(match tag {
-        0 => ConsistencyMode::Eager,
-        1 => ConsistencyMode::LazyCoarse,
-        2 => ConsistencyMode::LazyFine,
-        3 => ConsistencyMode::Session,
-        4 => ConsistencyMode::Baseline,
-        t => return Err(Error::Codec(format!("bad consistency mode tag {t}"))),
-    })
-}
-
-fn write_error(buf: &mut Vec<u8>, e: &Error) {
-    let (tag, msg) = match e {
-        Error::UnknownTable(s) => (0, s),
-        Error::UnknownColumn(s) => (1, s),
-        Error::TableExists(s) => (2, s),
-        Error::DuplicateKey(s) => (3, s),
-        Error::SchemaMismatch(s) => (4, s),
-        Error::CertificationConflict(s) => (5, s),
-        Error::EarlyCertificationConflict(s) => (6, s),
-        Error::NoSuchTransaction(s) => (7, s),
-        Error::SqlParse(s) => (8, s),
-        Error::SqlExecution(s) => (9, s),
-        Error::Protocol(s) => (10, s),
-        Error::Io(s) => (11, s),
-        Error::Codec(s) => (12, s),
-        Error::Timeout(s) => (13, s),
-        Error::ConnectionClosed(s) => (14, s),
-        Error::Unavailable(s) => (15, s),
-    };
-    write_u8(buf, tag);
-    write_string(buf, msg);
-}
-
-fn read_error(r: &mut impl Read) -> Result<Error> {
-    let tag = read_u8(r)?;
-    let msg = read_string(r)?;
-    Ok(match tag {
-        0 => Error::UnknownTable(msg),
-        1 => Error::UnknownColumn(msg),
-        2 => Error::TableExists(msg),
-        3 => Error::DuplicateKey(msg),
-        4 => Error::SchemaMismatch(msg),
-        5 => Error::CertificationConflict(msg),
-        6 => Error::EarlyCertificationConflict(msg),
-        7 => Error::NoSuchTransaction(msg),
-        8 => Error::SqlParse(msg),
-        9 => Error::SqlExecution(msg),
-        10 => Error::Protocol(msg),
-        11 => Error::Io(msg),
-        12 => Error::Codec(msg),
-        13 => Error::Timeout(msg),
-        14 => Error::ConnectionClosed(msg),
-        15 => Error::Unavailable(msg),
-        t => return Err(Error::Codec(format!("bad error tag {t}"))),
-    })
-}
-
-fn write_params(buf: &mut Vec<u8>, params: &[Vec<Value>]) {
-    write_u32(buf, params.len() as u32);
-    for stmt in params {
-        write_u32(buf, stmt.len() as u32);
-        for v in stmt {
-            write_value(buf, v);
-        }
-    }
-}
-
-fn read_params(r: &mut impl Read) -> Result<Vec<Vec<Value>>> {
-    let n = read_u32(r)? as usize;
-    let mut params = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let m = read_u32(r)? as usize;
-        let mut stmt = Vec::with_capacity(m.min(4096));
-        for _ in 0..m {
-            stmt.push(read_value(r)?);
-        }
-        params.push(stmt);
-    }
-    Ok(params)
-}
-
-fn write_outcome(buf: &mut Vec<u8>, o: &TxnOutcome) {
-    write_u64(buf, o.txn.0);
-    write_u64(buf, o.client.0);
-    write_u64(buf, o.session.0);
-    write_u32(buf, o.replica.0);
-    write_u8(buf, u8::from(o.committed));
-    match o.commit_version {
-        Some(v) => {
-            write_u8(buf, 1);
-            write_u64(buf, v.0);
-        }
-        None => write_u8(buf, 0),
-    }
-    write_u64(buf, o.observed_version.0);
-    write_u32(buf, o.tables_written.len() as u32);
-    for t in &o.tables_written {
-        write_u32(buf, t.0);
-    }
-    match &o.abort_reason {
-        Some(s) => {
-            write_u8(buf, 1);
-            write_string(buf, s);
-        }
-        None => write_u8(buf, 0),
-    }
-}
-
-fn read_outcome(r: &mut impl Read) -> Result<TxnOutcome> {
-    let txn = TxnId(read_u64(r)?);
-    let client = ClientId(read_u64(r)?);
-    let session = SessionId(read_u64(r)?);
-    let replica = ReplicaId(read_u32(r)?);
-    let committed = match read_u8(r)? {
-        0 => false,
-        1 => true,
-        t => return Err(Error::Codec(format!("bad bool tag {t}"))),
-    };
-    let commit_version = match read_u8(r)? {
-        0 => None,
-        1 => Some(Version(read_u64(r)?)),
-        t => return Err(Error::Codec(format!("bad option tag {t}"))),
-    };
-    let observed_version = Version(read_u64(r)?);
-    let n = read_u32(r)? as usize;
-    let mut tables_written = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        tables_written.push(bargain_common::TableId(read_u32(r)?));
-    }
-    let abort_reason = match read_u8(r)? {
-        0 => None,
-        1 => Some(read_string(r)?),
-        t => return Err(Error::Codec(format!("bad option tag {t}"))),
-    };
-    Ok(TxnOutcome {
-        txn,
-        client,
-        session,
-        replica,
-        committed,
-        commit_version,
-        observed_version,
-        tables_written,
-        abort_reason,
-    })
-}
-
-fn write_query_result(buf: &mut Vec<u8>, qr: &QueryResult) {
-    match qr {
-        QueryResult::Rows(rows) => {
-            write_u8(buf, 0);
-            write_u32(buf, rows.len() as u32);
-            for row in rows {
-                write_u32(buf, row.len() as u32);
-                for v in row {
-                    write_value(buf, v);
-                }
-            }
-        }
-        QueryResult::Affected(n) => {
-            write_u8(buf, 1);
-            write_u64(buf, *n as u64);
-        }
-    }
-}
-
-fn read_query_result(r: &mut impl Read) -> Result<QueryResult> {
-    match read_u8(r)? {
-        0 => {
-            let n = read_u32(r)? as usize;
-            let mut rows = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let m = read_u32(r)? as usize;
-                let mut row = Vec::with_capacity(m.min(4096));
-                for _ in 0..m {
-                    row.push(read_value(r)?);
-                }
-                rows.push(row);
-            }
-            Ok(QueryResult::Rows(rows))
-        }
-        1 => Ok(QueryResult::Affected(read_u64(r)? as usize)),
-        t => Err(Error::Codec(format!("bad query result tag {t}"))),
-    }
-}
-
-fn write_decision(buf: &mut Vec<u8>, d: &CertifyDecision) {
-    match d {
-        CertifyDecision::Commit {
-            txn,
-            commit_version,
-        } => {
-            write_u8(buf, 0);
-            write_u64(buf, txn.0);
-            write_u64(buf, commit_version.0);
-        }
-        CertifyDecision::Abort {
-            txn,
-            conflicting_version,
-        } => {
-            write_u8(buf, 1);
-            write_u64(buf, txn.0);
-            write_u64(buf, conflicting_version.0);
-        }
-        CertifyDecision::Duplicate {
-            txn,
-            original,
-            commit_version,
-        } => {
-            write_u8(buf, 2);
-            write_u64(buf, txn.0);
-            write_u64(buf, original.0);
-            write_u64(buf, commit_version.0);
-        }
-    }
-}
-
-fn read_decision(r: &mut impl Read) -> Result<CertifyDecision> {
-    let tag = read_u8(r)?;
-    let txn = TxnId(read_u64(r)?);
-    Ok(match tag {
-        0 => CertifyDecision::Commit {
-            txn,
-            commit_version: Version(read_u64(r)?),
-        },
-        1 => CertifyDecision::Abort {
-            txn,
-            conflicting_version: Version(read_u64(r)?),
-        },
-        2 => CertifyDecision::Duplicate {
-            txn,
-            original: TxnId(read_u64(r)?),
-            commit_version: Version(read_u64(r)?),
-        },
-        t => return Err(Error::Codec(format!("bad decision tag {t}"))),
-    })
-}
-
-fn write_refresh(buf: &mut Vec<u8>, refresh: &Refresh) {
-    write_u32(buf, refresh.origin.0);
-    write_u64(buf, refresh.txn.0);
-    write_u64(buf, refresh.commit_version.0);
-    write_writeset(buf, &refresh.writeset);
-}
-
-fn read_refresh(r: &mut impl Read) -> Result<Refresh> {
-    Ok(Refresh {
-        origin: ReplicaId(read_u32(r)?),
-        txn: TxnId(read_u64(r)?),
-        commit_version: Version(read_u64(r)?),
-        writeset: Arc::new(read_writeset(r)?),
-    })
-}
-
-fn write_log_record(buf: &mut Vec<u8>, rec: &LogRecord) {
-    write_u64(buf, rec.commit_version.0);
-    write_u64(buf, rec.txn.0);
-    write_u32(buf, rec.origin.0);
-    write_idem(buf, rec.idem);
-    write_writeset(buf, &rec.writeset);
-}
-
-fn read_log_record(r: &mut impl Read) -> Result<LogRecord> {
-    Ok(LogRecord {
-        commit_version: Version(read_u64(r)?),
-        txn: TxnId(read_u64(r)?),
-        origin: ReplicaId(read_u32(r)?),
-        idem: read_idem(r)?,
-        writeset: Arc::new(read_writeset(r)?),
-    })
-}
-
-// ----------------------------------------------------------------------
-// Message encode/decode
-// ----------------------------------------------------------------------
-
 impl Message {
     /// The frame `kind` byte identifying this message on the wire.
     #[must_use]
@@ -608,10 +223,11 @@ impl Message {
     }
 
     /// Encodes this message's payload (the frame body, excluding the
-    /// header).
+    /// header): its fields, in the order listed.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(64);
+        let buf = &mut out;
         match self {
             Message::Hello
             | Message::OpenSession
@@ -620,37 +236,30 @@ impl Message {
             | Message::StopServer
             | Message::Ping
             | Message::Pong => {}
-            Message::FetchHistory { after } => write_u64(&mut buf, after.0),
             Message::HelloAck { replicas, mode } => {
-                write_u32(&mut buf, *replicas);
-                write_u8(&mut buf, mode_tag(*mode));
+                replicas.put(buf);
+                mode.put(buf);
             }
-            Message::SessionOpened { client } => write_u64(&mut buf, *client),
-            Message::Ddl { sql } => write_string(&mut buf, sql),
-            Message::Err(e) => write_error(&mut buf, e),
+            Message::SessionOpened { client } => client.put(buf),
+            Message::Ddl { sql } => sql.put(buf),
+            Message::Err(e) => e.put(buf),
             Message::Prepare { name, sqls } => {
-                write_string(&mut buf, name);
-                write_u32(&mut buf, sqls.len() as u32);
-                for s in sqls {
-                    write_string(&mut buf, s);
-                }
+                name.put(buf);
+                sqls.put(buf);
             }
-            Message::Prepared { template } => write_u32(&mut buf, template.0),
+            Message::Prepared { template } => template.put(buf),
             Message::Run {
                 template,
                 params,
                 idem,
             } => {
-                write_u32(&mut buf, template.0);
-                write_params(&mut buf, params);
-                write_idem(&mut buf, *idem);
+                template.put(buf);
+                params.put(buf);
+                idem.put(buf);
             }
             Message::TxnReply { outcome, results } => {
-                write_outcome(&mut buf, outcome);
-                write_u32(&mut buf, results.len() as u32);
-                for qr in results {
-                    write_query_result(&mut buf, qr);
-                }
+                outcome.put(buf);
+                results.put(buf);
             }
             Message::StatsReply {
                 routed,
@@ -660,191 +269,129 @@ impl Message {
                 certifier_up,
                 certifier_downs,
             } => {
-                write_u64(&mut buf, *routed);
-                write_u64(&mut buf, *commits);
-                write_u64(&mut buf, *aborts);
-                write_u64(&mut buf, v_system.0);
-                write_u8(&mut buf, u8::from(*certifier_up));
-                write_u64(&mut buf, *certifier_downs);
+                routed.put(buf);
+                commits.put(buf);
+                aborts.put(buf);
+                v_system.put(buf);
+                certifier_up.put(buf);
+                certifier_downs.put(buf);
             }
-            Message::Certify(req) => {
-                write_u64(&mut buf, req.txn.0);
-                write_u32(&mut buf, req.replica.0);
-                write_u64(&mut buf, req.snapshot.0);
-                write_idem(&mut buf, req.idem);
-                write_writeset(&mut buf, &req.writeset);
-            }
+            Message::Certify(req) => req.put(buf),
             Message::Applied { replica, version } => {
-                write_u32(&mut buf, replica.0);
-                write_u64(&mut buf, version.0);
+                replica.put(buf);
+                version.put(buf);
             }
             Message::Decision { origin, decision } => {
-                write_u32(&mut buf, origin.0);
-                write_decision(&mut buf, decision);
+                origin.put(buf);
+                decision.put(buf);
             }
             Message::RefreshFor { to, refresh } => {
-                write_u32(&mut buf, to.0);
-                write_refresh(&mut buf, refresh);
+                to.put(buf);
+                refresh.put(buf);
             }
             Message::GlobalCommitFor { origin, txn } => {
-                write_u32(&mut buf, origin.0);
-                write_u64(&mut buf, txn.0);
+                origin.put(buf);
+                txn.put(buf);
             }
-            Message::History { records } => {
-                write_u32(&mut buf, records.len() as u32);
-                for rec in records {
-                    write_log_record(&mut buf, rec);
-                }
-            }
-            Message::JoinRequest { chunk_bytes } => write_u32(&mut buf, *chunk_bytes),
+            Message::FetchHistory { after } | Message::CatchUp { after } => after.put(buf),
+            Message::History { records } => records.put(buf),
+            Message::JoinRequest { chunk_bytes } => chunk_bytes.put(buf),
             Message::SnapshotChunk { index, data } => {
-                write_u32(&mut buf, *index);
-                write_bytes(&mut buf, data);
+                index.put(buf);
+                put_bytes(buf, data);
             }
-            Message::SnapshotDone { manifest } => write_bytes(&mut buf, manifest),
-            Message::CatchUp { after } => write_u64(&mut buf, after.0),
+            Message::SnapshotDone { manifest } => put_bytes(buf, manifest),
         }
-        buf
+        out
     }
 
     /// Decodes a message from a frame's `kind` byte and payload. Strict:
     /// unknown kinds, truncated payloads, and trailing bytes are
     /// [`Error::Codec`] errors.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Message> {
-        let mut r = payload;
-        let res = Self::decode_body(kind, &mut r);
-        // How far into the payload decoding got before stopping; reported
-        // in errors so a corrupted frame can be located on the wire.
-        let offset = payload.len() - r.len();
-        let msg = res.map_err(|e| match e {
-            // A short read inside a payload slice is a truncated message,
-            // not an I/O failure.
-            Error::Io(m) => Error::Codec(format!(
-                "truncated message (kind {kind}, at byte {offset} of {}): {m}",
-                payload.len()
-            )),
-            Error::Codec(m) => Error::Codec(format!(
-                "bad message (kind {kind}, at byte {offset} of {}): {m}",
-                payload.len()
-            )),
-            other => other,
-        })?;
-        if !r.is_empty() {
-            return Err(Error::Codec(format!(
-                "{} trailing bytes after message (kind {kind}, payload {} bytes)",
-                r.len(),
-                payload.len()
-            )));
-        }
-        Ok(msg)
+        let mut r = Reader::new(payload);
+        // Where in the payload decoding stopped is reported, so a corrupted
+        // frame can be located on the wire.
+        Self::decode_body(kind, &mut r)
+            .and_then(|msg| r.finish().map(|()| msg))
+            .map_err(|e| {
+                Error::Codec(format!(
+                    "bad message (kind {kind}, at byte {} of {}): {e}",
+                    r.position(),
+                    payload.len()
+                ))
+            })
     }
 
-    fn decode_body(kind: u8, r: &mut &[u8]) -> Result<Message> {
+    fn decode_body(kind: u8, r: &mut Reader<'_>) -> DecodeResult<Message> {
         Ok(match kind {
             1 => Message::Hello,
             2 => Message::HelloAck {
-                replicas: read_u32(r)?,
-                mode: mode_from_tag(read_u8(r)?)?,
+                replicas: r.get()?,
+                mode: r.get()?,
             },
             3 => Message::OpenSession,
-            4 => Message::SessionOpened {
-                client: read_u64(r)?,
-            },
-            5 => Message::Ddl {
-                sql: read_string(r)?,
-            },
+            4 => Message::SessionOpened { client: r.get()? },
+            5 => Message::Ddl { sql: r.get()? },
             6 => Message::Ack,
-            7 => Message::Err(read_error(r)?),
-            8 => {
-                let name = read_string(r)?;
-                let n = read_u32(r)? as usize;
-                let mut sqls = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    sqls.push(read_string(r)?);
-                }
-                Message::Prepare { name, sqls }
-            }
-            9 => Message::Prepared {
-                template: TemplateId(read_u32(r)?),
+            7 => Message::Err(r.get()?),
+            8 => Message::Prepare {
+                name: r.get()?,
+                sqls: r.get()?,
             },
+            9 => Message::Prepared { template: r.get()? },
             10 => Message::Run {
-                template: TemplateId(read_u32(r)?),
-                params: read_params(r)?,
-                idem: read_idem(r)?,
+                template: r.get()?,
+                params: r.get()?,
+                idem: r.get()?,
             },
-            11 => {
-                let outcome = read_outcome(r)?;
-                let n = read_u32(r)? as usize;
-                let mut results = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    results.push(read_query_result(r)?);
-                }
-                Message::TxnReply { outcome, results }
-            }
+            11 => Message::TxnReply {
+                outcome: r.get()?,
+                results: r.get()?,
+            },
             12 => Message::Stats,
             13 => Message::StatsReply {
-                routed: read_u64(r)?,
-                commits: read_u64(r)?,
-                aborts: read_u64(r)?,
-                v_system: Version(read_u64(r)?),
-                certifier_up: match read_u8(r)? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(Error::Codec(format!("bad bool tag {t}"))),
-                },
-                certifier_downs: read_u64(r)?,
+                routed: r.get()?,
+                commits: r.get()?,
+                aborts: r.get()?,
+                v_system: r.get()?,
+                certifier_up: r.get()?,
+                certifier_downs: r.get()?,
             },
             14 => Message::StopServer,
             15 => Message::Ping,
             16 => Message::Pong,
-            20 => Message::Certify(CertifyRequest {
-                txn: TxnId(read_u64(r)?),
-                replica: ReplicaId(read_u32(r)?),
-                snapshot: Version(read_u64(r)?),
-                idem: read_idem(r)?,
-                writeset: read_writeset(r)?,
-            }),
+            20 => Message::Certify(r.get()?),
             21 => Message::Applied {
-                replica: ReplicaId(read_u32(r)?),
-                version: Version(read_u64(r)?),
+                replica: r.get()?,
+                version: r.get()?,
             },
             22 => Message::Decision {
-                origin: ReplicaId(read_u32(r)?),
-                decision: read_decision(r)?,
+                origin: r.get()?,
+                decision: r.get()?,
             },
             23 => Message::RefreshFor {
-                to: ReplicaId(read_u32(r)?),
-                refresh: read_refresh(r)?,
+                to: r.get()?,
+                refresh: r.get()?,
             },
             24 => Message::GlobalCommitFor {
-                origin: ReplicaId(read_u32(r)?),
-                txn: TxnId(read_u64(r)?),
+                origin: r.get()?,
+                txn: r.get()?,
             },
-            25 => Message::FetchHistory {
-                after: Version(read_u64(r)?),
-            },
-            26 => {
-                let n = read_u32(r)? as usize;
-                let mut records = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    records.push(read_log_record(r)?);
-                }
-                Message::History { records }
-            }
+            25 => Message::FetchHistory { after: r.get()? },
+            26 => Message::History { records: r.get()? },
             30 => Message::JoinRequest {
-                chunk_bytes: read_u32(r)?,
+                chunk_bytes: r.get()?,
             },
             31 => Message::SnapshotChunk {
-                index: read_u32(r)?,
-                data: read_bytes(r)?,
+                index: r.get()?,
+                data: r.bytes()?.to_vec(),
             },
             32 => Message::SnapshotDone {
-                manifest: read_bytes(r)?,
+                manifest: r.bytes()?.to_vec(),
             },
-            33 => Message::CatchUp {
-                after: Version(read_u64(r)?),
-            },
-            k => return Err(Error::Codec(format!("unknown message kind {k}"))),
+            33 => Message::CatchUp { after: r.get()? },
+            k => return Err(malformed(format!("unknown message kind {k}"))),
         })
     }
 }
@@ -852,7 +399,8 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bargain_common::{TableId, WriteOp, WriteSet};
+    use bargain_common::{ClientId, SessionId, TableId, WriteOp, WriteSet};
+    use std::sync::Arc;
 
     fn round_trip(msg: Message) {
         let payload = msg.encode();

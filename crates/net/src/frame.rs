@@ -38,6 +38,7 @@
 //!   completed. Error classification is identical to the one-shot path by
 //!   construction: both call [`parse_header`] and [`verify_payload`].
 
+use bargain_common::codec::{Codec, Reader};
 pub use bargain_common::crc32;
 use bargain_common::{Error, Result};
 use std::io::{Read, Write};
@@ -73,12 +74,12 @@ pub fn encode_frame(kind: u8, request_id: u64, payload: &[u8]) -> Result<Vec<u8>
         )));
     }
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.push(PROTOCOL_VERSION);
-    buf.push(kind);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(&request_id.to_le_bytes());
+    MAGIC.put(&mut buf);
+    PROTOCOL_VERSION.put(&mut buf);
+    kind.put(&mut buf);
+    (payload.len() as u32).put(&mut buf);
+    crc32(payload).put(&mut buf);
+    request_id.put(&mut buf);
     buf.extend_from_slice(payload);
     Ok(buf)
 }
@@ -99,32 +100,31 @@ pub struct FrameHeader {
 /// Validates a frame header, returning the message kind, payload length,
 /// expected payload checksum, and request id.
 pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<FrameHeader> {
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let mut r = Reader::new(header);
+    let magic: u32 = r.get()?;
     if magic != MAGIC {
         return Err(Error::Codec(format!(
             "bad frame magic {magic:#010x} (expected {MAGIC:#010x}); peer is not speaking the bargain protocol"
         )));
     }
-    let version = header[4];
+    let version: u8 = r.get()?;
     if version != PROTOCOL_VERSION {
         return Err(Error::Codec(format!(
             "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
         )));
     }
-    let kind = header[5];
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
+    let kind = r.get()?;
+    let len = r.get()?;
     if len > MAX_FRAME_LEN {
         return Err(Error::Codec(format!(
             "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let crc = u32::from_le_bytes(header[10..14].try_into().expect("4 bytes"));
-    let request_id = u64::from_le_bytes(header[14..22].try_into().expect("8 bytes"));
     Ok(FrameHeader {
         kind,
         len,
-        crc,
-        request_id,
+        crc: r.get()?,
+        request_id: r.get()?,
     })
 }
 

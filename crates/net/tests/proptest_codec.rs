@@ -1,16 +1,21 @@
 //! Property tests for the wire codec: every protocol message round-trips
 //! byte-identically through encode → frame → parse → decode, and malformed
 //! input (truncation, bit flips, forged headers) yields decode errors —
-//! never a panic, never a silently wrong message.
+//! never a panic, never a silently wrong message. The same hostile bytes
+//! go to the two other readers of the one codec, snapshot import and log
+//! recovery.
 
 use bargain_common::{
-    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId,
-    Value, Version, WriteOp, WriteSet,
+    crc32, ClientId, Codec, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId,
+    TemplateId, TxnId, Value, Version, WriteOp, WriteSet,
 };
-use bargain_core::{CertifyDecision, CertifyRequest, LogRecord, Refresh, TxnOutcome};
+use bargain_core::{
+    CertifyDecision, CertifyRequest, CommitLog, FileLog, LogRecord, Refresh, TxnOutcome,
+};
 use bargain_net::frame::{read_frame, write_frame, FrameDecoder};
 use bargain_net::Message;
 use bargain_sql::QueryResult;
+use bargain_storage::{Column, ColumnType, Engine, Snapshot, SnapshotManifest, TableSchema};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -269,10 +274,87 @@ fn message_strategy() -> impl Strategy<Value = Message> {
 }
 
 // ----------------------------------------------------------------------
+// The other two readers: snapshot import and log recovery
+// ----------------------------------------------------------------------
+
+/// A donor's snapshot as one chunk: two tables, a secondary index, and —
+/// under an open reader, so that they ship — an update history and a
+/// tombstone.
+fn donor_snapshot() -> Snapshot {
+    let mut e = Engine::new();
+    let int = |name| Column::new(name, ColumnType::Int);
+    let acct = e
+        .create_table(TableSchema::new("acct", vec![int("id"), int("bal")], 0).unwrap())
+        .unwrap();
+    e.create_index(acct, "bal").unwrap();
+    let note = Column::nullable("note", ColumnType::Text);
+    let item = e
+        .create_table(TableSchema::new("item", vec![int("id"), note], 0).unwrap())
+        .unwrap();
+    let row = |id, v| vec![Value::Int(id), Value::Int(v)];
+    e.load_rows(acct, (1..=4).map(|i| row(i, 100 * i)).collect())
+        .unwrap();
+    e.load_rows(item, vec![vec![Value::Int(1), Value::Text("héllo".into())]])
+        .unwrap();
+    let _reader = e.begin_at(Version::ZERO);
+    let mut ws = WriteSet::new();
+    ws.push(acct, Value::Int(1), WriteOp::Update(row(1, 101)));
+    ws.push(acct, Value::Int(2), WriteOp::Delete);
+    ws.push(
+        item,
+        Value::Int(1),
+        WriteOp::Update(vec![Value::Int(1), Value::Null]),
+    );
+    e.apply_refresh(&ws, Version(1)).unwrap();
+    e.export_snapshot(usize::MAX)
+}
+
+/// Imports `chunks` under a manifest that vouches for them: checksums and
+/// length recomputed, as a donor that lies (or a disk that rots under a
+/// donor that re-checksums) would ship them. `Ok` or `Err`, never a panic.
+fn import_resealed(manifest: &SnapshotManifest, chunks: &[Vec<u8>]) {
+    let mut manifest = manifest.clone();
+    manifest.chunk_checksums = chunks.iter().map(|c| crc32(c)).collect();
+    manifest.total_bytes = chunks.iter().map(|c| c.len() as u64).sum();
+    let manifest = SnapshotManifest::decode(&manifest.encode()).expect("resealed manifest");
+    let _ = Engine::import_snapshot(&manifest, chunks);
+}
+
+/// Opens `image` as a certifier log. Returns how many records recovery
+/// kept, or `None` if it refused the file. Never a panic.
+fn recover_log(image: &[u8], name: &str) -> Option<usize> {
+    let dir = std::env::temp_dir().join(format!("bargain-proptest-codec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, image).unwrap();
+    let kept = FileLog::open(&path).ok().map(|log| log.len());
+    std::fs::remove_file(&path).unwrap();
+    kept
+}
+
+/// `bytes` with the four at `at` overwritten by `u32::MAX`: a count or a
+/// length, wherever one lies, now promises what nothing can back.
+fn patched(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    out
+}
+
+/// Cases per run; `PROPTEST_CASES` widens the sweep.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(256)
+}
+
+// ----------------------------------------------------------------------
 // Properties
 // ----------------------------------------------------------------------
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
     /// Every message survives encode → decode unchanged.
     #[test]
     fn message_round_trips(msg in message_strategy()) {
@@ -310,7 +392,12 @@ proptest! {
     /// header checks fail or the checksum/decoder rejects the payload. A
     /// flip must never produce a *different valid* message silently.
     #[test]
-    fn corrupted_frames_error_or_detect(msg in message_strategy(), pos in any::<u32>(), bit in 0..8u32) {
+    fn corrupted_frames_error_or_detect(
+        msg in message_strategy(),
+        pos in any::<u32>(),
+        bit in 0..8u32,
+        records in proptest::collection::vec(log_record_strategy(), 1..4),
+    ) {
         let mut wire = Vec::new();
         write_frame(&mut wire, msg.kind(), 7, &msg.encode()).expect("frame writes");
         let pos = (pos as usize) % wire.len();
@@ -348,12 +435,53 @@ proptest! {
             let (kind, _id, payload) = read_frame(&mut wire.as_slice()).expect("checksum holds");
             let _ = Message::decode(kind, &payload);
         }
+
+        // The same two lies told to a joiner. A flipped bit dies at the
+        // manifest's CRC, or at the chunk's; behind a checksum recomputed
+        // over the damage both reach the decoder, and so does the patch.
+        let snap = donor_snapshot();
+        let sealed = snap.manifest.encode();
+        let mut flipped = sealed.clone();
+        flipped[pos as usize % sealed.len()] ^= 1 << bit;
+        prop_assert!(SnapshotManifest::decode(&flipped).is_err());
+        let body = sealed.len() - 4;
+        let mut lying = patched(&sealed[..body], pos as usize % (body - 3));
+        lying.extend_from_slice(&crc32(&lying).to_le_bytes());
+        if let Ok(manifest) = SnapshotManifest::decode(&lying) {
+            let _ = Engine::import_snapshot(&manifest, &snap.chunks);
+        }
+        let stream = &snap.chunks[0];
+        let mut flipped = stream.clone();
+        flipped[pos as usize % stream.len()] ^= 1 << bit;
+        prop_assert!(Engine::import_snapshot(&snap.manifest, &[flipped.clone()]).is_err());
+        import_resealed(&snap.manifest, &[flipped]);
+        import_resealed(&snap.manifest, &[patched(stream, pos as usize % (stream.len() - 3))]);
+
+        // And to a certifier at start-up. The log has no checksum: damage
+        // reads as a torn tail (the records before it survive), as a
+        // refusal, or — a flipped bit in a field — as other records.
+        let mut log = Vec::new();
+        records.iter().for_each(|record| record.put(&mut log));
+        prop_assert_eq!(recover_log(&log, "intact.wal"), Some(records.len()));
+        let mut flipped = log.clone();
+        flipped[pos as usize % log.len()] ^= 1 << bit;
+        let _ = recover_log(&flipped, "flipped.wal");
+        let _ = recover_log(&patched(&log, pos as usize % (log.len() - 3)), "patched.wal");
     }
 
     /// Random byte soup never panics the frame reader.
     #[test]
     fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = read_frame(&mut bytes.as_slice());
+        // Nor the manifest decoder, bare and behind a magic, a format
+        // version and a checksum that hold; nor import, handed the soup as
+        // a vouched-for chunk; nor log recovery.
+        let _ = SnapshotManifest::decode(&bytes);
+        let mut sealed = [b"BSNP\x01\x00".as_slice(), &bytes].concat();
+        sealed.extend_from_slice(&crc32(&sealed).to_le_bytes());
+        let _ = SnapshotManifest::decode(&sealed);
+        import_resealed(&donor_snapshot().manifest, std::slice::from_ref(&bytes));
+        let _ = recover_log(&bytes, "soup.wal");
     }
 
     /// The incremental decoder fed a frame stream in adversarial chunks —

@@ -6,6 +6,7 @@
 //! extract partial writesets for early certification.
 
 use crate::ast::{AggregateFunc, BinaryOp, Expr, OrderDirection, SelectCols, Statement};
+use bargain_common::codec::{malformed, Codec, DecodeResult, Reader};
 use bargain_common::{Error, Result, Row, TableId, Value};
 use bargain_storage::{Access, Column, Engine, TableSchema, TxnHandle};
 use std::borrow::Cow;
@@ -36,6 +37,29 @@ impl QueryResult {
         match self {
             QueryResult::Affected(n) => Some(*n),
             QueryResult::Rows(_) => None,
+        }
+    }
+}
+
+/// On the wire: `u8 tag (0=rows,1=affected) | vec<vec<value>> or u64`.
+impl Codec for QueryResult {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            QueryResult::Rows(rows) => {
+                buf.push(0);
+                rows.put(buf);
+            }
+            QueryResult::Affected(n) => {
+                buf.push(1);
+                (*n as u64).put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        match r.get::<u8>()? {
+            0 => Ok(QueryResult::Rows(r.get()?)),
+            1 => Ok(QueryResult::Affected(r.get::<u64>()? as usize)),
+            t => Err(malformed(format!("bad query result tag {t}"))),
         }
     }
 }

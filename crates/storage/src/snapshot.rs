@@ -16,10 +16,9 @@
 //! can verify chunks incrementally as they arrive off the wire and
 //! re-request exactly the chunk that was torn or corrupted.
 //!
-//! Everything is little-endian, in the WAL/frame codec's hand-rolled
-//! style (this crate depends on neither `bargain-core` nor `bargain-net`,
-//! so the small value codec and CRC table are duplicated here; the
-//! encodings are deliberately identical to `bargain_core::wal`):
+//! Everything is little-endian; strings, values, counted sequences and
+//! options are [`bargain_common::codec`]'s, as in the certifier's log and
+//! on the wire:
 //!
 //! ```text
 //! manifest:  "BSNP" | u16 format version (1)
@@ -35,14 +34,14 @@
 //!            u64 n_keys | (value key | u32 n_versions | version*)*
 //! version:   u64 begin | u8 has_data [| u32 n_cols | value*]
 //!            (oldest first, so import replays installs in commit order)
-//! value:     u8 tag (0=null, 1=int, 2=float, 3=text) | payload
 //! ```
 
-use crate::chain::VersionChain;
+use crate::chain::{RowVersion, VersionChain};
 use crate::engine::Engine;
 use crate::schema::{Column, ColumnType, TableSchema};
+use bargain_common::codec::{malformed, put_seq, Codec, DecodeResult, Reader};
 pub use bargain_common::crc32;
-use bargain_common::{Error, Result, Row, Value, Version};
+use bargain_common::{Error, Result, Value, Version};
 
 /// Default chunk size: comfortably under the wire's frame cap while big
 /// enough that header/syscall overhead amortizes.
@@ -85,129 +84,69 @@ pub struct Snapshot {
 }
 
 // ----------------------------------------------------------------------
-// Primitive codec
+// Manifest codec
 // ----------------------------------------------------------------------
 
 const MAGIC: &[u8; 4] = b"BSNP";
 const FORMAT_VERSION: u16 = 1;
 
-fn write_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn write_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Int(i) => {
-            buf.push(1);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            buf.push(2);
-            buf.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Text(s) => {
-            buf.push(3);
-            write_string(buf, s);
-        }
+impl Codec for Column {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.name.put(buf);
+        buf.push(match self.ty {
+            ColumnType::Int => 0,
+            ColumnType::Float => 1,
+            ColumnType::Text => 2,
+        });
+        self.nullable.put(buf);
     }
-}
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(Error::Codec(format!(
-                "snapshot truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            )));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| Error::Codec(format!("snapshot: bad utf-8 string: {e}")))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
-            2 => Value::Float(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            3 => Value::Text(self.string()?),
-            t => return Err(Error::Codec(format!("snapshot: bad value tag {t}"))),
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(Column {
+            name: r.get()?,
+            ty: match r.get::<u8>()? {
+                0 => ColumnType::Int,
+                1 => ColumnType::Float,
+                2 => ColumnType::Text,
+                t => return Err(malformed(format!("bad column type tag {t}"))),
+            },
+            nullable: r.get()?,
         })
     }
+}
 
-    fn done(&self) -> bool {
-        self.pos == self.data.len()
+impl Codec for TableMeta {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.schema.name.put(buf);
+        self.schema.columns.put(buf);
+        (self.schema.pk as u32).put(buf);
+        let indexed: Vec<u32> = self.indexed_columns.iter().map(|&c| c as u32).collect();
+        indexed.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        let name: String = r.get()?;
+        let columns = r.get()?;
+        let pk = r.get::<u32>()? as usize;
+        let schema = TableSchema::new(&name, columns, pk)
+            .map_err(|e| malformed(format!("bad schema for {name}: {e}")))?;
+        let indexed: Vec<u32> = r.get()?;
+        Ok(TableMeta {
+            schema,
+            indexed_columns: indexed.into_iter().map(|c| c as usize).collect(),
+        })
     }
 }
 
-// ----------------------------------------------------------------------
-// Manifest codec
-// ----------------------------------------------------------------------
-
-fn type_tag(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Int => 0,
-        ColumnType::Float => 1,
-        ColumnType::Text => 2,
+impl Codec for RowVersion {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.begin.put(buf);
+        self.data.put(buf);
     }
-}
-
-fn type_from_tag(tag: u8) -> Result<ColumnType> {
-    Ok(match tag {
-        0 => ColumnType::Int,
-        1 => ColumnType::Float,
-        2 => ColumnType::Text,
-        t => return Err(Error::Codec(format!("snapshot: bad column type tag {t}"))),
-    })
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        Ok(RowVersion {
+            begin: r.get()?,
+            data: r.get()?,
+        })
+    }
 }
 
 impl SnapshotManifest {
@@ -217,31 +156,13 @@ impl SnapshotManifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(128);
         buf.extend_from_slice(MAGIC);
-        write_u16(&mut buf, FORMAT_VERSION);
-        write_u64(&mut buf, self.version.0);
-        write_u64(&mut buf, self.horizon.0);
-        write_u32(&mut buf, self.tables.len() as u32);
-        for t in &self.tables {
-            write_string(&mut buf, &t.schema.name);
-            write_u32(&mut buf, t.schema.columns.len() as u32);
-            for c in &t.schema.columns {
-                write_string(&mut buf, &c.name);
-                buf.push(type_tag(c.ty));
-                buf.push(u8::from(c.nullable));
-            }
-            write_u32(&mut buf, t.schema.pk as u32);
-            write_u32(&mut buf, t.indexed_columns.len() as u32);
-            for &c in &t.indexed_columns {
-                write_u32(&mut buf, c as u32);
-            }
-        }
-        write_u32(&mut buf, self.chunk_checksums.len() as u32);
-        for &c in &self.chunk_checksums {
-            write_u32(&mut buf, c);
-        }
-        write_u64(&mut buf, self.total_bytes);
-        let crc = crc32(&buf);
-        write_u32(&mut buf, crc);
+        FORMAT_VERSION.put(&mut buf);
+        self.version.put(&mut buf);
+        self.horizon.put(&mut buf);
+        self.tables.put(&mut buf);
+        self.chunk_checksums.put(&mut buf);
+        self.total_bytes.put(&mut buf);
+        crc32(&buf).put(&mut buf);
         buf
     }
 
@@ -252,7 +173,7 @@ impl SnapshotManifest {
             return Err(Error::Codec("snapshot manifest too short".into()));
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let expect = u32::from_le_bytes(crc_bytes.try_into().unwrap());
+        let expect: u32 = Reader::new(crc_bytes).get()?;
         let got = crc32(body);
         if got != expect {
             return Err(Error::Codec(format!(
@@ -260,70 +181,26 @@ impl SnapshotManifest {
             )));
         }
         let mut r = Reader::new(body);
+        Self::decode_body(&mut r)
+            .and_then(|manifest| r.finish().map(|()| manifest))
+            .map_err(|e| Error::Codec(format!("snapshot manifest: {e}")))
+    }
+
+    fn decode_body(r: &mut Reader<'_>) -> DecodeResult<SnapshotManifest> {
         let magic = r.take(4)?;
         if magic != MAGIC {
-            return Err(Error::Codec(format!(
-                "snapshot manifest: bad magic {magic:02x?}"
-            )));
+            return Err(malformed(format!("bad magic {magic:02x?}")));
         }
-        let fv = r.u16()?;
+        let fv: u16 = r.get()?;
         if fv != FORMAT_VERSION {
-            return Err(Error::Codec(format!(
-                "snapshot manifest: unsupported format version {fv}"
-            )));
-        }
-        let version = Version(r.u64()?);
-        let horizon = Version(r.u64()?);
-        let n_tables = r.u32()? as usize;
-        let mut tables = Vec::with_capacity(n_tables.min(4096));
-        for _ in 0..n_tables {
-            let name = r.string()?;
-            let n_cols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(n_cols.min(4096));
-            for _ in 0..n_cols {
-                let cname = r.string()?;
-                let ty = type_from_tag(r.u8()?)?;
-                let nullable = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(Error::Codec(format!("snapshot: bad bool tag {t}"))),
-                };
-                columns.push(if nullable {
-                    Column::nullable(&cname, ty)
-                } else {
-                    Column::new(&cname, ty)
-                });
-            }
-            let pk = r.u32()? as usize;
-            let schema = TableSchema::new(&name, columns, pk)
-                .map_err(|e| Error::Codec(format!("snapshot: bad schema for {name}: {e}")))?;
-            let n_idx = r.u32()? as usize;
-            let mut indexed_columns = Vec::with_capacity(n_idx.min(4096));
-            for _ in 0..n_idx {
-                indexed_columns.push(r.u32()? as usize);
-            }
-            tables.push(TableMeta {
-                schema,
-                indexed_columns,
-            });
-        }
-        let n_chunks = r.u32()? as usize;
-        let mut chunk_checksums = Vec::with_capacity(n_chunks.min(1 << 20));
-        for _ in 0..n_chunks {
-            chunk_checksums.push(r.u32()?);
-        }
-        let total_bytes = r.u64()?;
-        if !r.done() {
-            return Err(Error::Codec(
-                "snapshot manifest: trailing bytes after body".into(),
-            ));
+            return Err(malformed(format!("unsupported format version {fv}")));
         }
         Ok(SnapshotManifest {
-            version,
-            horizon,
-            tables,
-            chunk_checksums,
-            total_bytes,
+            version: r.get()?,
+            horizon: r.get()?,
+            tables: r.get()?,
+            chunk_checksums: r.get()?,
+            total_bytes: r.get()?,
         })
     }
 
@@ -382,24 +259,11 @@ pub fn export(engine: &Engine, chunk_bytes: usize) -> Snapshot {
                 pruned.push((key, c));
             }
         }
-        write_u64(&mut stream, pruned.len() as u64);
+        (pruned.len() as u64).put(&mut stream);
         for (key, chain) in pruned {
-            write_value(&mut stream, key);
-            write_u32(&mut stream, chain.len() as u32);
+            key.put(&mut stream);
             // Oldest first: import replays installs in commit order.
-            for v in chain.versions().rev() {
-                write_u64(&mut stream, v.begin.0);
-                match &v.data {
-                    Some(row) => {
-                        stream.push(1);
-                        write_u32(&mut stream, row.len() as u32);
-                        for val in row {
-                            write_value(&mut stream, val);
-                        }
-                    }
-                    None => stream.push(0),
-                }
-            }
+            put_seq(&mut stream, chain.versions().rev());
         }
     }
     let chunk_bytes = chunk_bytes.max(1);
@@ -430,8 +294,9 @@ pub fn export(engine: &Engine, chunk_bytes: usize) -> Snapshot {
 ///
 /// Every chunk is verified against its manifest checksum first
 /// ([`Error::Codec`] on any mismatch — the caller re-fetches the bad
-/// chunk); then the catalog, data, and secondary indexes are rebuilt and
-/// the engine's version is set to the manifest's snapshot version.
+/// chunk) and the manifest's stream length against what was delivered;
+/// then the catalog, data, and secondary indexes are rebuilt and the
+/// engine's version is set to the manifest's snapshot version.
 pub fn import(manifest: &SnapshotManifest, chunks: &[Vec<u8>]) -> Result<Engine> {
     if chunks.len() != manifest.chunk_checksums.len() {
         return Err(Error::Codec(format!(
@@ -440,81 +305,83 @@ pub fn import(manifest: &SnapshotManifest, chunks: &[Vec<u8>]) -> Result<Engine>
             manifest.chunk_checksums.len()
         )));
     }
-    let mut stream = Vec::with_capacity(manifest.total_bytes as usize);
     for (i, chunk) in chunks.iter().enumerate() {
         manifest.verify_chunk(i, chunk)?;
-        stream.extend_from_slice(chunk);
     }
-    if stream.len() as u64 != manifest.total_bytes {
+    // `total_bytes` is the donor's word; what was delivered is counted.
+    let delivered: usize = chunks.iter().map(Vec::len).sum();
+    if delivered as u64 != manifest.total_bytes {
         return Err(Error::Codec(format!(
-            "snapshot: stream is {} bytes, manifest expects {}",
-            stream.len(),
+            "snapshot: stream is {delivered} bytes, manifest expects {}",
             manifest.total_bytes
         )));
     }
+    let stream = chunks.concat();
 
     let mut engine = Engine::new();
-    let mut table_ids = Vec::with_capacity(manifest.tables.len());
+    let mut r = Reader::new(&stream);
+    install_tables(&mut engine, manifest, &mut r)
+        .and_then(|()| r.finish())
+        .map_err(|e| Error::Codec(format!("snapshot stream, byte {}: {e}", r.position())))?;
+    engine.set_version(manifest.version);
+    Ok(engine)
+}
+
+/// Recreates every table of `manifest` in `engine` and installs its chains
+/// off `r`. The stream is checked for what the install paths assume and
+/// [`export`] guarantees: keys ascending, versions ascending within a key,
+/// rows as wide as the schema.
+fn install_tables(
+    engine: &mut Engine,
+    manifest: &SnapshotManifest,
+    r: &mut Reader<'_>,
+) -> DecodeResult<()> {
     for meta in &manifest.tables {
+        let table = &meta.schema.name;
         let id = engine
             .create_table(meta.schema.clone())
-            .map_err(|e| Error::Codec(format!("snapshot: cannot recreate table: {e}")))?;
-        table_ids.push(id);
-    }
-
-    let mut r = Reader::new(&stream);
-    for (&id, meta) in table_ids.iter().zip(&manifest.tables) {
-        let n_keys = r.u64()?;
+            .map_err(|e| malformed(format!("cannot recreate table: {e}")))?;
+        let n_keys: u64 = r.get()?;
+        let mut last_key: Option<Value> = None;
         for _ in 0..n_keys {
-            let key = r.value()?;
-            let n_versions = r.u32()? as usize;
-            if n_versions == 0 {
-                return Err(Error::Codec(format!(
-                    "snapshot: key {key} of {} has no versions",
-                    meta.schema.name
-                )));
+            let key: Value = r.get()?;
+            let versions: Vec<RowVersion> = r.get()?;
+            if versions.is_empty() {
+                return Err(malformed(format!("key {key} of {table} has no versions")));
             }
-            for _ in 0..n_versions {
-                let begin = Version(r.u64()?);
-                let data: Option<Row> = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let n_cols = r.u32()? as usize;
-                        let mut row = Vec::with_capacity(n_cols.min(4096));
-                        for _ in 0..n_cols {
-                            row.push(r.value()?);
-                        }
-                        Some(row)
-                    }
-                    t => return Err(Error::Codec(format!("snapshot: bad version tag {t}"))),
-                };
-                engine.install_version(id, key.clone(), data, begin);
+            if last_key.as_ref().is_some_and(|last| *last >= key)
+                || versions.windows(2).any(|w| w[0].begin >= w[1].begin)
+            {
+                return Err(malformed(format!("key {key} of {table} is out of order")));
             }
+            for v in versions {
+                if v.data
+                    .as_ref()
+                    .is_some_and(|row| row.len() != meta.schema.arity())
+                {
+                    return Err(malformed(format!("key {key} of {table}: row width")));
+                }
+                engine.install_version(id, key.clone(), v.data, v.begin);
+            }
+            last_key = Some(key);
         }
         for &col in &meta.indexed_columns {
-            if col >= meta.schema.columns.len() {
-                return Err(Error::Codec(format!(
-                    "snapshot: indexed column {col} out of range for {}",
-                    meta.schema.name
+            if col >= meta.schema.arity() {
+                return Err(malformed(format!(
+                    "indexed column {col} out of range for {table}"
                 )));
             }
             engine.create_index_by_position(id, col);
         }
     }
-    if !r.done() {
-        return Err(Error::Codec(
-            "snapshot: trailing bytes after last table".into(),
-        ));
-    }
-    engine.set_version(manifest.version);
-    Ok(engine)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType, TableSchema};
-    use bargain_common::{TableId, Value, WriteOp, WriteSet};
+    use bargain_common::{Row, TableId, Value, WriteOp, WriteSet};
 
     fn row(id: i64, v: i64) -> Row {
         vec![Value::Int(id), Value::Int(v)]
@@ -641,6 +508,84 @@ mod tests {
         let snap = export(&e, 64);
         let short = &snap.chunks[..snap.chunks.len() - 1];
         assert!(import(&snap.manifest, short).is_err());
+    }
+
+    /// `total_bytes` is the donor's word. Reserved as read, this manifest —
+    /// its CRC valid — killed the test process at the parent commit:
+    /// `memory allocation of 70368744177664 bytes failed`.
+    #[test]
+    fn manifest_that_lies_about_total_bytes_is_an_error_not_a_reservation() {
+        let snap = export(&Engine::new(), DEFAULT_CHUNK_BYTES);
+        let mut lying = snap.manifest.clone();
+        lying.total_bytes = 1 << 46;
+        let manifest = SnapshotManifest::decode(&lying.encode()).expect("the CRC holds");
+        let err = import(&manifest, &snap.chunks).unwrap_err();
+        let text = err.to_string();
+        assert!(
+            matches!(err, Error::Codec(_))
+                && text.contains("is 0 bytes")
+                && text.contains("70368744177664"),
+            "the error should name both numbers: {text}"
+        );
+        let (e, _) = seeded_engine();
+        let mut snap = export(&e, 64);
+        snap.manifest.total_bytes += 1;
+        assert!(matches!(
+            import(&snap.manifest, &snap.chunks),
+            Err(Error::Codec(_))
+        ));
+    }
+
+    /// A stream the decoder accepts can still break what the install paths
+    /// assume — versions in commit order, each key once, rows as wide as
+    /// the schema (an index reads `row[column]`). Behind valid checksums
+    /// each is an error, not a panic.
+    #[test]
+    fn streams_that_break_install_order_or_row_width_are_errors() {
+        let (e, _) = seeded_engine();
+        let manifest = export(&e, DEFAULT_CHUNK_BYTES).manifest;
+        let version = |begin, data| RowVersion {
+            begin: Version(begin),
+            data,
+        };
+        // What is wrong with the stream, and what the error calls it.
+        type Keys = Vec<(i64, Vec<RowVersion>)>;
+        let cases: [(&str, &str, Keys); 4] = [
+            ("no versions", "no versions", vec![(1, vec![])]),
+            (
+                "versions descending",
+                "out of order",
+                vec![(1, vec![version(2, Some(row(1, 1))), version(1, None)])],
+            ),
+            (
+                "a key twice",
+                "out of order",
+                vec![
+                    (1, vec![version(1, Some(row(1, 1)))]),
+                    (1, vec![version(2, Some(row(1, 2)))]),
+                ],
+            ),
+            (
+                "a row narrower than the indexed column",
+                "row width",
+                vec![(1, vec![version(1, Some(vec![Value::Int(1)]))])],
+            ),
+        ];
+        for (what, named, keys) in cases {
+            let mut stream = Vec::new();
+            (keys.len() as u64).put(&mut stream);
+            for (key, versions) in keys {
+                Value::Int(key).put(&mut stream);
+                versions.put(&mut stream);
+            }
+            let mut manifest = manifest.clone();
+            manifest.chunk_checksums = vec![crc32(&stream)];
+            manifest.total_bytes = stream.len() as u64;
+            match import(&manifest, &[stream]) {
+                Err(Error::Codec(text)) => assert!(text.contains(named), "{what}: {text}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]
