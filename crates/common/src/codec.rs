@@ -133,15 +133,19 @@ impl<'a> Reader<'a> {
     /// The next `n` bytes.
     pub fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
         if n > self.remaining() {
-            return Err(DecodeError::Truncated {
-                at: self.pos,
-                need: n,
-                have: self.remaining(),
-            });
+            return Err(self.short(self.pos, n));
         }
         let bytes = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(bytes)
+    }
+
+    fn short(&self, at: usize, need: usize) -> DecodeError {
+        DecodeError::Truncated {
+            at,
+            need,
+            have: self.remaining(),
+        }
     }
 
     /// The next value of type `T`.
@@ -156,11 +160,7 @@ impl<'a> Reader<'a> {
         let at = self.pos;
         let n = self.get::<u32>()? as usize;
         if n > self.remaining() {
-            return Err(DecodeError::Truncated {
-                at,
-                need: n,
-                have: self.remaining(),
-            });
+            return Err(self.short(at, n));
         }
         Ok(n)
     }
@@ -168,7 +168,7 @@ impl<'a> Reader<'a> {
     /// A length-prefixed byte string (inverse of [`put_bytes`]), borrowed
     /// from the input.
     pub fn bytes(&mut self) -> DecodeResult<&'a [u8]> {
-        let n = self.get::<u32>()? as usize;
+        let n = self.count()?;
         self.take(n)
     }
 

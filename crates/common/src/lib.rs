@@ -21,7 +21,6 @@ pub mod tableset;
 pub mod value;
 pub mod writeset;
 
-pub use codec::{Codec, DecodeError, Reader};
 pub use config::ConsistencyMode;
 pub use crc::crc32;
 pub use error::{Error, Result};

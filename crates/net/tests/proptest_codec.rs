@@ -5,9 +5,10 @@
 //! go to the two other readers of the one codec, snapshot import and log
 //! recovery.
 
+use bargain_common::codec::Codec;
 use bargain_common::{
-    crc32, ClientId, Codec, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId,
-    TemplateId, TxnId, Value, Version, WriteOp, WriteSet,
+    crc32, ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId, TemplateId,
+    TxnId, Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::{
     CertifyDecision, CertifyRequest, CommitLog, FileLog, LogRecord, Refresh, TxnOutcome,
@@ -340,21 +341,11 @@ fn patched(bytes: &[u8], at: usize) -> Vec<u8> {
     out
 }
 
-/// Cases per run; `PROPTEST_CASES` widens the sweep.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-}
-
 // ----------------------------------------------------------------------
 // Properties
 // ----------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
-
     /// Every message survives encode → decode unchanged.
     #[test]
     fn message_round_trips(msg in message_strategy()) {
