@@ -87,6 +87,11 @@ impl From<DecodeError> for Error {
 }
 
 /// A type with one byte encoding.
+///
+/// The impls for primitives, ids, strings and values are `#[inline]`, as is
+/// the reader's `take`: they are called per field from decoders other
+/// crates instantiate, and an out-of-line call per integer cost the wire
+/// path 5–15 % (EXPERIMENTS.md, "One codec").
 pub trait Codec: Sized {
     /// Appends this value's encoding to `buf`.
     fn put(&self, buf: &mut Vec<u8>);
@@ -131,6 +136,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
         if n > self.remaining() {
             return Err(self.short(self.pos, n));
@@ -149,6 +155,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next value of type `T`.
+    #[inline]
     pub fn get<T: Codec>(&mut self) -> DecodeResult<T> {
         T::get(self)
     }
@@ -156,6 +163,7 @@ impl<'a> Reader<'a> {
     /// A `u32` element count. Every element is at least one byte, so a
     /// count above what remains can never be honoured: it is refused here,
     /// before the caller reserves or loops.
+    #[inline]
     pub fn count(&mut self) -> DecodeResult<usize> {
         let at = self.pos;
         let n = self.get::<u32>()? as usize;
@@ -167,6 +175,7 @@ impl<'a> Reader<'a> {
 
     /// A length-prefixed byte string (inverse of [`put_bytes`]), borrowed
     /// from the input.
+    #[inline]
     pub fn bytes(&mut self) -> DecodeResult<&'a [u8]> {
         let n = self.count()?;
         self.take(n)
@@ -185,6 +194,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends a length-prefixed byte string.
+#[inline]
 pub fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
     (data.len() as u32).put(buf);
     buf.extend_from_slice(data);
@@ -200,9 +210,11 @@ pub fn put_seq<'t, T: Codec + 't>(buf: &mut Vec<u8>, items: impl ExactSizeIterat
 macro_rules! little_endian {
     ($($int:ty),*) => {$(
         impl Codec for $int {
+            #[inline]
             fn put(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
                 let bytes = r.take(std::mem::size_of::<$int>())?;
                 Ok(<$int>::from_le_bytes(bytes.try_into().expect("take gave the size asked")))
@@ -215,9 +227,11 @@ little_endian!(u8, u16, u32, u64, i64, f64);
 macro_rules! newtype {
     ($($id:ident),*) => {$(
         impl Codec for $id {
+            #[inline]
             fn put(&self, buf: &mut Vec<u8>) {
                 self.0.put(buf);
             }
+            #[inline]
             fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
                 Ok($id(r.get()?))
             }
@@ -227,9 +241,11 @@ macro_rules! newtype {
 newtype!(Version, TxnId, ClientId, SessionId, ReplicaId, TableId, TemplateId);
 
 impl Codec for bool {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         u8::from(*self).put(buf);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         match r.get::<u8>()? {
             0 => Ok(false),
@@ -240,9 +256,11 @@ impl Codec for bool {
 }
 
 impl Codec for String {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         put_bytes(buf, self.as_bytes());
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         match std::str::from_utf8(r.bytes()?) {
             Ok(s) => Ok(s.to_owned()),
@@ -287,10 +305,12 @@ impl<T: Codec> Codec for Arc<T> {
 }
 
 impl Codec for IdemKey {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         self.client.put(buf);
         self.seq.put(buf);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         Ok(IdemKey {
             client: r.get()?,
@@ -300,6 +320,7 @@ impl Codec for IdemKey {
 }
 
 impl Codec for Value {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         match self {
             Value::Null => buf.push(0),
@@ -317,6 +338,7 @@ impl Codec for Value {
             }
         }
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         Ok(match r.get::<u8>()? {
             0 => Value::Null,

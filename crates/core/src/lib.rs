@@ -28,6 +28,13 @@
 //!   writesets in the certifier's global order, and performs *early
 //!   certification* to avoid the hidden deadlock problem.
 //!
+//! [`wal`] is the certifier's commit log (the `CommitLog` trait, an
+//! in-memory and a file-backed implementation). The types that cross a
+//! process boundary or reach the disk — [`LogRecord`], [`CertifyRequest`],
+//! [`CertifyDecision`], [`Refresh`], [`TxnOutcome`] — carry their one byte
+//! encoding beside their definition, as `bargain_common::codec::Codec`
+//! impls; the log file and the wire protocol share them.
+//!
 //! The [`checker`] module provides an online checker for the paper's
 //! correctness definitions (strong consistency, session consistency, GSI
 //! commit-order reads), used heavily by the test suites.

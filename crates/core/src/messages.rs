@@ -4,6 +4,21 @@
 //! The hosts (`bargain-sim`, `bargain-cluster`) are responsible for
 //! *transporting* these messages; the state machines only produce and
 //! consume them.
+//!
+//! The four that cross a process boundary carry their wire encoding here,
+//! as [`Codec`] impls (all integers little-endian; `bargain_common::codec`
+//! has the parts):
+//!
+//! ```text
+//! certify:  u64 txn | u32 replica | u64 snapshot | option<idem key> | writeset
+//! decision: u8 tag (0=commit,1=abort,2=duplicate) | u64 txn
+//!             | u64 version (commit/abort) or u64 original | u64 version
+//! refresh:  u32 origin | u64 txn | u64 commit_version | writeset
+//! outcome:  u64 txn | u64 client | u64 session | u32 replica
+//!             | bool committed | option<u64> commit_version
+//!             | u64 observed_version | vec<u32> tables_written
+//!             | option<string> abort_reason
+//! ```
 
 use bargain_common::codec::{malformed, Codec, DecodeResult, Reader};
 use bargain_common::{
@@ -180,20 +195,6 @@ impl TxnOutcome {
         self.committed && self.commit_version.is_some()
     }
 }
-
-// Wire encodings (all integers little-endian; `bargain_common::codec` has
-// the parts):
-//
-// ```text
-// certify:  u64 txn | u32 replica | u64 snapshot | option<idem key> | writeset
-// decision: u8 tag (0=commit,1=abort,2=duplicate) | u64 txn
-//             | u64 version (commit/abort) or u64 original | u64 version
-// refresh:  u32 origin | u64 txn | u64 commit_version | writeset
-// outcome:  u64 txn | u64 client | u64 session | u32 replica
-//             | bool committed | option<u64> commit_version
-//             | u64 observed_version | vec<u32> tables_written
-//             | option<string> abort_reason
-// ```
 
 impl Codec for CertifyRequest {
     fn put(&self, buf: &mut Vec<u8>) {

@@ -11,9 +11,10 @@
 //! - [`frame`] + [`codec`] — a length-prefixed, CRC-32-checksummed binary
 //!   framing with a versioned header and a per-frame `request_id` tag
 //!   (protocol v2: a connection can pipeline many in-flight requests, with
-//!   replies matched by id), and hand-rolled encodings for every protocol
-//!   message. The writeset/record encodings are byte-identical to the
-//!   certifier's WAL (`bargain_core::wal`): one codec, disk and wire.
+//!   replies matched by id), and the [`Message`] envelope: which messages
+//!   exist, their kind bytes, their fields in wire order. The fields'
+//!   bytes are each type's one encoding (`bargain_common::codec`), the
+//!   same on the certifier's disk and on the wire.
 //!   [`frame::FrameDecoder`] is the incremental decode path for
 //!   non-blocking sockets: partial frames resume across readiness events.
 //! - [`server`] + [`certifier`] — TCP servers, two services on one
