@@ -285,7 +285,9 @@ impl Codec for Refresh {
     }
 }
 
+// `#[inline]`: on every reply's path, encoded and decoded from `bargain-net`.
 impl Codec for TxnOutcome {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         self.txn.put(buf);
         self.client.put(buf);
@@ -297,6 +299,7 @@ impl Codec for TxnOutcome {
         self.tables_written.put(buf);
         self.abort_reason.put(buf);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         Ok(TxnOutcome {
             txn: r.get()?,

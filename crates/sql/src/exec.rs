@@ -42,7 +42,9 @@ impl QueryResult {
 }
 
 /// On the wire: `u8 tag (0=rows,1=affected) | vec<vec<value>> or u64`.
+/// (`#[inline]`: on every reply's path, called from `bargain-net`.)
 impl Codec for QueryResult {
+    #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         match self {
             QueryResult::Rows(rows) => {
@@ -55,6 +57,7 @@ impl Codec for QueryResult {
             }
         }
     }
+    #[inline]
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
         match r.get::<u8>()? {
             0 => Ok(QueryResult::Rows(r.get()?)),
