@@ -14,6 +14,7 @@
 use bargain_common::{
     ClientId, ConsistencyMode, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value, Version,
 };
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, FinishAction, Proxy, ProxyEvent, RoutedTxn, StartDecision};
 use bargain_sql::TransactionTemplate;
 use bargain_storage::Engine;
@@ -86,7 +87,10 @@ fn run(mode: ConsistencyMode) {
         FinishAction::NeedsCertification(req) => req,
         FinishAction::ReadOnlyCommitted(_) => unreachable!(),
     };
-    let (decision, refreshes) = certifier.certify(req).unwrap();
+    let sent = certifier.step([Input::Certify(req)]).unwrap().out;
+    let Some((_, Delivery::Decision(decision))) = sent.last().cloned() else {
+        unreachable!("a commit's decision comes after its refreshes");
+    };
     println!("t1: certifier certifies T1 at v1, forwards refresh writesets to Rep1, Rep3");
     let events = proxies[1].on_decision(decision).unwrap();
     for ev in &events {
@@ -107,13 +111,9 @@ fn run(mode: ConsistencyMode) {
     }
 
     // Rep3 applies its refresh quickly; Rep1 is slow (not yet applied).
-    let targets = certifier.refresh_targets(ReplicaId(1));
-    let refresh_for = |replica: ReplicaId| {
-        targets
-            .iter()
-            .position(|&t| t == replica)
-            .map(|i| refreshes[i].clone())
-            .expect("target present")
+    let refresh_for = |replica: ReplicaId| match sent.iter().find(|(to, _)| *to == replica) {
+        Some((_, Delivery::Refresh(refresh))) => refresh.clone(),
+        other => unreachable!("{replica} was sent {other:?}"),
     };
     let r3 = refresh_for(ReplicaId(2));
 

@@ -9,21 +9,24 @@
 //!    ▲        (route + enqueue under the lock)       │      │
 //!    └─────sink(result)◀── Front::complete ──────────┘      │
 //!          (reply after the lock)                           ▼
-//!        replica threads ◀─Refresh/Decision/Global── certifier thread
+//!        replica threads ◀──ToReplica::Certifier─── certifier thread
 //!                        ──CertifierRequest::Certify/Applied──▶
 //! ```
 //!
 //! All protocol logic lives in the `bargain-core` state machines; the
-//! threads only move messages and execute statements.
+//! threads only move messages and execute statements. The certifier thread
+//! turns what it receives into `Certifier::step` inputs and sends each
+//! output where it is addressed (see `bargain_core::certifier`).
 
 use crate::front::{Front, FrontDoor};
 use crate::session::Session;
 use bargain_common::{
     ConsistencyMode, Error, ReplicaId, Result, TableSet, TemplateId, TxnId, Version,
 };
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{
-    Certifier, CertifyDecision, CertifyRequest, FinishAction, LoadBalancer, LogRecord, Proxy,
-    ProxyEvent, Refresh, RoutedTxn, StartDecision, StatementOutcome, TxnOutcome,
+    Certifier, CertifyRequest, FinishAction, LoadBalancer, LogRecord, Proxy, ProxyEvent, Refresh,
+    RoutedTxn, StartDecision, StatementOutcome, TxnOutcome,
 };
 use bargain_sql::{execute_ddl, parse, QueryResult, Statement, TransactionTemplate};
 use bargain_storage::{Engine, Snapshot};
@@ -114,9 +117,8 @@ pub(crate) enum ToReplica {
         routed: RoutedTxn,
         template: Arc<TransactionTemplate>,
     },
-    Refresh(Refresh),
-    Decision(CertifyDecision),
-    GlobalCommit(TxnId),
+    /// What the certifier sends this replica.
+    Certifier(Delivery),
     /// The certifier link went down (failure epoch attached): abort every
     /// certifying transaction — its outcome is unknowable until the link
     /// recovers — and acknowledge the sweep back through the certifier
@@ -215,27 +217,12 @@ pub enum CertifierRequest {
 /// A message the certification service delivers back to the cluster, tagged
 /// with the replica it is addressed to.
 pub enum CertifierDelivery {
-    /// The decision for a certify request, addressed to its origin replica.
-    Decision {
-        /// Replica that submitted the request.
-        origin: ReplicaId,
-        /// The commit/abort decision.
-        decision: CertifyDecision,
-    },
-    /// A certified writeset to apply, addressed to a non-origin replica.
-    Refresh {
-        /// The replica that must apply it.
+    /// A refresh, decision or global commit for replica `to`.
+    Deliver {
+        /// The addressee.
         to: ReplicaId,
-        /// The refresh transaction.
-        refresh: Refresh,
-    },
-    /// All replicas applied the commit (eager mode), addressed to the origin
-    /// so it can release the client.
-    GlobalCommit {
-        /// Replica hosting the transaction.
-        origin: ReplicaId,
-        /// The globally committed transaction.
-        txn: TxnId,
+        /// What it receives.
+        delivery: Delivery,
     },
     /// The transport declared the certification service unreachable
     /// (heartbeat expiry or send failure). Because this travels the same
@@ -489,14 +476,8 @@ impl Cluster {
                         .spawn(move || {
                             while let Ok(delivery) = del_rx.recv() {
                                 match delivery {
-                                    CertifierDelivery::Decision { origin, decision } => {
-                                        front.send(origin, ToReplica::Decision(decision));
-                                    }
-                                    CertifierDelivery::Refresh { to, refresh } => {
-                                        front.send(to, ToReplica::Refresh(refresh));
-                                    }
-                                    CertifierDelivery::GlobalCommit { origin, txn } => {
-                                        front.send(origin, ToReplica::GlobalCommit(txn));
+                                    CertifierDelivery::Deliver { to, delivery } => {
+                                        front.send(to, ToReplica::Certifier(delivery));
                                     }
                                     CertifierDelivery::Down { epoch } => {
                                         front.broadcast(|| ToReplica::CertifierLost { epoch });
@@ -507,8 +488,7 @@ impl Cluster {
                                     }
                                     CertifierDelivery::Resync { records } => {
                                         for rec in records {
-                                            front
-                                                .broadcast(|| ToReplica::Refresh(refresh_of(&rec)));
+                                            front.broadcast(|| refresh(&rec));
                                         }
                                     }
                                 }
@@ -696,8 +676,7 @@ impl Cluster {
             reply,
         };
         for rec in self.ask_certifier(join)?? {
-            self.front
-                .send(replica, ToReplica::Refresh(refresh_of(&rec)));
+            self.front.send(replica, refresh(&rec));
         }
         // 4. The load balancer learns the replica (still down/unroutable).
         self.front.door.lock().lb.add_replica(replica);
@@ -817,14 +796,9 @@ impl Cluster {
     }
 }
 
-/// A certified record as the refresh a replica applies.
-fn refresh_of(rec: &LogRecord) -> Refresh {
-    Refresh {
-        origin: rec.origin,
-        txn: rec.txn,
-        commit_version: rec.commit_version,
-        writeset: Arc::clone(&rec.writeset),
-    }
+/// A certified record replayed at a replica.
+fn refresh(rec: &LogRecord) -> ToReplica {
+    ToReplica::Certifier(Delivery::Refresh(Refresh::from(rec)))
 }
 
 fn shut_down() -> Error {
@@ -908,11 +882,11 @@ impl Replica {
                     StartDecision::Delayed { .. } => {}
                 }
             }
-            ToReplica::Refresh(refresh) => {
+            ToReplica::Certifier(Delivery::Refresh(refresh)) => {
                 let events = self.proxy.on_refresh(refresh).expect("refresh applies");
                 self.handle_events(events);
             }
-            ToReplica::Decision(decision) => {
+            ToReplica::Certifier(Delivery::Decision(decision)) => {
                 match self.proxy.on_decision(decision) {
                     Ok(events) => self.handle_events(events),
                     // A decision for a transaction the certifier-loss sweep
@@ -922,12 +896,14 @@ impl Replica {
                     Err(e) => panic!("decision failed: {e}"),
                 }
             }
-            ToReplica::GlobalCommit(txn) => match self.proxy.on_global_commit(txn) {
-                Ok(outcome) => self.finished(outcome),
-                // Stale global-commit notification for a swept transaction.
-                Err(Error::NoSuchTransaction(_) | Error::Protocol(_)) => {}
-                Err(e) => panic!("global commit failed: {e}"),
-            },
+            ToReplica::Certifier(Delivery::GlobalCommit(txn)) => {
+                match self.proxy.on_global_commit(txn) {
+                    Ok(outcome) => self.finished(outcome),
+                    // Stale global-commit notification for a swept transaction.
+                    Err(Error::NoSuchTransaction(_) | Error::Protocol(_)) => {}
+                    Err(e) => panic!("global commit failed: {e}"),
+                }
+            }
             ToReplica::CertifierLost { epoch } => {
                 let outcomes = self.proxy.abort_certifying(
                     "certifier unavailable: link down, outcome unknown (retry-after)",
@@ -1006,89 +982,56 @@ impl Replica {
     }
 }
 
+/// The certifier thread: everything queued when it comes around is one
+/// [`Certifier::step`] (so a burst is group-committed, and an idle
+/// certifier answers a lone request at once), every delivery goes where it
+/// is addressed, and then the history fetches and leaves are answered.
 fn certifier_main(mut certifier: Certifier, rx: Receiver<CertifierRequest>, replicas: ReplicaTxs) {
-    // Group commit: every certify request sitting in the channel when the
-    // thread comes around is certified as one batch, flushed to the WAL
-    // with one fsync. Under load the batch grows with
-    // the arrival rate (the classic group commit adaptivity); an idle
-    // certifier still serves single requests with single-append latency.
-    // A batch is certified, made durable and announced in one step, in
-    // submission (= commit) order; refreshes go out before their decision.
-    let certify = |certifier: &mut Certifier, batch: &mut Vec<CertifyRequest>| {
-        if batch.is_empty() {
-            return;
-        }
-        let origins: Vec<ReplicaId> = batch.iter().map(|r| r.replica).collect();
-        let results = certifier
-            .certify_batch(std::mem::take(batch))
-            .expect("certify accepts");
-        let txs = replicas.lock();
-        for (origin, (decision, refreshes)) in origins.into_iter().zip(results) {
-            for (target, refresh) in certifier.refresh_targets(origin).into_iter().zip(refreshes) {
-                let _ = txs[target.index()].send(ToReplica::Refresh(refresh));
-            }
-            let _ = txs[origin.index()].send(ToReplica::Decision(decision));
-        }
-    };
-
-    'outer: while let Ok(first) = rx.recv() {
-        // Drain whatever else is already queued behind the first message.
-        let mut messages = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            messages.push(msg);
-        }
-        let mut batch: Vec<CertifyRequest> = Vec::new();
-        for msg in messages {
-            // Anything but a certify request may depend on decisions queued
-            // before it (and membership may change only between batches:
-            // `refresh_targets` at announce time must match the membership
-            // at certify time), so the batch so far goes first.
-            if !matches!(
-                msg,
-                CertifierRequest::Certify(_) | CertifierRequest::SweepAck { .. }
-            ) {
-                certify(&mut certifier, &mut batch);
-            }
+    let mut stopping = false;
+    while !stopping {
+        let Ok(first) = rx.recv() else { break };
+        let (mut inputs, mut fetches, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        for msg in std::iter::once(first).chain(queued) {
             match msg {
-                CertifierRequest::Certify(req) => batch.push(req),
+                CertifierRequest::Certify(req) => inputs.push(Input::Certify(req)),
                 CertifierRequest::Applied { replica, version } => {
-                    if let Some((origin, txn)) = certifier.on_commit_applied(replica, version) {
-                        let _ = replicas.lock()[origin.index()].send(ToReplica::GlobalCommit(txn));
-                    }
+                    inputs.push(Input::Applied { replica, version });
                 }
                 // The in-process certifier never declares itself down, so a
                 // sweep acknowledgement has nothing to fence.
                 CertifierRequest::SweepAck { .. } => {}
+                // The records go out after the step, so they cover every
+                // commit the joiner is not sent as a refresh.
                 CertifierRequest::Join {
                     replica,
                     after,
                     reply,
                 } => {
-                    certifier.add_replica(replica);
-                    // Credit the joiner for every pending eager commit at or
-                    // below its snapshot version — the snapshot already
-                    // contains those writes, and the joiner will never
-                    // replay them, so without the credit such entries could
-                    // never globally commit.
-                    for (origin, txn) in certifier.on_replica_hello(replica, after) {
-                        let _ = replicas.lock()[origin.index()].send(ToReplica::GlobalCommit(txn));
-                    }
-                    let _ = reply.send(certifier.certified_since(after));
+                    inputs.push(Input::Join { replica, after });
+                    fetches.push((after, reply));
                 }
                 CertifierRequest::Leave { replica, ack } => {
-                    // Entries the leaver alone was blocking complete now.
-                    for (origin, txn) in certifier.remove_replica(replica) {
-                        let _ = replicas.lock()[origin.index()].send(ToReplica::GlobalCommit(txn));
-                    }
-                    let _ = ack.send(Ok(()));
+                    inputs.push(Input::Leave { replica });
+                    leaves.push(ack);
                 }
-                // The reply covers everything enqueued before the request.
-                CertifierRequest::History { after, reply } => {
-                    let _ = reply.send(certifier.certified_since(after));
+                CertifierRequest::History { after, reply } => fetches.push((after, reply)),
+                CertifierRequest::Shutdown => {
+                    stopping = true;
+                    break;
                 }
-                CertifierRequest::Shutdown => break 'outer,
             }
         }
-        certify(&mut certifier, &mut batch);
+        let step = certifier.step(inputs).expect("the certifier log flushes");
+        let txs = replicas.lock();
+        for (to, delivery) in step.out {
+            let _ = txs[to.index()].send(ToReplica::Certifier(delivery));
+        }
+        for (after, reply) in fetches {
+            let _ = reply.send(certifier.certified_since(after));
+        }
+        for ack in leaves {
+            let _ = ack.send(Ok(()));
+        }
     }
 }

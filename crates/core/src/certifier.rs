@@ -16,6 +16,31 @@
 //! set of replica commits and reports *global commit* once every replica
 //! has applied the transaction.
 //!
+//! # One step under every host
+//!
+//! [`Certifier::step`] is the whole certifier as its hosts see it — the
+//! runtime's certifier thread, `bargain-net`'s `CertifierService` and the
+//! simulator: [`Input`]s in (certify requests, applied reports, hellos,
+//! joins, leaves), [`Delivery`]s out, each already addressed. Two rules
+//! live here and nowhere else:
+//!
+//! - *The cut rule.* A maximal run of consecutive `Certify` inputs, at most
+//!   [`MAX_CERTIFY_BATCH`] long, is certified and flushed as one group
+//!   commit. Any other input certifies the run before it first, so the
+//!   membership changes only between batches.
+//! - *The order rule.* A commit's refreshes, one per member but the origin
+//!   in membership order, come ahead of its decision; global commits come
+//!   where their input was.
+//!
+//! A request the certifier cannot certify — a snapshot outside the history
+//! it holds, an idempotency key evicted from the dedup window — is answered
+//! to its origin alone with [`CertifyDecision::Refused`] and changes
+//! nothing; only a log that fails to flush fails the step. A history fetch
+//! ([`Certifier::certified_since`]) is no input: it changes nothing, and a
+//! host answers it after stepping over what came before it. A host carries
+//! the outputs and owns only its transport, its cost model and its fault
+//! gates.
+//!
 //! # One index over one log
 //!
 //! [`Certifier`] is a sequencer (the `V_commit` counter, the history floor,
@@ -35,7 +60,7 @@
 //!
 //! # Durability and recovery
 //!
-//! [`Certifier::certify_batch`] returns no decision before the batch's
+//! [`Certifier::step`] announces no decision before its batch's
 //! buffered records are flushed (group commit: one durability point per
 //! batch). Recovery replays the log and reinstalls its records in order. A
 //! crash can tear the log's last record — [`FileLog::open`] cuts the torn
@@ -53,8 +78,68 @@ use crate::messages::{CertifyDecision, CertifyRequest, Refresh};
 use crate::wal::{CommitLog, FileLog, LogRecord, MemoryLog};
 use bargain_common::{Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteSet};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::RangeBounds;
 use std::path::Path;
 use std::sync::Arc;
+
+/// The longest run of consecutive [`Input::Certify`] that [`Certifier::step`]
+/// certifies as one group commit.
+pub const MAX_CERTIFY_BATCH: usize = 64;
+
+/// One input to [`Certifier::step`].
+#[derive(Debug)]
+pub enum Input {
+    /// Certify an update transaction.
+    Certify(CertifyRequest),
+    /// Eager mode: `replica` applied the commit at `version`.
+    Applied {
+        /// The reporting replica.
+        replica: ReplicaId,
+        /// The version it applied.
+        version: Version,
+    },
+    /// Eager mode: `replica` has applied every commit up to `v_local` (it
+    /// re-introduces itself after a certifier or replica restart).
+    Hello {
+        /// The reporting replica.
+        replica: ReplicaId,
+        /// Its `V_local`.
+        v_local: Version,
+    },
+    /// `replica` joins the fan-out with a snapshot holding every commit up
+    /// to `after`, which credits it for those.
+    Join {
+        /// The joining replica.
+        replica: ReplicaId,
+        /// Its snapshot's version.
+        after: Version,
+    },
+    /// `replica` leaves the fan-out; nothing waits on it any more.
+    Leave {
+        /// The departing replica.
+        replica: ReplicaId,
+    },
+}
+
+/// What the certifier sends one replica.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Delivery {
+    /// A commit from elsewhere, to apply in version order.
+    Refresh(Refresh),
+    /// The decision for one of the replica's own requests.
+    Decision(CertifyDecision),
+    /// Eager mode: every member applied the replica's transaction.
+    GlobalCommit(TxnId),
+}
+
+/// What one [`Certifier::step`] produced.
+#[derive(Debug, Default)]
+pub struct Step {
+    /// What to send, each with its addressee, in the order to send it.
+    pub out: Vec<(ReplicaId, Delivery)>,
+    /// How many requests each group commit of the step certified, in order.
+    pub batches: Vec<usize>,
+}
 
 /// How many recent certified sequence numbers the exactly-once machinery
 /// remembers per client nonce. A client may have at most this many keyed
@@ -175,7 +260,7 @@ pub struct Certifier {
     /// by [`Certifier::recover`], so deduplication survives restarts.
     dedup: HashMap<u64, ClientWindow>,
     /// Eager-mode accounting: commit version → replicas applied so far.
-    eager_pending: HashMap<Version, EagerState>,
+    eager_pending: BTreeMap<Version, EagerState>,
     eager_enabled: bool,
     stats: CertifierStats,
 }
@@ -199,7 +284,7 @@ impl Certifier {
             log,
             unflushed: Vec::new(),
             dedup: HashMap::new(),
-            eager_pending: HashMap::new(),
+            eager_pending: BTreeMap::new(),
             eager_enabled: false,
             stats: CertifierStats::default(),
         }
@@ -289,7 +374,9 @@ impl Certifier {
     }
 
     /// Certifies a batch of update transactions in order, with one
-    /// durability point for the whole batch (group commit).
+    /// durability point for the whole batch (group commit), returning each
+    /// decision with its refreshes in replica order. Hosts call
+    /// [`Self::step`], which also addresses them.
     ///
     /// Requests are certified sequentially against the certifier's state —
     /// a later request in the batch sees the commits of earlier ones, so the
@@ -298,47 +385,103 @@ impl Certifier {
     /// preserving the rule that a decision is durable before it is
     /// announced.
     ///
-    /// If a request fails validation mid-batch, the records buffered so far
-    /// are flushed before the error is returned, so no already-made commit
-    /// decision is ever lost.
+    /// A request the certifier refuses ends the batch with
+    /// `Err(Error::Protocol(reason))`; the records buffered before it are
+    /// flushed first, so no already-made commit decision is ever lost.
     pub fn certify_batch(
         &mut self,
         reqs: Vec<CertifyRequest>,
     ) -> Result<Vec<(CertifyDecision, Vec<Refresh>)>> {
         let mut out = Vec::with_capacity(reqs.len());
-        let mut first_err = None;
         for req in reqs {
             match self.certify_one(req) {
-                Ok(result) => out.push(result),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
+                (CertifyDecision::Refused { reason, .. }, _) => {
+                    self.flush()?;
+                    return Err(Error::Protocol(reason));
                 }
+                result => out.push(result),
             }
         }
         self.flush()?;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
+        Ok(out)
+    }
+
+    /// Runs the certifier over `inputs` in order and returns what to send,
+    /// addressed (see the module docs for the cut and order rules). Only a
+    /// log that fails to flush is an error; the step's outputs are then
+    /// lost with it, and none of its failed batch's decisions is announced.
+    pub fn step(&mut self, inputs: impl IntoIterator<Item = Input>) -> Result<Step> {
+        let (mut step, mut run) = (Step::default(), Vec::new());
+        for input in inputs {
+            if !matches!(input, Input::Certify(_)) || run.len() == MAX_CERTIFY_BATCH {
+                self.certify_run(&mut run, &mut step)?;
+            }
+            let completed = match input {
+                Input::Certify(req) => {
+                    run.push(req);
+                    continue;
+                }
+                Input::Applied { replica, version } => self
+                    .on_commit_applied(replica, version)
+                    .into_iter()
+                    .collect(),
+                Input::Hello { replica, v_local } => self.on_replica_hello(replica, v_local),
+                Input::Join { replica, after } => {
+                    self.add_replica(replica);
+                    self.on_replica_hello(replica, after)
+                }
+                Input::Leave { replica } => self.remove_replica(replica),
+            };
+            let global = completed.into_iter();
+            step.out
+                .extend(global.map(|(origin, txn)| (origin, Delivery::GlobalCommit(txn))));
         }
+        self.certify_run(&mut run, &mut step)?;
+        Ok(step)
+    }
+
+    /// Certifies `run` as one group commit and queues its outputs on `step`
+    /// once the commits are durable.
+    fn certify_run(&mut self, run: &mut Vec<CertifyRequest>, step: &mut Step) -> Result<()> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        step.batches.push(run.len());
+        let decided: Vec<_> = run
+            .drain(..)
+            .map(|req| (req.replica, self.certify_one(req)))
+            .collect();
+        self.flush()?;
+        for (origin, (decision, refreshes)) in decided {
+            let refreshes = refreshes.into_iter().map(Delivery::Refresh);
+            step.out
+                .extend(self.refresh_targets(origin).into_iter().zip(refreshes));
+            step.out.push((origin, Delivery::Decision(decision)));
+        }
+        Ok(())
     }
 
     /// Certifies one request against in-memory state: validate, dedup, probe
     /// the index, then sequence and install. The commit's log record waits
-    /// in the group-commit buffer (durability happens at batch end).
-    fn certify_one(&mut self, req: CertifyRequest) -> Result<(CertifyDecision, Vec<Refresh>)> {
+    /// in the group-commit buffer (durability happens at batch end). A
+    /// request that fails validation is refused and changes nothing.
+    fn certify_one(&mut self, req: CertifyRequest) -> (CertifyDecision, Vec<Refresh>) {
+        let refuse = |reason| {
+            let txn = req.txn;
+            (CertifyDecision::Refused { txn, reason }, Vec::new())
+        };
         // The snapshot must be a state the certifier has produced.
         if req.snapshot > self.v_commit {
-            return Err(Error::Protocol(format!(
+            return refuse(format!(
                 "certify: snapshot {} is in the future of V_commit {}",
                 req.snapshot, self.v_commit
-            )));
+            ));
         }
         if req.snapshot < self.history_floor {
-            return Err(Error::Protocol(format!(
+            return refuse(format!(
                 "certify: snapshot {} is below the pruned history floor {}",
                 req.snapshot, self.history_floor
-            )));
+            ));
         }
         // Exactly-once: a retry of an already-certified request is answered
         // with the original outcome instead of committing its writes twice.
@@ -348,7 +491,7 @@ impl Certifier {
         // (their retry certifies fresh, which is correct — they had no
         // effect). A pipelined client may replay *any* of its last
         // [`DEDUP_WINDOW`] keyed transactions after a reconnect, not just
-        // the newest; only keys evicted from the window are rejected.
+        // the newest; only keys evicted from the window are refused.
         if let Some(key) = req.idem {
             let window = self.dedup.get(&key.client);
             match window.map_or(DedupVerdict::Fresh, |w| w.lookup(key.seq)) {
@@ -357,24 +500,24 @@ impl Certifier {
                     commit_version,
                 } => {
                     self.stats.duplicates += 1;
-                    return Ok((
+                    return (
                         CertifyDecision::Duplicate {
                             txn: req.txn,
                             original: txn,
                             commit_version,
                         },
                         Vec::new(),
-                    ));
+                    );
                 }
                 // A conformant client keeps at most DEDUP_WINDOW keyed
                 // transactions in flight; a seq below the eviction floor is
                 // being replayed out of protocol and exactly-once can no
                 // longer be proven for it.
                 DedupVerdict::OutOfWindow { evicted_through } => {
-                    return Err(Error::Protocol(format!(
+                    return refuse(format!(
                         "certify: stale idempotency key {key} (dedup window evicted \
                          through seq {evicted_through})"
-                    )));
+                    ));
                 }
                 DedupVerdict::Fresh => {}
             }
@@ -395,27 +538,25 @@ impl Certifier {
         );
         if let Some(conflicting_version) = conflict {
             self.stats.aborts += 1;
-            return Ok((
+            return (
                 CertifyDecision::Abort {
                     txn: req.txn,
                     conflicting_version,
                 },
                 Vec::new(),
-            ));
+            );
         }
         // The writeset is shared by the log record, the history and the
         // refreshes.
         let commit_version = self.v_commit.next();
-        let writeset = Arc::new(req.writeset);
         let record = LogRecord {
             commit_version,
             txn: req.txn,
             origin: req.replica,
             idem: req.idem,
-            writeset: Arc::clone(&writeset),
+            writeset: Arc::new(req.writeset),
         };
         self.install(&record);
-        self.unflushed.push(record);
         if self.eager_enabled {
             self.eager_pending.insert(
                 commit_version,
@@ -429,21 +570,15 @@ impl Certifier {
         self.stats.commits += 1;
         let n_targets = self.replicas.iter().filter(|&&r| r != req.replica).count();
         self.stats.refreshes_sent += n_targets as u64;
-        let refreshes: Vec<Refresh> = (0..n_targets)
-            .map(|_| Refresh {
-                origin: req.replica,
-                txn: req.txn,
-                commit_version,
-                writeset: Arc::clone(&writeset),
-            })
-            .collect();
-        Ok((
+        let refreshes = vec![Refresh::from(&record); n_targets];
+        self.unflushed.push(record);
+        (
             CertifyDecision::Commit {
                 txn: req.txn,
                 commit_version,
             },
             refreshes,
-        ))
+        )
     }
 
     /// Installs a commit in memory: indexes its rows, retains the record,
@@ -491,10 +626,9 @@ impl Certifier {
             .map(|rec| rec.commit_version)
     }
 
-    /// The replicas a given refresh fan-out targets, in replica order
-    /// (hosts pair this with [`Self::certify`]'s refresh list).
-    #[must_use]
-    pub fn refresh_targets(&self, origin: ReplicaId) -> Vec<ReplicaId> {
+    /// The replicas a commit from `origin` fans out to, in membership order:
+    /// the addressees of its refresh list.
+    fn refresh_targets(&self, origin: ReplicaId) -> Vec<ReplicaId> {
         self.replicas
             .iter()
             .copied()
@@ -532,11 +666,7 @@ impl Certifier {
         if !self.replicas.contains(&replica) {
             return None;
         }
-        let state = self.eager_pending.get_mut(&version)?;
-        if !state.applied.contains(&replica) {
-            state.applied.push(replica);
-        }
-        self.take_globally_committed(&[version]).pop()
+        self.credit(replica, version..=version).pop()
     }
 
     /// Eager mode, post-crash re-synchronization: a replica reports its
@@ -552,20 +682,24 @@ impl Certifier {
         replica: ReplicaId,
         v_local: Version,
     ) -> Vec<(ReplicaId, TxnId)> {
-        let mut versions: Vec<Version> = self
-            .eager_pending
-            .keys()
-            .copied()
-            .filter(|&v| v <= v_local)
-            .collect();
-        versions.sort_unstable();
-        for v in &versions {
-            let state = self.eager_pending.get_mut(v).expect("present");
+        self.credit(replica, ..=v_local)
+    }
+
+    /// Credits `replica` with having applied the pending versions in
+    /// `versions` (idempotently) and completes those every replica has.
+    fn credit(
+        &mut self,
+        replica: ReplicaId,
+        versions: impl RangeBounds<Version>,
+    ) -> Vec<(ReplicaId, TxnId)> {
+        let mut credited = Vec::new();
+        for (&v, state) in self.eager_pending.range_mut(versions) {
             if !state.applied.contains(&replica) {
                 state.applied.push(replica);
             }
+            credited.push(v);
         }
-        self.take_globally_committed(&versions)
+        self.take_globally_committed(&credited)
     }
 
     /// The replica set currently in the refresh fan-out.
@@ -604,8 +738,7 @@ impl Certifier {
         for state in self.eager_pending.values_mut() {
             state.applied.retain(|&r| r != replica);
         }
-        let mut versions: Vec<Version> = self.eager_pending.keys().copied().collect();
-        versions.sort_unstable();
+        let versions: Vec<Version> = self.eager_pending.keys().copied().collect();
         self.take_globally_committed(&versions)
     }
 
@@ -1366,6 +1499,59 @@ mod tests {
             c.on_replica_hello(ReplicaId(1), Version(2)),
             vec![(ReplicaId(0), TxnId(1)), (ReplicaId(1), TxnId(2))]
         );
+    }
+
+    fn certifies(reqs: Vec<CertifyRequest>) -> Vec<Input> {
+        reqs.into_iter().map(Input::Certify).collect()
+    }
+
+    #[test]
+    fn step_cuts_runs_at_the_cap_and_at_every_other_input() {
+        let mut c = Certifier::new(replicas(3));
+        let mut inputs = certifies((1..=65).map(|i| req(i, 0, 0, ws(0, i as i64))).collect());
+        inputs.push(Input::Leave {
+            replica: ReplicaId(2),
+        });
+        inputs.extend(certifies(vec![req(66, 1, 0, ws(0, 66))]));
+        let step = c.step(inputs).unwrap();
+        assert_eq!(step.batches, [MAX_CERTIFY_BATCH, 1, 1]);
+        // 65 commits reach both other members, the one after the leave one.
+        assert_eq!(step.out.len(), 65 * 3 + 2);
+        let tail: Vec<_> = step.out[195..]
+            .iter()
+            .map(|(to, d)| (*to, matches!(d, Delivery::Refresh(_))))
+            .collect();
+        assert_eq!(tail, [(ReplicaId(0), true), (ReplicaId(1), false)]);
+    }
+
+    #[test]
+    fn step_refuses_a_request_to_its_origin_alone() {
+        let mut c = Certifier::new(replicas(2));
+        let inputs = certifies(vec![
+            req(1, 0, 0, ws(0, 1)),
+            req(2, 1, 7, ws(0, 1)), // a snapshot from the future
+            req(3, 0, 0, ws(0, 3)),
+        ]);
+        let out = c.step(inputs).unwrap().out;
+        // One refresh per commit, each ahead of its decision; the refusal
+        // sends nothing else, and the others are decided as if it were not
+        // there.
+        let commit = |txn, v| {
+            Delivery::Decision(CertifyDecision::Commit {
+                txn: TxnId(txn),
+                commit_version: Version(v),
+            })
+        };
+        assert_eq!(out.len(), 5);
+        assert!(matches!(out[0], (ReplicaId(1), Delivery::Refresh(_))));
+        assert_eq!(out[1], (ReplicaId(0), commit(1, 1)));
+        assert!(
+            matches!(&out[2], (ReplicaId(1), Delivery::Decision(CertifyDecision::Refused { txn: TxnId(2), reason }))
+                if reason.contains("in the future")),
+            "{out:?}"
+        );
+        assert_eq!(out[4], (ReplicaId(0), commit(3, 2)));
+        assert_eq!(c.stats().commits, 2);
     }
 
     #[test]

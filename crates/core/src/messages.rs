@@ -11,8 +11,9 @@
 //!
 //! ```text
 //! certify:  u64 txn | u32 replica | u64 snapshot | option<idem key> | writeset
-//! decision: u8 tag (0=commit,1=abort,2=duplicate) | u64 txn
+//! decision: u8 tag (0=commit,1=abort,2=duplicate,3=refused) | u64 txn
 //!             | u64 version (commit/abort) or u64 original | u64 version
+//!             or string reason (refused)
 //! refresh:  u32 origin | u64 txn | u64 commit_version | writeset
 //! outcome:  u64 txn | u64 client | u64 session | u32 replica
 //!             | bool committed | option<u64> commit_version
@@ -20,6 +21,7 @@
 //!             | option<string> abort_reason
 //! ```
 
+use crate::wal::LogRecord;
 use bargain_common::codec::{malformed, Codec, DecodeResult, Reader};
 use bargain_common::{
     ClientId, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value, Version, WriteSet,
@@ -142,6 +144,16 @@ pub enum CertifyDecision {
         /// The original commit's global version.
         commit_version: Version,
     },
+    /// The request was not certified: its snapshot is outside the history
+    /// the certifier holds, or its idempotency key has fallen out of the
+    /// dedup window, so exactly-once can no longer be proven for it. Only
+    /// this transaction is affected; it aborts with `reason`.
+    Refused {
+        /// The transaction.
+        txn: TxnId,
+        /// Why, as the client is told it.
+        reason: String,
+    },
 }
 
 /// A certified writeset propagated to a non-originating replica
@@ -158,6 +170,18 @@ pub struct Refresh {
     /// and history: fanning a commit out to N replicas costs N refcount
     /// bumps, not N deep copies of the writeset.
     pub writeset: Arc<WriteSet>,
+}
+
+impl From<&LogRecord> for Refresh {
+    /// The refresh that replays a logged commit at a replica.
+    fn from(rec: &LogRecord) -> Refresh {
+        Refresh {
+            origin: rec.origin,
+            txn: rec.txn,
+            commit_version: rec.commit_version,
+            writeset: Arc::clone(&rec.writeset),
+        }
+    }
 }
 
 /// Final outcome of a transaction (proxy → load balancer → client).
@@ -244,6 +268,11 @@ impl Codec for CertifyDecision {
                 original.put(buf);
                 commit_version.put(buf);
             }
+            CertifyDecision::Refused { txn, reason } => {
+                buf.push(3);
+                txn.put(buf);
+                reason.put(buf);
+            }
         }
     }
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
@@ -262,6 +291,10 @@ impl Codec for CertifyDecision {
                 txn,
                 original: r.get()?,
                 commit_version: r.get()?,
+            },
+            3 => CertifyDecision::Refused {
+                txn,
+                reason: r.get()?,
             },
             t => return Err(malformed(format!("bad decision tag {t}"))),
         })

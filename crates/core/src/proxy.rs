@@ -430,6 +430,10 @@ impl Proxy {
                 let outcome = self.abort_active(txn, "certification conflict")?;
                 Ok(vec![ProxyEvent::TxnFinished(outcome)])
             }
+            CertifyDecision::Refused { txn, reason } => {
+                let outcome = self.abort_active(txn, &reason)?;
+                Ok(vec![ProxyEvent::TxnFinished(outcome)])
+            }
             CertifyDecision::Duplicate {
                 txn,
                 commit_version,

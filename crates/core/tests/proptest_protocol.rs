@@ -7,9 +7,10 @@
 use bargain_common::{
     ClientId, ConsistencyMode, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value, Version,
 };
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{
-    Certifier, CertifyDecision, ConsistencyChecker, FinishAction, LoadBalancer, Proxy, ProxyEvent,
-    Refresh, RoutedTxn, StartDecision, StatementOutcome, TxnOutcome, TxnRequest,
+    Certifier, ConsistencyChecker, FinishAction, LoadBalancer, Proxy, ProxyEvent, RoutedTxn,
+    StartDecision, StatementOutcome, TxnOutcome, TxnRequest,
 };
 use bargain_sql::TransactionTemplate;
 use bargain_storage::Engine;
@@ -48,17 +49,8 @@ fn make_proxy(id: u32) -> Proxy {
 
 /// An undelivered message.
 enum Msg {
-    Refresh {
-        to: usize,
-        refresh: Refresh,
-    },
-    Decision {
-        to: usize,
-        decision: CertifyDecision,
-    },
-    Outcome {
-        outcome: TxnOutcome,
-    },
+    Certifier { to: usize, delivery: Delivery },
+    Outcome { outcome: TxnOutcome },
 }
 
 /// One scripted client action.
@@ -137,23 +129,10 @@ impl Harness {
             FinishAction::NeedsCertification(req) => {
                 // Certification is synchronous at the (single, ordered)
                 // certifier; its outputs become undelivered messages.
-                let origin = req.replica.index();
-                let (decision, refreshes) = self.certifier.certify(req).unwrap();
-                for (target, refresh) in self
-                    .certifier
-                    .refresh_targets(ReplicaId(origin as u32))
-                    .into_iter()
-                    .zip(refreshes)
-                {
-                    self.pending.push_back(Msg::Refresh {
-                        to: target.index(),
-                        refresh,
-                    });
+                for (to, delivery) in self.certifier.step([Input::Certify(req)]).unwrap().out {
+                    let to = to.index();
+                    self.pending.push_back(Msg::Certifier { to, delivery });
                 }
-                self.pending.push_back(Msg::Decision {
-                    to: origin,
-                    decision,
-                });
             }
         }
     }
@@ -196,13 +175,13 @@ impl Harness {
         let idx = n as usize % self.pending.len();
         let msg = self.pending.remove(idx).expect("index in range");
         match msg {
-            Msg::Refresh { to, refresh } => {
-                let events = self.proxies[to].on_refresh(refresh).unwrap();
-                self.handle_events(to, events);
-            }
-            Msg::Decision { to, decision } => {
-                let events = self.proxies[to].on_decision(decision).unwrap();
-                self.handle_events(to, events);
+            Msg::Certifier { to, delivery } => {
+                let events = match delivery {
+                    Delivery::Refresh(refresh) => self.proxies[to].on_refresh(refresh),
+                    Delivery::Decision(decision) => self.proxies[to].on_decision(decision),
+                    Delivery::GlobalCommit(_) => unreachable!("LazyCoarse is not eager"),
+                };
+                self.handle_events(to, events.unwrap());
             }
             Msg::Outcome { outcome } => {
                 self.lb.on_outcome(&outcome);

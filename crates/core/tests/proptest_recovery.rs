@@ -46,7 +46,7 @@ fn decision_version(d: &CertifyDecision) -> Option<Version> {
     match d {
         CertifyDecision::Commit { commit_version, .. }
         | CertifyDecision::Duplicate { commit_version, .. } => Some(*commit_version),
-        CertifyDecision::Abort { .. } => None,
+        CertifyDecision::Abort { .. } | CertifyDecision::Refused { .. } => None,
     }
 }
 

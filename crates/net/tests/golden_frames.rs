@@ -353,6 +353,24 @@ fn elasticity_frames_are_pinned() {
     );
 }
 
+/// The fourth decision tag, added after the vectors above were pinned: a
+/// request the certifier refused, answered to its origin alone.
+#[test]
+fn refused_decision_is_pinned() {
+    check(
+        "Decision, refused",
+        &Message::Decision {
+            origin: ReplicaId(1),
+            decision: CertifyDecision::Refused {
+                txn: TxnId(4),
+                reason: "stale key".into(),
+            },
+        },
+        0,
+        DECISION_REFUSED,
+    );
+}
+
 const HELLO: &str = "4247414e020100000000000000000100000000000000";
 const HELLO_ACK: &str = "4247414e020205000000e1ec8c6f01000000000000000300000002";
 const SESSION_OPENED: &str = "4247414e020408000000f7a1940d02000000000000002a00000000000000";
@@ -413,3 +431,5 @@ const SNAPSHOT_CHUNK: &str = "4247414e021f0c0000000852fe9f0b00000000000000070000
 const SNAPSHOT_DONE: &str =
     "4247414e022011000000cf9829c00b000000000000000d00000042534e502d6d616e6966657374";
 const CATCH_UP: &str = "4247414e0221080000003178463b0c000000000000006300000000000000";
+const DECISION_REFUSED: &str =
+    "4247414e02161a000000047617d3000000000000000001000000030400000000000000090000007374616c65206b6579";

@@ -4,10 +4,10 @@
 //! the strongest evidence the wire protocol preserves the guarantees the
 //! in-process runtime provides.
 
-use bargain_cluster::{CertifierLink, Cluster, ClusterConfig};
+use bargain_cluster::{committed, CertifierLink, Cluster, ClusterConfig, Session};
 use bargain_common::{
-    ClientId, ConsistencyMode, ReplicaId, SessionId, TableId, TableSet, TxnId, Value, Version,
-    WriteOp, WriteSet,
+    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId, TableSet, TxnId,
+    Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::{CertifyDecision, CertifyRequest, ConsistencyChecker};
 use bargain_net::frame::encode_frame;
@@ -249,52 +249,122 @@ fn stop_server_drains_cluster_and_refuses_new_connections() {
 fn remote_certifier_process_split_preserves_strong_consistency() {
     // The paper's deployment: certification and durability in their own
     // process, replicas reaching it over TCP. The cluster runs with a
-    // RemoteCertifierLink instead of the in-process certifier thread.
-    let config = CertifierServerConfig {
-        replicas: 3,
-        ..CertifierServerConfig::default()
-    };
-    let certifier = CertifierServer::start("127.0.0.1:0", config).expect("certifier binds");
-    let link =
-        RemoteCertifierLink::connect(&certifier.local_addr().to_string()).expect("link connects");
+    // RemoteCertifierLink instead of the in-process certifier thread. Under
+    // Eager, every replica reports what it applied over the link and each
+    // commit's global-commit notice comes back over it.
+    for mode in [ConsistencyMode::LazyCoarse, ConsistencyMode::Eager] {
+        let config = CertifierServerConfig {
+            replicas: 3,
+            eager: mode == ConsistencyMode::Eager,
+            ..CertifierServerConfig::default()
+        };
+        let certifier = CertifierServer::start("127.0.0.1:0", config).expect("certifier binds");
+        let link = RemoteCertifierLink::connect(&certifier.local_addr().to_string())
+            .expect("link connects");
 
-    let workload = MicroBenchmark::small(0.5);
-    let setup_workload = workload.clone();
-    let cluster = Cluster::start_with_certifier_link(
-        ClusterConfig {
+        let workload = MicroBenchmark::small(0.5);
+        let setup_workload = workload.clone();
+        let cluster = Cluster::start_with_certifier_link(
+            ClusterConfig {
+                replicas: 3,
+                mode,
+                ..ClusterConfig::default()
+            },
+            move |engine| setup_workload.install(engine),
+            Box::new(link),
+        );
+
+        // Hidden-channel round trips: agent A commits through the remote
+        // certifier, agent B must immediately observe the write.
+        let mut agent_a = cluster.connect();
+        let mut agent_b = cluster.connect();
+        for round in 1..=30 {
+            agent_a
+                .run_sql_with_retry(
+                    &[(
+                        "UPDATE bench1 SET val = ? WHERE pk = ?",
+                        vec![Value::Int(round), Value::Int(5)],
+                    )],
+                    8,
+                )
+                .unwrap();
+            let (_, results) = agent_b
+                .run_sql(&[("SELECT val FROM bench1 WHERE pk = ?", vec![Value::Int(5)])])
+                .unwrap();
+            assert_eq!(
+                results[0].rows().unwrap()[0][0],
+                Value::Int(round),
+                "{mode}: remote certification must not weaken strong consistency"
+            );
+        }
+        cluster.shutdown();
+        certifier.stop();
+    }
+}
+
+/// A client that replays an idempotency key the dedup window has already
+/// evicted gets a non-retryable error for that transaction alone, in both
+/// deployments: the certifier keeps answering everyone else and the link to
+/// a remote certifier stays up. (The refusal used to panic the in-process
+/// certifier thread, after which no update was ever answered again, and to
+/// drop the remote certifier's connection, aborting every client's
+/// certifying transactions with an invitation to retry.)
+#[test]
+fn stale_idempotency_key_is_refused_to_its_transaction_alone() {
+    for split in [false, true] {
+        let workload = MicroBenchmark::small(0.5);
+        let setup = move |engine: &mut bargain_storage::Engine| workload.install(engine);
+        let config = ClusterConfig {
             replicas: 3,
             mode: ConsistencyMode::LazyCoarse,
             ..ClusterConfig::default()
-        },
-        move |engine| setup_workload.install(engine),
-        Box::new(link),
-    );
+        };
+        let (cluster, certifier) = if split {
+            let certifier =
+                CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
+            let link = RemoteCertifierLink::connect(&certifier.local_addr().to_string()).unwrap();
+            let cluster = Cluster::start_with_certifier_link(config, setup, Box::new(link));
+            (cluster, Some(certifier))
+        } else {
+            (Cluster::start_with_setup(config, setup), None)
+        };
+        let (template, tables) = cluster
+            .prepare_template("keyed", &["UPDATE bench0 SET val = ? WHERE pk = ?"])
+            .unwrap();
+        // Waits at most 5 s for the answer, so a certifier that stopped
+        // answering fails the test instead of hanging it.
+        let update = |session: &mut Session, val: u64, idem: Option<IdemKey>| {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            let params = vec![vec![Value::Int(val as i64), Value::Int(1)]];
+            session.submit(&template, tables.clone(), params, idem, move |result| {
+                let _ = tx.send(result);
+            });
+            let result = rx.recv_timeout(Duration::from_secs(5));
+            committed(result.expect("the update is answered within 5 s"))
+        };
 
-    // Hidden-channel round trips: agent A commits through the remote
-    // certifier, agent B must immediately observe the write.
-    let mut agent_a = cluster.connect();
-    let mut agent_b = cluster.connect();
-    for round in 1..=30 {
-        agent_a
-            .run_sql_with_retry(
-                &[(
-                    "UPDATE bench1 SET val = ? WHERE pk = ?",
-                    vec![Value::Int(round), Value::Int(5)],
-                )],
-                8,
-            )
-            .unwrap();
-        let (_, results) = agent_b
-            .run_sql(&[("SELECT val FROM bench1 WHERE pk = ?", vec![Value::Int(5)])])
-            .unwrap();
-        assert_eq!(
-            results[0].rows().unwrap()[0][0],
-            Value::Int(round),
-            "remote certification must not weaken strong consistency"
+        // 66 keyed updates under one nonce: the window of 64 evicts seqs 1
+        // and 2.
+        let mut keyed = cluster.connect();
+        for seq in 1..=66 {
+            let key = IdemKey { client: 7, seq };
+            update(&mut keyed, seq, Some(key)).expect("a fresh key commits");
+        }
+        let stale = update(&mut keyed, 1, Some(IdemKey { client: 7, seq: 1 })).unwrap_err();
+        assert!(
+            matches!(&stale, Error::SqlExecution(why) if why.contains("stale idempotency key")),
+            "split {split}: {stale:?}"
         );
+        assert!(!stale.is_retryable(), "split {split}: {stale:?}");
+
+        let mut other = cluster.connect();
+        update(&mut other, 1000, None).expect("a later update from another session commits");
+        assert_eq!(cluster.stats().unwrap().certifier_downs, 0, "split {split}");
+        cluster.shutdown();
+        if let Some(certifier) = certifier {
+            certifier.stop();
+        }
     }
-    cluster.shutdown();
-    certifier.stop();
 }
 
 #[test]
@@ -621,14 +691,15 @@ impl CertifierLink for PoisonedLink {
                 bargain_cluster::CertifierRequest::Certify(req) => {
                     let mut writeset = WriteSet::new();
                     writeset.push(TableId(9_999), Value::Int(1), WriteOp::Delete);
-                    let _ = deliveries.send(bargain_cluster::CertifierDelivery::Refresh {
+                    let refresh = bargain_core::Refresh {
+                        origin: ReplicaId(u32::MAX),
+                        txn: TxnId(u64::MAX),
+                        commit_version: Version(1),
+                        writeset: Arc::new(writeset),
+                    };
+                    let _ = deliveries.send(bargain_cluster::CertifierDelivery::Deliver {
                         to: req.replica,
-                        refresh: bargain_core::Refresh {
-                            origin: ReplicaId(u32::MAX),
-                            txn: TxnId(u64::MAX),
-                            commit_version: Version(1),
-                            writeset: Arc::new(writeset),
-                        },
+                        delivery: bargain_core::certifier::Delivery::Refresh(refresh),
                     });
                 }
                 bargain_cluster::CertifierRequest::Shutdown => return,

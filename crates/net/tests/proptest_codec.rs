@@ -233,29 +233,36 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         }),
         (
             any::<u32>(),
-            0..3u8,
+            0..4u8,
             any::<u64>(),
             any::<u64>(),
-            any::<u64>()
+            any::<u64>(),
+            ".{0,24}"
         )
-            .prop_map(|(origin, tag, txn, v, original)| Message::Decision {
-                origin: ReplicaId(origin),
-                decision: match tag {
-                    0 => CertifyDecision::Commit {
-                        txn: TxnId(txn),
-                        commit_version: Version(v),
+            .prop_map(
+                |(origin, tag, txn, v, original, reason)| Message::Decision {
+                    origin: ReplicaId(origin),
+                    decision: match tag {
+                        0 => CertifyDecision::Commit {
+                            txn: TxnId(txn),
+                            commit_version: Version(v),
+                        },
+                        1 => CertifyDecision::Abort {
+                            txn: TxnId(txn),
+                            conflicting_version: Version(v),
+                        },
+                        2 => CertifyDecision::Duplicate {
+                            txn: TxnId(txn),
+                            original: TxnId(original),
+                            commit_version: Version(v),
+                        },
+                        _ => CertifyDecision::Refused {
+                            txn: TxnId(txn),
+                            reason,
+                        },
                     },
-                    1 => CertifyDecision::Abort {
-                        txn: TxnId(txn),
-                        conflicting_version: Version(v),
-                    },
-                    _ => CertifyDecision::Duplicate {
-                        txn: TxnId(txn),
-                        original: TxnId(original),
-                        commit_version: Version(v),
-                    },
-                },
-            }),
+                }
+            ),
         (any::<u32>(), refresh_strategy()).prop_map(|(to, refresh)| Message::RefreshFor {
             to: ReplicaId(to),
             refresh
