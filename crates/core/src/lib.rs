@@ -21,7 +21,9 @@
 //!   snapshot), assigns the global commit order, makes decisions durable in
 //!   a write-ahead log, and fans certified writesets out to the other
 //!   replicas as *refresh transactions*. In the eager configuration it also
-//!   counts per-transaction replica commits to detect global commit.
+//!   counts per-transaction replica commits to detect global commit. Its
+//!   hosts reach it through one sans-io step, [`Certifier::step`], which
+//!   returns every refresh, decision and global commit already addressed.
 //! - [`Proxy`] — one per replica, wrapping the local storage engine. It
 //!   delays transaction start until the start requirement is met, executes
 //!   SQL statements, extracts writesets, applies local commits and refresh
