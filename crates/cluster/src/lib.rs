@@ -44,7 +44,7 @@ mod runtime;
 mod session;
 
 pub use runtime::{
-    CertifierDelivery, CertifierLink, CertifierRequest, Cluster, ClusterConfig, ClusterStats,
-    JoinOptions,
+    CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest, Cluster,
+    ClusterConfig, ClusterStats, JoinOptions,
 };
 pub use session::{abort_error, committed, Session, TxnResult};

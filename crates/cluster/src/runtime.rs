@@ -14,9 +14,16 @@
 //! ```
 //!
 //! All protocol logic lives in the `bargain-core` state machines; the
-//! threads only move messages and execute statements. The certifier thread
-//! turns what it receives into `Certifier::step` inputs and sends each
-//! output where it is addressed (see `bargain_core::certifier`).
+//! threads only move messages and execute statements.
+//!
+//! Certification has one path: a [`CertifierLink`] serves the request
+//! channel on the cluster's one certifier thread and hands whatever the
+//! service sends to [`CertifierDeliveries`], which puts it on the replica
+//! queues on the calling thread. The in-process certifier is such a link —
+//! it turns requests into `Certifier::step` inputs and delivers each output
+//! where it is addressed (see `bargain_core::certifier`) — and so is
+//! `bargain-net`'s TCP link, whose reader thread delivers what arrives on
+//! the socket itself.
 
 use crate::front::{Front, FrontDoor};
 use crate::session::Session;
@@ -38,8 +45,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The replica channel registry, shared by the front door, the certifier
-/// and dispatch threads and the [`Cluster`] handle. Indexed by
+/// The replica channel registry, shared by the front door (and through it
+/// the certifier link's deliveries) and the [`Cluster`] handle. Indexed by
 /// `ReplicaId::index()`; slots are only ever appended (a decommissioned
 /// replica's sender stays in place, pointing at a hung-up channel), so an
 /// id assigned once stays valid for the cluster's lifetime. Taken after
@@ -225,10 +232,9 @@ pub enum CertifierDelivery {
         delivery: Delivery,
     },
     /// The transport declared the certification service unreachable
-    /// (heartbeat expiry or send failure). Because this travels the same
-    /// FIFO channel as decisions, every decision the link received before
-    /// the failure is processed by its replica *before* the sweep this
-    /// triggers.
+    /// (heartbeat expiry or send failure). A link delivers it only once
+    /// every decision it received before the failure has been delivered, so
+    /// each replica processes those *before* the sweep this triggers.
     Down {
         /// Monotone failure epoch (first failure is epoch 1).
         epoch: u64,
@@ -247,10 +253,11 @@ pub enum CertifierDelivery {
     },
 }
 
-/// A pluggable transport to a certification service, allowing the certifier
-/// to run outside the cluster's process (the paper's deployment: middleware
-/// components on separate machines). `bargain-net` provides a TCP
-/// implementation; tests can provide in-process fakes.
+/// The cluster's certification back end: a transport to a certification
+/// service, or the in-process certifier itself. `bargain-net` provides a
+/// TCP implementation, so the certifier can run outside the cluster's
+/// process (the paper's deployment: middleware components on separate
+/// machines); tests can provide in-process fakes.
 pub trait CertifierLink: Send {
     /// Fetches the service's durable commit history once, before the
     /// replica threads start: the cluster replays it to fast-forward every
@@ -258,13 +265,52 @@ pub trait CertifierLink: Send {
     fn history(&mut self) -> Result<Vec<LogRecord>>;
 
     /// Serves certification traffic until [`CertifierRequest::Shutdown`]
-    /// arrives or the transport fails, pushing certifier responses into
-    /// `deliveries`. Runs on a dedicated cluster thread.
+    /// arrives or the request channel disconnects, handing what the service
+    /// sends to `deliveries` from whichever of the link's threads received
+    /// it. Runs on the cluster's certifier thread.
     fn serve(
         self: Box<Self>,
         requests: Receiver<CertifierRequest>,
-        deliveries: Sender<CertifierDelivery>,
+        deliveries: CertifierDeliveries,
     );
+}
+
+/// Where a [`CertifierLink`] hands what the certification service sends.
+/// Each call delivers on the calling thread, straight into the replica
+/// queues, so deliveries made in program order reach each replica in that
+/// order.
+#[derive(Clone)]
+pub struct CertifierDeliveries {
+    front: Arc<Front>,
+}
+
+impl CertifierDeliveries {
+    /// Delivers one message: a refresh, decision or global commit to its
+    /// addressee; a link loss as a sweep on every replica, then the load
+    /// balancer's shedding; a recovery to the load balancer; a resync as
+    /// one refresh per record to every replica. Returns how many messages
+    /// replica queues took (a replica whose thread is gone takes none).
+    pub fn send(&self, delivery: CertifierDelivery) -> usize {
+        let front = &self.front;
+        match delivery {
+            CertifierDelivery::Deliver { to, delivery } => {
+                usize::from(front.send(to, ToReplica::Certifier(delivery)))
+            }
+            CertifierDelivery::Down { epoch } => {
+                let swept = front.broadcast(|| ToReplica::CertifierLost { epoch });
+                front.door.lock().lb.mark_certifier_down();
+                swept
+            }
+            CertifierDelivery::Up => {
+                front.door.lock().lb.mark_certifier_up();
+                0
+            }
+            CertifierDelivery::Resync { records } => records
+                .iter()
+                .map(|rec| front.broadcast(|| refresh(rec)))
+                .sum(),
+        }
+    }
 }
 
 /// Options governing a replica join ([`Cluster::join_replica`]).
@@ -367,29 +413,22 @@ impl Cluster {
                 .expect("a replica's schema is valid");
         }
 
-        // Obtain the durable commit history: from the local certifier's
-        // (possibly durable) log, or from the remote certification service.
-        // The certified writesets fast-forward every replica engine from
-        // its checkpoint (the `setup` state) to the durable version.
-        enum Backend {
-            Local(Box<Certifier>),
-            Remote(Box<dyn CertifierLink>),
-        }
-        let (backend, history) = match link {
-            Some(mut link) => {
-                let history = link.history().expect("certifier link serves its history");
-                (Backend::Remote(link), history)
-            }
+        // The certification service: the caller's link, or the certifier on
+        // a local thread over its (possibly durable) log. Its commit history
+        // fast-forwards every replica engine from its checkpoint (the
+        // `setup` state) to the durable version.
+        let remote_certifier = link.is_some();
+        let (mut link, thread_name) = match link {
+            Some(link) => (link, "bargain-certlink"),
             None => {
                 let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
                     .expect("certifier log opens and replays");
                 certifier.set_eager(config.mode == ConsistencyMode::Eager);
-                let history = certifier
-                    .certified_since(Version::ZERO)
-                    .expect("recovered history is in memory");
-                (Backend::Local(Box::new(certifier)), history)
+                let local: Box<dyn CertifierLink> = Box::new(LocalCertifier(certifier));
+                (local, "bargain-certifier")
             }
         };
+        let history = link.history().expect("the certifier serves its history");
         if !history.is_empty() {
             // DDL is not logged: the schema checkpoint is the `setup`
             // closure. Catch a schema/history mismatch here with an
@@ -446,58 +485,16 @@ impl Cluster {
             );
         }
 
-        // Certification service: either the certifier state machine on a
-        // local thread, or a bridge to the remote service (one thread
-        // forwarding requests over the link, one dispatching deliveries to
-        // the replica threads).
-        let remote_certifier = matches!(backend, Backend::Remote(_));
-        match backend {
-            Backend::Local(certifier) => {
-                let replica_txs = Arc::clone(&replica_txs);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name("bargain-certifier".into())
-                        .spawn(move || certifier_main(*certifier, cert_rx, replica_txs))
-                        .expect("spawn certifier thread"),
-                );
-            }
-            Backend::Remote(link) => {
-                let (del_tx, del_rx) = unbounded::<CertifierDelivery>();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name("bargain-certlink".into())
-                        .spawn(move || link.serve(cert_rx, del_tx))
-                        .expect("spawn certifier link thread"),
-                );
-                let front = Arc::clone(&front);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name("bargain-certdispatch".into())
-                        .spawn(move || {
-                            while let Ok(delivery) = del_rx.recv() {
-                                match delivery {
-                                    CertifierDelivery::Deliver { to, delivery } => {
-                                        front.send(to, ToReplica::Certifier(delivery));
-                                    }
-                                    CertifierDelivery::Down { epoch } => {
-                                        front.broadcast(|| ToReplica::CertifierLost { epoch });
-                                        front.door.lock().lb.mark_certifier_down();
-                                    }
-                                    CertifierDelivery::Up => {
-                                        front.door.lock().lb.mark_certifier_up();
-                                    }
-                                    CertifierDelivery::Resync { records } => {
-                                        for rec in records {
-                                            front.broadcast(|| refresh(&rec));
-                                        }
-                                    }
-                                }
-                            }
-                        })
-                        .expect("spawn certifier dispatch thread"),
-                );
-            }
-        }
+        // The certifier thread: the link serves it and delivers in place.
+        let deliveries = CertifierDeliveries {
+            front: Arc::clone(&front),
+        };
+        handles.push(
+            std::thread::Builder::new()
+                .name(thread_name.into())
+                .spawn(move || link.serve(cert_rx, deliveries))
+                .expect("spawn certifier thread"),
+        );
 
         Cluster {
             front,
@@ -982,56 +979,67 @@ impl Replica {
     }
 }
 
-/// The certifier thread: everything queued when it comes around is one
-/// [`Certifier::step`] (so a burst is group-committed, and an idle
-/// certifier answers a lone request at once), every delivery goes where it
-/// is addressed, and then the history fetches and leaves are answered.
-fn certifier_main(mut certifier: Certifier, rx: Receiver<CertifierRequest>, replicas: ReplicaTxs) {
-    let mut stopping = false;
-    while !stopping {
-        let Ok(first) = rx.recv() else { break };
-        let (mut inputs, mut fetches, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
-        let queued = std::iter::from_fn(|| rx.try_recv().ok());
-        for msg in std::iter::once(first).chain(queued) {
-            match msg {
-                CertifierRequest::Certify(req) => inputs.push(Input::Certify(req)),
-                CertifierRequest::Applied { replica, version } => {
-                    inputs.push(Input::Applied { replica, version });
-                }
-                // The in-process certifier never declares itself down, so a
-                // sweep acknowledgement has nothing to fence.
-                CertifierRequest::SweepAck { .. } => {}
-                // The records go out after the step, so they cover every
-                // commit the joiner is not sent as a refresh.
-                CertifierRequest::Join {
-                    replica,
-                    after,
-                    reply,
-                } => {
-                    inputs.push(Input::Join { replica, after });
-                    fetches.push((after, reply));
-                }
-                CertifierRequest::Leave { replica, ack } => {
-                    inputs.push(Input::Leave { replica });
-                    leaves.push(ack);
-                }
-                CertifierRequest::History { after, reply } => fetches.push((after, reply)),
-                CertifierRequest::Shutdown => {
-                    stopping = true;
-                    break;
+/// The in-process certification service: the certifier itself, stepped on
+/// the cluster's certifier thread.
+struct LocalCertifier(Certifier);
+
+impl CertifierLink for LocalCertifier {
+    fn history(&mut self) -> Result<Vec<LogRecord>> {
+        self.0.certified_since(Version::ZERO)
+    }
+
+    /// Everything queued when the thread comes around is one
+    /// [`Certifier::step`] (so a burst is group-committed, and an idle
+    /// certifier answers a lone request at once), every delivery goes where
+    /// it is addressed, and then the history fetches and leaves are
+    /// answered.
+    fn serve(self: Box<Self>, rx: Receiver<CertifierRequest>, deliveries: CertifierDeliveries) {
+        let LocalCertifier(mut certifier) = *self;
+        let mut stopping = false;
+        while !stopping {
+            let Ok(first) = rx.recv() else { break };
+            let (mut inputs, mut fetches, mut leaves) = (Vec::new(), Vec::new(), Vec::new());
+            let queued = std::iter::from_fn(|| rx.try_recv().ok());
+            for msg in std::iter::once(first).chain(queued) {
+                match msg {
+                    CertifierRequest::Certify(req) => inputs.push(Input::Certify(req)),
+                    CertifierRequest::Applied { replica, version } => {
+                        inputs.push(Input::Applied { replica, version });
+                    }
+                    // The in-process certifier never declares itself down, so a
+                    // sweep acknowledgement has nothing to fence.
+                    CertifierRequest::SweepAck { .. } => {}
+                    // The records go out after the step, so they cover every
+                    // commit the joiner is not sent as a refresh.
+                    CertifierRequest::Join {
+                        replica,
+                        after,
+                        reply,
+                    } => {
+                        inputs.push(Input::Join { replica, after });
+                        fetches.push((after, reply));
+                    }
+                    CertifierRequest::Leave { replica, ack } => {
+                        inputs.push(Input::Leave { replica });
+                        leaves.push(ack);
+                    }
+                    CertifierRequest::History { after, reply } => fetches.push((after, reply)),
+                    CertifierRequest::Shutdown => {
+                        stopping = true;
+                        break;
+                    }
                 }
             }
-        }
-        let step = certifier.step(inputs).expect("the certifier log flushes");
-        let txs = replicas.lock();
-        for (to, delivery) in step.out {
-            let _ = txs[to.index()].send(ToReplica::Certifier(delivery));
-        }
-        for (after, reply) in fetches {
-            let _ = reply.send(certifier.certified_since(after));
-        }
-        for ack in leaves {
-            let _ = ack.send(Ok(()));
+            let step = certifier.step(inputs).expect("the certifier log flushes");
+            for (to, delivery) in step.out {
+                deliveries.send(CertifierDelivery::Deliver { to, delivery });
+            }
+            for (after, reply) in fetches {
+                let _ = reply.send(certifier.certified_since(after));
+            }
+            for ack in leaves {
+                let _ = ack.send(Ok(()));
+            }
         }
     }
 }

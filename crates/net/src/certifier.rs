@@ -36,19 +36,22 @@
 //!
 //! The cluster side splits its socket: a writer (the `CertifierLink::serve`
 //! thread) streams requests while a dedicated reader thread drains
-//! deliveries, so neither direction can block the other. The reader's
-//! socket deadline doubles as the failure detector: if no frame — decision,
-//! refresh, or pong — arrives within `heartbeat_timeout`, the link is
-//! declared down in bounded time even against a peer that is hung rather
-//! than dead.
+//! deliveries and hands each straight to its replica's queue
+//! ([`CertifierDeliveries`]), so neither direction can block the other and
+//! no third thread forwards. The reader's socket deadline doubles as the
+//! failure detector: if no frame — decision, refresh, or pong — arrives
+//! within `heartbeat_timeout`, the link is declared down in bounded time
+//! even against a peer that is hung rather than dead.
 //!
-//! On failure the link emits [`CertifierDelivery::Down`]; the runtime
-//! sweeps (aborts) every certifying transaction and sheds new updates at
-//! the load balancer. The link then reconnects with backoff, fetches the
-//! commits it may have missed ([`Message::FetchHistory`] with the last
-//! version it saw a decision for), replays them as
-//! [`CertifierDelivery::Resync`] refreshes, and emits
-//! [`CertifierDelivery::Up`].
+//! On failure the writer joins the reader, then delivers
+//! [`CertifierDelivery::Down`]; the runtime sweeps (aborts) every
+//! certifying transaction and sheds new updates at the load balancer.
+//! Joining first is what puts every decision the reader delivered ahead of
+//! the sweep on its replica's queue. The link then reconnects with backoff,
+//! fetches the commits it may have missed ([`Message::FetchHistory`] with
+//! the last version it saw a decision for), delivers them as
+//! [`CertifierDelivery::Resync`] refreshes and then
+//! [`CertifierDelivery::Up`], both before the next reader starts.
 //!
 //! Exactly-once across the outage hinges on one fencing rule: a certify
 //! request enqueued *before* its replica processed the sweep belongs to an
@@ -65,11 +68,11 @@ use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
 use crate::frame::{encode_frame, PUSH_ID};
 use crate::server::NetServerConfig;
-use bargain_cluster::{CertifierDelivery, CertifierLink, CertifierRequest};
+use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{Error, ReplicaId, Result, Version};
 use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, LogRecord};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr};
@@ -553,7 +556,7 @@ impl CertifierLink for RemoteCertifierLink {
     fn serve(
         mut self: Box<Self>,
         requests: Receiver<CertifierRequest>,
-        deliveries: Sender<CertifierDelivery>,
+        deliveries: CertifierDeliveries,
     ) {
         let mut conn = self.conn.take();
         // Highest commit version whose decision frame arrived; advanced by
@@ -582,22 +585,17 @@ impl CertifierLink for RemoteCertifierLink {
                 // Resynchronize: fetch commits certified while the link was
                 // down (or whose deliveries died with the old socket) and
                 // replay them to every replica before resuming admission.
+                // No reader runs yet, so nothing is delivered in between.
                 let after = Version(max_seen.load(Ordering::SeqCst));
                 match Self::fetch_history(&mut writer, after) {
                     Ok(records) => {
                         if let Some(last) = records.last() {
                             max_seen.store(last.commit_version.0, Ordering::SeqCst);
                         }
-                        if !records.is_empty()
-                            && deliveries
-                                .send(CertifierDelivery::Resync { records })
-                                .is_err()
-                        {
-                            break 'link;
+                        if !records.is_empty() {
+                            deliveries.send(CertifierDelivery::Resync { records });
                         }
-                        if deliveries.send(CertifierDelivery::Up).is_err() {
-                            break 'link;
-                        }
+                        deliveries.send(CertifierDelivery::Up);
                     }
                     Err(_) => {
                         // Lost the race with another failure (e.g. a
@@ -612,9 +610,9 @@ impl CertifierLink for RemoteCertifierLink {
             }
 
             // Split the socket: this thread writes requests, a dedicated
-            // reader drains deliveries. The reader's deadline is the
-            // failure detector; on any exit it shuts the socket down so the
-            // writer notices even while idle.
+            // reader drains deliveries and hands each to its replica. The
+            // reader's deadline is the failure detector; on any exit it
+            // shuts the socket down so the writer notices even while idle.
             let reader_conn = writer.stream().try_clone().ok().and_then(|s| {
                 Connection::from_stream(
                     s,
@@ -626,9 +624,7 @@ impl CertifierLink for RemoteCertifierLink {
             let Some(mut reader) = reader_conn else {
                 // Could not split: treat as a transport failure.
                 epoch += 1;
-                if deliveries.send(CertifierDelivery::Down { epoch }).is_err() {
-                    break 'link;
-                }
+                deliveries.send(CertifierDelivery::Down { epoch });
                 continue 'link;
             };
             let reader_handle = {
@@ -661,10 +657,7 @@ impl CertifierLink for RemoteCertifierLink {
                                 // link is done delivering on this socket.
                                 Ok(_) | Err(_) => break,
                             };
-                            let delivery = CertifierDelivery::Deliver { to, delivery };
-                            if deliveries.send(delivery).is_err() {
-                                break;
-                            }
+                            deliveries.send(CertifierDelivery::Deliver { to, delivery });
                         }
                         let _ = reader.stream().shutdown(Shutdown::Both);
                     })
@@ -703,21 +696,17 @@ impl CertifierLink for RemoteCertifierLink {
                 let _ = writer.stream().write_all(&burst);
             }
 
-            // Tear this socket down and join the reader; decisions it
-            // already pushed are ahead of any Down in the delivery channel,
-            // so replicas process them before the sweep.
+            // Tear this socket down and join the reader: every decision it
+            // delivered is on its replica's queue before Down puts the sweep
+            // there, so replicas process them before the sweep.
             let _ = writer.stream().shutdown(Shutdown::Both);
             let _ = reader_handle.join();
 
-            match flow {
-                Flow::Stop => break 'link,
-                _ => {
-                    epoch += 1;
-                    if deliveries.send(CertifierDelivery::Down { epoch }).is_err() {
-                        break 'link;
-                    }
-                }
+            if matches!(flow, Flow::Stop) {
+                break 'link;
             }
+            epoch += 1;
+            deliveries.send(CertifierDelivery::Down { epoch });
         }
     }
 }

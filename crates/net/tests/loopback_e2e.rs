@@ -684,7 +684,7 @@ impl CertifierLink for PoisonedLink {
     fn serve(
         self: Box<Self>,
         requests: crossbeam::channel::Receiver<bargain_cluster::CertifierRequest>,
-        deliveries: crossbeam::channel::Sender<bargain_cluster::CertifierDelivery>,
+        deliveries: bargain_cluster::CertifierDeliveries,
     ) {
         for request in requests.iter() {
             match request {

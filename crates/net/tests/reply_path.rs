@@ -274,7 +274,7 @@ impl CertifierLink for DownLink {
     fn serve(
         self: Box<Self>,
         requests: crossbeam::channel::Receiver<CertifierRequest>,
-        deliveries: crossbeam::channel::Sender<CertifierDelivery>,
+        deliveries: bargain_cluster::CertifierDeliveries,
     ) {
         let _ = deliveries.send(CertifierDelivery::Down { epoch: 1 });
         for request in requests.iter() {
