@@ -300,7 +300,6 @@ pub(crate) struct Conn<D> {
     pub token: u64,
     decoder: FrameDecoder,
     interest: Interest,
-    last_activity: Instant,
     /// Last byte received (read-stall detection while mid-frame).
     last_rx: Instant,
     pub data: D,
@@ -436,7 +435,7 @@ impl<D> Core<D> {
                 self.service_conn(token, draining, &mut service);
             }
 
-            self.sweep::<S>(draining);
+            self.sweep(draining);
 
             if draining && self.drain_complete(service.quiesced()) {
                 return Ok(());
@@ -470,7 +469,6 @@ impl<D> Core<D> {
                     }
                     let half = Arc::new(WriteHalf::new(stream));
                     let data = service.accepted(self, token, &half);
-                    let now = Instant::now();
                     self.conns.insert(
                         token,
                         Conn {
@@ -478,8 +476,7 @@ impl<D> Core<D> {
                             token,
                             decoder: FrameDecoder::new(),
                             interest,
-                            last_activity: now,
-                            last_rx: now,
+                            last_rx: Instant::now(),
                             data,
                         },
                     );
@@ -535,7 +532,6 @@ impl<D> Core<D> {
         if frames.is_empty() {
             return;
         }
-        conn.last_activity = Instant::now();
         let mut msgs = Vec::with_capacity(frames.len());
         let mut undecodable = None;
         for frame in frames {
@@ -653,10 +649,10 @@ impl<D> Core<D> {
         self.conns.is_empty() && quiesced
     }
 
-    /// Periodic housekeeping: idle reaping and stall detection. During
-    /// drain, quiescent connections are reaped by `service_conn` and
-    /// stalled ones by the grace deadline.
-    fn sweep<S: Service<Conn = D>>(&mut self, draining: bool) {
+    /// Periodic housekeeping: stall detection. During drain, quiescent
+    /// connections are reaped by `service_conn` and stalled ones by the
+    /// grace deadline.
+    fn sweep(&mut self, draining: bool) {
         if draining {
             return;
         }
@@ -666,13 +662,6 @@ impl<D> Core<D> {
             .conns
             .values()
             .filter(|conn| {
-                let idle_expired = config.idle_timeout.is_some_and(|idle| {
-                    now.duration_since(conn.last_activity) > idle && {
-                        // The load before the queue, as in `service_conn`.
-                        let load = S::load(&conn.data);
-                        !load.busy && load.queued == 0 && conn.half.pending_bytes() == 0
-                    }
-                });
                 let read_stalled = config.read_timeout.is_some_and(|t| {
                     conn.decoder.mid_frame() && now.duration_since(conn.last_rx) > t
                 });
@@ -683,7 +672,7 @@ impl<D> Core<D> {
                         let out = conn.half.out.lock();
                         !out.frames.is_empty() && now.duration_since(out.last_progress) > t
                     });
-                idle_expired || read_stalled || write_stalled
+                read_stalled || write_stalled
             })
             .map(|conn| conn.token)
             .collect();

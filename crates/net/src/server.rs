@@ -91,19 +91,14 @@ pub struct NetServerConfig {
     /// it. `None` tolerates stalled readers forever (the write-buffer cap
     /// still bounds memory).
     pub write_timeout: Option<Duration>,
-    /// The reactor's housekeeping tick: idle/stall sweeps run at this
-    /// cadence. Stop/drain does *not* wait for a tick — it rides the
-    /// wakeup pipe.
+    /// The reactor's housekeeping tick: stall sweeps run at this cadence.
+    /// Stop/drain does *not* wait for a tick — it rides the wakeup pipe.
     pub poll_interval: Duration,
     /// Admission bound: transactions concurrently executing in the
     /// cluster. A [`Message::Run`] past the bound is shed with
     /// [`Error::Unavailable`] (`retry-after` marker) instead of queued.
     /// `None` admits everything.
     pub max_inflight: Option<u64>,
-    /// Connections idle longer than this are closed (the client
-    /// reconnects transparently; see `RemoteSession`). `None` keeps idle
-    /// connections forever.
-    pub idle_timeout: Option<Duration>,
     /// How long the drain lets in-flight work finish and replies flush
     /// before force-closing the remaining connections.
     pub shutdown_grace: Duration,
@@ -120,7 +115,6 @@ impl Default for NetServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             poll_interval: Duration::from_millis(100),
             max_inflight: None,
-            idle_timeout: None,
             shutdown_grace: Duration::from_secs(5),
             max_conn_write_buffer: 1 << 20,
         }
