@@ -939,11 +939,12 @@ impl<'w> Sim<'w> {
         let replayed = self.certifier.recover().expect("certifier log replays");
         self.cert_up = true;
         self.checker.record_fault("certifier restart");
-        // Eager: live replicas re-introduce themselves so the rebuilt
-        // (empty) applied sets re-credit everything already applied.
-        // Crediting is idempotent, so overlap with in-flight reports or a
-        // later replica-restart hello is harmless.
-        let hellos = (0..self.cfg.replicas)
+        // Eager: live replicas — joiners included; decommissioned ones are
+        // down — re-introduce themselves so the rebuilt (empty) applied sets
+        // re-credit everything already applied. Crediting is idempotent, so
+        // overlap with in-flight reports or a later replica-restart hello is
+        // harmless.
+        let hellos = (0..self.proxies.len())
             .filter(|&r| self.replica_up[r])
             .map(|r| Input::Hello {
                 replica: self.proxies[r].replica(),

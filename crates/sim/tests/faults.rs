@@ -129,6 +129,33 @@ fn certifier_crash_stalls_then_recovers_updates() {
 }
 
 #[test]
+fn a_restarted_certifier_hears_from_joined_replicas_too() {
+    // Under Eager a commit completes once every member has applied it, and a
+    // restarted certifier relearns what each member applied from its hello.
+    // A joiner left out of the hellos holds back every commit it applied
+    // before the crash, so the join-then-crash run would fall well short of
+    // the crash alone.
+    let w = workload();
+    let crash = FaultKind::CertifierCrash { down_ms: 100 };
+    let join = FaultKind::ReplicaJoin {
+        donor_crash: false,
+        corrupt_chunk: false,
+    };
+    let eager = |plan| simulate(&w, &faulty_cfg(ConsistencyMode::Eager, plan));
+    let crash_only = eager(FaultPlan::none().with(1_000, crash.clone()));
+    let joined = eager(FaultPlan::none().with(400, join).with(1_000, crash));
+    assert_eq!((joined.replicas_joined, joined.certifier_crashes), (1, 1));
+    assert!(
+        joined.committed * 10 >= crash_only.committed * 9,
+        "join then crash committed {}, the crash alone {}",
+        joined.committed,
+        crash_only.committed
+    );
+    assert_eq!(joined.violations, 0);
+    assert_eq!(joined.lost_acked_commits, 0);
+}
+
+#[test]
 fn replica_join_bootstraps_catches_up_and_is_admitted() {
     // A clean join: snapshot-ship from a live donor, catch-up replay,
     // admission into the routing set — all while the closed loop keeps
