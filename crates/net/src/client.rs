@@ -489,6 +489,8 @@ impl RemoteSession {
                 v_system,
                 certifier_up,
                 certifier_downs,
+                // Not on the wire: the certification counters read 0.
+                ..ClusterStats::default()
             }),
             other => Err(Error::Protocol(format!(
                 "expected StatsReply, got message kind {}",
