@@ -577,15 +577,18 @@ impl<D> Core<D> {
             service.dispatch(conn);
         }
 
-        // A connection is done when it will never produce output again.
-        // The flags above were published before this look at the load, and
-        // whoever finishes work off the loop writes its reply before it
-        // clears `busy` and reads the flags after: if the connection looks
-        // busy here that thread tells the loop, and if it does not, its
-        // reply is already counted in `pending`.
+        // A connection is done when it will never produce output again: a
+        // drain reads no more requests, so from its start that is any
+        // connection with nothing in flight, queued or unflushed. The flags
+        // above were published before this look at the load, and whoever
+        // finishes work off the loop writes its reply before it clears
+        // `busy` and reads the flags after: if the connection looks busy
+        // here that thread tells the loop, and if it does not, its reply is
+        // already counted in `pending`.
         let load = S::load(&conn.data);
         let pending = conn.half.pending_bytes();
-        let finished = !load.busy && pending == 0 && (closing || (read_closed && load.queued == 0));
+        let idle = (read_closed || draining) && load.queued == 0;
+        let finished = !load.busy && pending == 0 && (closing || idle);
         if finished {
             self.close_conn(token);
             return;
