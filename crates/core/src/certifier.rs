@@ -19,10 +19,11 @@
 //! # One step under every host
 //!
 //! [`Certifier::step`] is the whole certifier as its hosts see it — the
-//! runtime's certifier thread, `bargain-net`'s `CertifierService` and the
-//! simulator: [`Input`]s in (certify requests, applied reports, hellos,
-//! joins, leaves), [`Delivery`]s out, each already addressed. Two rules
-//! live here and nowhere else:
+//! runtime's in-process certifier (stepped by the replica threads under a
+//! lock), `bargain-net`'s `CertifierService` and the simulator:
+//! [`Input`]s in (certify requests, applied reports, hellos, joins,
+//! leaves), [`Delivery`]s out, each already addressed. Two rules live here
+//! and nowhere else:
 //!
 //! - *The cut rule.* A maximal run of consecutive `Certify` inputs, at most
 //!   [`MAX_CERTIFY_BATCH`] long, is certified and flushed as one group

@@ -28,7 +28,7 @@
 //! which requests form a group commit, who receives each refresh, when a
 //! global commit is due, what a refused request is answered — is
 //! `bargain_core::Certifier::step`'s, the same step the runtime's
-//! certifier thread and the simulator run. The service owns the socket,
+//! in-process certifier and the simulator run. The service owns the socket,
 //! the batch counters and the frames that are no certifier input (`Ping`,
 //! `FetchHistory`, `StopServer`).
 //!
