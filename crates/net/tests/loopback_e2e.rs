@@ -619,11 +619,14 @@ fn newest_certifier_connection_supersedes_a_half_open_one() {
     certifier.stop();
 }
 
-/// One connection writes `Prepare, Run, Run, Stats, Run, Prepare, Run` in a
-/// single `write_all`. `Run`s are submitted on the reactor and the other
-/// requests execute on the admin pool, yet the replies come back in request
-/// order with the right ids, and each request saw the effects of the ones
-/// before it.
+/// One connection writes `Prepare, Run, Run, Stats, Run, Prepare, Run,
+/// CatchUp, Ddl, Prepare, Run, JoinRequest, Run` in a single `write_all`.
+/// `Run`s and the other requests take different paths through the server,
+/// yet the replies come back in request order with the right ids, and each
+/// request saw the effects of the ones before it: the `Stats` counts the
+/// updates ahead of it, the `CatchUp` returns exactly the commits made
+/// before it, the `Run` after the `Ddl` writes the new table, and the
+/// snapshot stream imports at the version reached before it.
 #[test]
 fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
     let (server, addr, _workload) = micro_server(ConsistencyMode::LazyFine, 3);
@@ -639,21 +642,29 @@ fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
     let Message::Prepared { template: probe } = conn.call(&probe).unwrap() else {
         panic!("expected Prepared");
     };
-    let (update, read) = (
+    let (update, read, insert) = (
         bargain_common::TemplateId(probe.0 + 1),
         bargain_common::TemplateId(probe.0 + 2),
+        bargain_common::TemplateId(probe.0 + 3),
     );
     let Message::StatsReply {
         commits: commits_before,
+        v_system: v_before,
         ..
     } = conn.call(&Message::Stats).unwrap()
     else {
         panic!("expected StatsReply");
     };
+    let version = |commits: u64| Version(v_before.0 + commits);
 
     let set = |val: i64| Message::Run {
         template: update,
         params: vec![vec![Value::Int(val), Value::Int(1)]],
+        idem: None,
+    };
+    let get = Message::Run {
+        template: read,
+        params: vec![vec![Value::Int(1)]],
         idem: None,
     };
     let requests = [
@@ -669,11 +680,22 @@ fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
             name: "get".into(),
             sqls: vec!["SELECT val FROM bench0 WHERE pk = ?".into()],
         },
+        get.clone(),
+        Message::CatchUp { after: v_before },
+        Message::Ddl {
+            sql: "CREATE TABLE extra (id INT PRIMARY KEY, v INT)".into(),
+        },
+        Message::Prepare {
+            name: "put".into(),
+            sqls: vec!["INSERT INTO extra (id, v) VALUES (?, ?)".into()],
+        },
         Message::Run {
-            template: read,
-            params: vec![vec![Value::Int(1)]],
+            template: insert,
+            params: vec![vec![Value::Int(1), Value::Int(14)]],
             idem: None,
         },
+        Message::JoinRequest { chunk_bytes: 4096 },
+        get,
     ];
     let mut burst = Vec::new();
     for (i, msg) in requests.iter().enumerate() {
@@ -681,25 +703,74 @@ fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
     }
     conn.stream().write_all(&burst).unwrap();
 
-    let replies: Vec<(u64, Message)> = (0..requests.len())
-        .map(|_| conn.recv_tagged().unwrap())
+    // One reply per request, except the `JoinRequest`'s: a stream of frames
+    // under its id.
+    let last = 100 + requests.len() as u64;
+    let mut replies: Vec<(u64, Message)> = Vec::new();
+    while replies.last().is_none_or(|(id, _)| *id != last) {
+        replies.push(conn.recv_tagged().unwrap());
+    }
+    let mut ids: Vec<u64> = replies.iter().map(|(id, _)| *id).collect();
+    ids.dedup();
+    assert_eq!(ids, (101..=last).collect::<Vec<u64>>());
+    let answers: Vec<&Message> = replies
+        .iter()
+        .filter(|(id, _)| *id != 112)
+        .map(|(_, msg)| msg)
         .collect();
-    let ids: Vec<u64> = replies.iter().map(|(id, _)| *id).collect();
-    assert_eq!(ids, (101..108).collect::<Vec<u64>>());
-    let committed =
-        |msg: &Message| matches!(msg, Message::TxnReply { outcome, .. } if outcome.committed);
-    assert!(matches!(&replies[0].1, Message::Prepared { template } if *template == update));
-    assert!(committed(&replies[1].1) && committed(&replies[2].1));
+    let committed_at = |msg: &Message| match msg {
+        Message::TxnReply { outcome, .. } if outcome.committed => outcome.commit_version,
+        other => panic!("expected a commit, got {other:?}"),
+    };
+    assert!(matches!(answers[0], Message::Prepared { template } if *template == update));
+    assert_eq!(committed_at(answers[1]), Some(version(1)));
+    assert_eq!(committed_at(answers[2]), Some(version(2)));
     // The `Stats` sits between the second and third update.
     assert!(
-        matches!(&replies[3].1, Message::StatsReply { commits, .. } if *commits == commits_before + 2)
+        matches!(answers[3], Message::StatsReply { commits, .. } if *commits == commits_before + 2)
     );
-    assert!(committed(&replies[4].1));
-    assert!(matches!(&replies[5].1, Message::Prepared { template } if *template == read));
-    let Message::TxnReply { results, .. } = &replies[6].1 else {
-        panic!("expected TxnReply, got kind {}", replies[6].1.kind());
+    assert_eq!(committed_at(answers[4]), Some(version(3)));
+    assert!(matches!(answers[5], Message::Prepared { template } if *template == read));
+    let Message::TxnReply { results, .. } = answers[6] else {
+        panic!("expected TxnReply, got kind {}", answers[6].kind());
     };
     assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(13));
+    // The `CatchUp` returns the three updates before it, and nothing else.
+    let Message::History { records } = answers[7] else {
+        panic!("expected History, got {:?}", answers[7]);
+    };
+    let caught_up: Vec<Version> = records.iter().map(|rec| rec.commit_version).collect();
+    assert_eq!(caught_up, vec![version(1), version(2), version(3)]);
+    assert_eq!(answers[8], &Message::Ack);
+    assert!(matches!(answers[9], Message::Prepared { template } if *template == insert));
+    assert_eq!(committed_at(answers[10]), Some(version(4)));
+    let Message::TxnReply { results, .. } = answers[11] else {
+        panic!("expected TxnReply, got kind {}", answers[11].kind());
+    };
+    assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(13));
+
+    // The snapshot stream: chunks in index order, then the manifest, at the
+    // version the insert reached, with the new table in it.
+    let mut chunks = Vec::new();
+    let mut manifest = None;
+    for (_, msg) in replies.iter().filter(|(id, _)| *id == 112) {
+        assert!(manifest.is_none(), "a frame after SnapshotDone");
+        match msg {
+            Message::SnapshotChunk { index, data } => {
+                assert_eq!(*index as usize, chunks.len());
+                chunks.push(data.clone());
+            }
+            Message::SnapshotDone { manifest: bytes } => {
+                manifest = Some(bargain_storage::SnapshotManifest::decode(bytes).unwrap());
+            }
+            other => panic!("unexpected frame in the snapshot stream: {other:?}"),
+        }
+    }
+    let manifest = manifest.expect("the stream ends with SnapshotDone");
+    assert_eq!(manifest.version, version(4));
+    let engine = bargain_storage::Engine::import_snapshot(&manifest, &chunks).unwrap();
+    assert_eq!(engine.version(), version(4));
+    assert!(engine.catalog().resolve("extra").is_ok());
     drop(conn);
     server.stop();
 }
