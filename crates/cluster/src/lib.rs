@@ -4,9 +4,10 @@
 //! A live, threaded in-process deployment of the replicated database: the
 //! same `bargain-core` state machines the simulator hosts, but running on
 //! real OS threads connected by channels — one thread per replica (proxy +
-//! storage engine) and one for the certifier. The load balancer has no
-//! thread: it is shared state the submitting thread and the replica
-//! threads call under one lock (see `front.rs`).
+//! storage engine). The certifier and the load balancer have no thread:
+//! the replica threads certify under the certifier's lock, and the load
+//! balancer is shared state the submitting thread and the replica threads
+//! call under one lock (see `front.rs`).
 //!
 //! This is the deployment applications embed:
 //!

@@ -16,14 +16,16 @@
 //! All protocol logic lives in the `bargain-core` state machines; the
 //! threads only move messages and execute statements.
 //!
-//! Certification has one request path: the replicas and the [`Cluster`]
-//! handle hand every [`CertifierRequest`] to one port, on their own thread.
-//! The in-process certifier *is* that port: a pending list in front of
+//! Certification has one request path: the replicas hand every
+//! [`CertifierRequest`] to one port, on their own thread. The in-process
+//! certifier *is* that port: a pending list in front of
 //! `Mutex<Certifier>`. A request is pushed onto the list; then the thread
 //! takes the certifier lock (blocking), steps over everything pending
 //! (`Certifier::step`, whose cut rule forms the group commits), puts every
-//! output on its addressee's queue *while still holding the lock*, answers
-//! history and join fetches, and releases. Requests pushed while another
+//! output on its addressee's queue *while still holding the lock*, and
+//! releases. The [`Cluster`] handle's joins, decommissions and history
+//! reads are calls on the same certifier, under the same lock, on the
+//! caller's thread. Requests pushed while another
 //! thread certifies and flushes go out together in the next holder's step,
 //! which is the group commit; a thread that finds the list empty has had
 //! its request stepped by an earlier holder. Delivering under the lock keeps
@@ -35,7 +37,9 @@
 //! behind the same port: the port is the sending end of the link's request
 //! channel, which the link serves on its own `bargain-certlink` thread,
 //! handing what the service sends to [`CertifierDeliveries`] from whichever
-//! of its threads received it.
+//! of its threads received it. Membership and history then belong to the
+//! remote service, and the handle refuses joins, decommissions and history
+//! reads.
 
 use crate::front::{Front, FrontDoor};
 use crate::session::Session;
@@ -154,6 +158,12 @@ impl Certified {
         self.batches
             .fetch_add(step.batches.len() as u64, Ordering::Relaxed);
     }
+
+    /// Requests and batches so far.
+    fn read(&self) -> (u64, u64) {
+        let requests = self.requests.load(Ordering::Relaxed);
+        (requests, self.batches.load(Ordering::Relaxed))
+    }
 }
 
 pub(crate) enum ToReplica {
@@ -171,16 +181,13 @@ pub(crate) enum ToReplica {
     CertifierLost {
         epoch: u64,
     },
-    Ddl {
-        stmt: Box<Statement>,
-        ack: Sender<Result<()>>,
-    },
+    Ddl(Arc<DdlFanIn>),
     /// Export a consistent snapshot of this replica's engine (it is the
     /// donor for a join). Runs on the replica thread, so the engine is
     /// quiescent for the duration — the checkpoint is trivially consistent.
     ExportSnapshot {
         chunk_bytes: usize,
-        reply: Sender<Snapshot>,
+        done: SnapshotSink,
     },
     /// Report the replica's current applied version (`V_local`); the join
     /// protocol polls this against `V_system` for the lag-bound admission
@@ -192,8 +199,74 @@ pub(crate) enum ToReplica {
     Shutdown,
 }
 
-/// A message to the certification service (replica/load balancer →
-/// certifier). Public so that alternative certifier transports — notably
+/// Where the outcome of a request the replicas answer goes.
+type Done<T> = Box<dyn FnOnce(Result<T>) + Send>;
+
+/// A DDL statement on its way to every replica. Each replica applies it
+/// and lets go; whoever lets go last — the last replica to apply it, or the
+/// caller if the replicas were quicker — updates the catalog mirror and
+/// settles, from `Drop`, so a statement a dead replica's queue dropped
+/// settles too.
+pub(crate) struct DdlFanIn {
+    stmt: Statement,
+    catalog: Arc<Mutex<Engine>>,
+    /// Replicas it was sent to, and those that applied it.
+    sent: AtomicUsize,
+    applied: AtomicUsize,
+    /// The first error a replica met.
+    error: Mutex<Option<Error>>,
+    done: Mutex<Option<Done<()>>>,
+}
+
+impl DdlFanIn {
+    fn apply(&self, engine: &mut Engine) {
+        match execute_ddl(engine, &self.stmt) {
+            Ok(()) => {
+                self.applied.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                self.error.lock().get_or_insert(e);
+            }
+        }
+    }
+}
+
+impl Drop for DdlFanIn {
+    fn drop(&mut self) {
+        let result = match self.error.get_mut().take() {
+            Some(e) => Err(e),
+            None if self.applied.get_mut() != self.sent.get_mut() => Err(shut_down()),
+            None => execute_ddl(&mut self.catalog.lock(), &self.stmt),
+        };
+        if let Some(done) = self.done.get_mut().take() {
+            done(result);
+        }
+    }
+}
+
+/// Where an exported snapshot goes: called on the donor's thread, or —
+/// dropped uncalled, because no replica was up or the donor's thread is
+/// gone with the request queued — with a refusal, from `Drop`.
+pub(crate) struct SnapshotSink(Option<Done<Snapshot>>);
+
+impl SnapshotSink {
+    fn settle(mut self, snapshot: Snapshot) {
+        if let Some(done) = self.0.take() {
+            done(Ok(snapshot));
+        }
+    }
+}
+
+impl Drop for SnapshotSink {
+    fn drop(&mut self) {
+        if let Some(done) = self.0.take() {
+            let why = "snapshot refused: no replica available (retry-after)";
+            done(Err(Error::Unavailable(why.into())));
+        }
+    }
+}
+
+/// A message to the certification service (replica → certifier). Public so that alternative certifier transports — notably
 /// `bargain-net`'s TCP link to a certifier running in another process — can
 /// consume the cluster's certification traffic.
 pub enum CertifierRequest {
@@ -218,41 +291,6 @@ pub enum CertifierRequest {
         replica: ReplicaId,
         /// The failure epoch being acknowledged.
         epoch: u64,
-    },
-    /// A joining replica subscribes to the refresh fan-out. The certifier
-    /// adds it to the membership, credits it (eager mode) for every pending
-    /// commit at or below `after` — its snapshot already contains those —
-    /// and replies with the certified records strictly above `after`, so
-    /// subscribe-and-replay leaves no gap: anything newer than the reply
-    /// reaches the joiner through the fan-out it just joined, and overlap
-    /// is deduplicated by the proxy. Remote certifier links do not support
-    /// membership changes and reply `Err(Unavailable)`.
-    Join {
-        /// The joining replica.
-        replica: ReplicaId,
-        /// The joiner's snapshot version (`V`).
-        after: Version,
-        /// Receives the catch-up records (or the refusal).
-        reply: Sender<Result<Vec<LogRecord>>>,
-    },
-    /// A decommissioned replica leaves the refresh fan-out. Its credit is
-    /// dropped from pending eager entries (entries it alone was blocking
-    /// complete, and their global commits are delivered); the ack confirms
-    /// no further refresh will target it. Remote certifier links reply
-    /// `Err(Unavailable)`.
-    Leave {
-        /// The departing replica.
-        replica: ReplicaId,
-        /// Acknowledged once the membership change is effective.
-        ack: Sender<Result<()>>,
-    },
-    /// Fetch every certified record strictly above `after` (serves remote
-    /// bootstrap catch-up without touching membership).
-    History {
-        /// Fetch records strictly above this version.
-        after: Version,
-        /// Receives the records.
-        reply: Sender<Result<Vec<LogRecord>>>,
     },
     /// Flush pending work and stop serving.
     Shutdown,
@@ -389,10 +427,9 @@ pub struct Cluster {
     /// drives the DDL ack fan-in.
     replicas: AtomicUsize,
     mode: ConsistencyMode,
-    /// Whether the certification service runs behind a remote link, whose
-    /// membership this process cannot change (joins/decommissions refuse).
-    remote_certifier: bool,
-    certified: Arc<Certified>,
+    /// The in-process certifier; `None` behind a certifier link, whose
+    /// service owns membership and history.
+    local: Option<Arc<LocalCertifier>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -470,9 +507,7 @@ impl Cluster {
         // link, which serves it on a thread of its own. Its commit history
         // fast-forwards every replica engine from its checkpoint (the
         // `setup` state) to the durable version.
-        let remote_certifier = link.is_some();
-        let certified = Arc::new(Certified::default());
-        let (port, history): (Arc<dyn CertifierPort>, _) = match link {
+        let (port, local, history): (Arc<dyn CertifierPort>, _, _) = match link {
             Some(mut link) => {
                 let history = link.history().expect("the certifier serves its history");
                 let (port, requests) = unbounded::<CertifierRequest>();
@@ -485,7 +520,7 @@ impl Cluster {
                         .spawn(move || link.serve(requests, deliveries))
                         .expect("spawn certifier link thread"),
                 );
-                (Arc::new(port), history)
+                (Arc::new(port), None, history)
             }
             None => {
                 let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
@@ -494,13 +529,13 @@ impl Cluster {
                 let history = certifier
                     .certified_since(Version::ZERO)
                     .expect("the certifier serves its history");
-                let local = LocalCertifier {
+                let local = Arc::new(LocalCertifier {
                     pending: Mutex::new(Vec::new()),
                     certifier: std::sync::Mutex::new(certifier),
                     front: Arc::clone(&front),
-                    certified: Arc::clone(&certified),
-                };
-                (Arc::new(local), history)
+                    certified: Certified::default(),
+                });
+                (local.clone(), Some(local), history)
             }
         };
         if !history.is_empty() {
@@ -548,8 +583,7 @@ impl Cluster {
             next_template: Arc::new(AtomicU32::new(1 << 20)),
             replicas: AtomicUsize::new(config.replicas),
             mode: config.mode,
-            remote_certifier,
-            certified,
+            local,
             handles: Mutex::new(handles),
         }
     }
@@ -569,31 +603,51 @@ impl Cluster {
 
     /// Executes DDL on every replica (and the catalog mirror). DDL is not
     /// transactional; run it before issuing transactions that use the
-    /// table.
+    /// table. [`Cluster::execute_ddl_with`] plus a channel.
     pub fn execute_ddl(&self, sql: &str) -> Result<()> {
-        let stmt = parse(sql)?;
-        let (ack, ack_rx) = unbounded();
+        ask(|reply| {
+            self.execute_ddl_with(sql, move |result| {
+                let _ = reply.send(result);
+            });
+            true
+        })?
+    }
+
+    /// Executes DDL on every replica, then on the catalog mirror, without
+    /// waiting: `done` gets the outcome on the thread of the last replica
+    /// to apply it — or on this one, for a statement that does not parse or
+    /// replicas quicker than this call — so it may neither block nor panic.
+    /// A replica whose thread dies with the statement queued makes it fail.
+    pub fn execute_ddl_with(&self, sql: &str, done: impl FnOnce(Result<()>) + Send + 'static) {
+        let stmt = match parse(sql) {
+            Ok(stmt) => stmt,
+            Err(e) => return done(Err(e)),
+        };
+        let ddl = Arc::new(DdlFanIn {
+            stmt,
+            catalog: Arc::clone(&self.catalog_engine),
+            sent: AtomicUsize::new(0),
+            applied: AtomicUsize::new(0),
+            error: Mutex::new(None),
+            done: Mutex::new(Some(Box::new(done))),
+        });
         // Enqueued under the front door's lock: every replica sees the DDL
         // before any transaction routed after this call.
         let sent = {
             let _door = self.front.door.lock();
-            self.front.broadcast(|| ToReplica::Ddl {
-                stmt: Box::new(stmt.clone()),
-                ack: ack.clone(),
-            })
+            self.front.broadcast(|| ToReplica::Ddl(Arc::clone(&ddl)))
         };
-        drop(ack); // a replica that dies before acking hangs up, not us
-        for _ in 0..sent {
-            ack_rx.recv().map_err(|_| shut_down())??;
-        }
-        execute_ddl(&mut self.catalog_engine.lock(), &stmt)?;
-        Ok(())
+        // Set before this handle lets go, and after the lock: the last
+        // holder settles, and `done` may route a transaction.
+        ddl.sent.store(sent, Ordering::Relaxed);
     }
 
     /// Current cluster-wide counters.
     pub fn stats(&self) -> Result<ClusterStats> {
         let door = self.front.door.lock();
         let s = door.lb.stats();
+        let local = self.local.as_ref();
+        let (certified, certify_batches) = local.map_or((0, 0), |local| local.certified.read());
         Ok(ClusterStats {
             routed: s.routed,
             commits: s.commits,
@@ -601,8 +655,8 @@ impl Cluster {
             v_system: door.lb.v_system(),
             certifier_up: door.lb.certifier_is_up(),
             certifier_downs: s.certifier_downs,
-            certified: self.certified.requests.load(Ordering::Relaxed),
-            certify_batches: self.certified.batches.load(Ordering::Relaxed),
+            certified,
+            certify_batches,
         })
     }
 
@@ -646,24 +700,45 @@ impl Cluster {
     /// donor), suitable for bootstrapping a joiner — locally via
     /// [`Cluster::join_replica`], or remotely by shipping the chunks over
     /// the wire (`bargain-net`'s bootstrap path).
+    /// [`Cluster::export_snapshot_with`] plus a channel.
     pub fn export_snapshot(&self, chunk_bytes: usize) -> Result<Snapshot> {
         ask(|reply| {
-            let door = self.front.door.lock();
-            let export = ToReplica::ExportSnapshot { chunk_bytes, reply };
-            let donor = door.lb.least_loaded_up();
-            donor.is_some_and(|donor| self.front.send(donor, export))
-        })
-        .map_err(|_| {
-            Error::Unavailable("snapshot refused: no replica available (retry-after)".into())
-        })
+            self.export_snapshot_with(chunk_bytes, move |snapshot| {
+                let _ = reply.send(snapshot);
+            });
+            true
+        })?
     }
 
-    /// Fetches every certified commit record strictly above `after` from the
-    /// certification service (the catch-up feed a remote joiner replays on
-    /// top of its snapshot). Refused (`Err(Unavailable)`) behind a remote
-    /// certifier link.
+    /// [`Cluster::export_snapshot`] without waiting: the donor's thread
+    /// exports and hands the snapshot to `done`, which may neither block
+    /// nor panic. With no replica up, or a donor whose thread is gone,
+    /// `done` gets `Err(Unavailable)`.
+    pub fn export_snapshot_with(
+        &self,
+        chunk_bytes: usize,
+        done: impl FnOnce(Result<Snapshot>) + Send + 'static,
+    ) {
+        let done = SnapshotSink(Some(Box::new(done)));
+        let donor = self.front.door.lock().lb.least_loaded_up();
+        if let Some(donor) = donor {
+            self.front
+                .send(donor, ToReplica::ExportSnapshot { chunk_bytes, done });
+        }
+    }
+
+    /// Every certified commit record strictly above `after`: the catch-up
+    /// feed a remote joiner replays on top of its snapshot. Refused
+    /// (`Err(Unavailable)`) behind a remote certifier link.
     pub fn certified_since(&self, after: Version) -> Result<Vec<LogRecord>> {
-        self.ask_certifier(|reply| CertifierRequest::History { after, reply })?
+        self.certified_page(after, usize::MAX)
+    }
+
+    /// The first `max` records of [`Cluster::certified_since`]: one page of
+    /// the feed, the next starting at its last record. Waits for the
+    /// certifier lock, so for one group commit at most.
+    pub fn certified_page(&self, after: Version, max: usize) -> Result<Vec<LogRecord>> {
+        self.local("history")?.history(after, max)
     }
 
     /// Adds a new replica to the running cluster: snapshot-ship bootstrap
@@ -683,12 +758,7 @@ impl Cluster {
     /// Returns the new replica's id. Refused behind a remote certifier link
     /// (membership belongs to the remote service).
     pub fn join_replica(&self, opts: &JoinOptions) -> Result<ReplicaId> {
-        if self.remote_certifier {
-            return Err(Error::Unavailable(
-                "join refused: cluster membership belongs to the remote certification service"
-                    .into(),
-            ));
-        }
+        let local = self.local("join")?;
         // 1. Snapshot from a donor.
         let snapshot = self.export_snapshot(opts.chunk_bytes)?;
         let snapshot_version = snapshot.manifest.version;
@@ -713,13 +783,7 @@ impl Cluster {
         //    commit certified after this point reaches the joiner as a live
         //    refresh; anything at or below the reply is in the records (or
         //    the snapshot) — the proxy deduplicates the overlap.
-        let after = snapshot_version;
-        let join = |reply| CertifierRequest::Join {
-            replica,
-            after,
-            reply,
-        };
-        for rec in self.ask_certifier(join)?? {
+        for rec in local.join(replica, snapshot_version)? {
             self.front.send(replica, refresh(&rec));
         }
         // 4. The load balancer learns the replica (still down/unroutable).
@@ -775,13 +839,7 @@ impl Cluster {
     /// the cluster is draining, or membership belongs to a remote
     /// certification service.
     pub fn decommission_replica(&self, replica: ReplicaId) -> Result<()> {
-        if self.remote_certifier {
-            return Err(Error::Unavailable(
-                "decommission refused: cluster membership belongs to the remote \
-                 certification service"
-                    .into(),
-            ));
-        }
+        let local = self.local("decommission")?;
         // 1. Per-replica drain: stop routing, wait out in-flight work.
         //    Refreshes keep flowing so transactions parked on a start
         //    requirement still finish.
@@ -791,7 +849,7 @@ impl Cluster {
         }
         // 2. Leave the refresh membership. Every acked commit is already
         //    durable at the certifier, so cutting the fan-out loses nothing.
-        self.ask_certifier(|ack| CertifierRequest::Leave { replica, ack })??;
+        local.leave(replica);
         // 3. Forget the replica and stop its thread, in one step under the
         //    lock: no transaction can be routed in between.
         {
@@ -825,10 +883,14 @@ impl Cluster {
         self.stop_threads();
     }
 
-    /// Hands the certifier a request carrying a reply channel; waits for the
-    /// answer (the in-process certifier has sent it by then).
-    fn ask_certifier<T>(&self, request: impl FnOnce(Sender<T>) -> CertifierRequest) -> Result<T> {
-        ask(|reply| self.port.request(request(reply)))
+    /// The in-process certifier, or the refusal of `what` behind a
+    /// certifier link.
+    fn local(&self, what: &str) -> Result<&LocalCertifier> {
+        self.local.as_deref().ok_or_else(|| {
+            Error::Unavailable(format!(
+                "{what} refused: the remote certification service owns membership and history"
+            ))
+        })
     }
 
     /// Tells every replica and a certifier link to stop, and joins them.
@@ -961,11 +1023,9 @@ impl Replica {
                     epoch,
                 });
             }
-            ToReplica::Ddl { stmt, ack } => {
-                let _ = ack.send(execute_ddl(self.proxy.engine_mut(), &stmt));
-            }
-            ToReplica::ExportSnapshot { chunk_bytes, reply } => {
-                let _ = reply.send(self.proxy.engine().export_snapshot(chunk_bytes));
+            ToReplica::Ddl(ddl) => ddl.apply(self.proxy.engine_mut()),
+            ToReplica::ExportSnapshot { chunk_bytes, done } => {
+                done.settle(self.proxy.engine().export_snapshot(chunk_bytes));
             }
             ToReplica::Probe { reply } => {
                 let _ = reply.send(self.proxy.version());
@@ -1027,8 +1087,8 @@ impl Replica {
     }
 }
 
-/// Where replicas and the [`Cluster`] handle hand certification requests,
-/// each on its own thread (see the module docs).
+/// Where replicas hand certification requests, each on its own thread (see
+/// the module docs).
 trait CertifierPort: Send + Sync {
     /// Hands over one request; `false` if nothing serves the port any more.
     fn request(&self, request: CertifierRequest) -> bool;
@@ -1052,14 +1112,14 @@ struct LocalCertifier {
     /// over a log that lost commits.
     certifier: std::sync::Mutex<Certifier>,
     front: Arc<Front>,
-    certified: Arc<Certified>,
+    certified: Certified,
 }
 
 impl LocalCertifier {
     /// Takes the certifier lock, steps over everything pending and then
-    /// `input`, puts every output on its addressee's queue, and answers
-    /// with `then` before it lets the lock go.
-    fn step(&self, input: Option<Input>, then: impl FnOnce(&mut Certifier)) {
+    /// `input`, and puts every output on its addressee's queue; returns
+    /// with the lock still held.
+    fn step(&self, input: Option<Input>) -> std::sync::MutexGuard<'_, Certifier> {
         let mut certifier = self
             .certifier
             .lock()
@@ -1073,14 +1133,38 @@ impl LocalCertifier {
                 self.front.send(to, ToReplica::Certifier(delivery));
             }
         }
-        then(&mut certifier);
+        certifier
     }
 
     /// Queues `input`, then steps: if another thread took it in the
     /// meantime, its step certified it and there is nothing left to do.
     fn push(&self, input: Input) {
         self.pending.lock().push(input);
-        self.step(None, |_| {});
+        drop(self.step(None));
+    }
+
+    /// Adds `replica` to the refresh fan-out and returns the certified
+    /// records above `after`. They are read under the step's lock, so they
+    /// cover every commit the joiner is not sent as a refresh.
+    fn join(&self, replica: ReplicaId, after: Version) -> Result<Vec<LogRecord>> {
+        self.step(Some(Input::Join { replica, after }))
+            .certified_since(after)
+    }
+
+    /// Drops `replica` from the refresh fan-out: no refresh targets it
+    /// after this returns.
+    fn leave(&self, replica: ReplicaId) {
+        drop(self.step(Some(Input::Leave { replica })));
+    }
+
+    /// A page of the certified records above `after`. It steps nothing:
+    /// whoever pushed what is pending steps it.
+    fn history(&self, after: Version, max: usize) -> Result<Vec<LogRecord>> {
+        let mut certifier = self
+            .certifier
+            .lock()
+            .map_err(|_| Error::Protocol("the certifier log failed to flush".into()))?;
+        certifier.certified_page(after, max)
     }
 }
 
@@ -1090,26 +1174,6 @@ impl CertifierPort for LocalCertifier {
             CertifierRequest::Certify(req) => self.push(Input::Certify(req)),
             CertifierRequest::Applied { replica, version } => {
                 self.push(Input::Applied { replica, version });
-            }
-            // The records are read under the step's lock, so they cover
-            // every commit the joiner is not sent as a refresh.
-            CertifierRequest::Join {
-                replica,
-                after,
-                reply,
-            } => {
-                self.step(Some(Input::Join { replica, after }), |certifier| {
-                    let _ = reply.send(certifier.certified_since(after));
-                });
-            }
-            CertifierRequest::Leave { replica, ack } => {
-                self.step(Some(Input::Leave { replica }), |_| {});
-                let _ = ack.send(Ok(()));
-            }
-            CertifierRequest::History { after, reply } => {
-                self.step(None, |certifier| {
-                    let _ = reply.send(certifier.certified_since(after));
-                });
             }
             // The in-process certifier never declares itself down, so a
             // sweep acknowledgement has nothing to fence; and a request is

@@ -820,12 +820,19 @@ impl Certifier {
     /// served straight from memory — cheap `Arc` clones, no log I/O. Only a
     /// deep recovery reaching below the pruned floor replays the log.
     pub fn certified_since(&mut self, after: Version) -> Result<Vec<LogRecord>> {
+        self.certified_page(after, usize::MAX)
+    }
+
+    /// The first `max` records of [`Self::certified_since`]: one reply of a
+    /// paged catch-up feed, whose next page starts at its last record.
+    pub fn certified_page(&mut self, after: Version, max: usize) -> Result<Vec<LogRecord>> {
         if after >= self.history_floor {
             let skip = after.gap_from(self.history_floor) as usize;
-            return Ok(self.history.iter().skip(skip).cloned().collect());
+            return Ok(self.history.iter().skip(skip).take(max).cloned().collect());
         }
         let mut records = self.log.replay()?;
         records.retain(|rec| rec.commit_version > after);
+        records.truncate(max);
         Ok(records)
     }
 }

@@ -6,7 +6,7 @@
 //! [`Message::SnapshotChunk`] frames closed by a [`Message::SnapshotDone`]
 //! carrying the self-verifying manifest. The chunks are imported into a
 //! fresh [`Engine`] (every chunk is verified against the manifest's CRCs),
-//! and a [`Message::CatchUp`] round replays the commits certified after the
+//! and [`Message::CatchUp`] rounds replay the commits certified after the
 //! snapshot version, leaving the engine at the donor cluster's recent past.
 //!
 //! The whole fetch is **restartable**: any failure — donor crash
@@ -16,7 +16,7 @@
 //! donor pays one pass over its tables), so retrying whole is simpler and
 //! safer than resuming a half-trusted stream.
 
-use crate::codec::Message;
+use crate::codec::{Message, CATCH_UP_RECORDS};
 use crate::conn::{ConnectPolicy, Connection};
 use bargain_common::{Error, Result, Version};
 use bargain_storage::{Engine, SnapshotManifest, DEFAULT_CHUNK_BYTES};
@@ -84,7 +84,7 @@ pub fn bootstrap_engine(donors: &[String], config: &BootstrapConfig) -> Result<B
 }
 
 /// One bootstrap attempt against one donor: fresh connection, full
-/// snapshot stream, import, one catch-up round.
+/// snapshot stream, import, catch-up.
 fn fetch_once(donor: &str, config: &BootstrapConfig) -> Result<Bootstrapped> {
     let mut conn = Connection::connect(donor, &config.policy)?;
     let id = conn.next_request_id();
@@ -129,24 +129,10 @@ fn fetch_once(donor: &str, config: &BootstrapConfig) -> Result<Bootstrapped> {
     let snapshot_version = manifest.version;
     let mut engine = Engine::import_snapshot(&manifest, &chunks)?;
 
-    // One catch-up round: the commits certified after the snapshot's cut.
-    // (Admission-grade freshness is the caller's loop — it can repeat
-    // CatchUp rounds against `engine.version()` until the lag is small.)
-    match conn.call(&Message::CatchUp {
-        after: engine.version(),
-    })? {
-        Message::History { records } => {
-            for rec in &records {
-                engine.apply_refresh(&rec.writeset, rec.commit_version)?;
-            }
-        }
-        other => {
-            return Err(Error::Protocol(format!(
-                "expected History for CatchUp, got message kind {}",
-                other.kind()
-            )))
-        }
-    }
+    // The commits certified after the snapshot's cut. (Admission-grade
+    // freshness is the caller's loop — it can call `catch_up` again until
+    // the lag is small.)
+    catch_up(&mut conn, &mut engine)?;
 
     Ok(Bootstrapped {
         snapshot_version,
@@ -156,22 +142,30 @@ fn fetch_once(donor: &str, config: &BootstrapConfig) -> Result<Bootstrapped> {
     })
 }
 
-/// Replays one more catch-up round against an already-bootstrapped engine.
-/// Returns how many records were applied; callers poll this until the
-/// returned count (or their lag estimate) is inside the admission bound.
+/// Replays the catch-up feed against an already-bootstrapped engine:
+/// `CatchUp` rounds from the engine's version until a reply comes back
+/// shorter than [`CATCH_UP_RECORDS`]. Returns how many records were
+/// applied; callers poll this until the returned count (or their lag
+/// estimate) is inside the admission bound.
 pub fn catch_up(conn: &mut Connection, engine: &mut Engine) -> Result<usize> {
-    match conn.call(&Message::CatchUp {
-        after: engine.version(),
-    })? {
-        Message::History { records } => {
-            for rec in &records {
-                engine.apply_refresh(&rec.writeset, rec.commit_version)?;
+    let mut applied = 0;
+    loop {
+        let after = engine.version();
+        let records = match conn.call(&Message::CatchUp { after })? {
+            Message::History { records } => records,
+            other => {
+                return Err(Error::Protocol(format!(
+                    "expected History for CatchUp, got message kind {}",
+                    other.kind()
+                )))
             }
-            Ok(records.len())
+        };
+        for rec in &records {
+            engine.apply_refresh(&rec.writeset, rec.commit_version)?;
         }
-        other => Err(Error::Protocol(format!(
-            "expected History for CatchUp, got message kind {}",
-            other.kind()
-        ))),
+        applied += records.len();
+        if records.len() < CATCH_UP_RECORDS {
+            return Ok(applied);
+        }
     }
 }

@@ -511,29 +511,6 @@ fn forward_request(
             acked.insert(replica.0, epoch);
             Flow::Continue
         }
-        // Membership belongs to the remote certification service: this
-        // link cannot change it, so joins and decommissions are refused.
-        // (`Cluster::join_replica` guards earlier; this keeps a direct
-        // sender honest too.)
-        CertifierRequest::Join { reply, .. } => {
-            let _ = reply.send(Err(Error::Unavailable(
-                "join refused: membership belongs to the remote certification service".into(),
-            )));
-            Flow::Continue
-        }
-        CertifierRequest::Leave { ack, .. } => {
-            let _ = ack.send(Err(Error::Unavailable(
-                "decommission refused: membership belongs to the remote certification service"
-                    .into(),
-            )));
-            Flow::Continue
-        }
-        CertifierRequest::History { reply, .. } => {
-            let _ = reply.send(Err(Error::Unavailable(
-                "history is served at connection time by the remote certifier link".into(),
-            )));
-            Flow::Continue
-        }
         CertifierRequest::Shutdown => Flow::Stop,
     }
 }

@@ -21,6 +21,12 @@ use bargain_common::{
 use bargain_core::{CertifyDecision, CertifyRequest, LogRecord, Refresh, TxnOutcome};
 use bargain_sql::QueryResult;
 
+/// The most records the [`Message::History`] answering one
+/// [`Message::CatchUp`] carries, the oldest first. A reply this long may
+/// have more behind it, from its last record's version on; a shorter one
+/// ends the feed.
+pub const CATCH_UP_RECORDS: usize = 1024;
+
 /// One protocol message. The numeric discriminants are the frame `kind`
 /// byte; frontend traffic uses 1–16, certifier traffic 20–26.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,7 +186,8 @@ pub enum Message {
     },
     /// Joining node → frontend: fetch the certified commit records strictly
     /// above `after` (the catch-up feed replayed on top of a snapshot).
-    /// Answered with [`Message::History`].
+    /// Answered with [`Message::History`], at most [`CATCH_UP_RECORDS`] of
+    /// them.
     CatchUp {
         /// Return only records with `commit_version > after`.
         after: Version,

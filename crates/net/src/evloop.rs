@@ -5,9 +5,8 @@
 //! queue and its vectored flush, interest refresh, write-buffer
 //! backpressure, the stall sweep, and the [`Waker`]-driven stop/drain —
 //! and exists once. What a decoded message *means* is the [`Service`] on
-//! top: [`crate::server`] submits transactions to the cluster and queues
-//! the blocking requests for its admin pool, [`crate::certifier`] certifies
-//! inline on the loop thread.
+//! top: [`crate::server`] starts each request on the thread that pumps its
+//! connection, [`crate::certifier`] certifies inline on the loop thread.
 //!
 //! **Who may write a socket.** The loop owns the read side outright. The
 //! write side is the connection's [`WriteHalf`]: the socket and the reply
@@ -308,10 +307,6 @@ pub(crate) struct Conn<D> {
 impl<D> Conn<D> {
     pub fn enqueue_reply(&mut self, request_id: u64, msg: &Message) {
         self.half.enqueue(encode_reply(request_id, msg));
-    }
-
-    pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
-        self.half.enqueue(frame);
     }
 
     /// Answer with `msg`, then close once it has flushed.

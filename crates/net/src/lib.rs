@@ -20,9 +20,10 @@
 //! - [`server`] + [`certifier`] — TCP servers, two services on one
 //!   readiness-driven event loop (`evloop`: one thread over a hand-rolled
 //!   epoll poller, see `reactor`). [`server::NetServer`] hosts a full
-//!   cluster node behind the session protocol: the loop submits
-//!   transactions, the replica thread that finishes one writes its reply,
-//!   and a small pool runs the requests that block;
+//!   cluster node behind the session protocol: the loop starts every
+//!   request — it submits transactions, whose replies the replica thread
+//!   that finishes them writes, answers the short requests itself and
+//!   hands DDL and snapshot exports to the replicas the same way;
 //!   [`certifier::CertifierServer`] hosts just the
 //!   certification/durability component so it can live in its own process,
 //!   reached from a cluster via [`certifier::RemoteCertifierLink`].

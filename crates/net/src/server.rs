@@ -4,31 +4,39 @@
 //! # Architecture: client → reactor → replica → client's socket
 //!
 //! One **reactor thread** owns every socket's read side (the connection
-//! I/O half lives in [`crate::evloop`]). It submits a [`Message::Run`] to
-//! the cluster inline — routing is a lock and an enqueue — and the replica
-//! thread that finishes the transaction encodes the reply, writes it to the
-//! client's socket through the connection's shared write half, and starts
-//! the connection's next queued `Run` itself (`pump`). A finished
-//! transaction does not go back through the reactor: the reactor wakes for
-//! requests, and is *nudged* only for what a replica thread cannot do —
+//! I/O half lives in [`crate::evloop`]). Every request is started by the
+//! thread that pumps its connection (`pump`). A [`Message::Run`] is
+//! submitted to the cluster — routing is a lock and an enqueue — and the
+//! replica thread that finishes the transaction encodes the reply, writes
+//! it to the client's socket through the connection's shared write half,
+//! and starts the connection's next queued `Run` itself. Only the reactor
+//! starts the other requests. It answers `OpenSession`, `Prepare`, `Stats`
+//! and `CatchUp` inline: the SQL parser bounds what a `Prepare` costs
+//! (`bargain_sql::MAX_SQL_BYTES`, `MAX_EXPR_DEPTH`), and a `CatchUp` reply
+//! carries at most [`CATCH_UP_RECORDS`]. `Ddl` and `JoinRequest` go to the
+//! cluster with their reply as the sink, as a `Run` does: the last replica
+//! to apply the DDL, or the donor that exports the snapshot, writes the
+//! answer. Every request's reply is one kind of sink, `Reply`, and no
+//! thread parks on a request. The one wait left on the reactor is the
+//! certifier lock a `CatchUp` takes, which every replica thread takes per
+//! update: one group commit at most.
+//!
+//! A settled request does not go back through the reactor: it wakes for
+//! requests, and is *nudged* only for what another thread cannot do —
 //! reply bytes the socket did not take (arm `EPOLLOUT`), a non-`Run`
-//! request at the head of the queue, a connection to reap, a drain. No
-//! thread parks on a transaction. The rare requests that *block* on the
-//! cluster (`Prepare`, `Ddl`, `CatchUp`, `JoinRequest`, …) run on a
-//! two-thread **admin pool**, so the reactor never blocks on a socket or a
-//! cluster round trip.
+//! request at the head of the queue, a connection to reap, a drain.
 //!
 //! # Pipelining
 //!
 //! Every frame carries a `request_id` (protocol v2), so one connection may
 //! have many requests in flight; replies echo the id and may complete out
 //! of order *across* connections. Within a connection, requests execute
-//! **serially in arrival order** (one transaction or one pool job at a
-//! time): pipelining removes the client's round-trip wait, not the
-//! per-session ordering — which keeps a pipelined connection
-//! byte-equivalent to the same requests issued one at a time (the
-//! differential oracle in `proptest_pipeline`). `Hello`/`Ping`/`StopServer`
-//! are answered inline, so heartbeats never queue behind a transaction.
+//! **serially in arrival order** (one request at a time): pipelining
+//! removes the client's round-trip wait, not the per-session ordering —
+//! which keeps a pipelined connection byte-equivalent to the same requests
+//! issued one at a time (the differential oracle in `proptest_pipeline`).
+//! `Hello`/`Ping`/`StopServer` are answered on arrival, so heartbeats never
+//! queue behind a transaction.
 //!
 //! # Backpressure
 //!
@@ -56,15 +64,14 @@
 //! the flag and writes the wakeup pipe, so the reactor notices at once. It
 //! closes the listener and stops reading; a connection with nothing in
 //! flight, queued or unflushed is closed at once (an idle client, a peer
-//! stalled mid-frame), the others once their in-flight transactions and
-//! pool jobs have finished and their replies flushed, and whatever remains
-//! (unflushed laggards, requests queued behind the drain) is force-closed
-//! at the `shutdown_grace` deadline.
-//! [`NetServer::wait`] then joins the pool and drains the cluster —
-//! [`Cluster::drain`] lets in-flight transactions finish and joins all
-//! runtime threads.
+//! stalled mid-frame), the others once their requests in the cluster have
+//! settled and their replies flushed, and whatever remains (unflushed
+//! laggards, requests queued behind the drain) is force-closed at the
+//! `shutdown_grace` deadline. [`NetServer::wait`] then joins the reactor
+//! and drains the cluster — [`Cluster::drain`] lets in-flight transactions
+//! finish and joins all runtime threads.
 
-use crate::codec::Message;
+use crate::codec::{Message, CATCH_UP_RECORDS};
 use crate::evloop::{
     encode_reply, Conn, Core, Load, Sent, Service, Stopper, WriteHalf, RESUME_QUEUED_REQUESTS,
 };
@@ -72,7 +79,8 @@ use crate::reactor::WakerHandle;
 use bargain_cluster::{committed, Cluster, Session};
 use bargain_common::{Error, Result, TableSet, TemplateId};
 use bargain_sql::TransactionTemplate;
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
+use bargain_storage::Snapshot;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -124,18 +132,14 @@ impl Default for NetServerConfig {
     }
 }
 
-/// Threads of the admin pool: the requests that block on the cluster. Two,
-/// so a snapshot export does not stall every `Prepare` behind it.
-const POOL_THREADS: usize = 2;
-
 struct Shared {
     cluster: Cluster,
     addr: SocketAddr,
     hub: Arc<Hub>,
 }
 
-/// What the reactor, the pool and the reply sinks share. On an `Arc` of its
-/// own: sinks hold it on replica threads, and must not hold `Shared`
+/// What the reactor and the reply sinks share. On an `Arc` of its own:
+/// sinks hold it on replica threads, and must not hold `Shared`
 /// ([`NetServer::wait`] unwraps that to drain the cluster).
 struct Hub {
     stop: Arc<AtomicBool>,
@@ -144,34 +148,43 @@ struct Hub {
     write_cap: usize,
     /// Transactions submitted and not yet answered.
     inflight: AtomicU64,
-    /// Transactions submitted and jobs dispatched that have not settled
-    /// (counted even for connections that died in the meantime, so drain
-    /// can wait for every session to unwind).
+    /// Reply sinks not yet settled (counted even for connections that died
+    /// in the meantime, so drain can wait for every session to unwind).
     outstanding: AtomicUsize,
-    completions: Completions,
+    /// Where other threads point the reactor at a connection, and how they
+    /// wake it.
+    nudges: Sender<u64>,
+    wake: WakerHandle,
     counters: Counters,
 }
 
 impl Hub {
-    /// Sends a reply frame from whatever thread produced it.
-    fn reply(&self, conn: &ClientConn, frame: Vec<u8>) {
-        match conn.half.send_now(frame) {
-            Sent::Direct => {
-                self.counters.replies_direct.fetch_add(1, Relaxed);
-            }
-            // Only the reactor can wait for the socket to drain.
-            Sent::Queued => {
-                self.counters.replies_queued.fetch_add(1, Relaxed);
-                self.nudge(conn.token);
-            }
-            Sent::Dead => {}
+    /// Sends reply frames, in order, from whatever thread produced them.
+    fn reply(&self, conn: &ClientConn, frames: impl IntoIterator<Item = Vec<u8>>) {
+        let mut queued = false;
+        for frame in frames {
+            let counter = match conn.half.send_now(frame) {
+                Sent::Direct => &self.counters.replies_direct,
+                Sent::Queued => {
+                    queued = true;
+                    &self.counters.replies_queued
+                }
+                Sent::Dead => continue,
+            };
+            counter.fetch_add(1, Relaxed);
+        }
+        // Only the reactor can wait for the socket to drain.
+        if queued {
+            self.nudge(conn.token);
         }
     }
 
     /// Tells the reactor to look at connection `token`.
     fn nudge(&self, token: u64) {
         self.counters.loop_nudges.fetch_add(1, Relaxed);
-        self.completions.push(Completion { token, job: None });
+        // A send fails only once the reactor is gone (shutdown).
+        let _ = self.nudges.send(token);
+        self.wake.wake();
     }
 }
 
@@ -204,8 +217,7 @@ struct Counters {
 }
 
 /// The per-connection execution state. It sits in the connection's `exec`
-/// slot; whoever starts work takes it out — a [`pump`] for the length of a
-/// submission, a pool [`Job`] until its [`Completion`] brings it back — so
+/// slot; the [`pump`] that starts a request takes it out for that long, so
 /// at most one thread holds it at a time.
 #[derive(Default)]
 struct ConnExec {
@@ -213,45 +225,12 @@ struct ConnExec {
     templates: HashMap<TemplateId, (Arc<TransactionTemplate>, TableSet)>,
 }
 
-struct Job {
-    token: u64,
-    /// A run of the connection's queued non-`Run` requests, executed in
-    /// order on one pool thread.
-    msgs: Vec<(u64, Message)>,
-    exec: ConnExec,
-}
-
-/// What other threads tell the reactor about connection `token`: a finished
-/// pool job (`exec` returns, with the encoded reply frames in request
-/// order), or, with no job, a nudge — the connection needs something only
-/// the reactor can do. Transaction replies never travel here.
-struct Completion {
-    token: u64,
-    job: Option<(ConnExec, Vec<Vec<u8>>)>,
-}
-
-/// How completions reach the reactor from other threads: push, then wake.
-struct Completions {
-    tx: Sender<Completion>,
-    wake: WakerHandle,
-}
-
-impl Completions {
-    /// `false` when the reactor is gone (shutdown).
-    fn push(&self, completion: Completion) -> bool {
-        let sent = self.tx.send(completion).is_ok();
-        self.wake.wake();
-        sent
-    }
-}
-
 /// A running frontend server. Dropping the handle does *not* stop the
 /// server; call [`NetServer::stop`] (or send [`Message::StopServer`] from a
 /// client and call [`NetServer::wait`]).
 pub struct NetServer {
     shared: Arc<Shared>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     stopper: Stopper,
 }
 
@@ -269,38 +248,21 @@ impl NetServer {
         config: NetServerConfig,
     ) -> Result<NetServer> {
         let (core, addr, stopper) = Core::bind(addr, config.clone())?;
-        let (jobs_tx, jobs_rx) = unbounded::<Job>();
-        let (completions_tx, completions_rx) = unbounded::<Completion>();
+        let (nudges, nudged) = unbounded();
         let hub = Arc::new(Hub {
             stop: Arc::clone(&stopper.flag),
             max_inflight: config.max_inflight,
             write_cap: config.max_conn_write_buffer,
             inflight: AtomicU64::new(0),
             outstanding: AtomicUsize::new(0),
-            completions: Completions {
-                tx: completions_tx,
-                wake: stopper.waker.clone(),
-            },
+            nudges,
+            wake: stopper.waker.clone(),
             counters: Counters::default(),
         });
         let shared = Arc::new(Shared { cluster, addr, hub });
-
-        let mut worker_handles = Vec::with_capacity(POOL_THREADS);
-        for i in 0..POOL_THREADS {
-            let shared = Arc::clone(&shared);
-            let jobs_rx = jobs_rx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("bargain-net-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &jobs_rx))
-                .map_err(Error::from)?;
-            worker_handles.push(handle);
-        }
-        drop(jobs_rx);
-
         let frontend = Frontend {
             shared: Arc::clone(&shared),
-            jobs_tx,
-            completions_rx,
+            nudged,
         };
         let reactor = std::thread::Builder::new()
             .name("bargain-net-reactor".into())
@@ -310,11 +272,9 @@ impl NetServer {
                 }
             })
             .map_err(Error::from)?;
-
         Ok(NetServer {
             shared,
-            reactor: Some(reactor),
-            workers: worker_handles,
+            reactor,
             stopper,
         })
     }
@@ -359,23 +319,16 @@ impl NetServer {
 
     /// Blocks until the server has stopped (via [`NetServer::request_stop`]
     /// or a client's [`Message::StopServer`]), then joins the reactor and
-    /// pool threads and drains the cluster. Idle connections close when the
-    /// drain starts, and the reactor force-closes any connection still open
-    /// at the `shutdown_grace` deadline, so a peer that stops reading cannot
-    /// hang the shutdown.
-    pub fn wait(mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        // The reactor owned the job channel's only sender; its exit closed
-        // the channel, which is what terminates the pool.
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // The unwrap cannot fail in practice: every thread holding a clone
-        // has been joined, and reply sinks still out on replica threads
-        // hold none. If it somehow does, the cluster's threads die with
-        // the process instead of draining.
+    /// drains the cluster. Idle connections close when the drain starts,
+    /// and the reactor force-closes any connection still open at the
+    /// `shutdown_grace` deadline, so a peer that stops reading cannot hang
+    /// the shutdown.
+    pub fn wait(self) {
+        let _ = self.reactor.join();
+        // The unwrap cannot fail in practice: the reactor, the one other
+        // holder, has been joined, and reply sinks still out on replica
+        // threads hold none. If it somehow does, the cluster's threads die
+        // with the process instead of draining.
         if let Ok(shared) = Arc::try_unwrap(self.shared) {
             shared.cluster.drain();
         }
@@ -391,7 +344,7 @@ impl NetServer {
 
 /// A connection as every thread that works for it sees it: the reactor
 /// (which keeps it as the connection's service state), and the reply sink
-/// of its transaction in flight.
+/// of its request in the cluster.
 struct ClientConn {
     token: u64,
     half: Arc<WriteHalf>,
@@ -403,20 +356,19 @@ struct ClientConn {
 struct Work {
     /// Decoded requests awaiting their turn.
     queue: VecDeque<(u64, Message)>,
-    /// `None` while a pool job holds it, or a [`pump`] that is submitting.
+    /// `None` while a [`pump`] is starting a request.
     exec: Option<ConnExec>,
-    /// A transaction of this connection is at a replica (or on its way).
-    txn_out: bool,
+    /// A request of this connection is in the cluster: its reply sink has
+    /// not settled.
+    out: bool,
 }
 
 /// The frontend service on the shared event loop (see [`crate::evloop`]):
-/// control messages are answered inline, a [`Message::Run`] is submitted to
-/// the cluster by the [`pump`], everything else is executed on the admin
-/// pool.
+/// control messages are answered on arrival, everything else is started
+/// by the [`pump`].
 struct Frontend {
     shared: Arc<Shared>,
-    jobs_tx: Sender<Job>,
-    completions_rx: Receiver<Completion>,
+    nudged: Receiver<u64>,
 }
 
 impl Service for Frontend {
@@ -434,7 +386,7 @@ impl Service for Frontend {
             work: Mutex::new(Work {
                 queue: VecDeque::new(),
                 exec: Some(ConnExec::default()),
-                txn_out: false,
+                out: false,
             }),
         })
     }
@@ -464,41 +416,23 @@ impl Service for Frontend {
         }
     }
 
-    /// Completions: a finished pool job's reply frames are queued and its
-    /// per-connection state restored (those for connections that died in
-    /// the meantime just drop the session); a nudge only marks its
-    /// connection for this iteration's flush, dispatch and reap.
-    fn turn(&mut self, core: &mut Core<Self::Conn>, _draining: bool, dirty: &mut Vec<u64>) {
-        while let Ok(Completion { token, job }) = self.completions_rx.try_recv() {
-            if job.is_some() {
-                self.shared.hub.outstanding.fetch_sub(1, Ordering::SeqCst);
-            }
-            let Some(conn) = core.conns.get_mut(&token) else {
-                continue;
-            };
-            if let Some((exec, frames)) = job {
-                // Frames before `exec`: the `Run` behind this job starts
-                // only once `exec` is back, so its reply queues behind them.
-                for frame in frames {
-                    conn.enqueue_frame(frame);
-                }
-                conn.data.work.lock().exec = Some(exec);
-            }
+    /// Nudges: each marks its connection for this iteration's flush,
+    /// dispatch and reap.
+    fn turn(&mut self, _core: &mut Core<Self::Conn>, _draining: bool, dirty: &mut Vec<u64>) {
+        while let Ok(token) = self.nudged.try_recv() {
             dirty.push(token);
         }
     }
 
     fn dispatch(&mut self, conn: &mut Conn<Self::Conn>) {
-        if !pump(&self.shared.hub, &conn.data, Some(&self.jobs_tx)) {
-            // The pool is gone (shutdown): the connection can do no more.
-            conn.set_closing();
-        }
+        let shared = &self.shared;
+        pump(&shared.hub, &conn.data, Some(&shared.cluster));
     }
 
     fn load(conn: &Self::Conn) -> Load {
         let work = conn.work.lock();
         Load {
-            busy: work.exec.is_none() || work.txn_out,
+            busy: work.exec.is_none() || work.out,
             queued: work.queue.len(),
         }
     }
@@ -508,35 +442,33 @@ impl Service for Frontend {
     }
 }
 
-/// Starts the head of the connection's queue, one thing at a time — the
-/// serial in-order execution the differential proptest checks — until
-/// something is running or nothing may start. Whoever leaves the connection
+/// Starts the head of the connection's queue, one request at a time — the
+/// serial in-order execution the differential proptest checks — until one
+/// is in the cluster or nothing may start. Whoever leaves the connection
 /// idle calls it: the reactor after it queued requests or flushed
-/// (`jobs` is its sender to the admin pool), and the reply sink of a
-/// finished transaction, on a replica thread (`jobs` is `None`).
+/// (`cluster` is its handle), and the reply sink of a settled request, on
+/// whatever thread settled it (`cluster` is `None`).
 ///
-/// A `Run` is submitted to the cluster right here, on the calling thread. A
-/// run of other requests goes out as one pool job, in arrival order relative
-/// to the `Run`s — from the reactor; any other thread nudges the reactor, as
-/// it does for whatever else only the reactor can do (reap, drain). The
-/// wake-up rule that makes this safe: the reactor publishes `closing`,
-/// `read_closed` and the stop flag *before* it reads the connection's load,
-/// and a sink clears `txn_out` *before* the pump reads them — so of the two,
-/// at least one sees the other's write, and an idle connection is never left
-/// with nobody looking.
+/// A `Run` starts on the calling thread ([`submit_txn`]); anything else
+/// only the reactor starts ([`start`]), in arrival order relative to the
+/// `Run`s. Any other thread nudges the reactor for it, as it does for
+/// whatever else only the reactor can do (reap, drain). The wake-up rule
+/// that makes this safe: the reactor publishes `closing`, `read_closed` and
+/// the stop flag *before* it reads the connection's load, and a sink
+/// clears `out` *before* the pump reads them — so of the two, at least one
+/// sees the other's write, and an idle connection is never left with
+/// nobody looking.
 ///
-/// The connection's lock is not held across the submission: a refusal's
-/// sink runs (and an abandoned one drops) inside `Session::submit`, on this
-/// thread, and pumps again. `exec` is out of its slot for that long, which
+/// The connection's lock is not held while a request starts: its sink may
+/// settle, and pump again, inside the call that starts it — an inline
+/// answer, a refusal inside `Session::submit`, a DDL the replicas applied
+/// before the call returned. `exec` is out of its slot for that long, which
 /// makes that nested pump return at once, and the loop here goes on to the
 /// next request: a long queue of refusals iterates, it does not recurse.
-///
-/// Returns `false` when the admin pool is gone.
-fn pump(hub: &Arc<Hub>, conn: &Arc<ClientConn>, jobs: Option<&Sender<Job>>) -> bool {
-    let not_run = |(_, msg): &(u64, Message)| !matches!(msg, Message::Run { .. });
+fn pump(hub: &Arc<Hub>, conn: &Arc<ClientConn>, cluster: Option<&Cluster>) {
     // The reactor looks at the connection itself when its own pump returns.
     let tell_reactor = || {
-        if jobs.is_none() {
+        if cluster.is_none() {
             hub.nudge(conn.token);
         }
     };
@@ -544,48 +476,39 @@ fn pump(hub: &Arc<Hub>, conn: &Arc<ClientConn>, jobs: Option<&Sender<Job>>) -> b
         // Past the write-buffer cap nothing starts; whoever queued those
         // bytes told the reactor, which pumps once they have drained.
         if conn.half.pending_bytes() >= hub.write_cap {
-            return true;
+            return;
         }
         let mut work = conn.work.lock();
-        if work.txn_out || work.exec.is_none() {
-            return true;
+        if work.out || work.exec.is_none() {
+            return;
         }
         if conn.half.closing() || hub.stop.load(Ordering::SeqCst) {
             drop(work);
             tell_reactor();
-            return true;
+            return;
         }
-        let others = work.queue.iter().take_while(|m| not_run(m)).count();
-        if others > 0 {
-            let Some(jobs) = jobs else {
-                drop(work);
-                tell_reactor();
-                return true;
-            };
-            let job = Job {
-                token: conn.token,
-                msgs: work.queue.drain(..others).collect(),
-                exec: work.exec.take().unwrap_or_default(),
-            };
-            hub.outstanding.fetch_add(1, Ordering::SeqCst);
-            let Err(SendError(job)) = jobs.send(job) else {
-                return true;
-            };
-            hub.outstanding.fetch_sub(1, Ordering::SeqCst);
-            work.exec = Some(job.exec);
-            return false;
-        }
-        let Some(run) = work.queue.pop_front() else {
+        let head = work.queue.front();
+        let Some(run) = head.map(|(_, msg)| matches!(msg, Message::Run { .. })) else {
             // Idle and empty: a half-closed connection has been answered
             // in full and is the reactor's to reap.
             drop(work);
             if conn.half.read_closed() {
                 tell_reactor();
             }
-            return true;
+            return;
         };
+        let admin = match cluster {
+            _ if run => None,
+            Some(cluster) => Some(cluster),
+            None => {
+                drop(work);
+                tell_reactor();
+                return;
+            }
+        };
+        let (request_id, msg) = work.queue.pop_front().expect("the head was there");
         let mut exec = work.exec.take().unwrap_or_default();
-        work.txn_out = true;
+        work.out = true;
         // The reactor stops reading at the queue bound: tell it when the
         // backlog falls to where it resumes.
         let resume = work.queue.len() + 1 == RESUME_QUEUED_REQUESTS;
@@ -594,70 +517,53 @@ fn pump(hub: &Arc<Hub>, conn: &Arc<ClientConn>, jobs: Option<&Sender<Job>>) -> b
             tell_reactor();
         }
 
-        let request_id = run.0;
-        let refused = submit_txn(hub, conn, &mut exec, run).err();
+        let reply = Reply::new(hub, conn, request_id);
+        match admin {
+            None => submit_txn(&mut exec, msg, reply),
+            Some(cluster) => start(cluster, &mut exec, msg, reply),
+        }
         let mut work = conn.work.lock();
         work.exec = Some(exec);
-        if let Some(e) = refused {
-            // It never reached the cluster (no session, unknown template,
-            // shed): answered here, and the next request is up.
-            work.txn_out = false;
-            drop(work);
-            hub.reply(conn, encode_reply(request_id, &Message::Err(e)));
-        } else if work.txn_out {
-            return true; // at a replica: its sink pumps when it finishes
+        if work.out {
+            return; // in the cluster: its sink pumps when it settles
         }
-        // Else the sink has run already (a refusal, inside `submit`) and
-        // its own pump found `exec` gone: the next request is ours.
+        // Else the sink has settled already, inside the call that started
+        // the request, and its own pump found `exec` gone: the next request
+        // is ours.
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>, jobs_rx: &Receiver<Job>) {
-    while let Ok(mut job) = jobs_rx.recv() {
-        let mut frames = Vec::with_capacity(job.msgs.len());
-        for (request_id, msg) in job.msgs.drain(..) {
-            // A snapshot bootstrap is the one request answered with a
-            // *stream* of frames (chunks then the manifest), all tagged
-            // with the request's id. They ride the connection's write
-            // queue, so reactor backpressure paces the transfer to the
-            // joiner's read speed.
-            let replies = if let Message::JoinRequest { chunk_bytes } = msg {
-                snapshot_stream(shared, chunk_bytes)
-            } else {
-                vec![handle_request(shared, msg, &mut job.exec)]
-            };
-            frames.extend(replies.iter().map(|reply| encode_reply(request_id, reply)));
+/// Starts a request that is not a `Run`, on the reactor. `Ddl` and
+/// `JoinRequest` go to the cluster with `reply` as their sink; the others
+/// are answered here, with what the reactor may wait for: the parser's
+/// bounded work, the front door's lock, the certifier's lock (one group
+/// commit at most). `Hello`/`Ping`/`StopServer` were answered on arrival
+/// ([`Frontend::messages`]); any other kind is a protocol error.
+fn start(cluster: &Cluster, exec: &mut ConnExec, msg: Message, reply: Reply) {
+    let answer = match msg {
+        Message::Ddl { sql } => {
+            return cluster.execute_ddl_with(&sql, move |done| {
+                reply.settle(done.map_or_else(Message::Err, |()| Message::Ack));
+            });
         }
-        let completion = Completion {
-            token: job.token,
-            job: Some((job.exec, frames)),
-        };
-        if !shared.hub.completions.push(completion) {
-            return; // reactor gone: shutdown
+        Message::JoinRequest { chunk_bytes } => {
+            // Clamp the requested granularity: big enough to amortize the
+            // frame envelope, small enough that a chunk always fits a frame
+            // (MAX_FRAME_LEN is 64 MiB) with room to spare.
+            let chunk_bytes = (chunk_bytes as usize).clamp(4 * 1024, 16 * 1024 * 1024);
+            return cluster.export_snapshot_with(chunk_bytes, move |snapshot| {
+                snapshot_stream(reply, snapshot);
+            });
         }
-    }
-}
-
-/// Executes one blocking request against the cluster, on a pool thread.
-/// `Hello`/`Ping`/`StopServer` are answered and `Run` is submitted on the
-/// submitting thread ([`Frontend::messages`], [`pump`]) and never reach the
-/// pool; if a routing change ever sent one here it would get the
-/// protocol error below, not silence.
-fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Message {
-    match msg {
         Message::OpenSession => {
-            let s = shared.cluster.connect();
-            let client = s.client().0;
-            exec.session = Some(s);
+            let session = cluster.connect();
+            let client = session.client().0;
+            exec.session = Some(session);
             Message::SessionOpened { client }
         }
-        Message::Ddl { sql } => match shared.cluster.execute_ddl(&sql) {
-            Ok(()) => Message::Ack,
-            Err(e) => Message::Err(e),
-        },
         Message::Prepare { name, sqls } => {
             let sql_refs: Vec<&str> = sqls.iter().map(String::as_str).collect();
-            match shared.cluster.prepare_template(&name, &sql_refs) {
+            match cluster.prepare_template(&name, &sql_refs) {
                 Ok((template, table_set)) => {
                     let id = template.id;
                     exec.templates.insert(id, (template, table_set));
@@ -666,7 +572,7 @@ fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Me
                 Err(e) => Message::Err(e),
             }
         }
-        Message::Stats => match shared.cluster.stats() {
+        Message::Stats => match cluster.stats() {
             Ok(s) => Message::StatsReply {
                 routed: s.routed,
                 commits: s.commits,
@@ -677,7 +583,7 @@ fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Me
             },
             Err(e) => Message::Err(e),
         },
-        Message::CatchUp { after } => match shared.cluster.certified_since(after) {
+        Message::CatchUp { after } => match cluster.certified_page(after, CATCH_UP_RECORDS) {
             Ok(records) => Message::History { records },
             Err(e) => Message::Err(e),
         },
@@ -685,53 +591,65 @@ fn handle_request(shared: &Arc<Shared>, msg: Message, exec: &mut ConnExec) -> Me
             "unexpected message kind {} on a frontend connection",
             other.kind()
         ))),
-    }
+    };
+    reply.settle(answer);
 }
 
-/// Builds the reply stream for a [`Message::JoinRequest`]: one
+/// Answers a [`Message::JoinRequest`] on the donor's thread: one
 /// [`Message::SnapshotChunk`] per exported chunk, then the self-checksummed
-/// manifest in [`Message::SnapshotDone`]. Any export failure (no donor up,
-/// cluster draining) collapses to a single error frame.
-fn snapshot_stream(shared: &Arc<Shared>, chunk_bytes: u32) -> Vec<Message> {
-    // Clamp the requested granularity: big enough to amortize the frame
-    // envelope, small enough that a chunk always fits a frame
-    // (MAX_FRAME_LEN is 64 MiB) with room to spare.
-    let chunk_bytes = (chunk_bytes as usize).clamp(4 * 1024, 16 * 1024 * 1024);
-    match shared.cluster.export_snapshot(chunk_bytes) {
-        Ok(snapshot) => {
-            let mut msgs = Vec::with_capacity(snapshot.chunks.len() + 1);
-            for (index, data) in snapshot.chunks.into_iter().enumerate() {
-                msgs.push(Message::SnapshotChunk {
-                    index: index as u32,
-                    data,
-                });
-            }
-            msgs.push(Message::SnapshotDone {
-                manifest: snapshot.manifest.encode(),
-            });
-            msgs
-        }
-        Err(e) => vec![Message::Err(e)],
-    }
+/// manifest in [`Message::SnapshotDone`], all under the request's id. What
+/// the socket does not take waits in the connection's write queue, so a
+/// slow joiner stalls only its own connection. An export refused (no donor
+/// up, cluster draining) is one error frame.
+fn snapshot_stream(reply: Reply, snapshot: Result<Snapshot>) {
+    let snapshot = match snapshot {
+        Ok(snapshot) => snapshot,
+        Err(e) => return reply.settle(Message::Err(e)),
+    };
+    let id = reply.request_id;
+    let chunks = snapshot
+        .chunks
+        .into_iter()
+        .zip(0..)
+        .map(|(data, index)| encode_reply(id, &Message::SnapshotChunk { index, data }));
+    reply.hub.reply(&reply.conn, chunks);
+    let manifest = snapshot.manifest.encode();
+    reply.settle(Message::SnapshotDone { manifest });
 }
 
-/// A transaction's reply, owed to `conn`. It travels into the cluster inside
-/// the reply sink and is settled exactly once, from `Drop` (on a replica
-/// thread: no blocking, no panic, no `Arc<Shared>`): with the answer left in
-/// it, or — the cluster abandoned the transaction and dropped the sink
-/// uncalled — with an error, without which `quiesced()` would hang the
-/// drain. Settling writes the reply to the client's socket, releases the
-/// admission slot, and starts the connection's next request.
-struct RunReply {
+/// A request's reply, owed to `conn`: the one reply sink. It settles exactly
+/// once, from `Drop`, on whichever thread lets go of it — the reactor for
+/// an inline answer or a refusal, a replica thread for a transaction, a DDL
+/// or a snapshot (no blocking, no panic, no `Arc<Shared>` there): with the
+/// answer left in it, or — the cluster abandoned the transaction and
+/// dropped the sink uncalled — with an error, without which `quiesced()`
+/// would hang the drain. Settling writes the reply to the client's socket,
+/// releases the admission slot of a `Run`, and starts the connection's next
+/// request.
+struct Reply {
     hub: Arc<Hub>,
     conn: Arc<ClientConn>,
     request_id: u64,
     answer: Option<Message>,
+    /// It holds a slot of the `max_inflight` bound (a `Run`'s).
+    admitted: bool,
 }
 
-impl RunReply {
+impl Reply {
+    fn new(hub: &Arc<Hub>, conn: &Arc<ClientConn>, request_id: u64) -> Reply {
+        hub.outstanding.fetch_add(1, Ordering::SeqCst);
+        Reply {
+            hub: Arc::clone(hub),
+            conn: Arc::clone(conn),
+            request_id,
+            answer: None,
+            admitted: false,
+        }
+    }
+
     /// Takes one slot of the `max_inflight` bound, or sheds.
-    fn admit(hub: &Arc<Hub>, conn: &Arc<ClientConn>, request_id: u64) -> Result<RunReply> {
+    fn admit(&mut self) -> Result<()> {
+        let hub = &self.hub;
         let prev = hub.inflight.fetch_add(1, Ordering::SeqCst);
         if let Some(bound) = hub.max_inflight.filter(|bound| prev >= *bound) {
             hub.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -740,13 +658,8 @@ impl RunReply {
                 "overloaded: {prev} transactions in flight, bound is {bound} (retry-after)"
             )));
         }
-        hub.outstanding.fetch_add(1, Ordering::SeqCst);
-        Ok(RunReply {
-            hub: Arc::clone(hub),
-            conn: Arc::clone(conn),
-            request_id,
-            answer: None,
-        })
+        self.admitted = true;
+        Ok(())
     }
 
     /// Leaves the answer for `Drop` to send.
@@ -755,56 +668,54 @@ impl RunReply {
     }
 }
 
-impl Drop for RunReply {
+impl Drop for Reply {
     fn drop(&mut self) {
         let answer = self.answer.take().unwrap_or_else(|| {
             let why = "transaction abandoned: replica or cluster shut down";
             Message::Err(Error::Protocol(why.into()))
         });
         let (hub, conn) = (&self.hub, &self.conn);
-        // The reply before `txn_out` clears: the reactor reaps a connection
-        // it finds idle with nothing unflushed.
-        hub.reply(conn, encode_reply(self.request_id, &answer));
-        hub.inflight.fetch_sub(1, Ordering::SeqCst);
+        // The reply before `out` clears: the reactor reaps a connection it
+        // finds idle with nothing unflushed.
+        hub.reply(conn, [encode_reply(self.request_id, &answer)]);
+        if self.admitted {
+            hub.inflight.fetch_sub(1, Ordering::SeqCst);
+        }
         hub.outstanding.fetch_sub(1, Ordering::SeqCst);
-        conn.work.lock().txn_out = false;
+        conn.work.lock().out = false;
         pump(hub, conn, None);
     }
 }
 
 /// Submits a [`Message::Run`] to the cluster from whatever thread pumps the
-/// connection; its reply leaves through a [`RunReply`]. An error means it
-/// never got there (no session, unknown template, shed) and the caller
-/// answers.
-fn submit_txn(
-    hub: &Arc<Hub>,
-    conn: &Arc<ClientConn>,
-    exec: &mut ConnExec,
-    (request_id, run): (u64, Message),
-) -> Result<()> {
+/// connection: `reply` settles on the replica thread that finishes it, or
+/// here if it never gets there (no session, unknown template, shed).
+fn submit_txn(exec: &mut ConnExec, run: Message, mut reply: Reply) {
+    let refuse = |reply: Reply, why: String| reply.settle(Message::Err(Error::Protocol(why)));
     let Message::Run {
         template,
         params,
         idem,
     } = run
     else {
-        return Err(Error::Protocol("not a transaction".into()));
+        return refuse(reply, "not a transaction".into());
     };
-    let session = exec
-        .session
-        .as_mut()
-        .ok_or_else(|| Error::Protocol("no session open; send OpenSession first".into()))?;
-    let (template, table_set) = exec
-        .templates
-        .get(&template)
-        .ok_or_else(|| Error::Protocol(format!("unknown template {template}; prepare it first")))?;
-    let reply = RunReply::admit(hub, conn, request_id)?;
-    let sink = move |result| {
+    let Some(session) = exec.session.as_mut() else {
+        return refuse(reply, "no session open; send OpenSession first".into());
+    };
+    let Some((template, table_set)) = exec.templates.get(&template) else {
+        return refuse(
+            reply,
+            format!("unknown template {template}; prepare it first"),
+        );
+    };
+    if let Err(e) = reply.admit() {
+        return reply.settle(Message::Err(e));
+    }
+    session.submit(template, table_set.clone(), params, idem, move |result| {
         reply.settle(match committed(result) {
             Ok((outcome, results)) => Message::TxnReply { outcome, results },
             Err(e) => Message::Err(e),
         });
-    };
-    session.submit(template, table_set.clone(), params, idem, sink);
-    Ok(())
+    });
 }

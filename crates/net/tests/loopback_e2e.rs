@@ -10,6 +10,8 @@ use bargain_common::{
     Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::{CertifyDecision, CertifyRequest, ConsistencyChecker};
+use bargain_net::bootstrap::catch_up;
+use bargain_net::codec::CATCH_UP_RECORDS;
 use bargain_net::frame::encode_frame;
 use bargain_net::{
     CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, NetServer,
@@ -628,7 +630,7 @@ fn newest_certifier_connection_supersedes_a_half_open_one() {
 /// before it, the `Run` after the `Ddl` writes the new table, and the
 /// snapshot stream imports at the version reached before it.
 #[test]
-fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
+fn mixed_pipeline_of_runs_and_requests_is_answered_in_request_order() {
     let (server, addr, _workload) = micro_server(ConsistencyMode::LazyFine, 3);
     let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
     conn.call(&Message::Hello).unwrap();
@@ -771,6 +773,73 @@ fn mixed_pipeline_of_runs_and_pool_requests_is_answered_in_request_order() {
     let engine = bargain_storage::Engine::import_snapshot(&manifest, &chunks).unwrap();
     assert_eq!(engine.version(), version(4));
     assert!(engine.catalog().resolve("extra").is_ok());
+    drop(conn);
+    server.stop();
+}
+
+/// One `Prepare` frame carries 100 000 nested parentheses, 200 kB of SQL:
+/// it gets an error reply, and the same connection then prepares and runs a
+/// transaction. (The parser recursed once per parenthesis, and this frame
+/// overflowed the stack of the server thread that parsed it, which aborted
+/// the server's process.)
+#[test]
+fn a_prepare_of_100_000_parentheses_is_refused_and_the_connection_serves_on() {
+    let (server, addr, _workload) = micro_server(ConsistencyMode::LazyFine, 3);
+    let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
+    conn.call(&Message::Hello).unwrap();
+    conn.call(&Message::OpenSession).unwrap();
+    let (open, close) = ("(".repeat(100_000), ")".repeat(100_000));
+    let deep = Message::Prepare {
+        name: "deep".into(),
+        sqls: vec![format!("SELECT val FROM bench0 WHERE pk = {open}1{close}")],
+    };
+    let refused = conn.call(&deep);
+    assert!(matches!(refused, Err(Error::SqlParse(_))), "{refused:?}");
+
+    let read = prepare(&mut conn, "SELECT val FROM bench0 WHERE pk = ?");
+    let reply = conn.call(&run(read, vec![Value::Int(1)])).unwrap();
+    assert!(matches!(reply, Message::TxnReply { outcome, .. } if outcome.committed));
+    drop(conn);
+    server.stop();
+}
+
+/// A `CatchUp` reply carries at most `CATCH_UP_RECORDS` records, the oldest
+/// first, so what the reactor reads and encodes for one is bounded; the
+/// bootstrap client's `catch_up` repeats rounds until a reply comes back
+/// short, and gets to `V_system`.
+#[test]
+fn catch_up_replies_are_capped_and_repeated_rounds_reach_v_system() {
+    let (server, addr, workload) = micro_server(ConsistencyMode::LazyFine, 3);
+    let mut writer = server.cluster().connect();
+    for i in 0..CATCH_UP_RECORDS as i64 + 100 {
+        let set = vec![Value::Int(i), Value::Int(i % 50 + 1)];
+        writer
+            .run_sql(&[("UPDATE bench0 SET val = ? WHERE pk = ?", set)])
+            .unwrap();
+    }
+    let v_system = server.cluster().stats().unwrap().v_system;
+
+    let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
+    let first = conn.call(&Message::CatchUp {
+        after: Version::ZERO,
+    });
+    let Ok(Message::History { records }) = first else {
+        panic!("expected History, got {first:?}");
+    };
+    let versions: Vec<u64> = records.iter().map(|rec| rec.commit_version.0).collect();
+    assert_eq!(
+        versions,
+        (1..=CATCH_UP_RECORDS as u64).collect::<Vec<u64>>()
+    );
+
+    // An engine at the setup's state replays the whole feed.
+    let mut engine = bargain_storage::Engine::new();
+    workload.install(&mut engine).unwrap();
+    let from = engine.version();
+    let applied = catch_up(&mut conn, &mut engine).unwrap();
+    assert_eq!(engine.version(), v_system);
+    assert_eq!(applied as u64, v_system.0 - from.0);
+    assert!(applied > CATCH_UP_RECORDS);
     drop(conn);
     server.stop();
 }

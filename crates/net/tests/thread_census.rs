@@ -1,15 +1,16 @@
-//! A census of the process's threads while a load runs, from
-//! `/proc/self/task/*/{comm,schedstat}`: the per-transaction path is
-//! reactor → replica → reactor, so there is no load-balancer thread to find
-//! and the admin pool does not run; certification runs on no thread of its
-//! own in process (the replica threads certify), and behind a certifier
-//! service on the link's writer and reader alone. Alone in their file, one
-//! at a time, so that no other test's server shares the process.
+//! A census of the process's threads, from `/proc/self/task/*/comm`:
+//! `NetServer::start` adds one thread, the reactor, and every request a
+//! client sends runs on the reactor or on a replica thread, so there is no
+//! admin pool and no load-balancer thread to find; certification runs on no
+//! thread of its own in process (the replica threads certify), and behind a
+//! certifier service on the link's writer and reader alone. Alone in their
+//! file, one at a time, so that no other test's server shares the process.
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{ConsistencyMode, Value};
 use bargain_net::{
-    CertifierServer, CertifierServerConfig, NetServer, RemoteCertifierLink, RemoteSession,
+    bootstrap_engine, BootstrapConfig, CertifierServer, CertifierServerConfig, NetServer,
+    RemoteCertifierLink, RemoteSession,
 };
 use bargain_workloads::{MicroBenchmark, Workload};
 use std::sync::{Mutex, MutexGuard};
@@ -23,77 +24,106 @@ fn alone() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// `(name, on-CPU nanoseconds)` of every thread of this process.
-fn threads() -> Vec<(String, u64)> {
+/// The name of every thread of this process (the kernel cuts names to 15
+/// bytes).
+fn threads() -> Vec<String> {
     let mut out = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
         let dir = task.expect("task entry").path();
-        // A thread may exit between the listing and the reads.
-        let (Ok(comm), Ok(schedstat)) = (
-            std::fs::read_to_string(dir.join("comm")),
-            std::fs::read_to_string(dir.join("schedstat")),
-        ) else {
-            continue;
-        };
-        let on_cpu = schedstat
-            .split_whitespace()
-            .next()
-            .and_then(|ns| ns.parse().ok())
-            .expect("schedstat starts with the on-CPU time");
-        out.push((comm.trim_end().to_owned(), on_cpu));
+        // A thread may exit between the listing and the read.
+        if let Ok(comm) = std::fs::read_to_string(dir.join("comm")) {
+            out.push(comm.trim_end().to_owned());
+        }
     }
     out
 }
 
-fn pool_cpu_ns(threads: &[(String, u64)]) -> u64 {
-    let pool = threads
-        .iter()
-        .filter(|(name, _)| name.starts_with("bargain-net-wor"));
-    pool.map(|(_, ns)| ns).sum()
+/// The threads this test and what it runs started between two censuses,
+/// sorted by name: the `bargain-*` ones, and unnamed ones, which carry the
+/// name of the thread that spawned them — this one. The harness's threads
+/// for the other tests are neither.
+fn added(before: &[String], after: &[String]) -> Vec<String> {
+    let me: String = std::thread::current()
+        .name()
+        .unwrap_or_default()
+        .chars()
+        .take(15)
+        .collect();
+    let mut left: Vec<&String> = before.iter().collect();
+    let mut added: Vec<String> = Vec::new();
+    for name in after {
+        match left.iter().position(|n| *n == name) {
+            Some(i) => {
+                left.swap_remove(i);
+            }
+            None if name.starts_with("bargain") || *name == me => added.push(name.clone()),
+            None => {}
+        }
+    }
+    added.sort();
+    added
 }
 
-#[test]
-fn reads_cross_no_load_balancer_thread_and_never_run_on_the_pool() {
-    let _alone = alone();
-    let workload = MicroBenchmark::small(0.0);
-    let setup_workload = workload.clone();
-    let cluster = Cluster::start_with_setup(
+fn micro_cluster(update_ratio: f64) -> Cluster {
+    let workload = MicroBenchmark::small(update_ratio);
+    Cluster::start_with_setup(
         ClusterConfig {
             replicas: 3,
             mode: ConsistencyMode::LazyFine,
             ..ClusterConfig::default()
         },
-        move |engine| setup_workload.install(engine),
-    );
+        move |engine| workload.install(engine),
+    )
+}
+
+#[test]
+fn net_server_start_adds_one_thread_the_reactor() {
+    let _alone = alone();
+    let cluster = micro_cluster(0.0);
+    let before = threads();
     let server = NetServer::start("127.0.0.1:0", cluster).unwrap();
-    let mut session = RemoteSession::connect(&server.local_addr().to_string()).unwrap();
+    let census = threads();
+    server.stop();
+    assert_eq!(added(&before, &census), ["bargain-net-rea"], "{census:?}");
+}
+
+/// After a session has sent every request there is but `Hello`, `Ping` and
+/// `StopServer` — `OpenSession`, `Prepare`, `Stats`, `Ddl`, `Run`s, and a
+/// bootstrap's `JoinRequest` and `CatchUp` — the process runs the reactor,
+/// the replicas and the client, and nothing else.
+#[test]
+fn every_request_runs_on_the_reactor_or_a_replica_thread() {
+    let _alone = alone();
+    let before = threads();
+    let server = NetServer::start("127.0.0.1:0", micro_cluster(0.0)).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut session = RemoteSession::connect(&addr).unwrap();
     let read = session
         .prepare("get", &["SELECT val FROM bench0 WHERE pk = ?"])
         .unwrap();
-    session.run(read, vec![vec![Value::Int(1)]]).unwrap();
-
-    let before = threads();
-    let named = |prefix: &str| before.iter().filter(|(n, _)| n.starts_with(prefix)).count();
-    // The kernel cuts names to 15 bytes.
-    assert_eq!(named("bargain-lb"), 0, "{before:?}");
-    assert_eq!(named("bargain-net-rea"), 1, "{before:?}");
-    assert_eq!(named("bargain-net-wor"), 2, "{before:?}");
-    assert_eq!(named("bargain-replica"), 3, "{before:?}");
-    assert_eq!(named("bargain-certifi"), 0, "{before:?}");
-
+    session.stats().unwrap();
+    session
+        .execute_ddl("CREATE TABLE extra (id INT PRIMARY KEY, v INT)")
+        .unwrap();
     for key in 0..500 {
         let (outcome, _) = session
             .run(read, vec![vec![Value::Int(key % 50 + 1)]])
             .unwrap();
         assert!(outcome.committed);
     }
-    let pool_ns = pool_cpu_ns(&threads()) - pool_cpu_ns(&before);
-    assert!(
-        pool_ns < 1_000_000,
-        "500 reads put {pool_ns} ns of CPU on the admin pool"
-    );
+    let booted = bootstrap_engine(&[addr], &BootstrapConfig::default()).unwrap();
+    assert!(booted.engine.catalog().resolve("extra").is_ok());
+
+    let census = threads();
     drop(session);
     server.stop();
+    let expected = [
+        "bargain-net-rea",
+        "bargain-replica",
+        "bargain-replica",
+        "bargain-replica",
+    ];
+    assert_eq!(added(&before, &census), expected, "{census:?}");
 }
 
 /// Behind a certifier service the link's writer and reader are the
@@ -130,14 +160,15 @@ fn the_split_deployment_certifies_on_the_link_threads_alone() {
 
     let census = threads();
     // Stopped before anything is asserted, so a failed census leaves no
-    // thread behind to fail the other test too.
+    // thread behind to fail the other tests too.
     drop(session);
     server.stop();
     certifier.stop();
-    let named = |prefix: &str| census.iter().filter(|(n, _)| n.starts_with(prefix)).count();
+    let named = |prefix: &str| census.iter().filter(|n| n.starts_with(prefix)).count();
     assert_eq!(named("bargain-certlin"), 2, "{census:?}");
     assert_eq!(named("bargain-certdis"), 0, "{census:?}");
     // The service's loop; no certifier thread runs in the cluster.
     assert_eq!(named("bargain-certifi"), 1, "{census:?}");
     assert_eq!(named("bargain-replica"), 3, "{census:?}");
+    assert_eq!(named("bargain-net-wor"), 0, "{census:?}");
 }

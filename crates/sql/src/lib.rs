@@ -33,5 +33,5 @@ pub mod token;
 
 pub use ast::{AggregateFunc, BinaryOp, Expr, OrderDirection, SelectCols, Statement};
 pub use exec::{execute, execute_ddl, QueryResult};
-pub use parser::parse;
+pub use parser::{parse, MAX_EXPR_DEPTH, MAX_SQL_BYTES};
 pub use prepared::{PreparedStatement, TableSetExtractor, TransactionTemplate};

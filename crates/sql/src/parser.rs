@@ -5,13 +5,35 @@ use crate::token::{tokenize, Token};
 use bargain_common::{Error, Result, Value};
 use bargain_storage::ColumnType;
 
+/// The longest SQL text [`parse`] accepts for one statement, and
+/// [`crate::TransactionTemplate::new`] for all of a template's statements
+/// together, in bytes. Templates run to a few hundred bytes; the bound keeps
+/// what a client can make the server parse in one request short.
+pub const MAX_SQL_BYTES: usize = 64 * 1024;
+
+/// The deepest expression tree [`parse`] builds, and the deepest it nests
+/// parentheses and unary minus while building one. The parser, the
+/// executor and `Drop` all recurse over the tree, on threads whose stack is
+/// a few MiB; the expressions of real templates are a handful of levels
+/// deep (an `IN` list of n items is n + 1).
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parses a single SQL statement (an optional trailing `;` is allowed).
+/// Text longer than [`MAX_SQL_BYTES`] and expressions deeper than
+/// [`MAX_EXPR_DEPTH`] are refused with [`Error::SqlParse`].
 pub fn parse(sql: &str) -> Result<Statement> {
+    if sql.len() > MAX_SQL_BYTES {
+        return Err(Error::SqlParse(format!(
+            "statement of {} bytes; the limit is {MAX_SQL_BYTES}",
+            sql.len()
+        )));
+    }
     let tokens = tokenize(sql)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         params_seen: 0,
+        nesting: 0,
     };
     let stmt = p.statement()?;
     p.eat_optional(&Token::Semicolon);
@@ -28,6 +50,31 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     params_seen: usize,
+    /// Parentheses and unary minus open around the current token.
+    nesting: usize,
+}
+
+/// An expression and the depth of its tree (a leaf is 1).
+type Sub = (Expr, usize);
+
+fn too_deep() -> Error {
+    Error::SqlParse(format!(
+        "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+    ))
+}
+
+/// `lhs op rhs`, refused past [`MAX_EXPR_DEPTH`].
+fn binary(op: BinaryOp, (lhs, l): Sub, (rhs, r): Sub) -> Result<Sub> {
+    let depth = 1 + l.max(r);
+    if depth > MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    let expr = Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    };
+    Ok((expr, depth))
 }
 
 impl Parser {
@@ -338,82 +385,34 @@ impl Parser {
     //   add_expr  := term ((+|-) term)*
     //   term      := literal | column | ? | ( or_expr ) | - term
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
+    fn or_expr(&mut self) -> Result<Sub> {
         let mut lhs = self.and_expr()?;
         while self.eat_keyword("or") {
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinaryOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
+    fn and_expr(&mut self) -> Result<Sub> {
         let mut lhs = self.cmp_expr()?;
         while self.eat_keyword("and") {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinaryOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
+    fn cmp_expr(&mut self) -> Result<Sub> {
         let lhs = self.add_expr()?;
-        // `x BETWEEN a AND b` desugars to `x >= a AND x <= b`;
-        // `x IN (a, b, c)` desugars to an OR chain of equalities. Both keep
-        // the executor simple and let the index planner see plain ranges.
         if self.eat_keyword("between") {
-            let lo = self.add_expr()?;
-            self.keyword("and")?;
-            let hi = self.add_expr()?;
-            return Ok(Expr::Binary {
-                op: BinaryOp::And,
-                lhs: Box::new(Expr::Binary {
-                    op: BinaryOp::Ge,
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(lo),
-                }),
-                rhs: Box::new(Expr::Binary {
-                    op: BinaryOp::Le,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(hi),
-                }),
-            });
+            return self.between(lhs);
         }
         if self.eat_keyword("in") {
-            self.expect(&Token::LParen)?;
-            let mut alternatives = vec![self.expr()?];
-            while self.eat_optional(&Token::Comma) {
-                alternatives.push(self.expr()?);
-            }
-            self.expect(&Token::RParen)?;
-            let mut out: Option<Expr> = None;
-            for alt in alternatives {
-                let eq = Expr::Binary {
-                    op: BinaryOp::Eq,
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(alt),
-                };
-                out = Some(match out {
-                    None => eq,
-                    Some(prev) => Expr::Binary {
-                        op: BinaryOp::Or,
-                        lhs: Box::new(prev),
-                        rhs: Box::new(eq),
-                    },
-                });
-            }
-            return Ok(out.expect("at least one IN alternative"));
+            return self.in_list(lhs);
         }
         let op = match self.peek() {
             Some(Token::Eq) => BinaryOp::Eq,
@@ -426,14 +425,43 @@ impl Parser {
         };
         self.pos += 1;
         let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        binary(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
+    // `x BETWEEN a AND b` desugars to `x >= a AND x <= b`; `x IN (a, b, c)`
+    // desugars to an OR chain of equalities. Both keep the executor simple
+    // and let the index planner see plain ranges. They are functions of
+    // their own so that `cmp_expr`'s frame, which every nesting level of
+    // an expression pays for, stays small.
+
+    fn between(&mut self, lhs: Sub) -> Result<Sub> {
+        let lo = self.add_expr()?;
+        self.keyword("and")?;
+        let hi = self.add_expr()?;
+        let ge = binary(BinaryOp::Ge, lhs.clone(), lo)?;
+        let le = binary(BinaryOp::Le, lhs, hi)?;
+        binary(BinaryOp::And, ge, le)
+    }
+
+    fn in_list(&mut self, lhs: Sub) -> Result<Sub> {
+        self.expect(&Token::LParen)?;
+        let mut alternatives = vec![self.or_expr()?];
+        while self.eat_optional(&Token::Comma) {
+            alternatives.push(self.or_expr()?);
+        }
+        self.expect(&Token::RParen)?;
+        let mut out: Option<Sub> = None;
+        for alt in alternatives {
+            let eq = binary(BinaryOp::Eq, lhs.clone(), alt)?;
+            out = Some(match out {
+                None => eq,
+                Some(prev) => binary(BinaryOp::Or, prev, eq)?,
+            });
+        }
+        Ok(out.expect("at least one IN alternative"))
+    }
+
+    fn add_expr(&mut self) -> Result<Sub> {
         let mut lhs = self.term()?;
         loop {
             let op = match self.peek() {
@@ -443,51 +471,64 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.term()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(op, lhs, rhs)?;
         }
     }
 
-    fn term(&mut self) -> Result<Expr> {
-        match self.next()? {
-            Token::Int(i) => Ok(Expr::Lit(Value::Int(i))),
-            Token::Float(f) => Ok(Expr::Lit(Value::Float(f))),
-            Token::Str(s) => Ok(Expr::Lit(Value::Text(s))),
+    fn term(&mut self) -> Result<Sub> {
+        let leaf = match self.next()? {
+            Token::Int(i) => Expr::Lit(Value::Int(i)),
+            Token::Float(f) => Expr::Lit(Value::Float(f)),
+            Token::Str(s) => Expr::Lit(Value::Text(s)),
             Token::Param => {
                 let idx = self.params_seen;
                 self.params_seen += 1;
-                Ok(Expr::Param(idx))
+                Expr::Param(idx)
             }
             Token::Minus => {
-                // Unary minus on a numeric term.
-                match self.term()? {
-                    Expr::Lit(Value::Int(i)) => Ok(Expr::Lit(Value::Int(-i))),
-                    Expr::Lit(Value::Float(f)) => Ok(Expr::Lit(Value::Float(-f))),
-                    e => Ok(Expr::Binary {
-                        op: BinaryOp::Sub,
-                        lhs: Box::new(Expr::Lit(Value::Int(0))),
-                        rhs: Box::new(e),
-                    }),
-                }
+                self.enter()?;
+                let e = self.term();
+                self.nesting -= 1;
+                return negate(e?);
             }
             Token::LParen => {
-                let e = self.or_expr()?;
+                self.enter()?;
+                let e = self.or_expr();
+                self.nesting -= 1;
+                let e = e?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Token::Ident(name) => {
-                if name == "null" {
-                    Ok(Expr::Lit(Value::Null))
-                } else {
-                    Ok(Expr::Column(name))
-                }
-            }
-            other => Err(Error::SqlParse(format!("unexpected token {other}"))),
-        }
+            Token::Ident(name) if name == "null" => Expr::Lit(Value::Null),
+            Token::Ident(name) => Expr::Column(name),
+            other => return Err(unexpected(&other)),
+        };
+        Ok((leaf, 1))
     }
+
+    /// Goes one level further in, refused past [`MAX_EXPR_DEPTH`]: a
+    /// nesting builds no deeper tree, yet the parser recurses for it. The
+    /// caller steps back out.
+    fn enter(&mut self) -> Result<()> {
+        if self.nesting >= MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.nesting += 1;
+        Ok(())
+    }
+}
+
+/// Unary minus on a term: folded into a numeric literal, else `0 - e`.
+fn negate(e: Sub) -> Result<Sub> {
+    match e {
+        (Expr::Lit(Value::Int(i)), d) => Ok((Expr::Lit(Value::Int(-i)), d)),
+        (Expr::Lit(Value::Float(f)), d) => Ok((Expr::Lit(Value::Float(-f)), d)),
+        e => binary(BinaryOp::Sub, (Expr::Lit(Value::Int(0)), 1), e),
+    }
+}
+
+fn unexpected(token: &Token) -> Error {
+    Error::SqlParse(format!("unexpected token {token}"))
 }
 
 #[cfg(test)]
@@ -656,6 +697,59 @@ mod tests {
         assert!(parse("SELECT * FROM t extra junk").is_err());
         assert!(parse("CREATE TABLE t (id INT)").is_err()); // no pk
         assert!(parse("SELECT * FROM t LIMIT -1").is_err());
+    }
+
+    /// Runs `f` on a thread with 2 MiB of stack, the default for spawned
+    /// threads: an unbounded recursion aborts the process there.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn refused(sql: &str, why: &str) {
+        match parse(sql) {
+            Err(Error::SqlParse(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected a parse error about {why}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nested_parentheses_and_minus_are_bounded() {
+        on_small_stack(|| {
+            let nested =
+                |n: usize| format!("SELECT * FROM t WHERE {}1{}", "(".repeat(n), ")".repeat(n));
+            assert!(parse(&nested(MAX_EXPR_DEPTH)).is_ok());
+            refused(&nested(MAX_EXPR_DEPTH + 1), "deeper");
+            refused(&nested(10_000), "deeper");
+            // 200 kB: past the text bound before anything is parsed.
+            refused(&nested(100_000), "bytes");
+            let minus = |n: usize| format!("SELECT * FROM t WHERE a = {}1", "-".repeat(n));
+            assert!(parse(&minus(MAX_EXPR_DEPTH)).is_ok());
+            refused(&minus(MAX_EXPR_DEPTH + 1), "deeper");
+        });
+    }
+
+    #[test]
+    fn long_operator_chains_are_bounded() {
+        on_small_stack(|| {
+            // `a + 1 + … + 1` with n additions is a left-deep tree n + 1
+            // deep, which the parser builds in a loop and `Drop` recurses.
+            let chain = |n: usize| format!("SELECT * FROM t WHERE a{}", " + 1".repeat(n));
+            assert!(parse(&chain(MAX_EXPR_DEPTH - 1)).is_ok());
+            refused(&chain(MAX_EXPR_DEPTH), "deeper");
+            refused(&chain(16_000), "deeper");
+            // 800 kB: past the text bound.
+            refused(&chain(200_000), "bytes");
+            let ors = |n: usize| format!("SELECT * FROM t WHERE a = 1{}", " OR a = 1".repeat(n));
+            refused(&ors(MAX_EXPR_DEPTH), "deeper");
+            let list = |n: usize| format!("SELECT * FROM t WHERE a IN (1{})", ", 1".repeat(n));
+            assert!(parse(&list(3)).is_ok());
+            refused(&list(MAX_EXPR_DEPTH), "deeper");
+        });
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use crate::ast::Statement;
 use crate::exec::{execute, QueryResult};
-use crate::parser::parse;
-use bargain_common::{Result, TableSet, TemplateId, Value};
+use crate::parser::{parse, MAX_SQL_BYTES};
+use bargain_common::{Error, Result, TableSet, TemplateId, Value};
 use bargain_storage::{Catalog, Engine, TxnHandle};
 
 /// A parsed, reusable statement.
@@ -105,8 +105,15 @@ pub struct TransactionTemplate {
 }
 
 impl TransactionTemplate {
-    /// Builds a template by preparing each SQL string.
+    /// Builds a template by preparing each SQL string. More than
+    /// [`MAX_SQL_BYTES`] of SQL in all is refused with [`Error::SqlParse`].
     pub fn new(id: TemplateId, name: &str, sqls: &[&str]) -> Result<Self> {
+        let bytes: usize = sqls.iter().map(|s| s.len()).sum();
+        if bytes > MAX_SQL_BYTES {
+            return Err(Error::SqlParse(format!(
+                "template of {bytes} bytes of SQL; the limit is {MAX_SQL_BYTES}"
+            )));
+        }
         let statements = sqls
             .iter()
             .map(|s| PreparedStatement::prepare(s))
@@ -210,5 +217,18 @@ mod tests {
     #[test]
     fn bad_sql_fails_at_prepare_time() {
         assert!(TransactionTemplate::new(TemplateId(4), "bad", &["SELEKT"]).is_err());
+    }
+
+    #[test]
+    fn a_template_is_bounded_by_its_text_in_all() {
+        // Each statement is under the bound; all of them together are not.
+        let one = format!("SELECT * FROM a WHERE id = 1{}", " + 1".repeat(100));
+        let many = vec![one.as_str(); 1 + MAX_SQL_BYTES / one.len()];
+        assert!(TransactionTemplate::new(TemplateId(5), "ok", &many[1..]).is_ok());
+        let Err(Error::SqlParse(why)) = TransactionTemplate::new(TemplateId(5), "big", &many)
+        else {
+            panic!("a template past the bound must be refused");
+        };
+        assert!(why.contains("bytes"), "{why}");
     }
 }
