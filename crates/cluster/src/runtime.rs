@@ -266,9 +266,10 @@ impl Drop for SnapshotSink {
     }
 }
 
-/// A message to the certification service (replica → certifier). Public so that alternative certifier transports — notably
-/// `bargain-net`'s TCP link to a certifier running in another process — can
-/// consume the cluster's certification traffic.
+/// A message to the certification service (replica → certifier). Public so
+/// that alternative certifier transports — notably `bargain-net`'s TCP link
+/// to a certifier running in another process — can consume the cluster's
+/// certification traffic.
 pub enum CertifierRequest {
     /// Certify an update transaction's writeset.
     Certify(CertifyRequest),
@@ -423,8 +424,7 @@ pub struct Cluster {
     catalog_engine: Arc<Mutex<Engine>>,
     next_client: Arc<AtomicU64>,
     next_template: Arc<AtomicU32>,
-    /// Live replica count (joins increment, decommissions decrement);
-    /// drives the DDL ack fan-in.
+    /// Live replica count (joins increment, decommissions decrement).
     replicas: AtomicUsize,
     mode: ConsistencyMode,
     /// The in-process certifier; `None` behind a certifier link, whose
@@ -721,9 +721,12 @@ impl Cluster {
     ) {
         let done = SnapshotSink(Some(Box::new(done)));
         let donor = self.front.door.lock().lb.least_loaded_up();
-        if let Some(donor) = donor {
-            self.front
-                .send(donor, ToReplica::ExportSnapshot { chunk_bytes, done });
+        // Sent outside the registry's lock: a donor whose thread is gone
+        // hands the request back, and `done` refuses from `Drop`.
+        let queue =
+            donor.and_then(|donor| self.front.replica_txs.lock().get(donor.index()).cloned());
+        if let Some(queue) = queue {
+            let _ = queue.send(ToReplica::ExportSnapshot { chunk_bytes, done });
         }
     }
 
@@ -1090,15 +1093,15 @@ impl Replica {
 /// Where replicas hand certification requests, each on its own thread (see
 /// the module docs).
 trait CertifierPort: Send + Sync {
-    /// Hands over one request; `false` if nothing serves the port any more.
-    fn request(&self, request: CertifierRequest) -> bool;
+    /// Hands over one request. A port nothing serves any more drops it.
+    fn request(&self, request: CertifierRequest);
 }
 
 /// A [`CertifierLink`]'s port: its request channel, served on the link's
 /// thread.
 impl CertifierPort for Sender<CertifierRequest> {
-    fn request(&self, request: CertifierRequest) -> bool {
-        self.send(request).is_ok()
+    fn request(&self, request: CertifierRequest) {
+        let _ = self.send(request);
     }
 }
 
@@ -1143,9 +1146,11 @@ impl LocalCertifier {
         drop(self.step(None));
     }
 
-    /// Adds `replica` to the refresh fan-out and returns the certified
-    /// records above `after`. They are read under the step's lock, so they
-    /// cover every commit the joiner is not sent as a refresh.
+    /// Adds `replica` to the refresh fan-out — crediting it, under Eager,
+    /// for every pending commit at or below `after`, which its snapshot
+    /// holds — and returns the certified records above `after`. They are
+    /// read under the step's lock, so they cover every commit the joiner is
+    /// not sent as a refresh; the proxy deduplicates the overlap.
     fn join(&self, replica: ReplicaId, after: Version) -> Result<Vec<LogRecord>> {
         self.step(Some(Input::Join { replica, after }))
             .certified_since(after)
@@ -1169,7 +1174,7 @@ impl LocalCertifier {
 }
 
 impl CertifierPort for LocalCertifier {
-    fn request(&self, request: CertifierRequest) -> bool {
+    fn request(&self, request: CertifierRequest) {
         match request {
             CertifierRequest::Certify(req) => self.push(Input::Certify(req)),
             CertifierRequest::Applied { replica, version } => {
@@ -1181,6 +1186,5 @@ impl CertifierPort for LocalCertifier {
             // shutdown has nothing left to flush.
             CertifierRequest::SweepAck { .. } | CertifierRequest::Shutdown => {}
         }
-        true
     }
 }

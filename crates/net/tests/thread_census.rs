@@ -14,6 +14,7 @@ use bargain_net::{
 };
 use bargain_workloads::{MicroBenchmark, Workload};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Held for a whole census: every thread a test starts is joined before it
 /// lets go.
@@ -24,31 +25,40 @@ fn alone() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The name of every thread of this process (the kernel cuts names to 15
-/// bytes).
+/// This thread's name as the kernel keeps it: cut to 15 bytes.
+fn my_name() -> String {
+    let name = std::thread::current().name().unwrap_or_default().to_owned();
+    name.chars().take(15).collect()
+}
+
+/// The name of every thread of this process, once every thread this one
+/// spawned has named itself: a new thread carries its spawner's name until
+/// it sets its own. One still carrying this thread's name after 5 s is
+/// unnamed, and stays in the census under that name.
 fn threads() -> Vec<String> {
-    let mut out = Vec::new();
-    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
-        let dir = task.expect("task entry").path();
-        // A thread may exit between the listing and the read.
-        if let Ok(comm) = std::fs::read_to_string(dir.join("comm")) {
-            out.push(comm.trim_end().to_owned());
+    let me = my_name();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let mut names = Vec::new();
+        for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+            let dir = task.expect("task entry").path();
+            // A thread may exit between the listing and the read.
+            if let Ok(comm) = std::fs::read_to_string(dir.join("comm")) {
+                names.push(comm.trim_end().to_owned());
+            }
         }
+        if names.iter().filter(|n| **n == me).count() <= 1 || Instant::now() > deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
-    out
 }
 
 /// The threads this test and what it runs started between two censuses,
-/// sorted by name: the `bargain-*` ones, and unnamed ones, which carry the
-/// name of the thread that spawned them — this one. The harness's threads
-/// for the other tests are neither.
+/// sorted by name: the `bargain-*` ones, and unnamed ones, which carry this
+/// thread's name. The harness's threads for the other tests are neither.
 fn added(before: &[String], after: &[String]) -> Vec<String> {
-    let me: String = std::thread::current()
-        .name()
-        .unwrap_or_default()
-        .chars()
-        .take(15)
-        .collect();
+    let me = my_name();
     let mut left: Vec<&String> = before.iter().collect();
     let mut added: Vec<String> = Vec::new();
     for name in after {

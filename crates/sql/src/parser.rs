@@ -7,9 +7,10 @@ use bargain_storage::ColumnType;
 
 /// The longest SQL text [`parse`] accepts for one statement, and
 /// [`crate::TransactionTemplate::new`] for all of a template's statements
-/// together, in bytes. Templates run to a few hundred bytes; the bound keeps
-/// what a client can make the server parse in one request short.
-pub const MAX_SQL_BYTES: usize = 64 * 1024;
+/// together, in bytes. The longest statement of the shipped workloads is
+/// 208 bytes; the bound keeps what a client can make the server parse in
+/// one request to a fraction of a millisecond.
+pub const MAX_SQL_BYTES: usize = 16 * 1024;
 
 /// The deepest expression tree [`parse`] builds, and the deepest it nests
 /// parentheses and unary minus while building one. The parser, the
@@ -724,7 +725,7 @@ mod tests {
                 |n: usize| format!("SELECT * FROM t WHERE {}1{}", "(".repeat(n), ")".repeat(n));
             assert!(parse(&nested(MAX_EXPR_DEPTH)).is_ok());
             refused(&nested(MAX_EXPR_DEPTH + 1), "deeper");
-            refused(&nested(10_000), "deeper");
+            refused(&nested(5_000), "deeper");
             // 200 kB: past the text bound before anything is parsed.
             refused(&nested(100_000), "bytes");
             let minus = |n: usize| format!("SELECT * FROM t WHERE a = {}1", "-".repeat(n));
@@ -741,7 +742,7 @@ mod tests {
             let chain = |n: usize| format!("SELECT * FROM t WHERE a{}", " + 1".repeat(n));
             assert!(parse(&chain(MAX_EXPR_DEPTH - 1)).is_ok());
             refused(&chain(MAX_EXPR_DEPTH), "deeper");
-            refused(&chain(16_000), "deeper");
+            refused(&chain(3_000), "deeper");
             // 800 kB: past the text bound.
             refused(&chain(200_000), "bytes");
             let ors = |n: usize| format!("SELECT * FROM t WHERE a = 1{}", " OR a = 1".repeat(n));
