@@ -14,8 +14,8 @@ use bargain_net::bootstrap::catch_up;
 use bargain_net::codec::CATCH_UP_RECORDS;
 use bargain_net::frame::encode_frame;
 use bargain_net::{
-    CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, NetServer,
-    RemoteCertifierLink, RemoteSession,
+    CertifierLinkConfig, CertifierServer, CertifierServerConfig, ChaosProxy, ConnectPolicy,
+    Connection, Message, NetFaultKind, NetFaultPlan, NetServer, RemoteCertifierLink, RemoteSession,
 };
 use bargain_workloads::{ClientContext, MicroBenchmark, RemoteDriver, TxnDriver, Workload};
 mod common;
@@ -1004,4 +1004,139 @@ fn half_closed_connection_gets_every_reply_it_is_owed() {
     assert_eq!(commits_after - commits_before.unwrap(), ROUNDS + reads);
     drop(conn);
     server.stop();
+}
+
+/// Waits up to `within` for the cluster's view of its certifier to read
+/// `up`, and returns how long that took.
+fn await_certifier_up(cluster: &Cluster, up: bool, within: Duration) -> Duration {
+    let started = Instant::now();
+    while cluster.stats().unwrap().certifier_up != up {
+        assert!(
+            started.elapsed() < within,
+            "certifier_up never read {up} within {within:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    started.elapsed()
+}
+
+/// The link's failure detector, held at both ends: a link with nothing to
+/// send must keep itself alive on heartbeats alone, and a certifier that
+/// hangs (every chunk held a full second, so no frame arrives in time)
+/// must be declared down in bounded time, come back once it answers again,
+/// and lose no exactly-once guarantee on the way. A partitioned link must
+/// not hold up the cluster's drain.
+#[test]
+fn an_idle_split_link_stays_up_and_a_hung_certifier_is_declared_down() {
+    const BURST_AT_MS: u64 = 2_000;
+    const BURST_MS: u64 = 1_500;
+    let link_config = CertifierLinkConfig {
+        heartbeat_interval: Duration::from_millis(80),
+        heartbeat_timeout: Duration::from_millis(400),
+        reconnect_pause: Duration::from_millis(50),
+    };
+    let certifier = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default())
+        .expect("certifier binds");
+    let start = |plan: NetFaultPlan| {
+        let proxy = ChaosProxy::start(&certifier.local_addr().to_string(), plan).unwrap();
+        let link = RemoteCertifierLink::connect_with_config(
+            &proxy.local_addr().to_string(),
+            &ConnectPolicy::default(),
+            link_config.clone(),
+        )
+        .expect("link connects");
+        let workload = MicroBenchmark::small(0.5);
+        let cluster = Cluster::start_with_certifier_link(
+            ClusterConfig {
+                replicas: 3,
+                mode: ConsistencyMode::LazyFine,
+                ..ClusterConfig::default()
+            },
+            move |engine| workload.install(engine),
+            Box::new(link),
+        );
+        (proxy, cluster)
+    };
+    let hung = NetFaultPlan::none().with(
+        BURST_AT_MS,
+        NetFaultKind::LatencyBurst {
+            extra_us: 1_000_000,
+            duration_ms: BURST_MS,
+        },
+    );
+    let began = Instant::now();
+    let (proxy, cluster) = start(hung);
+    let mut session = cluster.connect();
+    let increment = "UPDATE bench0 SET val = val + 1 WHERE pk = ?";
+    let read = |session: &mut Session| {
+        let (_, results) = session
+            .run_sql(&[("SELECT val FROM bench0 WHERE pk = ?", vec![Value::Int(4)])])
+            .unwrap();
+        match results[0].rows().unwrap()[0][0] {
+            Value::Int(val) => val,
+            ref other => panic!("val is an INT, read {other:?}"),
+        }
+    };
+
+    // Idle: heartbeats alone keep the link up.
+    std::thread::sleep(Duration::from_millis(1_500));
+    assert_eq!(
+        cluster.stats().unwrap().certifier_downs,
+        0,
+        "an idle link flapped"
+    );
+    let (outcome, _) = session
+        .run_sql(&[(increment, vec![Value::Int(4)])])
+        .unwrap();
+    assert!(outcome.committed, "{:?}", outcome.abort_reason);
+    let before = read(&mut session);
+
+    // Hung: declared down within a second of the burst's start.
+    let burst = Duration::from_millis(BURST_AT_MS);
+    std::thread::sleep(burst.saturating_sub(began.elapsed()));
+    let down_after = await_certifier_up(&cluster, false, Duration::from_secs(1));
+    assert!(down_after < Duration::from_secs(1), "{down_after:?}");
+
+    // Back once the certifier answers again; a keyed increment retried
+    // across whatever is left of the outage applies once.
+    let healed = Duration::from_millis(BURST_AT_MS + BURST_MS);
+    std::thread::sleep(healed.saturating_sub(began.elapsed()));
+    await_certifier_up(&cluster, true, Duration::from_secs(5));
+    let (template, tables) = cluster.prepare_template("incr", &[increment]).unwrap();
+    let key = IdemKey {
+        client: 0xB0B,
+        seq: 1,
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut keyed = || loop {
+        let params = vec![vec![Value::Int(4)]];
+        match session.run_prepared_keyed(&template, tables.clone(), params, Some(key)) {
+            Ok((outcome, _)) => break outcome.commit_version,
+            Err(e) if e.is_retryable() && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("the keyed increment failed: {e}"),
+        }
+    };
+    let first = keyed();
+    assert!(first.is_some());
+    assert_eq!(keyed(), first, "a replayed key reports its first commit");
+    let after = read(&mut session);
+    assert_eq!(after, before + 1, "the keyed increment applied once");
+    cluster.shutdown();
+    proxy.stop();
+
+    // Partitioned: the drain does not wait for the link.
+    let partition = NetFaultPlan::none().with(300, NetFaultKind::Partition { duration_ms: 5_000 });
+    let (proxy, cluster) = start(partition);
+    await_certifier_up(&cluster, false, Duration::from_secs(2));
+    let draining = Instant::now();
+    cluster.drain();
+    assert!(
+        draining.elapsed() < Duration::from_secs(2),
+        "the drain took {:?}",
+        draining.elapsed()
+    );
+    proxy.stop();
+    certifier.stop();
 }
