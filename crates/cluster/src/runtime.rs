@@ -17,7 +17,8 @@
 //! threads only move messages and execute statements.
 //!
 //! Certification has one request path: the replicas hand every
-//! [`CertifierRequest`] to one port, on their own thread. The in-process
+//! [`CertifierRequest`] to one port, on their own thread, and the port
+//! does with it what it does on that thread. The in-process
 //! certifier *is* that port: a pending list in front of
 //! `Mutex<Certifier>`. A request is pushed onto the list; then the thread
 //! takes the certifier lock (blocking), steps over everything pending
@@ -33,13 +34,14 @@
 //! replica registry; nothing takes the certifier lock while it holds the
 //! front door or the registry.
 //!
-//! A [`CertifierLink`] — `bargain-net`'s TCP link, a test's fake — sits
-//! behind the same port: the port is the sending end of the link's request
-//! channel, which the link serves on its own `bargain-certlink` thread,
-//! handing what the service sends to [`CertifierDeliveries`] from whichever
-//! of its threads received it. Membership and history then belong to the
-//! remote service, and the handle refuses joins, decommissions and history
-//! reads.
+//! A [`CertifierLink`] — `bargain-net`'s TCP link, a test's fake — is the
+//! same kind of port: [`CertifierLink::request`] runs on the replica thread
+//! that asks (the TCP link writes the request's frame there, under its
+//! lock), and the link's one thread, `bargain-certlink`, runs
+//! [`CertifierLink::serve`], handing what the service sends to
+//! [`CertifierDeliveries`]. No channel lies between a replica and a link.
+//! Membership and history then belong to the remote service, and the
+//! handle refuses joins, decommissions and history reads.
 
 use crate::front::{Front, FrontDoor};
 use crate::session::Session;
@@ -281,12 +283,13 @@ pub enum CertifierRequest {
         /// The version it has applied.
         version: Version,
     },
-    /// A replica acknowledges the link-loss sweep of the given epoch. The
-    /// request channel is FIFO per replica, so every certify request the
-    /// replica enqueued *before* this marker belonged to a transaction the
-    /// sweep aborted: the link discards those instead of replaying them
-    /// after reconnecting (replaying one could commit writes whose origin
-    /// copy is gone, leaving a version gap at the origin replica).
+    /// A replica acknowledges the link-loss sweep of the given epoch. A
+    /// replica hands its requests over in program order, so every certify
+    /// request it handed over *before* this marker belonged to a
+    /// transaction the sweep aborted: the link discards those instead of
+    /// replaying them after reconnecting (replaying one could commit writes
+    /// whose origin copy is gone, leaving a version gap at the origin
+    /// replica).
     SweepAck {
         /// The acknowledging replica.
         replica: ReplicaId,
@@ -333,21 +336,22 @@ pub enum CertifierDelivery {
 /// `bargain-net` provides a TCP implementation, so the certifier can run
 /// outside the cluster's process (the paper's deployment: middleware
 /// components on separate machines); tests can provide in-process fakes.
-pub trait CertifierLink: Send {
+pub trait CertifierLink: Send + Sync {
     /// Fetches the service's durable commit history once, before the
     /// replica threads start: the cluster replays it to fast-forward every
     /// replica engine from its `setup` checkpoint.
     fn history(&mut self) -> Result<Vec<LogRecord>>;
 
-    /// Serves certification traffic until [`CertifierRequest::Shutdown`]
-    /// arrives or the request channel disconnects, handing what the service
-    /// sends to `deliveries` from whichever of the link's threads received
-    /// it. Runs on the link's own thread, `bargain-certlink`.
-    fn serve(
-        self: Box<Self>,
-        requests: Receiver<CertifierRequest>,
-        deliveries: CertifierDeliveries,
-    );
+    /// Hands the service one request, on the thread that asks: a replica
+    /// thread, or for [`CertifierRequest::Shutdown`] the thread that stops
+    /// the cluster. It waits for no answer; answers arrive through
+    /// [`CertifierLink::serve`].
+    fn request(&self, request: CertifierRequest);
+
+    /// Serves what the service sends until [`CertifierRequest::Shutdown`]
+    /// is requested, handing it to `deliveries` in the order it arrives.
+    /// Runs on the link's one thread, `bargain-certlink`.
+    fn serve(&self, deliveries: CertifierDeliveries);
 }
 
 /// Where a [`CertifierLink`] hands what the certification service sends.
@@ -503,24 +507,25 @@ impl Cluster {
         let mut handles = Vec::new();
 
         // The certification service's port: the certifier itself over its
-        // (possibly durable) log, or the request channel of the caller's
-        // link, which serves it on a thread of its own. Its commit history
+        // (possibly durable) log, or the caller's link, which serves what
+        // the service sends on a thread of its own. Its commit history
         // fast-forwards every replica engine from its checkpoint (the
         // `setup` state) to the durable version.
         let (port, local, history): (Arc<dyn CertifierPort>, _, _) = match link {
             Some(mut link) => {
                 let history = link.history().expect("the certifier serves its history");
-                let (port, requests) = unbounded::<CertifierRequest>();
+                let link = Arc::new(link);
+                let serving = Arc::clone(&link);
                 let deliveries = CertifierDeliveries {
                     front: Arc::clone(&front),
                 };
                 handles.push(
                     std::thread::Builder::new()
                         .name("bargain-certlink".into())
-                        .spawn(move || link.serve(requests, deliveries))
+                        .spawn(move || serving.serve(deliveries))
                         .expect("spawn certifier link thread"),
                 );
-                (Arc::new(port), None, history)
+                (link, None, history)
             }
             None => {
                 let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
@@ -1097,11 +1102,10 @@ trait CertifierPort: Send + Sync {
     fn request(&self, request: CertifierRequest);
 }
 
-/// A [`CertifierLink`]'s port: its request channel, served on the link's
-/// thread.
-impl CertifierPort for Sender<CertifierRequest> {
+/// A [`CertifierLink`] is a port as it is.
+impl CertifierPort for Box<dyn CertifierLink> {
     fn request(&self, request: CertifierRequest) {
-        let _ = self.send(request);
+        (**self).request(request);
     }
 }
 

@@ -11,36 +11,47 @@ use bargain_common::{ConsistencyMode, ReplicaId, Result, Value, Version};
 use bargain_core::certifier::Input;
 use bargain_core::{Certifier, LogRecord};
 use bargain_workloads::{MicroBenchmark, Workload};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashSet;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
 
 /// A certification service that goes down right after its first decision.
+/// Its loop runs on the link thread, behind a channel that `request` feeds.
 struct OutageLink {
-    certifier: Certifier,
+    certifier: Mutex<Certifier>,
+    to_loop: Sender<CertifierRequest>,
+    requests: Receiver<CertifierRequest>,
 }
 
 impl OutageLink {
     fn new() -> OutageLink {
         let replicas = (0..REPLICAS as u32).map(ReplicaId).collect();
+        let (to_loop, requests) = unbounded();
         OutageLink {
-            certifier: Certifier::new(replicas),
+            certifier: Mutex::new(Certifier::new(replicas)),
+            to_loop,
+            requests,
         }
     }
 }
 
 impl CertifierLink for OutageLink {
     fn history(&mut self) -> Result<Vec<LogRecord>> {
-        self.certifier.certified_since(Version::ZERO)
+        self.certifier
+            .get_mut()
+            .unwrap()
+            .certified_since(Version::ZERO)
     }
 
-    fn serve(
-        mut self: Box<Self>,
-        requests: Receiver<CertifierRequest>,
-        deliveries: bargain_cluster::CertifierDeliveries,
-    ) {
+    fn request(&self, request: CertifierRequest) {
+        let _ = self.to_loop.send(request);
+    }
+
+    fn serve(&self, deliveries: bargain_cluster::CertifierDeliveries) {
+        let (requests, mut certifier) = (&self.requests, self.certifier.lock().unwrap());
         let mut outage_done = false;
         for request in requests.iter() {
             let input = match request {
@@ -51,7 +62,7 @@ impl CertifierLink for OutageLink {
                 CertifierRequest::Shutdown => return,
                 _ => continue,
             };
-            let step = self.certifier.step([input]).expect("memory log flushes");
+            let step = certifier.step([input]).expect("memory log flushes");
             for (to, delivery) in step.out {
                 let _ = deliveries.send(CertifierDelivery::Deliver { to, delivery });
             }
@@ -72,10 +83,7 @@ impl CertifierLink for OutageLink {
                     Ok(_) => {}
                 }
             }
-            let records = self
-                .certifier
-                .certified_since(Version::ZERO)
-                .expect("in memory");
+            let records = certifier.certified_since(Version::ZERO).expect("in memory");
             let _ = deliveries.send(CertifierDelivery::Resync { records });
             let _ = deliveries.send(CertifierDelivery::Up);
         }

@@ -14,15 +14,15 @@
 //!   it addresses (the TCP link carries what the in-process runtime carries
 //!   on per-replica channels).
 //! - [`Message::Ping`] is answered with [`Message::Pong`]: the link pings
-//!   when its request stream is idle, and a certifier that stops answering
-//!   within the heartbeat deadline is declared down.
+//!   when nothing has arrived for a heartbeat interval, and a certifier
+//!   that stops answering within the heartbeat deadline is declared down.
 //!
-//! The link is *pipelined by construction*: the writer streams certify
-//! traffic without waiting for round trips, and the split reader matches
-//! deliveries by the protocol's own ordering (refreshes before their
-//! decision). Direct request/reply exchanges — history fetches, pings, the
-//! stop ack — additionally carry the v2 frame `request_id` tag, echoed by
-//! the server, so they interleave safely with the push stream.
+//! The link is *pipelined by construction*: the replica threads write
+//! certify traffic without waiting for round trips, and the link's thread
+//! matches deliveries by the protocol's own ordering (refreshes before
+//! their decision). Direct request/reply exchanges — history fetches,
+//! pings, the stop ack — additionally carry the v2 frame `request_id` tag,
+//! echoed by the server, so they interleave safely with the push stream.
 //!
 //! The service side decodes, steps and queues: every certifier decision —
 //! which requests form a group commit, who receives each refresh, when a
@@ -34,54 +34,66 @@
 //!
 //! # Fault tolerance
 //!
-//! The cluster side splits its socket: a writer (the `CertifierLink::serve`
-//! thread) streams requests while a dedicated reader thread drains
-//! deliveries and hands each straight to its replica's queue
-//! ([`CertifierDeliveries`]), so neither direction can block the other and
-//! no third thread forwards. The reader's socket deadline doubles as the
-//! failure detector: if no frame — decision, refresh, or pong — arrives
-//! within `heartbeat_timeout`, the link is declared down in bounded time
-//! even against a peer that is hung rather than dead.
+//! The cluster side is one thread plus a lock. A replica thread that hands
+//! over a request writes its frame itself, with one `write_all` under the
+//! link's lock (or, while the link is down, leaves it there to be sent on
+//! reconnect). The link's one thread, `bargain-certlink`, reads: one
+//! `read` takes whatever burst of deliveries has arrived, a frame decoder
+//! keeps what a read split, and each delivery goes straight to its
+//! replica's queue ([`CertifierDeliveries`]). Its read deadline is the
+//! failure detector: after a heartbeat interval with nothing received it
+//! pings, and if no frame — decision, refresh, or pong — arrives within
+//! `heartbeat_timeout`, the link is declared down in bounded time even
+//! against a peer that is hung rather than dead. A failed write shuts the
+//! socket down, which the reading thread notices.
 //!
-//! On failure the writer joins the reader, then delivers
+//! The link thread never waits for the lock while its socket is live: it
+//! pings only if the lock is free, and it shuts the socket down before it
+//! takes the lock. A replica blocked writing to a peer that is itself
+//! blocked writing deliveries to us would otherwise never be let go.
+//!
+//! On failure the link thread shuts the socket down, bumps the failure
+//! epoch and clears the write side under the lock, then delivers
 //! [`CertifierDelivery::Down`]; the runtime sweeps (aborts) every
 //! certifying transaction and sheds new updates at the load balancer.
-//! Joining first is what puts every decision the reader delivered ahead of
-//! the sweep on its replica's queue. The link then reconnects with backoff,
-//! fetches the commits it may have missed ([`Message::FetchHistory`] with
-//! the last version it saw a decision for), delivers them as
-//! [`CertifierDelivery::Resync`] refreshes and then
-//! [`CertifierDelivery::Up`], both before the next reader starts.
+//! Every decision it read before is already on its replica's queue, ahead
+//! of the sweep: the same thread delivered it. The link then reconnects
+//! with backoff, fetches the commits it may have missed
+//! ([`Message::FetchHistory`] with the last version it saw a decision
+//! for), delivers them as [`CertifierDelivery::Resync`] refreshes and then
+//! [`CertifierDelivery::Up`], and only then sends what was held and
+//! installs the new write side.
 //!
 //! Exactly-once across the outage hinges on one fencing rule: a certify
-//! request enqueued *before* its replica processed the sweep belongs to an
-//! aborted transaction and must never reach the certifier (if it committed,
-//! its origin — which discarded the tentative writes — could never apply
-//! the commit, leaving a version gap). The sweep acknowledgement
-//! (`CertifierRequest::SweepAck`) travels the same FIFO request channel as
-//! the certify traffic, so the link discards every certify request from a
+//! request handed over *before* its replica processed the sweep belongs to
+//! an aborted transaction and must never reach the certifier (if it
+//! committed, its origin — which discarded the tentative writes — could
+//! never apply the commit, leaving a version gap). A replica acknowledges
+//! the sweep (`CertifierRequest::SweepAck`) on the thread that hands over
+//! its certify requests, so the link drops every certify request from a
 //! replica until that replica's acknowledgement of the current failure
-//! epoch arrives, and forwards everything after it.
+//! epoch has arrived, and writes everything after it.
 
 use crate::codec::Message;
 use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
-use crate::frame::{encode_frame, PUSH_ID};
+use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{Error, ReplicaId, Result, Version};
 use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, LogRecord};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use std::collections::{HashMap, VecDeque};
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering::{self, Relaxed};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Construction parameters for a certifier service process.
 #[derive(Debug, Clone)]
@@ -368,12 +380,12 @@ impl Service for CertifierService {
 /// Heartbeat/failure-detection tuning for [`RemoteCertifierLink`].
 #[derive(Debug, Clone)]
 pub struct CertifierLinkConfig {
-    /// Idle gap on the request stream after which the link sends a
+    /// Gap with nothing received after which the link sends a
     /// [`Message::Ping`].
     pub heartbeat_interval: Duration,
-    /// Delivery-stream deadline: if no frame (pong included) arrives within
-    /// this window, the peer is declared down. Must exceed
-    /// `heartbeat_interval` or a healthy idle link flaps.
+    /// Silence deadline: if no frame (pong included) arrives within this
+    /// window, the peer is declared down. Must exceed `heartbeat_interval`
+    /// or a healthy idle link flaps.
     pub heartbeat_timeout: Duration,
     /// Sleep between reconnect rounds once the policy's attempts inside a
     /// round are exhausted.
@@ -398,8 +410,42 @@ pub struct RemoteCertifierLink {
     addr: String,
     policy: ConnectPolicy,
     config: CertifierLinkConfig,
-    conn: Option<Connection>,
-    max_seen: Version,
+    /// The connection `connect*` made and the last version its history
+    /// fetch returned: the link thread starts on it.
+    first: Mutex<Option<(Connection, Version)>>,
+    /// What the replica threads write under; the link thread waits for it
+    /// only once its socket is shut down.
+    state: Mutex<LinkState>,
+}
+
+/// The part of the link that the threads asking and the link thread share.
+#[derive(Default)]
+struct LinkState {
+    /// The live socket's write side; `None` while the link is down.
+    write: Option<TcpStream>,
+    /// Failure epoch: bumped each time the link is declared down.
+    epoch: u64,
+    /// Per-replica sweep acknowledgements (replica -> acked epoch).
+    acked: HashMap<u32, u64>,
+    /// Requests handed over while the link is down, written once it is
+    /// back.
+    held: Vec<Message>,
+    /// A shutdown was requested: the link thread stops.
+    stopped: bool,
+}
+
+/// Writes `msgs` to `stream` in one `write_all`. A failure shuts the
+/// socket down, so the link thread, reading it, declares the link down.
+fn write_or_shut(mut stream: &TcpStream, msgs: &[Message]) {
+    let frames = msgs
+        .iter()
+        .map(|m| encode_frame(m.kind(), PUSH_ID, &m.encode()));
+    let bytes = frames
+        .collect::<Result<Vec<_>>>()
+        .map(|frames| frames.concat());
+    if bytes.map_or(true, |bytes| stream.write_all(&bytes).is_err()) {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 impl RemoteCertifierLink {
@@ -424,8 +470,8 @@ impl RemoteCertifierLink {
             addr: addr.to_owned(),
             policy: policy.clone(),
             config,
-            conn: Some(conn),
-            max_seen: Version::ZERO,
+            first: Mutex::new(Some((conn, Version::ZERO))),
+            state: Mutex::default(),
         })
     }
 
@@ -439,21 +485,12 @@ impl RemoteCertifierLink {
         }
     }
 
-    /// Reconnects with backoff, harvesting queued requests into `buffer` so
-    /// a concurrent [`CertifierRequest::Shutdown`] (e.g. `Cluster::drain`
-    /// while the certifier is away) still tears the link down promptly.
-    /// Returns `None` when a shutdown was harvested.
-    fn reconnect(
-        &self,
-        requests: &Receiver<CertifierRequest>,
-        buffer: &mut VecDeque<CertifierRequest>,
-    ) -> Option<Connection> {
+    /// Reconnects with backoff until a connection is made, or returns
+    /// `None` once a shutdown was requested.
+    fn reconnect(&self) -> Option<Connection> {
         loop {
-            while let Ok(req) = requests.try_recv() {
-                if matches!(req, CertifierRequest::Shutdown) {
-                    return None;
-                }
-                buffer.push_back(req);
+            if self.state.lock().stopped {
+                return None;
             }
             match Connection::connect(self.addr.as_str(), &self.policy) {
                 Ok(conn) => return Some(conn),
@@ -461,113 +498,144 @@ impl RemoteCertifierLink {
             }
         }
     }
-}
 
-/// What processing one request against the writer produced.
-enum Flow {
-    Continue,
-    /// The transport failed mid-send: declare the link down.
-    Down,
-    /// Graceful shutdown was requested.
-    Stop,
-}
-
-/// The most the link's writer gathers before it sends: one read of the
-/// service's loop.
-const MAX_BURST_BYTES: usize = 64 * 1024;
-
-/// Appends `msg`'s frame to the burst the writer sends next.
-fn push_frame(burst: &mut Vec<u8>, msg: &Message) -> Flow {
-    match encode_frame(msg.kind(), PUSH_ID, &msg.encode()) {
-        Ok(frame) => burst.extend_from_slice(&frame),
-        Err(_) => return Flow::Down,
-    }
-    Flow::Continue
-}
-
-/// Forwards one harvested request into `burst`, enforcing the sweep fence:
-/// certify traffic from a replica is dropped until that replica has
-/// acknowledged the current failure epoch (`acked[replica] == epoch`).
-fn forward_request(
-    burst: &mut Vec<u8>,
-    req: CertifierRequest,
-    epoch: u64,
-    acked: &mut HashMap<u32, u64>,
-) -> Flow {
-    match req {
-        CertifierRequest::Certify(r) => {
-            if acked.get(&r.replica.0).copied().unwrap_or(0) != epoch {
-                // Enqueued before the replica processed the sweep: its
-                // transaction was aborted, so certifying it now could
-                // commit writes its origin can no longer apply.
-                return Flow::Continue;
+    /// Reads `stream` and delivers every delivery frame until the link
+    /// fails: end of stream, a read error, a frame that fails to decode or
+    /// is no delivery, or `heartbeat_timeout` with nothing received. One
+    /// read takes whatever burst has arrived; a frame split across reads
+    /// waits in the decoder. Every read deadline (`heartbeat_interval` of
+    /// silence) sends a ping, if the lock is free: its holder may be a
+    /// replica blocked writing to a peer that waits for this thread to
+    /// read.
+    fn read(
+        &self,
+        mut stream: &TcpStream,
+        deliveries: &CertifierDeliveries,
+        max_seen: &mut Version,
+    ) {
+        let mut decoder = FrameDecoder::new();
+        let mut frames = Vec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut heard = Instant::now();
+        loop {
+            let n = match stream.read(&mut buf) {
+                Ok(0) => return,
+                Ok(n) => n,
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    if heard.elapsed() >= self.config.heartbeat_timeout {
+                        return;
+                    }
+                    if let Some(state) = self.state.try_lock() {
+                        if let Some(write) = &state.write {
+                            write_or_shut(write, &[Message::Ping]);
+                        }
+                    }
+                    continue;
+                }
+                Err(_) => return,
+            };
+            heard = Instant::now();
+            if decoder.feed(&buf[..n], &mut frames).is_err() {
+                return;
             }
-            push_frame(burst, &Message::Certify(r))
+            for frame in frames.drain(..) {
+                let (to, delivery) = match Message::decode(frame.kind, &frame.payload) {
+                    Ok(Message::Decision { origin, decision }) => {
+                        if let CertifyDecision::Commit { commit_version, .. } = &decision {
+                            *max_seen = *commit_version;
+                        }
+                        (origin, Delivery::Decision(decision))
+                    }
+                    Ok(Message::RefreshFor { to, refresh }) => (to, Delivery::Refresh(refresh)),
+                    Ok(Message::GlobalCommitFor { origin, txn }) => {
+                        (origin, Delivery::GlobalCommit(txn))
+                    }
+                    // A heartbeat answer: its arrival was the point.
+                    Ok(Message::Pong) => continue,
+                    Ok(_) | Err(_) => return,
+                };
+                deliveries.send(CertifierDelivery::Deliver { to, delivery });
+            }
         }
-        CertifierRequest::Applied { replica, version } => {
-            push_frame(burst, &Message::Applied { replica, version })
-        }
-        CertifierRequest::SweepAck { replica, epoch } => {
-            acked.insert(replica.0, epoch);
-            Flow::Continue
-        }
-        CertifierRequest::Shutdown => Flow::Stop,
     }
 }
 
 impl CertifierLink for RemoteCertifierLink {
     fn history(&mut self) -> Result<Vec<LogRecord>> {
-        let conn = self
-            .conn
+        let (conn, floor) = self
+            .first
+            .get_mut()
             .as_mut()
             .ok_or_else(|| Error::Protocol("certifier link already serving".into()))?;
         let records = Self::fetch_history(conn, Version::ZERO)?;
         // The cluster replays these before the link serves: they are the
         // floor for any post-reconnect resync.
         if let Some(last) = records.last() {
-            self.max_seen = last.commit_version;
+            *floor = last.commit_version;
         }
         Ok(records)
     }
 
-    fn serve(
-        mut self: Box<Self>,
-        requests: Receiver<CertifierRequest>,
-        deliveries: CertifierDeliveries,
-    ) {
-        let mut conn = self.conn.take();
-        // Highest commit version whose decision frame arrived; advanced by
-        // the reader, read by the writer only after the reader has been
-        // joined. Decisions are sent after their commit's refresh fan-out,
-        // so everything at or below this version has been fully delivered.
-        let max_seen = Arc::new(AtomicU64::new(self.max_seen.0));
-        // Failure epoch: bumped each time the link is declared down.
-        let mut epoch: u64 = 0;
-        // Per-replica sweep acknowledgements (replica -> acked epoch).
-        let mut acked: HashMap<u32, u64> = HashMap::new();
-        // Requests harvested while reconnecting, flushed (fence applied)
-        // once the link is back.
-        let mut buffer: VecDeque<CertifierRequest> = VecDeque::new();
+    /// Writes the request's frame under the lock, or holds it while the
+    /// link is down. Certify traffic from a replica is dropped until that
+    /// replica has acknowledged the current failure epoch.
+    fn request(&self, request: CertifierRequest) {
+        let mut state = self.state.lock();
+        let msg = match request {
+            CertifierRequest::Certify(req) => {
+                if state.acked.get(&req.replica.0).copied().unwrap_or(0) != state.epoch {
+                    // Handed over before its replica processed the sweep:
+                    // its transaction was aborted, so certifying it now
+                    // could commit writes its origin can no longer apply.
+                    return;
+                }
+                Message::Certify(req)
+            }
+            CertifierRequest::Applied { replica, version } => Message::Applied { replica, version },
+            CertifierRequest::SweepAck { replica, epoch } => {
+                state.acked.insert(replica.0, epoch);
+                return;
+            }
+            CertifierRequest::Shutdown => {
+                state.stopped = true;
+                if let Some(write) = state.write.take() {
+                    let _ = write.shutdown(Shutdown::Both);
+                }
+                return;
+            }
+        };
+        match &state.write {
+            Some(write) => write_or_shut(write, &[msg]),
+            None => state.held.push(msg),
+        }
+    }
 
-        'link: loop {
-            let mut writer = match conn.take() {
-                Some(c) => c,
-                None => match self.reconnect(&requests, &mut buffer) {
-                    Some(c) => c,
-                    None => break 'link, // shutdown while down
-                },
+    fn serve(&self, deliveries: CertifierDeliveries) {
+        let first = self.first.lock().take();
+        // Highest commit version whose decision frame arrived. Decisions
+        // are sent after their commit's refresh fan-out, so everything at
+        // or below it has been fully delivered.
+        let mut max_seen = first.as_ref().map_or(Version::ZERO, |(_, floor)| *floor);
+        let mut next = first.map(|(conn, _)| conn);
+        loop {
+            // Every connection after the first follows an outage.
+            let outage = next.is_none();
+            let Some(mut conn) = next.take().or_else(|| self.reconnect()) else {
+                return;
             };
-
-            if epoch > 0 {
+            // A peer that hangs fails the resync fetch as it would fail the
+            // delivery stream.
+            let _ = conn
+                .stream()
+                .set_read_timeout(Some(self.config.heartbeat_timeout));
+            if outage {
                 // Resynchronize: fetch commits certified while the link was
                 // down (or whose deliveries died with the old socket) and
-                // replay them to every replica before resuming admission.
-                // No reader runs yet, so nothing is delivered in between.
-                let after = Version(max_seen.load(Ordering::SeqCst));
-                match Self::fetch_history(&mut writer, after) {
+                // replay them to every replica before admitting updates.
+                match Self::fetch_history(&mut conn, max_seen) {
                     Ok(records) => {
                         if let Some(last) = records.last() {
-                            max_seen.store(last.commit_version.0, Ordering::SeqCst);
+                            max_seen = last.commit_version;
                         }
                         if !records.is_empty() {
                             deliveries.send(CertifierDelivery::Resync { records });
@@ -578,111 +646,41 @@ impl CertifierLink for RemoteCertifierLink {
                         // Lost the race with another failure (e.g. a
                         // partition that lets TCP connect but kills the
                         // first round trip): pause, then reconnect. Down
-                        // was already announced for this epoch, so don't
-                        // announce it again.
+                        // was already announced for this epoch.
                         std::thread::sleep(self.config.reconnect_pause);
-                        continue 'link;
+                        continue;
                     }
                 }
             }
 
-            // Split the socket: this thread writes requests, a dedicated
-            // reader drains deliveries and hands each to its replica. The
-            // reader's deadline is the failure detector; on any exit it
-            // shuts the socket down so the writer notices even while idle.
-            let reader_conn = writer.stream().try_clone().ok().and_then(|s| {
-                Connection::from_stream(
-                    s,
-                    Some(self.config.heartbeat_timeout),
-                    self.policy.write_timeout,
-                )
-                .ok()
-            });
-            let Some(mut reader) = reader_conn else {
-                // Could not split: treat as a transport failure.
-                epoch += 1;
-                deliveries.send(CertifierDelivery::Down { epoch });
-                continue 'link;
+            // Install the write side, sending what was held first, then
+            // read until the link fails.
+            let stream = conn.stream();
+            let ticks = stream.set_read_timeout(Some(self.config.heartbeat_interval));
+            if let (Ok(write), Ok(())) = (stream.try_clone(), ticks) {
+                let mut state = self.state.lock();
+                if state.stopped {
+                    return;
+                }
+                write_or_shut(&write, &std::mem::take(&mut state.held));
+                state.write = Some(write);
+                drop(state);
+                self.read(stream, &deliveries, &mut max_seen);
+            }
+
+            // Down: shut the socket first, so a replica blocked writing to
+            // it lets go of the lock. Every decision read above is on its
+            // replica's queue ahead of the sweep that Down puts there.
+            let _ = stream.shutdown(Shutdown::Both);
+            let epoch = {
+                let mut state = self.state.lock();
+                if state.stopped {
+                    return;
+                }
+                state.write = None;
+                state.epoch += 1;
+                state.epoch
             };
-            let reader_handle = {
-                let deliveries = deliveries.clone();
-                let max_seen = Arc::clone(&max_seen);
-                std::thread::Builder::new()
-                    .name("bargain-certlink-read".into())
-                    .spawn(move || {
-                        loop {
-                            let (to, delivery) = match reader.recv() {
-                                Ok(Message::Decision { origin, decision }) => {
-                                    if let CertifyDecision::Commit { commit_version, .. } =
-                                        &decision
-                                    {
-                                        max_seen.store(commit_version.0, Ordering::SeqCst);
-                                    }
-                                    (origin, Delivery::Decision(decision))
-                                }
-                                Ok(Message::RefreshFor { to, refresh }) => {
-                                    (to, Delivery::Refresh(refresh))
-                                }
-                                Ok(Message::GlobalCommitFor { origin, txn }) => {
-                                    (origin, Delivery::GlobalCommit(txn))
-                                }
-                                // Heartbeat answer: its arrival already
-                                // reset the read deadline.
-                                Ok(Message::Pong) => continue,
-                                // Unexpected frame, checksum failure, read
-                                // deadline expiry, or dead connection: the
-                                // link is done delivering on this socket.
-                                Ok(_) | Err(_) => break,
-                            };
-                            deliveries.send(CertifierDelivery::Deliver { to, delivery });
-                        }
-                        let _ = reader.stream().shutdown(Shutdown::Both);
-                    })
-                    .expect("spawn certifier link reader")
-            };
-
-            // Requests harvested while the link was away go first, then
-            // live traffic; idle gaps become heartbeats. Frames gather in
-            // `burst` while more requests are already queued and leave in
-            // one write just before this thread would block, so requests
-            // issued together reach the service as one read and are
-            // certified as one batch.
-            let mut flow = Flow::Continue;
-            let mut burst = Vec::new();
-            while matches!(flow, Flow::Continue) {
-                let queued = (burst.len() < MAX_BURST_BYTES)
-                    .then(|| buffer.pop_front().or_else(|| requests.try_recv().ok()))
-                    .flatten();
-                flow = match queued {
-                    Some(req) => forward_request(&mut burst, req, epoch, &mut acked),
-                    None if writer.stream().write_all(&burst).is_err() => Flow::Down,
-                    None => {
-                        burst.clear();
-                        match requests.recv_timeout(self.config.heartbeat_interval) {
-                            Ok(req) => forward_request(&mut burst, req, epoch, &mut acked),
-                            Err(RecvTimeoutError::Timeout) => {
-                                push_frame(&mut burst, &Message::Ping)
-                            }
-                            Err(RecvTimeoutError::Disconnected) => Flow::Stop,
-                        }
-                    }
-                };
-            }
-            if matches!(flow, Flow::Stop) {
-                // Everything forwarded before the shutdown request still goes.
-                let _ = writer.stream().write_all(&burst);
-            }
-
-            // Tear this socket down and join the reader: every decision it
-            // delivered is on its replica's queue before Down puts the sweep
-            // there, so replicas process them before the sweep.
-            let _ = writer.stream().shutdown(Shutdown::Both);
-            let _ = reader_handle.join();
-
-            if matches!(flow, Flow::Stop) {
-                break 'link;
-            }
-            epoch += 1;
             deliveries.send(CertifierDelivery::Down { epoch });
         }
     }

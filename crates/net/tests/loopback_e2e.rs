@@ -846,19 +846,31 @@ fn catch_up_replies_are_capped_and_repeated_rounds_reach_v_system() {
 
 /// A certifier "service" that answers a replica's first certify request
 /// with a refresh no engine can apply, which kills that replica's thread
-/// with the update still in flight on it.
-struct PoisonedLink;
+/// with the update still in flight on it. Its loop runs on the link thread,
+/// behind a channel that `request` feeds.
+struct PoisonedLink(
+    crossbeam::channel::Sender<bargain_cluster::CertifierRequest>,
+    crossbeam::channel::Receiver<bargain_cluster::CertifierRequest>,
+);
+
+impl PoisonedLink {
+    fn new() -> PoisonedLink {
+        let (to_loop, requests) = crossbeam::channel::unbounded();
+        PoisonedLink(to_loop, requests)
+    }
+}
 
 impl CertifierLink for PoisonedLink {
     fn history(&mut self) -> bargain_common::Result<Vec<bargain_core::LogRecord>> {
         Ok(Vec::new())
     }
 
-    fn serve(
-        self: Box<Self>,
-        requests: crossbeam::channel::Receiver<bargain_cluster::CertifierRequest>,
-        deliveries: bargain_cluster::CertifierDeliveries,
-    ) {
+    fn request(&self, request: bargain_cluster::CertifierRequest) {
+        let _ = self.0.send(request);
+    }
+
+    fn serve(&self, deliveries: bargain_cluster::CertifierDeliveries) {
+        let requests = &self.1;
         for request in requests.iter() {
             match request {
                 bargain_cluster::CertifierRequest::Certify(req) => {
@@ -899,7 +911,7 @@ fn transaction_abandoned_by_a_dead_replica_is_answered_and_stop_stays_bounded() 
             ..ClusterConfig::default()
         },
         move |engine| setup_workload.install(engine),
-        Box::new(PoisonedLink),
+        Box::new(PoisonedLink::new()),
     );
     let server = NetServer::start("127.0.0.1:0", cluster).unwrap();
     let addr = server.local_addr().to_string();

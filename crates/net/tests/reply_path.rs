@@ -263,19 +263,31 @@ fn pipeline(conn: &mut Connection, msg: &Message, count: u64) -> Vec<Message> {
 
 /// A certification service that is down from the start and stays down: the
 /// load balancer refuses every transaction, and a refusal's sink runs on
-/// the submitting thread, inside `Session::submit`.
-struct DownLink;
+/// the submitting thread, inside `Session::submit`. Its loop runs on the
+/// link thread, behind a channel that `request` feeds.
+struct DownLink(
+    crossbeam::channel::Sender<CertifierRequest>,
+    crossbeam::channel::Receiver<CertifierRequest>,
+);
+
+impl DownLink {
+    fn new() -> DownLink {
+        let (to_loop, requests) = crossbeam::channel::unbounded();
+        DownLink(to_loop, requests)
+    }
+}
 
 impl CertifierLink for DownLink {
     fn history(&mut self) -> bargain_common::Result<Vec<bargain_core::LogRecord>> {
         Ok(Vec::new())
     }
 
-    fn serve(
-        self: Box<Self>,
-        requests: crossbeam::channel::Receiver<CertifierRequest>,
-        deliveries: bargain_cluster::CertifierDeliveries,
-    ) {
+    fn request(&self, request: CertifierRequest) {
+        let _ = self.0.send(request);
+    }
+
+    fn serve(&self, deliveries: bargain_cluster::CertifierDeliveries) {
+        let requests = &self.1;
         let _ = deliveries.send(CertifierDelivery::Down { epoch: 1 });
         for request in requests.iter() {
             if matches!(request, CertifierRequest::Shutdown) {
@@ -323,7 +335,7 @@ fn a_deep_queue_of_refusals_is_answered_in_order_without_recursion() {
             ..ClusterConfig::default()
         },
         move |engine| workload.install(engine),
-        Box::new(DownLink),
+        Box::new(DownLink::new()),
     );
     let deadline = Instant::now() + Duration::from_secs(5);
     while cluster.stats().unwrap().certifier_up {

@@ -3,7 +3,7 @@
 //! client sends runs on the reactor or on a replica thread, so there is no
 //! admin pool and no load-balancer thread to find; certification runs on no
 //! thread of its own in process (the replica threads certify), and behind a
-//! certifier service on the link's writer and reader alone. Alone in their
+//! certifier service on the link's one thread alone. Alone in their
 //! file, one at a time, so that no other test's server shares the process.
 
 use bargain_cluster::{Cluster, ClusterConfig};
@@ -136,9 +136,9 @@ fn every_request_runs_on_the_reactor_or_a_replica_thread() {
     assert_eq!(added(&before, &census), expected, "{census:?}");
 }
 
-/// Behind a certifier service the link's writer and reader are the
-/// cluster's only certification threads: the reader hands each delivery to
-/// its replica itself.
+/// Behind a certifier service the link's one thread is the cluster's only
+/// certification thread: it reads, and hands each delivery to its replica
+/// itself, while the replica threads write their own requests.
 #[test]
 fn the_split_deployment_certifies_on_the_link_threads_alone() {
     let _alone = alone();
@@ -175,7 +175,7 @@ fn the_split_deployment_certifies_on_the_link_threads_alone() {
     server.stop();
     certifier.stop();
     let named = |prefix: &str| census.iter().filter(|n| n.starts_with(prefix)).count();
-    assert_eq!(named("bargain-certlin"), 2, "{census:?}");
+    assert_eq!(named("bargain-certlin"), 1, "{census:?}");
     assert_eq!(named("bargain-certdis"), 0, "{census:?}");
     // The service's loop; no certifier thread runs in the cluster.
     assert_eq!(named("bargain-certifi"), 1, "{census:?}");
