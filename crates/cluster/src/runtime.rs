@@ -17,8 +17,7 @@
 //! threads only move messages and execute statements.
 //!
 //! Certification has one request path: the replicas hand every
-//! [`CertifierRequest`] to one port, on their own thread, and the port
-//! does with it what it does on that thread. The in-process
+//! [`CertifierRequest`] to one port, on their own thread. The in-process
 //! certifier *is* that port: a pending list in front of
 //! `Mutex<Certifier>`. A request is pushed onto the list; then the thread
 //! takes the certifier lock (blocking), steps over everything pending

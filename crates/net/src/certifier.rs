@@ -47,10 +47,12 @@
 //! against a peer that is hung rather than dead. A failed write shuts the
 //! socket down, which the reading thread notices.
 //!
-//! The link thread never waits for the lock while its socket is live: it
-//! pings only if the lock is free, and it shuts the socket down before it
-//! takes the lock. A replica blocked writing to a peer that is itself
-//! blocked writing deliveries to us would otherwise never be let go.
+//! The link thread never waits for the lock while a replica may be blocked
+//! writing to its socket: it pings only if the lock is free, and it shuts
+//! the socket down before it takes the lock. A replica blocked writing to
+//! a peer that is itself blocked writing deliveries to us would otherwise
+//! never be let go. A write blocked for `heartbeat_timeout` fails, which
+//! bounds the ping's own write too.
 //!
 //! On failure the link thread shuts the socket down, bumps the failure
 //! epoch and clears the write side under the lock, then delivers
@@ -384,8 +386,8 @@ pub struct CertifierLinkConfig {
     /// [`Message::Ping`].
     pub heartbeat_interval: Duration,
     /// Silence deadline: if no frame (pong included) arrives within this
-    /// window, the peer is declared down. Must exceed `heartbeat_interval`
-    /// or a healthy idle link flaps.
+    /// window, or a write blocks this long, the peer is declared down.
+    /// Must exceed `heartbeat_interval` or a healthy idle link flaps.
     pub heartbeat_timeout: Duration,
     /// Sleep between reconnect rounds once the policy's attempts inside a
     /// round are exhausted.
@@ -410,17 +412,17 @@ pub struct RemoteCertifierLink {
     addr: String,
     policy: ConnectPolicy,
     config: CertifierLinkConfig,
-    /// The connection `connect*` made and the last version its history
-    /// fetch returned: the link thread starts on it.
-    first: Mutex<Option<(Connection, Version)>>,
     /// What the replica threads write under; the link thread waits for it
-    /// only once its socket is shut down.
+    /// only while no replica can be blocked writing to its socket.
     state: Mutex<LinkState>,
 }
 
 /// The part of the link that the threads asking and the link thread share.
 #[derive(Default)]
 struct LinkState {
+    /// The connection `connect*` made and the last version its history
+    /// fetch returned: the link thread starts on it.
+    first: Option<(Connection, Version)>,
     /// The live socket's write side; `None` while the link is down.
     write: Option<TcpStream>,
     /// Failure epoch: bumped each time the link is declared down.
@@ -470,8 +472,10 @@ impl RemoteCertifierLink {
             addr: addr.to_owned(),
             policy: policy.clone(),
             config,
-            first: Mutex::new(Some((conn, Version::ZERO))),
-            state: Mutex::default(),
+            state: Mutex::new(LinkState {
+                first: Some((conn, Version::ZERO)),
+                ..LinkState::default()
+            }),
         })
     }
 
@@ -563,8 +567,9 @@ impl RemoteCertifierLink {
 impl CertifierLink for RemoteCertifierLink {
     fn history(&mut self) -> Result<Vec<LogRecord>> {
         let (conn, floor) = self
-            .first
+            .state
             .get_mut()
+            .first
             .as_mut()
             .ok_or_else(|| Error::Protocol("certifier link already serving".into()))?;
         let records = Self::fetch_history(conn, Version::ZERO)?;
@@ -611,7 +616,7 @@ impl CertifierLink for RemoteCertifierLink {
     }
 
     fn serve(&self, deliveries: CertifierDeliveries) {
-        let first = self.first.lock().take();
+        let first = self.state.lock().first.take();
         // Highest commit version whose decision frame arrived. Decisions
         // are sent after their commit's refresh fan-out, so everything at
         // or below it has been fully delivered.
@@ -623,11 +628,11 @@ impl CertifierLink for RemoteCertifierLink {
             let Some(mut conn) = next.take().or_else(|| self.reconnect()) else {
                 return;
             };
-            // A peer that hangs fails the resync fetch as it would fail the
-            // delivery stream.
-            let _ = conn
-                .stream()
-                .set_read_timeout(Some(self.config.heartbeat_timeout));
+            // A peer that hangs fails the resync fetch, and any write it
+            // stops draining, as it would fail the delivery stream.
+            let deadline = Some(self.config.heartbeat_timeout);
+            let _ = conn.stream().set_read_timeout(deadline);
+            let _ = conn.stream().set_write_timeout(deadline);
             if outage {
                 // Resynchronize: fetch commits certified while the link was
                 // down (or whose deliveries died with the old socket) and
