@@ -140,8 +140,14 @@ impl Engine {
     /// Creates a table. DDL is not versioned (performed identically at every
     /// replica before transaction processing starts).
     pub fn create_table(&mut self, schema: TableSchema) -> Result<TableId> {
-        let id = self.catalog.add_table(schema.clone())?;
-        self.tables.push(Table::new(schema));
+        self.add_table(Table::new(schema))
+    }
+
+    /// Registers `table` under its schema's name, rows and indexes as they
+    /// are (snapshot import builds its tables whole).
+    pub(crate) fn add_table(&mut self, table: Table) -> Result<TableId> {
+        let id = self.catalog.add_table(table.schema().clone())?;
+        self.tables.push(table);
         Ok(id)
     }
 
@@ -172,22 +178,12 @@ impl Engine {
     }
 
     /// Bulk-loads rows into a table at version 0, before transaction
-    /// processing (initial database population).
+    /// processing (initial database population). All or none: a bad row or
+    /// a duplicate key refuses the batch and leaves the table as it was.
+    /// See [`Table::load`].
     pub fn load_rows(&mut self, table: TableId, rows: Vec<Row>) -> Result<()> {
-        let schema = self.catalog.schema(table)?.clone();
-        let t = &mut self.tables[table.index()];
-        for row in rows {
-            schema.check_row(&row)?;
-            let key = schema.key_of(&row);
-            if t.latest_commit_of(&key).is_some() {
-                return Err(Error::DuplicateKey(format!(
-                    "{}: load of existing key {key}",
-                    schema.name
-                )));
-            }
-            t.install(key, Some(row), Version::ZERO);
-        }
-        Ok(())
+        self.catalog.schema(table)?;
+        self.tables[table.index()].load(rows)
     }
 
     // ------------------------------------------------------------------
@@ -564,25 +560,6 @@ impl Engine {
     // with no open transactions).
     // ------------------------------------------------------------------
 
-    /// Installs one historical row version directly into a table's chain,
-    /// bypassing transaction machinery. Versions must arrive oldest-first
-    /// per key (the chain asserts commit order).
-    pub(crate) fn install_version(
-        &mut self,
-        table: TableId,
-        key: Value,
-        data: Option<Row>,
-        begin: Version,
-    ) {
-        self.tables[table.index()].install(key, data, begin);
-    }
-
-    /// Creates a secondary index by column position (snapshot manifests
-    /// record positions, not names).
-    pub(crate) fn create_index_by_position(&mut self, table: TableId, column: usize) {
-        self.tables[table.index()].create_index(column);
-    }
-
     /// Forces the engine's version to the snapshot's capture version so
     /// replay of `certified_since(V)` continues the sequence.
     pub(crate) fn set_version(&mut self, version: Version) {
@@ -913,6 +890,41 @@ mod tests {
         assert!(matches!(e.commit_read_only(txn), Err(Error::Protocol(_))));
         // Still commitable properly afterwards.
         assert!(e.commit_standalone(txn).is_ok());
+    }
+
+    #[test]
+    fn a_refused_load_leaves_the_table_as_it_was() {
+        let (mut e, t) = engine_with_table();
+        e.create_index(t, "v").unwrap();
+        let table = |e: &Engine| -> (Vec<(Value, Row)>, Vec<Value>, usize) {
+            let t = e.table(t).unwrap();
+            let rows = t.scan_at(Version::ZERO);
+            let under_10 = t.index_candidates(1, None, Some(&Value::Int(10))).unwrap();
+            (
+                rows.map(|(k, r)| (k.clone(), r.clone())).collect(),
+                under_10.cloned().collect(),
+                t.version_count(),
+            )
+        };
+        // Into the empty table (built in one pass), then into one with rows
+        // (one search a row), where a key it holds is refused too.
+        for first in [vec![], vec![row(10, 1), row(20, 2)]] {
+            let mut refused = vec![
+                vec![row(3, 3), row(4, 4), row(3, 5)], // a key twice
+                vec![row(5, 5), vec![Value::Int(6)]],  // a bad row
+                vec![row(9, 9), vec![Value::Null, Value::Int(1)]], // a NULL key
+            ];
+            if !first.is_empty() {
+                // Keys below and between the held ones go in before 20 is met.
+                refused.push(vec![row(30, 3), row(7, 7), row(20, 9), row(15, 8)]);
+            }
+            e.load_rows(t, first).unwrap();
+            let before = table(&e);
+            for (i, batch) in refused.into_iter().enumerate() {
+                assert!(e.load_rows(t, batch).is_err(), "batch {i}");
+                assert_eq!(table(&e), before, "batch {i}");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! maintenance cheap on the write path (pure insertion) at the cost of a
 //! re-check on the read path.
 
+use crate::chain::VersionChain;
 use bargain_common::Value;
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -33,6 +34,27 @@ impl SecondaryIndex {
         SecondaryIndex {
             column,
             entries: BTreeSet::new(),
+        }
+    }
+
+    /// An index over `column` of `chains`, one entry for each value a
+    /// version of a key carries: the pairs are sorted once and the set is
+    /// built from them in bulk, with no search per entry.
+    pub fn build<'a>(
+        column: usize,
+        chains: impl Iterator<Item = (&'a Value, &'a VersionChain)>,
+    ) -> Self {
+        let mut entries: Vec<(Value, Value)> = chains
+            .flat_map(|(pk, chain)| {
+                let values = chain.versions().filter_map(move |v| v.value(column));
+                values.map(move |value| (value.clone(), pk.clone()))
+            })
+            .collect();
+        entries.sort_unstable();
+        entries.dedup();
+        SecondaryIndex {
+            column,
+            entries: entries.into_iter().collect(),
         }
     }
 

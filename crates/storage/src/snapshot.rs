@@ -39,6 +39,7 @@
 use crate::chain::{RowVersion, VersionChain};
 use crate::engine::Engine;
 use crate::schema::{Column, ColumnType, TableSchema};
+use crate::table::Table;
 use bargain_common::codec::{malformed, put_seq, Codec, DecodeResult, Reader};
 pub use bargain_common::crc32;
 use bargain_common::{Error, Result, Value, Version};
@@ -327,52 +328,52 @@ pub fn import(manifest: &SnapshotManifest, chunks: &[Vec<u8>]) -> Result<Engine>
     Ok(engine)
 }
 
-/// Recreates every table of `manifest` in `engine` and installs its chains
-/// off `r`. The stream is checked for what the install paths assume and
-/// [`export`] guarantees: keys ascending, versions ascending within a key,
-/// rows as wide as the schema.
+/// Builds every table of `manifest` from the chains it reads off `r` and
+/// adds it to `engine`. The stream is checked for what a table assumes
+/// and [`export`] guarantees: keys ascending, versions ascending within a
+/// key, and every row fitting the schema (width, types, nulls) under the
+/// key it is shipped with.
 fn install_tables(
     engine: &mut Engine,
     manifest: &SnapshotManifest,
     r: &mut Reader<'_>,
 ) -> DecodeResult<()> {
     for meta in &manifest.tables {
-        let table = &meta.schema.name;
-        let id = engine
-            .create_table(meta.schema.clone())
-            .map_err(|e| malformed(format!("cannot recreate table: {e}")))?;
+        let schema = &meta.schema;
+        let table = &schema.name;
+        if let Some(col) = meta.indexed_columns.iter().find(|&&c| c >= schema.arity()) {
+            return Err(malformed(format!(
+                "indexed column {col} out of range for {table}"
+            )));
+        }
         let n_keys: u64 = r.get()?;
-        let mut last_key: Option<Value> = None;
+        let mut chains: Vec<(Value, VersionChain)> = Vec::new();
         for _ in 0..n_keys {
             let key: Value = r.get()?;
             let versions: Vec<RowVersion> = r.get()?;
+            let bad = |what: String| malformed(format!("key {key} of {table}{what}"));
             if versions.is_empty() {
-                return Err(malformed(format!("key {key} of {table} has no versions")));
+                return Err(bad(" has no versions".into()));
             }
-            if last_key.as_ref().is_some_and(|last| *last >= key)
+            if chains.last().is_some_and(|(last, _)| *last >= key)
                 || versions.windows(2).any(|w| w[0].begin >= w[1].begin)
             {
-                return Err(malformed(format!("key {key} of {table} is out of order")));
+                return Err(bad(" is out of order".into()));
             }
-            for v in versions {
-                if v.data
-                    .as_ref()
-                    .is_some_and(|row| row.len() != meta.schema.arity())
-                {
-                    return Err(malformed(format!("key {key} of {table}: row width")));
+            for row in versions.iter().filter_map(|v| v.data.as_ref()) {
+                if let Err(e) = schema.check_row(row) {
+                    return Err(bad(format!(": row width or type: {e}")));
                 }
-                engine.install_version(id, key.clone(), v.data, v.begin);
+                if row[schema.pk] != key {
+                    return Err(bad(format!(": row's key is {}", row[schema.pk])));
+                }
             }
-            last_key = Some(key);
+            chains.push((key, VersionChain::from_oldest_first(versions)));
         }
-        for &col in &meta.indexed_columns {
-            if col >= meta.schema.arity() {
-                return Err(malformed(format!(
-                    "indexed column {col} out of range for {table}"
-                )));
-            }
-            engine.create_index_by_position(id, col);
-        }
+        let built = Table::from_chains(schema.clone(), chains, &meta.indexed_columns);
+        engine
+            .add_table(built)
+            .map_err(|e| malformed(format!("cannot recreate table: {e}")))?;
     }
     Ok(())
 }
@@ -550,7 +551,7 @@ mod tests {
         };
         // What is wrong with the stream, and what the error calls it.
         type Keys = Vec<(i64, Vec<RowVersion>)>;
-        let cases: [(&str, &str, Keys); 4] = [
+        let cases: [(&str, &str, Keys); 6] = [
             ("no versions", "no versions", vec![(1, vec![])]),
             (
                 "versions descending",
@@ -569,6 +570,22 @@ mod tests {
                 "a row narrower than the indexed column",
                 "row width",
                 vec![(1, vec![version(1, Some(vec![Value::Int(1)]))])],
+            ),
+            (
+                "a value of the wrong type",
+                "row width or type",
+                vec![(
+                    1,
+                    vec![version(
+                        1,
+                        Some(vec![Value::Int(1), Value::Text("x".into())]),
+                    )],
+                )],
+            ),
+            (
+                "a row shipped under another key",
+                "row's key is 2",
+                vec![(1, vec![version(1, None), version(2, Some(row(2, 1)))])],
             ),
         ];
         for (what, named, keys) in cases {

@@ -3,7 +3,8 @@
 use crate::chain::{RowVersion, VersionChain};
 use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
-use bargain_common::{Row, Value, Version};
+use bargain_common::{Error, Result, Row, Value, Version};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -33,19 +34,97 @@ impl Table {
         }
     }
 
-    /// Creates a secondary index over the column at `column`, back-filling
-    /// it from every stored version. Idempotent per column.
-    pub fn create_index(&mut self, column: usize) {
-        if self.indexes.iter().any(|i| i.column == column) {
-            return;
+    /// A table holding `chains`, whose keys must be ascending and
+    /// distinct, with a secondary index over each of `indexed`. The map,
+    /// the set of keys a collection is due to visit and every index are
+    /// built in one pass each from sorted input, with no search per key.
+    #[must_use]
+    pub fn from_chains(
+        schema: TableSchema,
+        chains: Vec<(Value, VersionChain)>,
+        indexed: &[usize],
+    ) -> Self {
+        debug_assert!(chains.windows(2).all(|w| w[0].0 < w[1].0));
+        let due = chains
+            .iter()
+            .filter(|(_, chain)| is_due(chain))
+            .map(|(key, _)| key.clone())
+            .collect();
+        let mut table = Table {
+            schema,
+            rows: chains.into_iter().collect(),
+            indexes: Vec::new(),
+            due,
+        };
+        for &column in indexed {
+            table.create_index(column);
         }
-        let mut idx = SecondaryIndex::new(column);
-        for (pk, chain) in &self.rows {
-            for value in chain.versions().filter_map(|v| v.value(column)) {
-                idx.insert(value.clone(), pk.clone());
+        table
+    }
+
+    /// Loads `rows` as live rows committed at version 0, all or none: a
+    /// row that does not fit the schema, a key twice in the batch or a key
+    /// the table holds already refuses the batch and leaves the table as
+    /// it was. The rows are checked, then sorted by key. An empty table is
+    /// then built in one pass ([`Table::from_chains`]); a table with rows
+    /// takes one search a row.
+    pub fn load(&mut self, rows: Vec<Row>) -> Result<()> {
+        for row in &rows {
+            self.schema.check_row(row)?;
+        }
+        let mut keyed: Vec<(Value, Row)> = rows
+            .into_iter()
+            .map(|row| (self.schema.key_of(&row), row))
+            .collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if let Some(pair) = keyed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(refused(&self.schema.name, &pair[0].0, "twice in one load"));
+        }
+        if self.rows.is_empty() {
+            let chains = keyed.into_iter().map(|(key, row)| (key, loaded(row)));
+            let indexed = self.indexed_columns();
+            *self = Table::from_chains(self.schema.clone(), chains.collect(), &indexed);
+            return Ok(());
+        }
+        let entries: Vec<Vec<(Value, Value)>> = self
+            .indexes
+            .iter()
+            .map(|idx| {
+                let entry = |(key, row): &(Value, Row)| (row[idx.column].clone(), key.clone());
+                keyed.iter().map(entry).collect()
+            })
+            .collect();
+        let mut placed = Vec::with_capacity(keyed.len());
+        for (key, row) in keyed {
+            match self.rows.entry(key) {
+                Entry::Vacant(slot) => {
+                    placed.push(slot.key().clone());
+                    slot.insert(loaded(row));
+                }
+                Entry::Occupied(slot) => {
+                    let error = refused(&self.schema.name, slot.key(), "already in the table");
+                    for key in &placed {
+                        self.rows.remove(key);
+                    }
+                    return Err(error);
+                }
             }
         }
-        self.indexes.push(idx);
+        for (idx, entries) in self.indexes.iter_mut().zip(entries) {
+            for (value, pk) in entries {
+                idx.insert(value, pk);
+            }
+        }
+        Ok(())
+    }
+
+    /// Creates a secondary index over the column at `column`, built from
+    /// every stored version. Idempotent per column.
+    pub fn create_index(&mut self, column: usize) {
+        if !self.has_index(column) {
+            let index = SecondaryIndex::build(column, self.rows.iter());
+            self.indexes.push(index);
+        }
     }
 
     /// Whether a secondary index covers `column`.
@@ -195,10 +274,26 @@ impl Table {
                 rows.remove(key);
                 return false;
             }
-            chain.len() > 1 || !chain.live_at_head()
+            is_due(chain)
         });
         removed
     }
+}
+
+/// Whether a collection can do anything for `chain`: it holds more than
+/// one version or ends in a tombstone.
+fn is_due(chain: &VersionChain) -> bool {
+    chain.len() > 1 || !chain.live_at_head()
+}
+
+/// The error refusing a load of `key` into `table`.
+fn refused(table: &str, key: &Value, why: &str) -> Error {
+    Error::DuplicateKey(format!("{table}: load of key {key} {why}"))
+}
+
+/// The chain of a row loaded outside a transaction: one live version at 0.
+fn loaded(row: Row) -> VersionChain {
+    VersionChain::with_initial(Version::ZERO, Some(row))
 }
 
 #[cfg(test)]
