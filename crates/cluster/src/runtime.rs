@@ -445,10 +445,11 @@ impl Cluster {
 
     /// Starts a cluster, running `setup` (DDL + initial load) on every
     /// replica's engine before the threads spin up. All replicas must be
-    /// set up identically; `setup` runs once per replica and nowhere else.
+    /// set up identically; `setup` runs once per replica, concurrently,
+    /// and nowhere else.
     pub fn start_with_setup(
         config: ClusterConfig,
-        setup: impl Fn(&mut Engine) -> Result<()>,
+        setup: impl Fn(&mut Engine) -> Result<()> + Sync,
     ) -> Cluster {
         Self::start_inner(config, setup, None)
     }
@@ -460,7 +461,7 @@ impl Cluster {
     /// supplies the durable history the replicas fast-forward through.
     pub fn start_with_certifier_link(
         config: ClusterConfig,
-        setup: impl Fn(&mut Engine) -> Result<()>,
+        setup: impl Fn(&mut Engine) -> Result<()> + Sync,
         link: Box<dyn CertifierLink>,
     ) -> Cluster {
         Self::start_inner(config, setup, Some(link))
@@ -468,18 +469,32 @@ impl Cluster {
 
     fn start_inner(
         config: ClusterConfig,
-        setup: impl Fn(&mut Engine) -> Result<()>,
+        setup: impl Fn(&mut Engine) -> Result<()> + Sync,
         link: Option<Box<dyn CertifierLink>>,
     ) -> Cluster {
         assert!(config.replicas >= 1, "need at least one replica");
         let replica_ids: Vec<ReplicaId> = (0..config.replicas as u32).map(ReplicaId).collect();
 
-        let mut engines = Vec::with_capacity(config.replicas);
-        for _ in 0..config.replicas {
-            let mut e = Engine::new();
-            setup(&mut e).expect("cluster setup succeeds");
-            engines.push(e);
+        // The certification service: the certifier itself over its
+        // (possibly durable) log, or the caller's link to one. Its commit
+        // history fast-forwards every replica engine from its checkpoint
+        // (the `setup` state) to the durable version.
+        let mut service = match link {
+            Some(link) => Service::Link(link),
+            None => {
+                let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
+                    .expect("certifier log opens and replays");
+                certifier.set_eager(config.mode == ConsistencyMode::Eager);
+                Service::Local(Box::new(certifier))
+            }
+        };
+        let history = match &mut service {
+            Service::Link(link) => link.history(),
+            Service::Local(certifier) => certifier.certified_since(Version::ZERO),
         }
+        .expect("the certifier serves its history");
+        let engines = build_engines(config.replicas, &setup, &history);
+
         // The catalog mirror only ever answers `.catalog()` and mirrors DDL:
         // it gets the replicas' schema (same `TableId`s) and none of the
         // rows, not a fourth run of `setup`'s initial load.
@@ -505,14 +520,10 @@ impl Cluster {
         });
         let mut handles = Vec::new();
 
-        // The certification service's port: the certifier itself over its
-        // (possibly durable) log, or the caller's link, which serves what
-        // the service sends on a thread of its own. Its commit history
-        // fast-forwards every replica engine from its checkpoint (the
-        // `setup` state) to the durable version.
-        let (port, local, history): (Arc<dyn CertifierPort>, _, _) = match link {
-            Some(mut link) => {
-                let history = link.history().expect("the certifier serves its history");
+        // The service's port: the in-process certifier, or the link, which
+        // serves what the service sends on a thread of its own.
+        let (port, local): (Arc<dyn CertifierPort>, _) = match service {
+            Service::Link(link) => {
                 let link = Arc::new(link);
                 let serving = Arc::clone(&link);
                 let deliveries = CertifierDeliveries {
@@ -524,51 +535,18 @@ impl Cluster {
                         .spawn(move || serving.serve(deliveries))
                         .expect("spawn certifier link thread"),
                 );
-                (link, None, history)
+                (link, None)
             }
-            None => {
-                let mut certifier = Certifier::open(replica_ids.clone(), config.wal_dir.as_deref())
-                    .expect("certifier log opens and replays");
-                certifier.set_eager(config.mode == ConsistencyMode::Eager);
-                let history = certifier
-                    .certified_since(Version::ZERO)
-                    .expect("the certifier serves its history");
+            Service::Local(certifier) => {
                 let local = Arc::new(LocalCertifier {
                     pending: Mutex::new(Vec::new()),
-                    certifier: std::sync::Mutex::new(certifier),
+                    certifier: std::sync::Mutex::new(*certifier),
                     front: Arc::clone(&front),
                     certified: Certified::default(),
                 });
-                (local.clone(), Some(local), history)
+                (local.clone(), Some(local))
             }
         };
-        if !history.is_empty() {
-            // DDL is not logged: the schema checkpoint is the `setup`
-            // closure. Catch a schema/history mismatch here with an
-            // actionable message instead of a bounds panic deep in the
-            // storage engine.
-            let max_table = history
-                .iter()
-                .flat_map(|rec| rec.writeset.entries())
-                .map(|e| e.table.index())
-                .max();
-            if let Some(max) = max_table {
-                assert!(
-                    max < n_tables,
-                    "recovery: the durable history writes table #{max} but the \
-                     schema has only {n_tables} table(s); recreate the schema with \
-                     `Cluster::start_with_setup` (the same `setup` as the previous run) \
-                     so the certified writesets can be replayed"
-                );
-            }
-            for engine in &mut engines {
-                for rec in &history {
-                    engine
-                        .apply_refresh(rec.writeset.as_ref(), rec.commit_version)
-                        .expect("recovery replays the certified history in order");
-                }
-            }
-        }
 
         // Replica threads.
         for (i, (engine, rx)) in engines.into_iter().zip(replica_rxs).enumerate() {
@@ -908,6 +886,62 @@ impl Cluster {
             let _ = h.join();
         }
     }
+}
+
+/// Where a cluster's certifier runs.
+enum Service {
+    /// In this process, over its own (possibly durable) log.
+    Local(Box<Certifier>),
+    /// Behind a link, typically in another process.
+    Link(Box<dyn CertifierLink>),
+}
+
+/// Builds one engine per replica, each on a thread of its own: `setup`
+/// makes the checkpoint, then the durable `history` is replayed on top. A
+/// panic on any of them is re-raised here with its own message.
+fn build_engines(
+    replicas: usize,
+    setup: &(impl Fn(&mut Engine) -> Result<()> + Sync),
+    history: &[LogRecord],
+) -> Vec<Engine> {
+    let max_table = history
+        .iter()
+        .flat_map(|rec| rec.writeset.entries())
+        .map(|e| e.table.index())
+        .max();
+    let build = || {
+        let mut engine = Engine::new();
+        setup(&mut engine).expect("cluster setup succeeds");
+        // DDL is not logged: the schema checkpoint is the `setup` closure.
+        // Catch a schema/history mismatch here with an actionable message
+        // instead of a bounds panic deep in the storage engine.
+        let n_tables = engine.catalog().len();
+        if let Some(max) = max_table {
+            assert!(
+                max < n_tables,
+                "recovery: the durable history writes table #{max} but the \
+                 schema has only {n_tables} table(s); recreate the schema with \
+                 `Cluster::start_with_setup` (the same `setup` as the previous run) \
+                 so the certified writesets can be replayed"
+            );
+        }
+        for rec in history {
+            engine
+                .apply_refresh(rec.writeset.as_ref(), rec.commit_version)
+                .expect("recovery replays the certified history in order");
+        }
+        engine
+    };
+    std::thread::scope(|scope| {
+        let builders: Vec<_> = (0..replicas).map(|_| scope.spawn(build)).collect();
+        builders
+            .into_iter()
+            .map(|b| {
+                b.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// A certified record replayed at a replica.
