@@ -43,7 +43,7 @@ impl VersionChain {
     /// A chain of `versions` given oldest first, their commit versions
     /// strictly ascending (the order a snapshot stream ships them in).
     #[must_use]
-    pub fn from_oldest_first(mut versions: Vec<RowVersion>) -> Self {
+    pub(crate) fn from_oldest_first(mut versions: Vec<RowVersion>) -> Self {
         debug_assert!(versions.windows(2).all(|w| w[0].begin < w[1].begin));
         versions.reverse();
         VersionChain { versions }

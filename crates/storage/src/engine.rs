@@ -180,7 +180,8 @@ impl Engine {
     /// Bulk-loads rows into a table at version 0, before transaction
     /// processing (initial database population). All or none: a bad row or
     /// a duplicate key refuses the batch and leaves the table as it was.
-    /// See [`Table::load`].
+    /// An empty table is built in one pass from the rows sorted by key; a
+    /// table with rows takes one search a row.
     pub fn load_rows(&mut self, table: TableId, rows: Vec<Row>) -> Result<()> {
         self.catalog.schema(table)?;
         self.tables[table.index()].load(rows)

@@ -40,7 +40,7 @@ impl SecondaryIndex {
     /// An index over `column` of `chains`, one entry for each value a
     /// version of a key carries: the pairs are sorted once and the set is
     /// built from them in bulk, with no search per entry.
-    pub fn build<'a>(
+    pub(crate) fn build<'a>(
         column: usize,
         chains: impl Iterator<Item = (&'a Value, &'a VersionChain)>,
     ) -> Self {

@@ -39,7 +39,7 @@ impl Table {
     /// the set of keys a collection is due to visit and every index are
     /// built in one pass each from sorted input, with no search per key.
     #[must_use]
-    pub fn from_chains(
+    pub(crate) fn from_chains(
         schema: TableSchema,
         chains: Vec<(Value, VersionChain)>,
         indexed: &[usize],
@@ -68,7 +68,7 @@ impl Table {
     /// it was. The rows are checked, then sorted by key. An empty table is
     /// then built in one pass ([`Table::from_chains`]); a table with rows
     /// takes one search a row.
-    pub fn load(&mut self, rows: Vec<Row>) -> Result<()> {
+    pub(crate) fn load(&mut self, rows: Vec<Row>) -> Result<()> {
         for row in &rows {
             self.schema.check_row(row)?;
         }
