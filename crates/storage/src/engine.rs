@@ -180,8 +180,8 @@ impl Engine {
     /// Bulk-loads rows into a table at version 0, before transaction
     /// processing (initial database population). All or none: a bad row or
     /// a duplicate key refuses the batch and leaves the table as it was.
-    /// An empty table is built in one pass from the rows sorted by key; a
-    /// table with rows takes one search a row.
+    /// The table is rebuilt in one pass from its own rows and the batch's,
+    /// sorted by key.
     pub fn load_rows(&mut self, table: TableId, rows: Vec<Row>) -> Result<()> {
         self.catalog.schema(table)?;
         self.tables[table.index()].load(rows)
@@ -907,8 +907,8 @@ mod tests {
                 t.version_count(),
             )
         };
-        // Into the empty table (built in one pass), then into one with rows
-        // (one search a row), where a key it holds is refused too.
+        // Into the empty table, then into one with rows, where a key it
+        // holds is refused too.
         for first in [vec![], vec![row(10, 1), row(20, 2)]] {
             let mut refused = vec![
                 vec![row(3, 3), row(4, 4), row(3, 5)], // a key twice
@@ -916,7 +916,7 @@ mod tests {
                 vec![row(9, 9), vec![Value::Null, Value::Int(1)]], // a NULL key
             ];
             if !first.is_empty() {
-                // Keys below and between the held ones go in before 20 is met.
+                // A held key among keys below and between the held ones.
                 refused.push(vec![row(30, 3), row(7, 7), row(20, 9), row(15, 8)]);
             }
             e.load_rows(t, first).unwrap();

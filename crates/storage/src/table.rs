@@ -4,8 +4,8 @@ use crate::chain::{RowVersion, VersionChain};
 use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
 use bargain_common::{Error, Result, Row, Value, Version};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::mem;
 use std::ops::Bound;
 
 /// One table's data: every row keyed by primary key, each key holding its
@@ -65,9 +65,9 @@ impl Table {
     /// Loads `rows` as live rows committed at version 0, all or none: a
     /// row that does not fit the schema, a key twice in the batch or a key
     /// the table holds already refuses the batch and leaves the table as
-    /// it was. The rows are checked, then sorted by key. An empty table is
-    /// then built in one pass ([`Table::from_chains`]); a table with rows
-    /// takes one search a row.
+    /// it was. The rows are checked and sorted by key, and the table is
+    /// rebuilt in one pass ([`Table::from_chains`]) from its own chains
+    /// and the batch's.
     pub(crate) fn load(&mut self, rows: Vec<Row>) -> Result<()> {
         for row in &rows {
             self.schema.check_row(row)?;
@@ -80,41 +80,15 @@ impl Table {
         if let Some(pair) = keyed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
             return Err(refused(&self.schema.name, &pair[0].0, "twice in one load"));
         }
-        if self.rows.is_empty() {
-            let chains = keyed.into_iter().map(|(key, row)| (key, loaded(row)));
-            let indexed = self.indexed_columns();
-            *self = Table::from_chains(self.schema.clone(), chains.collect(), &indexed);
-            return Ok(());
+        if let Some((key, _)) = keyed.iter().find(|(key, _)| self.rows.contains_key(key)) {
+            return Err(refused(&self.schema.name, key, "already in the table"));
         }
-        let entries: Vec<Vec<(Value, Value)>> = self
-            .indexes
-            .iter()
-            .map(|idx| {
-                let entry = |(key, row): &(Value, Row)| (row[idx.column].clone(), key.clone());
-                keyed.iter().map(entry).collect()
-            })
-            .collect();
-        let mut placed = Vec::with_capacity(keyed.len());
-        for (key, row) in keyed {
-            match self.rows.entry(key) {
-                Entry::Vacant(slot) => {
-                    placed.push(slot.key().clone());
-                    slot.insert(loaded(row));
-                }
-                Entry::Occupied(slot) => {
-                    let error = refused(&self.schema.name, slot.key(), "already in the table");
-                    for key in &placed {
-                        self.rows.remove(key);
-                    }
-                    return Err(error);
-                }
-            }
-        }
-        for (idx, entries) in self.indexes.iter_mut().zip(entries) {
-            for (value, pk) in entries {
-                idx.insert(value, pk);
-            }
-        }
+        let mut chains: Vec<(Value, VersionChain)> =
+            mem::take(&mut self.rows).into_iter().collect();
+        chains.extend(keyed.into_iter().map(|(key, row)| (key, loaded(row))));
+        chains.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let indexed = self.indexed_columns();
+        *self = Table::from_chains(self.schema.clone(), chains, &indexed);
         Ok(())
     }
 
