@@ -197,7 +197,7 @@ impl FrontDoor {
     }
 }
 
-/// The front door behind its lock, with the replica queues it feeds.
+/// The front door behind its lock, with the replica mailboxes it feeds.
 pub(crate) struct Front {
     pub door: Mutex<FrontDoor>,
     pub replica_txs: ReplicaTxs,
@@ -245,17 +245,22 @@ impl Front {
         abandoned.into_iter().for_each(|r| deliver(r, None));
     }
 
-    /// Sends to every replica's queue; returns how many took it.
+    /// Sends to every replica's mailbox; returns how many took it.
     pub fn broadcast(&self, msg: impl Fn() -> ToReplica) -> usize {
         let txs = self.replica_txs.lock();
-        txs.iter().filter(|tx| tx.send(msg()).is_ok()).count()
+        txs.iter()
+            .filter(|mailbox| mailbox.send(msg()).is_ok())
+            .count()
     }
 
-    /// Sends to one replica's queue; `false` if its thread is gone.
+    /// Sends to one replica's mailbox; `false` if its thread is gone. A
+    /// refused message is dropped after the registry's lock.
     pub fn send(&self, replica: ReplicaId, msg: ToReplica) -> bool {
-        let txs = self.replica_txs.lock();
-        txs.get(replica.index())
-            .is_some_and(|tx| tx.send(msg).is_ok())
+        let refused = match self.replica_txs.lock().get(replica.index()) {
+            Some(mailbox) => mailbox.send(msg).err(),
+            None => Some(msg),
+        };
+        refused.is_none()
     }
 }
 

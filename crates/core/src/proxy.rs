@@ -257,6 +257,15 @@ impl Proxy {
         self.pending.len()
     }
 
+    /// Whether no transaction is active, parked on its start requirement or
+    /// waiting for its commit to apply here: a host may then put off
+    /// applying refreshes until the next transaction arrives, since that
+    /// one is queued behind them.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.active.is_empty() && self.waiting.is_empty() && self.pending.is_empty()
+    }
+
     /// Number of statements in a registered template.
     pub fn statement_count(&self, template: TemplateId) -> Result<usize> {
         Ok(self
