@@ -144,3 +144,101 @@ fn a_decision_delivered_before_down_beats_the_sweep_and_resync_leaves_no_gap() {
     assert_eq!(stats.v_system, Version(21));
     cluster.shutdown();
 }
+
+/// An Eager certification service whose link drops one replica's first
+/// `Applied` report — as a report written into a socket that then dies is
+/// lost — and goes down with it. Its loop runs on the link thread, behind a
+/// channel that `request` feeds.
+struct LostReportLink {
+    certifier: Mutex<Certifier>,
+    to_loop: Sender<CertifierRequest>,
+    requests: Receiver<CertifierRequest>,
+}
+
+impl LostReportLink {
+    fn new() -> LostReportLink {
+        let replicas = (0..REPLICAS as u32).map(ReplicaId).collect();
+        let mut certifier = Certifier::new(replicas);
+        certifier.set_eager(true);
+        let (to_loop, requests) = unbounded();
+        LostReportLink {
+            certifier: Mutex::new(certifier),
+            to_loop,
+            requests,
+        }
+    }
+}
+
+impl CertifierLink for LostReportLink {
+    fn history(&mut self) -> Result<Vec<LogRecord>> {
+        Ok(Vec::new())
+    }
+
+    fn request(&self, request: CertifierRequest) {
+        let _ = self.to_loop.send(request);
+    }
+
+    fn serve(&self, deliveries: bargain_cluster::CertifierDeliveries) {
+        let (requests, mut certifier) = (&self.requests, self.certifier.lock().unwrap());
+        let (mut lost, mut acked) = (false, 0);
+        for request in requests.iter() {
+            let input = match request {
+                CertifierRequest::Certify(req) => Input::Certify(req),
+                CertifierRequest::Applied { .. } if !lost => {
+                    lost = true;
+                    let _ = deliveries.send(CertifierDelivery::Down { epoch: 1 });
+                    continue;
+                }
+                CertifierRequest::Applied { replica, version } => {
+                    Input::Applied { replica, version }
+                }
+                CertifierRequest::SweepAck { epoch: 1, .. } => {
+                    acked += 1;
+                    if acked == REPLICAS {
+                        let records = certifier.certified_since(Version::ZERO).expect("in memory");
+                        let _ = deliveries.send(CertifierDelivery::Resync { records });
+                        let _ = deliveries.send(CertifierDelivery::Up);
+                    }
+                    continue;
+                }
+                CertifierRequest::Shutdown => return,
+                _ => continue,
+            };
+            let step = certifier.step([input]).expect("memory log flushes");
+            for (to, delivery) in step.out {
+                let _ = deliveries.send(CertifierDelivery::Deliver { to, delivery });
+            }
+        }
+    }
+}
+
+/// An Eager commit whose global commit waits on a report the link lost is
+/// completed once the link is back: the replicas re-introduce themselves.
+#[test]
+fn an_eager_commit_whose_applied_report_died_with_the_link_completes_after_it_returns() {
+    let workload = MicroBenchmark::small(0.5);
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: REPLICAS,
+            mode: ConsistencyMode::Eager,
+            ..ClusterConfig::default()
+        },
+        move |engine| workload.install(engine),
+        Box::new(LostReportLink::new()),
+    );
+    let mut session = cluster.connect();
+    let (done, outcome) = unbounded();
+    std::thread::spawn(move || {
+        let update = "UPDATE bench0 SET val = ? WHERE pk = ?";
+        let _ = done.send(session.run_sql(&[(update, vec![Value::Int(100), Value::Int(1)])]));
+    });
+    let (outcome, _) = outcome
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the update waits for a global commit that never comes")
+        .expect("the update is answered");
+    assert!(outcome.committed, "{:?}", outcome.abort_reason);
+    assert_eq!(outcome.commit_version, Some(Version(1)));
+    let stats = cluster.stats().unwrap();
+    assert_eq!((stats.certifier_downs, stats.certifier_up), (1, true));
+    cluster.shutdown();
+}

@@ -1,0 +1,143 @@
+//! What happens at the frame cap (`MAX_FRAME_LEN`, 64 MiB), on both
+//! endpoints: a reply too large for one frame is answered with an error,
+//! once, and a certifier log larger than one frame still reaches a
+//! restarting split cluster, a page at a time.
+
+use bargain_cluster::{Cluster, ClusterConfig};
+use bargain_common::{
+    ConsistencyMode, Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+};
+use bargain_core::certifier::Input;
+use bargain_core::{Certifier, CertifyRequest};
+use bargain_net::frame::MAX_FRAME_LEN;
+use bargain_net::RemoteSession;
+use bargain_net::{CertifierServer, CertifierServerConfig, NetServer, RemoteCertifierLink};
+use bargain_storage::Engine;
+
+fn blob_table(engine: &mut Engine) -> Result<()> {
+    bargain_sql::execute_ddl(
+        engine,
+        &bargain_sql::parse("CREATE TABLE blob (id INT PRIMARY KEY, body TEXT NOT NULL)")?,
+    )
+}
+
+/// A `SELECT` of one 1 MiB text column, 65 times over, has a 65 MiB reply:
+/// the server sends `Err(Codec)` in its place. That error is the answer —
+/// the session does not take it for a lost reply and run the transaction
+/// again.
+#[test]
+fn a_run_whose_reply_is_over_the_frame_cap_gets_its_error_and_runs_once() {
+    let cluster = Cluster::start_with_setup(
+        ClusterConfig {
+            replicas: 2,
+            mode: ConsistencyMode::LazyFine,
+            ..ClusterConfig::default()
+        },
+        blob_table,
+    );
+    let server = NetServer::start("127.0.0.1:0", cluster).expect("bind loopback");
+    let mut session = RemoteSession::connect(&server.local_addr().to_string()).unwrap();
+    let body = "x".repeat(1 << 20);
+    session
+        .run_sql(&[(
+            "INSERT INTO blob (id, body) VALUES (?, ?)",
+            vec![Value::Int(1), Value::Text(body)],
+        )])
+        .unwrap();
+
+    let columns = vec!["body"; 65].join(", ");
+    let select = format!("SELECT {columns} FROM blob WHERE id = ?");
+    let routed = session.stats().unwrap().routed;
+    let got = session.run_sql(&[(select.as_str(), vec![Value::Int(1)])]);
+    assert!(matches!(got, Err(Error::Codec(_))), "{got:?}");
+    assert_eq!(
+        session.stats().unwrap().routed - routed,
+        1,
+        "the oversized reply's transaction ran more than once"
+    );
+
+    // The session serves on.
+    let (outcome, results) = session
+        .run_sql(&[("SELECT id FROM blob WHERE id = ?", vec![Value::Int(1)])])
+        .unwrap();
+    assert!(outcome.committed);
+    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+    drop(session);
+    server.stop();
+}
+
+/// Records of about 60 KiB: a page of 1 024 stays under the frame cap, and
+/// 1 150 of them are over it.
+const RECORDS: u64 = 1_150;
+const BODY_BYTES: usize = 60 * 1024;
+
+/// A durable split deployment restarts over a certifier log larger than
+/// one frame: the cluster starts, and an Eager update commits at the next
+/// version, which it can only do once every replica has applied every
+/// logged commit before it.
+#[test]
+fn a_durable_split_cluster_starts_over_a_log_larger_than_a_frame() {
+    let dir = std::env::temp_dir().join(format!("bargain-net-wide-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let replicas = vec![ReplicaId(0), ReplicaId(1)];
+    {
+        let mut certifier = Certifier::open(replicas.clone(), Some(&dir)).unwrap();
+        let body = "y".repeat(BODY_BYTES);
+        for batch in (1..=RECORDS).collect::<Vec<_>>().chunks(64) {
+            let inputs = batch.iter().map(|&i| {
+                let mut writeset = WriteSet::new();
+                let row = vec![Value::Int(i as i64), Value::Text(body.clone())];
+                writeset.push(TableId(0), Value::Int(i as i64), WriteOp::Insert(row));
+                Input::Certify(CertifyRequest {
+                    txn: TxnId(i),
+                    replica: ReplicaId(0),
+                    snapshot: Version(i - 1),
+                    writeset,
+                    idem: None,
+                })
+            });
+            certifier.step(inputs).unwrap();
+        }
+        assert_eq!(certifier.version(), Version(RECORDS));
+    }
+    let log_bytes = std::fs::metadata(dir.join("certifier.wal")).unwrap().len();
+    assert!(log_bytes > u64::from(MAX_FRAME_LEN), "{log_bytes}");
+
+    let service = CertifierServer::start(
+        "127.0.0.1:0",
+        CertifierServerConfig {
+            replicas: replicas.len(),
+            eager: true,
+            wal_dir: Some(dir.clone()),
+        },
+    )
+    .unwrap();
+    let link = RemoteCertifierLink::connect(&service.local_addr().to_string()).unwrap();
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: replicas.len(),
+            mode: ConsistencyMode::Eager,
+            ..ClusterConfig::default()
+        },
+        blob_table,
+        Box::new(link),
+    );
+    let mut session = cluster.connect();
+    let (outcome, _) = session
+        .run_sql(&[(
+            "UPDATE blob SET body = ? WHERE id = ?",
+            vec![Value::Text("z".into()), Value::Int(RECORDS as i64)],
+        )])
+        .unwrap();
+    assert!(outcome.committed, "{:?}", outcome.abort_reason);
+    assert_eq!(outcome.commit_version, Some(Version(RECORDS + 1)));
+    let (_, results) = session
+        .run_sql(&[("SELECT id FROM blob WHERE id = ?", vec![Value::Int(1)])])
+        .unwrap();
+    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+
+    drop(session);
+    cluster.shutdown();
+    service.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
