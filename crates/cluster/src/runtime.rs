@@ -305,6 +305,17 @@ pub enum CertifierRequest {
         /// The failure epoch being acknowledged.
         epoch: u64,
     },
+    /// A replica re-introduces itself after the link-loss sweep: it has
+    /// applied every commit up to `v_local`. The eager configuration's
+    /// global-commit accounting credits it for those, which replaces the
+    /// `Applied` reports lost with the link (or, across a certifier
+    /// restart, every credit the recovery reset).
+    Hello {
+        /// The reporting replica.
+        replica: ReplicaId,
+        /// Its `V_local`.
+        v_local: Version,
+    },
     /// Flush pending work and stop serving.
     Shutdown,
 }
@@ -1098,9 +1109,12 @@ impl Replica {
                 for outcome in outcomes {
                     self.finished(outcome);
                 }
-                self.port.request(CertifierRequest::SweepAck {
-                    replica: self.proxy.replica(),
-                    epoch,
+                let replica = self.proxy.replica();
+                self.port
+                    .request(CertifierRequest::SweepAck { replica, epoch });
+                self.port.request(CertifierRequest::Hello {
+                    replica,
+                    v_local: self.proxy.version(),
                 });
             }
             ToReplica::Ddl(ddl) => ddl.apply(self.proxy.engine_mut()),
@@ -1255,6 +1269,9 @@ impl CertifierPort for LocalCertifier {
             CertifierRequest::Certify(req) => self.push(Input::Certify(req)),
             CertifierRequest::Applied { replica, version } => {
                 self.push(Input::Applied { replica, version });
+            }
+            CertifierRequest::Hello { replica, v_local } => {
+                self.push(Input::Hello { replica, v_local });
             }
             // The in-process certifier never declares itself down, so a
             // sweep acknowledgement has nothing to fence; and a request is

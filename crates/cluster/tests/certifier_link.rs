@@ -192,6 +192,7 @@ impl CertifierLink for LostReportLink {
                 CertifierRequest::Applied { replica, version } => {
                     Input::Applied { replica, version }
                 }
+                CertifierRequest::Hello { replica, v_local } => Input::Hello { replica, v_local },
                 CertifierRequest::SweepAck { epoch: 1, .. } => {
                     acked += 1;
                     if acked == REPLICAS {

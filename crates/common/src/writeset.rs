@@ -14,7 +14,7 @@
 //!    of in-flight local transactions against pending refresh writesets to
 //!    avoid the hidden deadlock problem.
 
-use crate::ids::{TableId, Version};
+use crate::ids::TableId;
 use crate::value::{Row, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -260,17 +260,6 @@ impl KeySet {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-}
-
-/// A writeset certified to commit at a given global version: the unit the
-/// certifier forwards to replicas ("refresh transaction").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CertifiedWriteSet {
-    /// The global version this commit produces; replicas must apply refresh
-    /// transactions in increasing `commit_version` order.
-    pub commit_version: Version,
-    /// The writes to apply.
-    pub writeset: WriteSet,
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! [`Message::SnapshotChunk`] frames closed by a [`Message::SnapshotDone`]
 //! carrying the self-verifying manifest. The chunks are imported into a
 //! fresh [`Engine`] (every chunk is verified against the manifest's CRCs),
-//! and [`Message::CatchUp`] rounds replay the commits certified after the
-//! snapshot version, leaving the engine at the donor cluster's recent past.
+//! and [`catch_up`] replays the commits certified after the snapshot
+//! version, read in [`Message::FetchHistory`] pages, leaving the engine at
+//! the donor cluster's recent past.
 //!
 //! The whole fetch is **restartable**: any failure — donor crash
 //! mid-stream, torn frame, corrupted chunk (checksum mismatch at import),
@@ -16,9 +17,10 @@
 //! donor pays one pass over its tables), so retrying whole is simpler and
 //! safer than resuming a half-trusted stream.
 
-use crate::codec::{Message, CATCH_UP_RECORDS};
+use crate::codec::{unexpected, Message, CATCH_UP_RECORDS};
 use crate::conn::{ConnectPolicy, Connection};
 use bargain_common::{Error, Result, Version};
+use bargain_core::LogRecord;
 use bargain_storage::{Engine, SnapshotManifest, DEFAULT_CHUNK_BYTES};
 
 /// Tuning for a bootstrap fetch.
@@ -114,12 +116,7 @@ fn fetch_once(donor: &str, config: &BootstrapConfig) -> Result<Bootstrapped> {
             }
             Message::SnapshotDone { manifest } => break SnapshotManifest::decode(&manifest)?,
             Message::Err(e) => return Err(e),
-            other => {
-                return Err(Error::Protocol(format!(
-                    "unexpected message kind {} in a snapshot stream",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("a snapshot chunk", &other)),
         }
     };
 
@@ -142,30 +139,36 @@ fn fetch_once(donor: &str, config: &BootstrapConfig) -> Result<Bootstrapped> {
     })
 }
 
-/// Replays the catch-up feed against an already-bootstrapped engine:
-/// `CatchUp` rounds from the engine's version until a reply comes back
-/// shorter than [`CATCH_UP_RECORDS`]. Returns how many records were
-/// applied; callers poll this until the returned count (or their lag
-/// estimate) is inside the admission bound.
+/// Replays the catch-up feed against an already-bootstrapped engine: the
+/// certified records above its version, read with [`fetch_history`].
+/// Returns how many records were applied; callers poll this until the
+/// returned count (or their lag estimate) is inside the admission bound.
 pub fn catch_up(conn: &mut Connection, engine: &mut Engine) -> Result<usize> {
-    let mut applied = 0;
+    let records = fetch_history(conn, engine.version())?;
+    for rec in &records {
+        engine.apply_refresh(&rec.writeset, rec.commit_version)?;
+    }
+    Ok(records.len())
+}
+
+/// Reads the certified records above `after`, the oldest first, from a
+/// frontend or a certifier service alike: [`Message::FetchHistory`] pages
+/// from the last record read until one comes back shorter than
+/// [`CATCH_UP_RECORDS`]. The one client of the history exchange: the
+/// certifier link's start and its resync after a reconnect read through it
+/// too.
+pub fn fetch_history(conn: &mut Connection, mut after: Version) -> Result<Vec<LogRecord>> {
+    let mut records = Vec::new();
     loop {
-        let after = engine.version();
-        let records = match conn.call(&Message::CatchUp { after })? {
+        let page = match conn.call(&Message::FetchHistory { after })? {
             Message::History { records } => records,
-            other => {
-                return Err(Error::Protocol(format!(
-                    "expected History for CatchUp, got message kind {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("History", &other)),
         };
-        for rec in &records {
-            engine.apply_refresh(&rec.writeset, rec.commit_version)?;
-        }
-        applied += records.len();
-        if records.len() < CATCH_UP_RECORDS {
-            return Ok(applied);
+        let more = page.len() >= CATCH_UP_RECORDS;
+        after = page.last().map_or(after, |rec| rec.commit_version);
+        records.extend(page);
+        if !more {
+            return Ok(records);
         }
     }
 }

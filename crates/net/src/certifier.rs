@@ -3,10 +3,16 @@
 //! certifier from the replicas), plus the cluster-side link that connects a
 //! [`bargain_cluster::Cluster`] to it.
 //!
-//! Protocol (certifier endpoint, message kinds 15–16 and 20–26):
+//! Protocol (certifier endpoint, message kinds 15–16 and 20–27):
 //!
-//! - On connect, the cluster sends [`Message::FetchHistory`] once and
-//!   fast-forwards its replicas through the returned commit history.
+//! - On connect, the cluster reads the commit history with
+//!   [`crate::bootstrap::fetch_history`] and fast-forwards its replicas
+//!   through it. Each [`Message::FetchHistory`] is answered with one page
+//!   of at most [`crate::codec::CATCH_UP_RECORDS`] records, the same page
+//!   the frontend answers a joining node with, so a log of any length
+//!   arrives in frames under the cap; the reader stops at the first short
+//!   page, which is exact here because nothing else certifies while the
+//!   link is fetching.
 //! - Thereafter the cluster streams [`Message::Certify`] and
 //!   [`Message::Applied`] requests; the server pushes
 //!   [`Message::RefreshFor`], [`Message::Decision`], and
@@ -30,7 +36,8 @@
 //! `bargain_core::Certifier::step`'s, the same step the runtime's
 //! in-process certifier and the simulator run. The service owns the socket,
 //! the batch counters and the frames that are no certifier input (`Ping`,
-//! `FetchHistory`, `StopServer`).
+//! `FetchHistory`, `StopServer`). A [`Message::ReplicaHello`] is the
+//! certifier's `Input::Hello`.
 //!
 //! # Fault tolerance
 //!
@@ -60,11 +67,16 @@
 //! certifying transaction and sheds new updates at the load balancer.
 //! Every decision it read before is already on its replica's queue, ahead
 //! of the sweep: the same thread delivered it. The link then reconnects
-//! with backoff, fetches the commits it may have missed
-//! ([`Message::FetchHistory`] with the last version it saw a decision
-//! for), delivers them as [`CertifierDelivery::Resync`] refreshes and then
+//! with backoff, fetches the commits it may have missed (the history above
+//! the last version it saw a decision for), delivers them as
+//! [`CertifierDelivery::Resync`] refreshes and then
 //! [`CertifierDelivery::Up`], and only then sends what was held and
-//! installs the new write side.
+//! installs the new write side. What was held includes each replica's
+//! re-introduction: handling the sweep, a replica reports its `V_local`
+//! ([`CertifierRequest::Hello`], sent as [`Message::ReplicaHello`]), which
+//! credits it in the eager accounting for every commit it holds — the
+//! `Applied` reports that died with the old socket, or every credit a
+//! restarted certifier's recovery reset.
 //!
 //! Exactly-once across the outage hinges on one fencing rule: a certify
 //! request handed over *before* its replica processed the sweep belongs to
@@ -76,7 +88,8 @@
 //! replica until that replica's acknowledgement of the current failure
 //! epoch has arrived, and writes everything after it.
 
-use crate::codec::Message;
+use crate::bootstrap::fetch_history;
+use crate::codec::{history_page, Message};
 use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
 use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
@@ -284,10 +297,9 @@ impl CertifierService {
         match msg {
             Message::Ping => conn.enqueue_reply(request_id, &Message::Pong),
             Message::FetchHistory { after } => {
-                let reply = match self.certifier.certified_since(after) {
-                    Ok(records) => Message::History { records },
-                    Err(e) => Message::Err(e),
-                };
+                let reply = history_page(after, |after, max| {
+                    self.certifier.certified_page(after, max)
+                });
                 conn.enqueue_reply(request_id, &reply);
             }
             Message::StopServer => {
@@ -341,6 +353,7 @@ impl Service for CertifierService {
             inputs.push(match msg {
                 Message::Certify(req) => Input::Certify(req),
                 Message::Applied { replica, version } => Input::Applied { replica, version },
+                Message::ReplicaHello { replica, v_local } => Input::Hello { replica, v_local },
                 // Any other frame may depend on decisions queued before it:
                 // step over what came first, then answer.
                 other => {
@@ -479,16 +492,6 @@ impl RemoteCertifierLink {
         })
     }
 
-    fn fetch_history(conn: &mut Connection, after: Version) -> Result<Vec<LogRecord>> {
-        match conn.call(&Message::FetchHistory { after })? {
-            Message::History { records } => Ok(records),
-            other => Err(Error::Protocol(format!(
-                "expected History, got message kind {}",
-                other.kind()
-            ))),
-        }
-    }
-
     /// Reconnects with backoff until a connection is made, or returns
     /// `None` once a shutdown was requested.
     fn reconnect(&self) -> Option<Connection> {
@@ -572,7 +575,7 @@ impl CertifierLink for RemoteCertifierLink {
             .first
             .as_mut()
             .ok_or_else(|| Error::Protocol("certifier link already serving".into()))?;
-        let records = Self::fetch_history(conn, Version::ZERO)?;
+        let records = fetch_history(conn, Version::ZERO)?;
         // The cluster replays these before the link serves: they are the
         // floor for any post-reconnect resync.
         if let Some(last) = records.last() {
@@ -597,6 +600,9 @@ impl CertifierLink for RemoteCertifierLink {
                 Message::Certify(req)
             }
             CertifierRequest::Applied { replica, version } => Message::Applied { replica, version },
+            CertifierRequest::Hello { replica, v_local } => {
+                Message::ReplicaHello { replica, v_local }
+            }
             CertifierRequest::SweepAck { replica, epoch } => {
                 state.acked.insert(replica.0, epoch);
                 return;
@@ -637,7 +643,7 @@ impl CertifierLink for RemoteCertifierLink {
                 // Resynchronize: fetch commits certified while the link was
                 // down (or whose deliveries died with the old socket) and
                 // replay them to every replica before admitting updates.
-                match Self::fetch_history(&mut conn, max_seen) {
+                match fetch_history(&mut conn, max_seen) {
                     Ok(records) => {
                         if let Some(last) = records.last() {
                             max_seen = last.commit_version;

@@ -9,7 +9,7 @@
 //!
 //! # Exactly-once retry
 //!
-//! Every [`RemoteSession::run`] call is one *logical* transaction and
+//! Every call to [`RemoteSession::run`] is one *logical* transaction and
 //! carries a durable idempotency key (`IdemKey`): a per-session random
 //! nonce plus a sequence number that advances per logical transaction, not
 //! per wire attempt. When the transport fails mid-call the outcome is
@@ -22,9 +22,13 @@
 //! applied at most once, and exactly once whenever a committed outcome is
 //! returned.
 //!
-//! A shed or swept transaction (an [`Error::Unavailable`] whose reason
-//! carries the `retry-after` marker) is also retried here, after a
-//! backoff: the server is explicitly saying "try again later".
+//! A reply the server sent is never in doubt: an error frame is the
+//! transaction's answer — a reply too large for a frame arrives as
+//! `Err(Codec)` in its place, and the transaction ran once. The exception
+//! is an [`Error::Unavailable`] whose reason carries the `retry-after`
+//! marker (shed, or swept by a certifier outage): the server is explicitly
+//! saying "try again later", so the same call is sent again after a
+//! backoff.
 //!
 //! # Pipelining
 //!
@@ -34,30 +38,19 @@
 //! complete out of order on the wire while this API returns them in input
 //! order). The server executes one connection's requests serially in
 //! arrival order — pipelining removes the per-request round-trip wait, not
-//! the session's ordering — and every in-flight transaction carries its
-//! own idempotency key, so the exactly-once reconnect/replay guarantee is
-//! the same as for [`RemoteSession::run`].
+//! the session's ordering. It is the session's one send/receive/replay
+//! loop: [`RemoteSession::run`] is that loop over one call.
 //!
 //! Template ids returned by [`RemoteSession::prepare`] are *virtual*:
 //! indices into the session's template list, remapped to server-assigned
 //! ids on every (re)connect. Handles stay valid across server restarts.
 
-use crate::codec::Message;
+use crate::codec::{unexpected, Message};
 use crate::conn::{ConnectPolicy, Connection};
 use bargain_cluster::{ClusterStats, TxnResult};
 use bargain_common::{ClientId, ConsistencyMode, Error, IdemKey, Result, TemplateId, Value};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
-
-/// Is this error worth re-issuing the same logical transaction for?
-/// `Codec` counts: a corrupted reply frame (chaos, flaky links) means the
-/// outcome never arrived intact — in doubt, same as a dead connection.
-fn is_indoubt_transport(e: &Error) -> bool {
-    matches!(
-        e,
-        Error::Timeout(_) | Error::ConnectionClosed(_) | Error::Io(_) | Error::Codec(_)
-    )
-}
 
 /// `Unavailable` with the server's explicit "back off and retry" marker
 /// (overload shedding, certifier-outage sweeps/sheds). Other
@@ -130,21 +123,11 @@ impl RemoteSession {
     fn handshake(conn: &mut Connection) -> Result<(u32, ConsistencyMode, ClientId)> {
         let (replicas, mode) = match conn.call(&Message::Hello)? {
             Message::HelloAck { replicas, mode } => (replicas, mode),
-            other => {
-                return Err(Error::Protocol(format!(
-                    "expected HelloAck, got message kind {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("HelloAck", &other)),
         };
         let client = match conn.call(&Message::OpenSession)? {
             Message::SessionOpened { client } => ClientId(client),
-            other => {
-                return Err(Error::Protocol(format!(
-                    "expected SessionOpened, got message kind {}",
-                    other.kind()
-                )))
-            }
+            other => return Err(unexpected("SessionOpened", &other)),
         };
         Ok((replicas, mode, client))
     }
@@ -174,10 +157,7 @@ impl RemoteSession {
         };
         match conn.call(&msg)? {
             Message::Prepared { template } => Ok(template),
-            other => Err(Error::Protocol(format!(
-                "expected Prepared, got message kind {}",
-                other.kind()
-            ))),
+            other => Err(unexpected("Prepared", &other)),
         }
     }
 
@@ -204,10 +184,7 @@ impl RemoteSession {
     pub fn ping(&mut self) -> Result<()> {
         match self.conn.call(&Message::Ping)? {
             Message::Pong => Ok(()),
-            other => Err(Error::Protocol(format!(
-                "expected Pong, got message kind {}",
-                other.kind()
-            ))),
+            other => Err(unexpected("Pong", &other)),
         }
     }
 
@@ -216,10 +193,7 @@ impl RemoteSession {
     pub fn execute_ddl(&mut self, sql: &str) -> Result<()> {
         match self.conn.call(&Message::Ddl { sql: sql.into() })? {
             Message::Ack => Ok(()),
-            other => Err(Error::Protocol(format!(
-                "expected Ack, got message kind {}",
-                other.kind()
-            ))),
+            other => Err(unexpected("Ack", &other)),
         }
     }
 
@@ -246,68 +220,30 @@ impl RemoteSession {
     }
 
     /// Runs one logical transaction from a previously prepared template,
-    /// with exactly-once retry (see the module docs). Aborts come back as
-    /// the same error variants the local `Session` surfaces
-    /// ([`Error::CertificationConflict`] is retryable as a *new*
-    /// transaction, a draining server yields [`Error::Unavailable`], ...).
+    /// with exactly-once retry (see the module docs): the pipelined loop
+    /// over one call. Aborts come back as the same error variants the local
+    /// `Session` surfaces ([`Error::CertificationConflict`] is retryable as
+    /// a *new* transaction, a draining server yields
+    /// [`Error::Unavailable`], ...).
     pub fn run(&mut self, template: TemplateId, params: Vec<Vec<Value>>) -> Result<TxnResult> {
-        let idem = IdemKey {
-            client: self.nonce,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let server_id = *self.server_ids.get(template.0 as usize).ok_or_else(|| {
-                Error::Protocol(format!("unknown template {template}; prepare it first"))
-            })?;
-            let msg = Message::Run {
-                template: server_id,
-                params: params.clone(),
-                idem: Some(idem),
-            };
-            match self.conn.call(&msg) {
-                Ok(Message::TxnReply { outcome, results }) => return Ok((outcome, results)),
-                Ok(other) => {
-                    return Err(Error::Protocol(format!(
-                        "expected TxnReply, got message kind {}",
-                        other.kind()
-                    )))
-                }
-                Err(e) if is_indoubt_transport(&e) && attempt < max_attempts => {
-                    // In doubt: reconnect (bounded by the connect policy)
-                    // and replay under the same key. The certifier
-                    // deduplicates if the original committed. A failed
-                    // reconnect (e.g. mid-partition) is not terminal — the
-                    // stale connection fails the next attempt fast, and
-                    // the attempt budget bounds the whole loop.
-                    std::thread::sleep(self.retry_backoff(attempt));
-                    let _ = self.reconnect();
-                }
-                Err(e) if is_retry_after(&e) && attempt < max_attempts => {
-                    // Not admitted (shed) or swept with a known-aborted
-                    // outcome: safe to retry after backing off.
-                    std::thread::sleep(self.retry_backoff(attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.run_pipelined(&[(template, params)], 1)
+            .pop()
+            .expect("one result per call")
     }
 
     /// Runs a batch of logical transactions with up to `depth` of them in
-    /// flight on this connection at once (pipelined mode; `depth == 1`
-    /// degenerates to sequential [`RemoteSession::run`] behavior). Results
-    /// come back in input order, one per call, each with the same error
-    /// surface as `run`.
+    /// flight on this connection at once. Results come back in input
+    /// order, one per call.
     ///
     /// Exactly-once holds per item: every call carries its own idempotency
     /// key, and a transport failure puts *all* in-flight items in doubt —
     /// the session reconnects and replays each unresolved item under its
     /// original key, so the certifier deduplicates anything that already
-    /// committed. Shed items (`retry-after`) are retried after a backoff.
-    /// Retries are bounded by the connect policy's `max_attempts` per item.
+    /// committed. A reply the server sent is the item's answer, an error
+    /// included, unless that error carries `retry-after`: such an item
+    /// (shed, or swept with a known-aborted outcome) is sent again after a
+    /// backoff. Attempts are bounded by the connect policy's
+    /// `max_attempts` per item.
     pub fn run_pipelined(
         &mut self,
         calls: &[(TemplateId, Vec<Vec<Value>>)],
@@ -315,115 +251,96 @@ impl RemoteSession {
     ) -> Vec<Result<TxnResult>> {
         let depth = depth.max(1);
         let max_attempts = self.policy.max_attempts.max(1);
-        let keys: Vec<IdemKey> = calls
-            .iter()
-            .map(|_| {
-                let key = IdemKey {
-                    client: self.nonce,
-                    seq: self.next_seq,
-                };
-                self.next_seq += 1;
-                key
-            })
-            .collect();
+        // Call `i` carries sequence number `first_seq + i` on every attempt.
+        let first_seq = self.next_seq;
+        self.next_seq += calls.len() as u64;
         let mut results: Vec<Option<Result<TxnResult>>> = Vec::new();
         results.resize_with(calls.len(), || None);
+        let mut unresolved = calls.len();
         let mut attempts: Vec<u32> = vec![0; calls.len()];
         let mut pending: VecDeque<usize> = (0..calls.len()).collect();
-        // request_id -> batch index, for the window currently on the wire.
-        let mut inflight: HashMap<u64, usize> = HashMap::new();
+        // (request_id, call index) for the window currently on the wire.
+        let mut inflight: Vec<(u64, usize)> = Vec::with_capacity(depth.min(calls.len()));
         // Consecutive transport recoveries (reset on any progress): bounds
         // the backoff for reconnect storms.
         let mut recoveries: u32 = 0;
 
-        while results.iter().any(Option::is_none) {
-            // Fill the window.
-            let mut send_failed = false;
-            while inflight.len() < depth && !send_failed {
+        while unresolved > 0 {
+            // Fill the window. A call whose write failed may still have
+            // reached the server: it is in flight like the others.
+            let mut failed = None;
+            while inflight.len() < depth && failed.is_none() {
                 let Some(i) = pending.pop_front() else { break };
-                let Some(server_id) = self.server_ids.get(calls[i].0 .0 as usize).copied() else {
-                    results[i] = Some(Err(Error::Protocol(format!(
-                        "unknown template {}; prepare it first",
-                        calls[i].0
-                    ))));
+                let (template, params) = &calls[i];
+                let Some(&server_id) = self.server_ids.get(template.0 as usize) else {
+                    let e = format!("unknown template {template}; prepare it first");
+                    results[i] = Some(Err(Error::Protocol(e)));
+                    unresolved -= 1;
                     continue;
                 };
                 attempts[i] += 1;
                 let id = self.conn.next_request_id();
                 let msg = Message::Run {
                     template: server_id,
-                    params: calls[i].1.clone(),
-                    idem: Some(keys[i]),
+                    params: params.clone(),
+                    idem: Some(IdemKey {
+                        client: self.nonce,
+                        seq: first_seq + i as u64,
+                    }),
                 };
-                if self.conn.send_with_id(id, &msg).is_ok() {
-                    inflight.insert(id, i);
-                } else {
-                    // The write side died: the item may still have reached
-                    // the server — treat it like every other in-flight
-                    // in-doubt item.
-                    inflight.insert(id, i);
-                    send_failed = true;
-                }
+                failed = self.conn.send_with_id(id, &msg).err();
+                inflight.push((id, i));
             }
             if inflight.is_empty() {
-                // Everything left was resolved synchronously (e.g. unknown
-                // templates).
-                continue;
+                continue; // every call left was refused before sending
             }
 
-            let transport_err = if send_failed {
-                Some(Error::ConnectionClosed("write failed mid-batch".into()))
-            } else {
-                match self.conn.recv_tagged() {
+            let failed = match failed {
+                Some(e) => e,
+                None => match self.conn.recv_tagged() {
                     Ok((id, msg)) => {
-                        let Some(i) = inflight.remove(&id) else {
+                        let Some(at) = inflight.iter().position(|&(sent, _)| sent == id) else {
                             continue; // push or abandoned id: not ours
                         };
+                        let (_, i) = inflight.swap_remove(at);
                         recoveries = 0;
-                        match msg {
-                            Message::TxnReply {
-                                outcome,
-                                results: r,
-                            } => {
-                                results[i] = Some(Ok((outcome, r)));
-                            }
+                        let result = match msg {
+                            Message::TxnReply { outcome, results } => Ok((outcome, results)),
                             Message::Err(e) if is_retry_after(&e) && attempts[i] < max_attempts => {
                                 std::thread::sleep(self.retry_backoff(attempts[i]));
                                 pending.push_back(i);
+                                continue;
                             }
-                            Message::Err(e) => results[i] = Some(Err(e)),
-                            other => {
-                                results[i] = Some(Err(Error::Protocol(format!(
-                                    "expected TxnReply, got message kind {}",
-                                    other.kind()
-                                ))));
-                            }
-                        }
-                        None
+                            Message::Err(e) => Err(e),
+                            other => Err(unexpected("TxnReply", &other)),
+                        };
+                        results[i] = Some(result);
+                        unresolved -= 1;
+                        continue;
                     }
-                    Err(e) if is_indoubt_transport(&e) => Some(e),
-                    Err(e) => Some(e),
-                }
+                    Err(e) => e,
+                },
             };
 
-            if let Some(e) = transport_err {
-                // Every in-flight item is now in doubt: requeue those with
-                // attempt budget left (their keys make the replay safe),
-                // fail the rest, then reconnect.
-                recoveries += 1;
-                let mut indices: Vec<usize> = inflight.drain().map(|(_, i)| i).collect();
-                indices.sort_unstable(); // keep replay in input order
-                for i in indices.into_iter().rev() {
-                    if attempts[i] < max_attempts {
-                        pending.push_front(i);
-                    } else {
-                        results[i] = Some(Err(e.clone()));
-                    }
+            // Every in-flight item is now in doubt: requeue those with
+            // attempt budget left (their keys make the replay safe), in
+            // input order, fail the rest, then reconnect.
+            recoveries += 1;
+            inflight.sort_unstable_by_key(|&(_, i)| i);
+            for (_, i) in inflight.drain(..).rev() {
+                if attempts[i] < max_attempts {
+                    pending.push_front(i);
+                } else {
+                    results[i] = Some(Err(failed.clone()));
+                    unresolved -= 1;
                 }
-                if results.iter().any(Option::is_none) {
-                    std::thread::sleep(self.retry_backoff(recoveries));
-                    let _ = self.reconnect();
-                }
+            }
+            if unresolved > 0 {
+                // A failed reconnect (e.g. mid-partition) is not terminal:
+                // the stale connection fails the next attempt fast, and the
+                // attempt budget bounds the whole loop.
+                std::thread::sleep(self.retry_backoff(recoveries));
+                let _ = self.reconnect();
             }
         }
         results
@@ -492,10 +409,7 @@ impl RemoteSession {
                 // Not on the wire: the certification counters read 0.
                 ..ClusterStats::default()
             }),
-            other => Err(Error::Protocol(format!(
-                "expected StatsReply, got message kind {}",
-                other.kind()
-            ))),
+            other => Err(unexpected("StatsReply", &other)),
         }
     }
 
@@ -505,10 +419,7 @@ impl RemoteSession {
     pub fn stop_server(mut self) -> Result<()> {
         match self.conn.call(&Message::StopServer)? {
             Message::Ack => Ok(()),
-            other => Err(Error::Protocol(format!(
-                "expected Ack, got message kind {}",
-                other.kind()
-            ))),
+            other => Err(unexpected("Ack", &other)),
         }
     }
 }

@@ -22,13 +22,32 @@ use bargain_core::{CertifyDecision, CertifyRequest, LogRecord, Refresh, TxnOutco
 use bargain_sql::QueryResult;
 
 /// The most records the [`Message::History`] answering one
-/// [`Message::CatchUp`] carries, the oldest first. A reply this long may
-/// have more behind it, from its last record's version on; a shorter one
-/// ends the feed.
+/// [`Message::FetchHistory`] carries, the oldest first, on either
+/// endpoint. A reply this long may have more behind it, from its last
+/// record's version on; a shorter one ends the feed.
 pub const CATCH_UP_RECORDS: usize = 1024;
 
+/// The answer to [`Message::FetchHistory`] on either endpoint: one page
+/// of the certified records above `after`, read by `page(after, max)`.
+pub(crate) fn history_page(
+    after: Version,
+    page: impl FnOnce(Version, usize) -> Result<Vec<LogRecord>>,
+) -> Message {
+    page(after, CATCH_UP_RECORDS).map_or_else(Message::Err, |records| Message::History { records })
+}
+
+/// The error for a reply of another kind than the one `expected`.
+pub(crate) fn unexpected(expected: &str, got: &Message) -> Error {
+    Error::Protocol(format!(
+        "expected {expected}, got message kind {}",
+        got.kind()
+    ))
+}
+
 /// One protocol message. The numeric discriminants are the frame `kind`
-/// byte; frontend traffic uses 1–16, certifier traffic 20–26.
+/// byte: session traffic uses 1–16, certifier traffic 20–27 and the
+/// snapshot bootstrap 30–32. The history exchange (25, 26) serves the
+/// certifier and the frontend alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client → server: first frame on every connection.
@@ -144,17 +163,32 @@ pub enum Message {
         /// The globally committed transaction.
         txn: TxnId,
     },
-    /// Cluster → certifier: request the durable commit history after the
-    /// given version (version zero at cluster start to fast-forward the
-    /// replicas; the last version seen when resyncing after a reconnect).
+    /// Cluster → certifier, or joining node → frontend: request one page
+    /// of the durable commit history after the given version (version zero
+    /// at cluster start to fast-forward the replicas; the last version seen
+    /// when resyncing after a reconnect; a snapshot's version for the
+    /// catch-up feed replayed on top of it). Answered with
+    /// [`Message::History`].
     FetchHistory {
         /// Return only records with `commit_version > after`.
         after: Version,
     },
-    /// Certifier → cluster: the commit history since version zero.
+    /// Answer to [`Message::FetchHistory`]: at most [`CATCH_UP_RECORDS`]
+    /// certified records, the oldest first.
     History {
         /// Certified records in commit order.
         records: Vec<LogRecord>,
+    },
+    /// Cluster → certifier: `replica` has applied every commit up to
+    /// `v_local`. Each replica re-introduces itself after a certifier
+    /// outage, which may have lost its `Applied` reports (across a
+    /// certifier restart, every credit of the eager global-commit
+    /// accounting).
+    ReplicaHello {
+        /// The reporting replica.
+        replica: ReplicaId,
+        /// Its `V_local`.
+        v_local: Version,
     },
     /// Joining node → frontend: request a snapshot bootstrap stream. The
     /// server exports a consistent checkpoint from a donor replica and
@@ -183,14 +217,6 @@ pub enum Message {
     SnapshotDone {
         /// `SnapshotManifest::encode()` bytes.
         manifest: Vec<u8>,
-    },
-    /// Joining node → frontend: fetch the certified commit records strictly
-    /// above `after` (the catch-up feed replayed on top of a snapshot).
-    /// Answered with [`Message::History`], at most [`CATCH_UP_RECORDS`] of
-    /// them.
-    CatchUp {
-        /// Return only records with `commit_version > after`.
-        after: Version,
     },
 }
 
@@ -222,10 +248,10 @@ impl Message {
             Message::GlobalCommitFor { .. } => 24,
             Message::FetchHistory { .. } => 25,
             Message::History { .. } => 26,
+            Message::ReplicaHello { .. } => 27,
             Message::JoinRequest { .. } => 30,
             Message::SnapshotChunk { .. } => 31,
             Message::SnapshotDone { .. } => 32,
-            Message::CatchUp { .. } => 33,
         }
     }
 
@@ -300,8 +326,12 @@ impl Message {
                 origin.put(buf);
                 txn.put(buf);
             }
-            Message::FetchHistory { after } | Message::CatchUp { after } => after.put(buf),
+            Message::FetchHistory { after } => after.put(buf),
             Message::History { records } => records.put(buf),
+            Message::ReplicaHello { replica, v_local } => {
+                replica.put(buf);
+                v_local.put(buf);
+            }
             Message::JoinRequest { chunk_bytes } => chunk_bytes.put(buf),
             Message::SnapshotChunk { index, data } => {
                 index.put(buf);
@@ -387,6 +417,10 @@ impl Message {
             },
             25 => Message::FetchHistory { after: r.get()? },
             26 => Message::History { records: r.get()? },
+            27 => Message::ReplicaHello {
+                replica: r.get()?,
+                v_local: r.get()?,
+            },
             30 => Message::JoinRequest {
                 chunk_bytes: r.get()?,
             },
@@ -397,7 +431,6 @@ impl Message {
             32 => Message::SnapshotDone {
                 manifest: r.bytes()?.to_vec(),
             },
-            33 => Message::CatchUp { after: r.get()? },
             k => return Err(malformed(format!("unknown message kind {k}"))),
         })
     }
@@ -545,6 +578,10 @@ mod tests {
                 },
             ],
         });
+        round_trip(Message::ReplicaHello {
+            replica: ReplicaId(2),
+            v_local: Version(13),
+        });
         round_trip(Message::JoinRequest {
             chunk_bytes: 256 * 1024,
         });
@@ -559,7 +596,6 @@ mod tests {
         round_trip(Message::SnapshotDone {
             manifest: b"BSNP-manifest-bytes".to_vec(),
         });
-        round_trip(Message::CatchUp { after: Version(99) });
     }
 
     #[test]

@@ -11,15 +11,16 @@
 //! it to the client's socket through the connection's shared write half,
 //! and starts the connection's next queued `Run` itself. Only the reactor
 //! starts the other requests. It answers `OpenSession`, `Prepare`, `Stats`
-//! and `CatchUp` inline: the SQL parser bounds what a `Prepare` costs
-//! (`bargain_sql::MAX_SQL_BYTES`, `MAX_EXPR_DEPTH`), and a `CatchUp` reply
-//! carries at most [`CATCH_UP_RECORDS`]. `Ddl` and `JoinRequest` go to the
-//! cluster with their reply as the sink, as a `Run` does: the last replica
-//! to apply the DDL, or the donor that exports the snapshot, writes the
-//! answer. Every request's reply is one kind of sink, `Reply`, and no
+//! and `FetchHistory` inline: the SQL parser bounds what a `Prepare` costs
+//! (`bargain_sql::MAX_SQL_BYTES`, `MAX_EXPR_DEPTH`), and a `History` reply
+//! is one page of at most [`crate::codec::CATCH_UP_RECORDS`] records, the
+//! page the certifier service answers with too. `Ddl` and `JoinRequest` go
+//! to the cluster with their reply as the sink, as a `Run` does: the last
+//! replica to apply the DDL, or the donor that exports the snapshot, writes
+//! the answer. Every request's reply is one kind of sink, `Reply`, and no
 //! thread parks on a request. The one wait left on the reactor is the
-//! certifier lock a `CatchUp` takes, which every replica thread takes per
-//! update: one group commit at most.
+//! certifier lock a `FetchHistory` takes, which every replica thread takes
+//! per update: one group commit at most.
 //!
 //! A settled request does not go back through the reactor: it wakes for
 //! requests, and is *nudged* only for what another thread cannot do —
@@ -71,7 +72,7 @@
 //! and drains the cluster — [`Cluster::drain`] lets in-flight transactions
 //! finish and joins all runtime threads.
 
-use crate::codec::{Message, CATCH_UP_RECORDS};
+use crate::codec::{history_page, Message};
 use crate::evloop::{
     encode_reply, Conn, Core, Load, Sent, Service, Stopper, WriteHalf, RESUME_QUEUED_REQUESTS,
 };
@@ -583,10 +584,9 @@ fn start(cluster: &Cluster, exec: &mut ConnExec, msg: Message, reply: Reply) {
             },
             Err(e) => Message::Err(e),
         },
-        Message::CatchUp { after } => match cluster.certified_page(after, CATCH_UP_RECORDS) {
-            Ok(records) => Message::History { records },
-            Err(e) => Message::Err(e),
-        },
+        Message::FetchHistory { after } => {
+            history_page(after, |after, max| cluster.certified_page(after, max))
+        }
         other => Message::Err(Error::Protocol(format!(
             "unexpected message kind {} on a frontend connection",
             other.kind()

@@ -345,12 +345,6 @@ fn elasticity_frames_are_pinned() {
         11,
         SNAPSHOT_DONE,
     );
-    check(
-        "CatchUp",
-        &Message::CatchUp { after: Version(99) },
-        12,
-        CATCH_UP,
-    );
 }
 
 /// The fourth decision tag, added after the vectors above were pinned: a
@@ -368,6 +362,21 @@ fn refused_decision_is_pinned() {
         },
         0,
         DECISION_REFUSED,
+    );
+}
+
+/// The certifier-endpoint kind added after the vectors above were pinned:
+/// a replica re-introducing itself after a certifier outage.
+#[test]
+fn replica_hello_is_pinned() {
+    check(
+        "ReplicaHello",
+        &Message::ReplicaHello {
+            replica: ReplicaId(2),
+            v_local: Version(13),
+        },
+        0,
+        REPLICA_HELLO,
     );
 }
 
@@ -430,6 +439,6 @@ const JOIN_REQUEST: &str = "4247414e021e04000000181a28450b0000000000000000000400
 const SNAPSHOT_CHUNK: &str = "4247414e021f0c0000000852fe9f0b000000000000000700000004000000ab00ff10";
 const SNAPSHOT_DONE: &str =
     "4247414e022011000000cf9829c00b000000000000000d00000042534e502d6d616e6966657374";
-const CATCH_UP: &str = "4247414e0221080000003178463b0c000000000000006300000000000000";
+const REPLICA_HELLO: &str = "4247414e021b0c000000214deb0c0000000000000000020000000d00000000000000";
 const DECISION_REFUSED: &str =
     "4247414e02161a000000047617d3000000000000000001000000030400000000000000090000007374616c65206b6579";

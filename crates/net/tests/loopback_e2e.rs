@@ -683,7 +683,7 @@ fn mixed_pipeline_of_runs_and_requests_is_answered_in_request_order() {
             sqls: vec!["SELECT val FROM bench0 WHERE pk = ?".into()],
         },
         get.clone(),
-        Message::CatchUp { after: v_before },
+        Message::FetchHistory { after: v_before },
         Message::Ddl {
             sql: "CREATE TABLE extra (id INT PRIMARY KEY, v INT)".into(),
         },
@@ -820,7 +820,7 @@ fn catch_up_replies_are_capped_and_repeated_rounds_reach_v_system() {
     let v_system = server.cluster().stats().unwrap().v_system;
 
     let mut conn = Connection::connect(addr.as_str(), &ConnectPolicy::default()).unwrap();
-    let first = conn.call(&Message::CatchUp {
+    let first = conn.call(&Message::FetchHistory {
         after: Version::ZERO,
     });
     let Ok(Message::History { records }) = first else {

@@ -99,7 +99,7 @@ fn net_server_start_adds_one_thread_the_reactor() {
 
 /// After a session has sent every request there is but `Hello`, `Ping` and
 /// `StopServer` — `OpenSession`, `Prepare`, `Stats`, `Ddl`, `Run`s, and a
-/// bootstrap's `JoinRequest` and `CatchUp` — the process runs the reactor,
+/// bootstrap's `JoinRequest` and `FetchHistory` — the process runs the reactor,
 /// the replicas and the client, and nothing else.
 #[test]
 fn every_request_runs_on_the_reactor_or_a_replica_thread() {
