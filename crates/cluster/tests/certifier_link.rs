@@ -239,7 +239,13 @@ fn an_eager_commit_whose_applied_report_died_with_the_link_completes_after_it_re
         .expect("the update is answered");
     assert!(outcome.committed, "{:?}", outcome.abort_reason);
     assert_eq!(outcome.commit_version, Some(Version(1)));
-    let stats = cluster.stats().unwrap();
-    assert_eq!((stats.certifier_downs, stats.certifier_up), (1, true));
+    // The hellos may complete it before the last sweep ack brings the link
+    // up.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cluster.stats().unwrap().certifier_up {
+        assert!(Instant::now() < deadline, "the link never came back up");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(cluster.stats().unwrap().certifier_downs, 1);
     cluster.shutdown();
 }

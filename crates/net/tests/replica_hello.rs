@@ -1,11 +1,22 @@
-//! A replica's re-introduction over the certifier endpoint: after the
-//! certifier restarts over its log, every commit it recovers is pending
-//! again with no replica credited, and `ReplicaHello` frames — what each
-//! replica sends once the link is back — complete it.
+//! A replica's re-introduction over the certifier endpoint: after a link
+//! loss the link writes each replica's `ReplicaHello` once it is back, and
+//! after the certifier restarts over its log — every commit it recovers
+//! pending again with no replica credited — those frames complete what
+//! was pending.
 
+use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
 use bargain_core::{CertifyDecision, CertifyRequest};
-use bargain_net::{CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message};
+use bargain_net::frame::{encode_frame, read_frame};
+use bargain_net::{
+    CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, RemoteCertifierLink,
+};
+use bargain_workloads::{MicroBenchmark, Workload};
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn service(dir: &std::path::Path) -> (CertifierServer, Connection) {
     let service = CertifierServer::start(
@@ -101,4 +112,75 @@ fn after_a_certifier_restart_the_replicas_hello_completes_a_pending_eager_commit
     drop(conn);
     second.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads `stream` until a `FetchHistory` arrives, answers it with an empty
+/// history, and returns the frames read before it.
+fn answer_history(stream: &mut TcpStream) -> Vec<Message> {
+    let mut before = Vec::new();
+    loop {
+        let (kind, id, payload) = read_frame(stream).unwrap();
+        match Message::decode(kind, &payload).unwrap() {
+            Message::FetchHistory { .. } => {
+                let reply = Message::History {
+                    records: Vec::new(),
+                };
+                let frame = encode_frame(reply.kind(), id, &reply.encode()).unwrap();
+                stream.write_all(&frame).unwrap();
+                return before;
+            }
+            msg => before.push(msg),
+        }
+    }
+}
+
+/// A fake certifier service drops the link's first connection once it has
+/// served the start's history fetch. When the link is back and has fetched
+/// the history again, every replica's hello follows, with its `V_local`.
+#[test]
+fn a_link_that_comes_back_writes_each_replicas_hello() {
+    const REPLICAS: u32 = 3;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (said, hellos) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (mut first, _) = listener.accept().unwrap();
+        answer_history(&mut first);
+        drop(first);
+        let (mut second, _) = listener.accept().unwrap();
+        answer_history(&mut second);
+        let mut seen = BTreeMap::new();
+        while seen.len() < REPLICAS as usize {
+            let (kind, id, payload) = read_frame(&mut second).unwrap();
+            match Message::decode(kind, &payload).unwrap() {
+                Message::ReplicaHello { replica, v_local } => {
+                    seen.insert(replica.0, v_local);
+                }
+                Message::Ping => {
+                    let frame = encode_frame(Message::Pong.kind(), id, &[]).unwrap();
+                    second.write_all(&frame).unwrap();
+                }
+                other => panic!("unexpected frame before the hellos: {other:?}"),
+            }
+        }
+        let _ = said.send(seen);
+        // Hold the connection until the cluster stops.
+        let _ = read_frame(&mut second);
+    });
+
+    let workload = MicroBenchmark::small(0.1);
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: REPLICAS as usize,
+            ..ClusterConfig::default()
+        },
+        move |engine| workload.install(engine),
+        Box::new(RemoteCertifierLink::connect(&addr).unwrap()),
+    );
+    let seen = hellos
+        .recv_timeout(Duration::from_secs(10))
+        .expect("every replica says hello once the link is back");
+    let expected: BTreeMap<u32, Version> = (0..REPLICAS).map(|r| (r, Version::ZERO)).collect();
+    assert_eq!(seen, expected);
+    cluster.shutdown();
 }
