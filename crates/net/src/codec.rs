@@ -8,7 +8,9 @@
 //! occupies on the wire exactly the bytes it occupies on the certifier's
 //! disk. Two kinds of traffic share the envelope: session traffic (frontend
 //! ↔ client driver) and certification traffic (cluster ↔ certifier
-//! process).
+//! process). One exchange belongs to both: the certified history, asked
+//! for with [`Message::FetchHistory`] and answered, by either endpoint,
+//! with one page (`history_page`, at most [`CATCH_UP_RECORDS`] records).
 //!
 //! Decoding is strict: unknown kinds and tags, truncated payloads, and
 //! trailing bytes all yield [`Error::Codec`]; nothing panics on malformed
