@@ -167,19 +167,11 @@ impl FrontDoor {
     /// Decommission step 1: stop routing to `replica`. Returns what to
     /// wait on while it still has transactions in flight.
     pub fn drain_replica(&mut self, replica: ReplicaId) -> Result<Option<Receiver<()>>> {
-        let refused = |why: &str| Error::Unavailable(format!("decommission refused: {why}"));
         if self.draining || self.stopped {
-            return Err(refused("cluster is draining (retry-after)"));
+            let why = "decommission refused: cluster is draining (retry-after)";
+            return Err(Error::Unavailable(why.into()));
         }
-        if !self.lb.knows_replica(replica) {
-            return Err(Error::Protocol(format!(
-                "decommission refused: unknown replica {}",
-                replica.index()
-            )));
-        }
-        if self.lb.is_up(replica) && self.lb.up_count() <= 1 {
-            return Err(refused("last available replica (retry-after)"));
-        }
+        self.lb.may_leave(replica)?;
         self.lb.mark_down(replica);
         if self.lb.active_on(replica) == 0 {
             return Ok(None);
@@ -366,6 +358,19 @@ mod tests {
         assert!(why.contains("last available replica"), "{why}");
         let (seen_tx, _seen) = mpsc::channel();
         assert_eq!(route(&mut door, &seen_tx).replica, ReplicaId(1));
+    }
+
+    #[test]
+    fn a_down_replica_leaves_while_no_other_is_up() {
+        let mut door = door(2);
+        door.lb.mark_down(ReplicaId(0));
+        door.lb.mark_down(ReplicaId(1));
+        assert!(door
+            .drain_replica(ReplicaId(1))
+            .expect("a down replica's leaving lowers no availability")
+            .is_none());
+        door.detach(ReplicaId(1));
+        assert!(!door.lb.knows_replica(ReplicaId(1)));
     }
 
     #[test]

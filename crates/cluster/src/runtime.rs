@@ -52,7 +52,7 @@ use bargain_common::{
 use bargain_core::certifier::{Delivery, Input, Step};
 use bargain_core::{
     Certifier, CertifyRequest, FinishAction, LoadBalancer, LogRecord, Proxy, ProxyEvent, Refresh,
-    RoutedTxn, StartDecision, StatementOutcome, TxnOutcome,
+    RoutedTxn, StartDecision, StatementOutcome, TxnOutcome, JOIN_LAG_BOUND,
 };
 use bargain_sql::{execute_ddl, parse, QueryResult, Statement, TransactionTemplate};
 use bargain_storage::{Engine, Snapshot};
@@ -94,8 +94,9 @@ pub struct ClusterConfig {
     /// cost 1.4–3.3× over `FileLog`s, and was deleted (EXPERIMENTS.md, "One
     /// log"); every count decided identically, so ignoring it changes no
     /// decision. The field stays only because `e2e/src/deploy.rs`, a
-    /// benchmark file this workspace may not edit, names it; ROADMAP item 3
-    /// lists it for deletion by the next change allowed to edit that file.
+    /// benchmark file this workspace may not edit, names it; ROADMAP item
+    /// 4(e) lists it for deletion by the next change allowed to edit that
+    /// file.
     #[doc(hidden)]
     pub shards: usize,
     /// **Inert: read by nothing.** It selected a worker-thread execution
@@ -103,7 +104,7 @@ pub struct ClusterConfig {
     /// configuration and was deleted (EXPERIMENTS.md, "One certifier"); both
     /// modes decided identically, so ignoring it changes no decision. The
     /// field stays only because `e2e/src/deploy.rs`, a benchmark file this
-    /// workspace may not edit, names it; ROADMAP item 3 lists it for
+    /// workspace may not edit, names it; ROADMAP item 4(e) lists it for
     /// deletion by the next change allowed to edit that file.
     pub parallel_certifier: bool,
 }
@@ -384,6 +385,16 @@ pub struct CertifierDeliveries {
 }
 
 impl CertifierDeliveries {
+    /// What the cluster introduces itself to its certification service
+    /// with: its replica count and its consistency mode, the membership and
+    /// the accounting the service certifies for. Both stay fixed behind a
+    /// link, which refuses joins and decommissions.
+    #[must_use]
+    pub fn introduction(&self) -> (u32, ConsistencyMode) {
+        let mode = self.front.door.lock().lb.mode();
+        (self.front.replica_txs.lock().len() as u32, mode)
+    }
+
     /// Delivers one message: a refresh, decision or global commit to its
     /// addressee; a link loss as a sweep on every replica, then the load
     /// balancer's shedding; a recovery to the load balancer; a resync as
@@ -415,11 +426,11 @@ impl CertifierDeliveries {
 /// Options governing a replica join ([`Cluster::join_replica`]).
 #[derive(Debug, Clone)]
 pub struct JoinOptions {
-    /// Admission rule: the joiner is marked routable once
-    /// `V_system - V_joiner <= lag_bound`. `0` demands exact catch-up
-    /// (may chase a moving target under heavy write traffic); the default
-    /// of 64 versions bounds the worst-case extra start-requirement wait a
-    /// freshly routed transaction can observe.
+    /// Admission rule ([`LoadBalancer::admits`]): the joiner is marked
+    /// routable once `V_system - V_joiner <= lag_bound`. `0` demands exact
+    /// catch-up (may chase a moving target under heavy write traffic); the
+    /// default, [`JOIN_LAG_BOUND`], bounds the worst-case extra
+    /// start-requirement wait a freshly routed transaction can observe.
     pub lag_bound: u64,
     /// Snapshot chunk size shipped from the donor.
     pub chunk_bytes: usize,
@@ -432,7 +443,7 @@ pub struct JoinOptions {
 impl Default for JoinOptions {
     fn default() -> Self {
         JoinOptions {
-            lag_bound: 64,
+            lag_bound: JOIN_LAG_BOUND,
             chunk_bytes: bargain_storage::DEFAULT_CHUNK_BYTES,
             admit_timeout: Duration::from_secs(30),
         }
@@ -450,7 +461,6 @@ pub struct Cluster {
     next_template: Arc<AtomicU32>,
     /// Live replica count (joins increment, decommissions decrement).
     replicas: AtomicUsize,
-    mode: ConsistencyMode,
     /// The in-process certifier; `None` behind a certifier link, whose
     /// service owns membership and history.
     local: Option<Arc<LocalCertifier>>,
@@ -587,7 +597,6 @@ impl Cluster {
             next_client: Arc::new(AtomicU64::new(0)),
             next_template: Arc::new(AtomicU32::new(1 << 20)),
             replicas: AtomicUsize::new(config.replicas),
-            mode: config.mode,
             local,
             handles: Mutex::new(handles),
         }
@@ -674,7 +683,7 @@ impl Cluster {
     /// The cluster's consistency configuration.
     #[must_use]
     pub fn mode(&self) -> ConsistencyMode {
-        self.mode
+        self.front.door.lock().lb.mode()
     }
 
     /// Allocates a fresh, cluster-unique [`TemplateId`] (used by network
@@ -782,10 +791,11 @@ impl Cluster {
             txs.push(Arc::clone(&mailbox));
             (replica, mailbox)
         };
-        let proxy = Proxy::new(replica, self.mode, engine);
+        let mode = self.mode();
+        let proxy = Proxy::new(replica, mode, engine);
         let handle = spawn_replica(
             proxy,
-            self.mode,
+            mode,
             mailbox,
             Arc::clone(&self.front),
             Arc::clone(&self.port),
@@ -806,8 +816,7 @@ impl Cluster {
         let deadline = Instant::now() + opts.admit_timeout;
         loop {
             let v_joiner = self.probe_replica(replica)?;
-            let v_system = self.stats()?.v_system;
-            if v_system.0.saturating_sub(v_joiner.0) <= opts.lag_bound {
+            if self.front.door.lock().lb.admits(v_joiner, opts.lag_bound) {
                 break;
             }
             if Instant::now() >= deadline {
@@ -815,7 +824,7 @@ impl Cluster {
                 // catching up — but is not admitted.
                 return Err(Error::Unavailable(format!(
                     "join admission timed out: joiner at v{} lags v{} beyond bound {} (retry-after)",
-                    v_joiner.0, v_system.0, opts.lag_bound
+                    v_joiner.0, self.stats()?.v_system.0, opts.lag_bound
                 )));
             }
             std::thread::sleep(Duration::from_micros(500));
@@ -849,9 +858,9 @@ impl Cluster {
     ///    it alone was blocking complete);
     /// 3. the load balancer forgets it and its thread shuts down.
     ///
-    /// Refused when the replica is unknown, is the last routable replica,
-    /// the cluster is draining, or membership belongs to a remote
-    /// certification service.
+    /// Refused when the replica is unknown, is up and the only replica up
+    /// ([`LoadBalancer::may_leave`]), the cluster is draining, or
+    /// membership belongs to a remote certification service.
     pub fn decommission_replica(&self, replica: ReplicaId) -> Result<()> {
         let local = self.local("decommission")?;
         // 1. Per-replica drain: stop routing, wait out in-flight work.

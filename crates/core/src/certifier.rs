@@ -703,12 +703,6 @@ impl Certifier {
         self.take_globally_committed(&credited)
     }
 
-    /// The replica set currently in the refresh fan-out.
-    #[must_use]
-    pub fn replica_set(&self) -> &[ReplicaId] {
-        &self.replicas
-    }
-
     /// Adds a replica to the refresh fan-out (replica elasticity: join).
     ///
     /// Called once the joiner has imported its snapshot and subscribed —
@@ -840,8 +834,8 @@ impl Certifier {
 /// Exists only because `e2e_trace/src/adapter.rs`, a benchmark file this
 /// workspace may not edit, builds its certifier by this name. Forwards the
 /// two calls made there; `_shards` (always 1 there) and `_parallel` selected
-/// a partitioning and an execution mode that are gone. ROADMAP item 3 lists
-/// it for deletion with the next edit there.
+/// a partitioning and an execution mode that are gone. ROADMAP item 4(e)
+/// lists it for deletion with the next edit there.
 #[doc(hidden)]
 pub struct AnyCertifier(Certifier);
 
@@ -1059,7 +1053,7 @@ mod tests {
         assert_eq!(r1.len(), 1);
         c.add_replica(ReplicaId(2));
         c.add_replica(ReplicaId(2)); // idempotent
-        assert_eq!(c.replica_set().len(), 3);
+        assert_eq!(c.replicas.len(), 3);
         // After: fan-out to 2, and the eager quorum now includes the joiner.
         let (d, r2) = c.certify(req(2, 0, 1, ws(0, 2))).unwrap();
         assert_eq!(r2.len(), 2);
@@ -1117,7 +1111,7 @@ mod tests {
         // Decommissioning replica 2 unblocks the global commit.
         let completed = c.remove_replica(ReplicaId(2));
         assert_eq!(completed, vec![(ReplicaId(0), TxnId(1))]);
-        assert_eq!(c.replica_set(), &[ReplicaId(0), ReplicaId(1)]);
+        assert_eq!(c.replicas, [ReplicaId(0), ReplicaId(1)]);
         // Unknown removal is a no-op.
         assert!(c.remove_replica(ReplicaId(9)).is_empty());
         // New fan-out excludes the leaver.

@@ -20,9 +20,14 @@
 
 use crate::messages::{RoutedTxn, TxnOutcome, TxnRequest};
 use bargain_common::{
-    ConsistencyMode, ReplicaId, Result, SessionId, TableSet, TemplateId, TxnId, Version,
+    ConsistencyMode, Error, ReplicaId, Result, SessionId, TableSet, TemplateId, TxnId, Version,
 };
 use std::collections::HashMap;
+
+/// How far, in versions, a joining replica may lag `V_system` and still be
+/// admitted ([`LoadBalancer::admits`]): it bounds the extra start-requirement
+/// wait a transaction routed to a fresh joiner can observe.
+pub const JOIN_LAG_BOUND: u64 = 64;
 
 /// How the load balancer picks a replica for each transaction. The paper's
 /// prototype uses least-active-transactions; the alternatives exist for the
@@ -257,6 +262,30 @@ impl LoadBalancer {
         }
     }
 
+    /// The join admission rule, one for every host: a joiner that has
+    /// applied up to `v_local` becomes routable once
+    /// `V_system - v_local <= lag_bound`.
+    #[must_use]
+    pub fn admits(&self, v_local: Version, lag_bound: u64) -> bool {
+        self.v_system.0.saturating_sub(v_local.0) <= lag_bound
+    }
+
+    /// The leave rule, one for every host: `replica` may leave unless it is
+    /// unknown (a protocol error) or it is up and no other replica is (a
+    /// refusal to retry later). A down replica's leaving lowers no
+    /// availability, so it may leave whoever else is up.
+    pub fn may_leave(&self, replica: ReplicaId) -> Result<()> {
+        if !self.knows_replica(replica) {
+            let why = format!("decommission refused: unknown replica {}", replica.index());
+            return Err(Error::Protocol(why));
+        }
+        if self.is_up(replica) && self.up_count() == 1 {
+            let why = "decommission refused: last available replica (retry-after)";
+            return Err(Error::Unavailable(why.into()));
+        }
+        Ok(())
+    }
+
     /// Whether `replica` is part of the routing set (up or down).
     #[must_use]
     pub fn knows_replica(&self, replica: ReplicaId) -> bool {
@@ -280,7 +309,7 @@ impl LoadBalancer {
     pub fn route(&mut self, req: TxnRequest) -> Result<RoutedTxn> {
         if !self.certifier_up {
             self.stats.shed_certifier_down += 1;
-            return Err(bargain_common::Error::Unavailable(
+            return Err(Error::Unavailable(
                 "certifier unavailable: link down, reconnecting (retry-after)".to_owned(),
             ));
         }
@@ -323,7 +352,7 @@ impl LoadBalancer {
             .filter(|&i| !self.down[i])
             .collect();
         if up.is_empty() {
-            return Err(bargain_common::Error::Protocol(
+            return Err(Error::Protocol(
                 "no replica available: all marked down".to_owned(),
             ));
         }
@@ -359,9 +388,7 @@ impl LoadBalancer {
             ConsistencyMode::LazyCoarse => self.v_system,
             ConsistencyMode::LazyFine => {
                 let ts = self.table_sets.get(&template).ok_or_else(|| {
-                    bargain_common::Error::Protocol(format!(
-                        "no table-set registered for template {template}"
-                    ))
+                    Error::Protocol(format!("no table-set registered for template {template}"))
                 })?;
                 ts.iter()
                     .map(|&t| self.table_version(t))

@@ -50,7 +50,7 @@ pub mod wal;
 
 pub use certifier::{AnyCertifier, Certifier, CertifierStats};
 pub use checker::{ConsistencyChecker, ConsistencyViolation, ObservedTxn};
-pub use lb::{LoadBalancer, LoadBalancerStats, RoutingPolicy};
+pub use lb::{LoadBalancer, LoadBalancerStats, RoutingPolicy, JOIN_LAG_BOUND};
 pub use messages::{
     CertifyDecision, CertifyRequest, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest,
 };

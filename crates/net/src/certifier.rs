@@ -89,13 +89,13 @@
 //! epoch has arrived, and writes everything after it.
 
 use crate::bootstrap::fetch_history;
-use crate::codec::{history_page, Message};
+use crate::codec::{history_page, unexpected, Message};
 use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
 use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
-use bargain_common::{Error, ReplicaId, Result, Version};
+use bargain_common::{ConsistencyMode, Error, ReplicaId, Result, Version};
 use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, LogRecord};
 use parking_lot::Mutex;
@@ -110,29 +110,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Construction parameters for a certifier service process.
-#[derive(Debug, Clone)]
+/// Construction parameters for a certifier service process. The replica
+/// set and the consistency mode are not among them: the service learns
+/// both from the cluster's introduction (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub struct CertifierServerConfig {
-    /// Replica count of the cluster this certifier serves (must match the
-    /// cluster's `ClusterConfig::replicas`).
-    pub replicas: usize,
-    /// Enables eager global-commit accounting (match the cluster's mode).
-    pub eager: bool,
     /// When set, the commit WAL lives inside this directory (laid out by
     /// [`Certifier::open`]) and is replayed on start — durability lives
     /// with this process, exactly as in the in-process deployment.
     pub wal_dir: Option<PathBuf>,
 }
 
-impl Default for CertifierServerConfig {
-    fn default() -> Self {
-        CertifierServerConfig {
-            replicas: 3,
-            eager: false,
-            wal_dir: None,
-        }
-    }
-}
+/// The most replicas an introduction may name: each commit fans out one
+/// refresh per member, so the bound caps what one frame can make the
+/// service do.
+pub const MAX_REPLICAS: u32 = 1_024;
 
 /// Counters of a running certifier service, read with
 /// [`CertifierServer::stats`]. `batches` against `certify_frames` is how
@@ -185,14 +177,13 @@ pub struct CertifierServer {
 impl CertifierServer {
     /// Binds `addr` (port 0 for OS-assigned) and starts serving.
     pub fn start(addr: &str, config: CertifierServerConfig) -> Result<CertifierServer> {
-        let mut certifier =
-            Certifier::open(replica_ids(config.replicas), config.wal_dir.as_deref())?;
-        certifier.set_eager(config.eager);
+        let certifier = Certifier::open(Vec::new(), config.wal_dir.as_deref())?;
 
         let (core, addr, stopper) = Core::bind(addr, NetServerConfig::default())?;
         let counters = Arc::new(Counters::default());
         let service = CertifierService {
             certifier,
+            introduced: None,
             stop: Arc::clone(&stopper.flag),
             counters: Arc::clone(&counters),
         };
@@ -255,10 +246,6 @@ impl CertifierServer {
     }
 }
 
-fn replica_ids(n: usize) -> Vec<ReplicaId> {
-    (0..n as u32).map(ReplicaId).collect()
-}
-
 /// The certifier on the shared event loop: it steps the certifier inline on
 /// the loop thread over what one readiness event decoded, so a burst of
 /// `Certify` frames is group-committed (`bargain_core::certifier` has the
@@ -266,6 +253,9 @@ fn replica_ids(n: usize) -> Vec<ReplicaId> {
 /// any frame that arrived later is answered.
 struct CertifierService {
     certifier: Certifier,
+    /// The replica count and mode the cluster introduced itself with;
+    /// `None` until it has.
+    introduced: Option<(u32, ConsistencyMode)>,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
 }
@@ -276,6 +266,10 @@ impl CertifierService {
     /// its commit's refreshes, written ahead of it, have arrived. A log that
     /// fails to flush ends the connection.
     fn step(&mut self, conn: &mut Conn<()>, inputs: Vec<Input>) {
+        if self.introduced.is_none() && !inputs.is_empty() {
+            let why = "certifier input before the cluster's introduction";
+            return conn.close_after(PUSH_ID, &Message::Err(Error::Protocol(why.into())));
+        }
         let step = match self.certifier.step(inputs) {
             Ok(step) => step,
             Err(e) => return conn.close_after(PUSH_ID, &Message::Err(e)),
@@ -291,10 +285,36 @@ impl CertifierService {
         }
     }
 
+    /// Takes the cluster's introduction: the first installs members
+    /// `0..replicas` and the mode's eager accounting, the same one again
+    /// changes nothing (it must not reset eager credit), and any other is
+    /// refused.
+    fn introduce(&mut self, replicas: u32, mode: ConsistencyMode) -> Result<()> {
+        let introduction = Some((replicas, mode));
+        if self.introduced.is_none() && (1..=MAX_REPLICAS).contains(&replicas) {
+            (0..replicas).for_each(|r| self.certifier.add_replica(ReplicaId(r)));
+            self.certifier.set_eager(mode == ConsistencyMode::Eager);
+            self.introduced = introduction;
+        }
+        if self.introduced == introduction {
+            return Ok(());
+        }
+        Err(Error::Protocol(format!(
+            "introduction of {replicas} replicas in {mode:?} refused: the service serves {:?} \
+             (a cluster has 1 to {MAX_REPLICAS} replicas)",
+            self.introduced
+        )))
+    }
+
     /// Answers a frame that is no certifier input, echoing its request's id
     /// (deliveries answer no single request and carry [`PUSH_ID`]).
     fn answer(&mut self, conn: &mut Conn<()>, request_id: u64, msg: Message) {
         match msg {
+            Message::HelloAck { replicas, mode } => {
+                if let Err(e) = self.introduce(replicas, mode) {
+                    conn.close_after(request_id, &Message::Err(e));
+                }
+            }
             Message::Ping => conn.enqueue_reply(request_id, &Message::Pong),
             Message::FetchHistory { after } => {
                 let reply = history_page(after, |after, max| {
@@ -306,13 +326,10 @@ impl CertifierService {
                 self.stop.store(true, Ordering::SeqCst);
                 conn.close_after(request_id, &Message::Ack);
             }
-            other => conn.close_after(
-                request_id,
-                &Message::Err(Error::Protocol(format!(
-                    "unexpected message kind {} on a certifier connection",
-                    other.kind()
-                ))),
-            ),
+            other => {
+                let refused = unexpected("a certifier request", &other);
+                conn.close_after(request_id, &Message::Err(refused));
+            }
         }
     }
 }
@@ -622,6 +639,8 @@ impl CertifierLink for RemoteCertifierLink {
     }
 
     fn serve(&self, deliveries: CertifierDeliveries) {
+        let (replicas, mode) = deliveries.introduction();
+        let introduction = Message::HelloAck { replicas, mode };
         let first = self.state.lock().first.take();
         // Highest commit version whose decision frame arrived. Decisions
         // are sent after their commit's refresh fan-out, so everything at
@@ -639,6 +658,10 @@ impl CertifierLink for RemoteCertifierLink {
             let deadline = Some(self.config.heartbeat_timeout);
             let _ = conn.stream().set_read_timeout(deadline);
             let _ = conn.stream().set_write_timeout(deadline);
+            // The service takes no certifier input before the cluster's
+            // introduction, so it goes first, ahead of what was held. A
+            // write that fails here fails the fetch or the read below.
+            let _ = conn.send(&introduction);
             if outage {
                 // Resynchronize: fetch commits certified while the link was
                 // down (or whose deliveries died with the old socket) and

@@ -4,8 +4,13 @@
 //! still commits behind it.
 
 use bargain_cluster::{Cluster, ClusterConfig};
-use bargain_common::{ConsistencyMode, Result, Value};
-use bargain_net::{CertifierServer, CertifierServerConfig, RemoteCertifierLink};
+use bargain_common::{
+    ConsistencyMode, Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+};
+use bargain_core::CertifyRequest;
+use bargain_net::{
+    CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, RemoteCertifierLink,
+};
 use bargain_storage::Engine;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -45,5 +50,75 @@ fn a_two_replica_eager_cluster_commits_behind_a_default_certifier_service() {
         .unwrap();
     assert!(outcome.committed, "{:?}", outcome.abort_reason);
     cluster.shutdown();
+    service.stop();
+}
+
+fn introduction(replicas: u32) -> Message {
+    Message::HelloAck {
+        replicas,
+        mode: ConsistencyMode::Eager,
+    }
+}
+
+/// Sends `msgs`, then a ping, and returns every frame pushed before the
+/// pong: the service answers frames in arrival order.
+fn exchange(conn: &mut Connection, msgs: &[Message]) -> Vec<Message> {
+    for msg in msgs {
+        conn.send(msg).unwrap();
+    }
+    let ping = conn.next_request_id();
+    conn.send_with_id(ping, &Message::Ping).unwrap();
+    let mut pushed = Vec::new();
+    loop {
+        match conn.recv_tagged().unwrap() {
+            (id, Message::Pong) if id == ping => return pushed,
+            (_, msg) => pushed.push(msg),
+        }
+    }
+}
+
+/// A reconnecting cluster introduces itself again. The same introduction
+/// changes nothing, so the credit an `Applied` gave before it still counts;
+/// a different one is refused with the connection.
+#[test]
+fn a_repeated_introduction_keeps_eager_credit_and_a_different_one_is_refused() {
+    let service = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
+    let addr = service.local_addr().to_string();
+    let connect = || Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
+    let applied = |replica| Message::Applied {
+        replica: ReplicaId(replica),
+        version: Version(1),
+    };
+
+    let mut first = connect();
+    let mut writeset = WriteSet::new();
+    writeset.push(TableId(0), Value::Int(1), WriteOp::Delete);
+    let certify = Message::Certify(CertifyRequest {
+        txn: TxnId(7),
+        replica: ReplicaId(0),
+        snapshot: Version::ZERO,
+        writeset,
+        idem: None,
+    });
+    let pushed = exchange(&mut first, &[introduction(2), certify, applied(0)]);
+    assert_eq!(pushed.len(), 2, "one refresh and the decision: {pushed:?}");
+    drop(first);
+
+    let mut differing = connect();
+    differing.send(&introduction(3)).unwrap();
+    let reply = differing.recv();
+    assert!(
+        matches!(reply, Ok(Message::Err(Error::Protocol(_)))),
+        "{reply:?}"
+    );
+
+    let mut again = connect();
+    assert_eq!(
+        exchange(&mut again, &[introduction(2), applied(1)]),
+        [Message::GlobalCommitFor {
+            origin: ReplicaId(0),
+            txn: TxnId(7),
+        }]
+    );
     service.stop();
 }

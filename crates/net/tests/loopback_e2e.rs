@@ -282,11 +282,7 @@ fn remote_certifier_process_split_preserves_strong_consistency() {
     // Eager, every replica reports what it applied over the link and each
     // commit's global-commit notice comes back over it.
     for mode in [ConsistencyMode::LazyCoarse, ConsistencyMode::Eager] {
-        let config = CertifierServerConfig {
-            replicas: 3,
-            eager: mode == ConsistencyMode::Eager,
-            ..CertifierServerConfig::default()
-        };
+        let config = CertifierServerConfig::default();
         let certifier = CertifierServer::start("127.0.0.1:0", config).expect("certifier binds");
         let link = RemoteCertifierLink::connect(&certifier.local_addr().to_string())
             .expect("link connects");
@@ -410,9 +406,7 @@ fn cluster_restart_refetches_history_from_remote_certifier() {
     let certifier = CertifierServer::start(
         "127.0.0.1:0",
         CertifierServerConfig {
-            replicas: 2,
             wal_dir: Some(dir.clone()),
-            ..CertifierServerConfig::default()
         },
     )
     .unwrap();
@@ -508,8 +502,13 @@ fn certify_burst_is_batched_and_answered_in_commit_order() {
         .expect("certifier binds");
     let mut raw = TcpStream::connect(certifier.local_addr()).expect("raw connect");
 
-    // 100 non-conflicting certify requests from 3 replicas, one write.
-    let mut burst = Vec::new();
+    // The cluster's introduction, then 100 non-conflicting certify
+    // requests from 3 replicas, one write.
+    let hello = Message::HelloAck {
+        replicas: 3,
+        mode: ConsistencyMode::LazyCoarse,
+    };
+    let mut burst = encode_frame(hello.kind(), 0, &hello.encode()).unwrap();
     for i in 0..FRAMES {
         let mut writeset = WriteSet::new();
         let key = Value::Int(i as i64);
@@ -622,13 +621,13 @@ fn newest_certifier_connection_supersedes_a_half_open_one() {
 }
 
 /// One connection writes `Prepare, Run, Run, Stats, Run, Prepare, Run,
-/// CatchUp, Ddl, Prepare, Run, JoinRequest, Run` in a single `write_all`.
-/// `Run`s and the other requests take different paths through the server,
-/// yet the replies come back in request order with the right ids, and each
-/// request saw the effects of the ones before it: the `Stats` counts the
-/// updates ahead of it, the `CatchUp` returns exactly the commits made
-/// before it, the `Run` after the `Ddl` writes the new table, and the
-/// snapshot stream imports at the version reached before it.
+/// FetchHistory, Ddl, Prepare, Run, JoinRequest, Run` in a single
+/// `write_all`. `Run`s and the other requests take different paths through
+/// the server, yet the replies come back in request order with the right
+/// ids, and each request saw the effects of the ones before it: the `Stats`
+/// counts the updates ahead of it, the `FetchHistory` returns exactly the
+/// commits made before it, the `Run` after the `Ddl` writes the new table,
+/// and the snapshot stream imports at the version reached before it.
 #[test]
 fn mixed_pipeline_of_runs_and_requests_is_answered_in_request_order() {
     let (server, addr, _workload) = micro_server(ConsistencyMode::LazyFine, 3);
@@ -737,7 +736,8 @@ fn mixed_pipeline_of_runs_and_requests_is_answered_in_request_order() {
         panic!("expected TxnReply, got kind {}", answers[6].kind());
     };
     assert_eq!(results[0].rows().unwrap()[0][0], Value::Int(13));
-    // The `CatchUp` returns the three updates before it, and nothing else.
+    // The `FetchHistory` returns the three updates before it, and nothing
+    // else.
     let Message::History { records } = answers[7] else {
         panic!("expected History, got {:?}", answers[7]);
     };
@@ -803,10 +803,10 @@ fn a_prepare_of_100_000_parentheses_is_refused_and_the_connection_serves_on() {
     server.stop();
 }
 
-/// A `CatchUp` reply carries at most `CATCH_UP_RECORDS` records, the oldest
-/// first, so what the reactor reads and encodes for one is bounded; the
-/// bootstrap client's `catch_up` repeats rounds until a reply comes back
-/// short, and gets to `V_system`.
+/// A `FetchHistory` reply carries at most `CATCH_UP_RECORDS` records, the
+/// oldest first, so what the reactor reads and encodes for one is bounded;
+/// the bootstrap client's `catch_up` repeats rounds until a reply comes
+/// back short, and gets to `V_system`.
 #[test]
 fn catch_up_replies_are_capped_and_repeated_rounds_reach_v_system() {
     let (server, addr, workload) = micro_server(ConsistencyMode::LazyFine, 3);

@@ -5,7 +5,9 @@
 //! and the service goes on to serve the next one, even one that replaces
 //! a connection stopped mid-frame.
 
-use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_common::{
+    ConsistencyMode, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+};
 use bargain_core::{CertifyDecision, CertifyRequest};
 use bargain_net::frame::{encode_frame, MAGIC, PUSH_ID};
 use bargain_net::{CertifierServer, CertifierServerConfig, Connection, Message};
@@ -47,11 +49,18 @@ fn certify_frames(requests: &[(u32, Vec<i64>)]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn start() -> CertifierServer {
-    let config = CertifierServerConfig {
-        replicas: REPLICAS as usize,
-        ..CertifierServerConfig::default()
+/// The bytes of the cluster's introduction, which comes before any
+/// `Certify`.
+fn introduction() -> Vec<u8> {
+    let msg = Message::HelloAck {
+        replicas: REPLICAS,
+        mode: ConsistencyMode::LazyFine,
     };
+    encode_frame(msg.kind(), PUSH_ID, &msg.encode()).unwrap()
+}
+
+fn start() -> CertifierServer {
+    let config = CertifierServerConfig::default();
     CertifierServer::start("127.0.0.1:0", config).expect("certifier binds")
 }
 
@@ -102,7 +111,7 @@ proptest! {
         stop_at in any::<u64>(),
     ) {
         let frames = certify_frames(&requests);
-        let stream: Vec<u8> = frames.concat();
+        let stream: Vec<u8> = [introduction(), frames.concat()].concat();
 
         // The reference: one write_all.
         let reference = start();

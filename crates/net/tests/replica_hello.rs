@@ -5,7 +5,9 @@
 //! was pending.
 
 use bargain_cluster::{Cluster, ClusterConfig};
-use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_common::{
+    ConsistencyMode, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+};
 use bargain_core::{CertifyDecision, CertifyRequest};
 use bargain_net::frame::{encode_frame, read_frame};
 use bargain_net::{
@@ -22,14 +24,17 @@ fn service(dir: &std::path::Path) -> (CertifierServer, Connection) {
     let service = CertifierServer::start(
         "127.0.0.1:0",
         CertifierServerConfig {
-            replicas: 3,
-            eager: true,
             wal_dir: Some(dir.to_path_buf()),
         },
     )
     .unwrap();
     let addr = service.local_addr().to_string();
-    let conn = Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
+    let mut conn = Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
+    let introduction = Message::HelloAck {
+        replicas: 3,
+        mode: ConsistencyMode::Eager,
+    };
+    conn.send(&introduction).unwrap();
     (service, conn)
 }
 

@@ -1,17 +1,19 @@
 //! What happens at the frame cap (`MAX_FRAME_LEN`, 64 MiB), on both
 //! endpoints: a reply too large for one frame is answered with an error,
 //! once, and a certifier log larger than one frame still reaches a
-//! restarting split cluster, a page at a time.
+//! restarting split cluster, a page at a time. And what the certifier
+//! endpoint refuses of the introduction it learns its membership from.
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
     ConsistencyMode, Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::certifier::Input;
-use bargain_core::{Certifier, CertifyRequest};
+use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
+use bargain_net::certifier::MAX_REPLICAS;
 use bargain_net::frame::MAX_FRAME_LEN;
-use bargain_net::RemoteSession;
 use bargain_net::{CertifierServer, CertifierServerConfig, NetServer, RemoteCertifierLink};
+use bargain_net::{ConnectPolicy, Connection, Message, RemoteSession};
 use bargain_storage::Engine;
 
 fn blob_table(engine: &mut Engine) -> Result<()> {
@@ -106,8 +108,6 @@ fn a_durable_split_cluster_starts_over_a_log_larger_than_a_frame() {
     let service = CertifierServer::start(
         "127.0.0.1:0",
         CertifierServerConfig {
-            replicas: replicas.len(),
-            eager: true,
             wal_dir: Some(dir.clone()),
         },
     )
@@ -140,4 +140,80 @@ fn a_durable_split_cluster_starts_over_a_log_larger_than_a_frame() {
     cluster.shutdown();
     service.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn introduction(replicas: u32) -> Message {
+    Message::HelloAck {
+        replicas,
+        mode: ConsistencyMode::LazyFine,
+    }
+}
+
+fn certify_from_replica_0() -> Message {
+    let mut writeset = WriteSet::new();
+    writeset.push(TableId(0), Value::Int(1), WriteOp::Delete);
+    Message::Certify(CertifyRequest {
+        txn: TxnId(1),
+        replica: ReplicaId(0),
+        snapshot: Version::ZERO,
+        writeset,
+        idem: None,
+    })
+}
+
+/// Sends `msgs` to a fresh certifier service and expects a protocol error
+/// and the close. Then the service serves the next connection: a cluster of
+/// two introduces itself, and its first commit fans out to replica 1 alone.
+fn refused_and_the_next_connection_is_served(msgs: &[Message]) {
+    let service = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
+    let addr = service.local_addr().to_string();
+    let mut refused = Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
+    for msg in msgs {
+        refused.send(msg).unwrap();
+    }
+    let reply = refused.recv();
+    assert!(
+        matches!(reply, Ok(Message::Err(Error::Protocol(_)))),
+        "{reply:?}"
+    );
+    let closed = refused.recv();
+    assert!(
+        matches!(closed, Err(Error::ConnectionClosed(_))),
+        "{closed:?}"
+    );
+
+    let mut next = Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
+    next.send(&introduction(2)).unwrap();
+    next.send(&certify_from_replica_0()).unwrap();
+    let Ok(Message::RefreshFor { to, .. }) = next.recv() else {
+        panic!("a commit from replica 0 refreshes replica 1 first");
+    };
+    assert_eq!(to, ReplicaId(1));
+    let decision = next.recv();
+    assert!(
+        matches!(
+            decision,
+            Ok(Message::Decision {
+                decision: CertifyDecision::Commit { .. },
+                ..
+            })
+        ),
+        "{decision:?}"
+    );
+    service.stop();
+}
+
+#[test]
+fn an_introduction_naming_no_replicas_is_refused() {
+    refused_and_the_next_connection_is_served(&[introduction(0)]);
+}
+
+#[test]
+fn an_introduction_naming_more_replicas_than_the_bound_is_refused() {
+    refused_and_the_next_connection_is_served(&[introduction(MAX_REPLICAS + 1)]);
+}
+
+#[test]
+fn a_certify_before_any_introduction_is_refused() {
+    refused_and_the_next_connection_is_served(&[certify_from_replica_0()]);
 }

@@ -56,7 +56,8 @@ pub enum FaultKind {
     /// donor's consistent snapshot (chunked and checksummed, exactly like
     /// the TCP snapshot-ship protocol), replays the commits certified after
     /// the snapshot's cut, and is admitted into the routing set only once
-    /// its lag is inside `SimConfig::join_lag_bound`. The two knobs inject
+    /// its lag behind `V_system` is inside `bargain_core::JOIN_LAG_BOUND`,
+    /// the live cluster's admission rule. The two knobs inject
     /// the bootstrap failure modes; each is one-shot, so the *retry* is
     /// exercised too.
     ReplicaJoin {

@@ -38,7 +38,7 @@ use bargain_common::{
 use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{
     Certifier, CertifyDecision, CertifyRequest, ConsistencyChecker, LoadBalancer, Proxy,
-    ProxyEvent, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest,
+    ProxyEvent, Refresh, RoutedTxn, StartDecision, TxnOutcome, TxnRequest, JOIN_LAG_BOUND,
 };
 use bargain_sql::TransactionTemplate;
 use bargain_storage::{Engine, SnapshotManifest};
@@ -79,11 +79,6 @@ pub struct SimConfig {
     pub early_certification: bool,
     /// Faults to inject during the run (default: none).
     pub faults: FaultPlan,
-    /// Admission lag bound for a joining replica (versions): after its
-    /// snapshot import and catch-up replay, a joiner becomes routable only
-    /// once the certifier's commit version is within this many versions of
-    /// its own. Mirrors `JoinOptions::lag_bound` in the live cluster.
-    pub join_lag_bound: u64,
 }
 
 impl Default for SimConfig {
@@ -100,7 +95,6 @@ impl Default for SimConfig {
             routing: bargain_core::RoutingPolicy::LeastConnections,
             early_certification: true,
             faults: FaultPlan::default(),
-            join_lag_bound: 64,
         }
     }
 }
@@ -902,22 +896,11 @@ impl<'w> Sim<'w> {
                 self.on_join_fetch(join);
             }
             FaultKind::ReplicaLeave { replica } => {
-                if replica >= self.proxies.len()
-                    || self.replica_gone[replica]
-                    || self.draining[replica]
-                {
-                    return; // already gone or already on its way out
-                }
+                // Already on its way out, or refused by the live cluster's
+                // leave rule (a replica already gone is unknown to it). Plans
+                // name founding replicas only, so the index is in range.
                 let rid = self.proxies[replica].replica();
-                // Refuse to drain the last routable replica — the real
-                // cluster classifies this as a refused decommission.
-                let others_routable = (0..self.proxies.len()).any(|r| {
-                    r != replica
-                        && !self.replica_gone[r]
-                        && self.lb.knows_replica(self.proxies[r].replica())
-                        && self.lb.is_up(self.proxies[r].replica())
-                });
-                if !others_routable {
+                if self.draining[replica] || self.lb.may_leave(rid).is_err() {
                     return;
                 }
                 self.n_faults += 1;
@@ -1136,9 +1119,9 @@ impl<'w> Sim<'w> {
         self.queue.schedule(5 * MS, Event::AdmitCheck { replica });
     }
 
-    /// Admission poll: the joiner becomes routable once the certifier's
-    /// commit version is within `join_lag_bound` of its own — the same
-    /// admission rule as the live cluster's join protocol.
+    /// Admission poll: the joiner becomes routable once `V_system` is within
+    /// [`JOIN_LAG_BOUND`] of its own version — the live cluster's admission
+    /// rule, [`LoadBalancer::admits`].
     fn on_admit_check(&mut self, replica: usize) {
         if self.replica_gone[replica] || !self.replica_up[replica] {
             return;
@@ -1147,16 +1130,12 @@ impl<'w> Sim<'w> {
         if self.lb.is_up(rid) {
             return; // already admitted
         }
-        let lag = self
-            .certifier
-            .version()
-            .0
-            .saturating_sub(self.proxies[replica].version().0);
-        if lag <= self.cfg.join_lag_bound {
+        let v_local = self.proxies[replica].version();
+        if self.lb.admits(v_local, JOIN_LAG_BOUND) {
             self.lb.mark_up(rid);
             self.n_joins += 1;
             self.checker
-                .record_fault(format!("replica {replica} admitted (lag {lag})"));
+                .record_fault(format!("replica {replica} admitted at v{}", v_local.0));
         } else {
             // Another catch-up round, then re-check.
             self.queue.schedule(0, Event::ResyncReplica { replica });

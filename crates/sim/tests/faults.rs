@@ -249,6 +249,27 @@ fn leave_of_the_last_routable_replica_is_refused() {
 }
 
 #[test]
+fn leave_of_a_down_replica_is_allowed_while_no_other_is_up() {
+    // Replica 1 is down for good and replica 0 for 300 ms: replica 1 may
+    // leave in between, since a down replica's leaving lowers no
+    // availability (the live cluster's leave rule). Replica 0 comes back
+    // and serves alone.
+    let w = workload();
+    let crash = |replica, down_ms| FaultKind::ReplicaCrash { replica, down_ms };
+    let plan = FaultPlan::none()
+        .with(500, crash(1, 5_000))
+        .with(550, crash(0, 300))
+        .with(600, FaultKind::ReplicaLeave { replica: 1 });
+    let mut cfg = faulty_cfg(ConsistencyMode::LazyFine, plan);
+    cfg.replicas = 2;
+    let r = simulate(&w, &cfg);
+    assert_eq!(r.replicas_left, 1, "the down replica must leave");
+    assert!(r.committed > 0, "the cluster serves");
+    assert_eq!(r.violations, 0);
+    assert_eq!(r.lost_acked_commits, 0);
+}
+
+#[test]
 fn elastic_run_is_byte_identical_for_same_seed_and_plan() {
     // Join (through a donor crash *and* a corrupted chunk) plus a leave:
     // the full elasticity machinery must stay deterministic.

@@ -313,9 +313,7 @@ fn certifier_restart_deduplicates_replayed_idempotency_key() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let cert_config = CertifierServerConfig {
-        replicas: 2,
         wal_dir: Some(dir.clone()),
-        ..CertifierServerConfig::default()
     };
     let certifier = CertifierServer::start("127.0.0.1:0", cert_config.clone()).unwrap();
     let cert_addr = certifier.local_addr().to_string();
@@ -503,14 +501,8 @@ fn certifier_link_chaos_is_exactly_once() {
         const CLIENTS: i64 = 3;
         const TXNS: u64 = 12;
 
-        let certifier = CertifierServer::start(
-            "127.0.0.1:0",
-            CertifierServerConfig {
-                replicas: 3,
-                ..CertifierServerConfig::default()
-            },
-        )
-        .unwrap();
+        let certifier =
+            CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
         let proxy = ChaosProxy::start(
             &certifier.local_addr().to_string(),
             NetFaultPlan::random(seed, 1_200),
