@@ -775,6 +775,16 @@ mod tests {
     }
 
     #[test]
+    fn a_joiner_is_admitted_within_the_lag_bound_of_v_system() {
+        let mut lb = lb(ConsistencyMode::LazyCoarse);
+        lb.on_outcome(&outcome(0, 1, Some(100), 100, &[0]));
+        assert!(lb.admits(Version(100 - JOIN_LAG_BOUND), JOIN_LAG_BOUND));
+        assert!(!lb.admits(Version(99 - JOIN_LAG_BOUND), JOIN_LAG_BOUND));
+        assert!(lb.admits(Version(100), 0));
+        assert!(!lb.admits(Version(99), 0));
+    }
+
+    #[test]
     fn removed_replica_is_forgotten_and_stragglers_are_safe() {
         let mut lb = lb(ConsistencyMode::LazyCoarse);
         let routed = lb.route(request(1, 0)).unwrap();

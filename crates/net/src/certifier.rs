@@ -3,8 +3,18 @@
 //! certifier from the replicas), plus the cluster-side link that connects a
 //! [`bargain_cluster::Cluster`] to it.
 //!
-//! Protocol (certifier endpoint, message kinds 15–16 and 20–27):
+//! Protocol (certifier endpoint, message kinds 2, 15–16 and 20–27):
 //!
+//! - The cluster introduces itself on every connection with
+//!   [`Message::HelloAck`]: its replica count and consistency mode, which
+//!   the service is not configured with. The first introduction installs
+//!   members `0..replicas` and, in the eager mode, the global-commit
+//!   accounting; the same introduction again changes nothing (a reconnect
+//!   must not reset eager credit). A different one, one naming 0 replicas
+//!   or more than [`MAX_REPLICAS`], and any [`Message::Certify`],
+//!   [`Message::Applied`] or [`Message::ReplicaHello`] before the first
+//!   introduction are refused with `Err(Protocol)` and the connection is
+//!   closed; the next connection is served as before.
 //! - On connect, the cluster reads the commit history with
 //!   [`crate::bootstrap::fetch_history`] and fast-forwards its replicas
 //!   through it. Each [`Message::FetchHistory`] is answered with one page
@@ -264,7 +274,9 @@ impl CertifierService {
     /// Steps the certifier over `inputs` and queues what it produced on
     /// `conn`, in the step's order: the link takes a decision as proof that
     /// its commit's refreshes, written ahead of it, have arrived. A log that
-    /// fails to flush ends the connection.
+    /// fails to flush ends the connection, and so does certifier input
+    /// before the cluster's introduction: there is no membership to
+    /// certify for.
     fn step(&mut self, conn: &mut Conn<()>, inputs: Vec<Input>) {
         if self.introduced.is_none() && !inputs.is_empty() {
             let why = "certifier input before the cluster's introduction";
@@ -300,8 +312,8 @@ impl CertifierService {
             return Ok(());
         }
         Err(Error::Protocol(format!(
-            "introduction of {replicas} replicas in {mode:?} refused: the service serves {:?} \
-             (a cluster has 1 to {MAX_REPLICAS} replicas)",
+            "introduction of {replicas} replicas in {mode:?} refused: a cluster has 1 to \
+             {MAX_REPLICAS}, and the service keeps the first introduction it took ({:?})",
             self.introduced
         )))
     }

@@ -54,9 +54,13 @@ pub(crate) fn unexpected(expected: &str, got: &Message) -> Error {
 pub enum Message {
     /// Client → server: first frame on every connection.
     Hello,
-    /// Server → client: handshake reply describing the cluster.
+    /// Server → client: handshake reply describing the cluster. Also the
+    /// cluster's introduction to its certifier service (cluster → service,
+    /// first on every certifier connection), from which the service learns
+    /// its membership and mode.
     HelloAck {
-        /// Number of replicas behind the frontend.
+        /// Number of replicas behind the frontend (the certifier's members
+        /// `0..replicas`).
         replicas: u32,
         /// The cluster's consistency configuration.
         mode: ConsistencyMode,
