@@ -2,8 +2,9 @@
 //! certifier or replica around it: loads TPC-W (shopping mix) at the
 //! scale of the end-to-end benchmark's `tpcw_shopping`, runs generated
 //! transactions back to back as standalone snapshot-isolation
-//! transactions, and prints each template's runs, mean µs and share of
-//! all execution time. Garbage is collected every 1 000 transactions,
+//! transactions, and prints each template's runs, mean µs, rows examined
+//! per run (what the engine handed its readers, `EngineStats::reads`) and
+//! share of all execution time. Garbage is collected every 1 000 transactions,
 //! outside the timed sections, as a replica's own collection would.
 //!
 //! ```text
@@ -26,6 +27,8 @@ struct Cost {
     runs: u64,
     failed: u64,
     time: Duration,
+    /// Rows examined.
+    reads: u64,
 }
 
 fn main() {
@@ -61,6 +64,7 @@ fn main() {
         let ctx = &mut ctxs[(n % CLIENTS) as usize];
         let (id, params) = workload.next_transaction(ctx);
         let template = &templates[&id];
+        let reads = engine.stats().reads;
         let started = Instant::now();
         let txn = engine.begin();
         let ran = template
@@ -75,6 +79,7 @@ fn main() {
         };
         let cost = costs.entry(&template.name).or_default();
         cost.time += started.elapsed();
+        cost.reads += engine.stats().reads - reads;
         cost.runs += 1;
         cost.failed += u64::from(committed.is_err());
         if n % 1_000 == 999 {
@@ -93,25 +98,27 @@ fn main() {
         collecting.as_secs_f64() * 1e3
     );
     println!(
-        "  {:<26} {:>8} {:>7} {:>10} {:>7}",
-        "template", "runs", "failed", "mean_us", "share"
+        "  {:<26} {:>8} {:>7} {:>10} {:>9} {:>7}",
+        "template", "runs", "failed", "mean_us", "rows/run", "share"
     );
     let mut rows: Vec<_> = costs.into_iter().collect();
     rows.sort_by_key(|(_, cost)| std::cmp::Reverse(cost.time));
     for (name, cost) in &rows {
         println!(
-            "  {name:<26} {:>8} {:>7} {:>10.2} {:>6.1}%",
+            "  {name:<26} {:>8} {:>7} {:>10.2} {:>9.1} {:>6.1}%",
             cost.runs,
             cost.failed,
             cost.time.as_secs_f64() * 1e6 / cost.runs as f64,
+            cost.reads as f64 / cost.runs as f64,
             100.0 * cost.time.as_secs_f64() / total.as_secs_f64()
         );
     }
     println!(
-        "  {:<26} {transactions:>8} {:>7} {:>10.2} {:>6.1}%",
+        "  {:<26} {transactions:>8} {:>7} {:>10.2} {:>9.1} {:>6.1}%",
         "all",
         rows.iter().map(|(_, c)| c.failed).sum::<u64>(),
         total.as_secs_f64() * 1e6 / transactions as f64,
+        rows.iter().map(|(_, c)| c.reads).sum::<u64>() as f64 / transactions as f64,
         100.0
     );
 }

@@ -112,14 +112,14 @@ pub enum OrderDirection {
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
-    /// `CREATE INDEX name ON table (col)`
+    /// `CREATE INDEX name ON table (col)` or `… (group_col, order_col)`
     CreateIndex {
         /// Index name (informational).
         name: String,
         /// Table to index.
         table: String,
-        /// Column to index.
-        column: String,
+        /// Columns to index: one, or a group column then an order column.
+        columns: Vec<String>,
     },
     /// `CREATE TABLE name (col type [null], ..., PRIMARY KEY (col))`
     CreateTable {

@@ -95,9 +95,10 @@ pub fn execute_ddl(engine: &mut Engine, stmt: &Statement) -> Result<()> {
             engine.create_table(schema)?;
             Ok(())
         }
-        Statement::CreateIndex { table, column, .. } => {
+        Statement::CreateIndex { table, columns, .. } => {
             let t = engine.resolve_table(table)?;
-            engine.create_index(t, column)?;
+            let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+            engine.create_index_on(t, &columns)?;
             Ok(())
         }
         other => Err(Error::SqlExecution(format!(
@@ -135,26 +136,23 @@ pub fn execute(
             let table_id = engine.resolve_table(table)?;
             let schema = engine.catalog().schema(table_id)?.clone();
             let limit = limit.map_or(usize::MAX, |n| n as usize);
-            // Unordered, the first `limit` matches are the answer and the
-            // walk stops there; ordered, every match has to be seen.
-            let enough = if order_by.is_some() {
-                usize::MAX
-            } else {
-                limit
+            let order = match order_by {
+                Some((col, dir)) => Some((schema.column_index(col)?, *dir == OrderDirection::Desc)),
+                None => None,
             };
             let mut rows: Vec<&Row> = Vec::new();
-            for_each_match(engine, txn, table_id, &schema, filter, params, &mut |row| {
+            let walk = Walk {
+                filter,
+                params,
+                order,
+                limit,
+            };
+            let sorted = for_each_match(engine, txn, table_id, &schema, walk, &mut |row| {
                 rows.push(row);
-                if rows.len() < enough {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(())
-                }
             })?;
-            if let Some((col, dir)) = order_by {
-                let idx = schema.column_index(col)?;
+            if let (Some((idx, desc)), false) = (order, sorted) {
                 rows.sort_by(|a, b| a[idx].cmp(&b[idx]));
-                if *dir == OrderDirection::Desc {
+                if desc {
                     rows.reverse();
                 }
             }
@@ -238,50 +236,129 @@ pub fn execute(
     }
 }
 
+/// What a statement walks a table for: the rows that satisfy `filter`,
+/// wanted in `order` (a column position and whether descending), of which
+/// the first `limit` are the answer.
+struct Walk<'s> {
+    filter: &'s Option<Expr>,
+    params: &'s [Value],
+    order: Option<(usize, bool)>,
+    limit: usize,
+}
+
 /// Hands `on_match` each row of `table_id` the transaction sees that
-/// satisfies `filter`, in primary-key order and borrowed from the engine,
-/// until it breaks. The walk is the narrowest the filter allows -- a
-/// primary-key point, a secondary-index range (a superset), else every row
-/// -- and the whole filter is evaluated here, on the borrowed row, whichever
-/// it was.
+/// satisfies the walk's filter, borrowed from the engine, and returns
+/// whether they came in the walk's order; otherwise they come in
+/// primary-key order. The walk is the narrowest the filter and order
+/// allow -- a primary-key point; a group of a two-column index in its
+/// order column's order, when the filter fixes the group column and the
+/// order is on the other, unless the transaction wrote the table (its own
+/// writes merge by key); a secondary-index range (a superset); else every
+/// row -- and the whole filter is evaluated here, on the borrowed row,
+/// whichever it was. The walk stops after `limit` matches when the rows
+/// need no sort, since those are the answer.
 fn for_each_match<'e>(
     engine: &'e mut Engine,
     txn: TxnHandle,
     table_id: TableId,
     schema: &TableSchema,
-    filter: &Option<Expr>,
-    params: &[Value],
-    on_match: &mut dyn FnMut(&'e Row) -> ControlFlow<()>,
-) -> Result<()> {
-    let (key, lo, hi);
+    walk: Walk<'_>,
+    on_match: &mut dyn FnMut(&'e Row),
+) -> Result<bool> {
+    let Walk {
+        filter,
+        params,
+        order,
+        limit,
+    } = walk;
+    let (key, lo, hi, group);
     let mut access = Access::All;
     if let Some(f) = filter {
         if let Some(key_expr) = pk_equality(f, &schema.columns[schema.pk].name) {
             key = eval(key_expr, None, params)?;
             access = Access::Key(&key);
         } else {
-            // A conjunct constrains an indexed column to a constant range.
-            for c in index_constraints(f) {
-                let Ok(column) = schema.column_index(&c.column) else {
-                    continue;
+            let constraints = index_constraints(f);
+            if let Some((columns, value, desc)) =
+                ordered_group(engine, txn, table_id, schema, &constraints, order)?
+            {
+                group = eval(value, None, params)?;
+                access = Access::Ordered {
+                    columns,
+                    value: &group,
+                    desc,
                 };
-                if engine.is_indexed(table_id, column)? {
-                    lo = c.lo.map(|e| eval(e, None, params)).transpose()?;
-                    hi = c.hi.map(|e| eval(e, None, params)).transpose()?;
-                    access = Access::Index {
-                        column,
-                        lo: lo.as_deref(),
-                        hi: hi.as_deref(),
+            } else {
+                // A conjunct constrains an indexed column to a constant range.
+                for c in constraints {
+                    let Ok(column) = schema.column_index(&c.column) else {
+                        continue;
                     };
-                    break;
+                    if engine.is_indexed(table_id, column)? {
+                        lo = c.lo.map(|e| eval(e, None, params)).transpose()?;
+                        hi = c.hi.map(|e| eval(e, None, params)).transpose()?;
+                        access = Access::Index {
+                            column,
+                            lo: lo.as_deref(),
+                            hi: hi.as_deref(),
+                        };
+                        break;
+                    }
                 }
             }
         }
     }
-    engine.visit(txn, table_id, access, &mut |_, row| match filter {
-        Some(f) if !matches_filter(f, schema, row, params)? => Ok(ControlFlow::Continue(())),
-        _ => Ok(on_match(row)),
-    })
+    let sorted = matches!(access, Access::Ordered { .. });
+    let enough = if order.is_none() || sorted {
+        limit
+    } else {
+        usize::MAX
+    };
+    let mut matched = 0;
+    engine.visit(txn, table_id, access, &mut |_, row| {
+        if let Some(f) = filter {
+            if !matches_filter(f, schema, row, params)? {
+                return Ok(ControlFlow::Continue(()));
+            }
+        }
+        on_match(row);
+        matched += 1;
+        Ok(if matched < enough {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        })
+    })?;
+    Ok(sorted)
+}
+
+/// The `[group, order]` columns of a two-column index whose groups hold
+/// the rows an equality conjunct fixes in the `order` wanted, with the
+/// conjunct's constant and the direction; `None` if there is no such
+/// index or the transaction has written the table.
+fn ordered_group<'f>(
+    engine: &Engine,
+    txn: TxnHandle,
+    table_id: TableId,
+    schema: &TableSchema,
+    constraints: &[IndexConstraint<'f>],
+    order: Option<(usize, bool)>,
+) -> Result<Option<([usize; 2], &'f Expr, bool)>> {
+    let Some((column, desc)) = order else {
+        return Ok(None);
+    };
+    if engine.wrote(txn, table_id)? {
+        return Ok(None);
+    }
+    for c in constraints {
+        let (Some(value), Some(_), Ok(group)) = (c.lo, c.hi, schema.column_index(&c.column)) else {
+            continue;
+        };
+        if engine.has_index_on(table_id, &[group, column])? {
+            return Ok(Some(([group, column], value, desc)));
+        }
+    }
+    Ok(None)
 }
 
 /// Owned copies of the matching rows, for `UPDATE` and `DELETE`: the engine
@@ -295,9 +372,14 @@ fn matching_rows(
     params: &[Value],
 ) -> Result<Vec<Row>> {
     let mut rows = Vec::new();
-    for_each_match(engine, txn, table_id, schema, filter, params, &mut |row| {
+    let walk = Walk {
+        filter,
+        params,
+        order: None,
+        limit: usize::MAX,
+    };
+    for_each_match(engine, txn, table_id, schema, walk, &mut |row| {
         rows.push(row.clone());
-        ControlFlow::Continue(())
     })?;
     engine.note_copied(rows.len());
     Ok(rows)

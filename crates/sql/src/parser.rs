@@ -165,12 +165,21 @@ impl Parser {
         self.keyword("on")?;
         let table = self.ident()?;
         self.expect(&Token::LParen)?;
-        let column = self.ident()?;
+        let mut columns = vec![self.ident()?];
+        while self.eat_optional(&Token::Comma) {
+            columns.push(self.ident()?);
+        }
         self.expect(&Token::RParen)?;
+        if columns.len() > 2 {
+            return Err(Error::SqlParse(format!(
+                "an index covers one or two columns, not {}",
+                columns.len()
+            )));
+        }
         Ok(Statement::CreateIndex {
             name,
             table,
-            column,
+            columns,
         })
     }
 
@@ -558,6 +567,32 @@ mod tests {
                 assert_eq!(columns[2], ("i_cost".into(), ColumnType::Float, true));
             }
             other => panic!("wrong statement: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parse_create_index_over_one_or_two_columns() {
+        for (sql, columns) in [
+            ("CREATE INDEX s ON item (i_subject)", &["i_subject"][..]),
+            (
+                "CREATE INDEX sd ON item (i_subject, i_pub_date)",
+                &["i_subject", "i_pub_date"],
+            ),
+        ] {
+            let expect = Statement::CreateIndex {
+                name: sql.split(' ').nth(2).unwrap().into(),
+                table: "item".into(),
+                columns: columns.iter().map(|c| (*c).to_owned()).collect(),
+            };
+            assert_eq!(parse(sql).unwrap(), expect);
+        }
+        for sql in [
+            "CREATE INDEX x ON item (a, b, c)",
+            "CREATE INDEX x ON item (a, b, c, d)",
+            "CREATE INDEX x ON item ()",
+            "CREATE INDEX x ON item (a,)",
+        ] {
+            assert!(matches!(parse(sql), Err(Error::SqlParse(_))), "{sql}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! tombstone version (`data == None`), so "row absent at snapshot S" and
 //! "row deleted at snapshot S" read identically.
 
-use bargain_common::{Row, Value, Version};
+use bargain_common::{Row, Version};
 
 /// One version of a row.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,14 +15,6 @@ pub struct RowVersion {
     pub begin: Version,
     /// Row image; `None` marks a tombstone (the row was deleted at `begin`).
     pub data: Option<Row>,
-}
-
-impl RowVersion {
-    /// The value this version carries in `column`; `None` for a tombstone.
-    #[must_use]
-    pub fn value(&self, column: usize) -> Option<&Value> {
-        self.data.as_ref().map(|row| &row[column])
-    }
 }
 
 /// The version history of one row key, newest first.
@@ -147,6 +139,7 @@ impl VersionChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bargain_common::Value;
 
     fn row(v: i64) -> Row {
         vec![Value::Int(v)]

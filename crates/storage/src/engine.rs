@@ -56,6 +56,18 @@ pub enum Access<'a> {
         /// Upper bound.
         hi: Option<&'a Value>,
     },
+    /// Rows whose `group` column equals `value`, in order of the `order`
+    /// column then primary key, descending if `desc`: a walk of the
+    /// two-column index over `[group, order]`. Not for a transaction that
+    /// has written the table (see [`Engine::wrote`]).
+    Ordered {
+        /// Positions of the group column and the order column.
+        columns: [usize; 2],
+        /// The group's value.
+        value: &'a Value,
+        /// Whether the walk runs from the highest order value down.
+        desc: bool,
+    },
     /// Every row.
     All,
 }
@@ -65,7 +77,7 @@ impl Access<'_> {
     fn admits(&self, key: &Value) -> bool {
         match self {
             Access::Key(k) => *k == key,
-            Access::Index { .. } | Access::All => true,
+            Access::Index { .. } | Access::Ordered { .. } | Access::All => true,
         }
     }
 }
@@ -155,15 +167,43 @@ impl Engine {
     /// back-filling from existing data. Idempotent. Like table DDL, index
     /// DDL runs identically at every replica before transaction processing.
     pub fn create_index(&mut self, table: TableId, column: &str) -> Result<usize> {
-        let col = self.catalog.schema(table)?.column_index(column)?;
-        self.tables[table.index()].create_index(col);
-        Ok(col)
+        Ok(self.create_index_on(table, &[column])?[0])
     }
 
-    /// Whether `column` (by position) of `table` has a secondary index.
+    /// Creates a secondary index over `columns` of `table` (by name): one
+    /// column, or a group column then an order column. Returns their
+    /// positions. Idempotent per column list; more columns than two, or
+    /// none, or one the table lacks, are refused.
+    pub fn create_index_on(&mut self, table: TableId, columns: &[&str]) -> Result<Vec<usize>> {
+        let schema = self.catalog.schema(table)?;
+        if !(1..=2).contains(&columns.len()) {
+            return Err(Error::SchemaMismatch(format!(
+                "{}: an index covers one or two columns, not {}",
+                schema.name,
+                columns.len()
+            )));
+        }
+        let positions = columns
+            .iter()
+            .map(|column| schema.column_index(column))
+            .collect::<Result<Vec<usize>>>()?;
+        self.tables[table.index()].create_index_on(&positions);
+        Ok(positions)
+    }
+
+    /// Whether a secondary index of `table` leads with `column` (by
+    /// position).
     pub fn is_indexed(&self, table: TableId, column: usize) -> Result<bool> {
         self.catalog.schema(table)?;
         Ok(self.tables[table.index()].has_index(column))
+    }
+
+    /// Whether `table` has a secondary index over exactly `columns` (by
+    /// position, in order).
+    pub fn has_index_on(&self, table: TableId, columns: &[usize]) -> Result<bool> {
+        self.catalog.schema(table)?;
+        let indexes = self.tables[table.index()].indexes();
+        Ok(indexes.iter().any(|i| i.columns() == columns))
     }
 
     /// The catalog.
@@ -261,6 +301,12 @@ impl Engine {
     /// request time.
     pub fn take_writeset(&self, h: TxnHandle) -> Result<WriteSet> {
         Ok(self.txn(h)?.writes.clone())
+    }
+
+    /// Whether the transaction has written `table` so far.
+    pub fn wrote(&self, h: TxnHandle, table: TableId) -> Result<bool> {
+        let writes = &self.txn(h)?.writes;
+        Ok(writes.entries().iter().any(|e| e.table == table))
     }
 
     /// Whether the transaction is read-only so far.
@@ -410,6 +456,10 @@ impl Engine {
     /// its own insert or update replaces or adds the row, its own delete
     /// hides it.
     ///
+    /// [`Access::Ordered`] hands out its rows in the order column's order
+    /// instead, and refuses a transaction that has written the table: it
+    /// has no key order to merge the transaction's writes by.
+    ///
     /// [`Access::Index`] yields a *superset* of the rows in range: committed
     /// candidates are re-validated against the snapshot but not against the
     /// range, and every row the transaction wrote to the table is offered;
@@ -454,6 +504,26 @@ impl Engine {
                 })?;
                 let visible = candidates.filter_map(|k| Some((k, t.get(k, snapshot)?)));
                 merge(visible, own, &mut visit)
+            }
+            Access::Ordered {
+                columns,
+                value,
+                desc,
+            } => {
+                let name = &t.schema().name;
+                if !own.is_empty() {
+                    return Err(Error::SqlExecution(format!(
+                        "{name}: ordered walk of a table the transaction wrote"
+                    )));
+                }
+                let rows = t.ordered_group(columns, value, snapshot).ok_or_else(|| {
+                    Error::SqlExecution(format!("{name}: no index on columns {columns:?}"))
+                })?;
+                if desc {
+                    merge(rows.rev(), own, &mut visit)
+                } else {
+                    merge(rows, own, &mut visit)
+                }
             }
             Access::All => merge(t.scan_at(snapshot), own, &mut visit),
         }

@@ -1,7 +1,7 @@
 //! Consistent engine snapshots: the storage half of replica elasticity.
 //!
 //! A snapshot is a checkpoint of one engine at its current version `V`:
-//! the catalog (schemas + indexed columns) plus every row's version chain,
+//! the catalog (schemas + each index's columns) plus every row's version chain,
 //! pruned to the *live snapshot horizon* — versions no open transaction on
 //! the donor can still observe are not shipped ([`VersionChain::gc`] runs
 //! on a clone of each chain before encoding). A joining replica imports
@@ -21,7 +21,7 @@
 //! on the wire:
 //!
 //! ```text
-//! manifest:  "BSNP" | u16 format version (1)
+//! manifest:  "BSNP" | u16 format version (2)
 //!            | u64 snapshot version | u64 gc horizon
 //!            | u32 n_tables | table meta*
 //!            | u32 n_chunks | u32 crc32 per chunk
@@ -29,7 +29,9 @@
 //!            | u32 crc32 of all preceding manifest bytes
 //! table meta: string name | u32 n_columns
 //!            | (string name | u8 type tag | u8 nullable)*
-//!            | u32 pk column | u32 n_indexed | u32 indexed column*
+//!            | u32 pk column | u32 n_indexes | (u32 n_columns | u32 column*)*
+//!            (format 1, still read: u32 n_indexed | u32 indexed column*,
+//!            one column per index)
 //! stream:    per table, in id order:
 //!            u64 n_keys | (value key | u32 n_versions | version*)*
 //! version:   u64 begin | u8 has_data [| u32 n_cols | value*]
@@ -53,8 +55,8 @@ pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 pub struct TableMeta {
     /// The table's schema.
     pub schema: TableSchema,
-    /// Columns carrying a secondary index (rebuilt on import).
-    pub indexed_columns: Vec<usize>,
+    /// Each secondary index's columns (rebuilt on import).
+    pub indexes: Vec<Vec<usize>>,
 }
 
 /// Describes one snapshot: what version it captures and how to verify the
@@ -89,7 +91,7 @@ pub struct Snapshot {
 // ----------------------------------------------------------------------
 
 const MAGIC: &[u8; 4] = b"BSNP";
-const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 2;
 
 impl Codec for Column {
     fn put(&self, buf: &mut Vec<u8>) {
@@ -120,21 +122,45 @@ impl Codec for TableMeta {
         self.schema.name.put(buf);
         self.schema.columns.put(buf);
         (self.schema.pk as u32).put(buf);
-        let indexed: Vec<u32> = self.indexed_columns.iter().map(|&c| c as u32).collect();
-        indexed.put(buf);
+        let indexes: Vec<Vec<u32>> = self
+            .indexes
+            .iter()
+            .map(|columns| columns.iter().map(|&c| c as u32).collect())
+            .collect();
+        indexes.put(buf);
     }
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        let name: String = r.get()?;
-        let columns = r.get()?;
-        let pk = r.get::<u32>()? as usize;
-        let schema = TableSchema::new(&name, columns, pk)
-            .map_err(|e| malformed(format!("bad schema for {name}: {e}")))?;
-        let indexed: Vec<u32> = r.get()?;
+        let schema = get_schema(r)?;
+        let indexes: Vec<Vec<u32>> = r.get()?;
         Ok(TableMeta {
             schema,
-            indexed_columns: indexed.into_iter().map(|c| c as usize).collect(),
+            indexes: indexes
+                .into_iter()
+                .map(|columns| columns.into_iter().map(|c| c as usize).collect())
+                .collect(),
         })
     }
+}
+
+/// A table meta's schema part, the same in both formats.
+fn get_schema(r: &mut Reader<'_>) -> DecodeResult<TableSchema> {
+    let name: String = r.get()?;
+    let columns = r.get()?;
+    let pk = r.get::<u32>()? as usize;
+    TableSchema::new(&name, columns, pk)
+        .map_err(|e| malformed(format!("bad schema for {name}: {e}")))
+}
+
+/// Format 1's table metas: one column per index.
+fn get_tables_v1(r: &mut Reader<'_>) -> DecodeResult<Vec<TableMeta>> {
+    (0..r.count()?)
+        .map(|_| {
+            let schema = get_schema(r)?;
+            let indexed: Vec<u32> = r.get()?;
+            let indexes = indexed.into_iter().map(|c| vec![c as usize]).collect();
+            Ok(TableMeta { schema, indexes })
+        })
+        .collect()
 }
 
 impl Codec for RowVersion {
@@ -193,13 +219,13 @@ impl SnapshotManifest {
             return Err(malformed(format!("bad magic {magic:02x?}")));
         }
         let fv: u16 = r.get()?;
-        if fv != FORMAT_VERSION {
+        if fv != 1 && fv != FORMAT_VERSION {
             return Err(malformed(format!("unsupported format version {fv}")));
         }
         Ok(SnapshotManifest {
             version: r.get()?,
             horizon: r.get()?,
-            tables: r.get()?,
+            tables: if fv == 1 { get_tables_v1(r)? } else { r.get()? },
             chunk_checksums: r.get()?,
             total_bytes: r.get()?,
         })
@@ -248,7 +274,7 @@ pub fn export(engine: &Engine, chunk_bytes: usize) -> Snapshot {
         let table = engine.table(id).expect("catalog table exists");
         tables.push(TableMeta {
             schema: table.schema().clone(),
-            indexed_columns: table.indexed_columns(),
+            indexes: table.index_columns(),
         });
         // Count keys that survive pruning first (dead tombstone chains
         // drop out entirely).
@@ -341,10 +367,18 @@ fn install_tables(
     for meta in &manifest.tables {
         let schema = &meta.schema;
         let table = &schema.name;
-        if let Some(col) = meta.indexed_columns.iter().find(|&&c| c >= schema.arity()) {
-            return Err(malformed(format!(
-                "indexed column {col} out of range for {table}"
-            )));
+        for columns in &meta.indexes {
+            if !(1..=2).contains(&columns.len()) {
+                return Err(malformed(format!(
+                    "an index of {table} over {} columns",
+                    columns.len()
+                )));
+            }
+            if let Some(col) = columns.iter().find(|&&c| c >= schema.arity()) {
+                return Err(malformed(format!(
+                    "indexed column {col} out of range for {table}"
+                )));
+            }
         }
         let n_keys: u64 = r.get()?;
         let mut chains: Vec<(Value, VersionChain)> = Vec::new();
@@ -370,7 +404,7 @@ fn install_tables(
             }
             chains.push((key, VersionChain::from_oldest_first(versions)));
         }
-        let built = Table::from_chains(schema.clone(), chains, &meta.indexed_columns);
+        let built = Table::from_chains(schema.clone(), chains, &meta.indexes);
         engine
             .add_table(built)
             .map_err(|e| malformed(format!("cannot recreate table: {e}")))?;
@@ -381,6 +415,7 @@ fn install_tables(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TxnHandle;
     use crate::schema::{Column, ColumnType, TableSchema};
     use bargain_common::{Row, TableId, Value, WriteOp, WriteSet};
 
@@ -436,7 +471,7 @@ mod tests {
         let av: Vec<_> = at.scan_at(a.version()).collect();
         let bv: Vec<_> = bt.scan_at(b.version()).collect();
         assert_eq!(av, bv);
-        assert_eq!(at.indexed_columns(), bt.indexed_columns());
+        assert_eq!(at.index_columns(), bt.index_columns());
     }
 
     #[test]
@@ -643,13 +678,22 @@ mod tests {
         e.abort(reader).ok();
     }
 
-    /// Snapshot format 1 of a two-table engine — a nullable text column, a
-    /// float column, a secondary index, and under an open reader an update
-    /// history and a tombstone — printed by the build that last changed the
-    /// format on purpose: the manifest, then the stream cut into 48-byte
-    /// chunks. Exporting the engine must give exactly these bytes, and
-    /// these bytes must import to exactly that engine.
+    /// Snapshot format 2 of a two-table engine -- a nullable text column, a
+    /// float column, a one-column and a two-column secondary index, and
+    /// under an open reader an update history and a tombstone -- printed by
+    /// the build that last changed the format on purpose: the manifest,
+    /// then the stream cut into 48-byte chunks. Exporting the engine must
+    /// give exactly these bytes, and these bytes must import to exactly
+    /// that engine.
     const GOLDEN_MANIFEST: &str = "\
+        42534e50020002000000000000000000000000000000020000000400000061636374020000000200\
+        0000696400000300000062616c000000000000010000000100000001000000040000006974656d03\
+        000000040000006e6f74650201040000006e616d6502000500000070726963650100010000000100\
+        0000020000000000000002000000050000007154d35337799c590ecdb1e1d3994b06154b75c5ed00\
+        0000000000009a4b5850";
+    /// The same engine without its two-column index, as format 1 wrote it:
+    /// it must still import, to the same engine. The stream is the same.
+    const GOLDEN_MANIFEST_V1: &str = "\
         42534e50010002000000000000000000000000000000020000000400000061636374020000000200\
         0000696400000300000062616c0000000000000100000001000000040000006974656d0300000004\
         0000006e6f74650201040000006e616d650200050000007072696365010001000000000000000500\
@@ -662,8 +706,9 @@ mod tests {
         "0068c3a96c6c6f010000000000000000000000010300000000030600000068c3a96c6c6f0200000000000004c0",
     ];
 
-    #[test]
-    fn golden_snapshot_is_pinned() {
+    /// The golden engine, with or without its two-column index, and the
+    /// open reader holding its history.
+    fn golden_engine(two_column: bool) -> (Engine, [TableId; 2], TxnHandle) {
         let mut e = Engine::new();
         let acct = e
             .create_table(
@@ -693,6 +738,9 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
+        if two_column {
+            e.create_index_on(item, &["note", "price"]).unwrap();
+        }
         e.load_rows(acct, vec![row(1, 100), row(2, 200)]).unwrap();
         e.load_rows(
             item,
@@ -711,29 +759,33 @@ mod tests {
         let mut ws = WriteSet::new();
         ws.push(acct, Value::Int(3), WriteOp::Insert(row(3, 300)));
         e.apply_refresh(&ws, Version(2)).unwrap();
+        (e, [acct, item], reader)
+    }
 
-        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
-        let unhex = |text: &str| -> Vec<u8> {
-            (0..text.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
-                .collect()
-        };
-        let snap = export(&e, 48);
-        assert_eq!(hex(&snap.manifest.encode()), GOLDEN_MANIFEST);
-        let chunks: Vec<String> = snap.chunks.iter().map(|c| hex(c)).collect();
-        assert_eq!(chunks, GOLDEN_CHUNKS);
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
-        let manifest = SnapshotManifest::decode(&unhex(GOLDEN_MANIFEST)).unwrap();
-        assert_eq!(manifest, snap.manifest);
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `manifest` and the golden chunks import to exactly `e`: the same
+    /// tables, indexes and every shipped version.
+    fn assert_golden_import(e: &Engine, tables: [TableId; 2], manifest: &SnapshotManifest) {
         assert_eq!(
             (manifest.version, manifest.horizon),
             (Version(2), Version::ZERO)
         );
         let pinned: Vec<Vec<u8>> = GOLDEN_CHUNKS.iter().map(|c| unhex(c)).collect();
-        let imported = import(&manifest, &pinned).unwrap();
-        for t in [acct, item] {
-            assert_equivalent(&e, &imported, t);
+        let imported = import(manifest, &pinned).unwrap();
+        for t in tables {
+            assert_equivalent(e, &imported, t);
+            let indexes = |e: &Engine| e.table(t).unwrap().indexes().to_vec();
+            assert_eq!(indexes(e), indexes(&imported));
             let chains = |e: &Engine| -> Vec<(Value, VersionChain)> {
                 let table = e.table(t).unwrap();
                 table
@@ -741,8 +793,30 @@ mod tests {
                     .map(|(k, c)| (k.clone(), c.clone()))
                     .collect()
             };
-            assert_eq!(chains(&e), chains(&imported), "every shipped version");
+            assert_eq!(chains(e), chains(&imported), "every shipped version");
         }
+    }
+
+    #[test]
+    fn golden_snapshot_is_pinned() {
+        let (mut e, tables, reader) = golden_engine(true);
+        let snap = export(&e, 48);
+        assert_eq!(hex(&snap.manifest.encode()), GOLDEN_MANIFEST);
+        let chunks: Vec<String> = snap.chunks.iter().map(|c| hex(c)).collect();
+        assert_eq!(chunks, GOLDEN_CHUNKS);
+
+        let manifest = SnapshotManifest::decode(&unhex(GOLDEN_MANIFEST)).unwrap();
+        assert_eq!(manifest, snap.manifest);
+        assert_golden_import(&e, tables, &manifest);
+        e.abort(reader).unwrap();
+    }
+
+    #[test]
+    fn golden_format_1_snapshot_still_imports() {
+        let (mut e, tables, reader) = golden_engine(false);
+        let manifest = SnapshotManifest::decode(&unhex(GOLDEN_MANIFEST_V1)).unwrap();
+        assert_eq!(manifest, export(&e, 48).manifest);
+        assert_golden_import(&e, tables, &manifest);
         e.abort(reader).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! A versioned table: primary-key ordered map of version chains.
 
-use crate::chain::{RowVersion, VersionChain};
+use crate::chain::VersionChain;
 use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
 use bargain_common::{Error, Result, Row, Value, Version};
@@ -35,14 +35,15 @@ impl Table {
     }
 
     /// A table holding `chains`, whose keys must be ascending and
-    /// distinct, with a secondary index over each of `indexed`. The map,
+    /// distinct, with a secondary index over each column list of
+    /// `indexes`. The map,
     /// the set of keys a collection is due to visit and every index are
     /// built in one pass each from sorted input, with no search per key.
     #[must_use]
     pub(crate) fn from_chains(
         schema: TableSchema,
         chains: Vec<(Value, VersionChain)>,
-        indexed: &[usize],
+        indexes: &[Vec<usize>],
     ) -> Self {
         debug_assert!(chains.windows(2).all(|w| w[0].0 < w[1].0));
         let due = chains
@@ -56,8 +57,8 @@ impl Table {
             indexes: Vec::new(),
             due,
         };
-        for &column in indexed {
-            table.create_index(column);
+        for columns in indexes {
+            table.create_index_on(columns);
         }
         table
     }
@@ -87,30 +88,37 @@ impl Table {
             mem::take(&mut self.rows).into_iter().collect();
         chains.extend(keyed.into_iter().map(|(key, row)| (key, loaded(row))));
         chains.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let indexed = self.indexed_columns();
-        *self = Table::from_chains(self.schema.clone(), chains, &indexed);
+        let indexes = self.index_columns();
+        *self = Table::from_chains(self.schema.clone(), chains, &indexes);
         Ok(())
     }
 
     /// Creates a secondary index over the column at `column`, built from
     /// every stored version. Idempotent per column.
     pub fn create_index(&mut self, column: usize) {
-        if !self.has_index(column) {
-            let index = SecondaryIndex::build(column, self.rows.iter());
+        self.create_index_on(&[column]);
+    }
+
+    /// Creates a secondary index over `columns` -- one, or a group column
+    /// then an order column -- built from every stored version. Idempotent
+    /// per column list.
+    pub(crate) fn create_index_on(&mut self, columns: &[usize]) {
+        if !self.indexes.iter().any(|i| i.columns() == columns) {
+            let index = SecondaryIndex::build(columns, self.rows.iter());
             self.indexes.push(index);
         }
     }
 
-    /// Whether a secondary index covers `column`.
+    /// Whether a secondary index leads with `column`.
     #[must_use]
     pub fn has_index(&self, column: usize) -> bool {
-        self.indexes.iter().any(|i| i.column == column)
+        self.indexes.iter().any(|i| i.columns()[0] == column)
     }
 
-    /// Candidate primary keys whose indexed `column` value lies in
-    /// `[lo, hi]`, ascending, or `None` if the column is not indexed.
-    /// Candidates must be re-validated at the reader's snapshot (the index
-    /// spans all versions).
+    /// Candidate primary keys whose `column` value lies in `[lo, hi]`,
+    /// ascending, from the first index leading with `column`, or `None` if
+    /// there is none. Candidates must be re-validated at the reader's
+    /// snapshot (the index spans all versions).
     #[must_use]
     pub fn index_candidates<'a, 'b>(
         &'a self,
@@ -120,8 +128,30 @@ impl Table {
     ) -> Option<impl Iterator<Item = &'a Value> + use<'a, 'b>> {
         self.indexes
             .iter()
-            .find(|i| i.column == column)
+            .find(|i| i.columns()[0] == column)
             .map(|i| i.candidates(lo, hi))
+    }
+
+    /// The rows live at `snapshot` whose `group` column holds `value`, in
+    /// order of their `order` column then key (`.rev()` for descending),
+    /// from the index over `[group, order]`; `None` if there is none. An
+    /// entry yields its row only if the visible version still carries
+    /// that group value and that order value, so each row comes once.
+    #[must_use]
+    pub(crate) fn ordered_group<'a, 'b>(
+        &'a self,
+        [group, order]: [usize; 2],
+        value: &'b Value,
+        snapshot: Version,
+    ) -> Option<impl DoubleEndedIterator<Item = (&'a Value, &'a Row)> + use<'a, 'b>> {
+        let index = self
+            .indexes
+            .iter()
+            .find(|i| i.columns() == [group, order])?;
+        Some(index.group(value).filter_map(move |(at, pk)| {
+            let row = self.get(pk, snapshot)?;
+            (row[group] == *value && row[order] == *at).then_some((pk, row))
+        }))
     }
 
     /// The table's schema.
@@ -156,7 +186,7 @@ impl Table {
     pub fn install(&mut self, key: Value, data: Option<Row>, version: Version) {
         if let Some(row) = &data {
             for idx in &mut self.indexes {
-                idx.insert(row[idx.column].clone(), key.clone());
+                idx.insert(row, &key);
             }
         }
         match self.rows.get_mut(&key) {
@@ -200,10 +230,22 @@ impl Table {
         self.rows.iter()
     }
 
-    /// The column positions carrying a secondary index, in creation order.
+    /// The leading column of each secondary index, in creation order.
     #[must_use]
     pub fn indexed_columns(&self) -> Vec<usize> {
-        self.indexes.iter().map(|i| i.column).collect()
+        self.indexes.iter().map(|i| i.columns()[0]).collect()
+    }
+
+    /// The columns of each secondary index, in creation order.
+    #[must_use]
+    pub fn index_columns(&self) -> Vec<Vec<usize>> {
+        self.indexes.iter().map(|i| i.columns().to_vec()).collect()
+    }
+
+    /// The secondary indexes, in creation order.
+    #[must_use]
+    pub(crate) fn indexes(&self) -> &[SecondaryIndex] {
+        &self.indexes
     }
 
     /// Number of distinct keys with any version history (live or dead).
@@ -236,13 +278,7 @@ impl Table {
             let dropped = chain.gc_take(horizon);
             removed += dropped.len();
             for idx in indexes.iter_mut() {
-                let column = idx.column;
-                for value in dropped.iter().filter_map(|v| v.value(column)) {
-                    let held = |v: &RowVersion| v.value(column) == Some(value);
-                    if !chain.versions().any(held) {
-                        idx.remove(value, key);
-                    }
-                }
+                idx.forget(key, &dropped, chain);
             }
             if chain.is_empty() {
                 rows.remove(key);

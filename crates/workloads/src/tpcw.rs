@@ -188,7 +188,12 @@ impl Workload for TpcwWorkload {
              scl_i_id INT NOT NULL, scl_qty INT NOT NULL)",
             // Secondary indexes backing the non-primary-key access paths
             // of the web interactions (as the TPC-W schema prescribes).
+            // `item_subject_date` serves New Products: it walks one
+            // subject's items newest first and stops at the 20th, where
+            // `item_subject` alone hands out every item of the subject to
+            // be sorted.
             "CREATE INDEX item_subject ON item (i_subject)",
+            "CREATE INDEX item_subject_date ON item (i_subject, i_pub_date)",
             "CREATE INDEX item_author ON item (i_a_id)",
             "CREATE INDEX orders_customer ON orders (o_c_id)",
             "CREATE INDEX order_line_order ON order_line (ol_o_id)",
@@ -661,6 +666,56 @@ mod tests {
             }
         }
         assert!(e.version() > bargain_common::Version::ZERO);
+    }
+
+    /// A joiner built from a donor's snapshot has the donor's indexes and
+    /// answers New Products as the donor does: the same rows, from the
+    /// same number of rows examined -- 20, not the subject's ≈ 80 items.
+    #[test]
+    fn a_joiner_answers_new_products_as_its_donor_does() {
+        let w = TpcwWorkload {
+            items: 2_000,
+            ..TpcwWorkload::small(TpcwMix::Shopping)
+        };
+        let mut donor = Engine::new();
+        w.install(&mut donor).unwrap();
+        let templates = w.templates();
+        let mut ctx = ClientContext::new(3, ClientId(0));
+        // An open reader keeps the history of what runs after it, new
+        // publication dates among it, in the snapshot.
+        let reader = donor.begin();
+        for _ in 0..2_000 {
+            let (tid, params) = w.next_transaction(&mut ctx);
+            let tmpl = templates.iter().find(|t| t.id == tid).unwrap();
+            let txn = donor.begin();
+            for (stmt, p) in tmpl.statements.iter().zip(&params) {
+                execute(&mut donor, txn, &stmt.stmt, p).unwrap();
+            }
+            donor.commit_standalone(txn).unwrap();
+        }
+        let snapshot = donor.export_snapshot(64 * 1024);
+        let mut joiner = Engine::import_snapshot(&snapshot.manifest, &snapshot.chunks).unwrap();
+        for (id, _) in donor.catalog().iter() {
+            let indexes = |e: &Engine| e.table(id).unwrap().index_columns();
+            assert_eq!(indexes(&donor), indexes(&joiner));
+        }
+
+        let new_products = templates.iter().find(|t| t.id == T_NEW_PRODUCTS).unwrap();
+        let stmt = &new_products.statements[0].stmt;
+        let answer = |e: &mut Engine, subject: i64| {
+            let before = e.stats().reads;
+            let txn = e.begin();
+            let rows = execute(e, txn, stmt, &[Value::Int(subject)]).unwrap();
+            e.commit_read_only(txn).unwrap();
+            (rows, e.stats().reads - before)
+        };
+        for subject in 1..=TpcwWorkload::SUBJECTS as i64 {
+            let (rows, examined) = answer(&mut donor, subject);
+            assert_eq!(rows.rows().unwrap().len(), 20, "subject {subject}");
+            assert_eq!(examined, 20, "subject {subject}");
+            assert_eq!(answer(&mut joiner, subject), (rows, examined));
+        }
+        donor.abort(reader).unwrap();
     }
 
     #[test]
