@@ -1,9 +1,10 @@
 //! Property-based tests for the core vocabulary types: writeset coalescing
 //! semantics, conflict symmetry, table-set algebra, and value ordering.
 
-use bargain_common::{TableId, TableSet, Value, WriteOp, WriteSet};
+use bargain_common::codec::{Codec, Reader};
+use bargain_common::{TableId, TableSet, Value, WriteOp, WriteSet, WriteSetEntry};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
 enum RawWrite {
@@ -109,7 +110,168 @@ fn legalize(ops: Vec<RawWrite>) -> Vec<RawWrite> {
     out
 }
 
+/// The naive writeset: entries in arrival order, each push a linear scan
+/// for the row it coalesces with, under the same rules as
+/// [`WriteSet::push`].
+#[derive(Debug, Default)]
+struct NaiveWriteSet {
+    entries: Vec<WriteSetEntry>,
+}
+
+impl NaiveWriteSet {
+    fn push(&mut self, table: TableId, key: Value, op: WriteOp) {
+        let Some(i) = self
+            .entries
+            .iter()
+            .position(|e| e.table == table && e.key == key)
+        else {
+            self.entries.push(WriteSetEntry { table, key, op });
+            return;
+        };
+        let existing = &mut self.entries[i];
+        match (&existing.op, op) {
+            (WriteOp::Insert(_), WriteOp::Update(row)) => existing.op = WriteOp::Insert(row),
+            (WriteOp::Insert(_), WriteOp::Delete) => {
+                self.entries.remove(i);
+            }
+            (WriteOp::Delete, WriteOp::Insert(row)) => existing.op = WriteOp::Update(row),
+            (_, new_op) => existing.op = new_op,
+        }
+    }
+
+    fn writes_row(&self, table: TableId, key: &Value) -> bool {
+        self.entries
+            .iter()
+            .any(|e| e.table == table && &e.key == key)
+    }
+
+    fn tables(&self) -> Vec<TableId> {
+        let set: BTreeSet<TableId> = self.entries.iter().map(|e| e.table).collect();
+        set.into_iter().collect()
+    }
+
+    fn conflicts_with(&self, other: &NaiveWriteSet) -> bool {
+        self.entries
+            .iter()
+            .any(|a| other.writes_row(a.table, &a.key))
+    }
+}
+
+/// One push: a table, a key and an op on that row.
+type Push = (TableId, Value, WriteOp);
+
+const TABLES: u32 = 3;
+/// Every row a push can name: three tables of eight keys.
+const ROWS: usize = TABLES as usize * 8;
+
+/// The rows pushes name: integer keys and a few text keys, over three
+/// tables, so rows meet often and keys of both types sort together.
+fn row_key(k: u8) -> Value {
+    match k {
+        0..=5 => Value::Int(i64::from(k)),
+        6 => Value::Text("a".into()),
+        _ => Value::Text("b".into()),
+    }
+}
+
+fn one_push() -> impl Strategy<Value = Vec<Push>> {
+    (0..TABLES, 0..8u8, 0..3u8, any::<i64>()).prop_map(|(t, k, kind, v)| {
+        let key = row_key(k);
+        let row = vec![key.clone(), Value::Int(v)];
+        let op = match kind {
+            0 => WriteOp::Insert(row),
+            1 => WriteOp::Update(row),
+            _ => WriteOp::Delete,
+        };
+        vec![(TableId(t), key, op)]
+    })
+}
+
+/// Insert, update, delete and insert again, all on one row.
+fn chain() -> impl Strategy<Value = Vec<Push>> {
+    (0..TABLES, 0..8u8, any::<i64>()).prop_map(|(t, k, v)| {
+        let key = row_key(k);
+        let row = |n: i64| vec![key.clone(), Value::Int(v.wrapping_add(n))];
+        vec![
+            (TableId(t), key.clone(), WriteOp::Insert(row(0))),
+            (TableId(t), key.clone(), WriteOp::Update(row(1))),
+            (TableId(t), key.clone(), WriteOp::Delete),
+            (TableId(t), key.clone(), WriteOp::Insert(row(2))),
+        ]
+    })
+}
+
+fn pushes() -> impl Strategy<Value = Vec<Push>> {
+    proptest::collection::vec(prop_oneof![4 => one_push(), 1 => chain()], 0..24)
+        .prop_map(|groups| groups.into_iter().flatten().collect())
+}
+
+fn build(pushes: &[Push]) -> (WriteSet, NaiveWriteSet) {
+    let mut ws = WriteSet::new();
+    let mut naive = NaiveWriteSet::default();
+    for (t, k, op) in pushes {
+        ws.push(*t, k.clone(), op.clone());
+        naive.push(*t, k.clone(), op.clone());
+    }
+    (ws, naive)
+}
+
+/// Entries as a set: one per row, so a map from the row.
+fn as_set(entries: &[WriteSetEntry]) -> BTreeMap<(TableId, Value), WriteOp> {
+    let set: BTreeMap<_, _> = entries
+        .iter()
+        .map(|e| ((e.table, e.key.clone()), e.op.clone()))
+        .collect();
+    assert_eq!(set.len(), entries.len(), "two entries for one row");
+    set
+}
+
+fn encoded(v: &impl Codec) -> Vec<u8> {
+    let mut buf = Vec::new();
+    v.put(&mut buf);
+    buf
+}
+
 proptest! {
+    /// A writeset built by any push sequence over several tables holds the
+    /// entries the naive arrival-order writeset holds, answers `writes_row`,
+    /// `tables` and `conflicts_with` as it does, and comes back from its
+    /// encoding, or from its entries encoded in any order, as the same set.
+    #[test]
+    fn writeset_matches_the_naive_arrival_order_model(
+        a in pushes(),
+        b in pushes(),
+        shuffle in proptest::collection::vec(any::<u64>(), ROWS),
+    ) {
+        let (wa, na) = build(&a);
+        let (wb, nb) = build(&b);
+        let want = as_set(&na.entries);
+        prop_assert_eq!(as_set(wa.entries()), want.clone());
+        prop_assert_eq!(wa.len(), na.entries.len());
+        prop_assert_eq!(wa.is_empty(), na.entries.is_empty());
+        for t in 0..TABLES {
+            for k in 0..8 {
+                let key = row_key(k);
+                prop_assert_eq!(
+                    wa.writes_row(TableId(t), &key),
+                    na.writes_row(TableId(t), &key)
+                );
+            }
+        }
+        prop_assert_eq!(wa.tables(), na.tables());
+        prop_assert_eq!(wa.conflicts_with(&wb), na.conflicts_with(&nb));
+        prop_assert_eq!(wb.conflicts_with(&wa), na.conflicts_with(&nb));
+
+        let decoded: WriteSet = Reader::new(&encoded(&wa)).get().expect("decodes");
+        prop_assert_eq!(as_set(decoded.entries()), want.clone());
+        let mut keyed: Vec<(u64, WriteSetEntry)> =
+            shuffle.iter().copied().zip(na.entries.iter().cloned()).collect();
+        keyed.sort_by_key(|(s, _)| *s);
+        let shuffled: Vec<WriteSetEntry> = keyed.into_iter().map(|(_, e)| e).collect();
+        let decoded: WriteSet = Reader::new(&encoded(&shuffled)).get().expect("decodes");
+        prop_assert_eq!(as_set(decoded.entries()), want);
+    }
+
     /// Coalescing in WriteSet preserves the net effect of any legal write
     /// sequence starting from "no rows exist".
     #[test]
