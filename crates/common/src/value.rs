@@ -103,12 +103,42 @@ impl Ord for Value {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_cmp_float(*a, *b),
+            (Float(a), Int(b)) => int_cmp_float(*b, *a).reverse(),
             (Text(a), Text(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
+}
+
+/// Orders an integer against a float by their exact values, with `-0.0`
+/// just below `Int(0)` and NaN where [`f64::total_cmp`] puts it.
+///
+/// Within ±2^53 the integer converts to `f64` exactly and `total_cmp`
+/// decides. Beyond that the conversion rounds, so `as f64` would make
+/// `Int(2^53 + 1)` equal `Float(2^53)` while `Int(2^53)` equals it too;
+/// there every finite float is compared as an integer (any float that
+/// large is one), and an infinite or NaN one as `total_cmp` places it.
+fn int_cmp_float(i: i64, f: f64) -> Ordering {
+    const EXACT: u64 = 1 << f64::MANTISSA_DIGITS;
+    const I64_END: f64 = -(i64::MIN as f64); // 2^63, exactly
+    if i.unsigned_abs() <= EXACT || !f.is_finite() {
+        return (i as f64).total_cmp(&f);
+    }
+    if f >= I64_END {
+        return Ordering::Less;
+    }
+    if f < -I64_END {
+        return Ordering::Greater;
+    }
+    let floor = f.floor();
+    // `floor` is exact in `[-2^63, 2^63)`; a fraction left over puts `f`
+    // above an integer equal to its floor.
+    i.cmp(&(floor as i64)).then(if f > floor {
+        Ordering::Less
+    } else {
+        Ordering::Equal
+    })
 }
 
 impl std::hash::Hash for Value {
@@ -116,7 +146,8 @@ impl std::hash::Hash for Value {
         match self {
             Value::Null => 0u8.hash(state),
             // Hash ints and floats identically when they compare equal:
-            // integral floats hash as their integer value.
+            // an int equals only the float it converts to exactly, so
+            // both hash that float's bits.
             Value::Int(i) => {
                 1u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -214,6 +245,25 @@ mod tests {
         assert!(Value::Text("a".into()) < Value::Text("b".into()));
         assert!(Value::Int(1) < Value::Float(1.5));
         assert!(Value::Float(0.5) < Value::Int(1));
+    }
+
+    #[test]
+    fn ints_and_floats_compare_exactly_beyond_2_pow_53() {
+        let big = 1i64 << 53;
+        let f = Value::Float(big as f64);
+        assert_eq!(Value::Int(big), f);
+        assert!(Value::Int(big + 1) > f);
+        assert!(Value::Int(-big - 1) < Value::Float(-(big as f64)));
+        assert!(Value::Int(i64::MAX) < Value::Float(9.3e18));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(i64::MIN) > Value::Float(-9.3e18));
+        assert!(Value::Int(big + 1) > Value::Float(0.5));
+        assert!(Value::Int(big + 1) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(big + 1) < Value::Float(f64::NAN));
+        // Signed zeros and NaN sort where they always did.
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert_eq!(Value::Float(0.0), Value::Int(0));
+        assert!(Value::Int(-big - 1) > Value::Float(-f64::NAN));
     }
 
     #[test]

@@ -374,14 +374,7 @@ proptest! {
         }
         // Hash consistency with equality.
         if a == b {
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let h = |v: &Value| {
-                let mut s = DefaultHasher::new();
-                v.hash(&mut s);
-                s.finish()
-            };
-            prop_assert_eq!(h(&a), h(&b));
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
         }
     }
 }
@@ -392,5 +385,91 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         (-1.0e9..1.0e9f64).prop_map(Value::Float),
         "[a-z]{0,6}".prop_map(Value::Text),
+        (0..edge_values().len()).prop_map(|i| edge_values()[i].clone()),
     ]
+}
+
+/// Numbers where an `Int` and a `Float` are easy to compare wrongly: both
+/// sides of ±2^53 (where `i64 as f64` starts to round) and of ±2^63, the
+/// signed zeros, the infinities and NaN of both signs.
+fn edge_values() -> Vec<Value> {
+    let p53 = 1i64 << 53;
+    let mut out = Vec::new();
+    for base in [p53, -p53] {
+        for d in -2..=2 {
+            out.push(Value::Int(base + d));
+            out.push(Value::Float((base + 2 * d) as f64));
+        }
+        out.push(Value::Float(base as f64 + 0.5 * base.signum() as f64));
+    }
+    for f in [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        -(i64::MIN as f64),
+        i64::MIN as f64,
+        1e19,
+        -1e19,
+    ] {
+        out.push(Value::Float(f));
+    }
+    out.extend([0, 1, -1, i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 1].map(Value::Int));
+    out
+}
+
+fn hash_of(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut s = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut s);
+    s.finish()
+}
+
+/// Every triple of edge numbers: the order is antisymmetric and
+/// transitive, and equal values hash equally.
+#[test]
+fn value_order_is_total_around_the_edges_of_exact_conversion() {
+    use std::cmp::Ordering;
+    let vals = edge_values();
+    for a in &vals {
+        for b in &vals {
+            assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+            }
+            for c in &vals {
+                if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                    assert_ne!(a.cmp(c), Ordering::Greater, "{a:?} <= {b:?} <= {c:?}");
+                }
+            }
+        }
+    }
+}
+
+/// `Int(2^53)` and `Float(2^53)` are one value and `Int(2^53 + 1)` another,
+/// whatever order a set meets them in.
+#[test]
+fn a_set_keeps_the_same_two_numbers_in_every_insertion_order() {
+    let p53 = 1i64 << 53;
+    let vals = [
+        Value::Int(p53),
+        Value::Float(p53 as f64),
+        Value::Int(p53 + 1),
+    ];
+    let want = BTreeSet::from([Value::Int(p53), Value::Int(p53 + 1)]);
+    for order in [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ] {
+        let set: BTreeSet<Value> = order.iter().map(|&i| vals[i].clone()).collect();
+        assert_eq!(set, want, "inserted in order {order:?}");
+    }
 }
