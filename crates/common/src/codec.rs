@@ -384,14 +384,12 @@ impl Codec for WriteSet {
     fn put(&self, buf: &mut Vec<u8>) {
         put_seq(buf, self.entries().iter());
     }
-    /// Entries go back in through [`WriteSet::push`], as they first did.
+    /// Entries are sorted once, whatever order they came in, and two for
+    /// one row are refused: no encoder writes them, and which should win
+    /// is not for the decoder to guess.
     fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
-        let mut ws = WriteSet::new();
-        for _ in 0..r.count()? {
-            let e: WriteSetEntry = r.get()?;
-            ws.push(e.table, e.key, e.op);
-        }
-        Ok(ws)
+        WriteSet::from_entries(r.get()?)
+            .map_err(|(table, key)| malformed(format!("writeset names row {table}/{key} twice")))
     }
 }
 

@@ -27,4 +27,4 @@ pub use error::{Error, Result};
 pub use ids::{ClientId, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId, Version};
 pub use tableset::TableSet;
 pub use value::{Row, Value};
-pub use writeset::{KeySet, WriteOp, WriteSet, WriteSetEntry};
+pub use writeset::{WriteOp, WriteSet, WriteSetEntry};

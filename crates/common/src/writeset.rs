@@ -17,7 +17,6 @@
 use crate::ids::TableId;
 use crate::value::{Row, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// The operation a writeset entry performs on its row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,9 +63,11 @@ pub struct WriteSetEntry {
 
 /// The complete set of writes performed by one transaction.
 ///
-/// Entries are kept in execution order; a later write to the same
-/// `(table, key)` supersedes an earlier one when the writeset is applied, so
-/// [`WriteSet::push`] coalesces them.
+/// Entries are kept in `(table, key)` order, one per row, so the writeset
+/// is its own index: a row, or one table's rows, is found by binary search,
+/// and a reader merges a table's entries with committed rows in key order
+/// as they stand. A later write to a row supersedes an earlier one when the
+/// writeset is applied, so [`WriteSet::push`] coalesces them.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WriteSet {
     entries: Vec<WriteSetEntry>,
@@ -77,6 +78,19 @@ impl WriteSet {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A writeset of `entries` given in any order, sorted once; `Err`
+    /// names a row two of them write.
+    pub(crate) fn from_entries(mut entries: Vec<WriteSetEntry>) -> Result<Self, (TableId, Value)> {
+        entries.sort_unstable_by(|a, b| (a.table, &a.key).cmp(&(b.table, &b.key)));
+        match entries
+            .windows(2)
+            .find(|w| w[0].table == w[1].table && w[0].key == w[1].key)
+        {
+            Some(w) => Err((w[0].table, w[0].key.clone())),
+            None => Ok(WriteSet { entries }),
+        }
     }
 
     /// Returns `true` if the transaction wrote nothing (read-only).
@@ -91,10 +105,30 @@ impl WriteSet {
         self.entries.len()
     }
 
-    /// The entries in execution order.
+    /// The entries in `(table, key)` order.
     #[must_use]
     pub fn entries(&self) -> &[WriteSetEntry] {
         &self.entries
+    }
+
+    /// Where the entry for a row is, or would go.
+    fn find(&self, table: TableId, key: &Value) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|e| (e.table, &e.key).cmp(&(table, key)))
+    }
+
+    /// The entries of one table, in key order.
+    #[must_use]
+    pub fn table_entries(&self, table: TableId) -> &[WriteSetEntry] {
+        let lo = self.entries.partition_point(|e| e.table < table);
+        let len = self.entries[lo..].partition_point(|e| e.table == table);
+        &self.entries[lo..lo + len]
+    }
+
+    /// The entry for one row, if the writeset writes it.
+    #[must_use]
+    pub fn row_entry(&self, table: TableId, key: &Value) -> Option<&WriteSetEntry> {
+        self.find(table, key).ok().map(|i| &self.entries[i])
     }
 
     /// Records a write, coalescing with an earlier write to the same row.
@@ -106,31 +140,29 @@ impl WriteSet {
     /// delete it); `update`/`delete` of a pre-existing row keeps the latest
     /// op.
     pub fn push(&mut self, table: TableId, key: Value, op: WriteOp) {
-        if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.table == table && e.key == key)
-        {
-            match (&existing.op, op) {
-                // Row born in this txn: keep it an insert with the new image.
-                (WriteOp::Insert(_), WriteOp::Update(row)) => {
-                    existing.op = WriteOp::Insert(row);
-                }
-                // Row born and killed in this txn: no externally visible write.
-                (WriteOp::Insert(_), WriteOp::Delete) => {
-                    let t = existing.table;
-                    let k = existing.key.clone();
-                    self.entries.retain(|e| !(e.table == t && e.key == k));
-                }
-                // Row killed and reborn in this txn: it pre-existed, so the
-                // net effect is an update, not a birth a delete could cancel.
-                (WriteOp::Delete, WriteOp::Insert(row)) => {
-                    existing.op = WriteOp::Update(row);
-                }
-                (_, new_op) => existing.op = new_op,
+        let i = match self.find(table, &key) {
+            Ok(i) => i,
+            Err(at) => {
+                self.entries.insert(at, WriteSetEntry { table, key, op });
+                return;
             }
-        } else {
-            self.entries.push(WriteSetEntry { table, key, op });
+        };
+        let existing = &mut self.entries[i];
+        match (&existing.op, op) {
+            // Row born in this txn: keep it an insert with the new image.
+            (WriteOp::Insert(_), WriteOp::Update(row)) => {
+                existing.op = WriteOp::Insert(row);
+            }
+            // Row born and killed in this txn: no externally visible write.
+            (WriteOp::Insert(_), WriteOp::Delete) => {
+                self.entries.remove(i);
+            }
+            // Row killed and reborn in this txn: it pre-existed, so the
+            // net effect is an update, not a birth a delete could cancel.
+            (WriteOp::Delete, WriteOp::Insert(row)) => {
+                existing.op = WriteOp::Update(row);
+            }
+            (_, new_op) => existing.op = new_op,
         }
     }
 
@@ -138,60 +170,22 @@ impl WriteSet {
     /// some row `(table, key)`.
     #[must_use]
     pub fn conflicts_with(&self, other: &WriteSet) -> bool {
-        if self.entries.is_empty() || other.entries.is_empty() {
-            return false;
-        }
-        // Probe the smaller set against a hash of the larger one.
+        // Probe the larger set for each entry of the smaller one.
         let (small, large) = if self.entries.len() <= other.entries.len() {
             (self, other)
         } else {
             (other, self)
         };
-        let keys: HashSet<(TableId, &Value)> =
-            large.entries.iter().map(|e| (e.table, &e.key)).collect();
         small
             .entries
             .iter()
-            .any(|e| keys.contains(&(e.table, &e.key)))
-    }
-
-    /// A hashed view of the rows this writeset touches, built once and
-    /// probed many times.
-    ///
-    /// [`WriteSet::conflicts_with`] hashes one side on *every* call, which
-    /// is wasteful when the same writeset is checked repeatedly — the
-    /// proxy's early-certification path probes each pending refresh
-    /// writeset after every update statement. Callers on such paths build
-    /// the [`KeySet`] once and use [`WriteSet::conflicts_with_keys`].
-    #[must_use]
-    pub fn key_set(&self) -> KeySet {
-        let mut keys: HashMap<TableId, HashSet<Value>> = HashMap::new();
-        for e in &self.entries {
-            keys.entry(e.table).or_default().insert(e.key.clone());
-        }
-        KeySet {
-            len: self.entries.len(),
-            keys,
-        }
-    }
-
-    /// Returns `true` if this writeset write-conflicts with the writeset
-    /// summarized by `keys` (see [`WriteSet::key_set`]). Equivalent to
-    /// [`WriteSet::conflicts_with`] against the originating writeset, but
-    /// with no per-call hashing.
-    #[must_use]
-    pub fn conflicts_with_keys(&self, keys: &KeySet) -> bool {
-        if keys.is_empty() {
-            return false;
-        }
-        self.entries.iter().any(|e| keys.contains(e.table, &e.key))
+            .any(|e| large.find(e.table, &e.key).is_ok())
     }
 
     /// The set of distinct tables this writeset touches, sorted.
     #[must_use]
     pub fn tables(&self) -> Vec<TableId> {
         let mut t: Vec<TableId> = self.entries.iter().map(|e| e.table).collect();
-        t.sort_unstable();
         t.dedup();
         t
     }
@@ -199,9 +193,7 @@ impl WriteSet {
     /// Returns `true` if this writeset writes the given row.
     #[must_use]
     pub fn writes_row(&self, table: TableId, key: &Value) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.table == table && &e.key == key)
+        self.find(table, key).is_ok()
     }
 
     /// Total number of bytes of row data carried (rough transfer-size proxy
@@ -228,37 +220,6 @@ impl WriteSet {
                     }
             })
             .sum()
-    }
-}
-
-/// The hashed row keys of one writeset (see [`WriteSet::key_set`]).
-///
-/// Owns clones of the key values so it can outlive borrows of the source
-/// writeset — the proxy stores one per pending refresh for the lifetime of
-/// the refresh's stay in the ordered apply queue.
-#[derive(Debug, Clone, Default)]
-pub struct KeySet {
-    len: usize,
-    keys: HashMap<TableId, HashSet<Value>>,
-}
-
-impl KeySet {
-    /// Whether the originating writeset wrote the given row.
-    #[must_use]
-    pub fn contains(&self, table: TableId, key: &Value) -> bool {
-        self.keys.get(&table).is_some_and(|s| s.contains(key))
-    }
-
-    /// Number of distinct rows in the originating writeset.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the originating writeset was empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the core vocabulary types: writeset coalescing
 //! semantics, conflict symmetry, table-set algebra, and value ordering.
 
-use bargain_common::codec::{Codec, Reader};
+use bargain_common::codec::{Codec, DecodeError, Reader};
 use bargain_common::{TableId, TableSet, Value, WriteOp, WriteSet, WriteSetEntry};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -270,6 +270,42 @@ proptest! {
         let shuffled: Vec<WriteSetEntry> = keyed.into_iter().map(|(_, e)| e).collect();
         let decoded: WriteSet = Reader::new(&encoded(&shuffled)).get().expect("decodes");
         prop_assert_eq!(as_set(decoded.entries()), want);
+
+        // Kept in key order: strictly increasing, one entry per row, and
+        // a table's entries or a row's entry are the slices a reader takes.
+        prop_assert!(wa
+            .entries()
+            .windows(2)
+            .all(|w| (w[0].table, &w[0].key) < (w[1].table, &w[1].key)));
+        prop_assert_eq!(&decoded, &wa);
+        for t in 0..TABLES {
+            let table = TableId(t);
+            let naive: Vec<_> = want
+                .iter()
+                .filter(|((t, _), _)| *t == table)
+                .map(|(row, op)| (row.clone(), op.clone()))
+                .collect();
+            let got: Vec<_> = wa
+                .table_entries(table)
+                .iter()
+                .map(|e| ((e.table, e.key.clone()), e.op.clone()))
+                .collect();
+            prop_assert_eq!(got, naive);
+            for k in 0..8 {
+                let key = row_key(k);
+                prop_assert_eq!(
+                    wa.row_entry(table, &key).map(|e| &e.op),
+                    want.get(&(table, key.clone()))
+                );
+            }
+        }
+        // A decode naming one row twice is refused, whichever op each says.
+        if let Some(first) = shuffled.first() {
+            let mut twice = shuffled.clone();
+            twice.push(WriteSetEntry { op: WriteOp::Delete, ..first.clone() });
+            let got = Reader::new(&encoded(&twice)).get::<WriteSet>();
+            prop_assert!(matches!(got, Err(DecodeError::Malformed(_))), "{:?}", got);
+        }
     }
 
     /// Coalescing in WriteSet preserves the net effect of any legal write

@@ -31,8 +31,8 @@ use crate::messages::{
     CertifyDecision, CertifyRequest, Refresh, RoutedTxn, StartDecision, TxnOutcome,
 };
 use bargain_common::{
-    ClientId, ConsistencyMode, Error, IdemKey, KeySet, ReplicaId, Result, SessionId, TemplateId,
-    TxnId, Value, Version, WriteSet,
+    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, Result, SessionId, TemplateId, TxnId,
+    Value, Version, WriteSet,
 };
 use bargain_sql::{QueryResult, TransactionTemplate};
 use bargain_storage::{Engine, TxnHandle};
@@ -145,10 +145,6 @@ enum PendingApply {
     Refresh {
         /// The certified writeset, shared with the certifier (no copy).
         writeset: Arc<WriteSet>,
-        /// Hashed key view built once at arrival; the statement-time early
-        /// certification check probes this instead of rebuilding a hash set
-        /// of the refresh's keys on every update statement.
-        keys: KeySet,
     },
     LocalCommit {
         txn: TxnId,
@@ -356,7 +352,7 @@ impl Proxy {
             // certified-but-not-yet-applied refresh writeset?
             let partial = self.engine.partial_writeset(handle)?;
             let conflicts = self.pending.values().any(|p| match p {
-                PendingApply::Refresh { keys, .. } => partial.conflicts_with_keys(keys),
+                PendingApply::Refresh { writeset } => partial.conflicts_with(writeset),
                 PendingApply::LocalCommit { .. } => false,
             });
             if conflicts {
@@ -492,10 +488,7 @@ impl Proxy {
         }
         // Early certification, arrival-time check: abort executing local
         // transactions whose partial writesets collide with this certified
-        // writeset. One hashed key view serves every probe (and is then
-        // retained for the statement-time checks while the refresh is
-        // pending).
-        let keys = refresh.writeset.key_set();
+        // writeset.
         let conflicting: Vec<TxnId> = if !self.early_certification {
             Vec::new()
         } else {
@@ -505,7 +498,7 @@ impl Proxy {
                 .filter(|(_, a)| {
                     self.engine
                         .partial_writeset(a.handle)
-                        .map(|ws| ws.conflicts_with_keys(&keys))
+                        .map(|ws| ws.conflicts_with(&refresh.writeset))
                         .unwrap_or(false)
                 })
                 .map(|(&txn, _)| txn)
@@ -521,7 +514,6 @@ impl Proxy {
             refresh.commit_version,
             PendingApply::Refresh {
                 writeset: refresh.writeset,
-                keys,
             },
         );
         events.extend(self.drain()?);
@@ -675,7 +667,7 @@ impl Proxy {
                 break;
             };
             match apply {
-                PendingApply::Refresh { writeset, .. } => {
+                PendingApply::Refresh { writeset } => {
                     self.engine.apply_refresh(writeset.as_ref(), next)?;
                     self.stats.refreshes_applied += 1;
                     if self.mode == ConsistencyMode::Eager {

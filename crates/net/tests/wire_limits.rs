@@ -2,7 +2,9 @@
 //! endpoints: a reply too large for one frame is answered with an error,
 //! once, and a certifier log larger than one frame still reaches a
 //! restarting split cluster, a page at a time. And what the certifier
-//! endpoint refuses of the introduction it learns its membership from.
+//! endpoint refuses: an introduction it cannot learn its membership from,
+//! and a writeset naming one row twice; and a writeset of 40 000 rows,
+//! which it takes in its stride.
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
@@ -11,10 +13,11 @@ use bargain_common::{
 use bargain_core::certifier::Input;
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
 use bargain_net::certifier::MAX_REPLICAS;
-use bargain_net::frame::MAX_FRAME_LEN;
+use bargain_net::frame::{encode_frame, MAX_FRAME_LEN, PUSH_ID};
 use bargain_net::{CertifierServer, CertifierServerConfig, NetServer, RemoteCertifierLink};
 use bargain_net::{ConnectPolicy, Connection, Message, RemoteSession};
 use bargain_storage::Engine;
+use std::io::Write;
 
 fn blob_table(engine: &mut Engine) -> Result<()> {
     bargain_sql::execute_ddl(
@@ -161,19 +164,42 @@ fn certify_from_replica_0() -> Message {
     })
 }
 
-/// Sends `msgs` to a fresh certifier service and expects a protocol error
-/// and the close. Then the service serves the next connection: a cluster of
-/// two introduces itself, and its first commit fans out to replica 1 alone.
-fn refused_and_the_next_connection_is_served(msgs: &[Message]) {
+/// One frame carrying `msg`.
+fn frame(msg: &Message) -> Vec<u8> {
+    encode_frame(msg.kind(), PUSH_ID, &msg.encode()).unwrap()
+}
+
+/// A `Certify` frame whose writeset names one row twice.
+fn certify_naming_one_row_twice() -> Vec<u8> {
+    let certify = certify_from_replica_0();
+    let mut payload = certify.encode();
+    // The writeset ends the payload: u32 count, then one entry of
+    // u32 table | u8 tag | i64 key | u8 op.
+    let entry = payload.split_off(payload.len() - 14);
+    let count = payload.len() - 4;
+    assert_eq!(payload[count..], 1u32.to_le_bytes());
+    payload[count..].copy_from_slice(&2u32.to_le_bytes());
+    payload.extend_from_slice(&entry);
+    payload.extend_from_slice(&entry);
+    encode_frame(certify.kind(), PUSH_ID, &payload).unwrap()
+}
+
+fn protocol(e: &Error) -> bool {
+    matches!(e, Error::Protocol(_))
+}
+
+/// Sends `frames` to a fresh certifier service and expects an error that
+/// `refused_as` accepts, and the close. Then the service serves the next
+/// connection: a cluster of two introduces itself, and its first commit
+/// fans out to replica 1 alone.
+fn refused_and_the_next_connection_is_served(frames: &[Vec<u8>], refused_as: fn(&Error) -> bool) {
     let service = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
     let addr = service.local_addr().to_string();
     let mut refused = Connection::connect(&addr, &ConnectPolicy::default()).unwrap();
-    for msg in msgs {
-        refused.send(msg).unwrap();
-    }
+    refused.stream().write_all(&frames.concat()).unwrap();
     let reply = refused.recv();
     assert!(
-        matches!(reply, Ok(Message::Err(Error::Protocol(_)))),
+        matches!(&reply, Ok(Message::Err(e)) if refused_as(e)),
         "{reply:?}"
     );
     let closed = refused.recv();
@@ -205,15 +231,72 @@ fn refused_and_the_next_connection_is_served(msgs: &[Message]) {
 
 #[test]
 fn an_introduction_naming_no_replicas_is_refused() {
-    refused_and_the_next_connection_is_served(&[introduction(0)]);
+    refused_and_the_next_connection_is_served(&[frame(&introduction(0))], protocol);
 }
 
 #[test]
 fn an_introduction_naming_more_replicas_than_the_bound_is_refused() {
-    refused_and_the_next_connection_is_served(&[introduction(MAX_REPLICAS + 1)]);
+    refused_and_the_next_connection_is_served(&[frame(&introduction(MAX_REPLICAS + 1))], protocol);
 }
 
 #[test]
 fn a_certify_before_any_introduction_is_refused() {
-    refused_and_the_next_connection_is_served(&[certify_from_replica_0()]);
+    refused_and_the_next_connection_is_served(&[frame(&certify_from_replica_0())], protocol);
+}
+
+/// Two entries for one row are not coalesced on the way in: no encoder
+/// writes them, so the frame is refused as undecodable.
+#[test]
+fn a_certify_naming_one_row_twice_is_refused_as_a_codec_error() {
+    refused_and_the_next_connection_is_served(
+        &[frame(&introduction(2)), certify_naming_one_row_twice()],
+        |e| matches!(e, Error::Codec(_)),
+    );
+}
+
+const KV_ROWS: i64 = 40_000;
+
+fn kv_table(engine: &mut Engine) -> Result<()> {
+    bargain_sql::execute_ddl(
+        engine,
+        &bargain_sql::parse("CREATE TABLE kv (k INT PRIMARY KEY, v INT NOT NULL)")?,
+    )?;
+    let rows = (0..KV_ROWS).map(|k| vec![Value::Int(k), Value::Int(0)]);
+    engine.load_rows(TableId(0), rows.collect())
+}
+
+/// One transaction updating 40 000 rows commits behind a split certifier,
+/// and the link stays up. Decoding a writeset cost a scan of the entries
+/// so far for every entry: the service's loop sat in one such decode past
+/// the link's failure detector, the link went down, and the client heard
+/// "outcome unknown" for an update that had committed.
+#[test]
+fn a_40_000_row_update_commits_behind_a_split_certifier_with_the_link_up() {
+    let service = CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
+    let link = RemoteCertifierLink::connect(&service.local_addr().to_string()).unwrap();
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: 2,
+            mode: ConsistencyMode::LazyFine,
+            ..ClusterConfig::default()
+        },
+        kv_table,
+        Box::new(link),
+    );
+    let mut session = cluster.connect();
+    let (outcome, _) = session
+        .run_sql(&[("UPDATE kv SET v = v + 1", vec![])])
+        .unwrap();
+    assert!(outcome.committed, "{:?}", outcome.abort_reason);
+    let (_, results) = session
+        .run_sql(&[(
+            "SELECT v FROM kv WHERE k = ?",
+            vec![Value::Int(KV_ROWS - 1)],
+        )])
+        .unwrap();
+    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+    assert_eq!(cluster.stats().unwrap().certifier_downs, 0);
+    drop(session);
+    cluster.shutdown();
+    service.stop();
 }

@@ -72,24 +72,14 @@ pub enum Access<'a> {
     All,
 }
 
-impl Access<'_> {
-    /// Whether a row the transaction wrote under `key` belongs in the walk.
-    fn admits(&self, key: &Value) -> bool {
-        match self {
-            Access::Key(k) => *k == key,
-            Access::Index { .. } | Access::Ordered { .. } | Access::All => true,
-        }
-    }
-}
-
 /// Merges committed rows with the transaction's own writes, both in key
 /// order: an own write stands in for the committed row of its key.
 fn merge<'e>(
     committed: impl Iterator<Item = (&'e Value, &'e Row)>,
-    own: Vec<&'e WriteSetEntry>,
+    own: &'e [WriteSetEntry],
     visit: &mut dyn FnMut(&'e Value, &'e Row) -> Result<ControlFlow<()>>,
 ) -> Result<()> {
-    let mut own = own.into_iter().peekable();
+    let mut own = own.iter().peekable();
     let mut committed = committed.peekable();
     loop {
         let own_next = match (own.peek(), committed.peek()) {
@@ -305,8 +295,7 @@ impl Engine {
 
     /// Whether the transaction has written `table` so far.
     pub fn wrote(&self, h: TxnHandle, table: TableId) -> Result<bool> {
-        let writes = &self.txn(h)?.writes;
-        Ok(writes.entries().iter().any(|e| e.table == table))
+        Ok(!self.txn(h)?.writes.table_entries(table).is_empty())
     }
 
     /// Whether the transaction is read-only so far.
@@ -484,13 +473,13 @@ impl Engine {
             .get(&h.0)
             .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))?;
         let t = &tables[table.index()];
-        let mut own: Vec<&WriteSetEntry> = state
-            .writes
-            .entries()
-            .iter()
-            .filter(|e| e.table == table && access.admits(&e.key))
-            .collect();
-        own.sort_by(|a, b| a.key.cmp(&b.key));
+        let own = match access {
+            Access::Key(k) => state
+                .writes
+                .row_entry(table, k)
+                .map_or(&[][..], std::slice::from_ref),
+            _ => state.writes.table_entries(table),
+        };
         let snapshot = state.snapshot;
         let mut visit = |k, row| {
             stats.reads += 1;
