@@ -116,29 +116,16 @@ impl Ord for Value {
 ///
 /// Within ±2^53 the integer converts to `f64` exactly and `total_cmp`
 /// decides. Beyond that the conversion rounds, so `as f64` would make
-/// `Int(2^53 + 1)` equal `Float(2^53)` while `Int(2^53)` equals it too;
-/// there every finite float is compared as an integer (any float that
-/// large is one), and an infinite or NaN one as `total_cmp` places it.
+/// `Int(2^53 + 1)` equal `Float(2^53)` while `Int(2^53)` equals it too.
+/// There a finite float is compared by its integer part, in `i128` so no
+/// `i64` ties with a saturated one: a float that large is an integer, and
+/// a smaller one's fraction cannot change its order against such an `i`.
 fn int_cmp_float(i: i64, f: f64) -> Ordering {
-    const EXACT: u64 = 1 << f64::MANTISSA_DIGITS;
-    const I64_END: f64 = -(i64::MIN as f64); // 2^63, exactly
-    if i.unsigned_abs() <= EXACT || !f.is_finite() {
-        return (i as f64).total_cmp(&f);
-    }
-    if f >= I64_END {
-        return Ordering::Less;
-    }
-    if f < -I64_END {
-        return Ordering::Greater;
-    }
-    let floor = f.floor();
-    // `floor` is exact in `[-2^63, 2^63)`; a fraction left over puts `f`
-    // above an integer equal to its floor.
-    i.cmp(&(floor as i64)).then(if f > floor {
-        Ordering::Less
+    if i.unsigned_abs() <= 1 << f64::MANTISSA_DIGITS || !f.is_finite() {
+        (i as f64).total_cmp(&f)
     } else {
-        Ordering::Equal
-    })
+        i128::from(i).cmp(&(f as i128))
+    }
 }
 
 impl std::hash::Hash for Value {
