@@ -247,8 +247,6 @@ proptest! {
         let (wb, nb) = build(&b);
         let want = as_set(&na.entries);
         prop_assert_eq!(as_set(wa.entries()), want.clone());
-        prop_assert_eq!(wa.len(), na.entries.len());
-        prop_assert_eq!(wa.is_empty(), na.entries.is_empty());
         for t in 0..TABLES {
             for k in 0..8 {
                 let key = row_key(k);
