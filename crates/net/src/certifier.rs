@@ -102,7 +102,7 @@ use crate::bootstrap::fetch_history;
 use crate::codec::{history_page, unexpected, Message};
 use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
-use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
+use crate::frame::{encode_frame, Frame, FrameDecoder, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{ConsistencyMode, Error, ReplicaId, Result, Version};
@@ -537,23 +537,42 @@ impl RemoteCertifierLink {
 
     /// Reads `stream` and delivers every delivery frame until the link
     /// fails: end of stream, a read error, a frame that fails to decode or
-    /// is no delivery, or `heartbeat_timeout` with nothing received. One
-    /// read takes whatever burst has arrived; a frame split across reads
-    /// waits in the decoder. Every read deadline (`heartbeat_interval` of
-    /// silence) sends a ping, if the lock is free: its holder may be a
+    /// is no delivery, or `heartbeat_timeout` with nothing received. It
+    /// starts with what the connection read ahead: `decoder` and `frames`.
+    /// One read takes whatever burst has arrived; a frame split across
+    /// reads waits in the decoder. Every read deadline (`heartbeat_interval`
+    /// of silence) sends a ping, if the lock is free: its holder may be a
     /// replica blocked writing to a peer that waits for this thread to
     /// read.
     fn read(
         &self,
         mut stream: &TcpStream,
+        mut decoder: FrameDecoder,
+        mut frames: Vec<Frame>,
         deliveries: &CertifierDeliveries,
         max_seen: &mut Version,
     ) {
-        let mut decoder = FrameDecoder::new();
-        let mut frames = Vec::new();
         let mut buf = vec![0u8; 64 * 1024];
         let mut heard = Instant::now();
         loop {
+            for frame in frames.drain(..) {
+                let (to, delivery) = match Message::decode(frame.kind, &frame.payload) {
+                    Ok(Message::Decision { origin, decision }) => {
+                        if let CertifyDecision::Commit { commit_version, .. } = &decision {
+                            *max_seen = *commit_version;
+                        }
+                        (origin, Delivery::Decision(decision))
+                    }
+                    Ok(Message::RefreshFor { to, refresh }) => (to, Delivery::Refresh(refresh)),
+                    Ok(Message::GlobalCommitFor { origin, txn }) => {
+                        (origin, Delivery::GlobalCommit(txn))
+                    }
+                    // A heartbeat answer: its arrival was the point.
+                    Ok(Message::Pong) => continue,
+                    Ok(_) | Err(_) => return,
+                };
+                deliveries.send(CertifierDelivery::Deliver { to, delivery });
+            }
             let n = match stream.read(&mut buf) {
                 Ok(0) => return,
                 Ok(n) => n,
@@ -573,24 +592,6 @@ impl RemoteCertifierLink {
             heard = Instant::now();
             if decoder.feed(&buf[..n], &mut frames).is_err() {
                 return;
-            }
-            for frame in frames.drain(..) {
-                let (to, delivery) = match Message::decode(frame.kind, &frame.payload) {
-                    Ok(Message::Decision { origin, decision }) => {
-                        if let CertifyDecision::Commit { commit_version, .. } = &decision {
-                            *max_seen = *commit_version;
-                        }
-                        (origin, Delivery::Decision(decision))
-                    }
-                    Ok(Message::RefreshFor { to, refresh }) => (to, Delivery::Refresh(refresh)),
-                    Ok(Message::GlobalCommitFor { origin, txn }) => {
-                        (origin, Delivery::GlobalCommit(txn))
-                    }
-                    // A heartbeat answer: its arrival was the point.
-                    Ok(Message::Pong) => continue,
-                    Ok(_) | Err(_) => return,
-                };
-                deliveries.send(CertifierDelivery::Deliver { to, delivery });
             }
         }
     }
@@ -700,8 +701,9 @@ impl CertifierLink for RemoteCertifierLink {
             }
 
             // Install the write side, sending what was held first, then
-            // read until the link fails.
-            let stream = conn.stream();
+            // read until the link fails, starting with what the history
+            // fetch read ahead.
+            let (stream, decoder, frames) = conn.into_parts();
             let ticks = stream.set_read_timeout(Some(self.config.heartbeat_interval));
             if let (Ok(write), Ok(())) = (stream.try_clone(), ticks) {
                 let mut state = self.state.lock();
@@ -711,7 +713,7 @@ impl CertifierLink for RemoteCertifierLink {
                 write_or_shut(&write, &std::mem::take(&mut state.held));
                 state.write = Some(write);
                 drop(state);
-                self.read(stream, &deliveries, &mut max_seen);
+                self.read(&stream, decoder, frames, &deliveries, &mut max_seen);
             }
 
             // Down: shut the socket first, so a replica blocked writing to

@@ -1,8 +1,15 @@
 //! A framed protocol connection over a `TcpStream`, plus the bounded
 //! retry-with-backoff connect policy.
+//!
+//! A [`Connection`] reads through a [`FrameDecoder`]: one `read` takes
+//! every frame that has arrived, and the frames it decoded are returned
+//! before the next `read`. A server that sends a pipelined connection's
+//! replies together is then read with one system call per batch, not two
+//! per reply. Whoever takes the socket over from a `Connection` takes the
+//! frames it read ahead too ([`Connection::into_parts`]).
 
 use crate::codec::Message;
-use crate::frame::{encode_frame, parse_header, verify_payload, HEADER_LEN, PUSH_ID};
+use crate::frame::{encode_frame, Frame, FrameDecoder, PUSH_ID};
 use bargain_common::{Error, Result};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -92,6 +99,10 @@ pub(crate) fn classify_io(e: &io::Error, what: &str, peer: &str) -> Error {
     }
 }
 
+/// Bytes one `read` of a [`Connection`] takes at most, into a buffer on the
+/// reading call's stack.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A connection that sends and receives whole [`Message`]s.
 #[derive(Debug)]
 pub struct Connection {
@@ -101,6 +112,13 @@ pub struct Connection {
     /// [`Connection::next_request_id`] hand out `last_id + 1, ...` so ids
     /// are unique per connection and never collide with [`PUSH_ID`].
     next_id: u64,
+    /// What was read of a frame not yet whole.
+    decoder: FrameDecoder,
+    /// Frames read and not yet returned, the newest first.
+    frames: Vec<Frame>,
+    /// The framing error a read met behind `frames`: returned once they
+    /// are, and from then on.
+    broken: Option<Error>,
 }
 
 impl Connection {
@@ -123,6 +141,9 @@ impl Connection {
             stream,
             peer,
             next_id: 0,
+            decoder: FrameDecoder::new(),
+            frames: Vec::new(),
+            broken: None,
         })
     }
 
@@ -175,8 +196,19 @@ impl Connection {
     }
 
     /// The underlying stream (for `try_clone`/`peek`/`shutdown` plumbing).
+    /// A reader of its own misses what this connection has read ahead:
+    /// take the socket over with [`Connection::into_parts`] instead.
     pub fn stream(&self) -> &TcpStream {
         &self.stream
+    }
+
+    /// Gives up the connection for a reader of its own: the socket, the
+    /// decoder holding whatever part of a frame was read, and the frames
+    /// read ahead and not yet returned, the oldest first.
+    pub fn into_parts(self) -> (TcpStream, FrameDecoder, Vec<Frame>) {
+        let mut frames = self.frames;
+        frames.reverse();
+        (self.stream, self.decoder, frames)
     }
 
     /// The peer's address, as reported at accept/connect time.
@@ -214,19 +246,34 @@ impl Connection {
     }
 
     /// Receives one message with its request id, blocking up to the read
-    /// deadline.
+    /// deadline: the oldest frame already read, or else whatever one `read`
+    /// brings. A deadline that expires mid-frame keeps the part read.
     pub fn recv_tagged(&mut self) -> Result<(u64, Message)> {
-        let mut header = [0u8; HEADER_LEN];
-        self.stream
-            .read_exact(&mut header)
-            .map_err(|e| classify_io(&e, "read frame header", &self.peer))?;
-        let h = parse_header(&header)?;
-        let mut payload = vec![0u8; h.len as usize];
-        self.stream
-            .read_exact(&mut payload)
-            .map_err(|e| classify_io(&e, "read frame payload", &self.peer))?;
-        verify_payload(h.kind, h.crc, &payload)?;
-        Ok((h.request_id, Message::decode(h.kind, &payload)?))
+        let frame = loop {
+            if let Some(frame) = self.frames.pop() {
+                break frame;
+            }
+            if let Some(e) = &self.broken {
+                return Err(e.clone());
+            }
+            let mut buf = [0u8; READ_CHUNK];
+            let n = match self.stream.read(&mut buf) {
+                Ok(0) => {
+                    let eof = io::Error::from(io::ErrorKind::UnexpectedEof);
+                    return Err(classify_io(&eof, "read frame", &self.peer));
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(classify_io(&e, "read frame", &self.peer)),
+            };
+            let fed = self.decoder.feed(&buf[..n], &mut self.frames);
+            self.frames.reverse();
+            self.broken = fed.err();
+        };
+        Ok((
+            frame.request_id,
+            Message::decode(frame.kind, &frame.payload)?,
+        ))
     }
 
     /// Sends `msg` tagged with a fresh request id and waits for the reply
@@ -254,6 +301,54 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A connection and the peer's end of it.
+    fn pair() -> (Connection, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conn = Connection::connect(addr, &ConnectPolicy::default()).unwrap();
+        (conn, listener.accept().unwrap().0)
+    }
+
+    fn frame(id: u64, msg: &Message) -> Vec<u8> {
+        encode_frame(msg.kind(), id, &msg.encode()).unwrap()
+    }
+
+    #[test]
+    fn frames_read_together_are_returned_in_order_then_the_error_behind_them() {
+        let (mut conn, mut peer) = pair();
+        // Two whole frames and the start of a third in one write, the rest
+        // of it, a fourth and a frame with a broken magic in another.
+        let third = frame(3, &Message::Pong);
+        let mut bytes = [frame(1, &Message::Ping), frame(2, &Message::Stats)].concat();
+        bytes.extend(&third[..10]);
+        peer.write_all(&bytes).unwrap();
+        let mut broken = frame(5, &Message::Ping);
+        broken[0] ^= 0xFF;
+        peer.write_all(&[&third[10..], &frame(4, &Message::Ack), &broken].concat())
+            .unwrap();
+
+        let ids: Vec<u64> = (0..4).map(|_| conn.recv_tagged().unwrap().0).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        for _ in 0..2 {
+            let err = conn.recv_tagged().unwrap_err();
+            assert!(matches!(err, Error::Codec(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn the_peer_closing_mid_frame_is_connection_closed() {
+        let (mut conn, mut peer) = pair();
+        let whole = frame(1, &Message::Ping);
+        let cut = frame(2, &Message::Stats);
+        peer.write_all(&[&whole[..], &cut[..cut.len() - 1]].concat())
+            .unwrap();
+        drop(peer);
+        assert!(matches!(conn.recv_tagged(), Ok((1, Message::Ping))));
+        let err = conn.recv_tagged().unwrap_err();
+        assert!(matches!(err, Error::ConnectionClosed(_)), "{err:?}");
+    }
 
     #[test]
     fn backoff_grows_and_respects_ceiling() {

@@ -16,6 +16,15 @@
 //! or for whatever a non-blocking `write` did not take, it joins the queue
 //! in order and the loop flushes it on `EPOLLOUT`. Bytes of two frames
 //! therefore never interleave and no thread ever blocks on a socket.
+//!
+//! A frame may also be *held* ([`WriteHalf::hold`]): kept whole at the
+//! head of an otherwise empty queue, to leave in the same `writev` as the
+//! next frame sent or queued on the connection, or with the loop's next
+//! flush of it, whichever comes first. At most [`MAX_IOVECS`] frames are
+//! held, and never so many bytes that the queue would reach the
+//! write-buffer cap. Held frames count as pending bytes, so a connection
+//! holding one is neither reaped nor idle; `kill` discards them with the
+//! rest of the queue.
 
 use crate::codec::Message;
 use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
@@ -27,7 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,11 +140,13 @@ pub(crate) fn encode_reply(request_id: u64, msg: &Message) -> Vec<u8> {
         .unwrap_or_default()
 }
 
-/// How [`WriteHalf::send_now`] disposed of a frame.
+/// How [`WriteHalf::send_now`] or [`WriteHalf::hold`] disposed of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Sent {
     /// Every byte is in the socket.
     Direct,
+    /// Held back, whole, to leave with the next frame or flush.
+    Held,
     /// All or part of it waits in the queue: the loop must flush it.
     Queued,
     /// The connection is gone; the frame was discarded.
@@ -150,6 +161,9 @@ struct OutQueue {
     offset: usize,
     /// Total unwritten bytes across `frames`.
     bytes: usize,
+    /// How many of `frames` are held: when it is not 0, it is all of them,
+    /// none written yet, and nothing waits for the socket.
+    held: usize,
     /// Last write progress (write-stall detection while replies pend).
     last_progress: Instant,
     /// The loop closed the connection: discard what arrives late.
@@ -157,10 +171,12 @@ struct OutQueue {
 }
 
 impl OutQueue {
-    /// Writes as much of the queue as the socket accepts, vectoring up to
-    /// [`MAX_IOVECS`] frames per syscall. Returns `false` if the connection
+    /// Writes as much of the queue as the socket accepts, held frames
+    /// included, vectoring up to [`MAX_IOVECS`] frames per syscall and
+    /// counting each write in `writes`. Returns `false` if the connection
     /// died.
-    fn flush(&mut self, mut stream: &TcpStream) -> bool {
+    fn flush(&mut self, mut stream: &TcpStream, writes: &AtomicU64) -> bool {
+        self.held = 0;
         while !self.frames.is_empty() {
             let mut slices: Vec<IoSlice<'_>> =
                 Vec::with_capacity(self.frames.len().min(MAX_IOVECS));
@@ -171,6 +187,7 @@ impl OutQueue {
             match stream.write_vectored(&slices) {
                 Ok(0) => return false,
                 Ok(mut n) => {
+                    writes.fetch_add(1, Ordering::Relaxed);
                     self.last_progress = Instant::now();
                     self.bytes -= n;
                     while n > 0 {
@@ -205,50 +222,74 @@ pub(crate) struct WriteHalf {
     read_closed: AtomicBool,
     /// Flush pending replies, then close.
     closing: AtomicBool,
+    /// Socket writes that carried bytes, shared by every connection of one
+    /// loop ([`Core::writes`]).
+    writes: Arc<AtomicU64>,
 }
 
 impl WriteHalf {
-    fn new(stream: TcpStream) -> WriteHalf {
+    fn new(stream: TcpStream, writes: Arc<AtomicU64>) -> WriteHalf {
         WriteHalf {
             stream,
             out: Mutex::new(OutQueue {
                 frames: VecDeque::new(),
                 offset: 0,
                 bytes: 0,
+                held: 0,
                 last_progress: Instant::now(),
                 dead: false,
             }),
             read_closed: AtomicBool::new(false),
             closing: AtomicBool::new(false),
+            writes,
         }
     }
 
-    /// Queues `frame` behind whatever is pending; the loop flushes it at
-    /// the end of its iteration.
+    /// Queues `frame` behind whatever is pending, held frames included; the
+    /// loop flushes it at the end of its iteration.
     pub fn enqueue(&self, frame: Vec<u8>) {
         let mut out = self.out.lock();
         if !out.dead {
+            out.held = 0;
             out.bytes += frame.len();
             out.frames.push_back(frame);
         }
     }
 
     /// The one write operation for threads other than the loop: writes
-    /// `frame` now if nothing is queued ahead of it, and queues it — or the
-    /// rest of it after a partial write — otherwise. Never blocks. On
-    /// [`Sent::Queued`] the caller must tell the loop, which alone can wait
-    /// for the socket; a write error also reads as queued, and the loop
-    /// meets the same error when it flushes.
+    /// `frame` now, with any held frames ahead of it in the same `writev`,
+    /// if nothing else is queued ahead of it, and queues it — or the rest
+    /// after a partial write — otherwise. Never blocks. On [`Sent::Queued`]
+    /// the caller must tell the loop, which alone can wait for the socket;
+    /// a write error also reads as queued, and the loop meets the same
+    /// error when it flushes.
     pub fn send_now(&self, frame: Vec<u8>) -> Sent {
+        self.send(frame, None)
+    }
+
+    /// [`WriteHalf::send_now`], except that `frame` is held back, whole, to
+    /// leave with the next frame or the loop's next flush, if nothing but
+    /// held frames is queued, fewer than [`MAX_IOVECS`] are held, and the
+    /// queue stays under `cap` bytes with it. Whoever holds a frame must
+    /// know of a later event that releases it.
+    pub fn hold(&self, frame: Vec<u8>, cap: usize) -> Sent {
+        self.send(frame, Some(cap))
+    }
+
+    fn send(&self, frame: Vec<u8>, hold_under: Option<usize>) -> Sent {
         let mut out = self.out.lock();
         if out.dead {
             return Sent::Dead;
         }
-        let nothing_ahead = out.frames.is_empty();
+        let nothing_ahead = out.frames.len() == out.held;
         out.bytes += frame.len();
         out.frames.push_back(frame);
         if nothing_ahead {
-            out.flush(&self.stream);
+            if hold_under.is_some_and(|cap| out.held < MAX_IOVECS && out.bytes < cap) {
+                out.held += 1;
+                return Sent::Held;
+            }
+            out.flush(&self.stream, &self.writes);
         }
         if out.frames.is_empty() {
             Sent::Direct
@@ -257,16 +298,17 @@ impl WriteHalf {
         }
     }
 
-    /// Flushes the queue. Returns whether the connection is alive, the
-    /// bytes written, and the bytes left.
+    /// Flushes the queue, held frames included. Returns whether the
+    /// connection is alive, the bytes written, and the bytes left.
     fn flush(&self) -> (bool, usize, usize) {
         let mut out = self.out.lock();
         let before = out.bytes;
-        let alive = out.flush(&self.stream);
+        let alive = out.flush(&self.stream, &self.writes);
         (alive, before - out.bytes, out.bytes)
     }
 
-    /// Unwritten reply bytes: what the write-buffer cap bounds.
+    /// Unwritten reply bytes, held ones included: what the write-buffer cap
+    /// bounds.
     pub fn pending_bytes(&self) -> usize {
         self.out.lock().bytes
     }
@@ -281,6 +323,7 @@ impl WriteHalf {
         out.dead = true;
         out.frames.clear();
         out.bytes = 0;
+        out.held = 0;
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
@@ -345,6 +388,8 @@ pub(crate) struct Core<D> {
     config: NetServerConfig,
     /// Set when the stop flag is first observed; the force-close deadline.
     drain_deadline: Option<Instant>,
+    /// Socket writes that carried bytes, over every connection.
+    writes: Arc<AtomicU64>,
 }
 
 impl<D> Core<D> {
@@ -372,8 +417,15 @@ impl<D> Core<D> {
             stop: Arc::clone(&stopper.flag),
             config,
             drain_deadline: None,
+            writes: Arc::default(),
         };
         Ok((core, addr, stopper))
+    }
+
+    /// The count of socket writes that carried bytes, by any thread, over
+    /// every connection of this loop.
+    pub fn writes(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.writes)
     }
 
     /// Runs `service` until a stop has been requested and drained.
@@ -462,7 +514,7 @@ impl<D> Core<D> {
                     {
                         continue;
                     }
-                    let half = Arc::new(WriteHalf::new(stream));
+                    let half = Arc::new(WriteHalf::new(stream, Arc::clone(&self.writes)));
                     let data = service.accepted(self, token, &half);
                     self.conns.insert(
                         token,
@@ -664,11 +716,12 @@ impl<D> Core<D> {
                     conn.decoder.mid_frame() && now.duration_since(conn.last_rx) > t
                 });
                 // Unflushed output means `EPOLLOUT` is armed: only those
-                // connections' queues are looked into.
+                // connections' queues are looked into. Held frames do not
+                // wait for the socket.
                 let write_stalled = conn.interest.writable
                     && config.write_timeout.is_some_and(|t| {
                         let out = conn.half.out.lock();
-                        !out.frames.is_empty() && now.duration_since(out.last_progress) > t
+                        out.frames.len() > out.held && now.duration_since(out.last_progress) > t
                     });
                 read_stalled || write_stalled
             })
@@ -700,7 +753,7 @@ mod tests {
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
-        (WriteHalf::new(stream), peer)
+        (WriteHalf::new(stream, Arc::default()), peer)
     }
 
     #[test]
@@ -755,6 +808,67 @@ mod tests {
         half.enqueue(b"later".to_vec());
         assert_eq!(half.pending_bytes(), 0);
         assert!(half.closing());
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0);
+    }
+
+    /// What the peer has received so far, without waiting for more.
+    fn received(peer: &mut TcpStream) -> Vec<u8> {
+        std::thread::sleep(Duration::from_millis(20));
+        peer.set_nonblocking(true).unwrap();
+        let mut got = Vec::new();
+        let _ = peer.read_to_end(&mut got);
+        peer.set_nonblocking(false).unwrap();
+        got
+    }
+
+    #[test]
+    fn held_frames_leave_together_with_the_next_frame_or_flush() {
+        let (half, mut peer) = pair();
+        let writes = || half.writes.load(Ordering::Relaxed);
+
+        // Held frames count as pending but stay off the wire; the next
+        // frame sent takes them along in one write.
+        assert_eq!(half.hold(b"one".to_vec(), 1 << 20), Sent::Held);
+        assert_eq!(half.hold(b"two".to_vec(), 1 << 20), Sent::Held);
+        assert_eq!(half.pending_bytes(), 6);
+        assert_eq!(received(&mut peer), b"");
+        assert_eq!(half.send_now(b"three".to_vec()), Sent::Direct);
+        assert_eq!((half.pending_bytes(), writes()), (0, 1));
+        assert_eq!(received(&mut peer), b"onetwothree");
+
+        // A frame queued behind held ones (an inline answer) releases them
+        // to the loop's flush, in order.
+        assert_eq!(half.hold(b"four".to_vec(), 1 << 20), Sent::Held);
+        half.enqueue(b"five".to_vec());
+        assert_eq!(half.hold(b"six".to_vec(), 1 << 20), Sent::Queued);
+        assert_eq!(half.flush(), (true, 11, 0));
+        assert_eq!(received(&mut peer), b"fourfivesix");
+
+        // The loop's flush releases held frames by themselves.
+        assert_eq!(half.hold(b"seven".to_vec(), 1 << 20), Sent::Held);
+        assert_eq!(half.flush(), (true, 5, 0));
+        assert_eq!(received(&mut peer), b"seven");
+
+        // At most `MAX_IOVECS` frames are held: the next goes with them.
+        for _ in 0..MAX_IOVECS {
+            assert_eq!(half.hold(b"h".to_vec(), 1 << 20), Sent::Held);
+        }
+        let before = writes();
+        assert_eq!(half.hold(b"!".to_vec(), 1 << 20), Sent::Direct);
+        assert_eq!(writes() - before, 2, "64 iovecs a write");
+        let expected = [vec![b'h'; MAX_IOVECS], b"!".to_vec()].concat();
+        assert_eq!(received(&mut peer), expected);
+
+        // A frame that would bring the queue to the cap is written.
+        assert_eq!(half.hold(b"abc".to_vec(), 7), Sent::Held);
+        assert_eq!(half.hold(b"defg".to_vec(), 7), Sent::Direct);
+        assert_eq!(received(&mut peer), b"abcdefg");
+
+        // A killed half discards held frames with the rest.
+        assert_eq!(half.hold(b"lost".to_vec(), 1 << 20), Sent::Held);
+        half.kill();
+        assert_eq!(half.pending_bytes(), 0);
+        assert_eq!(half.hold(b"late".to_vec(), 1 << 20), Sent::Dead);
         assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0);
     }
 }

@@ -27,6 +27,22 @@
 //! reply bytes the socket did not take (arm `EPOLLOUT`), a non-`Run`
 //! request at the head of the queue, a connection to reap, a drain.
 //!
+//! Nor does a reply leave on its own while its connection has more work
+//! queued. A reply whose connection's next queued request is a `Run` is
+//! *held* in the write half (`evloop::WriteHalf::hold`) — unless the server is
+//! stopping, the connection is closing, or bytes already wait for the
+//! socket — and the `pump` that settled it starts that `Run` next. Held
+//! frames leave in order, in one `writev`, with whichever comes first: the
+//! first later reply that has no `Run` queued behind it, any frame queued
+//! after them (a `Pong`, an inline answer, the rest of a full socket), or
+//! the reactor's next flush of the connection. Every started `Run` settles
+//! its reply exactly once, abandoned or not, and a `pump` that does not
+//! start the `Run` (stop, closing) nudges the reactor, whose flush releases
+//! them: a held reply always has a later event that sends it. The hold's
+//! bounds are the ones the write half has anyway: at most 64 frames (one
+//! `writev`'s worth), and never so many bytes that the queue reaches
+//! `max_conn_write_buffer`.
+//!
 //! # Pipelining
 //!
 //! Every frame carries a `request_id` (protocol v2), so one connection may
@@ -36,6 +52,9 @@
 //! removes the client's round-trip wait, not the per-session ordering —
 //! which keeps a pipelined connection byte-equivalent to the same requests
 //! issued one at a time (the differential oracle in `proptest_pipeline`).
+//! The replies of a deep pipeline leave in batches (see above): the client
+//! reads a batch in one `read` ([`crate::Connection`]), so a window of 16
+//! requests costs a few system calls a side, not two per request.
 //! `Hello`/`Ping`/`StopServer` are answered on arrival, so heartbeats never
 //! queue behind a transaction.
 //!
@@ -161,14 +180,27 @@ struct Hub {
 
 impl Hub {
     /// Sends reply frames, in order, from whatever thread produced them.
-    fn reply(&self, conn: &ClientConn, frames: impl IntoIterator<Item = Vec<u8>>) {
+    /// With `hold`, each may be held back to leave with the next
+    /// ([`WriteHalf::hold`]): the caller knows of a later reply or a nudge
+    /// that releases it.
+    fn reply(&self, conn: &ClientConn, frames: impl IntoIterator<Item = Vec<u8>>, hold: bool) {
+        let c = &self.counters;
         let mut queued = false;
         for frame in frames {
-            let counter = match conn.half.send_now(frame) {
-                Sent::Direct => &self.counters.replies_direct,
+            let sent = if hold {
+                conn.half.hold(frame, self.write_cap)
+            } else {
+                conn.half.send_now(frame)
+            };
+            let counter = match sent {
+                Sent::Direct => &c.replies_direct,
+                Sent::Held => {
+                    c.replies_held.fetch_add(1, Relaxed);
+                    &c.replies_direct
+                }
                 Sent::Queued => {
                     queued = true;
-                    &self.counters.replies_queued
+                    &c.replies_queued
                 }
                 Sent::Dead => continue,
             };
@@ -192,12 +224,20 @@ impl Hub {
 /// Counters of a running frontend server, read with [`NetServer::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetServerStats {
-    /// Reply frames a replica (or submitting) thread wrote to the socket
-    /// whole, without the reactor.
+    /// Reply frames a replica (or submitting) thread handed to the socket
+    /// without waking the reactor: written whole at once, or held to leave
+    /// in the same write as a later frame. A held reply counts here and in
+    /// `replies_held`, whichever write then carries it.
     pub replies_direct: u64,
+    /// Of `replies_direct`, the frames held back while the connection had
+    /// a `Run` queued behind them.
+    pub replies_held: u64,
     /// Reply frames queued, whole or in part, for the reactor to flush: the
     /// socket was full or other output was ahead of them.
     pub replies_queued: u64,
+    /// Socket writes (`writev` calls) that carried reply bytes, by any
+    /// thread. Against the replies it says how many left together.
+    pub reply_writes: u64,
     /// Times another thread woke the reactor for a connection: unflushed
     /// bytes, a non-`Run` request next in line, a connection to reap, a
     /// drain. Against the transaction count it says how often a finished
@@ -212,7 +252,10 @@ pub struct NetServerStats {
 #[derive(Default)]
 struct Counters {
     replies_direct: AtomicU64,
+    replies_held: AtomicU64,
     replies_queued: AtomicU64,
+    /// The event loop's count ([`Core::writes`]).
+    reply_writes: Arc<AtomicU64>,
     loop_nudges: AtomicU64,
     shed: AtomicU64,
 }
@@ -258,7 +301,10 @@ impl NetServer {
             outstanding: AtomicUsize::new(0),
             nudges,
             wake: stopper.waker.clone(),
-            counters: Counters::default(),
+            counters: Counters {
+                reply_writes: core.writes(),
+                ..Counters::default()
+            },
         });
         let shared = Arc::new(Shared { cluster, addr, hub });
         let frontend = Frontend {
@@ -299,7 +345,9 @@ impl NetServer {
         let c = &self.shared.hub.counters;
         NetServerStats {
             replies_direct: c.replies_direct.load(Relaxed),
+            replies_held: c.replies_held.load(Relaxed),
             replies_queued: c.replies_queued.load(Relaxed),
+            reply_writes: c.reply_writes.load(Relaxed),
             loop_nudges: c.loop_nudges.load(Relaxed),
             shed: c.shed.load(Relaxed),
         }
@@ -612,7 +660,7 @@ fn snapshot_stream(reply: Reply, snapshot: Result<Snapshot>) {
         .into_iter()
         .zip(0..)
         .map(|(data, index)| encode_reply(id, &Message::SnapshotChunk { index, data }));
-    reply.hub.reply(&reply.conn, chunks);
+    reply.hub.reply(&reply.conn, chunks, false);
     let manifest = snapshot.manifest.encode();
     reply.settle(Message::SnapshotDone { manifest });
 }
@@ -675,9 +723,18 @@ impl Drop for Reply {
             Message::Err(Error::Protocol(why.into()))
         });
         let (hub, conn) = (&self.hub, &self.conn);
+        // Held while a `Run` is queued behind it: the pump below starts that
+        // `Run`, whose reply releases this one, or it tells the reactor,
+        // whose flush does.
+        let hold = !hub.stop.load(Ordering::SeqCst)
+            && !conn.half.closing()
+            && matches!(
+                conn.work.lock().queue.front(),
+                Some((_, Message::Run { .. }))
+            );
         // The reply before `out` clears: the reactor reaps a connection it
         // finds idle with nothing unflushed.
-        hub.reply(conn, [encode_reply(self.request_id, &answer)]);
+        hub.reply(conn, [encode_reply(self.request_id, &answer)], hold);
         if self.admitted {
             hub.inflight.fetch_sub(1, Ordering::SeqCst);
         }

@@ -2,13 +2,14 @@
 //! loss the link writes each replica's `ReplicaHello` once it is back, and
 //! after the certifier restarts over its log — every commit it recovers
 //! pending again with no replica credited — those frames complete what
-//! was pending.
+//! was pending. And what the link's history fetch reads ahead of the
+//! history reaches the replicas.
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
     ConsistencyMode, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet,
 };
-use bargain_core::{CertifyDecision, CertifyRequest};
+use bargain_core::{CertifyDecision, CertifyRequest, Refresh};
 use bargain_net::frame::{encode_frame, read_frame};
 use bargain_net::{
     CertifierServer, CertifierServerConfig, ConnectPolicy, Connection, Message, RemoteCertifierLink,
@@ -17,8 +18,8 @@ use bargain_workloads::{MicroBenchmark, Workload};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn service(dir: &std::path::Path) -> (CertifierServer, Connection) {
     let service = CertifierServer::start(
@@ -187,5 +188,101 @@ fn a_link_that_comes_back_writes_each_replicas_hello() {
         .expect("every replica says hello once the link is back");
     let expected: BTreeMap<u32, Version> = (0..REPLICAS).map(|r| (r, Version::ZERO)).collect();
     assert_eq!(seen, expected);
+    cluster.shutdown();
+}
+
+/// A fake certifier service writes the history page and two pushes behind
+/// it in one write: a decision (for a transaction the replica does not
+/// know, which it ignores) and a refresh. The link's history fetch reads
+/// all three at once; the pushes must still reach the replica, and the
+/// refresh's row shows there.
+#[test]
+fn pushes_read_with_the_last_history_page_reach_their_replica() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let (kind, id, payload) = read_frame(&mut stream).unwrap();
+        let fetch = Message::decode(kind, &payload).unwrap();
+        assert!(matches!(fetch, Message::FetchHistory { .. }), "{fetch:?}");
+        let mut writeset = WriteSet::new();
+        writeset.push(
+            TableId(0),
+            Value::Int(1),
+            WriteOp::Insert(vec![Value::Int(1), Value::Int(42)]),
+        );
+        let frames = [
+            (
+                id,
+                Message::History {
+                    records: Vec::new(),
+                },
+            ),
+            (
+                0,
+                Message::Decision {
+                    origin: ReplicaId(0),
+                    decision: CertifyDecision::Abort {
+                        txn: TxnId(99),
+                        conflicting_version: Version(1),
+                    },
+                },
+            ),
+            (
+                0,
+                Message::RefreshFor {
+                    to: ReplicaId(0),
+                    refresh: Refresh {
+                        origin: ReplicaId(1),
+                        txn: TxnId(98),
+                        commit_version: Version(1),
+                        writeset: Arc::new(writeset),
+                    },
+                },
+            ),
+        ];
+        let bytes: Vec<u8> = frames
+            .iter()
+            .flat_map(|(id, msg)| encode_frame(msg.kind(), *id, &msg.encode()).unwrap())
+            .collect();
+        stream.write_all(&bytes).unwrap();
+        // Answer heartbeats until the cluster stops.
+        while let Ok((kind, id, _)) = read_frame(&mut stream) {
+            if kind == Message::Ping.kind() {
+                let frame = encode_frame(Message::Pong.kind(), id, &[]).unwrap();
+                if stream.write_all(&frame).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+
+    let cluster = Cluster::start_with_certifier_link(
+        ClusterConfig {
+            replicas: 1,
+            ..ClusterConfig::default()
+        },
+        |engine| {
+            let ddl = "CREATE TABLE t (id INT PRIMARY KEY, v INT NOT NULL)";
+            bargain_sql::execute_ddl(engine, &bargain_sql::parse(ddl)?)
+        },
+        Box::new(RemoteCertifierLink::connect(&addr).unwrap()),
+    );
+    let mut session = cluster.connect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, results) = session
+            .run_sql(&[("SELECT v FROM t WHERE id = ?", vec![Value::Int(1)])])
+            .unwrap();
+        if results[0].rows().unwrap() == [vec![Value::Int(42)]] {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the refresh read with the history never reached the replica"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(session);
     cluster.shutdown();
 }
