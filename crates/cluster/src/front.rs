@@ -109,6 +109,18 @@ impl FrontDoor {
     /// replica still carries version and session information).
     pub fn complete(&mut self, outcome: &TxnOutcome) -> Released {
         self.lb.on_outcome(outcome);
+        self.release(outcome)
+    }
+
+    /// Records an outcome nobody knows: the certifier link failed with the
+    /// transaction's request in flight.
+    pub fn complete_in_doubt(&mut self, outcome: &TxnOutcome) -> Released {
+        self.lb.on_in_doubt(outcome);
+        self.release(outcome)
+    }
+
+    /// Hands out a finished transaction's sink and the drains it completed.
+    fn release(&mut self, outcome: &TxnOutcome) -> Released {
         let mut released = Released {
             sink: self.replies.remove(&outcome.txn).map(|(_, sink)| sink),
             drained: Vec::new(),
@@ -226,8 +238,16 @@ impl Front {
     }
 
     /// Accounts for a finished transaction under the lock, replies after.
-    pub fn complete(&self, outcome: TxnOutcome, results: Vec<QueryResult>) {
-        let released = self.door.lock().complete(&outcome);
+    /// An `in_doubt` one is counted apart from commits and aborts.
+    pub fn complete(&self, outcome: TxnOutcome, results: Vec<QueryResult>, in_doubt: bool) {
+        let released = {
+            let mut door = self.door.lock();
+            if in_doubt {
+                door.complete_in_doubt(&outcome)
+            } else {
+                door.complete(&outcome)
+            }
+        };
         deliver(released, Some((outcome, results)));
     }
 

@@ -130,6 +130,11 @@ pub struct ClusterStats {
     pub commits: u64,
     /// Aborted transactions observed by the load balancer.
     pub aborts: u64,
+    /// Transactions whose outcome is unknown: their certification request
+    /// was in flight when the certifier link failed, so they may have
+    /// committed. Counted in neither `commits` nor `aborts`; the client
+    /// learns the outcome by retrying under the same idempotency key.
+    pub in_doubt: u64,
     /// The system version (`V_system`) at the load balancer.
     pub v_system: Version,
     /// Whether the link to the certification service is currently healthy
@@ -666,6 +671,7 @@ impl Cluster {
             routed: s.routed,
             commits: s.commits,
             aborts: s.aborts,
+            in_doubt: s.in_doubt,
             v_system: door.lb.v_system(),
             certifier_up: door.lb.certifier_is_up(),
             certifier_downs: s.certifier_downs,
@@ -1116,7 +1122,7 @@ impl Replica {
                     "certifier unavailable: link down, outcome unknown (retry-after)",
                 );
                 for outcome in outcomes {
-                    self.finished(outcome);
+                    self.settle(outcome, true);
                 }
                 let replica = self.proxy.replica();
                 self.port
@@ -1141,8 +1147,14 @@ impl Replica {
     /// A transaction reached its outcome: account for it at the front door
     /// and reply.
     fn finished(&mut self, outcome: TxnOutcome) {
+        self.settle(outcome, false);
+    }
+
+    /// Hands a finished transaction's outcome and results to the front
+    /// door; an `in_doubt` one is counted apart from commits and aborts.
+    fn settle(&mut self, outcome: TxnOutcome, in_doubt: bool) {
         let (_, results) = self.running.remove(&outcome.txn).unwrap_or_default();
-        self.front.complete(outcome, results);
+        self.front.complete(outcome, results, in_doubt);
     }
 
     /// Executes all statements of a started transaction, then finishes it.

@@ -52,6 +52,10 @@ pub struct LoadBalancerStats {
     pub commits: u64,
     /// Aborted outcomes observed.
     pub aborts: u64,
+    /// Outcomes nobody knows: transactions whose certification request was
+    /// in flight when the certifier link failed. Each may have committed
+    /// or not, so it counts as neither a commit nor an abort.
+    pub in_doubt: u64,
     /// Times a replica was marked down.
     pub replica_downs: u64,
     /// Transactions re-routed away from a failed replica.
@@ -405,9 +409,7 @@ impl LoadBalancer {
         // A straggler outcome from a replica that has since been
         // decommissioned still carries version/session information; only
         // the slot accounting is gone.
-        if let Some(idx) = self.replicas.iter().position(|&r| r == outcome.replica) {
-            self.active[idx] = self.active[idx].saturating_sub(1);
-        }
+        self.release(outcome.replica);
         if !outcome.committed {
             self.stats.aborts += 1;
             return;
@@ -435,6 +437,23 @@ impl LoadBalancer {
             .or_insert(Version::ZERO);
         if outcome.observed_version > *entry {
             *entry = outcome.observed_version;
+        }
+    }
+
+    /// Records a transaction whose outcome is unknown (see
+    /// [`LoadBalancerStats::in_doubt`]): its slot is released, and nothing
+    /// else is learnt. If it committed, its version reaches `V_system`
+    /// through the client's retry, which the certifier answers with the
+    /// original outcome.
+    pub fn on_in_doubt(&mut self, outcome: &TxnOutcome) {
+        self.release(outcome.replica);
+        self.stats.in_doubt += 1;
+    }
+
+    /// Frees one routing slot on `replica`, if it is still a member.
+    fn release(&mut self, replica: ReplicaId) {
+        if let Some(idx) = self.replicas.iter().position(|&r| r == replica) {
+            self.active[idx] = self.active[idx].saturating_sub(1);
         }
     }
 }
@@ -803,6 +822,26 @@ mod tests {
             .map(|i| lb.route(request(i, 0)).unwrap().replica.0)
             .collect();
         assert!(picks.iter().all(|&r| r == 1 || r == 2));
+    }
+
+    #[test]
+    fn an_in_doubt_outcome_is_neither_a_commit_nor_an_abort() {
+        let mut lb = lb(ConsistencyMode::LazyCoarse);
+        let routed = lb.route(request(1, 0)).unwrap();
+        assert_eq!(lb.active_on(routed.replica), 1);
+        // What `Proxy::abort_certifying` yields when the certifier link
+        // fails with the request in flight: the update may have committed.
+        lb.on_in_doubt(&TxnOutcome {
+            txn: routed.txn,
+            committed: false,
+            commit_version: None,
+            abort_reason: Some("link down, outcome unknown (retry-after)".into()),
+            ..outcome(routed.replica.0, 1, None, 0, &[])
+        });
+        let stats = lb.stats();
+        assert_eq!((stats.commits, stats.aborts, stats.in_doubt), (0, 0, 1));
+        assert_eq!(lb.active_on(routed.replica), 0);
+        assert_eq!(lb.v_system(), Version::ZERO);
     }
 
     #[test]

@@ -672,8 +672,10 @@ impl CertifierLink for RemoteCertifierLink {
             let _ = conn.stream().set_read_timeout(deadline);
             let _ = conn.stream().set_write_timeout(deadline);
             // The service takes no certifier input before the cluster's
-            // introduction, so it goes first, ahead of what was held. A
-            // write that fails here fails the fetch or the read below.
+            // introduction, so it goes first, ahead of what was held. If
+            // the first connection read pushes ahead, it holds the frame,
+            // and the fetch or the handover below writes it; a write that
+            // fails fails them.
             let _ = conn.send(&introduction);
             if outage {
                 // Resynchronize: fetch commits certified while the link was
@@ -702,24 +704,25 @@ impl CertifierLink for RemoteCertifierLink {
 
             // Install the write side, sending what was held first, then
             // read until the link fails, starting with what the history
-            // fetch read ahead.
-            let (stream, decoder, frames) = conn.into_parts();
-            let ticks = stream.set_read_timeout(Some(self.config.heartbeat_interval));
-            if let (Ok(write), Ok(())) = (stream.try_clone(), ticks) {
-                let mut state = self.state.lock();
-                if state.stopped {
-                    return;
+            // fetch read ahead. The handover writes the introduction if the
+            // connection still holds it; a failed write is a failed link.
+            if let Ok((stream, decoder, frames)) = conn.into_parts() {
+                let ticks = stream.set_read_timeout(Some(self.config.heartbeat_interval));
+                if let (Ok(write), Ok(())) = (stream.try_clone(), ticks) {
+                    let mut state = self.state.lock();
+                    if state.stopped {
+                        return;
+                    }
+                    write_or_shut(&write, &std::mem::take(&mut state.held));
+                    state.write = Some(write);
+                    drop(state);
+                    self.read(&stream, decoder, frames, &deliveries, &mut max_seen);
                 }
-                write_or_shut(&write, &std::mem::take(&mut state.held));
-                state.write = Some(write);
-                drop(state);
-                self.read(&stream, decoder, frames, &deliveries, &mut max_seen);
+                // Down: shut the socket first, so a replica blocked writing
+                // to it lets go of the lock. Every decision read above is on
+                // its replica's queue ahead of the sweep that Down puts there.
+                let _ = stream.shutdown(Shutdown::Both);
             }
-
-            // Down: shut the socket first, so a replica blocked writing to
-            // it lets go of the lock. Every decision read above is on its
-            // replica's queue ahead of the sweep that Down puts there.
-            let _ = stream.shutdown(Shutdown::Both);
             let epoch = {
                 let mut state = self.state.lock();
                 if state.stopped {

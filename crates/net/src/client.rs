@@ -406,7 +406,8 @@ impl RemoteSession {
                 v_system,
                 certifier_up,
                 certifier_downs,
-                // Not on the wire: the certification counters read 0.
+                // Not on the wire: `in_doubt` and the certification
+                // counters read 0.
                 ..ClusterStats::default()
             }),
             other => Err(unexpected("StatsReply", &other)),

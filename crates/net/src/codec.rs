@@ -266,7 +266,13 @@ impl Message {
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        let buf = &mut out;
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this message's payload to `buf`, as [`Message::encode`]
+    /// returns it.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Hello
             | Message::OpenSession
@@ -345,7 +351,6 @@ impl Message {
             }
             Message::SnapshotDone { manifest } => put_bytes(buf, manifest),
         }
-        out
     }
 
     /// Decodes a message from a frame's `kind` byte and payload. Strict:

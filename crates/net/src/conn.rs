@@ -5,11 +5,23 @@
 //! every frame that has arrived, and the frames it decoded are returned
 //! before the next `read`. A server that sends a pipelined connection's
 //! replies together is then read with one system call per batch, not two
-//! per reply. Whoever takes the socket over from a `Connection` takes the
-//! frames it read ahead too ([`Connection::into_parts`]).
+//! per reply.
+//!
+//! Requests leave together the same way. A request is encoded straight
+//! into the connection's write buffer, and it is held there while frames
+//! already read remain to be returned: a client that refills its window
+//! as it pops replies answers a batch of replies with one `write_all`.
+//! Held bytes are written on the send that finds nothing read ahead,
+//! before any blocking `read`, in [`Connection::into_parts`], once they
+//! reach 16 KiB (`READ_CHUNK`), and, best effort, when the connection is
+//! dropped. A caller that keeps one request outstanding never holds
+//! anything: nothing is read ahead when it sends.
+//!
+//! Whoever takes the socket over from a `Connection` takes the frames it
+//! read ahead too ([`Connection::into_parts`]).
 
 use crate::codec::Message;
-use crate::frame::{encode_frame, Frame, FrameDecoder, PUSH_ID};
+use crate::frame::{append_frame, Frame, FrameDecoder, PUSH_ID};
 use bargain_common::{Error, Result};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -100,7 +112,7 @@ pub(crate) fn classify_io(e: &io::Error, what: &str, peer: &str) -> Error {
 }
 
 /// Bytes one `read` of a [`Connection`] takes at most, into a buffer on the
-/// reading call's stack.
+/// reading call's stack; also the most it holds of requests unwritten.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// A connection that sends and receives whole [`Message`]s.
@@ -119,6 +131,8 @@ pub struct Connection {
     /// The framing error a read met behind `frames`: returned once they
     /// are, and from then on.
     broken: Option<Error>,
+    /// Encoded requests not yet written, held while `frames` is not empty.
+    out: Vec<u8>,
 }
 
 impl Connection {
@@ -144,6 +158,7 @@ impl Connection {
             decoder: FrameDecoder::new(),
             frames: Vec::new(),
             broken: None,
+            out: Vec::new(),
         })
     }
 
@@ -196,19 +211,25 @@ impl Connection {
     }
 
     /// The underlying stream (for `try_clone`/`peek`/`shutdown` plumbing).
-    /// A reader of its own misses what this connection has read ahead:
-    /// take the socket over with [`Connection::into_parts`] instead.
+    /// A reader of its own misses what this connection has read ahead, and
+    /// a writer of its own overtakes the requests it holds: take the socket
+    /// over with [`Connection::into_parts`] instead.
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
 
-    /// Gives up the connection for a reader of its own: the socket, the
-    /// decoder holding whatever part of a frame was read, and the frames
-    /// read ahead and not yet returned, the oldest first.
-    pub fn into_parts(self) -> (TcpStream, FrameDecoder, Vec<Frame>) {
-        let mut frames = self.frames;
+    /// Gives up the connection for a reader of its own, after writing the
+    /// requests it holds: the socket, the decoder holding whatever part of
+    /// a frame was read, and the frames read ahead and not yet returned,
+    /// the oldest first.
+    pub fn into_parts(mut self) -> Result<(TcpStream, FrameDecoder, Vec<Frame>)> {
+        self.flush()?;
+        // `Connection` writes what it holds when dropped, so the socket is
+        // handed over as a second handle and this one closes with `self`.
+        let stream = self.stream.try_clone().map_err(Error::from)?;
+        let mut frames = std::mem::take(&mut self.frames);
         frames.reverse();
-        (self.stream, self.decoder, frames)
+        Ok((stream, std::mem::take(&mut self.decoder), frames))
     }
 
     /// The peer's address, as reported at accept/connect time.
@@ -224,19 +245,40 @@ impl Connection {
         self.next_id
     }
 
-    /// Sends one message as one frame (a single `write_all`) tagged with
-    /// [`PUSH_ID`] — for pushes and fire-and-forget sends whose reply (if
-    /// any) is not matched by id.
+    /// Sends one message as one frame tagged with [`PUSH_ID`] — for pushes
+    /// and fire-and-forget sends whose reply (if any) is not matched by id.
+    /// Like [`Connection::send_with_id`], it may hold the frame to leave
+    /// with later ones.
     pub fn send(&mut self, msg: &Message) -> Result<()> {
         self.send_with_id(PUSH_ID, msg)
     }
 
-    /// Sends one message as one frame tagged with `request_id`.
+    /// Sends one message as one frame tagged with `request_id`. The frame
+    /// is written, together with any held before it, unless frames read
+    /// ahead remain to be returned: then it is held, to leave in one write
+    /// with the requests sent while they are returned (see the module
+    /// docs). A write error is returned by the call that writes, this one
+    /// or a later `send`, `recv` or `into_parts`.
     pub fn send_with_id(&mut self, request_id: u64, msg: &Message) -> Result<()> {
-        let buf = encode_frame(msg.kind(), request_id, &msg.encode())?;
-        self.stream
-            .write_all(&buf)
-            .map_err(|e| classify_io(&e, "write", &self.peer))
+        append_frame(&mut self.out, msg.kind(), request_id, |buf| {
+            msg.encode_into(buf);
+        })?;
+        if self.frames.is_empty() || self.out.len() >= READ_CHUNK {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the held requests in one `write_all`.
+    fn flush(&mut self) -> Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        // One large request does not keep its buffer for the connection's life.
+        self.out.shrink_to(READ_CHUNK);
+        written.map_err(|e| classify_io(&e, "write", &self.peer))
     }
 
     /// Receives one message, blocking up to the read deadline, discarding
@@ -246,8 +288,9 @@ impl Connection {
     }
 
     /// Receives one message with its request id, blocking up to the read
-    /// deadline: the oldest frame already read, or else whatever one `read`
-    /// brings. A deadline that expires mid-frame keeps the part read.
+    /// deadline: the oldest frame already read, or else, once the held
+    /// requests are written, whatever one `read` brings. A deadline that
+    /// expires mid-frame keeps the part read.
     pub fn recv_tagged(&mut self) -> Result<(u64, Message)> {
         let frame = loop {
             if let Some(frame) = self.frames.pop() {
@@ -256,6 +299,7 @@ impl Connection {
             if let Some(e) = &self.broken {
                 return Err(e.clone());
             }
+            self.flush()?;
             let mut buf = [0u8; READ_CHUNK];
             let n = match self.stream.read(&mut buf) {
                 Ok(0) => {
@@ -298,9 +342,18 @@ impl Connection {
     }
 }
 
+impl Drop for Connection {
+    /// Writes the held requests, best effort: a request whose `send`
+    /// returned `Ok` leaves even if nothing else writes it before the drop.
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::encode_frame;
     use std::net::TcpListener;
 
     /// A connection and the peer's end of it.
@@ -347,6 +400,153 @@ mod tests {
         drop(peer);
         assert!(matches!(conn.recv_tagged(), Ok((1, Message::Ping))));
         let err = conn.recv_tagged().unwrap_err();
+        assert!(matches!(err, Error::ConnectionClosed(_)), "{err:?}");
+    }
+
+    /// The frames one `read` of `peer` brings, by id. The peer must have
+    /// something to read: it waits up to a second for it.
+    fn read_once(peer: &mut TcpStream) -> Vec<u64> {
+        peer.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut buf = [0u8; READ_CHUNK * 2];
+        let n = peer.read(&mut buf).unwrap();
+        let mut frames = Vec::new();
+        FrameDecoder::new().feed(&buf[..n], &mut frames).unwrap();
+        frames.iter().map(|f| f.request_id).collect()
+    }
+
+    /// Whether `peer` has nothing to read right now.
+    fn nothing_arrived(peer: &TcpStream) -> bool {
+        peer.set_nonblocking(true).unwrap();
+        let idle =
+            matches!(peer.peek(&mut [0u8; 1]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        peer.set_nonblocking(false).unwrap();
+        idle
+    }
+
+    /// A connection that has read `replies` frames in one `read` and
+    /// returned the first.
+    fn reading_ahead(replies: u64) -> (Connection, TcpStream) {
+        let (mut conn, mut peer) = pair();
+        let bytes: Vec<u8> = (1..=replies)
+            .flat_map(|id| frame(id, &Message::Ack))
+            .collect();
+        peer.write_all(&bytes).unwrap();
+        assert_eq!(conn.recv_tagged().unwrap().0, 1);
+        (conn, peer)
+    }
+
+    #[test]
+    fn requests_sent_while_replies_remain_leave_in_one_write() {
+        let (mut conn, mut peer) = reading_ahead(4);
+        // The closed loop's shape: a request after each reply popped.
+        for id in 101..=103 {
+            conn.send_with_id(id, &Message::Ping).unwrap();
+            assert!(
+                nothing_arrived(&peer),
+                "request {id} left before the replies ran out"
+            );
+            assert_eq!(conn.recv_tagged().unwrap().0, id - 99);
+        }
+        conn.send_with_id(104, &Message::Ping).unwrap();
+        assert_eq!(read_once(&mut peer), [101, 102, 103, 104]);
+    }
+
+    #[test]
+    fn a_receive_writes_the_held_requests_before_it_waits() {
+        let (mut conn, mut peer) = reading_ahead(2);
+        conn.send_with_id(7, &Message::Ping).unwrap();
+        assert_eq!(conn.recv_tagged().unwrap().0, 2);
+        let echo = std::thread::spawn(move || {
+            for id in read_once(&mut peer) {
+                peer.write_all(&frame(id, &Message::Pong)).unwrap();
+            }
+            peer
+        });
+        conn.stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        assert!(matches!(conn.recv_tagged(), Ok((7, Message::Pong))));
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn a_connection_that_never_reads_writes_each_request_as_it_is_sent() {
+        let (mut conn, mut peer) = pair();
+        for id in 1..=3 {
+            conn.send_with_id(id, &Message::Ping).unwrap();
+            assert_eq!(read_once(&mut peer), [id]);
+        }
+    }
+
+    #[test]
+    fn into_parts_writes_the_held_requests_first() {
+        let (mut conn, mut peer) = reading_ahead(2);
+        conn.send(&Message::Ping).unwrap();
+        assert!(nothing_arrived(&peer));
+        let (_stream, _decoder, frames) = conn.into_parts().unwrap();
+        assert_eq!(frames.iter().map(|f| f.request_id).collect::<Vec<_>>(), [2]);
+        assert_eq!(read_once(&mut peer), [PUSH_ID]);
+    }
+
+    #[test]
+    fn a_dropped_connection_writes_what_it_holds() {
+        let (mut conn, mut peer) = reading_ahead(2);
+        conn.send_with_id(7, &Message::Ping).unwrap();
+        assert!(nothing_arrived(&peer));
+        drop(conn);
+        assert_eq!(read_once(&mut peer), [7]);
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0);
+    }
+
+    #[test]
+    fn held_requests_leave_once_they_fill_a_read() {
+        let (mut conn, mut peer) = reading_ahead(2);
+        let big = Message::Ddl {
+            sql: "x".repeat(READ_CHUNK / 3),
+        };
+        for id in 1..=2 {
+            conn.send_with_id(id, &big).unwrap();
+        }
+        assert!(nothing_arrived(&peer));
+        conn.send_with_id(3, &big).unwrap();
+        let mut got = Vec::new();
+        let mut decoder = FrameDecoder::new();
+        let mut buf = [0u8; READ_CHUNK];
+        peer.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        while got.len() < 3 {
+            let n = peer.read(&mut buf).unwrap();
+            decoder.feed(&buf[..n], &mut got).unwrap();
+        }
+        assert_eq!(
+            got.iter().map(|f| f.request_id).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+    }
+
+    /// A connection holding one request, with one frame read ahead, whose
+    /// peer has reset the connection (it closed with a byte unread).
+    fn held_behind_a_reset() -> Connection {
+        let (mut conn, peer) = reading_ahead(2);
+        conn.stream.write_all(&[0]).unwrap();
+        peer.peek(&mut [0u8; 1]).unwrap();
+        drop(peer);
+        std::thread::sleep(Duration::from_millis(20));
+        conn.send_with_id(9, &Message::Ping).unwrap();
+        assert_eq!(conn.recv_tagged().unwrap().0, 2);
+        conn
+    }
+
+    #[test]
+    fn a_reset_while_requests_are_held_fails_the_next_receive() {
+        let err = held_behind_a_reset().recv_tagged().unwrap_err();
+        assert!(matches!(err, Error::ConnectionClosed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_reset_while_requests_are_held_fails_the_next_send() {
+        let err = held_behind_a_reset()
+            .send_with_id(10, &Message::Ping)
+            .unwrap_err();
         assert!(matches!(err, Error::ConnectionClosed(_)), "{err:?}");
     }
 

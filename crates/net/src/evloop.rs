@@ -390,6 +390,8 @@ pub(crate) struct Core<D> {
     drain_deadline: Option<Instant>,
     /// Socket writes that carried bytes, over every connection.
     writes: Arc<AtomicU64>,
+    /// Socket reads that brought bytes, over every connection.
+    reads: Arc<AtomicU64>,
 }
 
 impl<D> Core<D> {
@@ -418,6 +420,7 @@ impl<D> Core<D> {
             config,
             drain_deadline: None,
             writes: Arc::default(),
+            reads: Arc::default(),
         };
         Ok((core, addr, stopper))
     }
@@ -426,6 +429,12 @@ impl<D> Core<D> {
     /// every connection of this loop.
     pub fn writes(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.writes)
+    }
+
+    /// The count of socket reads that brought bytes, over every connection
+    /// of this loop.
+    pub fn reads(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.reads)
     }
 
     /// Runs `service` until a stop has been requested and drained.
@@ -554,6 +563,7 @@ impl<D> Core<D> {
                     break;
                 }
                 Ok(n) => {
+                    self.reads.fetch_add(1, Ordering::Relaxed);
                     conn.last_rx = Instant::now();
                     service.transferred(n, 0);
                     if let Err(e) = conn.decoder.feed(&buf[..n], &mut frames) {

@@ -67,21 +67,53 @@ pub const HEADER_LEN: usize = 22;
 /// Builds the complete byte image of one frame (header + payload), ready
 /// for a single `write_all`.
 pub fn encode_frame(kind: u8, request_id: u64, payload: &[u8]) -> Result<Vec<u8>> {
-    if payload.len() as u64 > u64::from(MAX_FRAME_LEN) {
+    fits(payload.len())?;
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    append_frame(&mut buf, kind, request_id, |buf| {
+        buf.extend_from_slice(payload)
+    })?;
+    Ok(buf)
+}
+
+/// Appends one frame to `out`: the header, then the payload `put` appends,
+/// with the header's length and checksum filled in behind it. A payload
+/// over [`MAX_FRAME_LEN`] is refused and `out` is left as it was.
+pub fn append_frame(
+    out: &mut Vec<u8>,
+    kind: u8,
+    request_id: u64,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
+    let start = out.len();
+    MAGIC.put(out);
+    PROTOCOL_VERSION.put(out);
+    kind.put(out);
+    // Length (offset 6) and checksum (offset 10), known once the payload
+    // is in.
+    0u32.put(out);
+    0u32.put(out);
+    request_id.put(out);
+    put(out);
+    let body = start + HEADER_LEN;
+    let len = out.len() - body;
+    if let Err(e) = fits(len) {
+        out.truncate(start);
+        return Err(e);
+    }
+    let crc = crc32(&out[body..]);
+    out[start + 6..start + 10].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 10..start + 14].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// Refuses a payload of `len` bytes over [`MAX_FRAME_LEN`].
+fn fits(len: usize) -> Result<()> {
+    if len as u64 > u64::from(MAX_FRAME_LEN) {
         return Err(Error::Codec(format!(
-            "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte limit",
-            payload.len()
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
         )));
     }
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    MAGIC.put(&mut buf);
-    PROTOCOL_VERSION.put(&mut buf);
-    kind.put(&mut buf);
-    (payload.len() as u32).put(&mut buf);
-    crc32(payload).put(&mut buf);
-    request_id.put(&mut buf);
-    buf.extend_from_slice(payload);
-    Ok(buf)
+    Ok(())
 }
 
 /// A parsed, validated frame header.
@@ -299,6 +331,22 @@ mod tests {
         assert_eq!(kind, 7);
         assert_eq!(id, 42);
         assert_eq!(payload, b"hello");
+    }
+
+    #[test]
+    fn an_appended_frame_is_the_encoded_one_and_an_oversized_one_leaves_nothing() {
+        let mut out = encode_frame(1, 1, b"first").unwrap();
+        append_frame(&mut out, 7, 42, |buf| buf.extend_from_slice(b"hello")).unwrap();
+        let held = out.len();
+        let err = append_frame(&mut out, 7, 43, |buf| {
+            buf.resize(buf.len() + MAX_FRAME_LEN as usize + 1, 0);
+        });
+        assert!(matches!(err, Err(Error::Codec(_))), "{err:?}");
+        assert_eq!(out.len(), held);
+        let mut wire = out.as_slice();
+        assert_eq!(read_frame(&mut wire).unwrap(), (1, 1, b"first".to_vec()));
+        assert_eq!(read_frame(&mut wire).unwrap(), (7, 42, b"hello".to_vec()));
+        assert!(wire.is_empty());
     }
 
     #[test]

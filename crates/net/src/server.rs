@@ -53,7 +53,8 @@
 //! which keeps a pipelined connection byte-equivalent to the same requests
 //! issued one at a time (the differential oracle in `proptest_pipeline`).
 //! The replies of a deep pipeline leave in batches (see above): the client
-//! reads a batch in one `read` ([`crate::Connection`]), so a window of 16
+//! reads a batch in one `read` ([`crate::Connection`]) and writes the
+//! requests it refills its window with in one `send`, so a window of 16
 //! requests costs a few system calls a side, not two per request.
 //! `Hello`/`Ping`/`StopServer` are answered on arrival, so heartbeats never
 //! queue behind a transaction.
@@ -238,6 +239,9 @@ pub struct NetServerStats {
     /// Socket writes (`writev` calls) that carried reply bytes, by any
     /// thread. Against the replies it says how many left together.
     pub reply_writes: u64,
+    /// Socket reads that brought request bytes, all by the reactor.
+    /// Against the requests it says how many arrived together.
+    pub request_reads: u64,
     /// Times another thread woke the reactor for a connection: unflushed
     /// bytes, a non-`Run` request next in line, a connection to reap, a
     /// drain. Against the transaction count it says how often a finished
@@ -256,6 +260,8 @@ struct Counters {
     replies_queued: AtomicU64,
     /// The event loop's count ([`Core::writes`]).
     reply_writes: Arc<AtomicU64>,
+    /// The event loop's count ([`Core::reads`]).
+    request_reads: Arc<AtomicU64>,
     loop_nudges: AtomicU64,
     shed: AtomicU64,
 }
@@ -303,6 +309,7 @@ impl NetServer {
             wake: stopper.waker.clone(),
             counters: Counters {
                 reply_writes: core.writes(),
+                request_reads: core.reads(),
                 ..Counters::default()
             },
         });
@@ -348,6 +355,7 @@ impl NetServer {
             replies_held: c.replies_held.load(Relaxed),
             replies_queued: c.replies_queued.load(Relaxed),
             reply_writes: c.reply_writes.load(Relaxed),
+            request_reads: c.request_reads.load(Relaxed),
             loop_nudges: c.loop_nudges.load(Relaxed),
             shed: c.shed.load(Relaxed),
         }
