@@ -1042,21 +1042,14 @@ fn spawn_replica(
                 eager: mode == ConsistencyMode::Eager,
                 running: HashMap::new(),
             };
-            // Background GC cadence: vacuum the version chains every so
-            // many messages processed.
-            let mut since_gc: u32 = 0;
             let mut batch = VecDeque::new();
             loop {
                 mailbox.take(replica.idle(), &mut batch);
                 while let Some(msg) = batch.pop_front() {
-                    since_gc += 1;
-                    if since_gc >= 4_096 {
-                        since_gc = 0;
-                        replica.proxy.engine_mut().gc();
-                    }
                     if !replica.handle(msg) {
                         return;
                     }
+                    replica.proxy.collect();
                 }
             }
         })

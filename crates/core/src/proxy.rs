@@ -35,7 +35,7 @@ use bargain_common::{
     Value, Version, WriteSet,
 };
 use bargain_sql::{QueryResult, TransactionTemplate};
-use bargain_storage::{Engine, TxnHandle};
+use bargain_storage::{Engine, TxnHandle, COLLECT_BUDGET};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -228,6 +228,15 @@ impl Proxy {
     #[must_use]
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// Reclaims a bounded share of the version history no open
+    /// transaction can observe ([`Engine::collect`]). Every host calls it
+    /// after each message the replica handles, so history is collected in
+    /// commit order as it becomes unobservable, with no pass to wait for.
+    /// Returns the number of versions removed.
+    pub fn collect(&mut self) -> usize {
+        self.engine.collect(COLLECT_BUDGET)
     }
 
     /// Number of transactions parked waiting for synchronization.

@@ -102,7 +102,7 @@ use crate::bootstrap::fetch_history;
 use crate::codec::{history_page, unexpected, Message};
 use crate::conn::{ConnectPolicy, Connection};
 use crate::evloop::{Conn, Core, Service, Stopper, WriteHalf};
-use crate::frame::{encode_frame, Frame, FrameDecoder, PUSH_ID};
+use crate::frame::{Frame, FrameDecoder, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{ConsistencyMode, Error, ReplicaId, Result, Version};
@@ -478,16 +478,15 @@ struct LinkState {
     stopped: bool,
 }
 
-/// Writes `msgs` to `stream` in one `write_all`. A failure shuts the
-/// socket down, so the link thread, reading it, declares the link down.
+/// Writes `msgs` to `stream` in one `write_all`, every frame encoded into
+/// one buffer. A failure shuts the socket down, so the link thread,
+/// reading it, declares the link down.
 fn write_or_shut(mut stream: &TcpStream, msgs: &[Message]) {
-    let frames = msgs
+    let mut bytes = Vec::new();
+    let encoded = msgs
         .iter()
-        .map(|m| encode_frame(m.kind(), PUSH_ID, &m.encode()));
-    let bytes = frames
-        .collect::<Result<Vec<_>>>()
-        .map(|frames| frames.concat());
-    if bytes.map_or(true, |bytes| stream.write_all(&bytes).is_err()) {
+        .try_for_each(|m| m.append_frame(&mut bytes, PUSH_ID));
+    if encoded.is_err() || stream.write_all(&bytes).is_err() {
         let _ = stream.shutdown(Shutdown::Both);
     }
 }

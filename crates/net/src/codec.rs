@@ -270,6 +270,16 @@ impl Message {
         out
     }
 
+    /// Appends this message to `out` as one frame tagged with
+    /// `request_id`, the payload encoded in place
+    /// ([`crate::frame::append_frame`]). An over-size payload is refused
+    /// and `out` is left as it was.
+    pub fn append_frame(&self, out: &mut Vec<u8>, request_id: u64) -> Result<()> {
+        crate::frame::append_frame(out, self.kind(), request_id, |buf| {
+            self.encode_into(buf);
+        })
+    }
+
     /// Appends this message's payload to `buf`, as [`Message::encode`]
     /// returns it.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {

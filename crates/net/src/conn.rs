@@ -21,7 +21,7 @@
 //! read ahead too ([`Connection::into_parts`]).
 
 use crate::codec::Message;
-use crate::frame::{append_frame, Frame, FrameDecoder, PUSH_ID};
+use crate::frame::{Frame, FrameDecoder, PUSH_ID};
 use bargain_common::{Error, Result};
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -260,9 +260,7 @@ impl Connection {
     /// docs). A write error is returned by the call that writes, this one
     /// or a later `send`, `recv` or `into_parts`.
     pub fn send_with_id(&mut self, request_id: u64, msg: &Message) -> Result<()> {
-        append_frame(&mut self.out, msg.kind(), request_id, |buf| {
-            msg.encode_into(buf);
-        })?;
+        msg.append_frame(&mut self.out, request_id)?;
         if self.frames.is_empty() || self.out.len() >= READ_CHUNK {
             self.flush()?;
         }

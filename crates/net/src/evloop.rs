@@ -27,7 +27,7 @@
 //! rest of the queue.
 
 use crate::codec::Message;
-use crate::frame::{encode_frame, FrameDecoder, PUSH_ID};
+use crate::frame::{FrameDecoder, HEADER_LEN, PUSH_ID};
 use crate::reactor::{Interest, Poller, Waker, WakerHandle};
 use crate::server::NetServerConfig;
 use bargain_common::{Error, Result};
@@ -129,15 +129,15 @@ impl Stopper {
     }
 }
 
-/// Encodes `msg` as one reply frame. Only an over-size payload can fail to
-/// encode; it degrades to an error reply, which is small by construction.
+/// Encodes `msg` as one reply frame, in one buffer. Only an over-size
+/// payload can fail to encode; it degrades to an error reply, which is
+/// small by construction.
 pub(crate) fn encode_reply(request_id: u64, msg: &Message) -> Vec<u8> {
-    encode_frame(msg.kind(), request_id, &msg.encode())
-        .or_else(|e| {
-            let err = Message::Err(e);
-            encode_frame(err.kind(), request_id, &err.encode())
-        })
-        .unwrap_or_default()
+    let mut frame = Vec::with_capacity(HEADER_LEN + 64);
+    if let Err(e) = msg.append_frame(&mut frame, request_id) {
+        let _ = Message::Err(e).append_frame(&mut frame, request_id);
+    }
+    frame
 }
 
 /// How [`WriteHalf::send_now`] or [`WriteHalf::hold`] disposed of a frame.

@@ -168,7 +168,6 @@ enum Event {
         outcome: TxnOutcome,
     },
     PruneTick,
-    GcTick,
     /// An injected fault fires.
     Fault(FaultKind),
     /// The crashed certifier restarts and recovers from its log.
@@ -208,6 +207,22 @@ enum Event {
     DrainCheck {
         replica: usize,
     },
+}
+
+impl Event {
+    /// The replica whose proxy handles this event, if one does.
+    fn replica(&self) -> Option<usize> {
+        match self {
+            Event::ArriveAtReplica { routed } => Some(routed.replica.index()),
+            Event::ReplicaDone { replica, .. }
+            | Event::DecisionAtReplica { replica, .. }
+            | Event::RefreshAtReplica { replica, .. }
+            | Event::GlobalCommitAtReplica { replica, .. }
+            | Event::ReplicaRestart { replica }
+            | Event::ResyncReplica { replica } => Some(*replica),
+            _ => None,
+        }
+    }
 }
 
 /// Progress of one injected [`FaultKind::ReplicaJoin`].
@@ -442,7 +457,6 @@ impl<'w> Sim<'w> {
                 .schedule_at(jitter, Event::ClientIssue { client: c });
         }
         self.queue.schedule(500 * MS, Event::PruneTick);
-        self.queue.schedule(2_000 * MS, Event::GcTick);
         let faults: Vec<_> = self.cfg.faults.events.clone();
         for f in faults {
             self.queue.schedule_at(f.at_ms * MS, Event::Fault(f.kind));
@@ -451,7 +465,14 @@ impl<'w> Sim<'w> {
             if t >= self.end_time {
                 break;
             }
+            let replica = ev.replica();
             self.handle(ev);
+            // Each proxy collects after every event it handles, as a
+            // replica thread does after every message: one rule for both
+            // hosts. Collection is modelled as free.
+            if let Some(r) = replica.filter(|&r| !self.replica_gone[r]) {
+                self.proxies[r].collect();
+            }
         }
     }
 
@@ -779,17 +800,6 @@ impl<'w> Sim<'w> {
                     .unwrap_or(Version::ZERO);
                 self.certifier.prune(floor);
                 self.queue.schedule(500 * MS, Event::PruneTick);
-            }
-            Event::GcTick => {
-                // Background version-chain garbage collection, as a real
-                // MVCC engine's vacuum would run. Modelled as free (it
-                // executes off the transaction path).
-                for (r, p) in self.proxies.iter_mut().enumerate() {
-                    if !self.replica_gone[r] {
-                        p.engine_mut().gc();
-                    }
-                }
-                self.queue.schedule(2_000 * MS, Event::GcTick);
             }
             Event::Fault(kind) => self.on_fault(kind),
             Event::CertifierRestart => self.on_certifier_restart(),

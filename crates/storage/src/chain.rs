@@ -111,28 +111,30 @@ impl VersionChain {
     ///
     /// Returns the number of versions removed.
     pub fn gc(&mut self, horizon: Version) -> usize {
-        self.gc_take(horizon).len()
+        let keep = self.kept_at(horizon);
+        let removed = self.versions.len() - keep;
+        self.versions.truncate(keep);
+        removed
     }
 
-    /// [`VersionChain::gc`], handing back the versions it dropped (the
-    /// table takes their index entries out).
-    pub fn gc_take(&mut self, horizon: Version) -> Vec<RowVersion> {
-        let keep_from = self
-            .versions
-            .iter()
-            .position(|v| v.begin <= horizon)
-            .map(|i| i + 1)
-            .unwrap_or(self.versions.len());
-        let mut dropped = self.versions.split_off(keep_from);
-        // If the only remaining version is an old tombstone, the row is gone
-        // for every observable snapshot: drop the chain.
-        if self.versions.len() == 1
-            && self.versions[0].data.is_none()
-            && self.versions[0].begin <= horizon
-        {
-            dropped.append(&mut self.versions);
+    /// [`VersionChain::gc`], appending the versions it drops to `dropped`
+    /// (the table takes their index entries out).
+    pub fn gc_into(&mut self, horizon: Version, dropped: &mut Vec<RowVersion>) -> usize {
+        let keep = self.kept_at(horizon);
+        let removed = self.versions.len() - keep;
+        dropped.extend(self.versions.drain(keep..));
+        removed
+    }
+
+    /// How many of the newest versions a collection at `horizon` keeps:
+    /// those above it and the newest at or below it, unless that one is a
+    /// tombstone with nothing newer, which no snapshot can tell from no row.
+    fn kept_at(&self, horizon: Version) -> usize {
+        match self.versions.iter().position(|v| v.begin <= horizon) {
+            Some(0) if self.versions[0].data.is_none() => 0,
+            Some(newest) => newest + 1,
+            None => self.versions.len(),
         }
-        dropped
     }
 }
 

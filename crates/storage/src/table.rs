@@ -1,10 +1,10 @@
 //! A versioned table: primary-key ordered map of version chains.
 
-use crate::chain::VersionChain;
+use crate::chain::{RowVersion, VersionChain};
 use crate::index::SecondaryIndex;
 use crate::schema::TableSchema;
 use bargain_common::{Error, Result, Row, Value, Version};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::mem;
 use std::ops::Bound;
 
@@ -16,10 +16,17 @@ pub struct Table {
     schema: TableSchema,
     rows: BTreeMap<Value, VersionChain>,
     indexes: Vec<SecondaryIndex>,
-    /// The keys a collection can do anything for: those whose chain holds
-    /// more than one version or ends in a tombstone. A chain of one live
-    /// version -- every key of a freshly loaded table -- is never in it.
-    due: BTreeSet<Value>,
+    /// What a collection can reclaim, in commit order: `(version, key)`
+    /// for each version installed over an older one of its key, and for
+    /// each tombstone of a key with no past. Once the horizon reaches
+    /// `version`, the version it superseded (or the tombstone itself) is
+    /// unobservable. A key of one live version -- every key of a freshly
+    /// loaded table -- has no entry.
+    due: VecDeque<(Version, Value)>,
+    /// The versions one chain's collection dropped, for the indexes to
+    /// take their entries out; empty between collections, and kept only
+    /// for its capacity.
+    dropped: Vec<RowVersion>,
 }
 
 impl Table {
@@ -30,15 +37,16 @@ impl Table {
             schema,
             rows: BTreeMap::new(),
             indexes: Vec::new(),
-            due: BTreeSet::new(),
+            due: VecDeque::new(),
+            dropped: Vec::new(),
         }
     }
 
     /// A table holding `chains`, whose keys must be ascending and
     /// distinct, with a secondary index over each column list of
-    /// `indexes`. The map,
-    /// the set of keys a collection is due to visit and every index are
-    /// built in one pass each from sorted input, with no search per key.
+    /// `indexes`. The map and every index are built in one pass each from
+    /// sorted input, with no search per key; what a collection can reclaim
+    /// is listed once and sorted by version.
     #[must_use]
     pub(crate) fn from_chains(
         schema: TableSchema,
@@ -46,16 +54,24 @@ impl Table {
         indexes: &[Vec<usize>],
     ) -> Self {
         debug_assert!(chains.windows(2).all(|w| w[0].0 < w[1].0));
-        let due = chains
-            .iter()
-            .filter(|(_, chain)| is_due(chain))
-            .map(|(key, _)| key.clone())
-            .collect();
+        let mut due: Vec<(Version, Value)> = Vec::new();
+        for (key, chain) in &chains {
+            let mut versions = chain.versions();
+            let oldest = versions.next_back();
+            let lone_tombstone = oldest.filter(|v| v.data.is_none() && chain.len() == 1);
+            due.extend(
+                versions
+                    .chain(lone_tombstone)
+                    .map(|v| (v.begin, key.clone())),
+            );
+        }
+        due.sort_by_key(|(version, _)| *version);
         let mut table = Table {
             schema,
             rows: chains.into_iter().collect(),
             indexes: Vec::new(),
-            due,
+            due: due.into(),
+            dropped: Vec::new(),
         };
         for columns in indexes {
             table.create_index_on(columns);
@@ -182,7 +198,12 @@ impl Table {
             .unwrap_or(false)
     }
 
-    /// Installs a version (live row or tombstone) committed at `version`.
+    /// Installs a version (live row or tombstone) committed at `version`,
+    /// listing it for collection if it supersedes an older version or is
+    /// a tombstone with no past. The list is kept in install order: the
+    /// engine installs in commit order, so a collection finds what the
+    /// horizon passed at the front. A version installed out of commit
+    /// order is collected once the horizon passes the entries before it.
     pub fn install(&mut self, key: Value, data: Option<Row>, version: Version) {
         if let Some(row) = &data {
             for idx in &mut self.indexes {
@@ -192,11 +213,11 @@ impl Table {
         match self.rows.get_mut(&key) {
             Some(chain) => {
                 chain.install(version, data);
-                self.due.insert(key);
+                self.due.push_back((version, key));
             }
             None => {
                 if data.is_none() {
-                    self.due.insert(key.clone());
+                    self.due.push_back((version, key.clone()));
                 }
                 self.rows
                     .insert(key, VersionChain::with_initial(version, data));
@@ -266,34 +287,47 @@ impl Table {
         self.rows.values().map(|c| c.len()).sum()
     }
 
+    /// The version of the oldest entry a collection has to reclaim, if any:
+    /// a collection to a horizon below it does nothing.
+    #[must_use]
+    pub fn next_due(&self) -> Option<Version> {
+        self.due.front().map(|(version, _)| *version)
+    }
+
     /// Prunes version history unobservable at or after `horizon`, drops
     /// fully dead keys, and takes out the index entries whose last
-    /// justifying version went. Visits only the keys that can have
-    /// something to drop. Returns versions removed.
+    /// justifying version went. Returns versions removed.
     pub fn gc(&mut self, horizon: Version) -> usize {
-        let (rows, indexes) = (&mut self.rows, &mut self.indexes);
+        let mut budget = usize::MAX;
+        self.collect(horizon, &mut budget)
+    }
+
+    /// Reclaims, in commit order, what became unobservable at or after
+    /// `horizon`, one listed entry per unit of `budget`, and stops when the
+    /// budget is spent or the next entry is above the horizon. Each entry
+    /// collects its key's chain ([`VersionChain::gc_into`]), takes out the index
+    /// entries of what it dropped and removes a chain left empty. A key
+    /// whose chain went, or was collected by an earlier entry, costs a
+    /// lookup. Returns versions removed.
+    pub fn collect(&mut self, horizon: Version, budget: &mut usize) -> usize {
         let mut removed = 0;
-        self.due.retain(|key| {
-            let chain = rows.get_mut(key).expect("a due key has a chain");
-            let dropped = chain.gc_take(horizon);
-            removed += dropped.len();
-            for idx in indexes.iter_mut() {
-                idx.forget(key, &dropped, chain);
+        while *budget > 0 && self.next_due().is_some_and(|v| v <= horizon) {
+            *budget -= 1;
+            let (_, key) = self.due.pop_front().expect("a due entry");
+            let Some(chain) = self.rows.get_mut(&key) else {
+                continue;
+            };
+            removed += chain.gc_into(horizon, &mut self.dropped);
+            for idx in &mut self.indexes {
+                idx.forget(&key, &self.dropped, chain);
             }
+            self.dropped.clear();
             if chain.is_empty() {
-                rows.remove(key);
-                return false;
+                self.rows.remove(&key);
             }
-            is_due(chain)
-        });
+        }
         removed
     }
-}
-
-/// Whether a collection can do anything for `chain`: it holds more than
-/// one version or ends in a tombstone.
-fn is_due(chain: &VersionChain) -> bool {
-    chain.len() > 1 || !chain.live_at_head()
 }
 
 /// The error refusing a load of `key` into `table`.
@@ -414,6 +448,45 @@ mod tests {
         assert!(t.due.is_empty());
         assert_eq!(under_7(&t), vec![Value::Int(3)]);
         assert_eq!((t.key_count(), t.version_count()), (2, 2));
+    }
+
+    #[test]
+    fn a_collection_stops_where_its_budget_does() {
+        let mut t = Table::new(schema());
+        for i in 1..=3 {
+            t.install(Value::Int(i), Some(row(i, 0)), Version::ZERO);
+            t.install(Value::Int(i), Some(row(i, 1)), Version(i as u64));
+        }
+        let mut budget = 2;
+        assert_eq!(t.collect(Version(3), &mut budget), 2);
+        assert_eq!((budget, t.next_due()), (0, Some(Version(3))));
+        let mut budget = 5;
+        assert_eq!(t.collect(Version(3), &mut budget), 1);
+        assert_eq!((budget, t.next_due()), (4, None));
+        assert_eq!(t.version_count(), 3);
+    }
+
+    #[test]
+    fn a_table_built_whole_lists_what_installs_would() {
+        let chain = |versions: &[(u64, Option<i64>)]| {
+            let versions = versions.iter().map(|&(begin, v)| RowVersion {
+                begin: Version(begin),
+                data: v.map(|v| row(0, v)),
+            });
+            VersionChain::from_oldest_first(versions.collect())
+        };
+        let chains = vec![
+            (Value::Int(1), chain(&[(1, Some(1)), (3, Some(3))])),
+            (Value::Int(2), chain(&[(2, None)])),
+            (Value::Int(3), chain(&[(2, None), (4, Some(4))])),
+            (Value::Int(4), chain(&[(1, Some(1))])),
+        ];
+        let mut t = Table::from_chains(schema(), chains, &[vec![1]]);
+        let listed: Vec<(Version, Value)> = t.due.iter().cloned().collect();
+        let expect = [(2, 2), (3, 1), (4, 3)].map(|(v, k)| (Version(v), Value::Int(k)));
+        assert_eq!(listed, expect);
+        assert_eq!(t.gc(Version(4)), 3);
+        assert_eq!((t.key_count(), t.version_count()), (3, 3));
     }
 
     #[test]

@@ -152,12 +152,7 @@ fn assert_reads_same(
 /// One commit at `version`: one to three distinct keys, each written as
 /// its state allows. A live key is updated or deleted, a deleted one
 /// re-inserted, an absent one inserted or given a tombstone with no past.
-fn commit(
-    rng: &mut SmallRng,
-    table: &mut Table,
-    reference: &mut Chains,
-    version: Version,
-) -> usize {
+fn commit(rng: &mut SmallRng, table: &mut Table, reference: &mut Chains, version: Version) {
     let mut keys: Vec<i64> = (0..KEYS).collect();
     let writes = rng.gen_range(1..=3usize);
     for i in 0..writes {
@@ -173,13 +168,20 @@ fn commit(
         table.install(Value::Int(key), data.clone(), version);
         reference.entry(key).or_default().insert(0, (version, data));
     }
-    writes
 }
 
-/// Collects `table` to `horizon`, some of the way; returns the versions
-/// removed. The reference has no notion of a partial collection.
-fn collect_some(table: &mut Table, horizon: Version, _budget: usize) -> usize {
-    table.gc(horizon)
+/// Collects `table` to `horizon`, as far as `budget` goes; returns the
+/// versions removed. The reference has no notion of a partial collection.
+fn collect_some(table: &mut Table, horizon: Version, budget: usize) -> usize {
+    let mut left = budget;
+    let removed = table.collect(horizon, &mut left);
+    if left > 0 {
+        assert!(
+            table.next_due().is_none_or(|v| v > horizon),
+            "a collection stopped with budget left"
+        );
+    }
+    removed
 }
 
 /// Collects `table` to `horizon` entirely; returns the versions removed.
