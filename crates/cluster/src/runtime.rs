@@ -205,6 +205,11 @@ pub(crate) enum ToReplica {
     Probe {
         reply: Sender<Version>,
     },
+    /// Report how many row versions the replica's engine stores
+    /// ([`Engine::version_count`]), in mailbox order like `Probe`.
+    Versions {
+        reply: Sender<usize>,
+    },
     Shutdown,
 }
 
@@ -850,6 +855,13 @@ impl Cluster {
         Ok(())
     }
 
+    /// How many row versions one replica stores across its tables, live
+    /// rows and tombstones, counted after every message queued before the
+    /// request and the collection that follows each.
+    pub fn replica_versions(&self, replica: ReplicaId) -> Result<usize> {
+        ask(|reply| self.front.send(replica, ToReplica::Versions { reply }))
+    }
+
     /// The applied version (`V_local`) of one replica, observed after every
     /// refresh queued before the probe.
     fn probe_replica(&self, replica: ReplicaId) -> Result<Version> {
@@ -1049,6 +1061,8 @@ fn spawn_replica(
                     if !replica.handle(msg) {
                         return;
                     }
+                    // What the message made unobservable goes now: the
+                    // rule the simulator's replicas follow too.
                     replica.proxy.collect();
                 }
             }
@@ -1131,6 +1145,9 @@ impl Replica {
             }
             ToReplica::Probe { reply } => {
                 let _ = reply.send(self.proxy.version());
+            }
+            ToReplica::Versions { reply } => {
+                let _ = reply.send(self.proxy.engine().version_count());
             }
             ToReplica::Shutdown => return false,
         }

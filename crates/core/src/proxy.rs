@@ -35,7 +35,7 @@ use bargain_common::{
     Value, Version, WriteSet,
 };
 use bargain_sql::{QueryResult, TransactionTemplate};
-use bargain_storage::{Engine, TxnHandle, COLLECT_BUDGET};
+use bargain_storage::{Engine, TxnHandle};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -230,13 +230,13 @@ impl Proxy {
         &self.engine
     }
 
-    /// Reclaims a bounded share of the version history no open
-    /// transaction can observe ([`Engine::collect`]). Every host calls it
-    /// after each message the replica handles, so history is collected in
-    /// commit order as it becomes unobservable, with no pass to wait for.
-    /// Returns the number of versions removed.
+    /// Reclaims the version history no open transaction can observe
+    /// ([`Engine::gc`]). Every host calls it after each message the
+    /// replica handles, so history is collected in commit order as it
+    /// becomes unobservable, with no pass to wait for. Returns the number
+    /// of versions removed.
     pub fn collect(&mut self) -> usize {
-        self.engine.collect(COLLECT_BUDGET)
+        self.engine.gc()
     }
 
     /// Number of transactions parked waiting for synchronization.

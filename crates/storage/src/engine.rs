@@ -12,13 +12,6 @@ use bargain_common::{
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-/// How many listed versions a host's collection after each message visits
-/// at most ([`Engine::collect`]): more than a message installs, so the list
-/// drains as it fills, and few enough that a backlog (a large writeset, a
-/// long-open snapshot let go) is reclaimed over many messages rather than
-/// in one stall.
-pub const COLLECT_BUDGET: usize = 64;
-
 /// Handle to an open transaction. Obtained from [`Engine::begin`]; becomes
 /// invalid after commit or abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -603,34 +596,25 @@ impl Engine {
     // Maintenance
     // ------------------------------------------------------------------
 
-    /// Garbage-collects all version history not observable by any open
-    /// transaction. Returns the number of versions removed.
+    /// Reclaims all version history no open transaction can observe, in
+    /// commit order within each table ([`Table::gc`]). The horizon is the
+    /// oldest open snapshot, or `V_local` with none open. With nothing
+    /// listed for collection this looks at each table's list and stops, so
+    /// a host calls it after every message it handles. Returns the number
+    /// of versions removed.
     pub fn gc(&mut self) -> usize {
-        self.collect(usize::MAX)
-    }
-
-    /// Reclaims version history no open transaction can observe, oldest
-    /// first, visiting at most `budget` of what the tables list for
-    /// collection ([`Table::collect`]). The horizon is the oldest open
-    /// snapshot, or `V_local` with none open. When nothing listed is at or
-    /// below `V_local` this looks at each table's oldest entry and stops,
-    /// so a host can call it after every message it handles. Returns the
-    /// number of versions removed.
-    pub fn collect(&mut self, mut budget: usize) -> usize {
-        let version = self.version;
-        if !self
-            .tables
-            .iter()
-            .any(|t| t.next_due().is_some_and(|v| v <= version))
-        {
+        if self.tables.iter().all(|t| t.next_due().is_none()) {
             return 0;
         }
-        let horizon = self.min_active_snapshot().unwrap_or(version);
-        let mut removed = 0;
-        for table in &mut self.tables {
-            removed += table.collect(horizon, &mut budget);
-        }
-        removed
+        let horizon = self.min_active_snapshot().unwrap_or(self.version);
+        self.tables.iter_mut().map(|t| t.gc(horizon)).sum()
+    }
+
+    /// Row versions stored across every table, live rows and tombstones:
+    /// what collection keeps bounded.
+    #[must_use]
+    pub fn version_count(&self) -> usize {
+        self.tables.iter().map(Table::version_count).sum()
     }
 
     /// Direct access to a table (read paths in tests and benches).

@@ -27,10 +27,9 @@
 //! Version chains are kept per row, newest first. Each table lists, in
 //! commit order, the versions that superseded another or deleted a row;
 //! once the horizon (the oldest open snapshot) reaches an entry, what it
-//! superseded is unobservable. [`Engine::collect`] pops a bounded number
-//! of such entries and prunes their chains, so a host calling it after
-//! every message pays for what it reclaims, with no pass over the table;
-//! [`Engine::gc`] collects everything collectable at once.
+//! superseded is unobservable. [`Engine::gc`] pops every entry the
+//! horizon has passed and prunes those chains, so a host calling it after
+//! every message pays for what it reclaims, with no pass over the table.
 //!
 //! For replica elasticity, [`snapshot`] exports a **consistent checkpoint**
 //! of an engine at version `V` (catalog + chains pruned to the live
@@ -45,7 +44,7 @@ pub mod snapshot;
 pub mod table;
 
 pub use chain::{RowVersion, VersionChain};
-pub use engine::{Access, Engine, EngineStats, TxnHandle, COLLECT_BUDGET};
+pub use engine::{Access, Engine, EngineStats, TxnHandle};
 pub use index::SecondaryIndex;
 pub use schema::{Catalog, Column, ColumnType, TableSchema};
 pub use snapshot::{Snapshot, SnapshotManifest, TableMeta, DEFAULT_CHUNK_BYTES};

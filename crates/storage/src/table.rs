@@ -294,25 +294,16 @@ impl Table {
         self.due.front().map(|(version, _)| *version)
     }
 
-    /// Prunes version history unobservable at or after `horizon`, drops
-    /// fully dead keys, and takes out the index entries whose last
-    /// justifying version went. Returns versions removed.
-    pub fn gc(&mut self, horizon: Version) -> usize {
-        let mut budget = usize::MAX;
-        self.collect(horizon, &mut budget)
-    }
-
     /// Reclaims, in commit order, what became unobservable at or after
-    /// `horizon`, one listed entry per unit of `budget`, and stops when the
-    /// budget is spent or the next entry is above the horizon. Each entry
-    /// collects its key's chain ([`VersionChain::gc_into`]), takes out the index
-    /// entries of what it dropped and removes a chain left empty. A key
-    /// whose chain went, or was collected by an earlier entry, costs a
-    /// lookup. Returns versions removed.
-    pub fn collect(&mut self, horizon: Version, budget: &mut usize) -> usize {
+    /// `horizon`: pops every listed entry at or below it, collects that
+    /// key's chain ([`VersionChain::gc_into`]), takes out the index entries
+    /// whose last justifying version went and drops a chain left empty.
+    /// Stops at the first entry above the horizon, so it costs what it
+    /// reclaims; a key whose chain went, or was collected by an earlier
+    /// entry, costs a lookup. Returns versions removed.
+    pub fn gc(&mut self, horizon: Version) -> usize {
         let mut removed = 0;
-        while *budget > 0 && self.next_due().is_some_and(|v| v <= horizon) {
-            *budget -= 1;
+        while self.next_due().is_some_and(|v| v <= horizon) {
             let (_, key) = self.due.pop_front().expect("a due entry");
             let Some(chain) = self.rows.get_mut(&key) else {
                 continue;
@@ -448,22 +439,6 @@ mod tests {
         assert!(t.due.is_empty());
         assert_eq!(under_7(&t), vec![Value::Int(3)]);
         assert_eq!((t.key_count(), t.version_count()), (2, 2));
-    }
-
-    #[test]
-    fn a_collection_stops_where_its_budget_does() {
-        let mut t = Table::new(schema());
-        for i in 1..=3 {
-            t.install(Value::Int(i), Some(row(i, 0)), Version::ZERO);
-            t.install(Value::Int(i), Some(row(i, 1)), Version(i as u64));
-        }
-        let mut budget = 2;
-        assert_eq!(t.collect(Version(3), &mut budget), 2);
-        assert_eq!((budget, t.next_due()), (0, Some(Version(3))));
-        let mut budget = 5;
-        assert_eq!(t.collect(Version(3), &mut budget), 1);
-        assert_eq!((budget, t.next_due()), (4, None));
-        assert_eq!(t.version_count(), 3);
     }
 
     #[test]

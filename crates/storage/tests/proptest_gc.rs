@@ -170,25 +170,6 @@ fn commit(rng: &mut SmallRng, table: &mut Table, reference: &mut Chains, version
     }
 }
 
-/// Collects `table` to `horizon`, as far as `budget` goes; returns the
-/// versions removed. The reference has no notion of a partial collection.
-fn collect_some(table: &mut Table, horizon: Version, budget: usize) -> usize {
-    let mut left = budget;
-    let removed = table.collect(horizon, &mut left);
-    if left > 0 {
-        assert!(
-            table.next_due().is_none_or(|v| v > horizon),
-            "a collection stopped with budget left"
-        );
-    }
-    removed
-}
-
-/// Collects `table` to `horizon` entirely; returns the versions removed.
-fn collect_all(table: &mut Table, horizon: Version) -> usize {
-    table.gc(horizon)
-}
-
 /// A table with an index over a random subset of its non-key columns.
 fn table_for(rng: &mut SmallRng) -> (Table, Vec<usize>) {
     let mut table = Table::new(schema());
@@ -216,21 +197,14 @@ proptest! {
             }
             horizon = Version(rng.gen_range(horizon.0..=version));
             let expect = naive_collect(&mut reference, horizon);
-            let mut removed = 0;
-            for _ in 0..rng.gen_range(0..4) {
-                let budget = rng.gen_range(0..6);
-                removed += collect_some(&mut table, horizon, budget);
-            }
-            removed += collect_all(&mut table, horizon);
-            assert_eq!(removed, expect, "versions removed to {horizon}");
+            assert_eq!(table.gc(horizon), expect, "versions removed to {horizon}");
             assert_same(&table, &reference, &indexed);
-            assert_eq!(collect_all(&mut table, horizon), 0, "a second collection");
+            assert_eq!(table.gc(horizon), 0, "a second collection");
         }
     }
 
-    /// Collections that stop partway, interleaved with the commits that
-    /// follow a rise of the horizon, as a replica runs them: once the
-    /// table is collected to the horizon it reads as the uncollected
+    /// A collection at each rise of the horizon and after every commit
+    /// that follows, as a replica runs them: the table reads as the uncollected
     /// reference does at every snapshot from the horizon on, holds the
     /// same keys and index entries, and no more versions than the
     /// reference's walk keeps.
@@ -242,13 +216,12 @@ proptest! {
         let (mut version, mut horizon) = (0u64, Version::ZERO);
         for _ in 0..rng.gen_range(1..12) {
             horizon = Version(rng.gen_range(horizon.0..=version));
+            table.gc(horizon);
             for _ in 0..rng.gen_range(0..10) {
                 version += 1;
                 commit(&mut rng, &mut table, &mut reference, Version(version));
-                let budget = rng.gen_range(0..6);
-                collect_some(&mut table, horizon, budget);
+                table.gc(horizon);
             }
-            collect_all(&mut table, horizon);
             naive_collect(&mut reference, horizon);
             assert_reads_same(&table, &reference, &indexed, horizon.0..=version);
         }
