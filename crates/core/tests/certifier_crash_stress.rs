@@ -12,6 +12,7 @@
 //! reads back.
 
 use bargain_common::{IdemKey, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest, Refresh};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
@@ -106,12 +107,35 @@ fn open_certifier(dir: &Path) -> Certifier {
     Certifier::open(replicas(), Some(dir)).expect("certifier log opens and replays")
 }
 
-/// What `certify_batch` returns for one batch.
-type Certified = Vec<(CertifyDecision, Vec<Refresh>)>;
+/// Each request's decision, in request order, with the refreshes sent ahead
+/// of it and their addressees.
+type Certified = Vec<(CertifyDecision, Vec<(ReplicaId, Refresh)>)>;
+
+/// Steps `certifier` over `reqs` as one batch and regroups what it sent per
+/// request. No request may be refused: the stream keeps every snapshot in
+/// the history and every replayed key in its window.
+fn certify(certifier: &mut Certifier, reqs: Vec<CertifyRequest>) -> Certified {
+    let origins: Vec<ReplicaId> = reqs.iter().map(|req| req.replica).collect();
+    let step = certifier.step(reqs.into_iter().map(Input::Certify));
+    let (mut certified, mut refreshes) = (Vec::new(), Vec::new());
+    for (to, delivery) in step.expect("the log flushes").out {
+        match delivery {
+            Delivery::Refresh(refresh) => refreshes.push((to, refresh)),
+            Delivery::Decision(CertifyDecision::Refused { reason, .. }) => panic!("{reason}"),
+            Delivery::Decision(decision) => {
+                assert_eq!(to, origins[certified.len()], "{decision:?}");
+                certified.push((decision, std::mem::take(&mut refreshes)));
+            }
+            Delivery::GlobalCommit(txn) => panic!("lazy certifier completed {txn}"),
+        }
+    }
+    assert_eq!(certified.len(), origins.len());
+    certified
+}
 
 fn record_acked(
     reqs: &[CertifyRequest],
-    results: &[(CertifyDecision, Vec<Refresh>)],
+    results: &[(CertifyDecision, Vec<(ReplicaId, Refresh)>)],
     acked: &mut HashMap<IdemKey, (TxnId, Version)>,
 ) {
     for (req, (decision, _)) in reqs.iter().zip(results) {
@@ -144,9 +168,7 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
     let mut pending: VecDeque<(Vec<CertifyRequest>, Certified)> = VecDeque::new();
     for _ in 0..PRE_CRASH_BATCHES {
         let reqs = load.make_batch(certifier.version());
-        let results = certifier
-            .certify_batch(reqs.clone())
-            .expect("pre-crash batch certifies");
+        let results = certify(&mut certifier, reqs.clone());
         pending.push_back((reqs, results));
         if pending.len() == 2 {
             let (reqs, results) = pending.pop_front().unwrap();
@@ -196,7 +218,7 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
             writeset: req.writeset.clone(),
             idem: Some(key),
         };
-        let (decision, refreshes) = certifier.certify(replay).expect("replay certifies");
+        let (decision, refreshes) = certify(&mut certifier, vec![replay]).remove(0);
         if let Some(&(orig_txn, orig_version)) = acked_commits.get(&key) {
             match decision {
                 CertifyDecision::Duplicate {
@@ -221,9 +243,7 @@ fn crash_restart_mid_stream_preserves_exactly_once_keyed_commits() {
     // Phase B: the recovered certifier keeps serving the stream.
     for _ in 0..POST_CRASH_BATCHES {
         let reqs = load.make_batch(certifier.version());
-        let results = certifier
-            .certify_batch(reqs.clone())
-            .expect("post-crash batch certifies");
+        let results = certify(&mut certifier, reqs.clone());
         record_acked(&reqs, &results, &mut acked_commits);
     }
 

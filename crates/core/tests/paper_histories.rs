@@ -5,9 +5,10 @@
 use bargain_common::{
     ClientId, ConsistencyMode, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value, Version,
 };
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{
-    Certifier, CertifyDecision, FinishAction, Proxy, ProxyEvent, RoutedTxn, StartDecision,
-    StatementOutcome,
+    Certifier, CertifyDecision, CertifyRequest, FinishAction, Proxy, ProxyEvent, Refresh,
+    RoutedTxn, StartDecision, StatementOutcome,
 };
 use bargain_sql::TransactionTemplate;
 use bargain_storage::Engine;
@@ -72,6 +73,24 @@ fn routed(txn: u64, template: TemplateId, replica: u32, requirement: Version) ->
     }
 }
 
+/// Steps `certifier` over one request: its decision and the refreshes sent
+/// ahead of it, each with its addressee.
+fn certify(
+    certifier: &mut Certifier,
+    req: CertifyRequest,
+) -> (CertifyDecision, Vec<(ReplicaId, Refresh)>) {
+    let origin = req.replica;
+    let mut refreshes = Vec::new();
+    for (to, delivery) in certifier.step([Input::Certify(req)]).unwrap().out {
+        match delivery {
+            Delivery::Refresh(refresh) => refreshes.push((to, refresh)),
+            Delivery::Decision(decision) if to == origin => return (decision, refreshes),
+            other => panic!("{to} sent {other:?}"),
+        }
+    }
+    panic!("no decision for the request")
+}
+
 fn read_value(out: StatementOutcome) -> i64 {
     match out {
         StatementOutcome::Ok(r) => r.rows().unwrap()[0][0].as_int().unwrap(),
@@ -96,7 +115,7 @@ fn h1_stale_read_without_start_requirement() {
     let FinishAction::NeedsCertification(req) = rep1.finish(TxnId(1)).unwrap() else {
         panic!("update txn");
     };
-    let (decision, _refreshes) = certifier.certify(req).unwrap();
+    let (decision, _refreshes) = certify(&mut certifier, req);
     let ev = rep1.on_decision(decision).unwrap();
     assert!(matches!(&ev[0], ProxyEvent::TxnFinished(o) if o.committed));
 
@@ -119,14 +138,17 @@ fn h2_strong_consistency_with_start_requirement() {
     let FinishAction::NeedsCertification(req) = rep1.finish(TxnId(1)).unwrap() else {
         panic!("update txn");
     };
-    let (decision, mut refreshes) = certifier.certify(req).unwrap();
+    let (decision, refreshes) = certify(&mut certifier, req);
     rep1.on_decision(decision).unwrap();
+    let [(ReplicaId(1), refresh)] = &refreshes[..] else {
+        panic!("one refresh, to Rep2: {refreshes:?}");
+    };
 
     // T2 arrives tagged with V_system = v1 (LazyCoarse): delayed.
     let d = rep2.start(routed(2, T_READ_X, 1, Version(1))).unwrap();
     assert!(matches!(d, StartDecision::Delayed { .. }));
     // The refresh lands; T2 wakes at snapshot v1.
-    let ev = rep2.on_refresh(refreshes.remove(0)).unwrap();
+    let ev = rep2.on_refresh(refresh.clone()).unwrap();
     assert!(matches!(
         ev[0],
         ProxyEvent::TxnStarted {
@@ -169,8 +191,8 @@ fn h3_write_skew_commits_under_gsi_and_strong_consistency() {
         panic!()
     };
     // Disjoint writesets (X vs Y): both certify.
-    let (d1, refreshes1) = certifier.certify(r1).unwrap();
-    let (d2, _refreshes2) = certifier.certify(r2).unwrap();
+    let (d1, refreshes1) = certify(&mut certifier, r1);
+    let (d2, refreshes2) = certify(&mut certifier, r2);
     assert!(matches!(d1, CertifyDecision::Commit { .. }));
     assert!(
         matches!(d2, CertifyDecision::Commit { .. }),
@@ -182,9 +204,11 @@ fn h3_write_skew_commits_under_gsi_and_strong_consistency() {
     // the global order interleaves them.
     let ev = rep2.on_decision(d2).unwrap();
     assert!(ev.is_empty(), "T2 waits for v1 in the global order");
-    let ev = rep2
-        .on_refresh(refreshes1.into_iter().next().unwrap())
-        .unwrap();
+    let [(ReplicaId(1), refresh1)] = &refreshes1[..] else {
+        panic!("T1's one refresh goes to Rep2: {refreshes1:?}");
+    };
+    assert!(matches!(&refreshes2[..], [(ReplicaId(0), _)]));
+    let ev = rep2.on_refresh(refresh1.clone()).unwrap();
     assert!(
         ev.iter()
             .any(|e| matches!(e, ProxyEvent::TxnFinished(o) if o.committed)),

@@ -4,6 +4,7 @@
 //! same rebuilt history, and same decisions for every subsequent request.
 
 use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest, FileLog};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +43,21 @@ fn new_certifier() -> Certifier {
     Certifier::new((0..REPLICAS).map(ReplicaId).collect())
 }
 
+/// Steps `certifier` over one request and returns the decision it sends the
+/// request's origin, which must not be a refusal.
+fn decide(certifier: &mut Certifier, req: CertifyRequest) -> CertifyDecision {
+    let origin = req.replica;
+    let mut out = certifier.step([Input::Certify(req)]).unwrap().out;
+    match out.pop() {
+        Some((to, Delivery::Decision(decision)))
+            if to == origin && !matches!(decision, CertifyDecision::Refused { .. }) =>
+        {
+            decision
+        }
+        other => panic!("the step ends with no decision to {origin}: {other:?}"),
+    }
+}
+
 fn decision_version(d: &CertifyDecision) -> Option<Version> {
     match d {
         CertifyDecision::Commit { commit_version, .. }
@@ -75,8 +91,8 @@ proptest! {
             let snap_a = Version(crashed.version().0.saturating_sub(lag));
             let snap_b = Version(twin.version().0.saturating_sub(lag));
             prop_assert_eq!(snap_a, snap_b);
-            let (da, _) = crashed.certify(request(i as u64 + 1, t, snap_a)).unwrap();
-            let (db, _) = twin.certify(request(i as u64 + 1, t, snap_b)).unwrap();
+            let da = decide(&mut crashed, request(i as u64 + 1, t, snap_a));
+            let db = decide(&mut twin, request(i as u64 + 1, t, snap_b));
             prop_assert_eq!(decision_version(&da), decision_version(&db),
                 "decision diverged at txn {} (crash point {})", i, crash_at);
         }
@@ -117,7 +133,7 @@ proptest! {
             );
             for (i, t) in txns.iter().enumerate() {
                 let snap = cert.version();
-                cert.certify(request(i as u64 + 1, t, snap)).unwrap();
+                decide(&mut cert, request(i as u64 + 1, t, snap));
             }
             // Certifier dropped here: the process is gone.
             (cert.certified_since(Version::ZERO).unwrap(), cert.version())
@@ -135,9 +151,7 @@ proptest! {
         // The recovered instance keeps certifying from where it left off.
         let t = &txns[0];
         let snap = recovered.version();
-        let (d, _) = recovered
-            .certify(request(txns.len() as u64 + 1, t, snap))
-            .unwrap();
+        let d = decide(&mut recovered, request(txns.len() as u64 + 1, t, snap));
         prop_assert_eq!(decision_version(&d), Some(pre_crash_version.next()));
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -3,6 +3,7 @@
 //! (the crash-recovery failure model of paper §IV).
 
 use bargain::common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain::core::certifier::{Delivery, Input};
 use bargain::core::{Certifier, CertifyDecision, CertifyRequest, CommitLog, FileLog, MemoryLog};
 use bargain::sql::{execute_ddl, parse};
 use bargain::storage::Engine;
@@ -27,6 +28,51 @@ fn req(txn: u64, snapshot: Version, w: WriteSet) -> CertifyRequest {
     }
 }
 
+/// Steps `certifier` over `inputs` and returns what it sent, each with its
+/// addressee.
+fn step(
+    certifier: &mut Certifier,
+    inputs: impl IntoIterator<Item = Input>,
+) -> Vec<(ReplicaId, Delivery)> {
+    certifier.step(inputs).expect("the log flushes").out
+}
+
+/// Steps `certifier` over one request and returns the decision sent to its
+/// origin, after checking that a commit's refreshes went to every other
+/// replica and that nothing else was sent.
+fn certify(certifier: &mut Certifier, req: CertifyRequest) -> CertifyDecision {
+    let mut out = step(certifier, [Input::Certify(req)]);
+    let Some((ReplicaId(0), Delivery::Decision(decision))) = out.pop() else {
+        panic!("the step ends with no decision to replica 0: {out:?}");
+    };
+    let refreshed: Vec<_> = out
+        .iter()
+        .map(|(to, delivery)| (*to, matches!(delivery, Delivery::Refresh(_))))
+        .collect();
+    let committed = matches!(decision, CertifyDecision::Commit { .. });
+    assert_eq!(
+        refreshed,
+        if committed {
+            vec![(ReplicaId(1), true)]
+        } else {
+            vec![]
+        }
+    );
+    decision
+}
+
+/// Steps `certifier` over one eager report and returns the global commits
+/// it completed, each with its addressee.
+fn report(certifier: &mut Certifier, input: Input) -> Vec<(ReplicaId, TxnId)> {
+    step(certifier, [input])
+        .into_iter()
+        .map(|(to, delivery)| match delivery {
+            Delivery::GlobalCommit(txn) => (to, txn),
+            other => panic!("a report sent {other:?}"),
+        })
+        .collect()
+}
+
 #[test]
 fn certifier_recovers_from_file_log_after_crash() {
     let dir = std::env::temp_dir().join(format!("bargain-ft-{}", std::process::id()));
@@ -40,9 +86,7 @@ fn certifier_recovers_from_file_log_after_crash() {
         let mut certifier = Certifier::with_log(vec![ReplicaId(0), ReplicaId(1)], Box::new(log));
         for i in 0..20u64 {
             let snapshot = certifier.version();
-            let (d, _) = certifier
-                .certify(req(i, snapshot, ws(i as i64, 1)))
-                .unwrap();
+            let d = certify(&mut certifier, req(i, snapshot, ws(i as i64, 1)));
             assert!(matches!(d, CertifyDecision::Commit { .. }));
         }
         assert_eq!(certifier.version(), Version(20));
@@ -57,15 +101,13 @@ fn certifier_recovers_from_file_log_after_crash() {
 
     // Conflict detection works against recovered history: a transaction
     // whose snapshot predates a recovered commit on the same row aborts.
-    let (d, _) = certifier.certify(req(100, Version(5), ws(7, 9))).unwrap();
+    let d = certify(&mut certifier, req(100, Version(5), ws(7, 9)));
     assert!(
         matches!(d, CertifyDecision::Abort { .. }),
         "recovered history must still catch conflicts"
     );
     // And fresh disjoint work commits, continuing the version sequence.
-    let (d, _) = certifier
-        .certify(req(101, Version(20), ws(999, 1)))
-        .unwrap();
+    let d = certify(&mut certifier, req(101, Version(20), ws(999, 1)));
     assert_eq!(
         d,
         CertifyDecision::Commit {
@@ -106,9 +148,10 @@ fn crashed_replica_rebuilds_from_certified_history() {
     // 50 committed updates applied at the live replica and logged.
     for i in 0..50u64 {
         let snapshot = certifier.version();
-        let (d, _) = certifier
-            .certify(req(i, snapshot, ws((i % 50) as i64, i as i64)))
-            .unwrap();
+        let d = certify(
+            &mut certifier,
+            req(i, snapshot, ws((i % 50) as i64, i as i64)),
+        );
         let CertifyDecision::Commit { commit_version, .. } = d else {
             panic!("expected commit");
         };
@@ -151,29 +194,32 @@ fn eager_counters_rebuild_conservatively_on_recovery() {
     // notifications.
     let mut certifier = Certifier::new(vec![ReplicaId(0), ReplicaId(1)]);
     certifier.set_eager(true);
-    let (d, _) = certifier.certify(req(1, Version::ZERO, ws(1, 1))).unwrap();
+    let d = certify(&mut certifier, req(1, Version::ZERO, ws(1, 1)));
     let CertifyDecision::Commit { commit_version, .. } = d else {
         panic!("expected commit");
     };
     // Both replicas applied v1 and the global commit completed pre-crash.
+    let applied = |replica| Input::Applied {
+        replica,
+        version: commit_version,
+    };
+    assert!(report(&mut certifier, applied(ReplicaId(0))).is_empty());
     assert_eq!(
-        certifier.on_commit_applied(ReplicaId(0), commit_version),
-        None
-    );
-    assert_eq!(
-        certifier.on_commit_applied(ReplicaId(1), commit_version),
-        Some((ReplicaId(0), TxnId(1)))
+        report(&mut certifier, applied(ReplicaId(1))),
+        [(ReplicaId(0), TxnId(1))]
     );
     // Crash + recovery: the pending counter is rebuilt at zero credits.
     certifier.recover().unwrap();
     // Hellos from the (already current) replicas re-complete it; the
     // duplicate notification for the origin is re-issued and the origin's
     // proxy drops it.
-    assert!(certifier
-        .on_replica_hello(ReplicaId(0), commit_version)
-        .is_empty());
+    let hello = |replica| Input::Hello {
+        replica,
+        v_local: commit_version,
+    };
+    assert!(report(&mut certifier, hello(ReplicaId(0))).is_empty());
     assert_eq!(
-        certifier.on_replica_hello(ReplicaId(1), commit_version),
-        vec![(ReplicaId(0), TxnId(1))]
+        report(&mut certifier, hello(ReplicaId(1))),
+        [(ReplicaId(0), TxnId(1))]
     );
 }
