@@ -16,6 +16,7 @@
 //! Run with `cargo bench -p bargain-bench --bench certifier_hot_path`.
 
 use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet};
+use bargain_core::certifier::{Input, Step};
 use bargain_core::{Certifier, CertifyRequest};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -53,6 +54,12 @@ fn req(txn: i64, snapshot: Version, writeset: WriteSet) -> CertifyRequest {
     }
 }
 
+/// One step over `reqs`, the certifier's one way in: one group commit of up
+/// to 64 requests.
+fn certify(cert: &mut Certifier, reqs: impl IntoIterator<Item = CertifyRequest>) -> Step {
+    cert.step(reqs.into_iter().map(Input::Certify)).unwrap()
+}
+
 /// Certify throughput against a fixed-depth conflict-check history: each
 /// iteration commits one fresh row with the *oldest* admissible snapshot
 /// (the full retained history is in its conflict window), then prunes one
@@ -65,12 +72,12 @@ fn bench_certify_vs_history_depth(c: &mut Criterion) {
             for _ in 0..depth {
                 key += 1;
                 let snapshot = cert.version();
-                cert.certify(req(key, snapshot, ws_one(key))).unwrap();
+                certify(&mut cert, [req(key, snapshot, ws_one(key))]);
             }
             b.iter(|| {
                 key += 1;
                 let snapshot = Version(cert.version().0 - depth);
-                let out = cert.certify(req(key, snapshot, ws_one(key))).unwrap();
+                let out = certify(&mut cert, [req(key, snapshot, ws_one(key))]);
                 cert.prune(Version(cert.version().0 - depth));
                 black_box(out)
             })
@@ -89,9 +96,9 @@ fn bench_refresh_fanout(c: &mut Criterion) {
             b.iter(|| {
                 key += 32;
                 let snapshot = cert.version();
-                let out = cert.certify(req(key, snapshot, ws_n(key, 32))).unwrap();
+                let out = certify(&mut cert, [req(key, snapshot, ws_n(key, 32))]);
                 cert.prune(cert.version());
-                black_box(out.1.len())
+                black_box(out.out.len())
             })
         });
     }
@@ -114,7 +121,7 @@ fn bench_wal_append_single(c: &mut Criterion) {
             for _ in 0..64 {
                 key += 1;
                 let snapshot = cert.version();
-                black_box(cert.certify(req(key, snapshot, ws_one(key))).unwrap());
+                black_box(certify(&mut cert, [req(key, snapshot, ws_one(key))]));
             }
             cert.prune(cert.version());
         });
@@ -142,7 +149,7 @@ fn bench_wal_append_batch(c: &mut Criterion) {
                     req(key, cert.version(), ws_one(key))
                 })
                 .collect();
-            black_box(cert.certify_batch(reqs).unwrap());
+            black_box(certify(&mut cert, reqs));
             cert.prune(cert.version());
         });
         let _ = std::fs::remove_file(&path);

@@ -59,6 +59,22 @@ fn routed(
     }
 }
 
+/// Steps `certifier` over `replica`'s report that it applied `version`: the
+/// transactions whose global commit that completed, each with its origin.
+fn report_applied(
+    certifier: &mut Certifier,
+    replica: ReplicaId,
+    version: Version,
+) -> Vec<(ReplicaId, TxnId)> {
+    let applied = Input::Applied { replica, version };
+    let sent = certifier.step([applied]).unwrap().out;
+    let global = |(origin, delivery)| match delivery {
+        Delivery::GlobalCommit(txn) => (origin, txn),
+        other => unreachable!("a report sent {other:?}"),
+    };
+    sent.into_iter().map(global).collect()
+}
+
 fn run(mode: ConsistencyMode) {
     println!(
         "\n--- {} approach ---",
@@ -103,7 +119,7 @@ fn run(mode: ConsistencyMode) {
                 println!("t2: Rep2 commits T1 locally at v1 -> client ack WITHHELD (eager)")
             }
             ProxyEvent::CommitApplied { version } => {
-                certifier.on_commit_applied(ReplicaId(1), *version);
+                report_applied(&mut certifier, ReplicaId(1), *version);
                 println!("t2: Rep2 reports commit-applied(v1) to certifier");
             }
             ProxyEvent::TxnStarted { .. } => {}
@@ -141,7 +157,7 @@ fn run(mode: ConsistencyMode) {
                 println!("t4: delayed T2 ({txn}) starts at snapshot {snapshot}")
             }
             ProxyEvent::CommitApplied { version } => {
-                if let Some((origin, txn)) = certifier.on_commit_applied(ReplicaId(2), *version) {
+                for (origin, txn) in report_applied(&mut certifier, ReplicaId(2), *version) {
                     println!("t4: Rep3 reports applied; still waiting for Rep1 ({origin} {txn})");
                 }
                 println!("t4: Rep3 reports commit-applied(v1) to certifier");
@@ -167,7 +183,7 @@ fn run(mode: ConsistencyMode) {
     println!("t6: slow Rep1 finally applies T1's refresh (global commit completes here)");
     for ev in &events {
         if let ProxyEvent::CommitApplied { version } = ev {
-            if let Some((_, txn)) = certifier.on_commit_applied(ReplicaId(0), *version) {
+            for (_, txn) in report_applied(&mut certifier, ReplicaId(0), *version) {
                 let o = proxies[1].on_global_commit(txn).unwrap();
                 println!(
                     "t6: certifier declares T1 globally committed -> client acked only NOW at {} (eager: global commit delay = t6 - t2)",
