@@ -297,14 +297,18 @@ impl CertifierService {
         }
     }
 
-    /// Takes the cluster's introduction: the first installs members
-    /// `0..replicas` and the mode's eager accounting, the same one again
-    /// changes nothing (it must not reset eager credit), and any other is
-    /// refused.
+    /// Takes the cluster's introduction: the first joins members
+    /// `0..replicas` and installs the mode's eager accounting, the same one
+    /// again changes nothing (it must not reset eager credit), and any other
+    /// is refused.
     fn introduce(&mut self, replicas: u32, mode: ConsistencyMode) -> Result<()> {
         let introduction = Some((replicas, mode));
         if self.introduced.is_none() && (1..=MAX_REPLICAS).contains(&replicas) {
-            (0..replicas).for_each(|r| self.certifier.add_replica(ReplicaId(r)));
+            let join = |r| Input::Join {
+                replica: ReplicaId(r),
+                after: Version::ZERO,
+            };
+            self.certifier.step((0..replicas).map(join))?;
             self.certifier.set_eager(mode == ConsistencyMode::Eager);
             self.introduced = introduction;
         }
@@ -474,20 +478,29 @@ struct LinkState {
     /// Requests handed over while the link is down, written once it is
     /// back.
     held: Vec<Message>,
+    /// What [`LinkState::write_or_shut`] encodes into, kept across calls so
+    /// that a frame reuses the room the ones before it grew.
+    encoded: Vec<u8>,
     /// A shutdown was requested: the link thread stops.
     stopped: bool,
 }
 
-/// Writes `msgs` to `stream` in one `write_all`, every frame encoded into
-/// one buffer. A failure shuts the socket down, so the link thread,
-/// reading it, declares the link down.
-fn write_or_shut(mut stream: &TcpStream, msgs: &[Message]) {
-    let mut bytes = Vec::new();
-    let encoded = msgs
-        .iter()
-        .try_for_each(|m| m.append_frame(&mut bytes, PUSH_ID));
-    if encoded.is_err() || stream.write_all(&bytes).is_err() {
-        let _ = stream.shutdown(Shutdown::Both);
+impl LinkState {
+    /// Writes `msgs` to the live socket, if there is one, in one
+    /// `write_all`, every frame encoded into one buffer. A failure shuts
+    /// the socket down, so the link thread, reading it, declares the link
+    /// down.
+    fn write_or_shut(&mut self, msgs: &[Message]) {
+        let Some(mut stream) = self.write.as_ref() else {
+            return;
+        };
+        self.encoded.clear();
+        let encoded = msgs
+            .iter()
+            .try_for_each(|m| m.append_frame(&mut self.encoded, PUSH_ID));
+        if encoded.is_err() || stream.write_all(&self.encoded).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -579,10 +592,8 @@ impl RemoteCertifierLink {
                     if heard.elapsed() >= self.config.heartbeat_timeout {
                         return;
                     }
-                    if let Some(state) = self.state.try_lock() {
-                        if let Some(write) = &state.write {
-                            write_or_shut(write, &[Message::Ping]);
-                        }
+                    if let Some(mut state) = self.state.try_lock() {
+                        state.write_or_shut(&[Message::Ping]);
                     }
                     continue;
                 }
@@ -644,9 +655,10 @@ impl CertifierLink for RemoteCertifierLink {
                 return;
             }
         };
-        match &state.write {
-            Some(write) => write_or_shut(write, &[msg]),
-            None => state.held.push(msg),
+        if state.write.is_some() {
+            state.write_or_shut(&[msg]);
+        } else {
+            state.held.push(msg);
         }
     }
 
@@ -712,8 +724,9 @@ impl CertifierLink for RemoteCertifierLink {
                     if state.stopped {
                         return;
                     }
-                    write_or_shut(&write, &std::mem::take(&mut state.held));
                     state.write = Some(write);
+                    let held = std::mem::take(&mut state.held);
+                    state.write_or_shut(&held);
                     drop(state);
                     self.read(&stream, decoder, frames, &deliveries, &mut max_seen);
                 }
