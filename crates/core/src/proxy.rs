@@ -271,16 +271,6 @@ impl Proxy {
         self.active.is_empty() && self.waiting.is_empty() && self.pending.is_empty()
     }
 
-    /// Number of statements in a registered template.
-    pub fn statement_count(&self, template: TemplateId) -> Result<usize> {
-        Ok(self
-            .templates
-            .get(&template)
-            .ok_or_else(|| Error::Protocol(format!("unregistered template {template}")))?
-            .statements
-            .len())
-    }
-
     // ------------------------------------------------------------------
     // Transaction lifecycle
     // ------------------------------------------------------------------
@@ -297,7 +287,7 @@ impl Proxy {
         }
         if self.engine.version().covers(routed.start_requirement) {
             self.stats.immediate_starts += 1;
-            let snapshot = self.begin_active(&routed);
+            let snapshot = self.begin_active(routed);
             Ok(StartDecision::Started { snapshot })
         } else {
             self.stats.delayed_starts += 1;
@@ -310,7 +300,7 @@ impl Proxy {
         }
     }
 
-    fn begin_active(&mut self, routed: &RoutedTxn) -> Version {
+    fn begin_active(&mut self, routed: RoutedTxn) -> Version {
         let handle = self.engine.begin();
         let snapshot = self.engine.version();
         self.active.insert(
@@ -320,7 +310,7 @@ impl Proxy {
                 client: routed.client,
                 session: routed.session,
                 template: routed.template,
-                params: routed.params.clone(),
+                params: routed.params,
                 snapshot,
                 phase: TxnPhase::Executing,
                 idem: routed.idem,
@@ -718,7 +708,7 @@ impl Proxy {
         while let Some(routed) = self.waiting.pop_front() {
             if version.covers(routed.start_requirement) {
                 let txn = routed.txn;
-                let snapshot = self.begin_active(&routed);
+                let snapshot = self.begin_active(routed);
                 events.push(ProxyEvent::TxnStarted { txn, snapshot });
             } else {
                 still_waiting.push_back(routed);
