@@ -252,12 +252,6 @@ impl ConsistencyChecker {
         &self.observed
     }
 
-    /// Number of recorded events.
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
     /// Strict strong consistency: every transaction must be served a
     /// snapshot at least as new as the newest commit version acknowledged
     /// (to *any* client) before the transaction was issued.

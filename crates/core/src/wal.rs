@@ -9,7 +9,8 @@
 //!
 //! Two implementations are provided: [`MemoryLog`] (for simulation and
 //! tests) and [`FileLog`] (a real append-only file of back-to-back binary
-//! records — no length prefix, no checksum — with optional fsync).
+//! records — no length prefix, no checksum — forced to disk with one fsync
+//! per append or group commit).
 
 use bargain_common::codec::{Codec, DecodeError, DecodeResult, Reader};
 use bargain_common::{Error, IdemKey, ReplicaId, Result, TxnId, Version, WriteSet};
@@ -133,9 +134,6 @@ pub struct FileLog {
     file: File,
     path: std::path::PathBuf,
     count: usize,
-    /// Whether to fsync after every append (real durability) or rely on OS
-    /// buffering (faster; used in benches).
-    pub sync_on_append: bool,
 }
 
 impl FileLog {
@@ -160,7 +158,6 @@ impl FileLog {
             file,
             path: path.to_path_buf(),
             count: records.len(),
-            sync_on_append: true,
         })
     }
 
@@ -196,9 +193,7 @@ impl CommitLog for FileLog {
         let mut buf = Vec::with_capacity(64);
         record.put(&mut buf);
         self.file.write_all(&buf)?;
-        if self.sync_on_append {
-            self.file.sync_data()?;
-        }
+        self.file.sync_data()?;
         self.count += 1;
         Ok(())
     }
@@ -214,9 +209,7 @@ impl CommitLog for FileLog {
             record.put(&mut buf);
         }
         self.file.write_all(&buf)?;
-        if self.sync_on_append {
-            self.file.sync_data()?;
-        }
+        self.file.sync_data()?;
         self.count += records.len();
         Ok(())
     }
@@ -538,26 +531,6 @@ mod tests {
         // Still appendable.
         log.append(&sample(1)).unwrap();
         assert_eq!(log.len(), 1);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn fsync_off_appends_survive_clean_reopen() {
-        // With sync_on_append off the data still reaches the OS on a clean
-        // close (only a machine crash could lose it), so reopening sees it.
-        let dir = std::env::temp_dir().join(format!("bargain-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("nosync.wal");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut log = FileLog::open(&path).unwrap();
-            log.sync_on_append = false;
-            log.append(&sample(1)).unwrap();
-            log.append(&sample(2)).unwrap();
-        }
-        let mut log = FileLog::open(&path).unwrap();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.replay().unwrap(), vec![sample(1), sample(2)]);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -361,12 +361,6 @@ impl NetServer {
         }
     }
 
-    /// Transactions shed so far by the `max_inflight` admission bound.
-    #[must_use]
-    pub fn shed_count(&self) -> u64 {
-        self.stats().shed
-    }
-
     /// Asks the server to stop without blocking: the stop flag is set and
     /// the reactor is woken through the event loop's wakeup pipe, so drain
     /// starts immediately rather than at the next poll tick.

@@ -276,11 +276,6 @@ impl Engine {
             .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))
     }
 
-    /// The snapshot version a transaction reads at.
-    pub fn snapshot_of(&self, h: TxnHandle) -> Result<Version> {
-        Ok(self.txn(h)?.snapshot)
-    }
-
     /// The writes the transaction has buffered so far ("partial writeset"),
     /// used by the proxy's early certification.
     pub fn partial_writeset(&self, h: TxnHandle) -> Result<&WriteSet> {
@@ -406,12 +401,6 @@ impl Engine {
         for e in ws.entries() {
             self.tables[e.table.index()].install(e.key.clone(), e.op.row().cloned(), version);
         }
-    }
-
-    /// Number of transactions currently open.
-    #[must_use]
-    pub fn active_txns(&self) -> usize {
-        self.txns.len()
     }
 
     /// The oldest snapshot any open transaction reads at, or `None` if no

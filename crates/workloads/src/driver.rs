@@ -2,26 +2,17 @@
 //! over *where* transactions execute.
 //!
 //! The generators in this crate produce `(TemplateId, params)` instances;
-//! a driver turns them into executed transactions. Two implementations:
-//!
-//! - [`LocalDriver`] — an in-process `bargain_cluster::Session` (threads
-//!   and channels, one address space).
-//! - [`RemoteDriver`] — a `bargain_net::RemoteSession` over TCP, for
-//!   clusters running as separate processes.
-//!
-//! Both take the workload's own template ids; the remote driver transparently
-//! rewrites them into the server's global template namespace at
-//! registration. Benchmarks and tests written against the trait run
-//! unchanged over either deployment — which is exactly how the loopback
-//! experiments compare channel and socket transports.
+//! a driver turns them into executed transactions. [`RemoteDriver`] runs
+//! them through a `bargain_net::RemoteSession` over TCP, against a cluster
+//! running as separate processes. It takes the workload's own template ids
+//! and rewrites them into the server's global template namespace at
+//! registration.
 
-use crate::{ClientContext, Workload};
-use bargain_cluster::{Session, TxnResult};
+use bargain_cluster::TxnResult;
 use bargain_common::{Result, TemplateId};
 use bargain_net::RemoteSession;
 use bargain_sql::TransactionTemplate;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Executes workload transaction instances against some deployment.
 pub trait TxnDriver {
@@ -38,52 +29,6 @@ pub trait TxnDriver {
         template: TemplateId,
         params: Vec<Vec<bargain_common::Value>>,
     ) -> Result<TxnResult>;
-}
-
-/// Drives transactions through an in-process [`Session`].
-pub struct LocalDriver {
-    session: Session,
-    templates: HashMap<TemplateId, Arc<TransactionTemplate>>,
-}
-
-impl LocalDriver {
-    /// Wraps a connected session.
-    #[must_use]
-    pub fn new(session: Session) -> LocalDriver {
-        LocalDriver {
-            session,
-            templates: HashMap::new(),
-        }
-    }
-
-    /// The wrapped session.
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-}
-
-impl TxnDriver for LocalDriver {
-    fn register(&mut self, templates: &[TransactionTemplate]) -> Result<()> {
-        for t in templates {
-            self.templates.insert(t.id, Arc::new(t.clone()));
-        }
-        Ok(())
-    }
-
-    fn run(
-        &mut self,
-        template: TemplateId,
-        params: Vec<Vec<bargain_common::Value>>,
-    ) -> Result<TxnResult> {
-        let t = self
-            .templates
-            .get(&template)
-            .ok_or_else(|| {
-                bargain_common::Error::Protocol(format!("template {template} not registered"))
-            })?
-            .clone();
-        self.session.run_template(&t, params)
-    }
 }
 
 /// Drives transactions through a TCP [`RemoteSession`]. The workload's
@@ -129,59 +74,4 @@ impl TxnDriver for RemoteDriver {
         })?;
         self.session.run(remote, params)
     }
-}
-
-/// Counters from a [`drive`] run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DriveStats {
-    /// Transactions that committed.
-    pub commits: u64,
-    /// Aborts after exhausting retries (certification) or non-retryable
-    /// errors surfaced as aborts.
-    pub aborts: u64,
-}
-
-/// `Unavailable` carrying the server's explicit "back off and retry"
-/// marker: overload shedding and certifier-outage sheds/sweeps. The
-/// transaction definitively did not commit, so retrying is safe; backing
-/// off first is what the marker asks for.
-fn is_retry_after(e: &bargain_common::Error) -> bool {
-    matches!(e, bargain_common::Error::Unavailable(reason) if reason.contains("retry-after"))
-}
-
-/// Closed-loop client: draws `txns` instances from `workload` and runs each
-/// through `driver`, retrying retryable (certification) aborts and
-/// `retry-after` unavailability (overload shedding, certifier outages) up
-/// to `max_retries` times. Registration must already have happened.
-pub fn drive(
-    driver: &mut impl TxnDriver,
-    workload: &impl Workload,
-    ctx: &mut ClientContext,
-    txns: usize,
-    max_retries: usize,
-) -> Result<DriveStats> {
-    let mut stats = DriveStats::default();
-    for _ in 0..txns {
-        let (template, params) = workload.next_transaction(ctx);
-        let mut attempt = 0;
-        loop {
-            match driver.run(template, params.clone()) {
-                Ok(_) => {
-                    stats.commits += 1;
-                    break;
-                }
-                Err(e) if is_retry_after(&e) && attempt < max_retries => {
-                    attempt += 1;
-                    std::thread::sleep(std::time::Duration::from_millis(5 * attempt as u64));
-                }
-                Err(e) if e.is_retryable() && attempt < max_retries => attempt += 1,
-                Err(e) if e.is_retryable() || is_retry_after(&e) => {
-                    stats.aborts += 1;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(stats)
 }

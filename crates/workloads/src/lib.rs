@@ -22,7 +22,7 @@ pub mod micro;
 pub mod tpcw;
 
 pub use client::ClientContext;
-pub use driver::{drive, DriveStats, LocalDriver, RemoteDriver, TxnDriver};
+pub use driver::{RemoteDriver, TxnDriver};
 pub use micro::MicroBenchmark;
 pub use tpcw::{TpcwMix, TpcwWorkload};
 

@@ -700,7 +700,7 @@ fn overload_shedding_sheds_and_loses_nothing() {
     }
 
     assert!(
-        server.shed_count() > 0,
+        server.stats().shed > 0,
         "four hammering clients against a one-transaction bound must shed"
     );
     let mut reader = RemoteSession::connect(&addr).unwrap();
