@@ -1269,6 +1269,22 @@ mod tests {
     }
 
     #[test]
+    fn a_report_from_a_non_member_credits_nothing() {
+        let mut c = Certifier::new(replicas(3));
+        c.set_eager(true);
+        certify(&mut c, req(1, 0, 0, ws(0, 1)));
+        // Replica 9 is no member: its report must not stand in for member
+        // 2, which has not applied the commit.
+        assert!(report(&mut c, hello(9, 1)).is_empty());
+        assert!(report(&mut c, applied(0, Version(1))).is_empty());
+        assert!(report(&mut c, applied(1, Version(1))).is_empty());
+        assert_eq!(
+            report(&mut c, applied(2, Version(1))),
+            [(ReplicaId(0), TxnId(1))]
+        );
+    }
+
+    #[test]
     fn hello_in_lazy_mode_is_a_no_op() {
         let mut c = Certifier::new(replicas(2));
         certify(&mut c, req(1, 0, 0, ws(0, 1)));

@@ -250,9 +250,18 @@ impl ShadowModel {
         self.complete(vec![version])
     }
 
-    /// A member has applied everything up to `v_local`.
+    /// A member has applied everything up to `v_local`; a non-member's
+    /// hello counts for nothing.
     fn hello(&mut self, replica: ReplicaId, v_local: u64) -> Vec<Sent> {
-        let versions: Vec<u64> = self.pending.range(..=v_local).map(|(&v, _)| v).collect();
+        if !self.members.contains(&replica) {
+            return Vec::new();
+        }
+        self.credit_through(replica, v_local)
+    }
+
+    /// Credits `replica` with every pending version up to `through`.
+    fn credit_through(&mut self, replica: ReplicaId, through: u64) -> Vec<Sent> {
+        let versions: Vec<u64> = self.pending.range(..=through).map(|(&v, _)| v).collect();
         for &v in &versions {
             self.credit(replica, v);
         }
@@ -264,7 +273,7 @@ impl ShadowModel {
         if !self.members.contains(&replica) {
             self.members.push(replica);
         }
-        self.hello(replica, after)
+        self.credit_through(replica, after)
     }
 
     /// A member leaves: nothing waits on it any more.
@@ -402,10 +411,10 @@ enum Op {
         replica: u32,
         back: u8,
     },
-    /// A member (the `member`-th, modulo the membership) reports it has
-    /// applied everything up to `back` versions behind `V_commit`.
+    /// `replica` reports it has applied everything up to `back` versions
+    /// behind `V_commit`.
     Hello {
-        member: u8,
+        replica: u32,
         back: u8,
     },
     /// `replica` joins with a snapshot `back` versions behind `V_commit`.
@@ -443,7 +452,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0..CLIENTS).prop_map(|client| Op::Replay { client }),
         1 => proptest::collection::vec(certify_args(), 2..80).prop_map(Op::Batch),
         6 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Applied { replica, back }),
-        1 => (any::<u8>(), 0u8..6).prop_map(|(member, back)| Op::Hello { member, back }),
+        1 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Hello { replica, back }),
         1 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Join { replica, back }),
         1 => (0..IDS).prop_map(|replica| Op::Leave { replica }),
         1 => (0u8..20).prop_map(|back| Op::History { back }),
@@ -525,8 +534,8 @@ proptest! {
                     let (replica, version) = (ReplicaId(replica), behind(&shadow, back));
                     (shadow.applied(replica, version), real.applied(replica, Version(version)))
                 }
-                Op::Hello { member, back } => {
-                    let replica = shadow.members[usize::from(member) % shadow.members.len()];
+                Op::Hello { replica, back } => {
+                    let replica = ReplicaId(replica);
                     let v_local = behind(&shadow, back);
                     (shadow.hello(replica, v_local), real.hello(replica, Version(v_local)))
                 }
