@@ -51,8 +51,8 @@ use bargain_common::{
 };
 use bargain_core::certifier::{Delivery, Input, Step};
 use bargain_core::{
-    Certifier, CertifyRequest, FinishAction, LoadBalancer, LogRecord, Proxy, ProxyEvent, Refresh,
-    RoutedTxn, StartDecision, StatementOutcome, TxnOutcome, JOIN_LAG_BOUND,
+    Certifier, FinishAction, LoadBalancer, LogRecord, Proxy, ProxyEvent, Refresh, RoutedTxn,
+    StartDecision, StatementOutcome, TxnOutcome, JOIN_LAG_BOUND,
 };
 use bargain_sql::{execute_ddl, parse, QueryResult, Statement, TransactionTemplate};
 use bargain_storage::{Engine, Snapshot};
@@ -293,16 +293,11 @@ impl Drop for SnapshotSink {
 /// to a certifier running in another process — can consume the cluster's
 /// certification traffic.
 pub enum CertifierRequest {
-    /// Certify an update transaction's writeset.
-    Certify(CertifyRequest),
-    /// A replica reports having applied the given version (drives the eager
-    /// configuration's global-commit accounting).
-    Applied {
-        /// The reporting replica.
-        replica: ReplicaId,
-        /// The version it has applied.
-        version: Version,
-    },
+    /// An input for the certifier's step. A replica hands over
+    /// [`Input::Certify`] for each update transaction it finishes and, in
+    /// the eager configuration, [`Input::Applied`] for each commit it
+    /// applies; it hands over no membership change.
+    Step(Input),
     /// A replica acknowledges the link-loss sweep of the given epoch. A
     /// replica hands its requests over in program order, so every certify
     /// request it handed over *before* this marker belonged to a
@@ -315,17 +310,6 @@ pub enum CertifierRequest {
         replica: ReplicaId,
         /// The failure epoch being acknowledged.
         epoch: u64,
-    },
-    /// A replica re-introduces itself after the link-loss sweep: it has
-    /// applied every commit up to `v_local`. The eager configuration's
-    /// global-commit accounting credits it for those, which replaces the
-    /// `Applied` reports lost with the link (or, across a certifier
-    /// restart, every credit the recovery reset).
-    Hello {
-        /// The reporting replica.
-        replica: ReplicaId,
-        /// Its `V_local`.
-        v_local: Version,
     },
     /// Flush pending work and stop serving.
     Shutdown,
@@ -1131,13 +1115,16 @@ impl Replica {
                 for outcome in outcomes {
                     self.settle(outcome, true);
                 }
+                // After the acknowledgement, the replica reports how far it
+                // has applied: that replaces the `Applied` reports lost with
+                // the link (or, across a certifier restart, every watermark
+                // the recovery reset).
                 let replica = self.proxy.replica();
                 self.port
                     .request(CertifierRequest::SweepAck { replica, epoch });
-                self.port.request(CertifierRequest::Hello {
-                    replica,
-                    v_local: self.proxy.version(),
-                });
+                let version = self.proxy.version();
+                let input = Input::Applied { replica, version };
+                self.port.request(CertifierRequest::Step(input));
             }
             ToReplica::Ddl(ddl) => ddl.apply(self.proxy.engine_mut()),
             ToReplica::ExportSnapshot { chunk_bytes, done } => {
@@ -1189,7 +1176,8 @@ impl Replica {
         match self.proxy.finish(txn) {
             Ok(FinishAction::ReadOnlyCommitted(outcome)) => self.finished(outcome),
             Ok(FinishAction::NeedsCertification(req)) => {
-                self.port.request(CertifierRequest::Certify(req));
+                self.port
+                    .request(CertifierRequest::Step(Input::Certify(req)));
             }
             Err(e) => panic!("finish failed: {e}"),
         }
@@ -1202,10 +1190,9 @@ impl Replica {
                 ProxyEvent::TxnFinished(outcome) => self.finished(outcome),
                 ProxyEvent::AwaitingGlobal { .. } => {}
                 ProxyEvent::CommitApplied { version } => {
-                    self.port.request(CertifierRequest::Applied {
-                        replica: self.proxy.replica(),
-                        version,
-                    });
+                    let replica = self.proxy.replica();
+                    let input = Input::Applied { replica, version };
+                    self.port.request(CertifierRequest::Step(input));
                 }
             }
         }
@@ -1297,13 +1284,7 @@ impl LocalCertifier {
 impl CertifierPort for LocalCertifier {
     fn request(&self, request: CertifierRequest) {
         match request {
-            CertifierRequest::Certify(req) => self.push(Input::Certify(req)),
-            CertifierRequest::Applied { replica, version } => {
-                self.push(Input::Applied { replica, version });
-            }
-            CertifierRequest::Hello { replica, v_local } => {
-                self.push(Input::Hello { replica, v_local });
-            }
+            CertifierRequest::Step(input) => self.push(input),
             // The in-process certifier never declares itself down, so a
             // sweep acknowledgement has nothing to fence; and a request is
             // stepped before the call that handed it over returns, so a

@@ -55,12 +55,9 @@ impl CertifierLink for OutageLink {
         let mut outage_done = false;
         for request in requests.iter() {
             let input = match request {
-                CertifierRequest::Certify(req) => Input::Certify(req),
-                CertifierRequest::Applied { replica, version } => {
-                    Input::Applied { replica, version }
-                }
+                CertifierRequest::Step(input) => input,
                 CertifierRequest::Shutdown => return,
-                _ => continue,
+                CertifierRequest::SweepAck { .. } => continue,
             };
             let step = certifier.step([input]).expect("memory log flushes");
             for (to, delivery) in step.out {
@@ -183,16 +180,12 @@ impl CertifierLink for LostReportLink {
         let (mut lost, mut acked) = (false, 0);
         for request in requests.iter() {
             let input = match request {
-                CertifierRequest::Certify(req) => Input::Certify(req),
-                CertifierRequest::Applied { .. } if !lost => {
+                CertifierRequest::Step(Input::Applied { .. }) if !lost => {
                     lost = true;
                     let _ = deliveries.send(CertifierDelivery::Down { epoch: 1 });
                     continue;
                 }
-                CertifierRequest::Applied { replica, version } => {
-                    Input::Applied { replica, version }
-                }
-                CertifierRequest::Hello { replica, v_local } => Input::Hello { replica, v_local },
+                CertifierRequest::Step(input) => input,
                 CertifierRequest::SweepAck { epoch: 1, .. } => {
                     acked += 1;
                     if acked == REPLICAS {
@@ -203,7 +196,7 @@ impl CertifierLink for LostReportLink {
                     continue;
                 }
                 CertifierRequest::Shutdown => return,
-                _ => continue,
+                CertifierRequest::SweepAck { .. } => continue,
             };
             let step = certifier.step([input]).expect("memory log flushes");
             for (to, delivery) in step.out {

@@ -5,7 +5,6 @@
 
 use bargain_cluster::{CertifierDelivery, CertifierLink, CertifierRequest, Cluster, ClusterConfig};
 use bargain_common::{ConsistencyMode, Error, ReplicaId, Result, Value, Version};
-use bargain_core::certifier::Input;
 use bargain_core::{Certifier, LogRecord};
 use bargain_workloads::{MicroBenchmark, Workload};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -38,10 +37,7 @@ impl CertifierLink for LostDecisionLink {
         let (mut lost, mut acked) = (false, 0);
         for request in requests.iter() {
             let input = match request {
-                CertifierRequest::Certify(req) => Input::Certify(req),
-                CertifierRequest::Applied { replica, version } => {
-                    Input::Applied { replica, version }
-                }
+                CertifierRequest::Step(input) => input,
                 CertifierRequest::SweepAck { epoch: 1, .. } => {
                     acked += 1;
                     if acked == REPLICAS {
@@ -52,7 +48,7 @@ impl CertifierLink for LostDecisionLink {
                     continue;
                 }
                 CertifierRequest::Shutdown => return,
-                _ => continue,
+                CertifierRequest::SweepAck { .. } => continue,
             };
             let step = certifier.step([input]).expect("memory log flushes");
             if !lost {

@@ -12,17 +12,17 @@
 //! (d) it forwards the writeset of every committed transaction to the other
 //!     replicas as refresh transactions.
 //!
-//! For the eager configuration it additionally keeps a per-transaction
-//! set of replica commits and reports *global commit* once every replica
-//! has applied the transaction.
+//! For the eager configuration it additionally keeps, per member, how far
+//! that replica has applied the commit order, and reports *global commit*
+//! once every member's watermark has reached the transaction.
 //!
 //! # One step under every host
 //!
 //! [`Certifier::step`] is the whole certifier as its hosts see it — the
 //! runtime's in-process certifier (stepped by the replica threads under a
 //! lock), `bargain-net`'s `CertifierService` and the simulator:
-//! [`Input`]s in (certify requests, applied reports, hellos, joins,
-//! leaves), [`Delivery`]s out, each already addressed. It is the only way
+//! [`Input`]s in (certify requests, applied reports, joins, leaves),
+//! [`Delivery`]s out, each already addressed. It is the only way
 //! in: every test and tool drives it too. Besides it, only setup and upkeep
 //! change the certifier — the constructors ([`Certifier::new`],
 //! [`Certifier::with_log`], [`Certifier::open`]), [`Certifier::set_eager`],
@@ -49,7 +49,8 @@
 //! # One index over one log
 //!
 //! [`Certifier`] is a sequencer (the `V_commit` counter, the history floor,
-//! the replica membership, the eager accounting, the counters, the
+//! the replica membership with each member's applied watermark, the eager
+//! commits still pending, the counters, the
 //! per-client dedup windows) over one row-version index, one ring of
 //! retained commits, one commit log and the group-commit buffer in front of
 //! it. Certification asks the index for the newest commit above the
@@ -83,7 +84,6 @@ use crate::messages::{CertifyDecision, CertifyRequest, Refresh};
 use crate::wal::{CommitLog, FileLog, LogRecord, MemoryLog};
 use bargain_common::{Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteSet};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::RangeBounds;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -96,23 +96,19 @@ pub const MAX_CERTIFY_BATCH: usize = 64;
 pub enum Input {
     /// Certify an update transaction.
     Certify(CertifyRequest),
-    /// Eager mode: `replica` applied the commit at `version`.
+    /// Eager mode: `replica` has applied every commit up to `version`. A
+    /// replica applies the commit order densely, so its `V_local` says it
+    /// all: it reports each commit as it applies it, and its `V_local` again
+    /// after a certifier or replica restart. Lower reports than one already
+    /// taken, and reports from a non-member, change nothing.
     Applied {
         /// The reporting replica.
         replica: ReplicaId,
-        /// The version it applied.
+        /// The version it has applied through.
         version: Version,
     },
-    /// Eager mode: `replica` has applied every commit up to `v_local` (it
-    /// re-introduces itself after a certifier or replica restart).
-    Hello {
-        /// The reporting replica.
-        replica: ReplicaId,
-        /// Its `V_local`.
-        v_local: Version,
-    },
     /// `replica` joins the fan-out with a snapshot holding every commit up
-    /// to `after`, which credits it for those.
+    /// to `after`, which counts as applied.
     Join {
         /// The joining replica.
         replica: ReplicaId,
@@ -233,22 +229,15 @@ pub struct CertifierStats {
     pub duplicates: u64,
 }
 
-struct EagerState {
-    origin: ReplicaId,
-    txn: TxnId,
-    /// Replicas that have applied this commit. A set (not a counter) so
-    /// that duplicate reports — re-deliveries, post-crash hellos, resync
-    /// re-applications — are idempotent and can never release a global
-    /// commit early.
-    applied: Vec<ReplicaId>,
-}
-
 /// The certifier state machine (see the module docs). One logical instance
 /// per cluster (the paper notes it is lightweight and deterministic, hence
 /// replicable with the state-machine approach for availability; we model
 /// the single logical instance).
 pub struct Certifier {
-    replicas: Vec<ReplicaId>,
+    /// The members in the order they joined, each with the version it has
+    /// applied through (eager mode; a maximum, so repeated and late reports
+    /// change nothing).
+    members: Vec<(ReplicaId, Version)>,
     /// The single commit-version counter: the total commit order.
     v_commit: Version,
     /// Commits at or below this version have been pruned; `history` is
@@ -264,8 +253,9 @@ pub struct Certifier {
     /// Exactly-once retry windows, per client nonce. Rebuilt from the log
     /// by [`Certifier::recover`], so deduplication survives restarts.
     dedup: HashMap<u64, ClientWindow>,
-    /// Eager-mode accounting: commit version → replicas applied so far.
-    eager_pending: BTreeMap<Version, EagerState>,
+    /// Eager mode: the commits not yet applied by every member, version →
+    /// (origin, txn).
+    eager_pending: BTreeMap<Version, (ReplicaId, TxnId)>,
     eager_enabled: bool,
     stats: CertifierStats,
 }
@@ -281,7 +271,7 @@ impl Certifier {
     #[must_use]
     pub fn with_log(replicas: Vec<ReplicaId>, log: Box<dyn CommitLog>) -> Self {
         Certifier {
-            replicas,
+            members: replicas.into_iter().map(|r| (r, Version::ZERO)).collect(),
             v_commit: Version::ZERO,
             history_floor: Version::ZERO,
             row_index: HashMap::new(),
@@ -327,24 +317,20 @@ impl Certifier {
     }
 
     /// Enables or disables eager-mode global-commit tracking
-    /// ([`Input::Applied`], [`Input::Hello`]). Enabling makes every
-    /// retained commit pending with no replica credited — the conservative
-    /// state [`Self::recover`] leaves, so the flag may be set before or
-    /// after recovery.
+    /// ([`Input::Applied`]). Either way every member's watermark drops to
+    /// zero; enabling makes every retained commit pending — the
+    /// conservative state [`Self::recover`] leaves, so the flag may be set
+    /// before or after recovery.
     pub fn set_eager(&mut self, enabled: bool) {
         self.eager_enabled = enabled;
+        for (_, applied) in &mut self.members {
+            *applied = Version::ZERO;
+        }
         self.eager_pending.clear();
         if enabled {
-            for rec in &self.history {
-                self.eager_pending.insert(
-                    rec.commit_version,
-                    EagerState {
-                        origin: rec.origin,
-                        txn: rec.txn,
-                        applied: Vec::new(),
-                    },
-                );
-            }
+            let pending = self.history.iter();
+            self.eager_pending
+                .extend(pending.map(|rec| (rec.commit_version, (rec.origin, rec.txn))));
         }
     }
 
@@ -377,46 +363,40 @@ impl Certifier {
             if !matches!(input, Input::Certify(_)) || run.len() == MAX_CERTIFY_BATCH {
                 self.certify_run(&mut run, &mut step)?;
             }
-            let completed = match input {
+            match input {
                 Input::Certify(req) => {
                     run.push(req);
                     continue;
                 }
-                // A report from outside the membership (a straggler from a
-                // decommissioned replica) must not stand in for a member's
-                // credit.
-                Input::Applied { replica, .. } if !self.replicas.contains(&replica) => continue,
-                Input::Applied { replica, version } => self.credit(replica, version..=version),
-                // Replicas apply the commit order densely, so `V_local`
-                // names exactly the commits a replica has applied.
-                Input::Hello { replica, v_local } => self.credit(replica, ..=v_local),
+                // Only a member has a watermark: a report from outside the
+                // membership (a straggler from a decommissioned replica)
+                // finds none to raise.
+                Input::Applied { replica, version } => self.raise(replica, version),
                 // From here every commit fans out to the joiner too. Commits
                 // still pending in eager mode wait for it as well: its
-                // snapshot credits those up to `after`, its catch-up replay
+                // snapshot holds those up to `after`, its catch-up replay
                 // reports the rest.
                 Input::Join { replica, after } => {
-                    if !self.replicas.contains(&replica) {
-                        self.replicas.push(replica);
+                    if !self.members.iter().any(|&(r, _)| r == replica) {
+                        self.members.push((replica, Version::ZERO));
                     }
-                    self.credit(replica, ..=after)
+                    self.raise(replica, after);
                 }
-                // The leaver's credit is dropped everywhere, and whatever
-                // every remaining member has applied completes.
-                Input::Leave { replica } => {
-                    let Some(idx) = self.replicas.iter().position(|&r| r == replica) else {
-                        continue;
-                    };
-                    self.replicas.remove(idx);
-                    for state in self.eager_pending.values_mut() {
-                        state.applied.retain(|&r| r != replica);
-                    }
-                    let versions: Vec<Version> = self.eager_pending.keys().copied().collect();
-                    self.take_globally_committed(&versions)
-                }
+                // Nothing waits on the leaver any more.
+                Input::Leave { replica } => self.members.retain(|&(r, _)| r != replica),
+            }
+            // Whatever every member has now applied completes, in version
+            // order. With no member left nothing does.
+            let Some(through) = self.members.iter().map(|&(_, applied)| applied).min() else {
+                continue;
             };
-            let global = completed.into_iter();
-            step.out
-                .extend(global.map(|(origin, txn)| (origin, Delivery::GlobalCommit(txn))));
+            while let Some(entry) = self.eager_pending.first_entry() {
+                if *entry.key() > through {
+                    break;
+                }
+                let (origin, txn) = entry.remove();
+                step.out.push((origin, Delivery::GlobalCommit(txn)));
+            }
         }
         self.certify_run(&mut run, &mut step)?;
         Ok(step)
@@ -436,7 +416,7 @@ impl Certifier {
         self.flush()?;
         for (origin, (decision, refresh)) in decided {
             if let Some(refresh) = refresh {
-                for &to in self.replicas.iter().filter(|&&r| r != origin) {
+                for &(to, _) in self.members.iter().filter(|&&(r, _)| r != origin) {
                     step.out.push((to, Delivery::Refresh(refresh.clone())));
                 }
             }
@@ -544,17 +524,15 @@ impl Certifier {
         };
         self.install(&record);
         if self.eager_enabled {
-            self.eager_pending.insert(
-                commit_version,
-                EagerState {
-                    origin: req.replica,
-                    txn: req.txn,
-                    applied: Vec::new(),
-                },
-            );
+            self.eager_pending
+                .insert(commit_version, (req.replica, req.txn));
         }
         self.stats.commits += 1;
-        let n_targets = self.replicas.iter().filter(|&&r| r != req.replica).count();
+        let n_targets = self
+            .members
+            .iter()
+            .filter(|&&(r, _)| r != req.replica)
+            .count();
         self.stats.refreshes_sent += n_targets as u64;
         let refresh = Refresh::from(&record);
         self.unflushed.push(record);
@@ -610,38 +588,14 @@ impl Certifier {
             .map(|rec| rec.commit_version)
     }
 
-    /// Removes the pending eager entries among `versions` that every current
-    /// replica has applied, returning their `(origin, txn)` in the order
-    /// given.
-    fn take_globally_committed(&mut self, versions: &[Version]) -> Vec<(ReplicaId, TxnId)> {
-        let n = self.replicas.len();
-        let mut completed = Vec::new();
-        for v in versions {
-            if n > 0 && self.eager_pending[v].applied.len() >= n {
-                let state = self.eager_pending.remove(v).expect("present");
-                completed.push((state.origin, state.txn));
-            }
+    /// Raises member `replica`'s watermark to `version`, if it is a member
+    /// and the watermark is lower. No replica can have applied a commit not
+    /// made yet, so a report above `V_commit` counts up to it: a later
+    /// commit waits for reports of its own.
+    fn raise(&mut self, replica: ReplicaId, version: Version) {
+        if let Some((_, applied)) = self.members.iter_mut().find(|(r, _)| *r == replica) {
+            *applied = (*applied).max(version.min(self.v_commit));
         }
-        completed
-    }
-
-    /// Credits `replica` with having applied the pending versions in
-    /// `versions` (idempotently: a set, not a counter, so re-deliveries and
-    /// repeated hellos never release a global commit early) and completes
-    /// those every replica has, in version order.
-    fn credit(
-        &mut self,
-        replica: ReplicaId,
-        versions: impl RangeBounds<Version>,
-    ) -> Vec<(ReplicaId, TxnId)> {
-        let mut credited = Vec::new();
-        for (&v, state) in self.eager_pending.range_mut(versions) {
-            if !state.applied.contains(&replica) {
-                state.applied.push(replica);
-            }
-            credited.push(v);
-        }
-        self.take_globally_committed(&credited)
     }
 
     /// Prunes conflict-check history at or below `floor`: safe once every
@@ -683,9 +637,9 @@ impl Certifier {
     /// announced commits.
     ///
     /// In the eager configuration the global-commit accounting is rebuilt
-    /// conservatively: every logged commit becomes pending again with zero
-    /// applied replicas, and an [`Input::Hello`] re-credits each
-    /// surviving replica for everything it had already applied. Hosts must
+    /// conservatively: every logged commit becomes pending again with every
+    /// watermark at zero, and an [`Input::Applied`] carrying each surviving
+    /// replica's `V_local` raises its watermark again. Hosts must
     /// tolerate the resulting re-notifications for transactions whose
     /// global commit was already delivered before the crash.
     pub fn recover(&mut self) -> Result<usize> {
@@ -874,11 +828,6 @@ mod tests {
         Input::Applied { replica, version }
     }
 
-    fn hello(replica: u32, v_local: u64) -> Input {
-        let (replica, v_local) = (ReplicaId(replica), Version(v_local));
-        Input::Hello { replica, v_local }
-    }
-
     fn join(replica: u32) -> Input {
         let replica = ReplicaId(replica);
         Input::Join {
@@ -890,6 +839,10 @@ mod tests {
     fn leave(replica: u32) -> Input {
         let replica = ReplicaId(replica);
         Input::Leave { replica }
+    }
+
+    fn member_ids(c: &Certifier) -> Vec<ReplicaId> {
+        c.members.iter().map(|&(r, _)| r).collect()
     }
 
     /// The addressees of an answer's refreshes, in the order sent.
@@ -1033,16 +986,19 @@ mod tests {
         assert_eq!(addressees(&r1), [ReplicaId(1)]);
         assert!(report(&mut c, join(2)).is_empty());
         assert!(report(&mut c, join(2)).is_empty()); // idempotent
-        assert_eq!(c.replicas.len(), 3);
+        assert_eq!(member_ids(&c), replicas(3));
         // After: fan-out to 2, and the eager quorum now includes the joiner.
         let (d, r2) = certify(&mut c, req(2, 0, 1, ws(0, 2)));
         assert_eq!(addressees(&r2), [ReplicaId(1), ReplicaId(2)]);
         let v = commit_version(&d);
         assert!(report(&mut c, applied(0, v)).is_empty());
         assert!(report(&mut c, applied(1, v)).is_empty());
-        // The pre-join commit (v1) completes without the joiner's credit
-        // only once the joiner replays it — which its catch-up does.
-        assert_eq!(report(&mut c, applied(2, v)), [(ReplicaId(0), TxnId(2))]);
+        // The joiner's report completes both: a replica applies in order,
+        // so each member's report of v2 says it holds the pre-join v1 too.
+        assert_eq!(
+            report(&mut c, applied(2, v)),
+            [(ReplicaId(0), TxnId(1)), (ReplicaId(0), TxnId(2))]
+        );
     }
 
     #[test]
@@ -1071,7 +1027,7 @@ mod tests {
         assert!(report(&mut c, applied(1, v)).is_empty());
         // Decommissioning replica 2 unblocks the global commit.
         assert_eq!(report(&mut c, leave(2)), [(ReplicaId(0), TxnId(1))]);
-        assert_eq!(c.replicas, [ReplicaId(0), ReplicaId(1)]);
+        assert_eq!(member_ids(&c), replicas(2));
         // Unknown removal is a no-op.
         assert!(report(&mut c, leave(9)).is_empty());
         // New fan-out excludes the leaver.
@@ -1237,12 +1193,16 @@ mod tests {
         certify(&mut c, req(1, 0, 0, ws(0, 1)));
         certify(&mut c, req(2, 1, 1, ws(0, 2)));
         c.recover().unwrap();
-        // All replicas were at v2 except replica 2, which reached only v1.
-        assert!(report(&mut c, hello(0, 2)).is_empty());
-        assert!(report(&mut c, hello(1, 2)).is_empty());
+        // All replicas were at v2 except replica 2, which reached only v1;
+        // each reports its `V_local`.
+        assert!(report(&mut c, applied(0, Version(2))).is_empty());
+        assert!(report(&mut c, applied(1, Version(2))).is_empty());
         // v1 completes (already globally committed pre-crash: the host
         // drops the re-notification); v2 still waits for replica 2.
-        assert_eq!(report(&mut c, hello(2, 1)), [(ReplicaId(0), TxnId(1))]);
+        assert_eq!(
+            report(&mut c, applied(2, Version(1))),
+            [(ReplicaId(0), TxnId(1))]
+        );
         // Replica 2 later applies v2 via refresh and reports it.
         assert_eq!(
             report(&mut c, applied(2, Version(2))),
@@ -1258,8 +1218,8 @@ mod tests {
         // The same replica reporting twice counts once.
         assert!(report(&mut c, applied(0, Version(1))).is_empty());
         assert!(report(&mut c, applied(0, Version(1))).is_empty());
-        // A hello from a replica that already reported adds nothing.
-        assert!(report(&mut c, hello(0, 1)).is_empty());
+        // Its restart report of the same `V_local` adds nothing either.
+        assert!(report(&mut c, applied(0, Version(1))).is_empty());
         assert!(report(&mut c, applied(1, Version(1))).is_empty());
         // Only the genuinely missing third replica completes it.
         assert_eq!(
@@ -1275,7 +1235,7 @@ mod tests {
         certify(&mut c, req(1, 0, 0, ws(0, 1)));
         // Replica 9 is no member: its report must not stand in for member
         // 2, which has not applied the commit.
-        assert!(report(&mut c, hello(9, 1)).is_empty());
+        assert!(report(&mut c, applied(9, Version(1))).is_empty());
         assert!(report(&mut c, applied(0, Version(1))).is_empty());
         assert!(report(&mut c, applied(1, Version(1))).is_empty());
         assert_eq!(
@@ -1285,12 +1245,48 @@ mod tests {
     }
 
     #[test]
+    fn a_report_completes_every_commit_below_it_in_version_order() {
+        let mut c = Certifier::new(replicas(2));
+        c.set_eager(true);
+        certify(&mut c, req(1, 0, 0, ws(0, 1)));
+        certify(&mut c, req(2, 1, 1, ws(0, 2)));
+        assert!(report(&mut c, applied(0, Version(2))).is_empty());
+        // A report of v2 says v1 was applied too.
+        assert_eq!(
+            report(&mut c, applied(1, Version(2))),
+            [(ReplicaId(0), TxnId(1)), (ReplicaId(1), TxnId(2))]
+        );
+    }
+
+    #[test]
+    fn a_watermark_neither_falls_nor_passes_v_commit() {
+        let mut c = Certifier::new(replicas(2));
+        c.set_eager(true);
+        certify(&mut c, req(1, 0, 0, ws(0, 1)));
+        // A report beyond V_commit counts up to v1 only, and a late lower
+        // report does not take it back.
+        assert!(report(&mut c, applied(0, Version(5))).is_empty());
+        assert!(report(&mut c, applied(0, Version::ZERO)).is_empty());
+        assert_eq!(
+            report(&mut c, applied(1, Version(1))),
+            [(ReplicaId(0), TxnId(1))]
+        );
+        // v2 waits for replica 0's report of it.
+        certify(&mut c, req(2, 1, 1, ws(0, 2)));
+        assert!(report(&mut c, applied(1, Version(2))).is_empty());
+        assert_eq!(
+            report(&mut c, applied(0, Version(2))),
+            [(ReplicaId(1), TxnId(2))]
+        );
+    }
+
+    #[test]
     fn hello_in_lazy_mode_is_a_no_op() {
         let mut c = Certifier::new(replicas(2));
         certify(&mut c, req(1, 0, 0, ws(0, 1)));
         c.recover().unwrap();
-        assert!(report(&mut c, hello(0, 1)).is_empty());
-        assert!(report(&mut c, hello(1, 1)).is_empty());
+        assert!(report(&mut c, applied(0, Version(1))).is_empty());
+        assert!(report(&mut c, applied(1, Version(1))).is_empty());
     }
 
     #[test]
@@ -1465,9 +1461,9 @@ mod tests {
         certify(&mut c, req(2, 1, 1, ws(1, 2)));
         c.recover().unwrap();
         c.set_eager(true);
-        assert!(report(&mut c, hello(0, 2)).is_empty());
+        assert!(report(&mut c, applied(0, Version(2))).is_empty());
         assert_eq!(
-            report(&mut c, hello(1, 2)),
+            report(&mut c, applied(1, Version(2))),
             [(ReplicaId(0), TxnId(1)), (ReplicaId(1), TxnId(2))]
         );
     }

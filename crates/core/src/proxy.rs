@@ -117,7 +117,8 @@ pub enum ProxyEvent {
         txn: TxnId,
     },
     /// Eager mode: this replica applied the commit with this version
-    /// (local or refresh); the host must notify the certifier.
+    /// (local or refresh), and so, applying in order, every one before it;
+    /// the host must notify the certifier.
     CommitApplied {
         /// The applied global version.
         version: Version,

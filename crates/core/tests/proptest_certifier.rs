@@ -5,9 +5,10 @@
 //! eager accounting — must be *observationally identical* to the simplest
 //! thing that could decide the same way: a list of cloned writesets scanned
 //! newest-first, a list of the keys it has certified, one log, a membership
-//! list, one applied-set per pending version, and a few counters. This test
-//! drives random schedules of certify / keyed-replay / batch / applied /
-//! hello / join / leave / history / prune / recover operations through that
+//! list, one map of the highest version each member has reported applied,
+//! the pending eager commits, and a few counters. This test drives random
+//! schedules of certify / keyed-replay / batch / applied / join / leave /
+//! history / prune / recover operations through that
 //! [`ShadowModel`] and through the real certifier, with eager accounting on
 //! or off per case, and asserts at every step what the certifier hands its
 //! host to send — each refresh, decision and global commit with the replica
@@ -16,6 +17,14 @@
 //!
 //! Only [`Real`] knows how a host talks to the certifier; the model and the
 //! assertions speak of addressed messages.
+//!
+//! A report says "applied every commit up to this version": the hosts' proxy
+//! applies the certifier's order densely and in order, and reports each
+//! version as it applies it and its `V_local` after a restart, so a report
+//! of `v` also covers every version below it. The model keeps, per member,
+//! the highest version reported (never above `V_commit`), and a pending
+//! commit completes once every member's report has reached it. The schedule
+//! draws reports from members and non-members alike, in any order.
 //!
 //! In debug builds the certifier additionally `debug_assert`s its indexed
 //! conflict answer against [`Certifier::conflict_linear`] on every single
@@ -54,17 +63,11 @@ enum Sent {
     },
 }
 
-/// Eager mode: a commit not yet applied by every member.
-struct Pending {
-    origin: ReplicaId,
-    txn: TxnId,
-    applied: Vec<ReplicaId>,
-}
-
 /// The naive reference model: the full committed log (for recover), the
 /// retained window, a linear newest-first conflict scan, per client the
-/// keys it has certified, the membership in join order, the pending eager
-/// commits, and a count of each thing it did.
+/// keys it has certified, the membership in join order, how far each member
+/// has applied, the pending eager commits, and a count of each thing it
+/// did.
 struct ShadowModel {
     v_commit: u64,
     floor: u64,
@@ -78,9 +81,11 @@ struct ShadowModel {
     eager: bool,
     /// The replicas a commit fans out to, in the order they joined.
     members: Vec<ReplicaId>,
-    /// Eager mode: commit version → who has applied it, until every member
-    /// has.
-    pending: BTreeMap<u64, Pending>,
+    /// Per member, the highest version it has reported applied through.
+    applied: HashMap<ReplicaId, u64>,
+    /// Eager mode: commit version → (origin, txn), until every member has
+    /// applied it.
+    pending: BTreeMap<u64, (ReplicaId, TxnId)>,
     /// Counted over the model's lifetime (a crash does not reset them).
     commits: u64,
     aborts: u64,
@@ -99,6 +104,7 @@ impl ShadowModel {
             certified: HashMap::new(),
             eager,
             members: (0..REPLICAS).map(ReplicaId).collect(),
+            applied: HashMap::new(),
             pending: BTreeMap::new(),
             commits: 0,
             aborts: 0,
@@ -182,14 +188,7 @@ impl ShadowModel {
             self.remember(key, txn, commit_version);
         }
         if self.eager {
-            self.pending.insert(
-                self.v_commit,
-                Pending {
-                    origin: req.replica,
-                    txn,
-                    applied: Vec::new(),
-                },
-            );
+            self.pending.insert(self.v_commit, (req.replica, txn));
         }
         let mut sent: Vec<Sent> = self
             .members
@@ -213,59 +212,35 @@ impl ShadowModel {
         sent
     }
 
-    /// The global commits of those of `versions` that every member has
-    /// applied, in the order given.
-    fn complete(&mut self, versions: Vec<u64>) -> Vec<Sent> {
+    /// The global commits of the pending versions every member has applied,
+    /// in version order; with no member, none.
+    fn complete(&mut self) -> Vec<Sent> {
+        let done: Vec<u64> = self
+            .pending
+            .keys()
+            .copied()
+            .filter(|&v| {
+                let applied = |m| self.applied.get(m).copied().unwrap_or(0);
+                !self.members.is_empty() && self.members.iter().all(|m| applied(m) >= v)
+            })
+            .collect();
         let mut sent = Vec::new();
-        for v in versions {
-            let done = self
-                .pending
-                .get(&v)
-                .is_some_and(|p| self.members.iter().all(|m| p.applied.contains(m)));
-            if done {
-                let p = self.pending.remove(&v).expect("present");
-                sent.push(Sent::GlobalCommit {
-                    to: p.origin,
-                    txn: p.txn,
-                });
-            }
+        for v in done {
+            let (to, txn) = self.pending.remove(&v).expect("present");
+            sent.push(Sent::GlobalCommit { to, txn });
         }
         sent
     }
 
-    fn credit(&mut self, replica: ReplicaId, version: u64) {
-        if let Some(p) = self.pending.get_mut(&version) {
-            if !p.applied.contains(&replica) {
-                p.applied.push(replica);
-            }
-        }
-    }
-
-    /// A member applied `version`; a non-member's report counts for nothing.
+    /// A member has applied everything up to `version` (no replica can
+    /// have applied past `V_commit`); a non-member's report counts for
+    /// nothing.
     fn applied(&mut self, replica: ReplicaId, version: u64) -> Vec<Sent> {
-        if !self.members.contains(&replica) {
-            return Vec::new();
+        if self.members.contains(&replica) {
+            let applied = self.applied.entry(replica).or_default();
+            *applied = (*applied).max(version.min(self.v_commit));
         }
-        self.credit(replica, version);
-        self.complete(vec![version])
-    }
-
-    /// A member has applied everything up to `v_local`; a non-member's
-    /// hello counts for nothing.
-    fn hello(&mut self, replica: ReplicaId, v_local: u64) -> Vec<Sent> {
-        if !self.members.contains(&replica) {
-            return Vec::new();
-        }
-        self.credit_through(replica, v_local)
-    }
-
-    /// Credits `replica` with every pending version up to `through`.
-    fn credit_through(&mut self, replica: ReplicaId, through: u64) -> Vec<Sent> {
-        let versions: Vec<u64> = self.pending.range(..=through).map(|(&v, _)| v).collect();
-        for &v in &versions {
-            self.credit(replica, v);
-        }
-        self.complete(versions)
+        self.complete()
     }
 
     /// A replica joins with a snapshot holding everything up to `after`.
@@ -273,20 +248,14 @@ impl ShadowModel {
         if !self.members.contains(&replica) {
             self.members.push(replica);
         }
-        self.credit_through(replica, after)
+        self.applied(replica, after)
     }
 
     /// A member leaves: nothing waits on it any more.
     fn leave(&mut self, replica: ReplicaId) -> Vec<Sent> {
-        if !self.members.contains(&replica) {
-            return Vec::new();
-        }
         self.members.retain(|&m| m != replica);
-        for p in self.pending.values_mut() {
-            p.applied.retain(|&r| r != replica);
-        }
-        let versions = self.pending.keys().copied().collect();
-        self.complete(versions)
+        self.applied.remove(&replica);
+        self.complete()
     }
 
     /// Every logged commit above `after`.
@@ -306,7 +275,7 @@ impl ShadowModel {
         // Recovery replays the whole log: the floor resets, every logged
         // writeset is back in the conflict-check window, and the keys are
         // remembered again in commit order. Eager accounting restarts with
-        // every logged commit pending and nobody credited.
+        // every logged commit pending and every member at version zero.
         self.floor = 0;
         self.history = self
             .log
@@ -315,6 +284,7 @@ impl ShadowModel {
             .collect();
         self.v_commit = self.log.len() as u64;
         self.certified.clear();
+        self.applied.clear();
         self.pending.clear();
         for i in 0..self.log.len() {
             let LogRecord {
@@ -328,15 +298,7 @@ impl ShadowModel {
                 self.remember(key, txn, commit_version);
             }
             if self.eager {
-                let applied = Vec::new();
-                self.pending.insert(
-                    commit_version.0,
-                    Pending {
-                        origin,
-                        txn,
-                        applied,
-                    },
-                );
+                self.pending.insert(commit_version.0, (origin, txn));
             }
         }
     }
@@ -372,10 +334,6 @@ impl Real {
         self.step(vec![Input::Applied { replica, version }])
     }
 
-    fn hello(&mut self, replica: ReplicaId, v_local: Version) -> Vec<Sent> {
-        self.step(vec![Input::Hello { replica, v_local }])
-    }
-
     fn join(&mut self, replica: ReplicaId, after: Version) -> Vec<Sent> {
         self.step(vec![Input::Join { replica, after }])
     }
@@ -405,15 +363,9 @@ enum Op {
     },
     /// Certify these requests as one run (one group commit).
     Batch(Vec<CertifyArgs>),
-    /// `replica` reports it applied the commit `back` versions behind
-    /// `V_commit`.
+    /// `replica`, a member or not, reports it has applied everything up to
+    /// `back` versions behind `V_commit`.
     Applied {
-        replica: u32,
-        back: u8,
-    },
-    /// `replica` reports it has applied everything up to `back` versions
-    /// behind `V_commit`.
-    Hello {
         replica: u32,
         back: u8,
     },
@@ -451,8 +403,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         8 => certify_args().prop_map(Op::Certify),
         2 => (0..CLIENTS).prop_map(|client| Op::Replay { client }),
         1 => proptest::collection::vec(certify_args(), 2..80).prop_map(Op::Batch),
-        6 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Applied { replica, back }),
-        1 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Hello { replica, back }),
+        7 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Applied { replica, back }),
         1 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Join { replica, back }),
         1 => (0..IDS).prop_map(|replica| Op::Leave { replica }),
         1 => (0u8..20).prop_map(|back| Op::History { back }),
@@ -533,11 +484,6 @@ proptest! {
                 Op::Applied { replica, back } => {
                     let (replica, version) = (ReplicaId(replica), behind(&shadow, back));
                     (shadow.applied(replica, version), real.applied(replica, Version(version)))
-                }
-                Op::Hello { replica, back } => {
-                    let replica = ReplicaId(replica);
-                    let v_local = behind(&shadow, back);
-                    (shadow.hello(replica, v_local), real.hello(replica, Version(v_local)))
                 }
                 Op::Join { replica, back } => {
                     let (replica, after) = (ReplicaId(replica), behind(&shadow, back));

@@ -3,7 +3,7 @@
 //! certifier from the replicas), plus the cluster-side link that connects a
 //! [`bargain_cluster::Cluster`] to it.
 //!
-//! Protocol (certifier endpoint, message kinds 2, 15–16 and 20–27):
+//! Protocol (certifier endpoint, message kinds 2, 15–16 and 20–26):
 //!
 //! - The cluster introduces itself on every connection with
 //!   [`Message::HelloAck`]: its replica count and consistency mode, which
@@ -11,9 +11,8 @@
 //!   members `0..replicas` and, in the eager mode, the global-commit
 //!   accounting; the same introduction again changes nothing (a reconnect
 //!   must not reset eager credit). A different one, one naming 0 replicas
-//!   or more than [`MAX_REPLICAS`], and any [`Message::Certify`],
-//!   [`Message::Applied`] or [`Message::ReplicaHello`] before the first
-//!   introduction are refused with `Err(Protocol)` and the connection is
+//!   or more than [`MAX_REPLICAS`], and any [`Message::Certify`] or
+//!   [`Message::Applied`] before the first introduction are refused with `Err(Protocol)` and the connection is
 //!   closed; the next connection is served as before.
 //! - On connect, the cluster reads the commit history with
 //!   [`crate::bootstrap::fetch_history`] and fast-forwards its replicas
@@ -46,8 +45,9 @@
 //! `bargain_core::Certifier::step`'s, the same step the runtime's
 //! in-process certifier and the simulator run. The service owns the socket,
 //! the batch counters and the frames that are no certifier input (`Ping`,
-//! `FetchHistory`, `StopServer`). A [`Message::ReplicaHello`] is the
-//! certifier's `Input::Hello`.
+//! `FetchHistory`, `StopServer`). Each certifier input has one frame kind:
+//! [`Message::Certify`] is `Input::Certify`, [`Message::Applied`] is
+//! `Input::Applied`.
 //!
 //! # Fault tolerance
 //!
@@ -74,7 +74,8 @@
 //! On failure the link thread shuts the socket down, bumps the failure
 //! epoch and clears the write side under the lock, then delivers
 //! [`CertifierDelivery::Down`]; the runtime sweeps (aborts) every
-//! certifying transaction and sheds new updates at the load balancer.
+//! certifying transaction, and until `Up` the load balancer sheds every new
+//! transaction, reads included, with a `retry-after` refusal.
 //! Every decision it read before is already on its replica's queue, ahead
 //! of the sweep: the same thread delivered it. The link then reconnects
 //! with backoff, fetches the commits it may have missed (the history above
@@ -82,11 +83,11 @@
 //! [`CertifierDelivery::Resync`] refreshes and then
 //! [`CertifierDelivery::Up`], and only then sends what was held and
 //! installs the new write side. What was held includes each replica's
-//! re-introduction: handling the sweep, a replica reports its `V_local`
-//! ([`CertifierRequest::Hello`], sent as [`Message::ReplicaHello`]), which
-//! credits it in the eager accounting for every commit it holds — the
-//! `Applied` reports that died with the old socket, or every credit a
-//! restarted certifier's recovery reset.
+//! report of how far it has applied: handling the sweep, a replica reports
+//! its `V_local` (an `Input::Applied`, sent as [`Message::Applied`]), which
+//! raises its watermark in the eager accounting over every commit it holds
+//! — the `Applied` reports that died with the old socket, or the watermark
+//! a restarted certifier's recovery reset.
 //!
 //! Exactly-once across the outage hinges on one fencing rule: a certify
 //! request handed over *before* its replica processed the sweep belongs to
@@ -386,7 +387,6 @@ impl Service for CertifierService {
             inputs.push(match msg {
                 Message::Certify(req) => Input::Certify(req),
                 Message::Applied { replica, version } => Input::Applied { replica, version },
-                Message::ReplicaHello { replica, v_local } => Input::Hello { replica, v_local },
                 // Any other frame may depend on decisions queued before it:
                 // step over what came first, then answer.
                 other => {
@@ -630,7 +630,7 @@ impl CertifierLink for RemoteCertifierLink {
     fn request(&self, request: CertifierRequest) {
         let mut state = self.state.lock();
         let msg = match request {
-            CertifierRequest::Certify(req) => {
+            CertifierRequest::Step(Input::Certify(req)) => {
                 if state.acked.get(&req.replica.0).copied().unwrap_or(0) != state.epoch {
                     // Handed over before its replica processed the sweep:
                     // its transaction was aborted, so certifying it now
@@ -639,10 +639,12 @@ impl CertifierLink for RemoteCertifierLink {
                 }
                 Message::Certify(req)
             }
-            CertifierRequest::Applied { replica, version } => Message::Applied { replica, version },
-            CertifierRequest::Hello { replica, v_local } => {
-                Message::ReplicaHello { replica, v_local }
+            CertifierRequest::Step(Input::Applied { replica, version }) => {
+                Message::Applied { replica, version }
             }
+            // Membership belongs to the service, which takes it from the
+            // introduction: no replica hands over a join or a leave.
+            CertifierRequest::Step(Input::Join { .. } | Input::Leave { .. }) => return,
             CertifierRequest::SweepAck { replica, epoch } => {
                 state.acked.insert(replica.0, epoch);
                 return;

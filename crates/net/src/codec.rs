@@ -47,9 +47,11 @@ pub(crate) fn unexpected(expected: &str, got: &Message) -> Error {
 }
 
 /// One protocol message. The numeric discriminants are the frame `kind`
-/// byte: session traffic uses 1–16, certifier traffic 20–27 and the
+/// byte: session traffic uses 1–16, certifier traffic 20–26 and the
 /// snapshot bootstrap 30–32. The history exchange (25, 26) serves the
-/// certifier and the frontend alike.
+/// certifier and the frontend alike. Kind 27, a replica's re-introduction,
+/// is retired: its meaning is [`Message::Applied`]'s, and it decodes as
+/// unknown.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Client → server: first frame on every connection.
@@ -140,8 +142,11 @@ pub enum Message {
     Pong,
     /// Cluster → certifier: certify an update transaction.
     Certify(CertifyRequest),
-    /// Cluster → certifier: a replica applied the given version (eager
-    /// global-commit accounting).
+    /// Cluster → certifier: `replica` has applied every commit up to
+    /// `version` (eager global-commit accounting). A replica sends one as it
+    /// applies each commit, and one with its `V_local` after a certifier
+    /// outage, which may have lost the others (across a certifier restart,
+    /// every watermark).
     Applied {
         /// The reporting replica.
         replica: ReplicaId,
@@ -184,17 +189,6 @@ pub enum Message {
     History {
         /// Certified records in commit order.
         records: Vec<LogRecord>,
-    },
-    /// Cluster → certifier: `replica` has applied every commit up to
-    /// `v_local`. Each replica re-introduces itself after a certifier
-    /// outage, which may have lost its `Applied` reports (across a
-    /// certifier restart, every credit of the eager global-commit
-    /// accounting).
-    ReplicaHello {
-        /// The reporting replica.
-        replica: ReplicaId,
-        /// Its `V_local`.
-        v_local: Version,
     },
     /// Joining node → frontend: request a snapshot bootstrap stream. The
     /// server exports a consistent checkpoint from a donor replica and
@@ -254,7 +248,6 @@ impl Message {
             Message::GlobalCommitFor { .. } => 24,
             Message::FetchHistory { .. } => 25,
             Message::History { .. } => 26,
-            Message::ReplicaHello { .. } => 27,
             Message::JoinRequest { .. } => 30,
             Message::SnapshotChunk { .. } => 31,
             Message::SnapshotDone { .. } => 32,
@@ -350,10 +343,6 @@ impl Message {
             }
             Message::FetchHistory { after } => after.put(buf),
             Message::History { records } => records.put(buf),
-            Message::ReplicaHello { replica, v_local } => {
-                replica.put(buf);
-                v_local.put(buf);
-            }
             Message::JoinRequest { chunk_bytes } => chunk_bytes.put(buf),
             Message::SnapshotChunk { index, data } => {
                 index.put(buf);
@@ -438,10 +427,6 @@ impl Message {
             },
             25 => Message::FetchHistory { after: r.get()? },
             26 => Message::History { records: r.get()? },
-            27 => Message::ReplicaHello {
-                replica: r.get()?,
-                v_local: r.get()?,
-            },
             30 => Message::JoinRequest {
                 chunk_bytes: r.get()?,
             },
@@ -599,10 +584,6 @@ mod tests {
                 },
             ],
         });
-        round_trip(Message::ReplicaHello {
-            replica: ReplicaId(2),
-            v_local: Version(13),
-        });
         round_trip(Message::JoinRequest {
             chunk_bytes: 256 * 1024,
         });
@@ -711,5 +692,12 @@ mod tests {
     #[test]
     fn unknown_kind_rejected() {
         assert!(matches!(Message::decode(99, &[]), Err(Error::Codec(_))));
+        // The retired re-introduction, with the payload it carried.
+        let applied = Message::Applied {
+            replica: ReplicaId(2),
+            version: Version(13),
+        };
+        let err = Message::decode(27, &applied.encode()).unwrap_err();
+        assert!(err.to_string().contains("unknown message kind 27"), "{err}");
     }
 }

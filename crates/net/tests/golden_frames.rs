@@ -365,19 +365,22 @@ fn refused_decision_is_pinned() {
     );
 }
 
-/// The certifier-endpoint kind added after the vectors above were pinned:
-/// a replica re-introducing itself after a certifier outage.
+/// Kind 27, a replica re-introducing itself after a certifier outage, is
+/// retired: the same report is an `Applied` (kind 21), whose payload it
+/// shared. Its pinned frame still reads, and decodes as an unknown kind.
 #[test]
-fn replica_hello_is_pinned() {
-    check(
-        "ReplicaHello",
-        &Message::ReplicaHello {
-            replica: ReplicaId(2),
-            v_local: Version(13),
-        },
-        0,
-        REPLICA_HELLO,
-    );
+fn the_retired_replica_hello_decodes_as_unknown() {
+    let bytes = unhex(REPLICA_HELLO);
+    let (kind, id, payload) = read_frame(&mut bytes.as_slice()).expect("pinned frame reads");
+    assert_eq!((kind, id), (27, 0));
+    let applied = Message::Applied {
+        replica: ReplicaId(2),
+        version: Version(13),
+    };
+    assert_eq!(payload, applied.encode());
+    let err = Message::decode(kind, &payload).unwrap_err();
+    assert!(matches!(err, Error::Codec(_)), "{err}");
+    assert!(err.to_string().contains("unknown message kind 27"), "{err}");
 }
 
 const HELLO: &str = "4247414e020100000000000000000100000000000000";

@@ -873,7 +873,9 @@ impl CertifierLink for PoisonedLink {
         let requests = &self.1;
         for request in requests.iter() {
             match request {
-                bargain_cluster::CertifierRequest::Certify(req) => {
+                bargain_cluster::CertifierRequest::Step(
+                    bargain_core::certifier::Input::Certify(req),
+                ) => {
                     let mut writeset = WriteSet::new();
                     writeset.push(TableId(9_999), Value::Int(1), WriteOp::Delete);
                     let refresh = bargain_core::Refresh {

@@ -1,9 +1,9 @@
 //! A replica's re-introduction over the certifier endpoint: after a link
-//! loss the link writes each replica's `ReplicaHello` once it is back, and
-//! after the certifier restarts over its log — every commit it recovers
-//! pending again with no replica credited — those frames complete what
-//! was pending. And what the link's history fetch reads ahead of the
-//! history reaches the replicas.
+//! loss the link writes each replica's `Applied` report of its `V_local`
+//! once it is back, and after the certifier restarts over its log — every
+//! commit it recovers pending again with every watermark at zero — those
+//! frames complete what was pending. And what the link's history fetch
+//! reads ahead of the history reaches the replicas.
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
@@ -56,10 +56,11 @@ fn exchange(conn: &mut Connection, msgs: &[Message]) -> Vec<Message> {
     }
 }
 
+/// What a replica at `V_local` 1 reports after a restart.
 fn hello(replica: u32) -> Message {
-    Message::ReplicaHello {
+    Message::Applied {
         replica: ReplicaId(replica),
-        v_local: Version(1),
+        version: Version(1),
     }
 }
 
@@ -103,7 +104,8 @@ fn after_a_certifier_restart_the_replicas_hello_completes_a_pending_eager_commit
     drop(conn);
     first.stop();
 
-    // The restarted certifier credits nobody until each replica says hello.
+    // The restarted certifier completes nothing until each replica has
+    // reported its V_local.
     let (second, mut conn) = service(&dir);
     assert_eq!(exchange(&mut conn, &[hello(0), hello(1)]), []);
     assert_eq!(
@@ -142,7 +144,7 @@ fn answer_history(stream: &mut TcpStream) -> Vec<Message> {
 
 /// A fake certifier service drops the link's first connection once it has
 /// served the start's history fetch. When the link is back and has fetched
-/// the history again, every replica's hello follows, with its `V_local`.
+/// the history again, every replica's report of its `V_local` follows.
 #[test]
 fn a_link_that_comes_back_writes_each_replicas_hello() {
     const REPLICAS: u32 = 3;
@@ -159,8 +161,8 @@ fn a_link_that_comes_back_writes_each_replicas_hello() {
         while seen.len() < REPLICAS as usize {
             let (kind, id, payload) = read_frame(&mut second).unwrap();
             match Message::decode(kind, &payload).unwrap() {
-                Message::ReplicaHello { replica, v_local } => {
-                    seen.insert(replica.0, v_local);
+                Message::Applied { replica, version } => {
+                    seen.insert(replica.0, version);
                 }
                 Message::Ping => {
                     let frame = encode_frame(Message::Pong.kind(), id, &[]).unwrap();

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! The certifier runs as it runs in the live hosts: every certify batch,
-//! applied report, restart hello, join and drain goes through
+//! applied report (a restart's included), join and drain goes through
 //! `bargain_core::Certifier::step`, and one function (`certify_step`)
 //! schedules what it sends. The simulator adds only what a host owns: the
 //! cost model (service time, network delay), process epochs and the fault
@@ -154,7 +154,7 @@ enum Event {
         replica: ReplicaId,
         version: Version,
         /// Certifier life the report was addressed to; stale reports are
-        /// dropped (recovery hellos re-credit them).
+        /// dropped (the reports after a restart cover them).
         epoch: u32,
     },
     GlobalCommitAtReplica {
@@ -758,9 +758,9 @@ impl<'w> Sim<'w> {
                 epoch,
             } => {
                 // Reports addressed to a crashed certifier life are lost;
-                // the recovery hello re-credits everything the replica has
-                // applied, so dropping is safe (and crediting twice would
-                // be too — the certifier's applied sets are idempotent).
+                // the recovery report raises the replica's watermark over
+                // everything it has applied, so dropping is safe (and
+                // reporting twice would be too — a watermark only rises).
                 if !self.cert_up || epoch != self.cert_epoch {
                     return;
                 }
@@ -933,18 +933,18 @@ impl<'w> Sim<'w> {
         self.cert_up = true;
         self.checker.record_fault("certifier restart");
         // Eager: live replicas — joiners included; decommissioned ones are
-        // down — re-introduce themselves so the rebuilt (empty) applied sets
-        // re-credit everything already applied. Crediting is idempotent, so
-        // overlap with in-flight reports or a later replica-restart hello is
-        // harmless.
-        let hellos = (0..self.proxies.len())
+        // down — report their `V_local`, so the rebuilt (zero) watermarks
+        // cover everything already applied. A watermark only rises, so
+        // overlap with in-flight reports or a later replica-restart report
+        // is harmless.
+        let reports = (0..self.proxies.len())
             .filter(|&r| self.replica_up[r])
-            .map(|r| Input::Hello {
+            .map(|r| Input::Applied {
                 replica: self.proxies[r].replica(),
-                v_local: self.proxies[r].version(),
+                version: self.proxies[r].version(),
             })
             .collect();
-        self.certify_step(hellos);
+        self.certify_step(reports);
         // Requests that survived the crash re-arrive once replay finishes
         // (recovery time scales with log length).
         let delay = self.cfg.costs.cert_recovery_cost(replayed);
@@ -967,10 +967,10 @@ impl<'w> Sim<'w> {
         self.checker
             .record_fault(format!("replica {replica} restart"));
         if self.cert_up {
-            let v_local = self.proxies[replica].version();
-            self.certify_step(vec![Input::Hello {
+            let version = self.proxies[replica].version();
+            self.certify_step(vec![Input::Applied {
                 replica: rid,
-                v_local,
+                version,
             }]);
         }
         let delay = self.cfg.costs.replica_recovery_base_us;

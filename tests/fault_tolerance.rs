@@ -187,10 +187,10 @@ fn crashed_replica_rebuilds_from_certified_history() {
 
 #[test]
 fn eager_counters_rebuild_conservatively_on_recovery() {
-    // Global-commit accounting is rebuilt from the log with zero applied
-    // credits: recovery cannot know which replicas already applied a
-    // version, so each surviving replica re-reports its V_local (a
-    // "hello"), and origins must tolerate duplicate global-commit
+    // Global-commit accounting is rebuilt from the log with every applied
+    // watermark at zero: recovery cannot know which replicas already
+    // applied a version, so each surviving replica reports its V_local
+    // again, and origins must tolerate duplicate global-commit
     // notifications.
     let mut certifier = Certifier::new(vec![ReplicaId(0), ReplicaId(1)]);
     certifier.set_eager(true);
@@ -208,18 +208,14 @@ fn eager_counters_rebuild_conservatively_on_recovery() {
         report(&mut certifier, applied(ReplicaId(1))),
         [(ReplicaId(0), TxnId(1))]
     );
-    // Crash + recovery: the pending counter is rebuilt at zero credits.
+    // Crash + recovery: the commit is pending again, every watermark zero.
     certifier.recover().unwrap();
-    // Hellos from the (already current) replicas re-complete it; the
-    // duplicate notification for the origin is re-issued and the origin's
-    // proxy drops it.
-    let hello = |replica| Input::Hello {
-        replica,
-        v_local: commit_version,
-    };
-    assert!(report(&mut certifier, hello(ReplicaId(0))).is_empty());
+    // The (already current) replicas' reports of their V_local re-complete
+    // it; the duplicate notification for the origin is re-issued and the
+    // origin's proxy drops it.
+    assert!(report(&mut certifier, applied(ReplicaId(0))).is_empty());
     assert_eq!(
-        report(&mut certifier, hello(ReplicaId(1))),
+        report(&mut certifier, applied(ReplicaId(1))),
         [(ReplicaId(0), TxnId(1))]
     );
 }
