@@ -207,7 +207,8 @@ impl CertifierLink for LostReportLink {
 }
 
 /// An Eager commit whose global commit waits on a report the link lost is
-/// completed once the link is back: the replicas re-introduce themselves.
+/// completed once the link is back: handling the sweep, each replica
+/// reports its `V_local` again.
 #[test]
 fn an_eager_commit_whose_applied_report_died_with_the_link_completes_after_it_returns() {
     let workload = MicroBenchmark::small(0.5);
@@ -232,8 +233,8 @@ fn an_eager_commit_whose_applied_report_died_with_the_link_completes_after_it_re
         .expect("the update is answered");
     assert!(outcome.committed, "{:?}", outcome.abort_reason);
     assert_eq!(outcome.commit_version, Some(Version(1)));
-    // The hellos may complete it before the last sweep ack brings the link
-    // up.
+    // The sweep's reports may complete it before the last sweep ack brings
+    // the link up.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cluster.stats().unwrap().certifier_up {
         assert!(Instant::now() < deadline, "the link never came back up");

@@ -418,6 +418,7 @@ impl Certifier {
             if let Some(refresh) = refresh {
                 for &(to, _) in self.members.iter().filter(|&&(r, _)| r != origin) {
                     step.out.push((to, Delivery::Refresh(refresh.clone())));
+                    self.stats.refreshes_sent += 1;
                 }
             }
             step.out.push((origin, Delivery::Decision(decision)));
@@ -528,12 +529,6 @@ impl Certifier {
                 .insert(commit_version, (req.replica, req.txn));
         }
         self.stats.commits += 1;
-        let n_targets = self
-            .members
-            .iter()
-            .filter(|&&(r, _)| r != req.replica)
-            .count();
-        self.stats.refreshes_sent += n_targets as u64;
         let refresh = Refresh::from(&record);
         self.unflushed.push(record);
         (

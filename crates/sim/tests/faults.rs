@@ -131,10 +131,10 @@ fn certifier_crash_stalls_then_recovers_updates() {
 #[test]
 fn a_restarted_certifier_hears_from_joined_replicas_too() {
     // Under Eager a commit completes once every member has applied it, and a
-    // restarted certifier relearns what each member applied from its hello.
-    // A joiner left out of the hellos holds back every commit it applied
-    // before the crash, so the join-then-crash run would fall well short of
-    // the crash alone.
+    // restarted certifier relearns what each member applied from its
+    // restart report. A joiner left out of the reports holds back every
+    // commit it applied before the crash, so the join-then-crash run would
+    // fall well short of the crash alone.
     let w = workload();
     let crash = FaultKind::CertifierCrash { down_ms: 100 };
     let join = FaultKind::ReplicaJoin {
