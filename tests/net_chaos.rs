@@ -26,8 +26,8 @@ use bargain::common::{
 use bargain::core::ConsistencyChecker;
 use bargain::net::{
     CertifierLinkConfig, CertifierServer, CertifierServerConfig, ChaosProxy, ConnectPolicy,
-    Connection, Message, NetFaultPlan, NetServer, NetServerConfig, RemoteCertifierLink,
-    RemoteSession,
+    Connection, Message, NetFaultKind, NetFaultPlan, NetServer, NetServerConfig,
+    RemoteCertifierLink, RemoteSession,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,6 +53,22 @@ fn chaos_policy() -> ConnectPolicy {
         write_timeout: Some(Duration::from_secs(2)),
         ..ConnectPolicy::default()
     }
+}
+
+/// Milliseconds after the proxy starts by which every fault of `plan` has
+/// fired and every window it opened has closed. A corruption or truncation
+/// fires on the next chunk after its time, which a heartbeat brings.
+fn plan_end_ms(plan: &NetFaultPlan) -> u64 {
+    let end = |at_ms, kind| match kind {
+        NetFaultKind::Partition { duration_ms }
+        | NetFaultKind::LatencyBurst { duration_ms, .. } => at_ms + duration_ms,
+        _ => at_ms,
+    };
+    plan.events
+        .iter()
+        .map(|e| end(e.at_ms, e.kind))
+        .max()
+        .unwrap_or(0)
 }
 
 /// Starts a cluster with a ledger of `rows` zeroed counters and serves it
@@ -503,19 +519,21 @@ fn certifier_link_chaos_is_exactly_once() {
 
         let certifier =
             CertifierServer::start("127.0.0.1:0", CertifierServerConfig::default()).unwrap();
-        let proxy = ChaosProxy::start(
-            &certifier.local_addr().to_string(),
-            NetFaultPlan::random(seed, 1_200),
-        )
-        .unwrap();
+        let plan = NetFaultPlan::random(seed, 1_200);
+        let plan_end = Duration::from_millis(plan_end_ms(&plan));
+        let proxy = ChaosProxy::start(&certifier.local_addr().to_string(), plan).unwrap();
+        // No later than the proxy's clock.
+        let proxy_started = Instant::now();
+        let link_config = CertifierLinkConfig {
+            heartbeat_interval: Duration::from_millis(80),
+            heartbeat_timeout: Duration::from_millis(400),
+            reconnect_pause: Duration::from_millis(50),
+        };
+        let quiet = plan_end + link_config.heartbeat_timeout;
         let link = RemoteCertifierLink::connect_with_config(
             &proxy.local_addr().to_string(),
             &chaos_policy(),
-            CertifierLinkConfig {
-                heartbeat_interval: Duration::from_millis(80),
-                heartbeat_timeout: Duration::from_millis(400),
-                reconnect_pause: Duration::from_millis(50),
-            },
+            link_config,
         )
         .expect("link through chaos proxy");
         let cluster = Cluster::start_with_certifier_link(
@@ -605,6 +623,11 @@ fn certifier_link_chaos_is_exactly_once() {
         }
         let (acked, acked_pairs): (Vec<i64>, Vec<i64>) =
             handles.into_iter().map(|h| h.join().unwrap()).unzip();
+        // The clients may finish before the plan's last fault: a link that
+        // drops after the health wait sheds the reads below. So the reads
+        // wait until every fault has fired and its outage has had a
+        // heartbeat deadline to show, then for the link to be up.
+        std::thread::sleep(quiet.saturating_sub(proxy_started.elapsed()));
         await_certifier_health(&cluster, true, "after link chaos");
 
         let mut reader = cluster.connect();
