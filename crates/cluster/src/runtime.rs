@@ -1254,9 +1254,8 @@ impl LocalCertifier {
         drop(self.step(None));
     }
 
-    /// Adds `replica` to the refresh fan-out — crediting it, under Eager,
-    /// for every pending commit at or below `after`, which its snapshot
-    /// holds — and returns the certified records above `after`. They are
+    /// Adds `replica` to the refresh fan-out — under Eager, with its applied
+    /// watermark at `after`, which its snapshot holds — and returns the certified records above `after`. They are
     /// read under the step's lock, so they cover every commit the joiner is
     /// not sent as a refresh; the proxy deduplicates the overlap.
     fn join(&self, replica: ReplicaId, after: Version) -> Result<Vec<LogRecord>> {

@@ -10,10 +10,11 @@
 //!   the service is not configured with. The first introduction installs
 //!   members `0..replicas` and, in the eager mode, the global-commit
 //!   accounting; the same introduction again changes nothing (a reconnect
-//!   must not reset eager credit). A different one, one naming 0 replicas
-//!   or more than [`MAX_REPLICAS`], and any [`Message::Certify`] or
-//!   [`Message::Applied`] before the first introduction are refused with `Err(Protocol)` and the connection is
-//!   closed; the next connection is served as before.
+//!   must not reset the applied watermarks). A different one, one naming 0
+//!   replicas or more than [`MAX_REPLICAS`], and any [`Message::Certify`]
+//!   or [`Message::Applied`] before the first introduction are refused
+//!   with `Err(Protocol)` and the connection is closed; the next
+//!   connection is served as before.
 //! - On connect, the cluster reads the commit history with
 //!   [`crate::bootstrap::fetch_history`] and fast-forwards its replicas
 //!   through it. Each [`Message::FetchHistory`] is answered with one page
@@ -300,8 +301,8 @@ impl CertifierService {
 
     /// Takes the cluster's introduction: the first joins members
     /// `0..replicas` and installs the mode's eager accounting, the same one
-    /// again changes nothing (it must not reset eager credit), and any other
-    /// is refused.
+    /// again changes nothing (it must not reset the applied watermarks), and
+    /// any other is refused.
     fn introduce(&mut self, replicas: u32, mode: ConsistencyMode) -> Result<()> {
         let introduction = Some((replicas, mode));
         if self.introduced.is_none() && (1..=MAX_REPLICAS).contains(&replicas) {

@@ -1110,10 +1110,10 @@ impl<'w> Sim<'w> {
         self.replica_gone.push(false);
         self.draining.push(false);
         // Membership order matters: into the refresh fan-out first (no
-        // commit certified from here on can be missed; the joiner is
-        // credited for what its snapshot holds), then into the routing set
-        // *marked down* — the joiner serves nothing until the admission
-        // check passes.
+        // commit certified from here on can be missed; the joiner's
+        // watermark starts at what its snapshot holds), then into the
+        // routing set *marked down* — the joiner serves nothing until the
+        // admission check passes.
         self.certify_step(vec![Input::Join {
             replica: rid,
             after: manifest.version,
