@@ -584,9 +584,10 @@ impl Certifier {
     }
 
     /// Raises member `replica`'s watermark to `version`, if it is a member
-    /// and the watermark is lower. No replica can have applied a commit not
-    /// made yet, so a report above `V_commit` counts up to it: a later
-    /// commit waits for reports of its own.
+    /// and the watermark is lower. A report above `V_commit` (a replica
+    /// that outlived a certifier whose log was lost) counts up to
+    /// `V_commit`: the commits made next reuse those versions and wait for
+    /// reports of their own.
     fn raise(&mut self, replica: ReplicaId, version: Version) {
         if let Some((_, applied)) = self.members.iter_mut().find(|(r, _)| *r == replica) {
             *applied = (*applied).max(version.min(self.v_commit));

@@ -24,7 +24,8 @@
 //! of `v` also covers every version below it. The model keeps, per member,
 //! the highest version reported (never above `V_commit`), and a pending
 //! commit completes once every member's report has reached it. The schedule
-//! draws reports from members and non-members alike, in any order.
+//! draws reports from members and non-members alike, in any order, up to
+//! two versions past `V_commit`.
 //!
 //! In debug builds the certifier additionally `debug_assert`s its indexed
 //! conflict answer against [`Certifier::conflict_linear`] on every single
@@ -364,10 +365,11 @@ enum Op {
     /// Certify these requests as one run (one group commit).
     Batch(Vec<CertifyArgs>),
     /// `replica`, a member or not, reports it has applied everything up to
-    /// `back` versions behind `V_commit`.
+    /// `back` versions behind `V_commit` (ahead of it for a negative
+    /// `back`: a replica that outlived a certifier whose log was lost).
     Applied {
         replica: u32,
-        back: u8,
+        back: i8,
     },
     /// `replica` joins with a snapshot `back` versions behind `V_commit`.
     Join {
@@ -403,7 +405,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         8 => certify_args().prop_map(Op::Certify),
         2 => (0..CLIENTS).prop_map(|client| Op::Replay { client }),
         1 => proptest::collection::vec(certify_args(), 2..80).prop_map(Op::Batch),
-        7 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Applied { replica, back }),
+        7 => (0..IDS, -2i8..6).prop_map(|(replica, back)| Op::Applied { replica, back }),
         1 => (0..IDS, 0u8..6).prop_map(|(replica, back)| Op::Join { replica, back }),
         1 => (0..IDS).prop_map(|replica| Op::Leave { replica }),
         1 => (0u8..20).prop_map(|back| Op::History { back }),
@@ -482,7 +484,8 @@ proptest! {
                     (Vec::new(), Vec::new())
                 }
                 Op::Applied { replica, back } => {
-                    let (replica, version) = (ReplicaId(replica), behind(&shadow, back));
+                    let version = shadow.v_commit.saturating_add_signed(-i64::from(back));
+                    let replica = ReplicaId(replica);
                     (shadow.applied(replica, version), real.applied(replica, Version(version)))
                 }
                 Op::Join { replica, back } => {
