@@ -30,6 +30,7 @@ fn main() {
                 report.violations, 0,
                 "{mode} violated its consistency guarantee"
             );
+            assert_eq!(report.unanswered, 0, "{mode} left requests unanswered");
             per_mode.push(report.tps);
             rows.push(report_row(&report));
         }

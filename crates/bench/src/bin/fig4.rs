@@ -31,6 +31,7 @@ fn main() {
         for mode in ConsistencyMode::PAPER_MODES {
             let report = simulate(&workload, &fig_config(mode, replicas, clients));
             assert_eq!(report.violations, 0, "{mode} violated its guarantee");
+            assert_eq!(report.unanswered, 0, "{mode} left requests unanswered");
             let b = report.breakdown_all;
             rows.push(vec![
                 mode.label().to_owned(),

@@ -66,6 +66,7 @@ fn main() {
                     "{mode} violated its guarantee ({} mix, {n} replicas)",
                     mix.label()
                 );
+                assert_eq!(report.unanswered, 0, "{mode} left requests unanswered");
                 per_replicas.push(report);
             }
             reports.push(per_replicas);

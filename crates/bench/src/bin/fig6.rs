@@ -34,6 +34,7 @@ fn main() {
                 let report: SimReport =
                     simulate(&workload, &fig_config(mode, n, clients_per_replica * n));
                 assert_eq!(report.violations, 0, "{mode} violated its guarantee");
+                assert_eq!(report.unanswered, 0, "{mode} left requests unanswered");
                 per_replica.push(report.avg_sync_delay_ms);
                 row.push(format!("{:.2}", report.avg_sync_delay_ms));
             }

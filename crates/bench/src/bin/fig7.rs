@@ -39,6 +39,7 @@ fn main() {
             for &n in &replica_counts {
                 let report = simulate(&workload, &fig_config(mode, n, clients));
                 assert_eq!(report.violations, 0, "{mode} violated its guarantee");
+                assert_eq!(report.unanswered, 0, "{mode} left requests unanswered");
                 per_replica.push(report.avg_response_ms);
                 row.push(format!("{:.1}", report.avg_response_ms));
             }

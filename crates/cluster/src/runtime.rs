@@ -1093,19 +1093,19 @@ impl Replica {
             ToReplica::Certifier(Delivery::Decision(decision)) => {
                 match self.proxy.on_decision(decision) {
                     Ok(events) => self.handle_events(events),
-                    // A decision for a transaction the certifier-loss sweep
-                    // already aborted: its commit, if any, reaches this
-                    // replica through the reconnect resync instead.
+                    // A decision for a transaction the sweep aborted, from a
+                    // link that delivers one after its `Down` (the trait is
+                    // public; its contract puts them before): the commit, if
+                    // any, reaches this replica through the resync instead.
                     Err(Error::NoSuchTransaction(_)) => {}
                     Err(e) => panic!("decision failed: {e}"),
                 }
             }
             ToReplica::Certifier(Delivery::GlobalCommit(txn)) => {
-                match self.proxy.on_global_commit(txn) {
-                    Ok(outcome) => self.finished(outcome),
-                    // Stale global-commit notification for a swept transaction.
-                    Err(Error::NoSuchTransaction(_) | Error::Protocol(_)) => {}
-                    Err(e) => panic!("global commit failed: {e}"),
+                // The one error, "not awaiting", is the global commit of a
+                // transaction the sweep aborted and the resync applied.
+                if let Ok(outcome) = self.proxy.on_global_commit(txn) {
+                    self.finished(outcome);
                 }
             }
             ToReplica::CertifierLost { epoch } => {

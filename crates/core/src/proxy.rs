@@ -11,6 +11,13 @@
 //! waiting this induces before a local commit can apply is the paper's
 //! *sync* stage.
 //!
+//! One rule fills each version's slot: commit `v` is installed once, by
+//! whichever of its decision or its refresh arrives first (a resync
+//! replays a replica's own commits as refreshes). A later refresh is a
+//! duplicate; a later decision only answers its client once `v` applies,
+//! discarding its tentative writes. A transaction the link-loss sweep
+//! aborts leaves no slot; the resync brings its commit back as a refresh.
+//!
 //! Start-delay enforcement implements the lazy consistency techniques: a
 //! routed transaction whose `start_requirement` exceeds the replica's
 //! `V_local` is parked until enough refreshes have been applied — the
@@ -60,8 +67,9 @@ pub struct ProxyStats {
     /// Early-certification aborts (refresh-arrival check against executing
     /// transactions).
     pub early_aborts_refresh: u64,
-    /// Refreshes ignored because the replica had already applied that
-    /// version (duplicate deliveries during post-crash re-synchronization).
+    /// Refreshes ignored because their version's slot was taken (applied
+    /// or waiting): duplicates from re-synchronization, including a
+    /// replica's own commits replayed after their decisions took the slot.
     pub duplicate_refreshes_ignored: u64,
     /// Local transactions answered as duplicates by the certifier (client
     /// retries of already-committed transactions): their tentative writes
@@ -142,14 +150,14 @@ struct ActiveTxn {
     idem: Option<IdemKey>,
 }
 
-enum PendingApply {
-    Refresh {
-        /// The certified writeset, shared with the certifier (no copy).
-        writeset: Arc<WriteSet>,
-    },
-    LocalCommit {
-        txn: TxnId,
-    },
+/// One version's slot in the apply queue.
+#[derive(Default)]
+struct Slot {
+    /// The refresh's certified writeset, shared with the certifier (no
+    /// copy); `None` when the local transaction's own writes install it.
+    writeset: Option<Arc<WriteSet>>,
+    /// The local transaction the commit answers once applied.
+    txn: Option<TxnId>,
 }
 
 /// The per-replica proxy state machine, owning the local storage engine.
@@ -163,7 +171,7 @@ pub struct Proxy {
     waiting: VecDeque<RoutedTxn>,
     active: HashMap<TxnId, ActiveTxn>,
     /// Global-order apply queue keyed by commit version.
-    pending: BTreeMap<Version, PendingApply>,
+    pending: BTreeMap<Version, Slot>,
     /// Eager mode: locally committed update transactions awaiting the
     /// certifier's global-commit notification.
     awaiting_global: HashMap<TxnId, TxnOutcome>,
@@ -351,10 +359,8 @@ impl Proxy {
             // Early certification: do my writes-so-far collide with a
             // certified-but-not-yet-applied refresh writeset?
             let partial = self.engine.partial_writeset(handle)?;
-            let conflicts = self.pending.values().any(|p| match p {
-                PendingApply::Refresh { writeset } => partial.conflicts_with(writeset),
-                PendingApply::LocalCommit { .. } => false,
-            });
+            let mut refreshes = self.pending.values().filter_map(|s| s.writeset.as_ref());
+            let conflicts = refreshes.any(|ws| partial.conflicts_with(ws));
             if conflicts {
                 self.stats.early_aborts_statement += 1;
                 let outcome =
@@ -418,16 +424,18 @@ impl Proxy {
                 txn,
                 commit_version,
             } => {
-                {
-                    let a = self.active_txn(txn)?;
-                    if a.phase != TxnPhase::Certifying {
-                        return Err(Error::Protocol(format!(
-                            "commit decision for non-certifying txn {txn}"
-                        )));
-                    }
+                if self.active_txn(txn)?.phase != TxnPhase::Certifying {
+                    return Err(Error::Protocol(format!(
+                        "commit decision for non-certifying txn {txn}"
+                    )));
                 }
-                self.pending
-                    .insert(commit_version, PendingApply::LocalCommit { txn });
+                if commit_version <= self.engine.version() {
+                    // A refresh installed the commit already.
+                    let outcome = self.complete(txn, commit_version, false)?;
+                    return Ok(vec![self.release(outcome)]);
+                }
+                // A refresh may have taken the slot; it answers `txn` then.
+                self.pending.entry(commit_version).or_default().txn = Some(txn);
                 self.drain()
             }
             CertifyDecision::Abort { txn, .. } => {
@@ -452,37 +460,24 @@ impl Proxy {
                 // version. (The outcome carries no row results; a client
                 // that receives it already lost the original's results to
                 // the network, and re-reading is its own transaction.)
-                let a = self
-                    .active
-                    .remove(&txn)
-                    .ok_or_else(|| Error::NoSuchTransaction(format!("{txn}")))?;
-                let tables = self.engine.partial_writeset(a.handle)?.tables();
-                self.engine.abort(a.handle)?;
+                let outcome = self.complete(txn, commit_version, false)?;
                 self.stats.duplicate_commits += 1;
-                Ok(vec![ProxyEvent::TxnFinished(TxnOutcome {
-                    txn,
-                    client: a.client,
-                    session: a.session,
-                    replica: self.replica,
-                    committed: true,
-                    commit_version: Some(commit_version),
-                    observed_version: commit_version,
-                    tables_written: tables,
-                    abort_reason: None,
-                })])
+                Ok(vec![ProxyEvent::TxnFinished(outcome)])
             }
         }
     }
 
     /// Absorbs a refresh writeset from the certifier.
     ///
-    /// Refreshes at or below the replica's current version are ignored:
-    /// they are duplicate deliveries from post-crash re-synchronization
-    /// (the replay of certified history can race refreshes already in
-    /// flight), and applying them twice would corrupt the version sequence.
+    /// A refresh whose version's slot is taken — applied already, or
+    /// waiting in the apply queue — is ignored: it is a duplicate delivery
+    /// from re-synchronization (the replay of certified history can race
+    /// refreshes in flight, and carries the replica's own commits), and
+    /// installing a version twice would corrupt the version sequence.
     pub fn on_refresh(&mut self, refresh: Refresh) -> Result<Vec<ProxyEvent>> {
         let mut events = Vec::new();
-        if refresh.commit_version <= self.engine.version() {
+        let v = refresh.commit_version;
+        if v <= self.engine.version() || self.pending.contains_key(&v) {
             self.stats.duplicate_refreshes_ignored += 1;
             return Ok(events);
         }
@@ -510,12 +505,7 @@ impl Proxy {
                 self.abort_active(txn, "early certification: arriving refresh conflict")?;
             events.push(ProxyEvent::TxnFinished(outcome));
         }
-        self.pending.insert(
-            refresh.commit_version,
-            PendingApply::Refresh {
-                writeset: refresh.writeset,
-            },
-        );
+        self.pending.entry(v).or_default().writeset = Some(refresh.writeset);
         events.extend(self.drain()?);
         Ok(events)
     }
@@ -530,9 +520,10 @@ impl Proxy {
     /// request may have vanished in flight is aborted with an ambiguous
     /// outcome (the client retries under its idempotency key, so a request
     /// that in fact committed is answered with the original outcome rather
-    /// than applied twice). Executing transactions are untouched — their
-    /// requests have not been sent yet and will queue until the link
-    /// recovers.
+    /// than applied twice). A swept transaction leaves no slot in the apply
+    /// queue: the resync brings its commit, if any, back as a refresh.
+    /// Executing transactions are untouched — their requests have not been
+    /// sent yet and will queue until the link recovers.
     pub fn abort_certifying(&mut self, reason: &str) -> Vec<TxnOutcome> {
         let mut certifying: Vec<TxnId> = self
             .active
@@ -549,6 +540,11 @@ impl Proxy {
                     .expect("certifying txn aborts"),
             );
         }
+        let active = &self.active;
+        self.pending.retain(|_, slot| {
+            slot.txn = slot.txn.filter(|txn| active.contains_key(txn));
+            slot.writeset.is_some() || slot.txn.is_some()
+        });
         outcomes
     }
 
@@ -657,50 +653,68 @@ impl Proxy {
         })
     }
 
+    /// Answers local transaction `txn` committed at `v`: its tentative
+    /// writes are committed at `v` when they `install` the slot, and
+    /// discarded when another message carries the commit's writes (a
+    /// refresh of the same commit, or a retry's original).
+    fn complete(&mut self, txn: TxnId, v: Version, install: bool) -> Result<TxnOutcome> {
+        let a = self
+            .active
+            .remove(&txn)
+            .ok_or_else(|| Error::NoSuchTransaction(format!("{txn}")))?;
+        let tables = self.engine.partial_writeset(a.handle)?.tables();
+        if install {
+            self.engine.commit_at(a.handle, v)?;
+            self.stats.update_commits += 1;
+        } else {
+            self.engine.abort(a.handle)?;
+        }
+        Ok(TxnOutcome {
+            txn,
+            client: a.client,
+            session: a.session,
+            replica: self.replica,
+            committed: true,
+            commit_version: Some(v),
+            observed_version: v,
+            tables_written: tables,
+            abort_reason: None,
+        })
+    }
+
+    /// Hands on an applied commit's outcome: to the client now, or under
+    /// Eager once the certifier reports the commit global.
+    fn release(&mut self, outcome: TxnOutcome) -> ProxyEvent {
+        if self.mode != ConsistencyMode::Eager {
+            return ProxyEvent::TxnFinished(outcome);
+        }
+        let txn = outcome.txn;
+        self.awaiting_global.insert(txn, outcome);
+        ProxyEvent::AwaitingGlobal { txn }
+    }
+
     /// Applies every contiguously applicable entry of the ordered apply
     /// queue, then wakes parked transactions whose requirement is met.
     fn drain(&mut self) -> Result<Vec<ProxyEvent>> {
         let mut events = Vec::new();
         loop {
             let next = self.engine.version().next();
-            let Some(apply) = self.pending.remove(&next) else {
+            let Some(Slot { writeset, txn }) = self.pending.remove(&next) else {
                 break;
             };
-            match apply {
-                PendingApply::Refresh { writeset } => {
-                    self.engine.apply_refresh(writeset.as_ref(), next)?;
-                    self.stats.refreshes_applied += 1;
-                    if self.mode == ConsistencyMode::Eager {
-                        events.push(ProxyEvent::CommitApplied { version: next });
-                    }
-                }
-                PendingApply::LocalCommit { txn } => {
-                    let a = self
-                        .active
-                        .remove(&txn)
-                        .ok_or_else(|| Error::NoSuchTransaction(format!("{txn}")))?;
-                    let tables = self.engine.partial_writeset(a.handle)?.tables();
-                    self.engine.commit_at(a.handle, next)?;
-                    self.stats.update_commits += 1;
-                    let outcome = TxnOutcome {
-                        txn,
-                        client: a.client,
-                        session: a.session,
-                        replica: self.replica,
-                        committed: true,
-                        commit_version: Some(next),
-                        observed_version: next,
-                        tables_written: tables,
-                        abort_reason: None,
-                    };
-                    if self.mode == ConsistencyMode::Eager {
-                        self.awaiting_global.insert(txn, outcome);
-                        events.push(ProxyEvent::CommitApplied { version: next });
-                        events.push(ProxyEvent::AwaitingGlobal { txn });
-                    } else {
-                        events.push(ProxyEvent::TxnFinished(outcome));
-                    }
-                }
+            if let Some(writeset) = &writeset {
+                self.engine.apply_refresh(writeset, next)?;
+                self.stats.refreshes_applied += 1;
+            }
+            let install = writeset.is_none();
+            let outcome = txn
+                .map(|txn| self.complete(txn, next, install))
+                .transpose()?;
+            if self.mode == ConsistencyMode::Eager {
+                events.push(ProxyEvent::CommitApplied { version: next });
+            }
+            if let Some(outcome) = outcome {
+                events.push(self.release(outcome));
             }
         }
         // Wake parked transactions whose synchronization delay has ended.
@@ -1382,5 +1396,108 @@ mod tests {
             p.finish(TxnId(2)).unwrap(),
             FinishAction::NeedsCertification(_)
         ));
+    }
+
+    /// Starts `txn`, which writes bal 0 to row `key` (the write `refresh(_,
+    /// key)` carries), and sends it to certification.
+    fn certifying(p: &mut Proxy, txn: u64, key: i64) {
+        let params = vec![vec![Value::Int(0), Value::Int(key)]];
+        p.start(routed(txn, T_WRITE, params, 0)).unwrap();
+        p.execute_statement(TxnId(txn), 0).unwrap();
+        p.finish(TxnId(txn)).unwrap();
+    }
+
+    fn commit(txn: u64, version: u64) -> CertifyDecision {
+        CertifyDecision::Commit {
+            txn: TxnId(txn),
+            commit_version: Version(version),
+        }
+    }
+
+    fn committed_at(events: &[ProxyEvent]) -> Vec<(TxnId, Option<Version>)> {
+        let finished = events.iter().filter_map(|e| match e {
+            ProxyEvent::TxnFinished(o) if o.committed => Some((o.txn, o.commit_version)),
+            _ => None,
+        });
+        finished.collect()
+    }
+
+    #[test]
+    fn own_refresh_before_the_gap_fills_is_a_duplicate() {
+        let mut p = make_proxy(ConsistencyMode::LazyCoarse);
+        certifying(&mut p, 1, 5);
+        assert!(p.on_decision(commit(1, 2)).unwrap().is_empty());
+        // A resync replays the replica's own commit while v1 is missing:
+        // the decision holds the slot, so the refresh is a duplicate.
+        assert!(p.on_refresh(refresh(2, 5)).unwrap().is_empty());
+        assert_eq!(p.stats().duplicate_refreshes_ignored, 1);
+        let ev = p.on_refresh(refresh(1, 1)).unwrap();
+        assert_eq!(committed_at(&ev), vec![(TxnId(1), Some(Version(2)))]);
+        assert_eq!(p.stats().update_commits, 1);
+        assert_eq!(p.version(), Version(2));
+        assert!(p.is_idle());
+    }
+
+    #[test]
+    fn resync_before_the_decision_answers_once_the_version_applies() {
+        let mut p = make_proxy(ConsistencyMode::LazyCoarse);
+        certifying(&mut p, 1, 5);
+        certifying(&mut p, 2, 6);
+        // The resync's refreshes take slots v2 and v3 first.
+        p.on_refresh(refresh(2, 5)).unwrap();
+        p.on_refresh(refresh(3, 6)).unwrap();
+        // v2's decision waits for its refresh to apply.
+        assert!(p.on_decision(commit(1, 2)).unwrap().is_empty());
+        let ev = p.on_refresh(refresh(1, 1)).unwrap();
+        assert_eq!(
+            committed_at(&ev),
+            vec![(TxnId(1), Some(Version(2)))],
+            "answered when v2 applies"
+        );
+        // v3 applied before its decision: answered at once.
+        let ev = p.on_decision(commit(2, 3)).unwrap();
+        assert_eq!(committed_at(&ev), vec![(TxnId(2), Some(Version(3)))]);
+        assert_eq!(p.stats().refreshes_applied, 3);
+        assert_eq!(p.stats().update_commits, 0, "no tentative write installed");
+        assert!(p.is_idle());
+    }
+
+    #[test]
+    fn eager_decision_after_its_refresh_waits_for_global_commit() {
+        let mut p = make_proxy(ConsistencyMode::Eager);
+        certifying(&mut p, 1, 5);
+        p.on_refresh(refresh(1, 5)).unwrap();
+        // The refresh reported v1 applied; the decision only answers.
+        let ev = p.on_decision(commit(1, 1)).unwrap();
+        assert_eq!(ev, vec![ProxyEvent::AwaitingGlobal { txn: TxnId(1) }]);
+        let out = p.on_global_commit(TxnId(1)).unwrap();
+        assert_eq!(
+            (out.committed, out.commit_version),
+            (true, Some(Version(1)))
+        );
+        assert!(p.is_idle());
+    }
+
+    #[test]
+    fn sweep_leaves_no_slot_behind() {
+        let mut p = make_proxy(ConsistencyMode::LazyCoarse);
+        certifying(&mut p, 1, 5);
+        certifying(&mut p, 2, 6);
+        // Txn 1's commit waits behind the gap at v1; txn 2's slot v3 is a
+        // refresh's, answering txn 2 when it applies.
+        p.on_decision(commit(1, 2)).unwrap();
+        p.on_refresh(refresh(3, 6)).unwrap();
+        p.on_decision(commit(2, 3)).unwrap();
+        let swept = p.abort_certifying("link lost");
+        assert_eq!(swept.len(), 2);
+        assert!(swept.iter().all(|o| !o.committed));
+        // v1 applies and stops at the gap the swept commit left.
+        assert!(p.on_refresh(refresh(1, 1)).unwrap().is_empty());
+        assert_eq!(p.version(), Version(1));
+        // The resync brings v2 back as a refresh; v3 follows, answering
+        // no one a second time.
+        assert!(p.on_refresh(refresh(2, 5)).unwrap().is_empty());
+        assert_eq!(p.version(), Version(3));
+        assert!(p.is_idle());
     }
 }

@@ -168,6 +168,11 @@ pub struct SimReport {
     /// commit — the headline property says this must be 0 under every
     /// fault schedule.
     pub lost_acked_commits: usize,
+    /// Requests still unanswered after the run settles: past the measured
+    /// horizon it goes on, with no new requests and no faults, for as long
+    /// again as it ran, or until every request is answered. What is open
+    /// then was forgotten, not slow. Any non-zero value is a stall.
+    pub unanswered: usize,
 }
 
 impl SimReport {
@@ -252,6 +257,7 @@ impl SimReport {
             replicas_left: 0,
             bootstrap_retries: 0,
             lost_acked_commits: 0,
+            unanswered: 0,
         }
     }
 }

@@ -329,8 +329,13 @@ struct Sim<'w> {
 /// Runs one simulation and returns its report.
 pub fn simulate(workload: &dyn Workload, cfg: &SimConfig) -> SimReport {
     let mut sim = Sim::build(workload, cfg.clone());
-    sim.run();
-    sim.report()
+    sim.run(sim.end_time);
+    let mut report = sim.report();
+    // Past the measured horizon the run settles, with no new requests, for
+    // as long again as it ran: a request still open then is stalled.
+    sim.run(2 * sim.end_time);
+    report.unanswered = sim.tracks.len();
+    report
 }
 
 impl<'w> Sim<'w> {
@@ -407,7 +412,7 @@ impl<'w> Sim<'w> {
         let end_time = (cfg.warmup_ms + cfg.measure_ms) * MS;
         let rng = SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0xA24B_AED4_963E_E407));
         let n_replicas = cfg.replicas;
-        Sim {
+        let mut sim = Sim {
             cfg,
             workload,
             queue: EventQueue::new(),
@@ -446,24 +451,29 @@ impl<'w> Sim<'w> {
             n_joins: 0,
             n_leaves: 0,
             n_bootstrap_retries: 0,
-        }
-    }
-
-    fn run(&mut self) {
+        };
         // Stagger client start-up over the first 50 virtual ms.
-        for c in 0..self.cfg.clients {
-            let jitter = self.rng.gen_range(0..50 * MS);
-            self.queue
+        for c in 0..sim.cfg.clients {
+            let jitter = sim.rng.gen_range(0..50 * MS);
+            sim.queue
                 .schedule_at(jitter, Event::ClientIssue { client: c });
         }
-        self.queue.schedule(500 * MS, Event::PruneTick);
-        let faults: Vec<_> = self.cfg.faults.events.clone();
-        for f in faults {
-            self.queue.schedule_at(f.at_ms * MS, Event::Fault(f.kind));
+        sim.queue.schedule(500 * MS, Event::PruneTick);
+        for f in sim.cfg.faults.events.clone() {
+            sim.queue.schedule_at(f.at_ms * MS, Event::Fault(f.kind));
         }
+        sim
+    }
+
+    /// Handles events up to `until`; past the horizon, no new requests.
+    fn run(&mut self, until: SimTime) {
         while let Some((t, ev)) = self.queue.pop() {
-            if t >= self.end_time {
+            if t >= until || (t >= self.end_time && self.tracks.is_empty()) {
+                self.queue.schedule_at(t, ev);
                 break;
+            }
+            if t >= self.end_time && matches!(ev, Event::ClientIssue { .. }) {
+                continue;
             }
             let replica = ev.replica();
             self.handle(ev);
@@ -988,9 +998,8 @@ impl<'w> Sim<'w> {
             return;
         }
         self.n_resyncs += 1;
-        // The missed suffix re-enters the ordered apply queue as refreshes.
-        // Duplicates (from refreshes still in flight) are ignored by the
-        // proxy's duplicate-refresh guard.
+        // The missed suffix, the replica's own commits included, re-enters
+        // the apply queue as refreshes; the proxy installs each version once.
         let after = self.proxies[replica].version();
         let missed = self.certifier.certified_since(after);
         for rec in missed.expect("certifier log replays") {
@@ -1335,14 +1344,12 @@ impl<'w> Sim<'w> {
             ReplicaJob::Decision { decision } => {
                 match self.proxies[replica].on_decision(decision) {
                     Ok(events) => self.handle_proxy_events(replica, events),
-                    Err(_) => {
-                        // The replica crashed and restarted while its own
-                        // certification was in flight: the transaction's
-                        // state died in the crash, but its commit version is
-                        // in the durable history. Resync fills the gap so
-                        // ordered application can proceed.
+                    // A crash-restart while it was certified: its commit is
+                    // in the durable history, and a resync fills the gap.
+                    Err(Error::NoSuchTransaction(_)) => {
                         self.queue.schedule(MS, Event::ResyncReplica { replica });
                     }
+                    Err(e) => panic!("decision failed: {e}"),
                 }
             }
             ReplicaJob::RefreshApply { refresh } => {
@@ -1426,33 +1433,25 @@ impl<'w> Sim<'w> {
 
     fn on_decision_at_replica(&mut self, replica: usize, decision: CertifyDecision) {
         let now = self.queue.now();
-        match &decision {
-            CertifyDecision::Commit { txn, .. } => {
-                if let Some(track) = self.tracks.get_mut(txn) {
-                    track.decision_at = now;
-                    track.certify_us = now.saturating_sub(track.queries_done_at);
-                }
-                let cost = self.cfg.costs.at_replica(replica, self.cfg.costs.commit_us);
-                let lane = self.apply_lane();
-                self.offer_replica(replica, lane, ReplicaJob::Decision { decision }, cost);
-            }
-            // Duplicate and Refused are unreachable here (simulated clients
-            // carry no idempotency keys, and the prune floor stays below
-            // every snapshot) but handled uniformly for completeness: the
-            // proxy reports the original outcome or the abort.
-            CertifyDecision::Abort { txn, .. }
-            | CertifyDecision::Duplicate { txn, .. }
-            | CertifyDecision::Refused { txn, .. } => {
-                if let Some(track) = self.tracks.get_mut(txn) {
-                    track.decision_at = now;
-                    track.certify_us = now.saturating_sub(track.queries_done_at);
-                }
-                // The transaction may have been lost to a crash-restart
-                // while the abort was in flight; it is already reported.
-                if let Ok(events) = self.proxies[replica].on_decision(decision) {
-                    self.handle_proxy_events(replica, events);
-                }
-            }
+        let (CertifyDecision::Commit { txn, .. }
+        | CertifyDecision::Abort { txn, .. }
+        | CertifyDecision::Duplicate { txn, .. }
+        | CertifyDecision::Refused { txn, .. }) = &decision;
+        if let Some(track) = self.tracks.get_mut(txn) {
+            track.decision_at = now;
+            track.certify_us = now.saturating_sub(track.queries_done_at);
+        }
+        if let CertifyDecision::Commit { .. } = decision {
+            let cost = self.cfg.costs.at_replica(replica, self.cfg.costs.commit_us);
+            let lane = self.apply_lane();
+            return self.offer_replica(replica, lane, ReplicaJob::Decision { decision }, cost);
+        }
+        // Duplicate and Refused are unreachable here (no idempotency keys, no
+        // pruning past a snapshot); a crash-restart reported a lost txn.
+        match self.proxies[replica].on_decision(decision) {
+            Ok(events) => self.handle_proxy_events(replica, events),
+            Err(Error::NoSuchTransaction(_)) => {}
+            Err(e) => panic!("decision failed: {e}"),
         }
     }
 

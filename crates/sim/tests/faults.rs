@@ -2,8 +2,8 @@
 //! seeded sweep of random fault schedules across every consistency mode.
 //!
 //! The headline property these tests enforce: **no schedule of injected
-//! faults ever produces a violation of the mode's consistency guarantee or
-//! loses an acknowledged commit**.
+//! faults ever produces a violation of the mode's consistency guarantee,
+//! loses an acknowledged commit, or leaves a request unanswered**.
 
 use bargain_common::ConsistencyMode;
 use bargain_sim::{simulate, CostModel, FaultKind, FaultPlan, SimConfig};
@@ -80,8 +80,8 @@ fn different_fault_plans_perturb_the_run() {
 #[test]
 fn fault_sweep_no_schedule_breaks_consistency_or_loses_acked_commits() {
     // ≥50 seeded schedules: 13 seeds × 4 guarantee-claiming modes. Every
-    // run must commit work, uphold its mode's guarantee, and keep every
-    // acknowledged commit in the durable history.
+    // run must commit work, uphold its mode's guarantee, keep every
+    // acknowledged commit in the durable history, and answer every request.
     let w = workload();
     let modes = [
         ConsistencyMode::Eager,
@@ -108,6 +108,10 @@ fn fault_sweep_no_schedule_breaks_consistency_or_loses_acked_commits() {
             assert_eq!(
                 r.lost_acked_commits, 0,
                 "{mode} seed {seed}: acked commits lost under {plan:?}"
+            );
+            assert_eq!(
+                r.unanswered, 0,
+                "{mode} seed {seed}: requests never answered under {plan:?}"
             );
         }
     }
@@ -340,6 +344,10 @@ fn elastic_fault_sweep_no_schedule_breaks_consistency_or_loses_acked_commits() {
                 "{mode} seed {seed}: acked commits lost under {plan:?}"
             );
             assert_eq!(
+                r.unanswered, 0,
+                "{mode} seed {seed}: requests never answered under {plan:?}"
+            );
+            assert_eq!(
                 r.replicas_joined, 1,
                 "{mode} seed {seed}: the join never completed under {plan:?}"
             );
@@ -362,4 +370,5 @@ fn dropped_refreshes_are_repaired_by_resync() {
     assert!(r.resyncs >= 1, "a resync repairs the refresh gap");
     assert_eq!(r.violations, 0);
     assert_eq!(r.lost_acked_commits, 0);
+    assert_eq!(r.unanswered, 0, "the resync answers every request");
 }
