@@ -19,6 +19,7 @@ use bargain_common::{ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSe
 use bargain_core::certifier::{Input, Step};
 use bargain_core::{Certifier, CertifyRequest};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 
 /// A single-row writeset updating `key`.
 fn ws_one(key: i64) -> WriteSet {
@@ -26,7 +27,7 @@ fn ws_one(key: i64) -> WriteSet {
     w.push(
         TableId(0),
         Value::Int(key),
-        WriteOp::Update(vec![Value::Int(key), Value::Int(0)]),
+        WriteOp::Update(vec![Value::Int(key), Value::Int(0)].into()),
     );
     w
 }
@@ -38,7 +39,7 @@ fn ws_n(start: i64, n: i64) -> WriteSet {
         w.push(
             TableId(0),
             Value::Int(k),
-            WriteOp::Update(vec![Value::Int(k), Value::Int(0)]),
+            WriteOp::Update(vec![Value::Int(k), Value::Int(0)].into()),
         );
     }
     w
@@ -49,7 +50,7 @@ fn req(txn: i64, snapshot: Version, writeset: WriteSet) -> CertifyRequest {
         txn: TxnId(txn as u64),
         replica: ReplicaId(0),
         snapshot,
-        writeset,
+        writeset: Arc::new(writeset),
         idem: None,
     }
 }

@@ -561,7 +561,11 @@ impl Cluster {
             Service::Local(certifier) => {
                 let local = Arc::new(LocalCertifier {
                     pending: Mutex::new(Vec::new()),
-                    certifier: std::sync::Mutex::new(*certifier),
+                    certifier: std::sync::Mutex::new(Stepper {
+                        certifier: *certifier,
+                        inputs: Vec::new(),
+                        step: Step::default(),
+                    }),
                     front: Arc::clone(&front),
                     certified: Certified::default(),
                 });
@@ -1221,30 +1225,46 @@ struct LocalCertifier {
     /// A `std` mutex for its poisoning: after a step panicked (its log
     /// failed to flush), every later request fails instead of certifying
     /// over a log that lost commits.
-    certifier: std::sync::Mutex<Certifier>,
+    certifier: std::sync::Mutex<Stepper>,
     front: Arc<Front>,
     certified: Certified,
+}
+
+/// The certifier and what one step works in, kept under its lock for the
+/// vectors' capacity: the inputs swapped out of `pending`, and the step's
+/// outputs, both empty between steps.
+struct Stepper {
+    certifier: Certifier,
+    inputs: Vec<Input>,
+    step: Step,
 }
 
 impl LocalCertifier {
     /// Takes the certifier lock, steps over everything pending and then
     /// `input`, and puts every output on its addressee's queue; returns
     /// with the lock still held.
-    fn step(&self, input: Option<Input>) -> std::sync::MutexGuard<'_, Certifier> {
-        let mut certifier = self
+    fn step(&self, input: Option<Input>) -> std::sync::MutexGuard<'_, Stepper> {
+        let mut stepper = self
             .certifier
             .lock()
             .expect("an earlier step failed to flush its log");
-        let mut inputs = std::mem::take(&mut *self.pending.lock());
+        let Stepper {
+            certifier,
+            inputs,
+            step,
+        } = &mut *stepper;
+        std::mem::swap(inputs, &mut *self.pending.lock());
         inputs.extend(input);
         if !inputs.is_empty() {
-            let step = certifier.step(inputs).expect("the certifier log flushes");
-            self.certified.count(&step);
-            for (to, delivery) in step.out {
+            certifier
+                .step_into(inputs.drain(..), step)
+                .expect("the certifier log flushes");
+            self.certified.count(step);
+            for (to, delivery) in step.out.drain(..) {
                 self.front.send(to, ToReplica::Certifier(delivery));
             }
         }
-        certifier
+        stepper
     }
 
     /// Queues `input`, then steps: if another thread took it in the
@@ -1260,6 +1280,7 @@ impl LocalCertifier {
     /// not sent as a refresh; the proxy deduplicates the overlap.
     fn join(&self, replica: ReplicaId, after: Version) -> Result<Vec<LogRecord>> {
         self.step(Some(Input::Join { replica, after }))
+            .certifier
             .certified_since(after)
     }
 
@@ -1272,11 +1293,11 @@ impl LocalCertifier {
     /// A page of the certified records above `after`. It steps nothing:
     /// whoever pushed what is pending steps it.
     fn history(&self, after: Version, max: usize) -> Result<Vec<LogRecord>> {
-        let mut certifier = self
+        let mut stepper = self
             .certifier
             .lock()
             .map_err(|_| Error::Protocol("the certifier log failed to flush".into()))?;
-        certifier.certified_page(after, max)
+        stepper.certifier.certified_page(after, max)
     }
 }
 

@@ -7,7 +7,7 @@
 //! because the global commit needs every replica's acknowledgement.
 
 use bargain_cluster::{Cluster, ClusterConfig};
-use bargain_common::{ConsistencyMode, ReplicaId, Value, Version};
+use bargain_common::{ConsistencyMode, ReplicaId, Row, Value, Version};
 use bargain_storage::DEFAULT_CHUNK_BYTES;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -61,7 +61,7 @@ fn idle_replicas_hold_every_write_once_the_origin_is_gone() {
                 .unwrap();
             assert_ne!(outcome.replica, ReplicaId(0), "{mode}");
             let rows = results[0].rows().unwrap();
-            assert_eq!(rows, [vec![Value::Int(7 * k)]], "{mode}: key {k}");
+            assert_eq!(rows, [Row::from([Value::Int(7 * k)])], "{mode}: key {k}");
         }
         let (_, results) = reader.run_sql(&[("SELECT k FROM kv", vec![])]).unwrap();
         assert_eq!(results[0].rows().unwrap().len(), UPDATES as usize, "{mode}");

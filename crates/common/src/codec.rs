@@ -19,6 +19,7 @@
 //! id, version: the u32 or u64 it wraps
 //! idem key:  u64 client | u64 seq
 //! value:     u8 tag (0=null,1=int,2=float,3=text) | payload
+//! row:       vec<value>
 //! writeset:  u32 entry_count
 //!              per entry: u32 table | value key
 //!                         | u8 op (0=ins,1=upd,2=del) [| vec<value> row]
@@ -35,8 +36,8 @@
 //! record that is there but wrong.
 
 use crate::{
-    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId, TemplateId, TxnId,
-    Value, Version, WriteOp, WriteSet, WriteSetEntry,
+    ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, Row, SessionId, TableId, TemplateId,
+    TxnId, Value, Version, WriteOp, WriteSet, WriteSetEntry,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -304,6 +305,38 @@ impl<T: Codec> Codec for Arc<T> {
     }
 }
 
+/// A row decodes straight into its shared image: `(0..n).map(..)` has a
+/// known length, so `collect` allocates the image once and moves each value
+/// in. The first failed value's error is kept and the rest of the image is
+/// filled with `Null` and dropped. Past [`MAX_RESERVE`] values the row
+/// grows as a `Vec` first, like any sequence, and is copied once at the end.
+impl Codec for Row {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self.iter());
+    }
+    fn get(r: &mut Reader<'_>) -> DecodeResult<Self> {
+        let n = r.count()?;
+        if n > MAX_RESERVE {
+            let mut values = Vec::with_capacity(MAX_RESERVE);
+            for _ in 0..n {
+                values.push(r.get()?);
+            }
+            return Ok(values.into());
+        }
+        let mut failed = None;
+        let row = (0..n)
+            .map(|_| match failed {
+                Some(_) => Value::Null,
+                None => Value::get(r).unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Null
+                }),
+            })
+            .collect();
+        failed.map_or(Ok(row), Err)
+    }
+}
+
 impl Codec for IdemKey {
     #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
@@ -479,7 +512,7 @@ mod tests {
         ws.push(
             TableId(1),
             Value::Text("k".into()),
-            WriteOp::Insert(vec![Value::Int(1), Value::Null, Value::Float(0.5)]),
+            WriteOp::Insert(vec![Value::Int(1), Value::Null, Value::Float(0.5)].into()),
         );
         ws.push(TableId(2), Value::Int(9), WriteOp::Delete);
         let bytes = encoded(&ws);

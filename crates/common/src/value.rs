@@ -1,12 +1,13 @@
 //! SQL values and rows.
 //!
 //! The storage engine is schema-checked but dynamically typed at this layer:
-//! a [`Row`] is a vector of [`Value`]s positionally matching the table's
+//! a [`Row`] is a slice of [`Value`]s positionally matching the table's
 //! column list.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single SQL value.
 ///
@@ -192,8 +193,15 @@ impl From<String> for Value {
     }
 }
 
-/// A row of values, positionally matching the owning table's columns.
-pub type Row = Vec<Value>;
+/// A row image: values positionally matching the owning table's columns.
+///
+/// One allocation, immutable once built, shared by reference count: the
+/// writeset that wrote it, the certifier's log record, every replica's
+/// version chain and each `SELECT *` result hold the same image. A row is
+/// built in this form where it is made -- `Row::from([..])`, or `collect()`
+/// from an iterator of known length, which allocates once -- rather than
+/// as a `Vec` and converted, which costs a second allocation and a copy.
+pub type Row = Arc<[Value]>;
 
 #[cfg(test)]
 mod tests {

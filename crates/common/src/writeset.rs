@@ -76,8 +76,10 @@ pub struct WriteSet {
 impl WriteSet {
     /// Creates an empty writeset.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        WriteSet {
+            entries: Vec::new(),
+        }
     }
 
     /// A writeset of `entries` given in any order, sorted once; `Err`
@@ -243,7 +245,11 @@ mod tests {
     fn push_and_tables() {
         let mut ws = WriteSet::new();
         ws.push(t(1), Value::Int(5), WriteOp::Delete);
-        ws.push(t(0), Value::Int(9), WriteOp::Insert(vec![Value::Int(9)]));
+        ws.push(
+            t(0),
+            Value::Int(9),
+            WriteOp::Insert(vec![Value::Int(9)].into()),
+        );
         assert_eq!(ws.len(), 2);
         assert_eq!(ws.tables(), vec![t(0), t(1)]);
         assert!(ws.writes_row(t(1), &Value::Int(5)));
@@ -256,17 +262,17 @@ mod tests {
         ws.push(
             t(0),
             Value::Int(1),
-            WriteOp::Update(vec![Value::Int(1), Value::Int(10)]),
+            WriteOp::Update(vec![Value::Int(1), Value::Int(10)].into()),
         );
         ws.push(
             t(0),
             Value::Int(1),
-            WriteOp::Update(vec![Value::Int(1), Value::Int(20)]),
+            WriteOp::Update(vec![Value::Int(1), Value::Int(20)].into()),
         );
         assert_eq!(ws.len(), 1);
         assert_eq!(
             ws.entries()[0].op,
-            WriteOp::Update(vec![Value::Int(1), Value::Int(20)])
+            WriteOp::Update(vec![Value::Int(1), Value::Int(20)].into())
         );
     }
 
@@ -276,24 +282,28 @@ mod tests {
         ws.push(
             t(0),
             Value::Int(1),
-            WriteOp::Insert(vec![Value::Int(1), Value::Int(10)]),
+            WriteOp::Insert(vec![Value::Int(1), Value::Int(10)].into()),
         );
         ws.push(
             t(0),
             Value::Int(1),
-            WriteOp::Update(vec![Value::Int(1), Value::Int(20)]),
+            WriteOp::Update(vec![Value::Int(1), Value::Int(20)].into()),
         );
         assert_eq!(ws.len(), 1);
         assert_eq!(
             ws.entries()[0].op,
-            WriteOp::Insert(vec![Value::Int(1), Value::Int(20)])
+            WriteOp::Insert(vec![Value::Int(1), Value::Int(20)].into())
         );
     }
 
     #[test]
     fn coalesce_insert_then_delete_vanishes() {
         let mut ws = WriteSet::new();
-        ws.push(t(0), Value::Int(1), WriteOp::Insert(vec![Value::Int(1)]));
+        ws.push(
+            t(0),
+            Value::Int(1),
+            WriteOp::Insert(vec![Value::Int(1)].into()),
+        );
         ws.push(t(0), Value::Int(1), WriteOp::Delete);
         assert!(ws.is_empty());
     }
@@ -301,7 +311,11 @@ mod tests {
     #[test]
     fn coalesce_update_then_delete_keeps_delete() {
         let mut ws = WriteSet::new();
-        ws.push(t(0), Value::Int(1), WriteOp::Update(vec![Value::Int(1)]));
+        ws.push(
+            t(0),
+            Value::Int(1),
+            WriteOp::Update(vec![Value::Int(1)].into()),
+        );
         ws.push(t(0), Value::Int(1), WriteOp::Delete);
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.entries()[0].op, WriteOp::Delete);
@@ -314,8 +328,15 @@ mod tests {
         // writeset that lets the committed row show through.
         let mut ws = WriteSet::new();
         ws.push(t(0), Value::Int(1), WriteOp::Delete);
-        ws.push(t(0), Value::Int(1), WriteOp::Insert(vec![Value::Int(1)]));
-        assert_eq!(ws.entries()[0].op, WriteOp::Update(vec![Value::Int(1)]));
+        ws.push(
+            t(0),
+            Value::Int(1),
+            WriteOp::Insert(vec![Value::Int(1)].into()),
+        );
+        assert_eq!(
+            ws.entries()[0].op,
+            WriteOp::Update(vec![Value::Int(1)].into())
+        );
         ws.push(t(0), Value::Int(1), WriteOp::Delete);
         assert_eq!(ws.len(), 1);
         assert_eq!(ws.entries()[0].op, WriteOp::Delete);
@@ -326,7 +347,11 @@ mod tests {
         let mut a = WriteSet::new();
         a.push(t(0), Value::Int(1), WriteOp::Delete);
         let mut b = WriteSet::new();
-        b.push(t(0), Value::Int(1), WriteOp::Update(vec![Value::Int(1)]));
+        b.push(
+            t(0),
+            Value::Int(1),
+            WriteOp::Update(vec![Value::Int(1)].into()),
+        );
         assert!(a.conflicts_with(&b));
         assert!(b.conflicts_with(&a));
     }
@@ -361,7 +386,7 @@ mod tests {
         ws.push(
             t(0),
             Value::Int(1),
-            WriteOp::Insert(vec![Value::Int(1), Value::Text("abcd".into())]),
+            WriteOp::Insert(vec![Value::Int(1), Value::Text("abcd".into())].into()),
         );
         // 8 (entry) + 8 (key) + 8 (int col) + 4 (text col)
         assert_eq!(ws.payload_bytes(), 28);

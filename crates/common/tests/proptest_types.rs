@@ -69,12 +69,12 @@ fn to_writeset(ops: &[RawWrite]) -> WriteSet {
             RawWrite::Insert(k, v) => ws.push(
                 t,
                 Value::Int(*k),
-                WriteOp::Insert(vec![Value::Int(*k), Value::Int(*v)]),
+                WriteOp::Insert(vec![Value::Int(*k), Value::Int(*v)].into()),
             ),
             RawWrite::Update(k, v) => ws.push(
                 t,
                 Value::Int(*k),
-                WriteOp::Update(vec![Value::Int(*k), Value::Int(*v)]),
+                WriteOp::Update(vec![Value::Int(*k), Value::Int(*v)].into()),
             ),
             RawWrite::Delete(k) => ws.push(t, Value::Int(*k), WriteOp::Delete),
         }
@@ -179,8 +179,8 @@ fn one_push() -> impl Strategy<Value = Vec<Push>> {
         let key = row_key(k);
         let row = vec![key.clone(), Value::Int(v)];
         let op = match kind {
-            0 => WriteOp::Insert(row),
-            1 => WriteOp::Update(row),
+            0 => WriteOp::Insert(row.into()),
+            1 => WriteOp::Update(row.into()),
             _ => WriteOp::Delete,
         };
         vec![(TableId(t), key, op)]
@@ -193,10 +193,10 @@ fn chain() -> impl Strategy<Value = Vec<Push>> {
         let key = row_key(k);
         let row = |n: i64| vec![key.clone(), Value::Int(v.wrapping_add(n))];
         vec![
-            (TableId(t), key.clone(), WriteOp::Insert(row(0))),
-            (TableId(t), key.clone(), WriteOp::Update(row(1))),
+            (TableId(t), key.clone(), WriteOp::Insert(row(0).into())),
+            (TableId(t), key.clone(), WriteOp::Update(row(1).into())),
             (TableId(t), key.clone(), WriteOp::Delete),
-            (TableId(t), key.clone(), WriteOp::Insert(row(2))),
+            (TableId(t), key.clone(), WriteOp::Insert(row(2).into())),
         ]
     })
 }

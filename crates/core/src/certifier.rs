@@ -85,7 +85,6 @@ use crate::wal::{CommitLog, FileLog, LogRecord, MemoryLog};
 use bargain_common::{Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteSet};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The longest run of consecutive [`Input::Certify`] that [`Certifier::step`]
 /// certifies as one group commit.
@@ -250,6 +249,11 @@ pub struct Certifier {
     log: Box<dyn CommitLog>,
     /// Commits buffered since the last group-commit flush.
     unflushed: Vec<LogRecord>,
+    /// Scratch for one step, empty between steps and kept for its
+    /// capacity: the run of requests being gathered, and each one's
+    /// origin, decision and refresh while its batch flushes.
+    run: Vec<CertifyRequest>,
+    decided: Vec<(ReplicaId, CertifyDecision, Option<Refresh>)>,
     /// Exactly-once retry windows, per client nonce. Rebuilt from the log
     /// by [`Certifier::recover`], so deduplication survives restarts.
     dedup: HashMap<u64, ClientWindow>,
@@ -278,6 +282,8 @@ impl Certifier {
             history: VecDeque::new(),
             log,
             unflushed: Vec::new(),
+            run: Vec::new(),
+            decided: Vec::new(),
             dedup: HashMap::new(),
             eager_pending: BTreeMap::new(),
             eager_enabled: false,
@@ -358,10 +364,24 @@ impl Certifier {
     /// log that fails to flush is an error; the step's outputs are then
     /// lost with it, and none of its failed batch's decisions is announced.
     pub fn step(&mut self, inputs: impl IntoIterator<Item = Input>) -> Result<Step> {
-        let (mut step, mut run) = (Step::default(), Vec::new());
+        let mut step = Step::default();
+        self.step_into(inputs, &mut step)?;
+        Ok(step)
+    }
+
+    /// [`Self::step`] into a [`Step`] the host keeps, emptied first: a host
+    /// that drains it after each step reuses its vectors' capacity.
+    pub fn step_into(
+        &mut self,
+        inputs: impl IntoIterator<Item = Input>,
+        step: &mut Step,
+    ) -> Result<()> {
+        step.out.clear();
+        step.batches.clear();
+        let mut run = std::mem::take(&mut self.run);
         for input in inputs {
             if !matches!(input, Input::Certify(_)) || run.len() == MAX_CERTIFY_BATCH {
-                self.certify_run(&mut run, &mut step)?;
+                self.certify_run(&mut run, step)?;
             }
             match input {
                 Input::Certify(req) => {
@@ -398,8 +418,9 @@ impl Certifier {
                 step.out.push((origin, Delivery::GlobalCommit(txn)));
             }
         }
-        self.certify_run(&mut run, &mut step)?;
-        Ok(step)
+        self.certify_run(&mut run, step)?;
+        self.run = run;
+        Ok(())
     }
 
     /// Certifies `run` as one group commit and queues its outputs on `step`
@@ -409,12 +430,14 @@ impl Certifier {
             return Ok(());
         }
         step.batches.push(run.len());
-        let decided: Vec<_> = run
-            .drain(..)
-            .map(|req| (req.replica, self.certify_one(req)))
-            .collect();
+        let mut decided = std::mem::take(&mut self.decided);
+        for req in run.drain(..) {
+            let origin = req.replica;
+            let (decision, refresh) = self.certify_one(req);
+            decided.push((origin, decision, refresh));
+        }
         self.flush()?;
-        for (origin, (decision, refresh)) in decided {
+        for (origin, decision, refresh) in decided.drain(..) {
             if let Some(refresh) = refresh {
                 for &(to, _) in self.members.iter().filter(|&&(r, _)| r != origin) {
                     step.out.push((to, Delivery::Refresh(refresh.clone())));
@@ -423,6 +446,7 @@ impl Certifier {
             }
             step.out.push((origin, Delivery::Decision(decision)));
         }
+        self.decided = decided;
         Ok(())
     }
 
@@ -521,7 +545,7 @@ impl Certifier {
             txn: req.txn,
             origin: req.replica,
             idem: req.idem,
-            writeset: Arc::new(req.writeset),
+            writeset: req.writeset,
         };
         self.install(&record);
         if self.eager_enabled {
@@ -566,8 +590,9 @@ impl Certifier {
     /// Group commit: appends the buffered records with one durability
     /// point.
     fn flush(&mut self) -> Result<()> {
-        let records = std::mem::take(&mut self.unflushed);
-        self.log.append_batch(&records)
+        let flushed = self.log.append_batch(&self.unflushed);
+        self.unflushed.clear();
+        flushed
     }
 
     /// Reference oracle: the pre-index linear scan, newest-first, over the
@@ -730,6 +755,7 @@ impl AnyCertifier {
 mod tests {
     use super::*;
     use bargain_common::{IdemKey, TableId, Value, WriteOp};
+    use std::sync::Arc;
 
     fn replicas(n: u32) -> Vec<ReplicaId> {
         (0..n).map(ReplicaId).collect()
@@ -746,7 +772,7 @@ mod tests {
             w.push(
                 TableId(table),
                 Value::Int(key),
-                WriteOp::Update(vec![Value::Int(key)]),
+                WriteOp::Update(vec![Value::Int(key)].into()),
             );
         }
         w
@@ -757,7 +783,7 @@ mod tests {
             txn: TxnId(txn),
             replica: ReplicaId(replica),
             snapshot: Version(snapshot),
-            writeset: w,
+            writeset: Arc::new(w),
             idem: None,
         }
     }

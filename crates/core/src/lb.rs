@@ -352,25 +352,25 @@ impl LoadBalancer {
     }
 
     fn pick_replica(&mut self) -> Result<usize> {
-        let up: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| !self.down[i])
-            .collect();
-        if up.is_empty() {
+        let down = &self.down;
+        let up = || (0..down.len()).filter(|&i| !down[i]);
+        let count = up().count();
+        if count == 0 {
             return Err(Error::Protocol(
                 "no replica available: all marked down".to_owned(),
             ));
         }
-        Ok(match self.policy {
+        let nth = match self.policy {
             // Least active transactions; ties broken by replica order for
             // determinism.
-            RoutingPolicy::LeastConnections => *up
-                .iter()
-                .min_by_key(|&&i| (self.active[i], i))
-                .expect("nonempty"),
+            RoutingPolicy::LeastConnections => {
+                let active = &self.active;
+                return Ok(up().min_by_key(|&i| (active[i], i)).expect("nonempty"));
+            }
             RoutingPolicy::RoundRobin => {
-                let i = up[self.rr_next % up.len()];
+                let nth = self.rr_next % count;
                 self.rr_next = self.rr_next.wrapping_add(1);
-                i
+                nth
             }
             RoutingPolicy::Random => {
                 // xorshift64*: deterministic, seedless routing.
@@ -379,9 +379,10 @@ impl LoadBalancer {
                 x ^= x << 25;
                 x ^= x >> 27;
                 self.rng_state = x;
-                up[(x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % up.len()]
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % count
             }
-        })
+        };
+        Ok(up().nth(nth).expect("fewer than `count` up"))
     }
 
     /// The start requirement the current mode dictates for a transaction of

@@ -104,8 +104,10 @@ pub struct CertifyRequest {
     pub replica: ReplicaId,
     /// The snapshot version the transaction read at.
     pub snapshot: Version,
-    /// The transaction's complete writeset.
-    pub writeset: WriteSet,
+    /// The transaction's complete writeset, shared with the transaction
+    /// that wrote it and, once certified, with the log record and the
+    /// refreshes.
+    pub writeset: Arc<WriteSet>,
     /// Idempotency key, if the client attached one. Recorded durably with
     /// the commit so retries deduplicate across certifier restarts.
     pub idem: Option<IdemKey>,

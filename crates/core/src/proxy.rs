@@ -812,7 +812,7 @@ mod tests {
         ws.push(
             TableId(0),
             Value::Int(key),
-            bargain_common::WriteOp::Update(vec![Value::Int(key), Value::Int(0)]),
+            bargain_common::WriteOp::Update(vec![Value::Int(key), Value::Int(0)].into()),
         );
         Refresh {
             origin: ReplicaId(1),

@@ -233,17 +233,13 @@ mod tests {
         ws.push(
             TableId(1),
             Value::Int(version as i64),
-            WriteOp::Insert(vec![
-                Value::Int(1),
-                Value::Text("héllo".into()),
-                Value::Null,
-            ]),
+            WriteOp::Insert(vec![Value::Int(1), Value::Text("héllo".into()), Value::Null].into()),
         );
         ws.push(TableId(2), Value::Text("k".into()), WriteOp::Delete);
         ws.push(
             TableId(3),
             Value::Int(9),
-            WriteOp::Update(vec![Value::Float(2.5)]),
+            WriteOp::Update(vec![Value::Float(2.5)].into()),
         );
         LogRecord {
             commit_version: Version(version),
@@ -462,18 +458,21 @@ mod tests {
         inserts.push(
             TableId(1),
             Value::Int(7),
-            WriteOp::Insert(vec![
-                Value::Int(7),
-                Value::Text("héllo".into()),
-                Value::Null,
-                Value::Float(-2.5),
-            ]),
+            WriteOp::Insert(
+                vec![
+                    Value::Int(7),
+                    Value::Text("héllo".into()),
+                    Value::Null,
+                    Value::Float(-2.5),
+                ]
+                .into(),
+            ),
         );
         let mut changes = WriteSet::new();
         changes.push(
             TableId(2),
             Value::Text("k".into()),
-            WriteOp::Update(vec![Value::Text("k".into()), Value::Int(-1)]),
+            WriteOp::Update(vec![Value::Text("k".into()), Value::Int(-1)].into()),
         );
         changes.push(TableId(3), Value::Int(9), WriteOp::Delete);
         let record = |version: u64, idem, writeset| LogRecord {

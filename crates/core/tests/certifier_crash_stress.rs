@@ -17,6 +17,7 @@ use bargain_core::{Certifier, CertifyDecision, CertifyRequest, Refresh};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
 const CLIENTS: u64 = 4;
 const BATCH: usize = 8;
@@ -62,7 +63,7 @@ impl Workload {
             ws.push(
                 TableId((k as u32) % 8),
                 Value::Int(k),
-                WriteOp::Update(vec![Value::Int(k), Value::Int(0)]),
+                WriteOp::Update(vec![Value::Int(k), Value::Int(0)].into()),
             );
         }
         ws
@@ -86,7 +87,7 @@ impl Workload {
                     txn: TxnId(self.txn),
                     replica: ReplicaId(self.txn as u32 % 3),
                     snapshot: Version(version.0.saturating_sub(self.rng.below(4))),
-                    writeset: ws,
+                    writeset: Arc::new(ws),
                     idem,
                 };
                 if req.idem.is_some() {

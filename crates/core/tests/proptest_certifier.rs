@@ -176,8 +176,8 @@ impl ShadowModel {
         self.commits += 1;
         self.v_commit += 1;
         let commit_version = Version(self.v_commit);
-        self.history.push(req.writeset.clone());
-        let writeset = Arc::new(req.writeset.clone());
+        self.history.push((*req.writeset).clone());
+        let writeset = Arc::new((*req.writeset).clone());
         self.log.push(LogRecord {
             commit_version,
             txn,
@@ -421,7 +421,7 @@ fn ws_of(keys: &[u8]) -> WriteSet {
         w.push(
             TableId(u32::from(k) % 8),
             Value::Int(i64::from(k)),
-            WriteOp::Update(vec![Value::Int(i64::from(k)), Value::Int(0)]),
+            WriteOp::Update(vec![Value::Int(i64::from(k)), Value::Int(0)].into()),
         );
     }
     w
@@ -531,7 +531,7 @@ proptest! {
                         txn: TxnId(txn),
                         replica: shadow.members[txn as usize % shadow.members.len()],
                         snapshot: Version(snapshot),
-                        writeset,
+                        writeset: Arc::new(writeset),
                         idem,
                     };
                     expected.extend(shadow.certify(&req));

@@ -10,7 +10,7 @@
 //! to the certifier and global commits are delivered too.
 
 use bargain_common::{
-    ClientId, ConsistencyMode, Error, ReplicaId, SessionId, TableId, TemplateId, TxnId, Value,
+    ClientId, ConsistencyMode, Error, ReplicaId, Row, SessionId, TableId, TemplateId, TxnId, Value,
     Version,
 };
 use bargain_core::certifier::{Delivery, Input};
@@ -317,7 +317,7 @@ impl Harness {
         let mut states = self.proxies.iter_mut().map(|p| {
             let e = p.engine_mut();
             let txn = e.begin();
-            let rows: Vec<(Value, Vec<Value>)> = e.scan(txn, TableId(0)).unwrap();
+            let rows: Vec<(Value, Row)> = e.scan(txn, TableId(0)).unwrap();
             e.commit_read_only(txn).unwrap();
             rows
         });

@@ -8,6 +8,7 @@ use bargain_core::certifier::{Delivery, Input};
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest, FileLog};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const REPLICAS: u32 = 3;
 
@@ -34,7 +35,7 @@ fn request(id: u64, t: &GenTxn, snapshot: Version) -> CertifyRequest {
         txn: TxnId(id),
         replica: ReplicaId(t.origin),
         snapshot,
-        writeset: ws,
+        writeset: Arc::new(ws),
         idem: None,
     }
 }

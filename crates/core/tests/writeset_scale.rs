@@ -28,7 +28,7 @@ fn descending_writeset() -> Vec<u8> {
         .map(|k| WriteSetEntry {
             table: TableId(0),
             key: Value::Int(k),
-            op: WriteOp::Update(vec![Value::Int(k), Value::Int(1)]),
+            op: WriteOp::Update(vec![Value::Int(k), Value::Int(1)].into()),
         })
         .collect();
     let mut bytes = Vec::new();

@@ -108,7 +108,7 @@ use crate::frame::{Frame, FrameDecoder, PUSH_ID};
 use crate::server::NetServerConfig;
 use bargain_cluster::{CertifierDeliveries, CertifierDelivery, CertifierLink, CertifierRequest};
 use bargain_common::{ConsistencyMode, Error, ReplicaId, Result, Version};
-use bargain_core::certifier::{Delivery, Input};
+use bargain_core::certifier::{Delivery, Input, Step};
 use bargain_core::{Certifier, CertifyDecision, LogRecord};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -195,6 +195,7 @@ impl CertifierServer {
         let counters = Arc::new(Counters::default());
         let service = CertifierService {
             certifier,
+            step: Step::default(),
             introduced: None,
             stop: Arc::clone(&stopper.flag),
             counters: Arc::clone(&counters),
@@ -265,6 +266,8 @@ impl CertifierServer {
 /// any frame that arrived later is answered.
 struct CertifierService {
     certifier: Certifier,
+    /// What a step produced, empty between steps and kept for its capacity.
+    step: Step,
     /// The replica count and mode the cluster introduced itself with;
     /// `None` until it has.
     introduced: Option<(u32, ConsistencyMode)>,
@@ -284,17 +287,17 @@ impl CertifierService {
             let why = "certifier input before the cluster's introduction";
             return conn.close_after(PUSH_ID, &Message::Err(Error::Protocol(why.into())));
         }
-        let step = match self.certifier.step(inputs) {
-            Ok(step) => step,
-            Err(e) => return conn.close_after(PUSH_ID, &Message::Err(e)),
-        };
+        let step = &mut self.step;
+        if let Err(e) = self.certifier.step_into(inputs, step) {
+            return conn.close_after(PUSH_ID, &Message::Err(e));
+        }
         let c = &self.counters;
         for &frames in &step.batches {
             c.certify_frames.fetch_add(frames as u64, Relaxed);
             c.batches.fetch_add(1, Relaxed);
             c.largest_batch.fetch_max(frames as u64, Relaxed);
         }
-        for (to, delivery) in step.out {
+        for (to, delivery) in step.out.drain(..) {
             conn.enqueue_reply(PUSH_ID, &delivery_frame(to, delivery));
         }
     }

@@ -460,7 +460,7 @@ mod tests {
         ws.push(
             TableId(2),
             Value::Int(7),
-            WriteOp::Update(vec![Value::Int(7), Value::Text("x".into())]),
+            WriteOp::Update(vec![Value::Int(7), Value::Text("x".into())].into()),
         );
         round_trip(Message::Hello);
         round_trip(Message::HelloAck {
@@ -507,7 +507,7 @@ mod tests {
                 abort_reason: None,
             },
             results: vec![
-                QueryResult::Rows(vec![vec![Value::Int(1), Value::Float(2.5)]]),
+                QueryResult::Rows(vec![vec![Value::Int(1), Value::Float(2.5)].into()]),
                 QueryResult::Affected(3),
             ],
         });
@@ -528,7 +528,7 @@ mod tests {
             replica: ReplicaId(1),
             snapshot: Version(4),
             idem: Some(IdemKey { client: 7, seq: 9 }),
-            writeset: ws.clone(),
+            writeset: Arc::new(ws.clone()),
         }));
         round_trip(Message::Applied {
             replica: ReplicaId(0),
@@ -652,14 +652,14 @@ mod tests {
         ws.push(
             TableId(1),
             Value::Int(2),
-            WriteOp::Update(vec![Value::Int(3)]),
+            WriteOp::Update(vec![Value::Int(3)].into()),
         );
         let certify = Message::Certify(CertifyRequest {
             txn: TxnId(1),
             replica: ReplicaId(0),
             snapshot: Version(0),
             idem: None,
-            writeset: ws,
+            writeset: Arc::new(ws),
         });
         let mut payload = certify.encode();
         // … | u32 ncols | one Int column (9 bytes).

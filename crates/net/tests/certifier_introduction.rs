@@ -13,6 +13,7 @@ use bargain_net::{
 };
 use bargain_storage::Engine;
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn table(engine: &mut Engine) -> Result<()> {
@@ -97,7 +98,7 @@ fn a_repeated_introduction_keeps_eager_credit_and_a_different_one_is_refused() {
         txn: TxnId(7),
         replica: ReplicaId(0),
         snapshot: Version::ZERO,
-        writeset,
+        writeset: Arc::new(writeset),
         idem: None,
     });
     let pushed = exchange(&mut first, &[introduction(2), certify, applied(0)]);

@@ -45,17 +45,20 @@ fn writeset() -> WriteSet {
     ws.push(
         TableId(1),
         Value::Int(7),
-        WriteOp::Insert(vec![
-            Value::Int(7),
-            Value::Text("héllo".into()),
-            Value::Null,
-            Value::Float(-2.5),
-        ]),
+        WriteOp::Insert(
+            vec![
+                Value::Int(7),
+                Value::Text("héllo".into()),
+                Value::Null,
+                Value::Float(-2.5),
+            ]
+            .into(),
+        ),
     );
     ws.push(
         TableId(2),
         Value::Text("k".into()),
-        WriteOp::Update(vec![Value::Text("k".into()), Value::Int(-1)]),
+        WriteOp::Update(vec![Value::Text("k".into()), Value::Int(-1)].into()),
     );
     ws.push(TableId(3), Value::Int(9), WriteOp::Delete);
     ws
@@ -168,8 +171,8 @@ fn session_frames_are_pinned() {
             outcome: outcome(true),
             results: vec![
                 QueryResult::Rows(vec![
-                    vec![Value::Int(1), Value::Float(2.5)],
-                    vec![Value::Null, Value::Text("x".into())],
+                    vec![Value::Int(1), Value::Float(2.5)].into(),
+                    vec![Value::Null, Value::Text("x".into())].into(),
                 ]),
                 QueryResult::Affected(3),
             ],
@@ -209,7 +212,7 @@ fn certifier_frames_are_pinned() {
             txn: TxnId(3),
             replica: ReplicaId(1),
             snapshot: Version(4),
-            writeset: writeset(),
+            writeset: Arc::new(writeset()),
             idem: Some(IdemKey { client: 7, seq: 9 }),
         }),
         0,

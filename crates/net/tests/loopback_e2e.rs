@@ -515,13 +515,13 @@ fn certify_burst_is_batched_and_answered_in_commit_order() {
         writeset.push(
             TableId(0),
             key.clone(),
-            WriteOp::Update(vec![key, Value::Int(7)]),
+            WriteOp::Update(vec![key, Value::Int(7)].into()),
         );
         let msg = Message::Certify(CertifyRequest {
             txn: TxnId(i + 1),
             replica: ReplicaId((i % 3) as u32),
             snapshot: Version::ZERO,
-            writeset,
+            writeset: Arc::new(writeset),
             idem: None,
         });
         burst.extend(encode_frame(msg.kind(), 0, &msg.encode()).unwrap());

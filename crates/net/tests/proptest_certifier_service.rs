@@ -14,6 +14,7 @@ use bargain_net::{CertifierServer, CertifierServerConfig, Connection, Message};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 const REPLICAS: u32 = 3;
@@ -35,13 +36,13 @@ fn certify_frames(requests: &[(u32, Vec<i64>)]) -> Vec<Vec<u8>> {
             let mut writeset = WriteSet::new();
             for &key in keys {
                 let row = vec![Value::Int(key), Value::Int(i as i64)];
-                writeset.push(TableId(0), Value::Int(key), WriteOp::Update(row));
+                writeset.push(TableId(0), Value::Int(key), WriteOp::Update(row.into()));
             }
             let msg = Message::Certify(CertifyRequest {
                 txn: TxnId(i as u64 + 1),
                 replica: ReplicaId(*replica),
                 snapshot: Version::ZERO,
-                writeset,
+                writeset: Arc::new(writeset),
                 idem: None,
             });
             encode_frame(msg.kind(), PUSH_ID, &msg.encode()).unwrap()
@@ -163,7 +164,7 @@ proptest! {
             writeset: {
                 let mut ws = WriteSet::new();
                 ws.push(TableId(0), Value::Int(99), WriteOp::Delete);
-                ws
+                Arc::new(ws)
             },
             idem: None,
         })).unwrap();

@@ -7,8 +7,8 @@
 
 use bargain_common::codec::Codec;
 use bargain_common::{
-    crc32, ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, SessionId, TableId, TemplateId,
-    TxnId, Value, Version, WriteOp, WriteSet,
+    crc32, ClientId, ConsistencyMode, Error, IdemKey, ReplicaId, Row, SessionId, TableId,
+    TemplateId, TxnId, Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::{
     CertifyDecision, CertifyRequest, CommitLog, FileLog, LogRecord, Refresh, TxnOutcome,
@@ -43,8 +43,8 @@ fn writeset_strategy() -> impl Strategy<Value = WriteSet> {
             let mut ws = WriteSet::new();
             for (table, key, op, row) in entries {
                 let op = match op {
-                    0 => WriteOp::Insert(row),
-                    1 => WriteOp::Update(row),
+                    0 => WriteOp::Insert(row.into()),
+                    1 => WriteOp::Update(row.into()),
                     _ => WriteOp::Delete,
                 };
                 ws.push(TableId(table), Value::Int(key), op);
@@ -82,7 +82,8 @@ fn outcome_strategy() -> impl Strategy<Value = TxnOutcome> {
 
 fn query_result_strategy() -> impl Strategy<Value = QueryResult> {
     prop_oneof![
-        proptest::collection::vec(row_strategy(), 0..4).prop_map(QueryResult::Rows),
+        proptest::collection::vec(row_strategy().prop_map(Row::from), 0..4)
+            .prop_map(QueryResult::Rows),
         any::<u32>().prop_map(|n| QueryResult::Affected(n as usize)),
     ]
 }
@@ -223,7 +224,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                     txn: TxnId(txn),
                     replica: ReplicaId(replica),
                     snapshot: Version(snapshot),
-                    writeset: ws,
+                    writeset: Arc::new(ws),
                     idem,
                 }
             )),
@@ -306,12 +307,12 @@ fn donor_snapshot() -> Snapshot {
         .unwrap();
     let _reader = e.begin_at(Version::ZERO);
     let mut ws = WriteSet::new();
-    ws.push(acct, Value::Int(1), WriteOp::Update(row(1, 101)));
+    ws.push(acct, Value::Int(1), WriteOp::Update(row(1, 101).into()));
     ws.push(acct, Value::Int(2), WriteOp::Delete);
     ws.push(
         item,
         Value::Int(1),
-        WriteOp::Update(vec![Value::Int(1), Value::Null]),
+        WriteOp::Update(vec![Value::Int(1), Value::Null].into()),
     );
     e.apply_refresh(&ws, Version(1)).unwrap();
     e.export_snapshot(usize::MAX)

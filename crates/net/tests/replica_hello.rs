@@ -7,7 +7,7 @@
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
-    ConsistencyMode, ReplicaId, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+    ConsistencyMode, ReplicaId, Row, TableId, TxnId, Value, Version, WriteOp, WriteSet,
 };
 use bargain_core::{CertifyDecision, CertifyRequest, Refresh};
 use bargain_net::frame::{encode_frame, read_frame};
@@ -76,13 +76,13 @@ fn after_a_certifier_restart_the_replicas_hello_completes_a_pending_eager_commit
     writeset.push(
         TableId(0),
         Value::Int(1),
-        WriteOp::Insert(vec![Value::Int(1)]),
+        WriteOp::Insert(vec![Value::Int(1)].into()),
     );
     let certify = Message::Certify(CertifyRequest {
         txn: TxnId(7),
         replica: ReplicaId(0),
         snapshot: Version::ZERO,
-        writeset,
+        writeset: Arc::new(writeset),
         idem: None,
     });
     let pushed = exchange(&mut conn, &[certify]);
@@ -211,7 +211,7 @@ fn pushes_read_with_the_last_history_page_reach_their_replica() {
         writeset.push(
             TableId(0),
             Value::Int(1),
-            WriteOp::Insert(vec![Value::Int(1), Value::Int(42)]),
+            WriteOp::Insert(vec![Value::Int(1), Value::Int(42)].into()),
         );
         let frames = [
             (
@@ -276,7 +276,7 @@ fn pushes_read_with_the_last_history_page_reach_their_replica() {
         let (_, results) = session
             .run_sql(&[("SELECT v FROM t WHERE id = ?", vec![Value::Int(1)])])
             .unwrap();
-        if results[0].rows().unwrap() == [vec![Value::Int(42)]] {
+        if results[0].rows().unwrap() == [Row::from([Value::Int(42)])] {
             break;
         }
         assert!(

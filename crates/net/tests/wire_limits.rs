@@ -8,7 +8,8 @@
 
 use bargain_cluster::{Cluster, ClusterConfig};
 use bargain_common::{
-    ConsistencyMode, Error, ReplicaId, Result, TableId, TxnId, Value, Version, WriteOp, WriteSet,
+    ConsistencyMode, Error, ReplicaId, Result, Row, TableId, TxnId, Value, Version, WriteOp,
+    WriteSet,
 };
 use bargain_core::certifier::Input;
 use bargain_core::{Certifier, CertifyDecision, CertifyRequest};
@@ -18,6 +19,7 @@ use bargain_net::{CertifierServer, CertifierServerConfig, NetServer, RemoteCerti
 use bargain_net::{ConnectPolicy, Connection, Message, RemoteSession};
 use bargain_storage::Engine;
 use std::io::Write;
+use std::sync::Arc;
 
 fn blob_table(engine: &mut Engine) -> Result<()> {
     bargain_sql::execute_ddl(
@@ -66,7 +68,7 @@ fn a_run_whose_reply_is_over_the_frame_cap_gets_its_error_and_runs_once() {
         .run_sql(&[("SELECT id FROM blob WHERE id = ?", vec![Value::Int(1)])])
         .unwrap();
     assert!(outcome.committed);
-    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+    assert_eq!(results[0].rows().unwrap(), &[Row::from([Value::Int(1)])]);
     drop(session);
     server.stop();
 }
@@ -92,12 +94,16 @@ fn a_durable_split_cluster_starts_over_a_log_larger_than_a_frame() {
             let inputs = batch.iter().map(|&i| {
                 let mut writeset = WriteSet::new();
                 let row = vec![Value::Int(i as i64), Value::Text(body.clone())];
-                writeset.push(TableId(0), Value::Int(i as i64), WriteOp::Insert(row));
+                writeset.push(
+                    TableId(0),
+                    Value::Int(i as i64),
+                    WriteOp::Insert(row.into()),
+                );
                 Input::Certify(CertifyRequest {
                     txn: TxnId(i),
                     replica: ReplicaId(0),
                     snapshot: Version(i - 1),
-                    writeset,
+                    writeset: Arc::new(writeset),
                     idem: None,
                 })
             });
@@ -137,7 +143,7 @@ fn a_durable_split_cluster_starts_over_a_log_larger_than_a_frame() {
     let (_, results) = session
         .run_sql(&[("SELECT id FROM blob WHERE id = ?", vec![Value::Int(1)])])
         .unwrap();
-    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+    assert_eq!(results[0].rows().unwrap(), &[Row::from([Value::Int(1)])]);
 
     drop(session);
     cluster.shutdown();
@@ -159,7 +165,7 @@ fn certify_from_replica_0() -> Message {
         txn: TxnId(1),
         replica: ReplicaId(0),
         snapshot: Version::ZERO,
-        writeset,
+        writeset: Arc::new(writeset),
         idem: None,
     })
 }
@@ -294,7 +300,7 @@ fn a_40_000_row_update_commits_behind_a_split_certifier_with_the_link_up() {
             vec![Value::Int(KV_ROWS - 1)],
         )])
         .unwrap();
-    assert_eq!(results[0].rows().unwrap(), &[vec![Value::Int(1)]]);
+    assert_eq!(results[0].rows().unwrap(), &[Row::from([Value::Int(1)])]);
     assert_eq!(cluster.stats().unwrap().certifier_downs, 0);
     drop(session);
     cluster.shutdown();

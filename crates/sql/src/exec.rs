@@ -10,7 +10,9 @@ use bargain_common::codec::{malformed, Codec, DecodeResult, Reader};
 use bargain_common::{Error, Result, Row, TableId, Value};
 use bargain_storage::{Access, Column, Engine, TableSchema, TxnHandle};
 use std::borrow::Cow;
+use std::iter;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,8 +159,9 @@ pub fn execute(
                 }
             }
             rows.truncate(limit);
-            // Only what is returned is copied: whole rows, the named
-            // columns, or nothing for a count or an aggregate.
+            // Only what is returned is handed out: whole rows (the stored
+            // images, shared), the named columns, or nothing for a count
+            // or an aggregate.
             let copied = match cols {
                 SelectCols::Star | SelectCols::Columns(_) => rows.len(),
                 SelectCols::CountStar | SelectCols::Aggregate { .. } => 0,
@@ -166,11 +169,11 @@ pub fn execute(
             let projected = match cols {
                 SelectCols::Star => rows.into_iter().cloned().collect(),
                 SelectCols::CountStar => {
-                    vec![vec![Value::Int(rows.len() as i64)]]
+                    vec![Row::from([Value::Int(rows.len() as i64)])]
                 }
                 SelectCols::Aggregate { func, column } => {
                     let idx = schema.column_index(column)?;
-                    vec![vec![aggregate(*func, rows.iter().map(|r| &r[idx]))?]]
+                    vec![Row::from([aggregate(*func, rows.iter().map(|r| &r[idx]))?])]
                 }
                 SelectCols::Columns(names) => {
                     let idxs: Vec<usize> = names
@@ -192,10 +195,11 @@ pub fn execute(
         } => {
             let table_id = engine.resolve_table(table)?;
             let schema = engine.catalog().schema(table_id)?.clone();
-            let mut row: Row = vec![Value::Null; schema.arity()];
+            let mut row: Row = iter::repeat_n(Value::Null, schema.arity()).collect();
+            let slots = Arc::get_mut(&mut row).expect("a row just built is not shared");
             for (col, expr) in columns.iter().zip(values) {
                 let idx = schema.column_index(col)?;
-                row[idx] = eval(expr, None, params)?.into_owned();
+                slots[idx] = eval(expr, None, params)?.into_owned();
             }
             engine.insert(txn, table_id, row)?;
             Ok(QueryResult::Affected(1))
@@ -210,10 +214,12 @@ pub fn execute(
             let matches = matching_rows(engine, txn, table_id, &schema, filter, params)?;
             let mut affected = 0;
             for old in matches {
-                let mut new = old.clone();
+                // The one copy: the new image, built from the borrowed old.
+                let mut new: Row = old.iter().cloned().collect();
+                let values = Arc::get_mut(&mut new).expect("a row just built is not shared");
                 for (col, expr) in sets {
                     let idx = schema.column_index(col)?;
-                    new[idx] = eval(expr, Some((&schema, &old)), params)?.into_owned();
+                    values[idx] = eval(expr, Some((&schema, &old)), params)?.into_owned();
                 }
                 let key = schema.key_of(&old);
                 engine.update(txn, table_id, &key, new)?;
@@ -361,8 +367,8 @@ fn ordered_group<'f>(
     Ok(None)
 }
 
-/// Owned copies of the matching rows, for `UPDATE` and `DELETE`: the engine
-/// is written to next.
+/// The matching rows, for `UPDATE` and `DELETE`: the engine is written to
+/// next, so each is held by its shared image rather than borrowed.
 fn matching_rows(
     engine: &mut Engine,
     txn: TxnHandle,
@@ -655,7 +661,7 @@ mod tests {
             "SELECT v FROM t WHERE id = ?",
             &[Value::Int(3)],
         );
-        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(30)]]));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(30)].into()]));
     }
 
     #[test]
@@ -664,12 +670,12 @@ mod tests {
         let r = q(&mut e, txn, "SELECT * FROM t WHERE id = 1", &[]);
         assert_eq!(
             r.rows().unwrap()[0],
-            vec![Value::Int(1), Value::Int(10), Value::Text("row1".into())]
+            vec![Value::Int(1), Value::Int(10), Value::Text("row1".into())].into()
         );
         let r = q(&mut e, txn, "SELECT name, id FROM t WHERE id = 1", &[]);
         assert_eq!(
             r.rows().unwrap()[0],
-            vec![Value::Text("row1".into()), Value::Int(1)]
+            vec![Value::Text("row1".into()), Value::Int(1)].into()
         );
     }
 
@@ -708,7 +714,7 @@ mod tests {
     fn count_star() {
         let (mut e, txn) = setup();
         let r = q(&mut e, txn, "SELECT COUNT(*) FROM t WHERE v >= 30", &[]);
-        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(3)]]));
+        assert_eq!(r, QueryResult::Rows(vec![vec![Value::Int(3)].into()]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! selection, snapshot correctness, own-writes visibility, and a
 //! differential of every access path against a naive reference.
 
-use bargain_common::{Error, Value};
+use bargain_common::{Error, Row, Value};
 use bargain_sql::{execute, execute_ddl, parse, QueryResult};
 use bargain_storage::{Engine, Table, TxnHandle, VersionChain};
 use proptest::prelude::*;
@@ -415,7 +415,7 @@ fn ints(v: &[i64]) -> Vec<Value> {
 
 /// The reference: every visible row, filtered, stably sorted, reversed for
 /// DESC, truncated, projected.
-fn reference(visible: &State, q: &Query) -> Vec<Vec<Value>> {
+fn reference(visible: &State, q: &Query) -> Vec<Row> {
     let mut rows: Vec<R> = visible
         .values()
         .copied()
@@ -431,15 +431,16 @@ fn reference(visible: &State, q: &Query) -> Vec<Vec<Value>> {
         rows.truncate(n);
     }
     match q.proj {
-        Proj::Star => rows.iter().map(|r| ints(r)).collect(),
-        Proj::CostId => rows.iter().map(|r| ints(&[r[2], r[0]])).collect(),
-        Proj::Count => vec![ints(&[rows.len() as i64])],
-        Proj::SumCost => vec![ints(&[rows.iter().map(|r| r[2]).sum()])],
+        Proj::Star => rows.iter().map(|r| ints(r).into()).collect(),
+        Proj::CostId => rows.iter().map(|r| ints(&[r[2], r[0]]).into()).collect(),
+        Proj::Count => vec![ints(&[rows.len() as i64]).into()],
+        Proj::SumCost => vec![ints(&[rows.iter().map(|r| r[2]).sum()]).into()],
         Proj::MinCost => vec![vec![rows
             .iter()
             .map(|r| r[2])
             .min()
-            .map_or(Value::Null, Value::Int)]],
+            .map_or(Value::Null, Value::Int)]
+        .into()],
     }
 }
 

@@ -144,7 +144,7 @@ mod tests {
     use bargain_common::Value;
 
     fn row(v: i64) -> Row {
-        vec![Value::Int(v)]
+        vec![Value::Int(v)].into()
     }
 
     #[test]

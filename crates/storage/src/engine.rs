@@ -11,6 +11,7 @@ use bargain_common::{
 };
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Handle to an open transaction. Obtained from [`Engine::begin`]; becomes
 /// invalid after commit or abort.
@@ -20,7 +21,23 @@ pub struct TxnHandle(u64);
 #[derive(Debug)]
 struct TxnState {
     snapshot: Version,
-    writes: WriteSet,
+    /// The buffered writes, `None` until the first. [`Engine::take_writeset`]
+    /// shares them, so the certify request and the local commit install
+    /// the same row images.
+    writes: Option<Arc<WriteSet>>,
+}
+
+/// What a transaction that has written nothing has written.
+static NO_WRITES: WriteSet = WriteSet::new();
+
+impl TxnState {
+    fn writes(&self) -> &WriteSet {
+        self.writes.as_deref().unwrap_or(&NO_WRITES)
+    }
+
+    fn push(&mut self, table: TableId, key: Value, op: WriteOp) {
+        Arc::make_mut(self.writes.get_or_insert_default()).push(table, key, op);
+    }
 }
 
 /// Counters the engine maintains; used by tests and the simulator's cost
@@ -35,7 +52,8 @@ pub struct EngineStats {
     pub refreshes_applied: u64,
     /// Rows examined: handed to a reader by [`Engine::visit`].
     pub reads: u64,
-    /// Row images copied out to a reader.
+    /// Row images handed out to a reader: the stored image, shared, or
+    /// the columns projected from it.
     pub copied: u64,
     /// Row writes buffered.
     pub writes: u64,
@@ -211,10 +229,11 @@ impl Engine {
     /// processing (initial database population). All or none: a bad row or
     /// a duplicate key refuses the batch and leaves the table as it was.
     /// The table is rebuilt in one pass from its own rows and the batch's,
-    /// sorted by key.
-    pub fn load_rows(&mut self, table: TableId, rows: Vec<Row>) -> Result<()> {
+    /// sorted by key. Rows given as [`Row`]s are stored as they are; any
+    /// other form is copied into one.
+    pub fn load_rows<R: Into<Row>>(&mut self, table: TableId, rows: Vec<R>) -> Result<()> {
         self.catalog.schema(table)?;
-        self.tables[table.index()].load(rows)
+        self.tables[table.index()].load(rows.into_iter().map(Into::into).collect())
     }
 
     // ------------------------------------------------------------------
@@ -258,7 +277,7 @@ impl Engine {
             id,
             TxnState {
                 snapshot,
-                writes: WriteSet::new(),
+                writes: None,
             },
         );
         TxnHandle(id)
@@ -279,23 +298,24 @@ impl Engine {
     /// The writes the transaction has buffered so far ("partial writeset"),
     /// used by the proxy's early certification.
     pub fn partial_writeset(&self, h: TxnHandle) -> Result<&WriteSet> {
-        Ok(&self.txn(h)?.writes)
+        Ok(self.txn(h)?.writes())
     }
 
-    /// Clones the full writeset for shipping to the certifier at commit
-    /// request time.
-    pub fn take_writeset(&self, h: TxnHandle) -> Result<WriteSet> {
-        Ok(self.txn(h)?.writes.clone())
+    /// The full writeset, for shipping to the certifier at commit request
+    /// time: shared with the transaction, not copied, so the certifier's
+    /// record, the refreshes and the local commit hold the same rows.
+    pub fn take_writeset(&self, h: TxnHandle) -> Result<Arc<WriteSet>> {
+        Ok(self.txn(h)?.writes.clone().unwrap_or_default())
     }
 
     /// Whether the transaction has written `table` so far.
     pub fn wrote(&self, h: TxnHandle, table: TableId) -> Result<bool> {
-        Ok(!self.txn(h)?.writes.table_entries(table).is_empty())
+        Ok(!self.txn(h)?.writes().table_entries(table).is_empty())
     }
 
     /// Whether the transaction is read-only so far.
     pub fn is_read_only(&self, h: TxnHandle) -> Result<bool> {
-        Ok(self.txn(h)?.writes.is_empty())
+        Ok(self.txn(h)?.writes().is_empty())
     }
 
     /// Aborts a transaction, discarding its buffered writes.
@@ -313,7 +333,7 @@ impl Engine {
             .txns
             .remove(&h.0)
             .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))?;
-        if !state.writes.is_empty() {
+        if !state.writes().is_empty() {
             self.txns.insert(h.0, state);
             return Err(Error::Protocol(
                 "commit_read_only on an update transaction".into(),
@@ -338,7 +358,7 @@ impl Engine {
                 self.version
             )));
         }
-        self.apply_writes(&state.writes, commit_version);
+        self.apply_writes(state.writes(), commit_version);
         self.version = commit_version;
         self.stats.commits += 1;
         Ok(())
@@ -355,12 +375,12 @@ impl Engine {
             .txns
             .get(&h.0)
             .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))?;
-        if state.writes.is_empty() {
+        if state.writes().is_empty() {
             self.txns.remove(&h.0);
             return Ok(self.version);
         }
         // First-committer-wins validation.
-        let conflict = state.writes.entries().iter().find_map(|e| {
+        let conflict = state.writes().entries().iter().find_map(|e| {
             self.tables[e.table.index()]
                 .latest_commit_of(&e.key)
                 .filter(|latest| *latest > state.snapshot)
@@ -375,7 +395,7 @@ impl Engine {
         }
         let state = self.txns.remove(&h.0).expect("checked above");
         let commit_version = self.version.next();
-        self.apply_writes(&state.writes, commit_version);
+        self.apply_writes(state.writes(), commit_version);
         self.version = commit_version;
         self.stats.commits += 1;
         Ok(commit_version)
@@ -397,6 +417,7 @@ impl Engine {
         Ok(())
     }
 
+    /// Installs each written row's image itself, shared, not a copy of it.
     fn apply_writes(&mut self, ws: &WriteSet, version: Version) {
         for e in ws.entries() {
             self.tables[e.table.index()].install(e.key.clone(), e.op.row().cloned(), version);
@@ -462,12 +483,12 @@ impl Engine {
             .get(&h.0)
             .ok_or_else(|| Error::NoSuchTransaction(format!("txn {}", h.0)))?;
         let t = &tables[table.index()];
+        let writes = state.writes();
         let own = match access {
-            Access::Key(k) => state
-                .writes
+            Access::Key(k) => writes
                 .row_entry(table, k)
                 .map_or(&[][..], std::slice::from_ref),
-            _ => state.writes.table_entries(table),
+            _ => writes.table_entries(table),
         };
         let snapshot = state.snapshot;
         let mut visit = |k, row| {
@@ -475,7 +496,7 @@ impl Engine {
             visit(k, row)
         };
         match access {
-            Access::Key(k) => merge(t.range_at(k, k, snapshot), own, &mut visit),
+            Access::Key(k) => merge(t.get_at(k, snapshot).into_iter(), own, &mut visit),
             Access::Index { column, lo, hi } => {
                 let candidates = t.index_candidates(column, lo, hi).ok_or_else(|| {
                     Error::SqlExecution(format!("{}: no index on column {column}", t.schema().name))
@@ -526,24 +547,32 @@ impl Engine {
 
     /// Inserts a new row. Fails with [`Error::DuplicateKey`] if the key is
     /// visible to this transaction (concurrent inserts of the same key are
-    /// caught later by certification).
-    pub fn insert(&mut self, h: TxnHandle, table: TableId, row: Row) -> Result<()> {
+    /// caught later by certification). A [`Row`] is stored as it is; any
+    /// other form is copied into one.
+    pub fn insert(&mut self, h: TxnHandle, table: TableId, row: impl Into<Row>) -> Result<()> {
+        let row = row.into();
         let schema = self.catalog.schema(table)?.clone();
         schema.check_row(&row)?;
         let key = schema.key_of(&row);
-        if self.get(h, table, &key)?.is_some() {
+        if self.sees(h, table, &key)? {
             return Err(Error::DuplicateKey(format!("{}: {key}", schema.name)));
         }
         self.stats.writes += 1;
-        self.txn_mut(h)?
-            .writes
-            .push(table, key, WriteOp::Insert(row));
+        self.txn_mut(h)?.push(table, key, WriteOp::Insert(row));
         Ok(())
     }
 
     /// Replaces the row with primary key `key` by `row`. Fails if the row is
-    /// not visible to the transaction.
-    pub fn update(&mut self, h: TxnHandle, table: TableId, key: &Value, row: Row) -> Result<()> {
+    /// not visible to the transaction. A [`Row`] is stored as it is; any
+    /// other form is copied into one.
+    pub fn update(
+        &mut self,
+        h: TxnHandle,
+        table: TableId,
+        key: &Value,
+        row: impl Into<Row>,
+    ) -> Result<()> {
+        let row = row.into();
         let schema = self.catalog.schema(table)?.clone();
         schema.check_row(&row)?;
         if schema.key_of(&row) != *key {
@@ -552,7 +581,7 @@ impl Engine {
                 schema.name
             )));
         }
-        if self.get(h, table, key)?.is_none() {
+        if !self.sees(h, table, key)? {
             return Err(Error::SqlExecution(format!(
                 "{}: update of non-existent key {key}",
                 schema.name
@@ -560,7 +589,6 @@ impl Engine {
         }
         self.stats.writes += 1;
         self.txn_mut(h)?
-            .writes
             .push(table, key.clone(), WriteOp::Update(row));
         Ok(())
     }
@@ -569,16 +597,25 @@ impl Engine {
     /// visible to the transaction.
     pub fn delete(&mut self, h: TxnHandle, table: TableId, key: &Value) -> Result<()> {
         self.catalog.schema(table)?;
-        if self.get(h, table, key)?.is_none() {
+        if !self.sees(h, table, key)? {
             return Err(Error::SqlExecution(format!(
                 "delete of non-existent key {key}"
             )));
         }
         self.stats.writes += 1;
-        self.txn_mut(h)?
-            .writes
-            .push(table, key.clone(), WriteOp::Delete);
+        self.txn_mut(h)?.push(table, key.clone(), WriteOp::Delete);
         Ok(())
+    }
+
+    /// Whether the transaction sees a row under `key`, its own writes
+    /// included: the row is looked at where it is, not copied out.
+    fn sees(&mut self, h: TxnHandle, table: TableId, key: &Value) -> Result<bool> {
+        let mut found = false;
+        self.visit(h, table, Access::Key(key), &mut |_, _| {
+            found = true;
+            Ok(ControlFlow::Break(()))
+        })?;
+        Ok(found)
     }
 
     // ------------------------------------------------------------------
@@ -666,7 +703,7 @@ mod tests {
     }
 
     fn row(id: i64, v: i64) -> Row {
-        vec![Value::Int(id), Value::Int(v)]
+        vec![Value::Int(id), Value::Int(v)].into()
     }
 
     #[test]
@@ -968,9 +1005,9 @@ mod tests {
         // holds is refused too.
         for first in [vec![], vec![row(10, 1), row(20, 2)]] {
             let mut refused = vec![
-                vec![row(3, 3), row(4, 4), row(3, 5)], // a key twice
-                vec![row(5, 5), vec![Value::Int(6)]],  // a bad row
-                vec![row(9, 9), vec![Value::Null, Value::Int(1)]], // a NULL key
+                vec![row(3, 3), row(4, 4), row(3, 5)],       // a key twice
+                vec![row(5, 5), vec![Value::Int(6)].into()], // a bad row
+                vec![row(9, 9), vec![Value::Null, Value::Int(1)].into()], // a NULL key
             ];
             if !first.is_empty() {
                 // A held key among keys below and between the held ones.
@@ -983,6 +1020,55 @@ mod tests {
                 assert_eq!(table(&e), before, "batch {i}");
             }
         }
+    }
+
+    /// A point read descends the map once for the key as given; the key it
+    /// hands out is the stored one, which may be an equal value of another
+    /// type, exactly as the one-key range it replaced found it.
+    #[test]
+    fn a_point_read_finds_a_key_stored_as_an_equal_value_of_another_type() {
+        let mut e = Engine::new();
+        let columns = vec![
+            Column::new("k", ColumnType::Float),
+            Column::new("v", ColumnType::Int),
+        ];
+        let t = e
+            .create_table(TableSchema::new("f", columns, 0).unwrap())
+            .unwrap();
+        let stored = [
+            vec![Value::Float(1.5), Value::Int(4)],
+            vec![Value::Float(2.0), Value::Int(5)],
+            vec![Value::Float(2.5), Value::Int(6)],
+        ];
+        e.load_rows(t, stored.to_vec()).unwrap();
+        let h = e.begin();
+        for probe in [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Int(3),
+            Value::Float(1.5),
+        ] {
+            let ranged: Vec<(Value, Row)> = e
+                .table(t)
+                .unwrap()
+                .range_at(&probe, &probe, e.version())
+                .map(|(k, row)| (k.clone(), row.clone()))
+                .collect();
+            let mut visited = Vec::new();
+            e.visit(h, t, Access::Key(&probe), &mut |k, row| {
+                visited.push((k.clone(), row.clone()));
+                Ok(ControlFlow::Continue(()))
+            })
+            .unwrap();
+            assert_eq!(visited, ranged, "probe {probe}");
+            // Equal is not enough: the key handed out is the stored one.
+            for ((got, _), (want, _)) in visited.iter().zip(&ranged) {
+                assert_eq!(got.type_name(), want.type_name());
+            }
+        }
+        let found = e.get(h, t, &Value::Int(2)).unwrap().unwrap();
+        assert_eq!(found.as_ref(), stored[1].as_slice());
+        assert_eq!(e.get(h, t, &Value::Int(3)).unwrap(), None);
     }
 
     #[test]

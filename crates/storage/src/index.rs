@@ -23,7 +23,7 @@
 //! re-check on the read path.
 
 use crate::chain::{RowVersion, VersionChain};
-use bargain_common::{Row, Value};
+use bargain_common::Value;
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -83,7 +83,7 @@ impl SecondaryIndex {
     }
 
     /// The entry a version of row `pk` carrying `row` justifies.
-    fn entry(&self, row: &Row, pk: &Value) -> Entry {
+    fn entry(&self, row: &[Value], pk: &Value) -> Entry {
         let order = match self.columns.get(1) {
             Some(&column) => Order::At(row[column].clone()),
             None => Order::Low,
@@ -92,12 +92,12 @@ impl SecondaryIndex {
     }
 
     /// Whether `a` and `b` carry the same values in the covered columns.
-    fn same_entry(&self, a: &Row, b: &Row) -> bool {
+    fn same_entry(&self, a: &[Value], b: &[Value]) -> bool {
         self.columns.iter().all(|&column| a[column] == b[column])
     }
 
     /// Records that some version of row `pk` carries `row`.
-    pub(crate) fn insert(&mut self, row: &Row, pk: &Value) {
+    pub(crate) fn insert(&mut self, row: &[Value], pk: &Value) {
         self.entries.insert(self.entry(row, pk));
     }
 
@@ -190,7 +190,7 @@ mod tests {
 
         /// Records that row `pk` carries `value` in column 1.
         fn add(&mut self, value: Value, pk: Value) {
-            self.insert(&vec![pk.clone(), value], &pk);
+            self.insert(&[pk.clone(), value], &pk);
         }
     }
 
@@ -236,7 +236,7 @@ mod tests {
         let mut idx = idx_with(&[(5, 1), (5, 2)]);
         let dropped = RowVersion {
             begin: bargain_common::Version(1),
-            data: Some(vec![Value::Int(1), Value::Int(5)]),
+            data: Some(vec![Value::Int(1), Value::Int(5)].into()),
         };
         idx.forget(&Value::Int(1), &[dropped], &VersionChain::default());
         assert_eq!(
@@ -266,13 +266,13 @@ mod tests {
         let mut idx = SecondaryIndex::build(&[1, 2], std::iter::empty());
         for (pk, group, order) in [(1, 5, 30), (2, 5, 10), (3, 5, 30), (4, 6, 0), (5, 4, 99)] {
             idx.insert(
-                &vec![Value::Int(pk), Value::Int(group), Value::Int(order)],
+                &[Value::Int(pk), Value::Int(group), Value::Int(order)],
                 &Value::Int(pk),
             );
         }
         // Row 3 once carried order value 20 too.
         idx.insert(
-            &vec![Value::Int(3), Value::Int(5), Value::Int(20)],
+            &[Value::Int(3), Value::Int(5), Value::Int(20)],
             &Value::Int(3),
         );
         let walk = |desc: bool| -> Vec<(i64, i64)> {

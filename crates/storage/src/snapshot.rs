@@ -420,7 +420,7 @@ mod tests {
     use bargain_common::{Row, TableId, Value, WriteOp, WriteSet};
 
     fn row(id: i64, v: i64) -> Row {
-        vec![Value::Int(id), Value::Int(v)]
+        vec![Value::Int(id), Value::Int(v)].into()
     }
 
     fn seeded_engine() -> (Engine, TableId) {
@@ -604,7 +604,7 @@ mod tests {
             (
                 "a row narrower than the indexed column",
                 "row width",
-                vec![(1, vec![version(1, Some(vec![Value::Int(1)]))])],
+                vec![(1, vec![version(1, Some(vec![Value::Int(1)].into()))])],
             ),
             (
                 "a value of the wrong type",
@@ -613,7 +613,7 @@ mod tests {
                     1,
                     vec![version(
                         1,
-                        Some(vec![Value::Int(1), Value::Text("x".into())]),
+                        Some(vec![Value::Int(1), Value::Text("x".into())].into()),
                     )],
                 )],
             ),

@@ -182,6 +182,15 @@ impl Table {
         self.rows.get(key).and_then(|c| c.read_at(snapshot))
     }
 
+    /// Point read at a snapshot with the key as stored, which may be a
+    /// value of another type that compares equal (`Int(2)` finds
+    /// `Float(2.0)`): one descent of the map.
+    #[must_use]
+    pub fn get_at(&self, key: &Value, snapshot: Version) -> Option<(&Value, &Row)> {
+        let (key, chain) = self.rows.get_key_value(key)?;
+        Some((key, chain.read_at(snapshot)?))
+    }
+
     /// The newest committed version of a row key, regardless of snapshot.
     /// Used by first-committer-wins validation.
     #[must_use]
@@ -349,7 +358,7 @@ mod tests {
     }
 
     fn row(id: i64, v: i64) -> Row {
-        vec![Value::Int(id), Value::Int(v)]
+        vec![Value::Int(id), Value::Int(v)].into()
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn table(e: &mut Engine, name: &str) -> TableId {
 }
 
 fn row(id: i64, v: i64) -> Row {
-    vec![Value::Int(id), Value::Int(v)]
+    vec![Value::Int(id), Value::Int(v)].into()
 }
 
 /// An engine with an indexed `item` table of `KEYS` loaded rows and an

@@ -45,7 +45,7 @@ fn value_of(rng: &mut SmallRng, column: usize) -> Value {
 fn row(rng: &mut SmallRng, key: i64) -> Row {
     let mut row = vec![Value::Int(key)];
     row.extend((1..COLUMNS.len()).map(|c| value_of(rng, c)));
-    row
+    row.into()
 }
 
 /// A random subset of the columns, each indexed.

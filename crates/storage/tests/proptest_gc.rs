@@ -32,7 +32,7 @@ fn schema() -> TableSchema {
 
 fn row(rng: &mut SmallRng, key: i64) -> Row {
     let mut value = || Value::Int(rng.gen_range(0..VALUES));
-    vec![Value::Int(key), value(), value()]
+    vec![Value::Int(key), value(), value()].into()
 }
 
 /// Every version of every key, newest first, as installed: `None` data is

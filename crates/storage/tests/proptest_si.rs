@@ -187,7 +187,7 @@ proptest! {
         let (mut b, _) = engine();
         for (i, (k, v)) in updates.iter().enumerate() {
             let mut ws = WriteSet::new();
-            ws.push(t, Value::Int(*k), WriteOp::Update(vec![Value::Int(*k), Value::Int(*v)]));
+            ws.push(t, Value::Int(*k), WriteOp::Update(vec![Value::Int(*k), Value::Int(*v)].into()));
             let ver = Version(i as u64 + 1);
             a.apply_refresh(&ws, ver).unwrap();
             b.apply_refresh(&ws, ver).unwrap();

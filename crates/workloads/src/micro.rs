@@ -8,7 +8,7 @@
 
 use crate::client::ClientContext;
 use crate::Workload;
-use bargain_common::{Result, TemplateId, Value};
+use bargain_common::{Result, Row, TemplateId, Value};
 use bargain_sql::TransactionTemplate;
 use bargain_storage::Engine;
 
@@ -139,7 +139,7 @@ impl Workload for MicroBenchmark {
         for i in 0..self.tables {
             let table = engine.resolve_table(&Self::table_name(i))?;
             let rows = (1..=self.rows_per_table as i64)
-                .map(|pk| vec![Value::Int(pk), Value::Int(pk * 7), Value::Text(pad.clone())])
+                .map(|pk| Row::from([Value::Int(pk), Value::Int(pk * 7), Value::Text(pad.clone())]))
                 .collect();
             engine.load_rows(table, rows)?;
         }

@@ -14,7 +14,7 @@
 
 use crate::client::ClientContext;
 use crate::Workload;
-use bargain_common::{Result, TemplateId, Value};
+use bargain_common::{Result, Row, TemplateId, Value};
 use bargain_sql::TransactionTemplate;
 use bargain_storage::Engine;
 
@@ -309,7 +309,7 @@ impl Workload for TpcwWorkload {
     }
 
     fn populate(&self, engine: &mut Engine) -> Result<()> {
-        let load = |e: &mut Engine, name: &str, rows: Vec<Vec<Value>>| -> Result<()> {
+        let load = |e: &mut Engine, name: &str, rows: Vec<Row>| -> Result<()> {
             let t = e.resolve_table(name)?;
             e.load_rows(t, rows)
         };
@@ -317,7 +317,7 @@ impl Workload for TpcwWorkload {
             engine,
             "country",
             (1..=92i64)
-                .map(|i| vec![Value::Int(i), Value::Text(format!("country{i}"))])
+                .map(|i| Row::from([Value::Int(i), Value::Text(format!("country{i}"))]))
                 .collect(),
         )?;
         load(
@@ -325,11 +325,11 @@ impl Workload for TpcwWorkload {
             "address",
             (1..=self.customers as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Text(format!("{i} Main St")),
                         Value::Int(i % 92 + 1),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -338,13 +338,13 @@ impl Workload for TpcwWorkload {
             "customer",
             (1..=self.customers as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Text(format!("user{i}")),
                         Value::Float((i % 50) as f64 / 100.0),
                         Value::Float(0.0),
                         Value::Int(i),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -353,11 +353,11 @@ impl Workload for TpcwWorkload {
             "author",
             (1..=self.authors() as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Text(format!("First{i}")),
                         Value::Text(format!("Last{i}")),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -366,7 +366,7 @@ impl Workload for TpcwWorkload {
             "item",
             (1..=self.items as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Text(format!("The Art of Item {i}")),
                         Value::Int(i % self.authors() as i64 + 1),
@@ -374,7 +374,7 @@ impl Workload for TpcwWorkload {
                         Value::Float(10.0 + (i % 90) as f64),
                         Value::Int(100),
                         Value::Int(20_000_000 + i),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -383,13 +383,13 @@ impl Workload for TpcwWorkload {
             "orders",
             (1..=self.orders as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Int(i % self.customers as i64 + 1),
                         Value::Int(20_080_101),
                         Value::Float(99.0),
                         Value::Text("shipped".into()),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -398,12 +398,12 @@ impl Workload for TpcwWorkload {
             "order_line",
             (0..self.orders as i64 * 3)
                 .map(|n| {
-                    vec![
+                    Row::from([
                         Value::Int(n + 1),
                         Value::Int(n / 3 + 1),
                         Value::Int(n % self.items as i64 + 1),
                         Value::Int(n % 5 + 1),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -412,11 +412,11 @@ impl Workload for TpcwWorkload {
             "cc_xacts",
             (1..=self.orders as i64)
                 .map(|i| {
-                    vec![
+                    Row::from([
                         Value::Int(i),
                         Value::Text("VISA".into()),
                         Value::Float(99.0),
-                    ]
+                    ])
                 })
                 .collect(),
         )?;
@@ -424,7 +424,7 @@ impl Workload for TpcwWorkload {
             engine,
             "shopping_cart",
             (1..=self.carts as i64)
-                .map(|i| vec![Value::Int(i), Value::Int(0), Value::Float(0.0)])
+                .map(|i| Row::from([Value::Int(i), Value::Int(0), Value::Float(0.0)]))
                 .collect(),
         )?;
         // shopping_cart_line starts empty: lines are created by the

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Turns prof.so's output into two tables: each thread name's share of the
-samples, and the functions on the stacks of the threads whose name starts
-with --threads, by inclusive count (a function counts once per sample it
-appears in) and by self count (the innermost frame)."""
+"""Turns prof.so's output (or mcount.so's sampled allocation stacks) into
+two tables: each thread name's share of the samples, and the functions on
+the stacks of the threads whose name starts with --threads, by inclusive
+count (a function counts once per sample it appears in) and by self count
+(the innermost frame)."""
 import argparse
 import collections
 import re
@@ -45,6 +46,8 @@ cleaned, wanted = [], collections.defaultdict(set)
 for thread, pcs in stacks:
     own = [i for i, pc in enumerate(pcs) if (locate(pc)[0] or "").endswith("prof.so")]
     pcs = pcs[own[-1] + 2:] if own else pcs
+    # mcount.so's stacks start in its allocation hooks.
+    pcs = [pc for pc in pcs if not (locate(pc)[0] or "").endswith("mcount.so")]
     frames = [locate(pc - (1 if i else 0)) for i, pc in enumerate(pcs)]
     for path, addr in frames:
         if path:

@@ -7,13 +7,14 @@ use bargain::core::certifier::{Delivery, Input};
 use bargain::core::{Certifier, CertifyDecision, CertifyRequest, CommitLog, FileLog, MemoryLog};
 use bargain::sql::{execute_ddl, parse};
 use bargain::storage::Engine;
+use std::sync::Arc;
 
 fn ws(key: i64, val: i64) -> WriteSet {
     let mut w = WriteSet::new();
     w.push(
         TableId(0),
         Value::Int(key),
-        WriteOp::Update(vec![Value::Int(key), Value::Int(val)]),
+        WriteOp::Update(vec![Value::Int(key), Value::Int(val)].into()),
     );
     w
 }
@@ -23,7 +24,7 @@ fn req(txn: u64, snapshot: Version, w: WriteSet) -> CertifyRequest {
         txn: TxnId(txn),
         replica: ReplicaId(0),
         snapshot,
-        writeset: w,
+        writeset: Arc::new(w),
         idem: None,
     }
 }
